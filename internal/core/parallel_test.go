@@ -146,6 +146,27 @@ func TestBatchedResumeUnderDifferentWorkerCount(t *testing.T) {
 	}
 }
 
+// TestOptionsFingerprintPinned pins the fingerprint values themselves:
+// answer-cache keys, idempotency keys and checkpoints all embed them, so a
+// refactor that changes one silently orphans every stored artifact.
+func TestOptionsFingerprintPinned(t *testing.T) {
+	w4 := DefaultOptions()
+	w4.Workers = 4
+	for _, c := range []struct {
+		name string
+		opts Options
+		want uint64
+	}{
+		{"DefaultOptions", DefaultOptions(), 0xebf77dbe08d016b4},
+		{"DefaultOptions+Workers=4", w4, 0x174bd6e96a7c036a},
+		{"BasicOptions", BasicOptions(), 0xe347ffa39331dd49},
+	} {
+		if got := OptionsFingerprint(&c.opts); got != c.want {
+			t.Errorf("%s: fingerprint %016x, want %016x", c.name, got, c.want)
+		}
+	}
+}
+
 func TestParallelFingerprintFamilies(t *testing.T) {
 	seq := DefaultOptions()
 	seqFP := OptionsFingerprint(&seq)
