@@ -12,10 +12,10 @@
 //	benchjson -parallel [-out BENCH_parallel.json] [-seed 1]
 //	          [-table1 100] [-random4 15] [-steps 30000]
 //
-// With -parallel the harness compares the search engines instead of the
-// transposition table: sequential vs deterministic-merge at several
-// worker counts (whose trajectories must be bit-identical) vs the
-// free-running work-stealing engine, writing BENCH_parallel.json.
+// With -parallel the harness compares round strides instead of the
+// transposition table: the sequential search (one pop per round) vs
+// deterministic-merge rounds at several worker counts, whose trajectories
+// must be bit-identical, writing BENCH_parallel.json.
 package main
 
 import (
@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		steps        = fs.Int("steps", 0, "per-function expansion budget (0 = default 50000, or 30000 with -parallel)")
 		exampleSteps = fs.Int("examplesteps", 0, "per-example expansion budget (0 = default 150000)")
 		skipExamples = fs.Bool("skip-examples", false, "skip the worked-examples comparison")
-		parallel     = fs.Bool("parallel", false, "run the parallel-engine harness instead (sequential vs det-merge widths vs free-running)")
+		parallel     = fs.Bool("parallel", false, "run the parallel harness instead (sequential vs det-merge widths)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

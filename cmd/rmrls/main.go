@@ -93,8 +93,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		nodedup   = fs.Bool("nodedup", false, "disable the transposition-table search deduplication")
 		library   = fs.String("library", "gt", "gate library: gt or nct")
 		first     = fs.Bool("first", false, "stop at the first solution found")
-		workers   = fs.Int("workers", 0, "parallel search workers (0 = sequential engine)")
-		free      = fs.Bool("free", false, "with -workers, use the free-running work-stealing engine: faster, but runs are not reproducible (incompatible with -checkpoint and -trace)")
+		workers   = fs.Int("workers", 0, "parallel search workers (0 = sequential search; >= 1 = det-merge rounds, identical output at every width)")
 		simplify  = fs.Bool("simplify", false, "apply peephole simplification to the result")
 		peep      = fs.Bool("peephole", false, "apply the window-resynthesis peephole optimizer to the result")
 		lower     = fs.Bool("lower", false, "lower the result to the NCT library (ancilla-free Toffoli decomposition)")
@@ -144,17 +143,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	opts.GreedyK = *greedyK
 	opts.FirstSolution = *first
 	opts.Workers = *workers
-	opts.FreeRunning = *free
-	if *free && *workers <= 1 {
-		fmt.Fprintln(stderr, "rmrls: -free requires -workers >= 2")
-		return 1
-	}
-	if *free && *ckptPath != "" {
-		// Options would silently fall back to det-merge here; the CLI is
-		// explicit so the user knows which engine they are getting.
-		fmt.Fprintln(stderr, "rmrls: -free cannot be combined with -checkpoint (free-running runs are not resumable; drop -free to checkpoint a parallel search)")
-		return 1
-	}
 	if *nodedup {
 		opts.Dedup = false
 	}
@@ -167,13 +155,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *trace {
-		if *free {
-			// The free-running engine pops from per-worker heaps
-			// concurrently; an interleaved event stream would be misleading
-			// and the engine disables it. Refuse rather than surprise.
-			fmt.Fprintln(stderr, "rmrls: -trace cannot be combined with -free (events interleave arbitrarily; use det-merge -workers without -free)")
-			return 1
-		}
 		opts.Trace = func(e core.Event) { printEvent(stdout, e) }
 	}
 	if *resume && *ckptPath == "" {
@@ -346,12 +327,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "# gates=%d quantum-cost=%d steps=%d nodes=%d elapsed=%v stop=%s\n",
 			c.Len(), c.QuantumCost(), res.Steps, res.Nodes, res.Elapsed.Round(time.Microsecond), res.StopReason)
 		if res.Workers > 0 {
-			mode := "det-merge"
-			if *free {
-				mode = "free-running"
-			}
-			fmt.Fprintf(stdout, "# parallel: %d workers (%s), %d steals, %d idle spins\n",
-				res.Workers, mode, res.Steals, res.Idles)
+			fmt.Fprintf(stdout, "# parallel: %d workers (det-merge)\n", res.Workers)
 		}
 		if probes := res.DedupHits + res.DedupMisses; probes > 0 {
 			fmt.Fprintf(stdout, "# dedup: %d/%d duplicate states pruned (%.1f%% hit rate, %d evictions)\n",

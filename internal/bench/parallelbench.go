@@ -13,14 +13,13 @@ import (
 )
 
 // This file is the parallel-search harness: it runs the seeded workloads
-// of the search harness under the sequential engine, the deterministic-
-// merge engine at several worker counts, and the free-running
-// work-stealing engine, and reports the numbers checked in as
-// BENCH_parallel.json. Two kinds of facts come out: determinism facts
-// (every det-merge width must produce the bit-identical trajectory —
-// machine-independent) and throughput facts (wall-clock speedups —
-// meaningful only on the machine whose cpus/gomaxprocs metadata the
-// report carries; a single-core runner honestly reports ~1.0).
+// of the search harness sequentially (one pop per round) and under
+// deterministic-merge rounds at several worker counts, and reports the
+// numbers checked in as BENCH_parallel.json. Two kinds of facts come out:
+// determinism facts (every det-merge width must produce the bit-identical
+// trajectory — machine-independent) and throughput facts (wall-clock
+// speedups — meaningful only on the machine whose cpus/gomaxprocs metadata
+// the report carries; a single-core runner honestly reports ~1.0).
 
 // ParallelBenchConfig sizes the parallel harness. The zero value selects
 // the defaults used for the checked-in BENCH_parallel.json.
@@ -35,8 +34,7 @@ type ParallelBenchConfig struct {
 	Random4 int `json:"random4"`
 	// TotalSteps is the per-function expansion budget. Default 30000.
 	TotalSteps int `json:"total_steps"`
-	// Widths are the det-merge worker counts to compare; the free-running
-	// engine runs at the largest. Default [1, 4, 8].
+	// Widths are the det-merge worker counts to compare. Default [1, 4, 8].
 	Widths []int `json:"widths"`
 }
 
@@ -60,7 +58,7 @@ func (c *ParallelBenchConfig) fill() {
 
 // EngineRow is one workload under one engine configuration.
 type EngineRow struct {
-	// Engine is "sequential", "det-merge", or "free-running".
+	// Engine is "sequential" or "det-merge".
 	Engine string `json:"engine"`
 	// Workers is the configured width (0 for the sequential engine).
 	Workers     int     `json:"workers"`
@@ -68,8 +66,6 @@ type EngineRow struct {
 	Solved      int     `json:"solved"`
 	TotalGates  int     `json:"total_gates"`
 	Expansions  int64   `json:"expansions"`
-	Steals      int64   `json:"steals,omitempty"`
-	Idles       int64   `json:"idles,omitempty"`
 	Seconds     float64 `json:"seconds"`
 	NodesPerSec float64 `json:"nodes_per_sec"`
 	// Speedup is this row's NodesPerSec over the workload's sequential
@@ -78,8 +74,6 @@ type EngineRow struct {
 	// Trajectory fingerprints the per-function results (found flag,
 	// circuit, steps, nodes). Rows with equal fingerprints took the
 	// bit-identical search trajectory; every det-merge width must agree.
-	// The free-running engine makes no such promise and its fingerprint
-	// varies run to run.
 	Trajectory string `json:"trajectory"`
 }
 
@@ -122,8 +116,6 @@ func runEngineRow(ctx context.Context, fns []perm.Perm, opts core.Options, engin
 			return row, r.Err
 		}
 		row.Expansions += int64(r.Steps)
-		row.Steals += r.Steals
-		row.Idles += r.Idles
 		gates := "<none>"
 		if r.Found {
 			if err := core.Verify(r.Circuit, p); err != nil {
@@ -159,22 +151,10 @@ func compareEngines(ctx context.Context, name string, fns []perm.Perm, cfg Paral
 	if err := add(searchOpts(cfg.TotalSteps, true), "sequential"); err != nil {
 		return w, err
 	}
-	maxWidth := 0
 	for _, width := range cfg.Widths {
 		opts := searchOpts(cfg.TotalSteps, true)
 		opts.Workers = width
 		if err := add(opts, "det-merge"); err != nil {
-			return w, err
-		}
-		if width > maxWidth {
-			maxWidth = width
-		}
-	}
-	if maxWidth >= 2 {
-		opts := searchOpts(cfg.TotalSteps, true)
-		opts.Workers = maxWidth
-		opts.FreeRunning = true
-		if err := add(opts, "free-running"); err != nil {
 			return w, err
 		}
 	}

@@ -2,17 +2,13 @@ package bench
 
 import (
 	"context"
-	"runtime"
 	"testing"
 )
 
 // TestParallelBenchSmoke runs a scaled-down parallel harness end to end:
-// the report must carry every engine row, every det-merge width must
-// fingerprint identically, and — when the runner actually has cores to
-// scale onto — the free-running engine must beat the sequential baseline
-// by the CI floor (8-worker wall clock ≤ 0.6× single-worker). On fewer
-// than 4 cores the throughput assertion is skipped; the determinism
-// assertions hold everywhere.
+// the report must carry every engine row and every det-merge width must
+// fingerprint identically. Wall-clock speedups are machine facts and are
+// not asserted.
 func TestParallelBenchSmoke(t *testing.T) {
 	cfg := ParallelBenchConfig{Table1Sample: 20, Random4: 3, TotalSteps: 8000}
 	report, err := RunParallelBench(context.Background(), cfg)
@@ -26,8 +22,8 @@ func TestParallelBenchSmoke(t *testing.T) {
 		t.Fatalf("workloads = %d, want 2", len(report.Workloads))
 	}
 	for _, w := range report.Workloads {
-		// sequential + one det-merge row per width + free-running.
-		want := 1 + len(report.Config.Widths) + 1
+		// sequential + one det-merge row per width.
+		want := 1 + len(report.Config.Widths)
 		if len(w.Rows) != want {
 			t.Fatalf("%s: rows = %d, want %d", w.Workload, len(w.Rows), want)
 		}
@@ -42,28 +38,5 @@ func TestParallelBenchSmoke(t *testing.T) {
 				t.Errorf("%s/%s-%d: missing trajectory fingerprint", w.Workload, r.Engine, r.Workers)
 			}
 		}
-	}
-
-	if runtime.NumCPU() < 4 {
-		t.Logf("only %d cores: skipping the throughput floor (speedups here measure overhead, not scaling)", runtime.NumCPU())
-		return
-	}
-	w := report.Workloads[0] // table1-3var
-	var seq, free *EngineRow
-	for i := range w.Rows {
-		switch w.Rows[i].Engine {
-		case "sequential":
-			seq = &w.Rows[i]
-		case "free-running":
-			free = &w.Rows[i]
-		}
-	}
-	if seq == nil || free == nil {
-		t.Fatal("missing sequential or free-running row")
-	}
-	// Equal budgets, so wall-clock ratio ≈ expansion-rate ratio.
-	if free.NodesPerSec < seq.NodesPerSec/0.6 {
-		t.Errorf("free-running throughput %.0f exp/s on %d cores, want ≥ %.0f (≤0.6× sequential wall clock)",
-			free.NodesPerSec, runtime.NumCPU(), seq.NodesPerSec/0.6)
 	}
 }

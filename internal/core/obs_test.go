@@ -105,10 +105,10 @@ func TestObservePortfolioChildren(t *testing.T) {
 func TestObserveCheckpointTelemetry(t *testing.T) {
 	spec := hardSpec(t, 11)
 	opts := DefaultOptions()
-	opts.TotalSteps = 20000
+	opts.TotalSteps = 1000 // room for several ckptTimeStride cadence checks
 	opts.Checkpoint = Checkpoint{
 		Path:     t.TempDir() + "/ck.snap",
-		Interval: time.Nanosecond, // every stride boundary
+		Interval: time.Nanosecond, // every wall-clock cadence check
 	}
 	run := obs.NewRun("ckpt")
 	opts.Observe = run

@@ -175,32 +175,19 @@ type Options struct {
 	// result. SkipVerify results are never cached.
 	Cache *cache.Cache
 
-	// Workers selects the parallel search engine and its goroutine count.
-	// 0 (the default) runs the classic single-goroutine searcher. Any
-	// value ≥ 1 selects the deterministic-merge engine: candidate
-	// generation (the PPRM probe/score/sort math, the bulk of an
-	// expansion's cost) fans out across min(Workers, batch) goroutines
-	// while every queue, transposition-table, and counter mutation is
-	// merged sequentially in a fixed batch order — so the search
-	// trajectory, the Result counters, and every checkpoint are
-	// byte-identical across Workers=1, 4, 8, ... and across runs. That
-	// invariance is what lets checkpoints resume under a different worker
-	// count and lets the answer cache treat differently-parallel runs as
-	// the same job. See also FreeRunning for the non-deterministic engine.
+	// Workers selects how many nodes one search round pops and how many
+	// goroutines expand them. 0 (the default) pops one node per round on
+	// one goroutine: the paper's Fig. 4 loop. Any value ≥ 1 selects
+	// deterministic-merge rounds of a fixed 64 pops: candidate generation
+	// (the PPRM probe/score/sort math, the bulk of an expansion's cost)
+	// fans out across min(Workers, 64) goroutines while every queue,
+	// transposition-table, and counter mutation is merged sequentially in
+	// pop order — so the search trajectory, the Result counters, and every
+	// checkpoint are byte-identical across Workers=1, 4, 8, ... and across
+	// runs. That invariance is what lets checkpoints resume under a
+	// different worker count and lets the answer cache treat
+	// differently-parallel runs as the same job.
 	Workers int
-
-	// FreeRunning, with Workers ≥ 2, replaces the deterministic-merge
-	// engine with the work-stealing free-running engine: each worker owns
-	// a shard of the frontier (states hash-route to their owner), idle
-	// workers steal from the deepest peer queue, and the first verified
-	// solution wins. Fastest wall-clock, but the pop order — and therefore
-	// Steps/Nodes counters and which equally-good circuit is found — can
-	// differ run to run. Incompatible with Checkpoint (a nondeterministic
-	// trajectory cannot be resumed exactly) and Trace; when Checkpoint is
-	// enabled the engine silently falls back to deterministic merge, and
-	// Trace is ignored. The answer cache still works: hits are keyed on
-	// the canonical class and results are independently verified.
-	FreeRunning bool
 
 	// SkipVerify disables the always-on post-synthesis verification gate.
 	// By default every found circuit is re-simulated gate by gate by the
@@ -386,40 +373,6 @@ func (o *Options) maxQueue() int {
 		return o.MaxQueue
 	}
 	return 1 << 18
-}
-
-// parMode identifies which search engine a run uses; see Options.Workers.
-type parMode int
-
-const (
-	parSeq   parMode = iota // classic single-goroutine searcher
-	parBatch                // deterministic-merge batch engine
-	parFree                 // work-stealing free-running engine
-)
-
-func (m parMode) String() string {
-	switch m {
-	case parBatch:
-		return "det-merge"
-	case parFree:
-		return "free-running"
-	default:
-		return "sequential"
-	}
-}
-
-// parallelMode resolves the engine from Workers/FreeRunning, applying the
-// documented fallback: free-running demands ≥ 2 workers and cannot
-// checkpoint (its trajectory is not resumable), so those configurations
-// degrade to the deterministic-merge engine instead of failing.
-func (o *Options) parallelMode() parMode {
-	if o.Workers <= 0 {
-		return parSeq
-	}
-	if o.FreeRunning && o.Workers >= 2 && !o.Checkpoint.enabled() {
-		return parFree
-	}
-	return parBatch
 }
 
 // EventKind distinguishes search-trace events.

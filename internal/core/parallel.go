@@ -1,39 +1,42 @@
 package core
 
-// Parallel search engines over the shared logical frontier. Two engines,
-// selected by Options.Workers / Options.FreeRunning (see options.go):
+// Round structure of the search loop (run, in synth.go). Each round pops up
+// to stride nodes, generates their candidates — the PPRM probe/score/sort
+// math, the bulk of an expansion's cost — and then commits every queue,
+// table and counter mutation sequentially in pop order:
 //
-//   - runBatched, the deterministic-merge engine: the coordinator pops a
-//     fixed-size batch of nodes, fans their candidate generation (the PPRM
-//     probe/score/sort math, the bulk of an expansion's cost) out across
-//     workers, then merges every queue/table/counter mutation sequentially
-//     in batch order. Because the batch size is a constant — never derived
-//     from the worker count — the search trajectory, all Result counters,
-//     and every checkpoint are byte-identical across Workers=1, 4, 8 and
-//     across runs.
-//
-//   - runFree, the work-stealing free-running engine: each worker owns a
-//     shard of the frontier (internal/frontier primitives: per-worker
-//     heaps with hash-routed ownership, a lock-striped transposition
-//     table, a global best-depth bound), idle workers steal from the
-//     deepest peer, and the first solution to publish wins. Fastest
-//     wall-clock, nondeterministic pop order.
+//   - stride 1 (Workers = 0): one pop per round, the paper's Fig. 4 loop;
+//   - stride batchStride (Workers ≥ 1): the deterministic-merge round,
+//     whose generation fans out across Workers goroutines. The stride is a
+//     constant, never derived from the worker count, so the search
+//     trajectory, all Result counters, and every checkpoint are
+//     byte-identical across Workers=1, 4, 8 and across runs.
 
 import (
-	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/frontier"
-	"repro/internal/obs"
 )
+
+// batchStride is how many priority-queue pops a deterministic-merge round
+// commits. It is a fixed constant, independent of the worker count — that
+// independence is the entire determinism argument: rounds select, generate,
+// and merge the same nodes in the same order no matter how many goroutines
+// did the generating. It equals pollStride, so a det-merge run polls its
+// limits once per full round.
+const batchStride = pollStride
+
+// stride resolves the pops per round from Workers; see the file comment.
+func (o *Options) stride() int {
+	if o.Workers > 0 {
+		return batchStride
+	}
+	return 1
+}
 
 // scoringClone returns a searcher stripped to the state generate reads —
 // options, weights, widths — with its own scratch buffers and no queue,
-// table, or counters. Each parallel worker generates through its own
-// clone, so the shared searcher's buffers are never touched concurrently.
+// table, or counters. Each extra worker generates through its own clone,
+// so no scratch buffer is touched by two goroutines.
 func (s *searcher) scoringClone() *searcher {
 	return &searcher{
 		opts:      s.opts,
@@ -45,42 +48,13 @@ func (s *searcher) scoringClone() *searcher {
 	}
 }
 
-// batchStride is how many priority-queue pops the deterministic-merge
-// engine commits per round. It is a fixed constant, independent of the
-// worker count — that independence is the entire determinism argument:
-// rounds select, generate, and merge the same nodes in the same order no
-// matter how many goroutines did the generating. It equals pollStride, so
-// cancellation latency (one poll per round) matches the sequential engine.
-const batchStride = pollStride
-
-// roundPoll checks the caller's context and wall-clock deadline once per
-// batch round — the batched engine's analogue of interrupted(). Rounds are
-// at most batchStride pops, so the latency bound is the sequential one.
-func (s *searcher) roundPoll() (StopReason, bool) {
-	s.observe()
-	if s.done != nil {
-		select {
-		case <-s.done:
-			return StopCanceled, true
-		default:
-		}
-	}
-	if s.hasDeadline && time.Now().After(s.deadline) {
-		return StopDeadline, true
-	}
-	return StopNone, false
-}
-
 // generateBatch runs generate for every batch node, fanning the work out
 // across the scratch clones. Assignment of nodes to clones is racy (an
 // atomic claim counter) and deliberately irrelevant: generate is a pure
 // function of the node and the shared scoring configuration, so gens[i]
 // is identical no matter which clone computed it.
 func generateBatch(clones []*searcher, batch []*node, gens []genResult) {
-	w := len(clones)
-	if w > len(batch) {
-		w = len(batch)
-	}
+	w := min(len(clones), len(batch))
 	if w <= 1 {
 		for i, parent := range batch {
 			clones[0].generate(parent, &gens[i])
@@ -107,651 +81,4 @@ func generateBatch(clones []*searcher, batch []*node, gens []genResult) {
 	}
 	claim(clones[0]) // the coordinator takes a share too
 	wg.Wait()
-}
-
-// runBatched is the deterministic-merge parallel search loop. Structure of
-// one round: budget checks and checkpointing at the (clean) round
-// boundary, one cancellation/deadline poll, a sequential pop phase of at
-// most batchStride nodes, parallel candidate generation, and a sequential
-// commit phase in pop order. Budgets clamp the batch size so a budget
-// never splits a round, which keeps every checkpoint at a boundary the
-// resumed run reproduces exactly.
-func (s *searcher) runBatched() Result {
-	if res, done := s.begin(); done {
-		res.Workers = s.opts.Workers
-		return res
-	}
-	workers := s.opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	clones := make([]*searcher, workers)
-	for i := range clones {
-		clones[i] = s.scoringClone()
-	}
-	batch := make([]*node, 0, batchStride)
-	gens := make([]genResult, batchStride)
-
-	stop := StopNone
-loop:
-	for {
-		if s.stepHook != nil {
-			s.stepHook(s)
-		}
-		s.maybeCheckpoint()
-		if s.opts.TotalSteps > 0 && s.steps >= s.opts.TotalSteps {
-			stop = StopStepLimit
-			break
-		}
-		if s.bestSol != nil {
-			if s.opts.FirstSolution {
-				stop = StopSolved
-				break
-			}
-			if s.opts.ImproveSteps > 0 && s.steps-s.solSteps >= s.opts.ImproveSteps {
-				stop = StopSolved
-				break
-			}
-		}
-		if s.opts.MaxSteps > 0 && s.stepsSinceRestart >= s.opts.MaxSteps && s.bestSol == nil {
-			if !s.restart() {
-				stop = s.exhaustionReason()
-				break
-			}
-		}
-		if r, halt := s.roundPoll(); halt {
-			// Nothing is popped yet, so the stop lands on a clean round
-			// boundary — the final checkpoint needs no rollback.
-			stop = r
-			break
-		}
-
-		// The batch budget: never pop past a limit mid-round, so the
-		// round-boundary checks above are the only places budgets fire.
-		limit := batchStride
-		if s.opts.TotalSteps > 0 && limit > s.opts.TotalSteps-s.steps {
-			limit = s.opts.TotalSteps - s.steps
-		}
-		if s.bestSol == nil && s.opts.MaxSteps > 0 && limit > s.opts.MaxSteps-s.stepsSinceRestart {
-			limit = s.opts.MaxSteps - s.stepsSinceRestart
-		}
-		if s.bestSol != nil && s.opts.ImproveSteps > 0 {
-			if rem := s.opts.ImproveSteps - (s.steps - s.solSteps); limit > rem {
-				limit = rem
-			}
-		}
-
-		batch = batch[:0]
-		popped := 0
-		for popped < limit {
-			parent, ok := s.pq.Pop()
-			if !ok {
-				break
-			}
-			popped++
-			s.queueBytes -= parent.mem
-			s.steps++
-			s.stepsSinceRestart++
-			s.emit(EventPop, parent)
-			// Depth cutoff against the round-start bound; commits below
-			// re-check against the live bound, so a solution found earlier
-			// in this same round culls later batch entries too.
-			if parent.depth >= s.bestDepth-1 {
-				s.recycle(parent)
-				continue
-			}
-			batch = append(batch, parent)
-		}
-		if popped == 0 {
-			// Queue empty at the round boundary: same terminal logic as
-			// the sequential engine's failed pop.
-			if s.bestSol == nil && s.restart() {
-				continue
-			}
-			if s.bestSol != nil {
-				stop = StopSolved
-			} else {
-				stop = s.exhaustionReason()
-			}
-			break
-		}
-
-		if len(batch) > 0 {
-			generateBatch(clones, batch, gens)
-			for i, parent := range batch {
-				if parent.depth >= s.bestDepth-1 {
-					// A solution committed earlier in this batch shrank
-					// the bound below this node.
-					s.recycle(parent)
-					continue
-				}
-				s.commit(parent, &gens[i])
-			}
-		}
-		if s.pq.Len() > s.opts.maxQueue() {
-			s.pq.PruneToFunc(s.opts.maxQueue()/2, s.discardQueued)
-			s.recountQueueBytes()
-		}
-		if s.overMemory() {
-			stop = StopMemoryLimit
-			break loop
-		}
-	}
-
-	res := s.finish(stop, nil)
-	res.Workers = s.opts.Workers
-	return res
-}
-
-// Free-running engine stop codes (frontier.Pool reasons; nonzero).
-const (
-	freeStopSolved = iota + 1
-	freeStopDrained
-	freeStopRestart
-	freeStopCanceled
-	freeStopDeadline
-	freeStopStepLimit
-	freeStopMemory
-)
-
-// freeEngine is the shared state of one free-running search: the sharded
-// frontier, the striped transposition table, the global best-depth bound,
-// and the atomic budget counters every worker checks.
-type freeEngine struct {
-	s     *searcher
-	heaps []*frontier.Heap[*node]
-	tt    *frontier.TT // nil when Dedup is off
-	bound *frontier.Bound
-	pool  *frontier.Pool
-
-	steps atomic.Int64 // global pop count, root segment included
-	ssr   atomic.Int64 // pops since the last restart
-	solAt atomic.Int64 // steps value when the best solution was published
-	peak  atomic.Int64 // high-water totalBytes sample (monotone by CAS-max)
-
-	initBound int // bound value before any solution; bound < initBound ⇔ solved
-
-	mu      sync.Mutex // serializes bestSol/solSteps updates after a Publish win
-	workers []*freeWorker
-}
-
-type freeWorker struct {
-	id            int
-	c             *searcher // scoring clone: buffers, free list
-	gen           genResult
-	steps, nodes  int64
-	steals, idles int64
-	run           *obs.Run // per-worker child run; nil when unobserved
-	pollIn        int
-}
-
-// heapMem reports the bytes a queued node pins; node.mem is always set
-// before the node is pushed onto any heap.
-func heapMem(n *node) int64 { return n.mem }
-
-// runFree is the work-stealing free-running search. The root is expanded
-// by the classic sequential machinery (collecting firstMoves for the
-// restart heuristic), its children transfer to their owner heaps, and the
-// pool runs until a worker raises a stop. Restarts are stop-the-world:
-// the pool winds down, the coordinator reseeds, and the pool runs again.
-func (s *searcher) runFree() Result {
-	// The trace callback cannot be honored — pop order is
-	// nondeterministic and events would interleave meaninglessly — so it
-	// is dropped, as documented on Options.FreeRunning.
-	s.opts.Trace = nil
-	if res, done := s.begin(); done {
-		res.Workers = s.opts.Workers
-		return res
-	}
-	workers := s.opts.Workers
-
-	// Root expansion, sequential: pops the root begin() pushed.
-	root, _ := s.pq.Pop()
-	s.queueBytes -= root.mem
-	s.steps++
-	s.stepsSinceRestart++
-	s.expand(root)
-
-	e := &freeEngine{
-		s:         s,
-		heaps:     make([]*frontier.Heap[*node], workers),
-		bound:     frontier.NewBound(s.bestDepth),
-		pool:      frontier.NewPool(),
-		initBound: s.maxGates + 1,
-	}
-	for i := range e.heaps {
-		e.heaps[i] = frontier.NewHeap(heapMem)
-	}
-	if s.opts.Dedup {
-		e.tt = frontier.NewTT(s.opts.dedupMaxEntries())
-		e.tt.Record(s.root.hash, 0)
-	}
-	e.steps.Store(int64(s.steps))
-	e.ssr.Store(int64(s.stepsSinceRestart))
-	if s.bestSol != nil {
-		e.solAt.Store(int64(s.solSteps))
-	}
-	e.workers = make([]*freeWorker, workers)
-	for i := range e.workers {
-		w := &freeWorker{id: i, c: s.scoringClone(), pollIn: 1}
-		if s.opts.Observe != nil {
-			w.run = s.opts.Observe.Child(fmt.Sprintf("worker-%d", i))
-			w.run.Begin(0, 0, 0)
-		}
-		e.workers[i] = w
-	}
-	// Transfer the root's children to their owner heaps, seeding the
-	// striped table with their marks.
-	s.pq.Ordered(func(n *node) {
-		if e.tt != nil {
-			e.tt.Record(n.hash, n.depth)
-		}
-		e.pool.AddPending(1)
-		e.ownerHeap(n.hash).Push(n, n.priority)
-	})
-	s.pq.Clear()
-	s.queueBytes = 0
-
-	stop := StopNone
-	if s.bestSol != nil && s.opts.FirstSolution {
-		stop = StopSolved
-	} else {
-	legs:
-		for {
-			e.pool.Run(workers, e.work)
-			switch e.pool.Reason() {
-			case freeStopRestart:
-				if !e.restartFree() {
-					stop = s.exhaustionReason()
-					break legs
-				}
-				e.pool.Resume()
-			case freeStopDrained:
-				if s.bestSol == nil && e.restartFree() {
-					e.pool.Resume()
-					continue
-				}
-				if s.bestSol != nil {
-					stop = StopSolved
-				} else {
-					stop = s.exhaustionReason()
-				}
-				break legs
-			case freeStopSolved:
-				stop = StopSolved
-				break legs
-			case freeStopCanceled:
-				stop = StopCanceled
-				break legs
-			case freeStopDeadline:
-				stop = StopDeadline
-				break legs
-			case freeStopStepLimit:
-				stop = StopStepLimit
-				break legs
-			case freeStopMemory:
-				stop = StopMemoryLimit
-				break legs
-			default:
-				stop = StopInternalError
-				break legs
-			}
-		}
-	}
-
-	// Fold the workers' counters and the shards' accounting back into the
-	// searcher so finish() assembles the Result the usual way.
-	s.steps = int(e.steps.Load())
-	for _, w := range e.workers {
-		s.nodes += int(w.nodes)
-		if w.run != nil {
-			w.run.Finish(stop.String())
-		}
-	}
-	s.steals = e.pool.Steals()
-	s.idles = e.pool.Idles()
-	e.totalBytes() // final watermark sample
-	if p := e.peak.Load(); p > s.peakBytes {
-		s.peakBytes = p
-	}
-	var qb int64
-	for _, h := range e.heaps {
-		qb += h.Bytes()
-	}
-	s.queueBytes = qb
-	res := s.finish(stop, nil)
-	if e.tt != nil {
-		h, m, ev := e.tt.Stats()
-		res.DedupHits += h
-		res.DedupMisses += m
-		res.DedupEvictions += ev
-	}
-	res.Workers = workers
-	return res
-}
-
-func (e *freeEngine) ownerHeap(hash uint64) *frontier.Heap[*node] {
-	return e.heaps[hash%uint64(len(e.heaps))]
-}
-
-// perHeapQueueCap is each worker's share of Options.MaxQueue.
-func (e *freeEngine) perHeapQueueCap() int {
-	c := e.s.opts.maxQueue() / len(e.heaps)
-	if c < 16 {
-		c = 16
-	}
-	return c
-}
-
-// hasSol reports whether any solution has been published yet.
-func (e *freeEngine) hasSol() bool { return e.bound.Load() < e.initBound }
-
-// totalBytes samples the global MaxMemory estimate (heap shards plus the
-// striped table) and ratchets the peak watermark. Each heap's charge moves
-// atomically with its nodes (a stolen node is never charged twice), so the
-// sampled sum never exceeds the true live total.
-func (e *freeEngine) totalBytes() int64 {
-	var t int64
-	for _, h := range e.heaps {
-		t += h.Bytes()
-	}
-	if e.tt != nil {
-		t += e.tt.Bytes()
-	}
-	for {
-		p := e.peak.Load()
-		if t <= p || e.peak.CompareAndSwap(p, t) {
-			break
-		}
-	}
-	return t
-}
-
-// discard releases a node dropped by a heap prune or restart clear: its
-// transposition mark is forgotten (it was never expanded) and its pending
-// unit retired. The struct goes to the garbage collector — prunes run
-// under the victim heap's lock with no worker free list in reach, and they
-// are far off the hot path.
-func (e *freeEngine) discard(n *node) {
-	if e.tt != nil {
-		e.tt.Forget(n.hash, n.depth)
-	}
-	e.pool.AddPending(-1)
-}
-
-// poll is a worker's stride-boundary check: cancellation, deadline, the
-// memory ceiling, and the observability update.
-func (e *freeEngine) poll(w *freeWorker) {
-	s := e.s
-	if s.done != nil {
-		select {
-		case <-s.done:
-			e.pool.Stop(freeStopCanceled)
-			return
-		default:
-		}
-	}
-	if s.hasDeadline && time.Now().After(s.deadline) {
-		e.pool.Stop(freeStopDeadline)
-		return
-	}
-	if limit := s.opts.MaxMemory; limit > 0 {
-		if e.totalBytes() > limit {
-			// Shed half of this worker's own shard; peers shed theirs at
-			// their own polls. If the table is the remaining weight, drop
-			// it (dedup is an optimization — un-marked states are re-found,
-			// not lost). Only when there is nothing left to shed and the
-			// estimate still exceeds the ceiling is the search out of road.
-			own := e.heaps[w.id]
-			own.PruneTo(own.Len()/2, e.discard)
-			if e.totalBytes() > limit && e.tt != nil && e.tt.Bytes() > 0 {
-				e.tt.Reset()
-			}
-			if e.totalBytes() > limit {
-				lens := 0
-				for _, h := range e.heaps {
-					lens += h.Len()
-				}
-				if lens <= len(e.heaps) {
-					e.pool.Stop(freeStopMemory)
-					return
-				}
-			}
-		}
-	}
-	if w.run != nil {
-		c := obs.Counters{
-			Steps:      w.steps,
-			Nodes:      w.nodes,
-			QueueLen:   int64(e.heaps[w.id].Len()),
-			QueueBytes: e.heaps[w.id].Bytes(),
-			Steals:     w.steals,
-			Idles:      w.idles,
-		}
-		w.run.Update(c)
-	}
-}
-
-// work is one worker's loop: pop from the own shard, steal from the
-// deepest peer when empty, expand through the local scoring clone, route
-// children to their owners.
-func (e *freeEngine) work(id int) {
-	w := e.workers[id]
-	s := e.s
-	for !e.pool.Stopped() {
-		w.pollIn--
-		if w.pollIn <= 0 {
-			w.pollIn = pollStride
-			e.poll(w)
-			if e.pool.Stopped() {
-				return
-			}
-		}
-		// Budget gates, checked before the pop so a stopped budget never
-		// strands a popped-but-unexpanded node. Races overshoot by at most
-		// one pop per worker — free-running counters are approximate by
-		// contract.
-		if s.opts.TotalSteps > 0 && e.steps.Load() >= int64(s.opts.TotalSteps) {
-			e.pool.Stop(freeStopStepLimit)
-			return
-		}
-		if e.hasSol() {
-			if s.opts.FirstSolution {
-				e.pool.Stop(freeStopSolved)
-				return
-			}
-			if s.opts.ImproveSteps > 0 && e.steps.Load()-e.solAt.Load() >= int64(s.opts.ImproveSteps) {
-				e.pool.Stop(freeStopSolved)
-				return
-			}
-		} else if s.opts.MaxSteps > 0 && e.ssr.Load() >= int64(s.opts.MaxSteps) {
-			e.pool.Stop(freeStopRestart)
-			return
-		}
-
-		n, ok := e.heaps[id].Pop()
-		if !ok {
-			if v := frontier.Deepest(e.heaps, id); v >= 0 {
-				if n, ok = e.heaps[v].Steal(); ok {
-					e.pool.NoteSteal()
-					w.steals++
-				}
-			}
-		}
-		if !ok {
-			if e.pool.Pending() == 0 {
-				// No queued nodes anywhere and no expansion in flight:
-				// the frontier is exhausted.
-				e.pool.Stop(freeStopDrained)
-				return
-			}
-			e.pool.NoteIdle()
-			w.idles++
-			runtime.Gosched()
-			continue
-		}
-		e.steps.Add(1)
-		e.ssr.Add(1)
-		w.steps++
-		if n.depth >= e.bound.Load()-1 {
-			// Cannot beat the best circuit; retire without expanding.
-			e.pool.AddPending(-1)
-			w.c.recycle(n)
-			continue
-		}
-		w.c.generate(n, &w.gen)
-		e.commitFree(w, n, &w.gen)
-		e.pool.AddPending(-1)
-	}
-}
-
-// commitFree routes one expansion's generated children: admission and
-// greedy pruning exactly as the sequential commit, the depth cutoff
-// against the shared bound, dedup through the striped table, and pushes to
-// each child's owner heap.
-func (e *freeEngine) commitFree(w *freeWorker, parent *node, gr *genResult) {
-	s := e.s
-	childDepth := parent.depth + 1
-	queueCap := e.perHeapQueueCap()
-	for ti := range gr.targets {
-		tg := &gr.targets[ti]
-		pushed := 0
-		for i := range tg.cands {
-			c := &tg.cands[i]
-			solutionPossible := c.terms == s.n
-			inTopK := c.admit && (s.opts.GreedyK <= 0 || pushed < s.opts.GreedyK)
-			if !inTopK && !solutionPossible {
-				continue
-			}
-			bd := e.bound.Load()
-			if !solutionPossible && childDepth >= bd-1 {
-				continue
-			}
-			if e.tt != nil && e.tt.Seen(c.hash, childDepth) {
-				continue
-			}
-			if c.identity {
-				e.publishSolution(w, parent, tg.target, c, childDepth)
-				continue
-			}
-			if !inTopK || childDepth >= bd-1 {
-				continue
-			}
-			child := w.c.newNode()
-			*child = node{
-				parent:   parent,
-				spec:     c.sol,
-				id:       int(w.nodes),
-				target:   tg.target,
-				factor:   c.factor,
-				depth:    childDepth,
-				terms:    c.terms,
-				elim:     c.elim,
-				priority: c.priority,
-				hash:     c.hash,
-			}
-			child.mem = memOf(child)
-			w.nodes++
-			pushed++
-			if e.tt != nil {
-				e.tt.Record(child.hash, childDepth)
-			}
-			e.pool.AddPending(1)
-			h := e.ownerHeap(child.hash)
-			h.Push(child, child.priority)
-			if h.Len() > queueCap {
-				h.PruneTo(queueCap/2, e.discard)
-			}
-		}
-	}
-}
-
-// publishSolution races the new circuit against the global bound; the
-// winner (strict improvement only) installs itself as the searcher's best
-// solution under the engine mutex.
-func (e *freeEngine) publishSolution(w *freeWorker, parent *node, target int, c *pcand, depth int) {
-	if !e.bound.Publish(depth) {
-		return
-	}
-	s := e.s
-	sol := &node{
-		parent:   parent,
-		id:       int(w.nodes),
-		target:   target,
-		factor:   c.factor,
-		depth:    depth,
-		terms:    c.terms,
-		elim:     c.elim,
-		priority: c.priority,
-		hash:     c.hash,
-	}
-	w.nodes++
-	if e.tt != nil {
-		e.tt.Record(c.hash, depth)
-	}
-	at := e.steps.Load()
-	e.mu.Lock()
-	// Publish wins are strictly-decreasing in depth, but two winners can
-	// reach this lock out of order; keep the shallower.
-	if s.bestSol == nil || sol.depth < s.bestSol.depth {
-		s.bestSol = sol
-		s.bestDepth = depth
-		s.solSteps = int(at)
-		e.mu.Unlock()
-		e.solAt.Store(at)
-		s.observeSolution(sol)
-	} else {
-		e.mu.Unlock()
-	}
-	if s.opts.FirstSolution {
-		e.pool.Stop(freeStopSolved)
-	}
-}
-
-// restartFree is the Section IV-E restart for the sharded frontier:
-// stop-the-world (the pool has wound down), clear every shard, reset the
-// table, and seed the next-best untried first move into its owner heap.
-func (e *freeEngine) restartFree() bool {
-	s := e.s
-	if s.opts.MaxSteps <= 0 {
-		return false
-	}
-	if s.opts.MaxRestarts > 0 && s.restarts >= s.opts.MaxRestarts {
-		return false
-	}
-	if s.nextFirstMove >= len(s.firstMoves) {
-		return false
-	}
-	fm := s.firstMoves[s.nextFirstMove]
-	s.nextFirstMove++
-	s.restarts++
-	e.ssr.Store(0)
-	for _, h := range e.heaps {
-		h.Clear(func(*node) { e.pool.AddPending(-1) })
-	}
-	if e.tt != nil {
-		e.tt.Reset()
-		e.tt.Record(s.root.hash, 0)
-	}
-	cs, delta := s.root.spec.SubstituteCopy(fm.target, fm.factor)
-	child := &node{
-		parent: s.root,
-		spec:   cs,
-		id:     s.nodes,
-		target: fm.target,
-		factor: fm.factor,
-		depth:  1,
-		terms:  s.root.terms + delta,
-		elim:   -delta,
-		hash:   cs.Hash(),
-	}
-	s.nodes++
-	child.priority = s.priorityOf(child)
-	child.mem = memOf(child)
-	if e.tt != nil {
-		e.tt.Record(child.hash, 1)
-	}
-	e.pool.AddPending(1)
-	e.ownerHeap(child.hash).Push(child, child.priority)
-	return true
 }

@@ -181,28 +181,10 @@ func TestParallelFingerprintFamilies(t *testing.T) {
 	if OptionsFingerprint(&w1) != OptionsFingerprint(&w8) {
 		t.Error("det-merge fingerprints differ across worker counts; resume across widths would be rejected")
 	}
-
-	free := seq
-	free.Workers = 8
-	free.FreeRunning = true
-	if OptionsFingerprint(&free) == OptionsFingerprint(&w8) {
-		t.Error("free-running fingerprint equals det-merge")
-	}
-	if OptionsFingerprint(&free) == seqFP {
-		t.Error("free-running fingerprint equals sequential")
-	}
-
-	// Free-running with checkpointing degrades to det-merge, and the
-	// fingerprint must say so (the checkpoint is a det-merge checkpoint).
-	freeCk := free
-	freeCk.Checkpoint.Path = "somewhere.ckpt"
-	if OptionsFingerprint(&freeCk) != OptionsFingerprint(&w8) {
-		t.Error("free-running+checkpoint does not fingerprint as det-merge despite the documented fallback")
-	}
 }
 
-// TestSearchInvariantsHold drives both deterministic engines with the
-// test-only step hook asserting, at every loop boundary, that the queue
+// TestSearchInvariantsHold drives both round strides with the test-only
+// step hook asserting, at every round boundary, that the queue
 // byte accounting matches a full recount and that the peak watermark is
 // monotone — the regression guard for the double-count class of bug.
 func TestSearchInvariantsHold(t *testing.T) {
@@ -212,7 +194,7 @@ func TestSearchInvariantsHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 4} { // 0 = sequential engine, 4 = det-merge
+	for _, workers := range []int{0, 4} { // 0 = one pop per round, 4 = det-merge rounds
 		opts := DefaultOptions()
 		opts.TotalSteps = 4000
 		opts.ImproveSteps = 0
@@ -235,99 +217,12 @@ func TestSearchInvariantsHold(t *testing.T) {
 			}
 			lastPeak = s.peakBytes
 		}
-		r := s.runEngine()
+		r := s.run()
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
 		if checks == 0 {
 			t.Fatalf("workers=%d: step hook never ran", workers)
 		}
-	}
-}
-
-// TestFreeRunningSynthesizes exercises the work-stealing engine: found
-// circuits must verify, counters must be plausible, and the engine must
-// also survive the restart heuristic and FirstSolution mode. Run under
-// -race this is the engine's interleaving suite.
-func TestFreeRunningSynthesizes(t *testing.T) {
-	for si, p := range detSpecs(t) {
-		spec, err := pprm.FromPerm(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := DefaultOptions()
-		opts.TotalSteps = 30000
-		opts.Workers = 4
-		opts.FreeRunning = true
-		r := Synthesize(spec, opts)
-		if r.Err != nil {
-			t.Fatalf("spec %d: %v", si, r.Err)
-		}
-		if r.Workers != 4 {
-			t.Errorf("spec %d: Result.Workers = %d, want 4", si, r.Workers)
-		}
-		if r.Found {
-			if err := Verify(r.Circuit, p); err != nil {
-				t.Errorf("spec %d: free-running circuit fails verification: %v", si, err)
-			}
-			if !r.Verified {
-				t.Errorf("spec %d: found circuit did not pass the verification gate", si)
-			}
-		}
-		if r.Steps <= 0 {
-			t.Errorf("spec %d: Steps = %d, want > 0", si, r.Steps)
-		}
-	}
-}
-
-func TestFreeRunningFirstSolutionAndRestarts(t *testing.T) {
-	src := rng.New(19)
-	p := perm.Random(4, src)
-	spec, err := pprm.FromPerm(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Workers = 8
-	opts.FreeRunning = true
-	opts.FirstSolution = true
-	opts.MaxSteps = 300 // force the stop-the-world restart path
-	opts.TotalSteps = 60000
-	r := Synthesize(spec, opts)
-	if r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	if r.Found {
-		if err := Verify(r.Circuit, p); err != nil {
-			t.Error(err)
-		}
-		if r.StopReason != StopSolved {
-			t.Errorf("FirstSolution stop = %v, want %v", r.StopReason, StopSolved)
-		}
-	}
-}
-
-// TestFreeRunningFallsBackWhenCheckpointing pins the documented
-// degradation: FreeRunning with a checkpoint configured must use the
-// det-merge engine, whose runs are resumable and worker-count-invariant.
-func TestFreeRunningFallsBackWhenCheckpointing(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 4
-	opts.FreeRunning = true
-	opts.Checkpoint.Path = "x.ckpt"
-	if m := opts.parallelMode(); m != parBatch {
-		t.Fatalf("parallelMode = %v, want det-merge fallback", m)
-	}
-	opts.Checkpoint.Path = ""
-	if m := opts.parallelMode(); m != parFree {
-		t.Fatalf("parallelMode = %v, want free-running", m)
-	}
-	opts.Workers = 1
-	if m := opts.parallelMode(); m != parBatch {
-		t.Fatalf("parallelMode with 1 worker = %v, want det-merge (stealing needs peers)", m)
-	}
-	opts.Workers = 0
-	if m := opts.parallelMode(); m != parSeq {
-		t.Fatalf("parallelMode with 0 workers = %v, want sequential", m)
 	}
 }

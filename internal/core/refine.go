@@ -131,8 +131,6 @@ func SynthesizePortfolioContext(ctx context.Context, spec *pprm.Spec, opts Optio
 	best.DedupHits += refined.DedupHits
 	best.DedupMisses += refined.DedupMisses
 	best.DedupEvictions += refined.DedupEvictions
-	best.Steals += refined.Steals
-	best.Idles += refined.Idles
 	if refined.Found && refined.Circuit.Len() < best.Circuit.Len() {
 		best.Circuit = refined.Circuit
 		best.Verified = refined.Verified
@@ -166,8 +164,6 @@ func mergeResults(results []Result, canceled bool) Result {
 		merged.DedupHits += r.DedupHits
 		merged.DedupMisses += r.DedupMisses
 		merged.DedupEvictions += r.DedupEvictions
-		merged.Steals += r.Steals
-		merged.Idles += r.Idles
 		if r.Workers > merged.Workers {
 			merged.Workers = r.Workers
 		}
@@ -247,8 +243,6 @@ func synthesizeTightening(ctx context.Context, spec *pprm.Spec, opts Options, ga
 		out.DedupHits += r.DedupHits
 		out.DedupMisses += r.DedupMisses
 		out.DedupEvictions += r.DedupEvictions
-		out.Steals += r.Steals
-		out.Idles += r.Idles
 		if !r.Found {
 			break
 		}
@@ -314,8 +308,6 @@ func SynthesizeIterativeContext(ctx context.Context, spec *pprm.Spec, opts Optio
 		best.DedupHits += r.DedupHits
 		best.DedupMisses += r.DedupMisses
 		best.DedupEvictions += r.DedupEvictions
-		best.Steals += r.Steals
-		best.Idles += r.Idles
 		// Rounds run one after another, so the overall watermark is the max
 		// of the per-round peaks (contrast mergeResults, where concurrent
 		// variants' peaks add).

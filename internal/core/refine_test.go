@@ -111,10 +111,10 @@ func TestPortfolioDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := DefaultOptions()
-		opts.TotalSteps = 20000
-		opts.ImproveSteps = 2000
+		opts.TotalSteps = 3000
+		opts.ImproveSteps = 1000
 		var first Result
-		for rep := 0; rep < 3; rep++ {
+		for rep := 0; rep < 2; rep++ {
 			res := SynthesizePortfolio(spec, opts, 2)
 			if rep == 0 {
 				first = res

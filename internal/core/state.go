@@ -69,26 +69,23 @@ func optionsFingerprint(o *Options) uint64 {
 	mix(uint64(o.MaxMemory))
 	mixBool(o.Dedup)
 	mix(uint64(int64(o.dedupMaxEntries())))
-	// The engine is fingerprinted only when it can change the trajectory:
-	// the deterministic-merge engine is worker-count-invariant but batches
-	// its budget checks, so it is a distinct (internally consistent) family
-	// from the classic searcher; the free-running engine is its own. The
-	// worker COUNT is deliberately not mixed — resuming a det-merge
-	// checkpoint under a different Workers value is exact. Sequential runs
-	// mix nothing, so fingerprints (and checkpoints, and cache keys) from
-	// before the parallel engines existed remain valid.
-	if m := o.parallelMode(); m != parSeq {
+	// The round stride is fingerprinted because it shapes the trajectory:
+	// det-merge rounds (Workers ≥ 1) batch their budget checks, so they are
+	// a distinct (internally consistent) family from the one-pop rounds of
+	// the sequential search. The worker COUNT is deliberately not mixed —
+	// resuming a det-merge checkpoint under a different Workers value is
+	// exact. Sequential runs mix nothing, so fingerprints (and checkpoints,
+	// and cache keys) from before the parallel search existed remain valid.
+	if o.Workers > 0 {
 		mix(0x70617261) // "para"
-		mix(uint64(m))
+		mix(1)          // the det-merge family tag
 	}
 	return h
 }
 
 // exportState serializes the complete searcher into a snapshot.State. It
-// must be called at a step boundary: pending, when non-nil, is a node that
-// was popped but not yet expanded (a cancellation caught mid-step after its
-// counters were rolled back); it is recorded at the head of the queue so
-// the resumed search pops it first.
+// must be called at a round boundary, where no node is popped but
+// unexpanded.
 //
 // The node table holds the root, every queued node, the best solution, and
 // all of their ancestors in topological order (parents before children).
@@ -97,7 +94,7 @@ func optionsFingerprint(o *Options) uint64 {
 // (target, factor) substitutions, which reproduces the expansions exactly —
 // including backing-array capacities, which the memory accounting depends
 // on.
-func (s *searcher) exportState(pending *node) *snapshot.State {
+func (s *searcher) exportState() *snapshot.State {
 	index := make(map[*node]int)
 	var order []*node
 	var add func(n *node) int
@@ -115,9 +112,6 @@ func (s *searcher) exportState(pending *node) *snapshot.State {
 	}
 	add(s.root)
 	var queued []int
-	if pending != nil {
-		queued = append(queued, add(pending))
-	}
 	s.pq.Ordered(func(n *node) { queued = append(queued, add(n)) })
 	bestSol := -1
 	if s.bestSol != nil {
@@ -214,7 +208,7 @@ const ckptTimeStride = 256
 
 // maybeCheckpoint writes a periodic snapshot when the configured cadence
 // (step-count or wall-clock) has elapsed. Called at the top of the search
-// loop, where the searcher is at a clean step boundary.
+// loop, where the searcher is at a clean round boundary.
 func (s *searcher) maybeCheckpoint() {
 	ck := &s.opts.Checkpoint
 	if !ck.enabled() {
@@ -234,19 +228,18 @@ func (s *searcher) maybeCheckpoint() {
 			return
 		}
 	}
-	s.writeCheckpoint(nil)
+	s.writeCheckpoint()
 }
 
-// writeCheckpoint snapshots the searcher (with pending, if non-nil, as the
-// queue head — see exportState) and writes it atomically. Failures never
-// stop the search: they are reported to Checkpoint.OnError and the previous
-// on-disk checkpoint survives untouched.
-func (s *searcher) writeCheckpoint(pending *node) {
+// writeCheckpoint snapshots the searcher and writes it atomically. Failures
+// never stop the search: they are reported to Checkpoint.OnError and the
+// previous on-disk checkpoint survives untouched.
+func (s *searcher) writeCheckpoint() {
 	ck := &s.opts.Checkpoint
 	if !ck.enabled() {
 		return
 	}
-	st := s.exportState(pending)
+	st := s.exportState()
 	n, err := snapshot.WriteFileN(ck.FS, ck.Path, st)
 	if err != nil {
 		s.ckptErrs++
@@ -470,7 +463,6 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		s.deadline = time.Now().Add(opts.TimeLimit - st.Elapsed)
 		s.hasDeadline = true
 	}
-	s.pollIn = 1
 	s.resumed = true
 	return s, nil
 }
@@ -515,7 +507,7 @@ func ResumeStateContext(ctx context.Context, spec *pprm.Spec, opts Options, st *
 	// A resume never short-circuits through the answer cache (the caller
 	// asked to continue this checkpoint), but its verified result is
 	// still offered back so later equivalent requests hit.
-	return cacheStore(cacheProbeFor(spec, &opts), &opts, verifyGate(spec, &opts, s.runEngine())), nil
+	return cacheStore(cacheProbeFor(spec, &opts), &opts, verifyGate(spec, &opts, s.run())), nil
 }
 
 // ResumePermContext is ResumeContext for a function given as a permutation.

@@ -90,18 +90,10 @@ type Result struct {
 	// with Verified false is unchecked, not wrong; a circuit that fails the
 	// gate never reaches the caller (StopVerifyFailed instead).
 	Verified bool
-	// Workers is the number of search goroutines the run actually used:
-	// 0 for the classic sequential engine, Options.Workers otherwise. The
-	// deterministic-merge engine's other counters are identical for every
-	// Workers value; the free-running engine's Steps/Nodes sum its
-	// workers' counters and can differ run to run.
+	// Workers is Options.Workers as the run used it: 0 for the sequential
+	// search, the generation width of the deterministic-merge rounds
+	// otherwise. Every other field is identical for all Workers ≥ 1.
 	Workers int
-	// Steals counts work items taken from a peer's queue by an idle
-	// worker (free-running engine only; zero otherwise).
-	Steals int64
-	// Idles counts empty-handed scans — an idle worker finding neither
-	// local work nor anything to steal (free-running engine only).
-	Idles int64
 	// Err is non-nil only when the run was aborted by a recovered internal
 	// invariant panic (StopReason == StopInternalError). The rest of the
 	// Result is zero in that case; the process survives.
@@ -144,7 +136,7 @@ func SynthesizeContext(ctx context.Context, spec *pprm.Spec, opts Options) (res 
 	}
 	s := newSearcher(spec, opts)
 	s.done = ctx.Done()
-	return cacheStore(probe, &opts, verifyGate(spec, &opts, s.runEngine()))
+	return cacheStore(probe, &opts, verifyGate(spec, &opts, s.run()))
 }
 
 // SynthesizePerm synthesizes a reversible function given as a permutation:
@@ -221,19 +213,17 @@ type searcher struct {
 	deadline           time.Time
 	hasDeadline        bool
 	done               <-chan struct{} // ctx.Done(); nil = not cancellable
-	pollIn             int             // expansions until the next limit poll
+	pollIn             int             // pops until the next limit poll; ≤ 0 polls this round
 	queueBytes         int64           // approximate bytes of queued nodes
 	peakBytes          int64
 	maxGates           int
 	tt                 *transpo // transposition table; nil when Dedup is off
 	free               []*node  // recycled node structs (allocation diet)
-	gen                genResult
-	steals, idles      int64 // free-running engine telemetry, folded in after the pool run
 	factorBuf          []bits.Mask
 	deltaBuf           []bits.Mask
 
-	// stepHook, when non-nil, runs at the top of every search-loop
-	// iteration. Test-only: invariant checks (byte accounting, watermark
+	// stepHook, when non-nil, runs at the top of every search round.
+	// Test-only: invariant checks (byte accounting, watermark
 	// monotonicity) hook in here without perturbing the search itself.
 	stepHook func(*searcher)
 
@@ -298,24 +288,23 @@ func newSearcher(spec *pprm.Spec, opts Options) *searcher {
 		s.deadline = time.Now().Add(opts.TimeLimit)
 		s.hasDeadline = true
 	}
-	s.pollIn = 1 // poll on the first expansion, then every pollStride
 	return s
 }
 
-// pollStride is the number of node expansions between deadline/context
-// polls. The countdown is decremented once per priority-queue pop (after
-// the pop, so a restart that reseeds the queue cannot postpone the next
-// poll; the previous code checked s.steps&15 before the pop and so ran a
-// full stride blind after every reseed). Cancellation latency is therefore
-// bounded by pollStride expansions — microseconds to low milliseconds on
-// benchmark-sized specs — plus one poll on the very first expansion so an
+// pollStride is the number of priority-queue pops between deadline/context
+// polls. Each round's pops count the poll countdown down and the poll runs
+// at the next round boundary, so cancellation latency is bounded by
+// pollStride pops plus one round — microseconds to low milliseconds on
+// benchmark-sized specs. The countdown starts expired, so an
 // already-expired deadline or pre-canceled context never starts real work.
 const pollStride = 64
 
-// interrupted polls the wall-clock deadline and the caller's context on
-// the pollStride schedule. It is the single place both limits are checked.
+// interrupted polls the wall-clock deadline and the caller's context once
+// every pollStride pops. It is the single place both limits are checked. It
+// runs at a round boundary with nothing popped, so a stop it reports needs
+// no rollback: the final checkpoint holds exactly the state the resumed run
+// continues from.
 func (s *searcher) interrupted() (StopReason, bool) {
-	s.pollIn--
 	if s.pollIn > 0 {
 		return StopNone, false
 	}
@@ -352,8 +341,6 @@ func (s *searcher) observe() {
 		QueueBytes: s.queueBytes,
 		TotalBytes: s.totalBytes(),
 		PeakBytes:  s.peakBytes,
-		Steals:     s.steals,
-		Idles:      s.idles,
 	}
 	if s.tt != nil {
 		c.DedupHits = s.tt.hits
@@ -453,10 +440,7 @@ func (s *searcher) push(n *node) {
 // notePeak advances the high-water memory mark. The watermark is monotone
 // within an attempt by construction: it only ever ratchets upward, and
 // every byte source feeding totalBytes charges a node exactly once (a
-// popped node's charge is released on pop and re-charged only by the
-// cancellation rollback, which happens at most once per node and is
-// followed immediately by run exit — never by another push of the same
-// node within the attempt).
+// popped node's charge is released on pop and never re-charged).
 func (s *searcher) notePeak() {
 	if t := s.totalBytes(); t > s.peakBytes {
 		s.peakBytes = t
@@ -535,7 +519,7 @@ func (s *searcher) begin() (res Result, done bool) {
 			o.Finish(StopSolved.String())
 		}
 		return Result{Circuit: circuit.New(s.n), Found: true, Nodes: 1,
-			Elapsed: time.Since(s.startTime), StopReason: StopSolved}, true
+			Elapsed: time.Since(s.startTime), StopReason: StopSolved, Workers: s.opts.Workers}, true
 	}
 	s.emit(EventPush, s.root)
 	s.push(s.root)
@@ -544,16 +528,14 @@ func (s *searcher) begin() (res Result, done bool) {
 
 // finish runs the shared run epilogue: the final checkpoint flush on a
 // resumable stop, Result assembly from the searcher's counters, and the
-// closing Observe update. pending, when non-nil, is a node popped but not
-// yet expanded when a cancellation arrived (sequential engine only); it is
-// handed to the final checkpoint as the head of the queue.
-func (s *searcher) finish(stop StopReason, pending *node) Result {
+// closing Observe update.
+func (s *searcher) finish(stop StopReason) Result {
 	if resumableStop(stop) {
 		// The run can be continued later: flush a final checkpoint so the
-		// on-disk state matches the exact step boundary we stopped at.
+		// on-disk state matches the exact round boundary we stopped at.
 		// Non-resumable stops (solved, exhausted) leave the previous
 		// periodic checkpoint in place; callers delete it on success.
-		s.writeCheckpoint(pending)
+		s.writeCheckpoint()
 	}
 	res := Result{
 		Steps:            s.steps,
@@ -565,8 +547,7 @@ func (s *searcher) finish(stop StopReason, pending *node) Result {
 		Resumed:          s.resumed,
 		Checkpoints:      s.ckptCount,
 		CheckpointErrors: s.ckptErrs,
-		Steals:           s.steals,
-		Idles:            s.idles,
+		Workers:          s.opts.Workers,
 	}
 	if s.tt != nil {
 		res.DedupHits = s.tt.hits
@@ -584,29 +565,28 @@ func (s *searcher) finish(stop StopReason, pending *node) Result {
 	return res
 }
 
-// runEngine dispatches to the engine selected by Options.Workers; see
-// Options.Workers and Options.FreeRunning.
-func (s *searcher) runEngine() Result {
-	switch s.opts.parallelMode() {
-	case parBatch:
-		return s.runBatched()
-	case parFree:
-		return s.runFree()
-	default:
-		return s.run()
-	}
-}
-
+// run is the search loop — Fig. 4's pop/expand/push loop, taken in rounds.
+// One round: the test hook and the periodic checkpoint at the (clean) round
+// boundary, the budget checks, the limit poll (every pollStride pops), a
+// sequential pop phase of at most Options.stride nodes, candidate
+// generation (fanned out across Workers goroutines when there are
+// several), and a sequential commit phase in pop order. Budgets clamp the
+// pop phase so a budget never splits a round; every stop therefore lands
+// on a round boundary that a resumed run reproduces exactly.
 func (s *searcher) run() Result {
 	if res, done := s.begin(); done {
 		return res
 	}
-	stop := StopNone
-	// pending is a node popped but not yet expanded when a cancellation
-	// arrived: its half-finished step is rolled back so the final
-	// checkpoint records the clean "about to pop this node" state.
-	var pending *node
+	stride := s.opts.stride()
+	clones := make([]*searcher, min(max(s.opts.Workers, 1), stride))
+	clones[0] = s // the coordinator generates through its own buffers
+	for i := 1; i < len(clones); i++ {
+		clones[i] = s.scoringClone()
+	}
+	batch := make([]*node, 0, stride)
+	gens := make([]genResult, stride)
 
+	stop := StopNone
 	for {
 		if s.stepHook != nil {
 			s.stepHook(s)
@@ -632,8 +612,50 @@ func (s *searcher) run() Result {
 				break
 			}
 		}
-		parent, ok := s.pq.Pop()
-		if !ok {
+		if r, halt := s.interrupted(); halt {
+			stop = r
+			break
+		}
+
+		// The round budget: never pop past a limit mid-round, so the
+		// round-boundary checks above are the only places budgets fire.
+		limit := stride
+		if s.opts.TotalSteps > 0 {
+			limit = min(limit, s.opts.TotalSteps-s.steps)
+		}
+		if s.bestSol == nil && s.opts.MaxSteps > 0 {
+			limit = min(limit, s.opts.MaxSteps-s.stepsSinceRestart)
+		}
+		if s.bestSol != nil && s.opts.ImproveSteps > 0 {
+			limit = min(limit, s.opts.ImproveSteps-(s.steps-s.solSteps))
+		}
+
+		batch = batch[:0]
+		popped := 0
+		for popped < limit {
+			parent, ok := s.pq.Pop()
+			if !ok {
+				break
+			}
+			popped++
+			s.queueBytes -= parent.mem
+			s.steps++
+			s.stepsSinceRestart++
+			s.emit(EventPop, parent)
+			// A node this deep cannot lead to a circuit better than the best
+			// already found (its children would need depth ≥ bestDepth). It
+			// was never expanded, so nothing references it: recycle. Its
+			// transposition entry stays — any rediscovery at this depth or
+			// deeper would be cut here too (bestDepth only decreases).
+			if parent.depth >= s.bestDepth-1 {
+				s.recycle(parent)
+				continue
+			}
+			batch = append(batch, parent)
+		}
+		s.pollIn -= popped
+		if popped == 0 {
+			// Queue empty at the round boundary.
 			if s.bestSol == nil && s.restart() {
 				continue
 			}
@@ -644,32 +666,17 @@ func (s *searcher) run() Result {
 			}
 			break
 		}
-		s.queueBytes -= parent.mem
-		s.steps++
-		s.stepsSinceRestart++
-		if r, halt := s.interrupted(); halt {
-			stop = r
-			// Roll the half-finished step back: un-count the pop and hand
-			// the node to the final checkpoint as the head of the queue,
-			// so the resumed run re-pops it as its first step and the
-			// interrupted/uninterrupted traces stay identical.
-			s.steps--
-			s.stepsSinceRestart--
-			s.queueBytes += parent.mem
-			pending = parent
-			break
+
+		generateBatch(clones, batch, gens)
+		for i, parent := range batch {
+			if parent.depth >= s.bestDepth-1 {
+				// A solution committed earlier in this round shrank the
+				// bound below this node.
+				s.recycle(parent)
+				continue
+			}
+			s.commit(parent, &gens[i])
 		}
-		s.emit(EventPop, parent)
-		// A node this deep cannot lead to a circuit better than the best
-		// already found (its children would need depth ≥ bestDepth). It
-		// was never expanded, so nothing references it: recycle. Its
-		// transposition entry stays — any rediscovery at this depth or
-		// deeper would be cut here too (bestDepth only decreases).
-		if parent.depth >= s.bestDepth-1 {
-			s.recycle(parent)
-			continue
-		}
-		s.expand(parent)
 		if s.pq.Len() > s.opts.maxQueue() {
 			s.pq.PruneToFunc(s.opts.maxQueue()/2, s.discardQueued)
 			s.recountQueueBytes()
@@ -679,8 +686,7 @@ func (s *searcher) run() Result {
 			break
 		}
 	}
-
-	return s.finish(stop, pending)
+	return s.finish(stop)
 }
 
 // restart implements the Section IV-E heuristic: abandon the current
@@ -755,19 +761,12 @@ func (s *searcher) priority(depth, terms, elimStep int, factor bits.Mask) float6
 	return s.alpha*d + s.beta*b - s.gamma*float64(bits.Count(factor))
 }
 
-// expand generates, scores, prunes, and queues the children of parent
-// (lines 18–33 of Fig. 4 plus the Section IV-D/E extensions). It is split
-// into a generation half (generate: scoring, sorting, and the solution
-// identity checks — pure spec math with no searcher-global state) and a
-// commit half (commit: admission, transposition probes, queue pushes) so
-// the parallel engines can run many generations concurrently while every
-// table and queue mutation stays on one goroutine. The sequential search
-// runs the two halves back to back, which performs the same operations in
-// the same order as the previous fused loop.
-func (s *searcher) expand(parent *node) {
-	s.generate(parent, &s.gen)
-	s.commit(parent, &s.gen)
-}
+// Expanding a node — lines 18–33 of Fig. 4 plus the Section IV-D/E
+// extensions — is split into a generation half (generate: scoring, sorting,
+// and the solution identity checks — pure spec math with no searcher-global
+// state) and a commit half (commit: admission, transposition probes, queue
+// pushes), so a det-merge round can run many generations concurrently while
+// every table and queue mutation stays on one goroutine.
 
 // pcand is one generated candidate child: its score plus the solution
 // prework. For candidates that could complete a circuit (terms == n) the

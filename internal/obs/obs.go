@@ -42,8 +42,6 @@ type Counters struct {
 	DedupHits      int64 // transposition-table prunes
 	DedupMisses    int64 // transposition-table probes that found nothing
 	DedupEvictions int64 // transposition-table entries dropped
-	Steals         int64 // work items taken from a peer's queue (parallel search)
-	Idles          int64 // empty-handed scans by an idle worker (parallel search)
 }
 
 // cumulative are the Counters fields that accumulate across attempts (the
@@ -56,8 +54,6 @@ func (c *Counters) addCumulative(d Counters) {
 	c.DedupHits += d.DedupHits
 	c.DedupMisses += d.DedupMisses
 	c.DedupEvictions += d.DedupEvictions
-	c.Steals += d.Steals
-	c.Idles += d.Idles
 	if d.PeakBytes > c.PeakBytes {
 		c.PeakBytes = d.PeakBytes
 	}
@@ -111,8 +107,6 @@ const (
 	cDedupHits
 	cDedupMisses
 	cDedupEvictions
-	cSteals
-	cIdles
 	countersFields
 )
 
@@ -167,8 +161,6 @@ func (r *Run) Update(c Counters) {
 	r.cur[cDedupHits].Store(c.DedupHits)
 	r.cur[cDedupMisses].Store(c.DedupMisses)
 	r.cur[cDedupEvictions].Store(c.DedupEvictions)
-	r.cur[cSteals].Store(c.Steals)
-	r.cur[cIdles].Store(c.Idles)
 }
 
 // load reads the current attempt's counters.
@@ -184,8 +176,6 @@ func (r *Run) load() Counters {
 		DedupHits:      r.cur[cDedupHits].Load(),
 		DedupMisses:    r.cur[cDedupMisses].Load(),
 		DedupEvictions: r.cur[cDedupEvictions].Load(),
-		Steals:         r.cur[cSteals].Load(),
-		Idles:          r.cur[cIdles].Load(),
 	}
 }
 
@@ -262,8 +252,6 @@ type ProgressSnapshot struct {
 	DedupHits      int64 `json:"dedup_hits"`
 	DedupMisses    int64 `json:"dedup_misses"`
 	DedupEvictions int64 `json:"dedup_evictions"`
-	Steals         int64 `json:"steals,omitempty"` // parallel search: items stolen from peers
-	Idles          int64 `json:"idles,omitempty"`  // parallel search: empty-handed idle scans
 
 	BestGates       int `json:"best_gates"` // -1 until a solution exists
 	BestQuantumCost int `json:"best_quantum_cost,omitempty"`
@@ -362,8 +350,6 @@ func (r *Run) Snapshot(now time.Time) ProgressSnapshot {
 		DedupHits:           t.DedupHits,
 		DedupMisses:         t.DedupMisses,
 		DedupEvictions:      t.DedupEvictions,
-		Steals:              t.Steals,
-		Idles:               t.Idles,
 		BestGates:           int(best),
 		BestQuantumCost:     int(bestCost),
 		Verified:            verified,
