@@ -125,8 +125,11 @@ func FuzzCubeParse(f *testing.F) {
 func FuzzSubstituteInvariants(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(0), uint16(2))
 	f.Add(uint64(7), uint8(4), uint8(2), uint16(9))
+	// The largest word-form size and the smallest slice-form one.
+	f.Add(uint64(3), uint8(5), uint8(1), uint16(0x2d))
+	f.Add(uint64(5), uint8(6), uint8(6), uint16(0x4b))
 	f.Fuzz(func(t *testing.T, seed uint64, vars, target uint8, factorBits uint16) {
-		n := int(vars%5) + 1
+		n := int(vars%8) + 1
 		tgt := int(target) % n
 		factor := bits.Mask(factorBits) & (1<<uint(n) - 1) &^ bits.Bit(tgt)
 		p := RandomFunction(n, seed)
@@ -135,9 +138,13 @@ func FuzzSubstituteInvariants(f *testing.F) {
 			t.Fatal(err)
 		}
 		before := spec.Terms()
+		probeDelta, probeHash, _ := spec.SubstituteProbe(tgt, factor, nil)
 		d1 := spec.Substitute(tgt, factor)
 		if spec.Terms() != before+d1 {
 			t.Fatal("delta does not match term count")
+		}
+		if probeDelta != d1 || probeHash != spec.Hash() {
+			t.Fatal("SubstituteProbe disagrees with Substitute")
 		}
 		d2 := spec.Substitute(tgt, factor)
 		if d1+d2 != 0 {

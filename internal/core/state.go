@@ -278,13 +278,11 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 	if st.Root.N != spec.N || len(st.Root.Out) != spec.N {
 		return nil, fmt.Errorf("%w: root has %d variables, spec has %d", ErrSpecMismatch, st.Root.N, spec.N)
 	}
-	rootSpec := &pprm.Spec{N: st.Root.N, Out: make([]pprm.TermSet, st.Root.N)}
+	rootSpec := pprm.NewSpec(st.Root.N)
 	for i := range st.Root.Out {
-		ts, err := pprm.RestoreSorted(st.Root.Out[i].Terms, st.Root.Out[i].Cap)
-		if err != nil {
+		if err := rootSpec.RestoreOutput(i, st.Root.Out[i].Terms, st.Root.Out[i].Cap); err != nil {
 			return nil, fmt.Errorf("%w: output %d: %v", ErrInvalidState, i, err)
 		}
-		rootSpec.Out[i] = ts
 	}
 	if !rootSpec.Equal(spec) {
 		// Hash matched but the terms differ: a collision or a forgery.

@@ -1014,7 +1014,11 @@ func (s *searcher) factorsFor(spec *pprm.Spec, target int) []bits.Mask {
 	bare := out.Has(tb)
 	sawConst := false
 	if bare || s.opts.Additional {
-		for _, t := range out.Sorted() {
+		// Filter the presentation-order terms in place, so the buffer
+		// keeps the capacity of the whole term list.
+		factors = out.AppendSorted(factors)
+		k := 0
+		for _, t := range factors {
 			if t&tb != 0 {
 				continue
 			}
@@ -1024,8 +1028,10 @@ func (s *searcher) factorsFor(spec *pprm.Spec, target int) []bits.Mask {
 			if t == 0 {
 				sawConst = true
 			}
-			factors = append(factors, t)
+			factors[k] = t
+			k++
 		}
+		factors = factors[:k]
 	}
 	if s.opts.Additional && !sawConst {
 		factors = append(factors, 0)

@@ -72,12 +72,20 @@ func (s *Spec) Hash() uint64 {
 // Substitute(target, factor) would produce. The synthesis search uses it
 // to score every candidate child and consult its transposition table
 // before deciding which children to materialize. scratch is an optional
-// reusable buffer, returned (possibly grown) for the next call.
+// reusable buffer, returned (possibly grown) for the next call; word-form
+// outputs never touch it, so on a Spec with N ≤ 6 the probe is a few word
+// operations per output and allocates nothing.
 func (s *Spec) SubstituteProbe(target int, factor bits.Mask, scratch []bits.Mask) (delta int, hash uint64, out []bits.Mask) {
 	tb := bits.Bit(target)
 	toggles := scratch[:0]
 	for j := range s.Out {
 		ts := &s.Out[j]
+		if ts.isWord {
+			child, d := ts.substituteWord(wordToggles(ts.word, target, factor))
+			delta += d
+			hash ^= mix64(child.hash + outSalt(j))
+			continue
+		}
 		toggles = toggles[:0]
 		var tx uint64
 		for _, t := range ts.terms {

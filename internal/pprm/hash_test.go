@@ -142,6 +142,34 @@ func TestEqualAllocationFree(t *testing.T) {
 	}
 }
 
+// TestWordKernelsAllocationFree pins the search's per-candidate work on a
+// word-form spec (n ≤ 6) — probe, presentation-order walk, membership and
+// equality — at zero allocations.
+func TestWordKernelsAllocationFree(t *testing.T) {
+	s, err := FromPerm(perm.Random(6, rng.New(15)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := s.Clone()
+	buf := make([]bits.Mask, 0, 64)
+	var scratch []bits.Mask
+	if n := testing.AllocsPerRun(100, func() {
+		for target := range s.Out {
+			buf = s.Out[target].AppendSorted(buf[:0])
+			for _, f := range buf {
+				if !bits.Has(f, target) {
+					_, _, scratch = s.SubstituteProbe(target, f, scratch)
+				}
+			}
+			if !s.Out[target].Has(buf[0]) || !s.Out[target].Equal(&other.Out[target]) {
+				t.Fatal("word-form set lost a term")
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("word-form probe loop allocates %v times per run", n)
+	}
+}
+
 func TestSortedCacheInvalidation(t *testing.T) {
 	ts := NewTermSet(0b111, 0b001, 0b110)
 	first := ts.Sorted()

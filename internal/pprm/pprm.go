@@ -8,8 +8,9 @@
 //	f = a0 ⊕ a1·x1 ⊕ … ⊕ an·xn ⊕ a12·x1x2 ⊕ … ⊕ a12…n·x1x2…xn
 //
 // Each product term is stored as a bit mask (see internal/bits); an output's
-// expansion is the set of terms with coefficient 1. A reversible function of
-// n variables is represented by n expansions, one per output.
+// expansion is the set of terms with coefficient 1 (a TermSet: one
+// coefficient word for n ≤ 6, a sorted term slice above). A reversible
+// function of n variables is represented by n expansions, one per output.
 package pprm
 
 import (
@@ -29,9 +30,17 @@ type Spec struct {
 }
 
 // NewSpec returns a Spec with empty expansions (the constant-0 function on
-// every output; not reversible until filled in).
+// every output; not reversible until filled in). Its outputs are in word
+// form when n ≤ 6 and in slice form otherwise; every Spec derived from it
+// (Clone, SubstituteCopy) keeps that form.
 func NewSpec(n int) *Spec {
-	return &Spec{N: n, Out: make([]TermSet, n)}
+	s := &Spec{N: n, Out: make([]TermSet, n)}
+	if usesWord(n) {
+		for i := range s.Out {
+			s.Out[i].isWord = true
+		}
+	}
+	return s
 }
 
 // Identity returns the PPRM of the identity function: v_out,i = v_i.
@@ -63,17 +72,24 @@ func (s *Spec) Terms() int {
 }
 
 // MemBytes approximates the resident size of the Spec in bytes: the struct
-// and slice headers plus the backing term storage of every output. The
-// synthesis search uses it to enforce the paper's memory ceiling on queued
-// expansions, so it counts capacity (what the allocator holds), not length.
+// and slice headers plus the term storage of every output — the coefficient
+// word of a word-form output, the slice header and backing array of a
+// slice-form one. The synthesis search uses it to enforce the paper's
+// memory ceiling on queued expansions, so it counts capacity (what the
+// allocator holds), not length.
 func (s *Spec) MemBytes() int64 {
 	const (
 		specHeader    = 8 + 24 // N + Out slice header
+		wordBytes     = 8      // one coefficient word
 		termSetHeader = 24     // terms slice header
 		termBytes     = 4      // one bits.Mask
 	)
 	b := int64(specHeader)
 	for i := range s.Out {
+		if s.Out[i].isWord {
+			b += wordBytes
+			continue
+		}
 		b += termSetHeader + int64(cap(s.Out[i].terms))*termBytes
 	}
 	return b
@@ -125,6 +141,16 @@ func FromPerm(p perm.Perm) (*Spec, error) {
 	}
 	s := NewSpec(n)
 	size := len(p)
+	if usesWord(n) {
+		for out := range s.Out {
+			var w uint64
+			for x := size - 1; x >= 0; x-- {
+				w = w<<1 | uint64(p[x]>>uint(out)&1)
+			}
+			s.Out[out] = wordTermSet(mobiusWord(w, n))
+		}
+		return s, nil
+	}
 	col := make([]byte, size)
 	for out := 0; out < n; out++ {
 		for x := 0; x < size; x++ {
@@ -150,10 +176,17 @@ func (s *Spec) ToPerm() perm.Perm {
 	col := make([]byte, size)
 	p := make(perm.Perm, size)
 	for out := 0; out < s.N; out++ {
+		if ts := &s.Out[out]; ts.isWord {
+			w := mobiusWord(ts.word, s.N)
+			for x := range p {
+				p[x] |= uint32(w>>uint(x)&1) << uint(out)
+			}
+			continue
+		}
 		for x := range col {
 			col[x] = 0
 		}
-		for _, t := range s.Out[out].Terms() {
+		for _, t := range s.Out[out].terms {
 			col[t] = 1
 		}
 		mobius(col) // the transform is an involution: coefficients → values
@@ -200,8 +233,14 @@ func (s *Spec) Substitute(target int, factor bits.Mask) int {
 	var toggles, scratch []bits.Mask
 	for j := range s.Out {
 		ts := &s.Out[j]
+		if ts.isWord {
+			var d int
+			*ts, d = ts.substituteWord(wordToggles(ts.word, target, factor))
+			delta += d
+			continue
+		}
 		toggles = toggles[:0]
-		for _, t := range ts.Terms() {
+		for _, t := range ts.terms {
 			if t&tb != 0 {
 				toggles = append(toggles, (t&^tb)|factor)
 			}
@@ -235,9 +274,15 @@ func (s *Spec) SubstituteCopy(target int, factor bits.Mask) (*Spec, int) {
 	var toggles []bits.Mask
 	for j := range s.Out {
 		ts := &s.Out[j]
+		if ts.isWord {
+			var d int
+			out.Out[j], d = ts.substituteWord(wordToggles(ts.word, target, factor))
+			delta += d
+			continue
+		}
 		toggles = toggles[:0]
 		var tx uint64
-		for _, t := range ts.Terms() {
+		for _, t := range ts.terms {
 			if t&tb != 0 {
 				nt := (t &^ tb) | factor
 				toggles = append(toggles, nt)
@@ -251,7 +296,7 @@ func (s *Spec) SubstituteCopy(target int, factor bits.Mask) (*Spec, int) {
 		slices.Sort(toggles)
 		toggles = dedupSorted(toggles)
 		merged := make([]bits.Mask, 0, ts.Len()+len(toggles))
-		a := ts.Terms()
+		a := ts.terms
 		i, k := 0, 0
 		for i < len(a) && k < len(toggles) {
 			switch {
@@ -274,49 +319,6 @@ func (s *Spec) SubstituteCopy(target int, factor bits.Mask) (*Spec, int) {
 		out.Out[j] = TermSet{terms: merged, hash: ts.hash ^ tx}
 	}
 	return out, delta
-}
-
-// SubstituteDelta computes the term-count change Substitute(target, factor)
-// would produce, without modifying the Spec. The synthesis search uses it
-// to score every candidate before materializing only the survivors.
-// scratch is an optional reusable buffer.
-func (s *Spec) SubstituteDelta(target int, factor bits.Mask, scratch []bits.Mask) (int, []bits.Mask) {
-	tb := bits.Bit(target)
-	delta := 0
-	toggles := scratch[:0]
-	for j := range s.Out {
-		ts := &s.Out[j]
-		toggles = toggles[:0]
-		for _, t := range ts.Terms() {
-			if t&tb != 0 {
-				toggles = append(toggles, (t&^tb)|factor)
-			}
-		}
-		if len(toggles) == 0 {
-			continue
-		}
-		slices.Sort(toggles)
-		toggles = dedupSorted(toggles)
-		// Merge-count: toggles present in the set cancel (−1), absent
-		// ones are inserted (+1).
-		a := ts.Terms()
-		i, j2 := 0, 0
-		for i < len(a) && j2 < len(toggles) {
-			switch {
-			case a[i] < toggles[j2]:
-				i++
-			case a[i] > toggles[j2]:
-				delta++
-				j2++
-			default:
-				delta--
-				i++
-				j2++
-			}
-		}
-		delta += len(toggles) - j2
-	}
-	return delta, toggles
 }
 
 // Equal reports whether the two Specs are the same expansion.

@@ -3,6 +3,7 @@ package pprm
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/bits"
 	"repro/internal/perm"
@@ -141,7 +142,7 @@ func TestSubstituteInvolution(t *testing.T) {
 	}
 }
 
-func TestSubstituteDeltaMatchesSubstitute(t *testing.T) {
+func TestSubstituteProbeMatchesSubstitute(t *testing.T) {
 	src := rng.New(12)
 	var buf []bits.Mask
 	for trial := 0; trial < 60; trial++ {
@@ -151,10 +152,14 @@ func TestSubstituteDeltaMatchesSubstitute(t *testing.T) {
 		target := src.Intn(n)
 		factor := bits.Mask(src.Intn(1<<uint(n))) &^ bits.Bit(target)
 		var want int
-		want, buf = s.SubstituteDelta(target, factor, buf)
+		var hash uint64
+		want, hash, buf = s.SubstituteProbe(target, factor, buf)
 		got := s.Substitute(target, factor)
 		if got != want {
-			t.Fatalf("SubstituteDelta = %d, Substitute = %d", want, got)
+			t.Fatalf("SubstituteProbe delta = %d, Substitute = %d", want, got)
+		}
+		if hash != s.Hash() {
+			t.Fatalf("SubstituteProbe hash %#x, substituted spec hashes %#x", hash, s.Hash())
 		}
 	}
 }
@@ -255,6 +260,12 @@ func TestTermSetBasics(t *testing.T) {
 	ts = NewTermSet(1, 2, 3, 2) // the pair of 2s cancels
 	if ts.Len() != 2 || !ts.Has(1) || !ts.Has(3) || ts.Has(2) {
 		t.Errorf("NewTermSet EXOR semantics wrong: %v", ts.Terms())
+	}
+}
+
+func TestTermSetSize(t *testing.T) {
+	if got := unsafe.Sizeof(TermSet{}); got > 56 {
+		t.Fatalf("TermSet is %d bytes, want at most 56", got)
 	}
 }
 

@@ -2,39 +2,59 @@ package pprm
 
 import (
 	"fmt"
+	mbits "math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/bits"
 )
 
 // TermSet is the set of product terms (with coefficient 1) of one output's
-// PPRM expansion, stored as a sorted slice of term masks. The paper's C
-// implementation uses sorted doubly linked lists for the same reason:
-// substitutions stream through the terms in order, and copies (one per
-// queued search node) are a single contiguous move.
+// PPRM expansion. It has two forms, chosen once per Spec from its variable
+// count (see usesWord) and never converted afterwards:
+//
+//   - word form, for every Spec with N ≤ 6: the dense Reed–Muller
+//     coefficient vector packed into one uint64, bit m set iff term m is
+//     present (2^6 = 64 monomials). Substitution, probing, membership and
+//     the presentation-order walk are a handful of word operations (see
+//     word.go) and never allocate.
+//   - slice form, for N ≥ 7 and for free-standing sets (the zero value,
+//     NewTermSet): a strictly increasing slice of term masks. The paper's C
+//     implementation uses sorted doubly linked lists for the same reason:
+//     substitutions stream through the terms in order, and copies (one per
+//     queued search node) are a single contiguous move.
 //
 // Alongside the terms the set maintains two derived values:
 //
 //   - hash: the XOR of the terms' Zobrist keys (see hash.go), updated in
 //     O(1) per membership flip, which the synthesis search's transposition
-//     table keys on;
-//   - sorted: a lazily built, immutable copy of the terms in presentation
-//     order (ascending literal count, then mask), invalidated on mutation.
-//     Copy-on-write children share it with their parents, so the hot-path
-//     candidate enumeration usually finds it already built.
+//     table keys on. It is the same function of the term set in both forms;
+//   - sorted (slice form only): a lazily built, immutable copy of the terms
+//     in presentation order (ascending literal count, then mask),
+//     invalidated on mutation. Copy-on-write children share it with their
+//     parents, so the hot-path candidate enumeration usually finds it
+//     already built.
 //
-// A TermSet is not safe for concurrent use: Sorted fills the cache on
-// first call, so even logically read-only sharing across goroutines
-// requires the owner to Clone first (the search clones its root spec for
-// exactly this reason).
+// A slice-form TermSet is not safe for concurrent use: Sorted fills the
+// cache on first call, so even logically read-only sharing across
+// goroutines requires the owner to Clone first (the search clones its root
+// spec for exactly this reason). A word-form set has no cache, so
+// read-only sharing is safe.
+//
+// The cache is held through a pointer to keep the struct at 56 bytes
+// (pinned by TestTermSetSize): every Spec copy moves one TermSet per
+// output, and the slice-form search on wide functions slows measurably
+// when the struct grows.
 type TermSet struct {
-	terms  []bits.Mask // strictly increasing
-	hash   uint64      // XOR of termHash over terms
-	sorted []bits.Mask // presentation-order cache; nil = not built
+	terms  []bits.Mask  // slice form: strictly increasing
+	sorted *[]bits.Mask // slice form: presentation-order cache; nil = not built
+	hash   uint64       // XOR of termHash over the terms
+	word   uint64       // word form: bit m set iff term m has coefficient 1
+	isWord bool
 }
 
-// NewTermSet builds a set from arbitrary masks; duplicate pairs cancel
-// (EXOR semantics).
+// NewTermSet builds a slice-form set from arbitrary masks; duplicate pairs
+// cancel (EXOR semantics).
 func NewTermSet(masks ...bits.Mask) TermSet {
 	var ts TermSet
 	for _, m := range masks {
@@ -54,17 +74,33 @@ func newSortedTermSet(terms []bits.Mask) TermSet {
 }
 
 // Len returns the number of terms.
-func (ts *TermSet) Len() int { return len(ts.terms) }
+func (ts *TermSet) Len() int {
+	if ts.isWord {
+		return mbits.OnesCount64(ts.word)
+	}
+	return len(ts.terms)
+}
 
 // Has reports whether term t has coefficient 1.
 func (ts *TermSet) Has(t bits.Mask) bool {
+	if ts.isWord {
+		return ts.word>>t&1 != 0 // a shift by 64 or more gives 0
+	}
 	i := sort.Search(len(ts.terms), func(i int) bool { return ts.terms[i] >= t })
 	return i < len(ts.terms) && ts.terms[i] == t
 }
 
 // Toggle flips membership of term t and returns +1 if it was inserted, −1
-// if removed.
+// if removed. A word-form set panics on a term beyond its six variables.
 func (ts *TermSet) Toggle(t bits.Mask) int {
+	if ts.isWord {
+		ts.hash ^= wordHash[t]
+		ts.word ^= 1 << t
+		if ts.word>>t&1 != 0 {
+			return 1
+		}
+		return -1
+	}
 	ts.hash ^= termHash(t)
 	ts.sorted = nil
 	i := sort.Search(len(ts.terms), func(i int) bool { return ts.terms[i] >= t })
@@ -82,6 +118,9 @@ func (ts *TermSet) Toggle(t bits.Mask) int {
 // shared: it is immutable once created (mutations replace it rather than
 // editing in place).
 func (ts *TermSet) Clone() TermSet {
+	if ts.isWord {
+		return *ts
+	}
 	return TermSet{
 		terms:  append([]bits.Mask(nil), ts.terms...),
 		hash:   ts.hash,
@@ -89,62 +128,123 @@ func (ts *TermSet) Clone() TermSet {
 	}
 }
 
-// Terms returns the terms in ascending mask order. The slice aliases the
-// set's storage and must not be modified.
-func (ts *TermSet) Terms() []bits.Mask { return ts.terms }
+// Terms returns the terms in ascending mask order. A slice-form set returns
+// its own storage, which must not be modified; a word-form set returns a
+// freshly allocated slice.
+func (ts *TermSet) Terms() []bits.Mask {
+	if ts.isWord {
+		return appendWordTerms(make([]bits.Mask, 0, ts.Len()), ts.word)
+	}
+	return ts.terms
+}
 
 // Cap returns the capacity of the backing term storage. The synthesis
-// memory accounting (Spec.MemBytes) is capacity-based, so a checkpoint
-// that wants a byte-identical restore must record and reproduce it.
-func (ts *TermSet) Cap() int { return cap(ts.terms) }
-
-// RestoreSorted rebuilds a TermSet from a strictly increasing term list and
-// an explicit backing capacity, re-deriving the incremental hash from
-// scratch. It is the snapshot subsystem's inverse of Terms/Cap: the terms
-// are copied into a fresh slice of exactly the given capacity so MemBytes
-// reports the same value the serialized set did. The error is non-nil when
-// the list is not strictly increasing or the capacity is too small.
-func RestoreSorted(terms []bits.Mask, capacity int) (TermSet, error) {
-	if capacity < len(terms) {
-		return TermSet{}, fmt.Errorf("pprm: restore capacity %d < %d terms", capacity, len(terms))
+// memory accounting (Spec.MemBytes) is capacity-based for slice-form sets,
+// so a checkpoint that wants a byte-identical restore must record and
+// reproduce it. A word-form set has no separate storage and reports its
+// length.
+func (ts *TermSet) Cap() int {
+	if ts.isWord {
+		return ts.Len()
 	}
-	for i := 1; i < len(terms); i++ {
-		if terms[i] <= terms[i-1] {
-			return TermSet{}, fmt.Errorf("pprm: restore terms not strictly increasing at index %d", i)
+	return cap(ts.terms)
+}
+
+// RestoreOutput rebuilds output i from a strictly increasing term list and
+// the capacity Cap reported for it, re-deriving the incremental hash from
+// scratch. It is the snapshot subsystem's inverse of Terms/Cap: the output
+// keeps the form NewSpec chose for s, and a slice-form output gets a fresh
+// slice of exactly the given capacity, so MemBytes reports the same value
+// the serialized set did. The error is non-nil when the list is not
+// strictly increasing, uses variables beyond s.N, or the capacity is too
+// small.
+func (s *Spec) RestoreOutput(i int, terms []bits.Mask, capacity int) error {
+	if capacity < len(terms) {
+		return fmt.Errorf("pprm: restore capacity %d < %d terms", capacity, len(terms))
+	}
+	for k, t := range terms {
+		if k > 0 && t <= terms[k-1] {
+			return fmt.Errorf("pprm: restore terms not strictly increasing at index %d", k)
 		}
+		if uint64(t) >= 1<<uint(s.N) {
+			return fmt.Errorf("pprm: restore term %s uses variables beyond %d", bits.TermString(t), s.N)
+		}
+	}
+	if s.Out[i].isWord {
+		var w uint64
+		for _, t := range terms {
+			w |= 1 << t
+		}
+		s.Out[i] = wordTermSet(w)
+		return nil
 	}
 	buf := make([]bits.Mask, len(terms), capacity)
 	copy(buf, terms)
-	return newSortedTermSet(buf), nil
+	s.Out[i] = newSortedTermSet(buf)
+	return nil
 }
 
 // Sorted returns the terms ordered by ascending literal count, then mask —
 // the deterministic presentation order used for printing and candidate
-// enumeration. The result is cached until the set next mutates and is
-// shared with copy-on-write clones; callers must not modify it.
+// enumeration. Callers must not modify the result. On a slice-form set the
+// result is cached until the set next mutates and is shared with
+// copy-on-write clones; on a word-form set every call allocates, so hot
+// paths use AppendSorted with a reused buffer instead.
 func (ts *TermSet) Sorted() []bits.Mask {
-	if ts.sorted != nil || len(ts.terms) == 0 {
-		return ts.sorted
+	if ts.isWord {
+		return ts.AppendSorted(make([]bits.Mask, 0, ts.Len()))
 	}
-	out := append([]bits.Mask(nil), ts.terms...)
-	sort.Slice(out, func(i, j int) bool {
-		ci, cj := bits.Count(out[i]), bits.Count(out[j])
-		if ci != cj {
-			return ci < cj
+	if ts.sorted != nil {
+		return *ts.sorted
+	}
+	if len(ts.terms) == 0 {
+		return nil
+	}
+	out := slices.Clone(ts.terms)
+	slices.SortFunc(out, func(a, b bits.Mask) int {
+		if ca, cb := bits.Count(a), bits.Count(b); ca != cb {
+			return ca - cb
 		}
-		return out[i] < out[j]
+		return int(a) - int(b)
 	})
-	ts.sorted = out
+	ts.sorted = &out
 	return out
 }
 
-// Equal reports whether the two sets hold the same terms. The incremental
-// hashes give a constant-time negative fast path; the element compare
-// guards against 64-bit collisions on the (hash-equal) positive path.
-// Either way the comparison performs no allocation.
+// AppendSorted appends the terms in presentation order (see Sorted) to dst
+// and returns the extended slice. On a word-form set it walks the
+// literal-count classes of the word and allocates nothing beyond growing
+// dst.
+func (ts *TermSet) AppendSorted(dst []bits.Mask) []bits.Mask {
+	if !ts.isWord {
+		return append(dst, ts.Sorted()...)
+	}
+	for k := range popClass {
+		dst = appendWordTerms(dst, ts.word&popClass[k])
+	}
+	return dst
+}
+
+// Equal reports whether the two sets hold the same terms, whatever their
+// forms. The incremental hashes give a constant-time negative fast path;
+// the element compare guards against 64-bit collisions on the (hash-equal)
+// positive path. Either way the comparison performs no allocation.
 func (ts *TermSet) Equal(o *TermSet) bool {
-	if ts.hash != o.hash || len(ts.terms) != len(o.terms) {
+	if ts.hash != o.hash || ts.Len() != o.Len() {
 		return false
+	}
+	switch {
+	case ts.isWord && o.isWord:
+		return ts.word == o.word
+	case ts.isWord:
+		return o.Equal(ts)
+	case o.isWord:
+		for _, t := range ts.terms {
+			if !o.Has(t) {
+				return false
+			}
+		}
+		return true
 	}
 	for i, t := range ts.terms {
 		if o.terms[i] != t {
@@ -154,9 +254,9 @@ func (ts *TermSet) Equal(o *TermSet) bool {
 	return true
 }
 
-// symmetricMerge replaces ts with ts Δ toggles, where toggles is sorted and
-// duplicate-free, returning the change in size. scratch, if non-nil, is
-// reused as the output buffer to avoid allocation.
+// symmetricMerge replaces the slice-form set ts with ts Δ toggles, where
+// toggles is sorted and duplicate-free, returning the change in size.
+// scratch, if non-nil, is reused as the output buffer to avoid allocation.
 func (ts *TermSet) symmetricMerge(toggles []bits.Mask, scratch []bits.Mask) int {
 	out := scratch[:0]
 	a, b := ts.terms, toggles
