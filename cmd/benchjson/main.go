@@ -75,34 +75,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		SkipExamples: *skipExamples,
 	}
 	report, err := bench.RunSearchBench(ctx, cfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "benchjson: %v\n", err)
-		if ctx.Err() != nil {
-			return 3
-		}
-		return 1
+	if code := writeReport(ctx, report, err, *out, stdout, stderr); code != 0 {
+		return code
 	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fmt.Fprintf(stderr, "benchjson: %v\n", err)
-		return 1
-	}
-	data = append(data, '\n')
-	if *out == "-" {
-		_, err = stdout.Write(data)
-	} else {
-		err = os.WriteFile(*out, data, 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "benchjson: %v\n", err)
-		return 1
-	}
-
 	for _, w := range report.Workloads {
-		fmt.Fprintf(stderr, "%-12s  expansions %8d -> %8d (-%.1f%%)  hit rate %.2f  allocs/exp %.1f -> %.1f\n",
+		fmt.Fprintf(stderr, "%-12s  expansions %8d -> %8d (-%.1f%%)  hit rate %.2f  allocs/exp %.1f -> %.1f  nodes/s %.0f -> %.0f\n",
 			w.Workload, w.Off.Expansions, w.On.Expansions, 100*w.ExpansionReduction,
-			w.On.DedupHitRate, w.Off.AllocsPerExpansion, w.On.AllocsPerExpansion)
+			w.On.DedupHitRate, w.Off.AllocsPerExpansion, w.On.AllocsPerExpansion,
+			w.Off.NodesPerSec, w.On.NodesPerSec)
 	}
 	for _, e := range report.Examples {
 		fmt.Fprintf(stderr, "%-12s  gates %2d -> %2d (paper %2d)  steps %7d -> %7d\n",
@@ -117,8 +97,31 @@ func runParallel(ctx context.Context, cfg bench.ParallelBenchConfig, out string,
 		out = "BENCH_parallel.json"
 	}
 	report, err := bench.RunParallelBench(ctx, cfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "benchjson: %v\n", err)
+	if code := writeReport(ctx, report, err, out, stdout, stderr); code != 0 {
+		return code
+	}
+	fmt.Fprintf(stderr, "machine: %d cpus, GOMAXPROCS %d (speedups are relative to this box)\n",
+		report.CPUs, report.GOMAXPROCS)
+	for _, w := range report.Workloads {
+		det := "det-merge IDENTICAL across widths"
+		if !w.DetMergeIdentical {
+			det = "det-merge DIVERGED across widths (BUG)"
+		}
+		fmt.Fprintf(stderr, "%s: %s\n", w.Workload, det)
+		for _, r := range w.Rows {
+			fmt.Fprintf(stderr, "  %-12s w=%d  %8d exp  %6.2fs  %8.0f exp/s  speedup %.2fx  traj %s\n",
+				r.Engine, r.Workers, r.Expansions, r.Seconds, r.NodesPerSec, r.Speedup, r.Trajectory)
+		}
+	}
+	return 0
+}
+
+// writeReport writes a harness report as indented JSON to out ("-" for
+// stdout) and returns the exit code: 3 when the run was interrupted, 1 on
+// any other harness or write error, 0 on success.
+func writeReport(ctx context.Context, report any, runErr error, out string, stdout, stderr io.Writer) int {
+	if runErr != nil {
+		fmt.Fprintf(stderr, "benchjson: %v\n", runErr)
 		if ctx.Err() != nil {
 			return 3
 		}
@@ -138,19 +141,6 @@ func runParallel(ctx context.Context, cfg bench.ParallelBenchConfig, out string,
 	if err != nil {
 		fmt.Fprintf(stderr, "benchjson: %v\n", err)
 		return 1
-	}
-	fmt.Fprintf(stderr, "machine: %d cpus, GOMAXPROCS %d (speedups are relative to this box)\n",
-		report.CPUs, report.GOMAXPROCS)
-	for _, w := range report.Workloads {
-		det := "det-merge IDENTICAL across widths"
-		if !w.DetMergeIdentical {
-			det = "det-merge DIVERGED across widths (BUG)"
-		}
-		fmt.Fprintf(stderr, "%s: %s\n", w.Workload, det)
-		for _, r := range w.Rows {
-			fmt.Fprintf(stderr, "  %-12s w=%d  %8d exp  %6.2fs  %8.0f exp/s  speedup %.2fx  traj %s\n",
-				r.Engine, r.Workers, r.Expansions, r.Seconds, r.NodesPerSec, r.Speedup, r.Trajectory)
-		}
 	}
 	return 0
 }

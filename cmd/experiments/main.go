@@ -16,7 +16,6 @@
 //	experiments table5|table6|table7 [-pervar N] [-checkpoint-dir D]
 //	experiments examples
 //	experiments fig5
-//	experiments searchbench [-samples N] [-steps N]
 //	experiments all [-out dir]
 package main
 
@@ -30,7 +29,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/exp"
 	"repro/internal/obs"
 )
@@ -160,19 +158,6 @@ func dispatch(ctx context.Context, cmd string, args []string) {
 			os.Exit(1)
 		}
 
-	case "searchbench":
-		fmt.Fprintf(w, "== Search benchmark trajectory (transposition table off vs on) ==\n")
-		cfg := bench.SearchBenchConfig{Seed: *seed, TotalSteps: *steps}
-		if *samples > 0 {
-			cfg.Table1Sample = *samples
-		}
-		report, err := bench.RunSearchBench(ctx, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		exp.WriteSearchBench(w, report)
-
 	case "all":
 		for _, sub := range []string{"fig5", "examples", "table1", "table2",
 			"table3", "table4", "table5", "table6", "table7", "extended"} {
@@ -197,6 +182,6 @@ func defaultInt(v, dflt int) int {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: experiments <table1|table2|table3|table4|table5|table6|table7|examples|extended|fig5|searchbench|all> [flags]`)
+	fmt.Fprintln(os.Stderr, `usage: experiments <table1|table2|table3|table4|table5|table6|table7|examples|extended|fig5|all> [flags]`)
 	os.Exit(2)
 }

@@ -3,13 +3,10 @@ package bench
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/perm"
-	"repro/internal/pprm"
 )
 
 // This file is the parallel-search harness: it runs the seeded workloads
@@ -97,54 +94,26 @@ type ParallelReport struct {
 	Workloads  []ParallelWorkload `json:"workloads"`
 }
 
-// runEngineRow synthesizes every function under opts and aggregates one
-// row, fingerprinting the trajectory as it goes.
-func runEngineRow(ctx context.Context, fns []perm.Perm, opts core.Options, engine string) (EngineRow, error) {
-	row := EngineRow{Engine: engine, Workers: opts.Workers, Functions: len(fns)}
-	h := fnv.New64a()
-	start := time.Now()
-	for _, p := range fns {
-		if ctx.Err() != nil {
-			return row, ctx.Err()
-		}
-		spec, err := pprm.FromPerm(p)
-		if err != nil {
-			return row, err
-		}
-		r := core.SynthesizeContext(ctx, spec, opts)
-		if r.Err != nil {
-			return row, r.Err
-		}
-		row.Expansions += int64(r.Steps)
-		gates := "<none>"
-		if r.Found {
-			if err := core.Verify(r.Circuit, p); err != nil {
-				return row, err
-			}
-			row.Solved++
-			row.TotalGates += r.Circuit.Len()
-			gates = r.Circuit.String()
-		}
-		fmt.Fprintf(h, "%v|%s|%d|%d;", r.Found, gates, r.Steps, r.Nodes)
-	}
-	row.Seconds = time.Since(start).Seconds()
-	if row.Seconds > 0 {
-		row.NodesPerSec = float64(row.Expansions) / row.Seconds
-	}
-	row.Trajectory = fmt.Sprintf("%016x", h.Sum64())
-	return row, nil
-}
-
 // compareEngines runs one workload under every engine configuration.
 func compareEngines(ctx context.Context, name string, fns []perm.Perm, cfg ParallelBenchConfig) (ParallelWorkload, error) {
 	w := ParallelWorkload{Workload: name, DetMergeIdentical: true}
 
 	add := func(opts core.Options, engine string) error {
-		row, err := runEngineRow(ctx, fns, opts, engine)
+		m, traj, err := runWorkload(ctx, fns, opts)
 		if err != nil {
 			return fmt.Errorf("%s (%s, %d workers): %w", name, engine, opts.Workers, err)
 		}
-		w.Rows = append(w.Rows, row)
+		w.Rows = append(w.Rows, EngineRow{
+			Engine:      engine,
+			Workers:     opts.Workers,
+			Functions:   m.Functions,
+			Solved:      m.Solved,
+			TotalGates:  m.TotalGates,
+			Expansions:  m.Expansions,
+			Seconds:     m.Seconds,
+			NodesPerSec: m.NodesPerSec,
+			Trajectory:  traj,
+		})
 		return nil
 	}
 
@@ -186,17 +155,8 @@ func RunParallelBench(ctx context.Context, cfg ParallelBenchConfig) (*ParallelRe
 		CPUs:       runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-	workloads := []struct {
-		name string
-		vars int
-		n    int
-	}{
-		{"table1-3var", 3, cfg.Table1Sample},
-		{"random-4var", 4, cfg.Random4},
-	}
-	for _, w := range workloads {
-		fns := seededFunctions(cfg.Seed, w.vars, w.n)
-		cmp, err := compareEngines(ctx, w.name, fns, cfg)
+	for _, w := range seededWorkloads(cfg.Seed, cfg.Table1Sample, cfg.Random4) {
+		cmp, err := compareEngines(ctx, w.name, w.fns, cfg)
 		if err != nil {
 			return nil, err
 		}

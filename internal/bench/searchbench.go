@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"time"
 
@@ -132,41 +133,57 @@ func searchOpts(totalSteps int, dedup bool) core.Options {
 
 // runWorkload synthesizes every function in the workload under opts and
 // aggregates the metrics. Found circuits are verified by simulation; a
-// verification failure panics (it would mean a search bug, not a slow
-// machine).
-func runWorkload(ctx context.Context, fns []perm.Perm, opts core.Options) (WorkloadMetrics, error) {
+// failure is returned (it would mean a search bug, not a slow machine).
+// The second result fingerprints the per-function results (found flag,
+// circuit, steps, nodes): runs with equal fingerprints took the
+// bit-identical search trajectory. Results are folded after the timed,
+// allocation-counted loop, so the fingerprint costs the measurement
+// nothing.
+func runWorkload(ctx context.Context, fns []perm.Perm, opts core.Options) (WorkloadMetrics, string, error) {
 	m := WorkloadMetrics{Dedup: opts.Dedup, Functions: len(fns)}
+	results := make([]core.Result, len(fns))
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	for _, p := range fns {
+	for i, p := range fns {
 		if ctx.Err() != nil {
-			return m, ctx.Err()
+			return m, "", ctx.Err()
 		}
 		spec, err := pprm.FromPerm(p)
 		if err != nil {
-			return m, err
+			return m, "", err
 		}
-		r := core.SynthesizeContext(ctx, spec, opts)
+		r := &results[i]
+		*r = core.SynthesizeContext(ctx, spec, opts)
 		if r.Err != nil {
-			return m, r.Err
+			return m, "", r.Err
 		}
+		if r.Found {
+			if err := core.Verify(r.Circuit, p); err != nil {
+				return m, "", err
+			}
+		}
+	}
+	m.Seconds = time.Since(start).Seconds()
+	runtime.ReadMemStats(&ms1)
+
+	h := fnv.New64a()
+	for i := range results {
+		r := &results[i]
 		m.Expansions += int64(r.Steps)
 		m.NodesCreated += int64(r.Nodes)
 		m.DedupHits += r.DedupHits
 		m.DedupMisses += r.DedupMisses
 		m.DedupEvictions += r.DedupEvictions
+		gates := "<none>"
 		if r.Found {
-			if err := core.Verify(r.Circuit, p); err != nil {
-				return m, err
-			}
 			m.Solved++
 			m.TotalGates += r.Circuit.Len()
+			gates = r.Circuit.String()
 		}
+		fmt.Fprintf(h, "%v|%s|%d|%d;", r.Found, gates, r.Steps, r.Nodes)
 	}
-	m.Seconds = time.Since(start).Seconds()
-	runtime.ReadMemStats(&ms1)
 	if m.Expansions > 0 {
 		m.AllocsPerExpansion = float64(ms1.Mallocs-ms0.Mallocs) / float64(m.Expansions)
 		m.BytesPerExpansion = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(m.Expansions)
@@ -175,17 +192,17 @@ func runWorkload(ctx context.Context, fns []perm.Perm, opts core.Options) (Workl
 	if probes := m.DedupHits + m.DedupMisses; probes > 0 {
 		m.DedupHitRate = float64(m.DedupHits) / float64(probes)
 	}
-	return m, nil
+	return m, fmt.Sprintf("%016x", h.Sum64()), nil
 }
 
 // compareWorkload runs one workload dedup-off then dedup-on.
 func compareWorkload(ctx context.Context, name string, fns []perm.Perm, totalSteps int) (WorkloadComparison, error) {
 	c := WorkloadComparison{Workload: name}
 	var err error
-	if c.Off, err = runWorkload(ctx, fns, searchOpts(totalSteps, false)); err != nil {
+	if c.Off, _, err = runWorkload(ctx, fns, searchOpts(totalSteps, false)); err != nil {
 		return c, fmt.Errorf("%s (dedup off): %w", name, err)
 	}
-	if c.On, err = runWorkload(ctx, fns, searchOpts(totalSteps, true)); err != nil {
+	if c.On, _, err = runWorkload(ctx, fns, searchOpts(totalSteps, true)); err != nil {
 		return c, fmt.Errorf("%s (dedup on): %w", name, err)
 	}
 	if c.Off.Expansions > 0 {
@@ -208,6 +225,21 @@ func seededFunctions(seed uint64, v, n int) []perm.Perm {
 	return fns
 }
 
+// workload is one named, seeded list of functions.
+type workload struct {
+	name string
+	fns  []perm.Perm
+}
+
+// seededWorkloads is the workload list both harnesses run: a seeded
+// Table-I-style 3-variable sample and a seeded 4-variable random sample.
+func seededWorkloads(seed uint64, table1, random4 int) []workload {
+	return []workload{
+		{"table1-3var", seededFunctions(seed, 3, table1)},
+		{"random-4var", seededFunctions(seed, 4, random4)},
+	}
+}
+
 // RunSearchBench executes the full harness: the seeded Table-I-style
 // 3-variable sample, a seeded 4-variable random workload, and (unless
 // skipped) the paper's fourteen worked examples — each with the
@@ -216,17 +248,8 @@ func RunSearchBench(ctx context.Context, cfg SearchBenchConfig) (*SearchReport, 
 	cfg.fill()
 	report := &SearchReport{Config: cfg}
 
-	workloads := []struct {
-		name string
-		vars int
-		n    int
-	}{
-		{"table1-3var", 3, cfg.Table1Sample},
-		{"random-4var", 4, cfg.Random4},
-	}
-	for _, w := range workloads {
-		fns := seededFunctions(cfg.Seed, w.vars, w.n)
-		cmp, err := compareWorkload(ctx, w.name, fns, cfg.TotalSteps)
+	for _, w := range seededWorkloads(cfg.Seed, cfg.Table1Sample, cfg.Random4) {
+		cmp, err := compareWorkload(ctx, w.name, w.fns, cfg.TotalSteps)
 		if err != nil {
 			return nil, err
 		}

@@ -44,10 +44,6 @@ type Options struct {
 	// for the paper's wall-clock limits. 0 means unbounded.
 	TotalSteps int
 
-	// MaxRestarts bounds how many alternative first-level substitutions
-	// the restart heuristic tries. 0 means "all of them".
-	MaxRestarts int
-
 	// GreedyK enables the greedy pruning heuristic of Section IV-E: only
 	// the best K substitutions per input variable are queued at each
 	// node. 0 keeps every substitution (the basic algorithm). The paper
@@ -66,11 +62,6 @@ type Options struct {
 	// Admission selects the queue-admission rule; see the Admission
 	// constants and DESIGN.md.
 	Admission Admission
-
-	// GrowthSlack is the term-count headroom of AdmitBounded: children
-	// whose expansion exceeds the original size by more than this are
-	// pruned. 0 selects the default of 2 (wire swaps need ≥ 1).
-	GrowthSlack int
 
 	// LinearElim replaces Eq. (4)'s β·elim/depth term with β·elim,
 	// turning the priority into the A*-style objective
@@ -101,19 +92,15 @@ type Options struct {
 	// unbounded (run until the queue empties or another limit fires).
 	ImproveSteps int
 
-	// MaxQueue bounds the number of queued nodes; when exceeded, the
-	// lowest-priority half is discarded. A coarse node-count companion to
-	// MaxMemory. 0 selects a generous default.
-	MaxQueue int
-
 	// MaxMemory bounds the approximate bytes pinned by queued search
 	// nodes (node structs plus materialized PPRM expansions) — the
 	// byte-accounted version of the paper's 768-MB memory ceiling, which
-	// MaxQueue can only fake by node count. When the estimate exceeds the
-	// limit the lowest-priority half of the queue is discarded; if even
-	// that cannot get back under the ceiling the run stops with
-	// StopMemoryLimit and reports its best-so-far circuit. 0 disables the
-	// ceiling. Result.PeakQueueBytes reports the high-water mark.
+	// the fixed node-count cap maxQueue can only fake. When the estimate
+	// exceeds the limit the lowest-priority half of the queue is
+	// discarded; if even that cannot get back under the ceiling the run
+	// stops with StopMemoryLimit and reports its best-so-far circuit. 0
+	// disables the ceiling. Result.PeakQueueBytes reports the high-water
+	// mark.
 	MaxMemory int64
 
 	// Dedup enables the transposition table: child states whose full PPRM
@@ -132,13 +119,6 @@ type Options struct {
 	// strictly shorter path to any state. Off in the zero value (the
 	// literal Fig. 4 algorithm); on in DefaultOptions.
 	Dedup bool
-
-	// DedupMaxEntries caps the transposition table size; when the cap is
-	// reached the table is cleared wholesale and counts the dropped
-	// entries in Result.DedupEvictions. 0 selects the default of 2^20
-	// entries (≈ 32 MB under the MaxMemory accounting). The table's bytes
-	// count toward MaxMemory regardless of this cap.
-	DedupMaxEntries int
 
 	// Trace, when non-nil, receives an event for every node push, pop,
 	// and solution. Used to reproduce the Fig. 5 search walkthrough.
@@ -270,7 +250,7 @@ func (c *Checkpoint) interval() time.Duration {
 // initial and final expansions.
 //
 // AdmitBounded, the default, reconciles all three: a child is queued when
-// its expansion has grown by at most GrowthSlack terms over the original
+// its expansion has grown by at most growthSlack terms over the original
 // one, or when it strictly shrinks its parent (recovery moves are always
 // worth keeping). It admits every node the Fig. 5 walkthrough queues,
 // synthesizes the swap-like functions the strict rules provably cannot,
@@ -282,7 +262,7 @@ type Admission int
 
 const (
 	// AdmitBounded queues a child iff
-	// terms ≤ initTerms + GrowthSlack or terms < parent.terms.
+	// terms ≤ initTerms + growthSlack or terms < parent.terms.
 	AdmitBounded Admission = iota
 	// AdmitAll queues every legal candidate; Eq. (4) alone ranks them
 	// (the convergence proof's reading).
@@ -345,14 +325,6 @@ func BasicOptions() Options {
 	return Options{}
 }
 
-// dedupMaxEntries resolves the transposition-table size cap.
-func (o *Options) dedupMaxEntries() int {
-	if o.DedupMaxEntries > 0 {
-		return o.DedupMaxEntries
-	}
-	return 1 << 20
-}
-
 func (o *Options) weights() (a, b, g float64) {
 	if o.Alpha == 0 && o.Beta == 0 && o.Gamma == 0 {
 		return 0.3, 0.6, 0.1
@@ -360,20 +332,24 @@ func (o *Options) weights() (a, b, g float64) {
 	return o.Alpha, o.Beta, o.Gamma
 }
 
-// growthSlack resolves the AdmitBounded term-count headroom.
-func (o *Options) growthSlack() int {
-	if o.GrowthSlack > 0 {
-		return o.GrowthSlack
-	}
-	return 2
-}
-
-func (o *Options) maxQueue() int {
-	if o.MaxQueue > 0 {
-		return o.MaxQueue
-	}
-	return 1 << 18
-}
+// Fixed search limits. The paper's heuristics (Section IV-E) have no knob
+// for any of them, and restarts are bounded only by the first-level
+// substitutions left to try.
+const (
+	// growthSlack is the term-count headroom of AdmitBounded: children
+	// whose expansion exceeds the original size by more than this are
+	// pruned (wire swaps need ≥ 1).
+	growthSlack = 2
+	// maxQueue bounds the number of queued nodes; when exceeded, the
+	// lowest-priority half is discarded. A coarse node-count companion to
+	// MaxMemory.
+	maxQueue = 1 << 18
+	// dedupMaxEntries caps the transposition table; when the cap is
+	// reached the table is cleared wholesale and counts the dropped
+	// entries in Result.DedupEvictions. 2^20 entries is ≈ 32 MB under the
+	// MaxMemory accounting, which counts the table's bytes regardless.
+	dedupMaxEntries = 1 << 20
+)
 
 // EventKind distinguishes search-trace events.
 type EventKind int

@@ -119,32 +119,35 @@ func TestRestartsFire(t *testing.T) {
 	}
 }
 
-func TestMaxRestartsHonored(t *testing.T) {
-	p := perm.Random(5, rng.New(43))
-	opts := DefaultOptions()
-	opts.MaxSteps = 10
-	opts.MaxRestarts = 3
-	opts.TotalSteps = 100000
-	opts.MaxGates = 10 // likely unsatisfiable: forces restart exhaustion
-	res, err := SynthesizePerm(p, opts)
+// TestMaxQueuePrunes lowers the node-count cap and checks at every round
+// boundary that the queue never exceeds it and that the prune fired.
+func TestMaxQueuePrunes(t *testing.T) {
+	spec, err := pprm.FromPerm(perm.Random(5, rng.New(44)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Restarts > 3 {
-		t.Errorf("restarts = %d, want ≤ 3", res.Restarts)
-	}
-}
-
-func TestMaxQueuePrunes(t *testing.T) {
-	p := perm.Random(5, rng.New(44))
 	opts := DefaultOptions()
-	opts.MaxQueue = 64
+	opts.MaxSteps = 0 // no restarts: only a prune shrinks the queue by more than one pop
 	opts.TotalSteps = 2000
-	if _, err := SynthesizePerm(p, opts); err != nil {
-		t.Fatal(err)
+	s := newSearcher(spec, opts)
+	s.queueCap = 64
+	last, prunes := 0, 0
+	s.stepHook = func(s *searcher) {
+		n := s.pq.Len()
+		if n > s.queueCap {
+			t.Fatalf("queue holds %d nodes, cap %d", n, s.queueCap)
+		}
+		if n < last-1 { // Workers=0 pops one node per round
+			prunes++
+		}
+		last = n
 	}
-	// Success criterion: no panic, bounded memory; the search remains
-	// functional afterwards.
+	if r := s.run(); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if prunes == 0 {
+		t.Fatal("the queue never reached the cap")
+	}
 }
 
 func TestTraceEventsConsistent(t *testing.T) {

@@ -118,23 +118,12 @@ func SynthesizePortfolioContext(ctx context.Context, spec *pprm.Spec, opts Optio
 		return finishObs(best)
 	}
 	tight := opts
-	tight.MaxGates = best.Circuit.Len() // bound the refinement's baseline
 	if opts.Observe != nil {
 		// The tightening rounds get their own child run (Begin folds each
 		// round's counters), keeping the parent a pure aggregate.
 		tight.Observe = opts.Observe.Child("tighten")
 	}
-	refined := synthesizeTightening(ctx, spec, tight, best.Circuit.Len(), rounds)
-	best.Steps += refined.Steps
-	best.Nodes += refined.Nodes
-	best.Restarts += refined.Restarts
-	best.DedupHits += refined.DedupHits
-	best.DedupMisses += refined.DedupMisses
-	best.DedupEvictions += refined.DedupEvictions
-	if refined.Found && refined.Circuit.Len() < best.Circuit.Len() {
-		best.Circuit = refined.Circuit
-		best.Verified = refined.Verified
-	}
+	tighten(ctx, spec, tight, &best, rounds)
 	if ctx.Err() != nil {
 		best.StopReason = StopCanceled
 	}
@@ -158,12 +147,7 @@ func mergeResults(results []Result, canceled bool) Result {
 	var firstErr error
 	for i := range results {
 		r := &results[i]
-		merged.Steps += r.Steps
-		merged.Nodes += r.Nodes
-		merged.Restarts += r.Restarts
-		merged.DedupHits += r.DedupHits
-		merged.DedupMisses += r.DedupMisses
-		merged.DedupEvictions += r.DedupEvictions
+		merged.addCounts(r)
 		if r.Workers > merged.Workers {
 			merged.Workers = r.Workers
 		}
@@ -221,37 +205,14 @@ func betterCircuit(a, b *Result) bool {
 	return a.Circuit.QuantumCost() < b.Circuit.QuantumCost()
 }
 
-// synthesizeTightening runs `rounds` strictly-below-bound searches.
-func synthesizeTightening(ctx context.Context, spec *pprm.Spec, opts Options, gates, rounds int) Result {
-	var out Result
-	bound := gates
-	for round := 0; round < rounds; round++ {
-		if bound <= 1 || ctx.Err() != nil {
-			break
-		}
-		tight := opts
-		tight.MaxGates = bound - 1
-		tight.FirstSolution = true
-		if tight.LinearElim && tight.Alpha < 0 {
-			tight.Alpha = 1.5 * tight.Alpha
-		}
-		r := SynthesizeContext(ctx, spec, tight)
-		out.Steps += r.Steps
-		out.Nodes += r.Nodes
-		out.Restarts += r.Restarts
-		out.Elapsed += r.Elapsed
-		out.DedupHits += r.DedupHits
-		out.DedupMisses += r.DedupMisses
-		out.DedupEvictions += r.DedupEvictions
-		if !r.Found {
-			break
-		}
-		out.Found = true
-		out.Circuit = r.Circuit
-		out.Verified = r.Verified
-		bound = r.Circuit.Len()
-	}
-	return out
+// addCounts folds r's work counters into res.
+func (res *Result) addCounts(r *Result) {
+	res.Steps += r.Steps
+	res.Nodes += r.Nodes
+	res.Restarts += r.Restarts
+	res.DedupHits += r.DedupHits
+	res.DedupMisses += r.DedupMisses
+	res.DedupEvictions += r.DedupEvictions
 }
 
 // SynthesizeIterative is SynthesizeIterativeContext with
@@ -276,17 +237,27 @@ func SynthesizeIterative(spec *pprm.Spec, opts Options, rounds int) Result {
 // and stop at their first (necessarily better) solution.
 func SynthesizeIterativeContext(ctx context.Context, spec *pprm.Spec, opts Options, rounds int) Result {
 	best := SynthesizeContext(ctx, spec, opts)
-	if !best.Found {
-		return best
+	if best.Found {
+		tighten(ctx, spec, opts, &best, rounds)
 	}
+	return best
+}
+
+// tighten runs up to `rounds` searches for a circuit strictly shorter than
+// best's, each from scratch with MaxGates one below the best size so far,
+// and folds every round into best: its counters and Elapsed add up, and
+// its PeakQueueBytes takes the max (the rounds run one after another).
+// Rounds stop early when a round finds nothing better or ctx is canceled
+// (best then reports StopCanceled).
+func tighten(ctx context.Context, spec *pprm.Spec, opts Options, best *Result, rounds int) {
 	for round := 0; round < rounds; round++ {
 		if ctx.Err() != nil {
 			best.StopReason = StopCanceled
-			break
+			return
 		}
 		bound := best.Circuit.Len() - 1
 		if bound <= 0 {
-			break
+			return
 		}
 		tight := opts
 		tight.MaxGates = bound
@@ -301,27 +272,16 @@ func SynthesizeIterativeContext(ctx context.Context, spec *pprm.Spec, opts Optio
 			tight.Alpha = 1.5 * tight.Alpha
 		}
 		r := SynthesizeContext(ctx, spec, tight)
-		best.Steps += r.Steps
-		best.Nodes += r.Nodes
-		best.Restarts += r.Restarts
+		best.addCounts(&r)
 		best.Elapsed += r.Elapsed
-		best.DedupHits += r.DedupHits
-		best.DedupMisses += r.DedupMisses
-		best.DedupEvictions += r.DedupEvictions
-		// Rounds run one after another, so the overall watermark is the max
-		// of the per-round peaks (contrast mergeResults, where concurrent
-		// variants' peaks add).
-		if r.PeakQueueBytes > best.PeakQueueBytes {
-			best.PeakQueueBytes = r.PeakQueueBytes
-		}
+		best.PeakQueueBytes = max(best.PeakQueueBytes, r.PeakQueueBytes)
 		if !r.Found {
 			if r.StopReason == StopCanceled {
 				best.StopReason = StopCanceled
 			}
-			break
+			return
 		}
 		best.Circuit = r.Circuit
 		best.Verified = r.Verified
 	}
-	return best
 }

@@ -4,39 +4,17 @@ import (
 	"testing"
 )
 
-// The restart heuristic (Section IV-E) has three distinct exhaustion
+// The restart heuristic (Section IV-E) has two distinct exhaustion
 // paths; each must be visible in Result.Restarts and Result.StopReason.
 
-// TestRestartsExhaustedByMaxRestarts drives an unsolvable search into the
-// restart budget: after MaxRestarts reseeds the heuristic must decline
-// and the run must end with StopRestartsExhausted.
-func TestRestartsExhaustedByMaxRestarts(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Dedup = false // the transposition table prunes this spec's do-nothing first moves
-	opts.MaxSteps = 5
-	opts.MaxRestarts = 1
-	opts.TotalSteps = 1 << 20
-	res := Synthesize(unsolvableSpec(t), opts)
-	if res.Found {
-		t.Fatal("synthesized a non-reversible function")
-	}
-	if res.Restarts != 1 {
-		t.Errorf("Restarts = %d, want exactly MaxRestarts = 1", res.Restarts)
-	}
-	if res.StopReason != StopRestartsExhausted {
-		t.Errorf("StopReason = %v, want %v", res.StopReason, StopRestartsExhausted)
-	}
-}
-
-// TestRestartsExhaustedByFirstMoves lets restarts run unbounded
-// (MaxRestarts = 0) so the run ends only when every first move from the
-// root has been tried. The a'=b, b'=b spec has three admissible first
-// moves, so exactly two restarts fire before the pool drains.
+// TestRestartsExhaustedByFirstMoves lets restarts run until every first
+// move from the root has been tried. The a'=b, b'=b spec has three
+// admissible first moves, so exactly two restarts fire before the pool
+// drains.
 func TestRestartsExhaustedByFirstMoves(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Dedup = false // keep the full three-move restart pool this test counts
 	opts.MaxSteps = 5
-	opts.MaxRestarts = 0
 	opts.TotalSteps = 1 << 20
 	res := Synthesize(unsolvableSpec(t), opts)
 	if res.Found {
@@ -57,7 +35,6 @@ func TestRestartAfterQueueEmpty(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Dedup = false      // keep the duplicate states that let the queue drain into a restart
 	opts.MaxSteps = 1 << 20 // never triggers the step-count restart
-	opts.MaxRestarts = 0
 	opts.TotalSteps = 1 << 20
 	res := Synthesize(unsolvableSpec(t), opts)
 	if res.Found {

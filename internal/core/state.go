@@ -55,20 +55,20 @@ func optionsFingerprint(o *Options) uint64 {
 	mix(uint64(o.Library))
 	mix(uint64(int64(o.MaxGates)))
 	mix(uint64(int64(o.MaxSteps)))
-	mix(uint64(int64(o.MaxRestarts)))
+	mix(0) // the retired restart cap, kept so fingerprints stay stable
 	mix(uint64(int64(o.GreedyK)))
 	mixBool(o.Additional)
 	mix(math.Float64bits(alpha))
 	mix(math.Float64bits(beta))
 	mix(math.Float64bits(gamma))
 	mix(uint64(o.Admission))
-	mix(uint64(int64(o.growthSlack())))
+	mix(growthSlack)
 	mixBool(o.LinearElim)
 	mixBool(o.PerStepElim)
-	mix(uint64(int64(o.maxQueue())))
+	mix(maxQueue)
 	mix(uint64(o.MaxMemory))
 	mixBool(o.Dedup)
-	mix(uint64(int64(o.dedupMaxEntries())))
+	mix(dedupMaxEntries)
 	// The round stride is fingerprinted because it shapes the trajectory:
 	// det-merge rounds (Workers ≥ 1) batch their budget checks, so they are
 	// a distinct (internally consistent) family from the one-pop rounds of
@@ -289,7 +289,7 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		return nil, ErrSpecMismatch
 	}
 
-	s := &searcher{opts: opts, n: spec.N}
+	s := &searcher{opts: opts, n: spec.N, queueCap: maxQueue}
 	s.alpha, s.beta, s.gamma = opts.weights()
 	s.initTerms = rootSpec.Terms()
 	s.maxGates = opts.MaxGates
@@ -414,11 +414,10 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 	}
 	if st.TT != nil {
 		tt := st.TT
-		limit := opts.dedupMaxEntries()
-		if len(tt.Keys) != len(tt.Depths) || len(tt.Keys) > limit {
+		if len(tt.Keys) != len(tt.Depths) || len(tt.Keys) > dedupMaxEntries {
 			return nil, fmt.Errorf("%w: transposition table shape", ErrInvalidState)
 		}
-		s.tt = newTranspo(limit)
+		s.tt = newTranspo(dedupMaxEntries)
 		for i, k := range tt.Keys {
 			if tt.Depths[i] < 0 {
 				return nil, fmt.Errorf("%w: transposition depth %d", ErrInvalidState, tt.Depths[i])

@@ -35,7 +35,7 @@ const (
 	// the ceiling (the paper's 768-MB abort condition).
 	StopMemoryLimit
 	// StopRestartsExhausted: the restart heuristic ran out of alternative
-	// first-level substitutions, or hit MaxRestarts, with no solution.
+	// first-level substitutions with no solution.
 	StopRestartsExhausted
 	// StopInternalError: an internal invariant panic (pprm, circuit) was
 	// recovered and converted into the Result's Err.

@@ -52,8 +52,8 @@ type Result struct {
 	// of probed candidates. Zero when Options.Dedup is off.
 	DedupMisses int64
 	// DedupEvictions counts transposition-table entries dropped by
-	// restarts, the DedupMaxEntries cap, or memory-pressure resets. Zero
-	// when Options.Dedup is off.
+	// restarts, the table's size cap, or memory-pressure resets. Zero when
+	// Options.Dedup is off.
 	DedupEvictions int64
 	// Resumed reports that this run continued from a checkpoint
 	// (ResumeContext) rather than starting fresh. Counters (Steps, Nodes,
@@ -217,6 +217,7 @@ type searcher struct {
 	queueBytes         int64           // approximate bytes of queued nodes
 	peakBytes          int64
 	maxGates           int
+	queueCap           int      // node-count prune threshold: maxQueue, lowered only by tests
 	tt                 *transpo // transposition table; nil when Dedup is off
 	free               []*node  // recycled node structs (allocation diet)
 	factorBuf          []bits.Mask
@@ -257,7 +258,7 @@ type scored struct {
 }
 
 func newSearcher(spec *pprm.Spec, opts Options) *searcher {
-	s := &searcher{opts: opts, n: spec.N}
+	s := &searcher{opts: opts, n: spec.N, queueCap: maxQueue}
 	s.alpha, s.beta, s.gamma = opts.weights()
 	s.initTerms = spec.Terms()
 	s.maxGates = opts.MaxGates
@@ -280,7 +281,7 @@ func newSearcher(spec *pprm.Spec, opts Options) *searcher {
 	}
 	s.nodes = 1
 	if opts.Dedup {
-		s.tt = newTranspo(opts.dedupMaxEntries())
+		s.tt = newTranspo(dedupMaxEntries)
 		s.root.hash = s.root.spec.Hash()
 		s.tt.record(s.root.hash, 0)
 	}
@@ -364,13 +365,10 @@ func (s *searcher) observeSolution(sol *node) {
 // exhaustionReason classifies a search whose queue drained and whose
 // restart heuristic declined to reseed it: if restarts were never
 // configured (or never had an alternative first move to try) the searched
-// subspace itself is empty; otherwise the restart budget ran out.
+// subspace itself is empty; otherwise the first moves ran out.
 func (s *searcher) exhaustionReason() StopReason {
 	if s.opts.MaxSteps <= 0 {
 		return StopQueueExhausted
-	}
-	if s.opts.MaxRestarts > 0 && s.restarts >= s.opts.MaxRestarts {
-		return StopRestartsExhausted
 	}
 	if s.restarts > 0 && s.nextFirstMove >= len(s.firstMoves) {
 		return StopRestartsExhausted
@@ -457,10 +455,10 @@ func (s *searcher) recountQueueBytes() {
 // overMemory enforces Options.MaxMemory, the byte-accounted version of the
 // paper's 768-MB ceiling: when the estimate (queued nodes plus the
 // transposition table) exceeds the limit the lowest-priority half of the
-// queue is discarded (graceful degradation, same policy as MaxQueue); if
-// that is not enough the transposition table is dropped too; if even that
-// cannot get back under the ceiling the search must stop, and reports
-// StopMemoryLimit.
+// queue is discarded (graceful degradation, same policy as the maxQueue
+// cap); if that is not enough the transposition table is dropped too; if
+// even that cannot get back under the ceiling the search must stop, and
+// reports StopMemoryLimit.
 func (s *searcher) overMemory() bool {
 	limit := s.opts.MaxMemory
 	if limit <= 0 || s.totalBytes() <= limit {
@@ -677,8 +675,8 @@ func (s *searcher) run() Result {
 			}
 			s.commit(parent, &gens[i])
 		}
-		if s.pq.Len() > s.opts.maxQueue() {
-			s.pq.PruneToFunc(s.opts.maxQueue()/2, s.discardQueued)
+		if s.pq.Len() > s.queueCap {
+			s.pq.PruneToFunc(s.queueCap/2, s.discardQueued)
 			s.recountQueueBytes()
 		}
 		if s.overMemory() {
@@ -694,9 +692,6 @@ func (s *searcher) run() Result {
 // first-level substitution.
 func (s *searcher) restart() bool {
 	if s.opts.MaxSteps <= 0 {
-		return false
-	}
-	if s.opts.MaxRestarts > 0 && s.restarts >= s.opts.MaxRestarts {
 		return false
 	}
 	if s.nextFirstMove >= len(s.firstMoves) {
@@ -994,11 +989,7 @@ func (s *searcher) admit(factor bits.Mask, childTerms, elimStep int) bool {
 	case AdmitPerStep:
 		return (factor == 0 && s.opts.Additional) || elimStep > 0
 	default:
-		slack := s.opts.GrowthSlack
-		if slack <= 0 {
-			slack = 2
-		}
-		return childTerms <= s.initTerms+slack || elimStep > 0
+		return childTerms <= s.initTerms+growthSlack || elimStep > 0
 	}
 }
 

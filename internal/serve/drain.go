@@ -203,12 +203,3 @@ func (s *Server) recover() {
 	}
 	s.cfg.FS.Remove(s.ledgerPath())
 }
-
-// writeFileAtomic replaces path with data via the snapshot package's
-// temp-file + fsync + rename protocol, through the same injectable FS seam
-// — so the fault-injection harness can crash ledger writes at every
-// operation, and a crash leaves the previous ledger or the new one, never
-// a torn file.
-func writeFileAtomic(fs snapshot.FS, path string, data []byte) error {
-	return snapshot.WriteRaw(fs, path, data)
-}

@@ -14,6 +14,7 @@ import (
 	"net/http"
 
 	"repro/internal/health"
+	"repro/internal/snapshot"
 )
 
 // Fault-domain names used by the server's supervisor; Config.RequiredDomains
@@ -100,7 +101,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // deserves a real attempt even mid-outage), and its outcome feeds the
 // ledger domain so healthz still shows the fault.
 func (s *Server) ledgerWrite(data []byte) error {
-	err := writeFileAtomic(s.cfg.FS, s.ledgerPath(), data)
+	err := snapshot.WriteRaw(s.cfg.FS, s.ledgerPath(), data)
 	s.domLedger.Record(err)
 	return err
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/snapshot"
 	"repro/internal/verify"
 )
 
@@ -77,7 +78,7 @@ func (s *Server) quarantine(j *Job, verr *verify.Error, attempt string) string {
 		return ""
 	}
 	path := s.quarantinePath(j, attempt)
-	if err := writeFileAtomic(s.quarFS, path, append(data, '\n')); err != nil {
+	if err := snapshot.WriteRaw(s.quarFS, path, append(data, '\n')); err != nil {
 		s.cfg.Logf("serve: quarantine write failed (%v); artifact follows\n%s", err, data)
 		return ""
 	}
