@@ -19,8 +19,10 @@
 // truth-table embedding of irreversible functions (Embed), the benchmark
 // suite of the paper (Benchmarks, BenchmarkByName), the
 // transformation-based baseline of Miller–Maslov–Dueck (SynthesizeMMD),
-// provably optimal 3-variable synthesis (OptimalDistances), quantum-cost
-// accounting, and an EXORCISM-style ESOP minimizer (internal/esop).
+// provably optimal 3-variable synthesis (OptimalDistances), and
+// quantum-cost accounting. The PPRM expansion comes from an exact
+// Reed–Muller (Möbius) transform (PPRMOf); the expansion is canonical, so
+// this gives the same synthesis input as the paper's EXORCISM-4 route.
 //
 // # Which doc do I read?
 //

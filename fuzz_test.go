@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/bits"
-	"repro/internal/esop"
 	"repro/internal/perm"
 	"repro/internal/pprm"
 	"repro/internal/tt"
@@ -102,22 +101,6 @@ func FuzzPLAParse(f *testing.F) {
 		}
 		if _, err := tt.Embed(tab); err != nil {
 			t.Fatalf("valid PLA table failed to embed: %v", err)
-		}
-	})
-}
-
-func FuzzCubeParse(f *testing.F) {
-	f.Add("aB")
-	f.Add("1")
-	f.Add("abc")
-	f.Fuzz(func(t *testing.T, s string) {
-		c, err := esop.ParseCube(s)
-		if err != nil {
-			return
-		}
-		back, err := esop.ParseCube(c.String())
-		if err != nil || back != c {
-			t.Fatalf("cube round trip broken for %q", s)
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/perm"
 	"repro/internal/pprm"
 	"repro/internal/rng"
+	"repro/internal/verify"
 )
 
 // This file is the benchmark-trajectory harness: it runs seeded,
@@ -160,7 +161,7 @@ func runWorkload(ctx context.Context, fns []perm.Perm, opts core.Options) (Workl
 			return m, "", r.Err
 		}
 		if r.Found {
-			if err := core.Verify(r.Circuit, p); err != nil {
+			if err := verify.Circuit(verify.StageClient, r.Circuit, p); err != nil {
 				return m, "", err
 			}
 		}
@@ -304,7 +305,7 @@ func runExamples(ctx context.Context, totalSteps int) ([]ExampleComparison, erro
 				return nil, fmt.Errorf("example %s (dedup=%v): not solved (stop=%s)", b.Name, dedup, r.StopReason)
 			}
 			if b.Spec != nil && b.Wires <= 20 {
-				if err := core.Verify(r.Circuit, b.Spec); err != nil {
+				if err := verify.Circuit(verify.StageClient, r.Circuit, b.Spec); err != nil {
 					return nil, fmt.Errorf("example %s: %w", b.Name, err)
 				}
 			}

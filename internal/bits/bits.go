@@ -31,14 +31,6 @@ func Has(m Mask, i int) bool { return m&Bit(i) != 0 }
 // Count returns the number of variables in m (the literal count of the term).
 func Count(m Mask) int { return mathbits.OnesCount32(m) }
 
-// LowestVar returns the smallest variable index in m, or -1 if m is empty.
-func LowestVar(m Mask) int {
-	if m == 0 {
-		return -1
-	}
-	return mathbits.TrailingZeros32(m)
-}
-
 // Vars returns the variable indices in m in ascending order.
 func Vars(m Mask) []int {
 	out := make([]int, 0, Count(m))
@@ -105,19 +97,4 @@ func ParseTerm(s string) (Mask, bool) {
 		m |= Bit(int(r - 'a'))
 	}
 	return m, true
-}
-
-// SubsetOf reports whether every variable of a is also in b.
-func SubsetOf(a, b Mask) bool { return a&^b == 0 }
-
-// Reverse returns the mask with the low n bits of m reversed, so that
-// variable i maps to variable n-1-i.
-func Reverse(m Mask, n int) Mask {
-	var out Mask
-	for i := 0; i < n; i++ {
-		if Has(m, i) {
-			out |= Bit(n - 1 - i)
-		}
-	}
-	return out
 }

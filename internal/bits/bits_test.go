@@ -29,15 +29,6 @@ func TestVars(t *testing.T) {
 	}
 }
 
-func TestLowestVar(t *testing.T) {
-	if LowestVar(0) != -1 {
-		t.Error("LowestVar(0) should be -1")
-	}
-	if LowestVar(Bit(7)|Bit(9)) != 7 {
-		t.Error("LowestVar(bit7|bit9) should be 7")
-	}
-}
-
 func TestVarNameIndexRoundTrip(t *testing.T) {
 	for i := 0; i < MaxVars; i++ {
 		if got := VarIndex(VarName(i)); got != i {
@@ -84,30 +75,5 @@ func TestParseTermRejects(t *testing.T) {
 		if _, ok := ParseTerm(bad); ok {
 			t.Errorf("ParseTerm(%q) should fail", bad)
 		}
-	}
-}
-
-func TestSubsetOf(t *testing.T) {
-	if !SubsetOf(Bit(1), Bit(1)|Bit(2)) {
-		t.Error("b ⊆ bc should hold")
-	}
-	if SubsetOf(Bit(0)|Bit(1), Bit(1)) {
-		t.Error("ab ⊆ b should not hold")
-	}
-	if !SubsetOf(0, Bit(5)) {
-		t.Error("∅ is a subset of everything")
-	}
-}
-
-func TestReverse(t *testing.T) {
-	if got := Reverse(Bit(0), 4); got != Bit(3) {
-		t.Errorf("Reverse(a, 4) = %s", TermString(got))
-	}
-	f := func(m uint32) bool {
-		m &= 1<<10 - 1
-		return Reverse(Reverse(m, 10), 10) == m
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

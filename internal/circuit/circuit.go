@@ -93,11 +93,6 @@ func New(n int) *Circuit { return &Circuit{Wires: n} }
 // Append adds gates at the output end of the cascade.
 func (c *Circuit) Append(gates ...Gate) { c.Gates = append(c.Gates, gates...) }
 
-// Prepend adds a gate at the input end of the cascade.
-func (c *Circuit) Prepend(g Gate) {
-	c.Gates = append([]Gate{g}, c.Gates...)
-}
-
 // Len returns the gate count, the paper's primary cost metric.
 func (c *Circuit) Len() int { return len(c.Gates) }
 

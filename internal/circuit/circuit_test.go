@@ -248,17 +248,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestPrepend(t *testing.T) {
-	c := New(2)
-	c.Append(NewGate(0, 1)) // CNOT b→a
-	c.Prepend(NewGate(1))   // NOT b first
-	want := New(2)
-	want.Append(NewGate(1), NewGate(0, 1))
-	if !c.Perm().Equal(want.Perm()) {
-		t.Error("Prepend order wrong")
-	}
-}
-
 func TestCostMonotoneInSize(t *testing.T) {
 	for wires := 3; wires <= 16; wires++ {
 		prev := 0

@@ -83,10 +83,3 @@ func (o *Options) ClampBudget(c BudgetCeiling) []string {
 // the options half of an idempotency key; the checkpoint layer uses the
 // same hash to gate resumes.
 func OptionsFingerprint(o *Options) uint64 { return optionsFingerprint(o) }
-
-// Resumable reports whether a run that stopped for this reason can be
-// continued from its final checkpoint: the budget-driven stops (canceled,
-// deadline, step limit, memory limit). Solved and exhausted runs are
-// finished — there is nothing left to continue — and an internal-error
-// abort has no trustworthy state to save.
-func (r StopReason) Resumable() bool { return resumableStop(r) }

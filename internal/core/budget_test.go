@@ -76,8 +76,8 @@ func TestStopReasonResumable(t *testing.T) {
 	all := []StopReason{StopNone, StopSolved, StopQueueExhausted, StopDeadline,
 		StopCanceled, StopStepLimit, StopMemoryLimit, StopRestartsExhausted, StopInternalError}
 	for _, r := range all {
-		if got := r.Resumable(); got != resumable[r] {
-			t.Errorf("%v.Resumable() = %v, want %v", r, got, resumable[r])
+		if got := resumableStop(r); got != resumable[r] {
+			t.Errorf("resumableStop(%v) = %v, want %v", r, got, resumable[r])
 		}
 	}
 }

@@ -5,7 +5,9 @@ package core
 // offers every verified result back afterwards; the resume entry points
 // only offer (a resume must continue its checkpoint, not short-circuit
 // it). All policy — conjugation, re-verification, persistence — lives in
-// the cache package; this file only decides when to ask.
+// the cache package; this file only decides when to ask. LookupAnswer and
+// StoreAnswer are the one cache-hit Result and the one store rule, shared
+// with the server, which probes at admission instead (internal/serve).
 
 import (
 	"repro/internal/cache"
@@ -32,31 +34,22 @@ func cacheProbeFor(spec *pprm.Spec, opts *Options) *cacheProbe {
 	return &cacheProbe{p: spec.ToPerm(), fp: optionsFingerprint(opts)}
 }
 
-// cacheLookup consults the answer cache. On a hit it returns a complete
-// Result — the derived circuit has already passed the independent
-// verification gate inside the cache (verify.StageCache), so it is
-// reported Verified with StopSolved and zero search counters. On a miss
-// the probe is returned for the post-synthesis store.
-func cacheLookup(spec *pprm.Spec, opts *Options) (Result, *cacheProbe, bool) {
-	probe := cacheProbeFor(spec, opts)
-	if probe == nil {
-		return Result{}, nil, false
-	}
-	hit, ok := opts.Cache.Lookup(probe.p, probe.fp)
-	probe.class = hit.Class
+// LookupAnswer consults the answer cache c for the cacheable permutation p
+// under the options fingerprint fp and bumps the process-wide hit, miss and
+// derive counters. On a hit it returns a complete Result — the derived
+// circuit has already passed the independent verification gate inside the
+// cache (verify.StageCache), so it is reported Verified with StopSolved and
+// zero search counters. On a miss the Result carries only the class hash.
+// The engine and the server's admission path both answer through it.
+func LookupAnswer(c *cache.Cache, p perm.Perm, fp uint64) (Result, bool) {
+	hit, ok := c.Lookup(p, fp)
 	if !ok {
 		obs.IncCacheMiss()
-		return Result{}, probe, false
+		return Result{CanonicalClass: hit.Class}, false
 	}
 	obs.IncCacheHit()
 	if hit.Derived {
 		obs.IncCacheDerive()
-	}
-	if o := opts.Observe; o != nil {
-		o.Begin(int64(opts.TotalSteps), opts.TimeLimit, opts.MaxMemory)
-		o.Solution(len(hit.Circuit.Gates), hit.Circuit.QuantumCost())
-		o.SetVerified(true)
-		o.Finish(StopSolved.String())
 	}
 	return Result{
 		Circuit:        hit.Circuit,
@@ -65,24 +58,52 @@ func cacheLookup(spec *pprm.Spec, opts *Options) (Result, *cacheProbe, bool) {
 		Verified:       true,
 		CacheHit:       true,
 		CanonicalClass: hit.Class,
-	}, probe, true
+	}, true
+}
+
+// StoreAnswer offers res, a result for the cacheable permutation p, to the
+// answer cache c when it is worth keeping — found, independently verified
+// (which also rules out SkipVerify runs: the gate never ran), and carrying
+// a circuit — and stamps the canonical class on it. A persistence failure
+// only costs durability: the in-memory entry stands and its class is
+// stamped all the same.
+func StoreAnswer(c *cache.Cache, p perm.Perm, fp uint64, res *Result) {
+	if !res.Found || !res.Verified || res.Circuit == nil {
+		return
+	}
+	if class, _, _ := c.Put(p, fp, res.Circuit); class != 0 {
+		res.CanonicalClass = class
+	}
+}
+
+// cacheLookup is LookupAnswer for a search request. On a miss the probe is
+// returned for the post-synthesis store.
+func cacheLookup(spec *pprm.Spec, opts *Options) (Result, *cacheProbe, bool) {
+	probe := cacheProbeFor(spec, opts)
+	if probe == nil {
+		return Result{}, nil, false
+	}
+	res, ok := LookupAnswer(opts.Cache, probe.p, probe.fp)
+	probe.class = res.CanonicalClass
+	if !ok {
+		return Result{}, probe, false
+	}
+	if o := opts.Observe; o != nil {
+		o.Begin(int64(opts.TotalSteps), opts.TimeLimit, opts.MaxMemory)
+		o.Solution(len(res.Circuit.Gates), res.Circuit.QuantumCost())
+		o.SetVerified(true)
+		o.Finish(StopSolved.String())
+	}
+	return res, probe, true
 }
 
 // cacheStore stamps the class on the result and offers it to the cache
-// when it is worth keeping: found, independently verified (which also
-// rules out SkipVerify runs — the gate never ran), and carrying a
-// circuit. A persistence failure only costs durability; the in-memory
-// entry stands and the result is returned unchanged.
+// through StoreAnswer.
 func cacheStore(probe *cacheProbe, opts *Options, res Result) Result {
 	if probe == nil {
 		return res
 	}
 	res.CanonicalClass = probe.class
-	if opts.Cache == nil || !res.Found || !res.Verified || res.Circuit == nil {
-		return res
-	}
-	if class, _, err := opts.Cache.Put(probe.p, probe.fp, res.Circuit); err == nil && class != 0 {
-		res.CanonicalClass = class
-	}
+	StoreAnswer(opts.Cache, probe.p, probe.fp, &res)
 	return res
 }

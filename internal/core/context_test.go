@@ -8,6 +8,7 @@ import (
 	"repro/internal/perm"
 	"repro/internal/pprm"
 	"repro/internal/rng"
+	"repro/internal/verify"
 )
 
 // hardSpec returns a 6-variable random function: large enough that the
@@ -108,7 +109,7 @@ func TestCancelReturnsBestSoFar(t *testing.T) {
 	if res.StopReason != StopCanceled {
 		t.Fatalf("StopReason = %v, want %v", res.StopReason, StopCanceled)
 	}
-	if err := Verify(res.Circuit, p); err != nil {
+	if err := verify.Circuit(verify.StageSearch, res.Circuit, p); err != nil {
 		t.Error(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/perm"
 	"repro/internal/pprm"
 	"repro/internal/rng"
+	"repro/internal/verify"
 )
 
 func mustSpec(t *testing.T, p perm.Perm) *pprm.Spec {
@@ -102,7 +103,7 @@ func TestDedupReducesExpansions(t *testing.T) {
 		if !rOff.Found || !rOn.Found {
 			t.Fatalf("%v: Found off=%v on=%v", p, rOff.Found, rOn.Found)
 		}
-		if err := Verify(rOn.Circuit, p); err != nil {
+		if err := verify.Circuit(verify.StageSearch, rOn.Circuit, p); err != nil {
 			t.Fatal(err)
 		}
 		if rOn.Circuit.Len() > rOff.Circuit.Len() {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bits"
 	"repro/internal/perm"
 	"repro/internal/pprm"
+	"repro/internal/verify"
 )
 
 // TestNonReversibleSpecTerminates feeds the search a PPRM that does not
@@ -90,7 +91,7 @@ func TestAllSwaps(t *testing.T) {
 		if res.Circuit.Len() != 3 {
 			t.Errorf("swap(%d,%d) used %d gates; 3 CNOTs suffice", s[0], s[1], res.Circuit.Len())
 		}
-		if err := Verify(res.Circuit, p); err != nil {
+		if err := verify.Circuit(verify.StageSearch, res.Circuit, p); err != nil {
 			t.Error(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/perm"
 	"repro/internal/pprm"
 	"repro/internal/rng"
+	"repro/internal/verify"
 )
 
 func TestWeightsDefault(t *testing.T) {
@@ -202,10 +203,10 @@ func TestVerifyRejectsWrongCircuit(t *testing.T) {
 		t.Fatal("setup failed")
 	}
 	wrong := perm.Identity(3)
-	if Verify(res.Circuit, wrong) == nil {
-		t.Error("Verify accepted a circuit for the wrong function")
+	if verify.Circuit(verify.StageSearch, res.Circuit, wrong) == nil {
+		t.Error("verify.Circuit accepted a circuit for the wrong function")
 	}
-	if Verify(nil, p) == nil {
-		t.Error("Verify accepted a nil circuit")
+	if verify.Circuit(verify.StageSearch, nil, p) == nil {
+		t.Error("verify.Circuit accepted a nil circuit")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/perm"
 	"repro/internal/pprm"
 	"repro/internal/rng"
+	"repro/internal/verify"
 )
 
 // detKey flattens every deterministic field of a Result into one
@@ -59,7 +60,7 @@ func TestBatchedDeterministicAcrossWorkerCounts(t *testing.T) {
 				t.Errorf("spec %d workers=%d: Result.Workers = %d", si, w, r.Workers)
 			}
 			if r.Found {
-				if err := Verify(r.Circuit, p); err != nil {
+				if err := verify.Circuit(verify.StageSearch, r.Circuit, p); err != nil {
 					t.Errorf("spec %d workers=%d: %v", si, w, err)
 				}
 			}
@@ -131,7 +132,7 @@ func TestBatchedResumeUnderDifferentWorkerCount(t *testing.T) {
 			t.Errorf("workers=%d: resumed run does not report Resumed", w)
 		}
 		if r.Found {
-			if err := Verify(r.Circuit, p); err != nil {
+			if err := verify.Circuit(verify.StageSearch, r.Circuit, p); err != nil {
 				t.Errorf("workers=%d: %v", w, err)
 			}
 		}

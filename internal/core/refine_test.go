@@ -7,6 +7,7 @@ import (
 	"repro/internal/perm"
 	"repro/internal/pprm"
 	"repro/internal/rng"
+	"repro/internal/verify"
 )
 
 func TestIterativeNeverWorse(t *testing.T) {
@@ -32,7 +33,7 @@ func TestIterativeNeverWorse(t *testing.T) {
 			t.Errorf("trial %d: tightening grew the circuit %d → %d",
 				trial, base.Circuit.Len(), iter.Circuit.Len())
 		}
-		if err := Verify(iter.Circuit, p); err != nil {
+		if err := verify.Circuit(verify.StageSearch, iter.Circuit, p); err != nil {
 			t.Error(err)
 		}
 	}
@@ -61,7 +62,7 @@ func TestPortfolioSolvesPlateauFunction(t *testing.T) {
 	if !res.Found {
 		t.Fatal("portfolio failed on a random 4-variable function")
 	}
-	if err := Verify(res.Circuit, p); err != nil {
+	if err := verify.Circuit(verify.StageSearch, res.Circuit, p); err != nil {
 		t.Error(err)
 	}
 	// Portfolio accounting must reflect all variants.
@@ -86,7 +87,7 @@ func TestPortfolioQualityAtLeastSingle(t *testing.T) {
 				trial, port.Found, gateLen(port), single.Found, single.Circuit.Len())
 		}
 		if port.Found {
-			if err := Verify(port.Circuit, p); err != nil {
+			if err := verify.Circuit(verify.StageSearch, port.Circuit, p); err != nil {
 				t.Error(err)
 			}
 		}
@@ -119,7 +120,7 @@ func TestPortfolioDeterministic(t *testing.T) {
 			if rep == 0 {
 				first = res
 				if res.Found {
-					if err := Verify(res.Circuit, p); err != nil {
+					if err := verify.Circuit(verify.StageSearch, res.Circuit, p); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -183,7 +184,7 @@ func TestPortfolioFirstSolution(t *testing.T) {
 	if res.StopReason != StopSolved {
 		t.Errorf("StopReason = %v, want %v", res.StopReason, StopSolved)
 	}
-	if err := Verify(res.Circuit, p); err != nil {
+	if err := verify.Circuit(verify.StageSearch, res.Circuit, p); err != nil {
 		t.Error(err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/pprm"
 	"repro/internal/snapshot"
 	"repro/internal/snapshot/faultfs"
+	"repro/internal/verify"
 )
 
 // testPerms are small functions whose synthesis takes enough steps to
@@ -67,7 +68,7 @@ func TestResumeAfterStepLimit(t *testing.T) {
 			if !full.Found {
 				t.Fatalf("uninterrupted run failed: %+v", full)
 			}
-			if err := Verify(full.Circuit, p); err != nil {
+			if err := verify.Circuit(verify.StageSearch, full.Circuit, p); err != nil {
 				t.Fatal(err)
 			}
 			for _, k := range []int{1, 2, 7, full.Steps / 2, full.Steps - 1} {
@@ -94,7 +95,7 @@ func TestResumeAfterStepLimit(t *testing.T) {
 					t.Fatalf("k=%d: result not marked resumed", k)
 				}
 				compareResults(t, name, full, got)
-				if err := Verify(got.Circuit, p); err != nil {
+				if err := verify.Circuit(verify.StageSearch, got.Circuit, p); err != nil {
 					t.Fatalf("k=%d: resumed circuit fails verification: %v", k, err)
 				}
 			}
@@ -141,7 +142,7 @@ func TestResumeAfterCancelMidStep(t *testing.T) {
 			t.Fatalf("cancelAt=%d: resume: %v", cancelAt, err)
 		}
 		compareResults(t, "shiftright", full, got)
-		if err := Verify(got.Circuit, p); err != nil {
+		if err := verify.Circuit(verify.StageSearch, got.Circuit, p); err != nil {
 			t.Fatalf("cancelAt=%d: %v", cancelAt, err)
 		}
 	}
@@ -176,7 +177,7 @@ func TestResumeChain(t *testing.T) {
 		}
 	}
 	compareResults(t, "swap4", full, res)
-	if err := Verify(res.Circuit, p); err != nil {
+	if err := verify.Circuit(verify.StageSearch, res.Circuit, p); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -255,7 +256,7 @@ func TestCheckpointWriteFaults(t *testing.T) {
 				if !got.Found {
 					t.Fatalf("crashAt=%d: resume from partial run found nothing", crashAt)
 				}
-				if verr := Verify(got.Circuit, p); verr != nil {
+				if verr := verify.Circuit(verify.StageSearch, got.Circuit, p); verr != nil {
 					t.Fatalf("crashAt=%d: resumed circuit fails verification: %v", crashAt, verr)
 				}
 				if got.Circuit.String() != full.Circuit.String() {

@@ -1066,17 +1066,3 @@ func (s *searcher) emit(kind EventKind, n *node) {
 }
 
 func (s *searcher) emit0(e Event) { s.opts.Trace(e) }
-
-// Verify checks that the circuit realizes the reversible function p,
-// returning a descriptive error on mismatch. Every experiment driver calls
-// it before reporting a result.
-func Verify(c *circuit.Circuit, p perm.Perm) error {
-	if c == nil {
-		return fmt.Errorf("core: nil circuit")
-	}
-	got := c.Perm()
-	if !got.Equal(p) {
-		return fmt.Errorf("core: circuit %s realizes %s, want %s", c, got, p)
-	}
-	return nil
-}

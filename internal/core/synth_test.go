@@ -8,6 +8,7 @@ import (
 	"repro/internal/perm"
 	"repro/internal/pprm"
 	"repro/internal/rng"
+	"repro/internal/verify"
 )
 
 // fig1 is the reversible function of Fig. 1, specification {1,0,7,2,3,4,5,6}.
@@ -47,7 +48,7 @@ func TestFig1BasicSynthesis(t *testing.T) {
 	if res.Circuit.Len() != 3 {
 		t.Errorf("gate count = %d, want 3 (paper Fig. 3(d)); circuit: %s", res.Circuit.Len(), res.Circuit)
 	}
-	if err := Verify(res.Circuit, p); err != nil {
+	if err := verify.Circuit(verify.StageSearch, res.Circuit, p); err != nil {
 		t.Error(err)
 	}
 }
@@ -178,7 +179,7 @@ func TestRandomRoundTrip(t *testing.T) {
 			if !res.Found {
 				t.Fatalf("n=%d trial=%d: no solution for %s", n, trial, p)
 			}
-			if err := Verify(res.Circuit, p); err != nil {
+			if err := verify.Circuit(verify.StageSearch, res.Circuit, p); err != nil {
 				t.Fatalf("n=%d trial=%d: %v", n, trial, err)
 			}
 		}
@@ -202,7 +203,7 @@ func TestNCTLibraryRestriction(t *testing.T) {
 		if !res.Circuit.NCTOnly() {
 			t.Fatalf("trial %d: circuit %s uses gates beyond NCT", trial, res.Circuit)
 		}
-		if err := Verify(res.Circuit, p); err != nil {
+		if err := verify.Circuit(verify.StageSearch, res.Circuit, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,7 +229,7 @@ func TestAllTwoVariableFunctionsComplete(t *testing.T) {
 				t.Errorf("2-var function %s not synthesized", p)
 				return
 			}
-			if err := Verify(res.Circuit, p); err != nil {
+			if err := verify.Circuit(verify.StageSearch, res.Circuit, p); err != nil {
 				t.Error(err)
 			}
 			return

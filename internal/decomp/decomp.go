@@ -139,23 +139,3 @@ func reversed(gs []circuit.Gate) []circuit.Gate {
 	}
 	return out
 }
-
-// NCTCost returns the number of three-bit-Toffoli-equivalent elementary
-// blocks in the NCT expansion of a gate with the given size on the given
-// circuit width: a macro-level counterpart of the quantum-cost table in
-// internal/circuit (which counts optimized elementary operations rather
-// than TOF3 macros).
-func NCTCost(size, wires int) (int, error) {
-	if size <= 3 {
-		return 1, nil
-	}
-	g := circuit.Gate{Target: 0}
-	for c := 1; c < size; c++ {
-		g.Controls |= bits.Bit(c)
-	}
-	c, err := Decompose(g, wires)
-	if err != nil {
-		return 0, err
-	}
-	return c.Len(), nil
-}

@@ -155,17 +155,3 @@ func TestRandomGatesAllWidths(t *testing.T) {
 		checkEquivalent(t, g, wires)
 	}
 }
-
-func TestNCTCost(t *testing.T) {
-	if c, err := NCTCost(3, 5); err != nil || c != 1 {
-		t.Errorf("NCTCost(3) = %d, %v", c, err)
-	}
-	// Plenty of ancillae → linear V-chain count.
-	if c, err := NCTCost(6, 12); err != nil || c != 4*(5-2) {
-		t.Errorf("NCTCost(6,12) = %d, %v; want 12", c, err)
-	}
-	// No free wire → error.
-	if _, err := NCTCost(5, 5); !errors.Is(err, ErrNoAncilla) {
-		t.Errorf("NCTCost(5,5) err = %v", err)
-	}
-}

@@ -29,6 +29,3 @@ func CacheHits() int64 { return cacheHits.Value() }
 
 // CacheMisses returns the process-wide cache-miss count.
 func CacheMisses() int64 { return cacheMisses.Value() }
-
-// CacheDerives returns the process-wide conjugation-derived hit count.
-func CacheDerives() int64 { return cacheDerives.Value() }

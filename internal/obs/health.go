@@ -33,12 +33,3 @@ func IncBreakerRecovery() { healthRecoveries.Add(1) }
 func AddOpenDomains(delta int64) {
 	healthOpen.Set(healthOpenGauge.Add(delta))
 }
-
-// HealthTrips returns the process-wide trip count.
-func HealthTrips() int64 { return healthTrips.Value() }
-
-// HealthRecoveries returns the process-wide recovery count.
-func HealthRecoveries() int64 { return healthRecoveries.Value() }
-
-// HealthOpenDomains returns the live count of open fault domains.
-func HealthOpenDomains() int64 { return healthOpenGauge.Load() }

@@ -140,26 +140,6 @@ func (p Perm) Equal(q Perm) bool {
 	return true
 }
 
-// IsEven reports whether p is an even permutation. Shende et al. proved that
-// every even permutation on n ≥ 4 wires is synthesizable over NCT without
-// temporary storage; parity is therefore a useful structural probe.
-func (p Perm) IsEven() bool {
-	seen := make([]bool, len(p))
-	transpositions := 0
-	for i := range p {
-		if seen[i] {
-			continue
-		}
-		length := 0
-		for j := uint32(i); !seen[j]; j = p[j] {
-			seen[j] = true
-			length++
-		}
-		transpositions += length - 1
-	}
-	return transpositions%2 == 0
-}
-
 // Random returns a uniformly random permutation on n variables drawn from
 // src, i.e. a uniformly random reversible function (the workload of Tables
 // II and III).
@@ -174,16 +154,6 @@ func Random(n int, src *rng.Source) Perm {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// OutputBit returns output bit `bit` of the function as a truth-table
-// column: a slice of 2^n booleans indexed by input assignment.
-func (p Perm) OutputBit(bit int) []bool {
-	col := make([]bool, len(p))
-	for x, y := range p {
-		col[x] = y&(1<<uint(bit)) != 0
-	}
-	return col
 }
 
 // String renders the permutation in the paper's specification style:

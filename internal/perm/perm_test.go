@@ -57,48 +57,12 @@ func TestComposeOrder(t *testing.T) {
 	}
 }
 
-func TestParity(t *testing.T) {
-	if !Identity(3).IsEven() {
-		t.Error("identity must be even")
-	}
-	// A single transposition is odd.
-	tr := MustFromInts([]int{1, 0, 2, 3, 4, 5, 6, 7})
-	if tr.IsEven() {
-		t.Error("transposition must be odd")
-	}
-	// A 3-cycle is even.
-	cyc := MustFromInts([]int{1, 2, 0, 3, 4, 5, 6, 7})
-	if !cyc.IsEven() {
-		t.Error("3-cycle must be even")
-	}
-	// Parity is multiplicative: composing two odd permutations is even.
-	tr2 := MustFromInts([]int{0, 1, 3, 2, 4, 5, 6, 7})
-	if !tr.Compose(tr2).IsEven() {
-		t.Error("odd∘odd must be even")
-	}
-}
-
 func TestFig1Specification(t *testing.T) {
 	// The paper's Fig. 1 truth table as a permutation.
 	p := MustFromInts([]int{1, 0, 7, 2, 3, 4, 5, 6})
 	// Row cba=010 (x=2) maps to 111 (7) per the figure.
 	if p[2] != 7 {
 		t.Errorf("p[2] = %d, want 7", p[2])
-	}
-	// Cycle structure: (0 1)(2 7 6 5 4 3) → 1 + 5 = 6 transpositions: even.
-	if !p.IsEven() {
-		t.Error("Fig. 1 function should be an even permutation")
-	}
-}
-
-func TestOutputBit(t *testing.T) {
-	p := MustFromInts([]int{1, 0, 7, 2, 3, 4, 5, 6})
-	col := p.OutputBit(0) // a_out = a ⊕ 1
-	for x := 0; x < 8; x++ {
-		want := x&1 == 0
-		if col[x] != want {
-			t.Errorf("a_out(%d) = %v, want %v", x, col[x], want)
-		}
 	}
 }
 

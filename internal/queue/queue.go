@@ -115,15 +115,6 @@ func (q *Queue[T]) Ordered(f func(T)) {
 	}
 }
 
-// Peek returns the highest-priority item without removing it.
-func (q *Queue[T]) Peek() (T, bool) {
-	if len(q.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.items[0].value, true
-}
-
 // less reports whether item i has strictly higher precedence than item j:
 // higher priority, or equal priority and earlier insertion.
 func (q *Queue[T]) less(i, j int) bool {

@@ -12,9 +12,6 @@ func TestEmpty(t *testing.T) {
 	if _, ok := q.Pop(); ok {
 		t.Error("Pop on empty queue should report !ok")
 	}
-	if _, ok := q.Peek(); ok {
-		t.Error("Peek on empty queue should report !ok")
-	}
 	if q.Len() != 0 {
 		t.Error("empty queue has nonzero Len")
 	}

@@ -1,17 +1,16 @@
 package serve
 
-// Answer-cache integration. The server drives internal/cache directly
-// (rather than through core.Options.Cache) so the lookup happens at
+// Answer-cache integration. The server probes the cache itself, through
+// core.LookupAnswer and core.StoreAnswer, so the lookup happens at
 // admission — before a queue slot or worker is spent — and so the server's
-// own hit/miss counters are authoritative: the engine is never handed the
-// cache, which would double-count every probe.
+// own hit/miss counters are authoritative: the engine is never handed
+// core.Options.Cache, which would double-count every probe.
 
 import (
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // jobSource labels who produced a job's result.
@@ -23,54 +22,35 @@ const (
 // fromCache answers a compiled request from the answer cache. On a hit it
 // returns a finished job (source "cache", verified result) ready for
 // registration; on a miss — or when the cache is off or cannot represent
-// the request — it returns nil and the caller enqueues as usual. The
-// derived circuit has already passed the independent verification gate
-// inside cache.Lookup (verify.StageCache).
+// the request — it returns nil and the caller enqueues as usual. The hit
+// itself is core.LookupAnswer, the same one the engine uses.
 func (s *Server) fromCache(c *compiled, req Request) *Job {
 	if s.cache == nil || c.perm == nil || !cache.Cacheable(c.perm.Vars()) {
 		return nil
 	}
-	hit, ok := s.cache.Lookup(c.perm, core.OptionsFingerprint(&c.opts))
+	res, ok := core.LookupAnswer(s.cache, c.perm, core.OptionsFingerprint(&c.opts))
 	if !ok {
 		s.stats.cacheMisses.Add(1)
-		obs.IncCacheMiss()
 		return nil
 	}
 	s.stats.cacheHits.Add(1)
-	obs.IncCacheHit()
-	if hit.Derived {
-		obs.IncCacheDerive()
-	}
 	now := time.Now()
 	j := newJob(c, req, now)
 	j.source = sourceCache
 	j.started = now
 	verified := true
-	j.finish(StatusDone, core.Result{
-		Circuit:        hit.Circuit,
-		Found:          true,
-		StopReason:     core.StopSolved,
-		Verified:       true,
-		CacheHit:       true,
-		CanonicalClass: hit.Class,
-	}, &verified, "", now)
+	j.finish(StatusDone, res, &verified, "", now)
 	return j
 }
 
-// cacheStore offers a finished worker result to the answer cache and
-// stamps the canonical class on it. Only results worth trusting are
-// stored: found, independently verified, and produced by the job's real
-// options — a degraded re-run followed a verification failure, which is
-// exactly the situation a cache must not memorize.
+// cacheStore offers a finished worker result to the answer cache through
+// core.StoreAnswer, which stores only found, verified results and stamps
+// the canonical class. A degraded re-run is never offered: it followed a
+// verification failure, which is exactly the situation a cache must not
+// memorize.
 func (s *Server) cacheStore(j *Job, res *core.Result) {
-	if s.cache == nil || j.fperm == nil || !cache.Cacheable(j.fperm.Vars()) {
+	if s.cache == nil || j.fperm == nil || !cache.Cacheable(j.fperm.Vars()) || j.isDegraded() {
 		return
 	}
-	if !res.Found || !res.Verified || res.Circuit == nil || j.isDegraded() {
-		return
-	}
-	class, _, _ := s.cache.Put(j.fperm, core.OptionsFingerprint(&j.opts), res.Circuit)
-	if class != 0 {
-		res.CanonicalClass = class
-	}
+	core.StoreAnswer(s.cache, j.fperm, core.OptionsFingerprint(&j.opts), res)
 }

@@ -12,7 +12,7 @@
 // and cross-checks every search invariant before resuming, so a snapshot
 // that passes both layers either resumes exactly or is rejected with a
 // typed error — it can never panic the process or smuggle in a wrong
-// circuit past core.Verify.
+// circuit past the verification gate.
 //
 // Format (all integers little-endian; varints are encoding/binary):
 //

@@ -16,8 +16,11 @@
 // singleton frequency of input i (in ±1 encoding): Ŵ = 2^n exactly when
 // output i equals input i, so M(f) = 0 iff f is the identity, and M counts
 // the total number of disagreeing truth-table positions. The greedy
-// translation loop matches [18]'s described control flow; DESIGN.md lists
-// this as a documented stand-in.
+// translation loop matches [18]'s described control flow, but Synthesize
+// does not rank gates by M(f) alone: it picks the gate that best improves
+// the lexicographic tuple (fixed prefix length, Hamming error of the first
+// unfixed row, M(f)), which makes the loop provably converge (see
+// measure). DESIGN.md lists this as a documented stand-in.
 package spectral
 
 import (
@@ -96,7 +99,7 @@ type Result struct {
 
 // Synthesize runs the greedy translation loop: at each step every
 // generalized Toffoli gate is considered at the circuit's output side, the
-// one yielding the lowest complexity is applied, and synthesis fails (no
+// one yielding the best measure tuple is applied, and synthesis fails (no
 // backtracking) if no gate strictly improves the measure. maxGates bounds
 // the loop.
 func Synthesize(p perm.Perm, maxGates int) (Result, error) {

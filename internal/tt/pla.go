@@ -192,29 +192,3 @@ func expandPLACube(cube string, inputs, lineNo int, f func(uint32) error) error 
 	}
 	return nil
 }
-
-// FormatPLA writes the table in PLA format (complete listing).
-func (t *Table) FormatPLA() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, ".i %d\n.o %d\n.p %d\n", t.Inputs, t.Outputs, len(t.Rows))
-	for x, y := range t.Rows {
-		for pos := t.Inputs - 1; pos >= 0; pos-- {
-			if x&(1<<uint(pos)) != 0 {
-				b.WriteByte('1')
-			} else {
-				b.WriteByte('0')
-			}
-		}
-		b.WriteByte(' ')
-		for j := t.Outputs - 1; j >= 0; j-- {
-			if y&(1<<uint(j)) != 0 {
-				b.WriteByte('1')
-			} else {
-				b.WriteByte('0')
-			}
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString(".e\n")
-	return b.String()
-}

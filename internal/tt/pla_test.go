@@ -109,22 +109,6 @@ func TestParsePLADiagnostics(t *testing.T) {
 	}
 }
 
-func TestPLAFormatRoundTrip(t *testing.T) {
-	orig := FromFunc(4, 2, func(x uint32) uint32 { return (x * 3) & 3 })
-	back, err := ParsePLA(orig.FormatPLA())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Inputs != orig.Inputs || back.Outputs != orig.Outputs {
-		t.Fatal("shape changed")
-	}
-	for x := range orig.Rows {
-		if back.Rows[x] != orig.Rows[x] {
-			t.Fatalf("row %d: %d vs %d", x, back.Rows[x], orig.Rows[x])
-		}
-	}
-}
-
 func TestParsePLAThenEmbed(t *testing.T) {
 	// Full pipeline: PLA text → table → reversible spec.
 	var b strings.Builder

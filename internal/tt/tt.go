@@ -65,11 +65,5 @@ func (t *Table) MaxMultiplicity() int {
 	return p
 }
 
-// IsReversible reports whether the table already describes a reversible
-// function (square and injective).
-func (t *Table) IsReversible() bool {
-	return t.Inputs == t.Outputs && t.MaxMultiplicity() == 1
-}
-
 // OnesCount is a convenience for weight-based benchmark functions.
 func OnesCount(x uint32) int { return bits.OnesCount32(x) }

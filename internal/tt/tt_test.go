@@ -137,18 +137,6 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-func TestIsReversible(t *testing.T) {
-	if !FromFunc(2, 2, func(x uint32) uint32 { return x }).IsReversible() {
-		t.Error("identity should be reversible")
-	}
-	if FromFunc(2, 2, func(x uint32) uint32 { return 0 }).IsReversible() {
-		t.Error("constant should not be reversible")
-	}
-	if FromFunc(2, 1, func(x uint32) uint32 { return x & 1 }).IsReversible() {
-		t.Error("non-square should not be reversible")
-	}
-}
-
 func TestPartialTableValidate(t *testing.T) {
 	good := &PartialTable{Inputs: 2, Outputs: 2,
 		Rows: []uint32{0, 1, 2, 0}, Care: []uint32{3, 3, 3, 0}}

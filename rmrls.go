@@ -147,8 +147,10 @@ func ResumeSpecContext(ctx context.Context, s *Spec, opts Options, path string) 
 	return core.ResumeContext(ctx, s, opts, path)
 }
 
-// Verify checks that a circuit realizes the function p.
-func Verify(c *Circuit, p Perm) error { return core.Verify(c, p) }
+// Verify checks that a circuit realizes the function p by independent
+// simulation. A mismatch, a nil circuit or a width beyond the oracle's
+// 20-variable limit is reported as a *VerifyError.
+func Verify(c *Circuit, p Perm) error { return verify.Circuit(verify.StageClient, c, p) }
 
 // NewCache returns a memory-only answer cache for Options.Cache.
 func NewCache() *Cache { return cache.New() }

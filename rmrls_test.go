@@ -2,11 +2,11 @@ package rmrls
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/esop"
 	"repro/internal/pprm"
 	"repro/internal/rng"
 )
@@ -22,6 +22,25 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 	if err := Verify(res.Circuit, spec); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestVerifyReportsMismatch: the facade's Verify rejects a circuit for the
+// wrong function and a nil circuit, each as a typed *VerifyError.
+func TestVerifyReportsMismatch(t *testing.T) {
+	spec := MustParseSpec("{1, 0, 7, 2, 3, 4, 5, 6}")
+	res, err := Synthesize(spec, DefaultOptions())
+	if err != nil || !res.Found {
+		t.Fatalf("synthesize: %v %+v", err, res)
+	}
+	var verr *VerifyError
+	if err := Verify(res.Circuit, MustParseSpec("{0, 1, 2, 3, 4, 5, 6, 7}")); !errors.As(err, &verr) {
+		t.Errorf("wrong function: err = %v, want a *VerifyError", err)
+	} else if verr.Input != 0 || verr.Got != 1 || verr.Want != 0 {
+		t.Errorf("wrong function: mismatch at input %d (%d vs %d), want input 0 (1 vs 0)", verr.Input, verr.Got, verr.Want)
+	}
+	if err := Verify(nil, spec); !errors.As(err, &verr) {
+		t.Errorf("nil circuit: err = %v, want a *VerifyError", err)
 	}
 }
 
@@ -98,32 +117,6 @@ func TestBenchmarksFacade(t *testing.T) {
 	// 5-gate optimum the paper reports.
 	if res.Circuit.Len() != 5 {
 		t.Errorf("graycode6 gates = %d, want 5", res.Circuit.Len())
-	}
-}
-
-// TestPipelineESOPAgreesWithMobius checks Section II-E end to end: the
-// minterm→ESOP→minimize→PPRM route must agree with the exact Möbius
-// transform for every output of random reversible functions.
-func TestPipelineESOPAgreesWithMobius(t *testing.T) {
-	src := rng.New(20)
-	for trial := 0; trial < 15; trial++ {
-		n := 2 + src.Intn(3)
-		p := RandomFunction(n, src.Uint64())
-		exact, err := PPRMOf(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for out := 0; out < n; out++ {
-			e, err := esop.FromColumn(p.OutputBit(out))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := e.Minimize().ToPPRM()
-			want := exact.Out[out]
-			if !got.Equal(&want) {
-				t.Fatalf("trial %d output %d: ESOP pipeline PPRM differs from Möbius", trial, out)
-			}
-		}
 	}
 }
 
