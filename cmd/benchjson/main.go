@@ -11,11 +11,18 @@
 //	          [-skip-examples]
 //	benchjson -parallel [-out BENCH_parallel.json] [-seed 1]
 //	          [-table1 100] [-random4 15] [-steps 30000]
+//	benchjson -check FILE
 //
 // With -parallel the harness compares round strides instead of the
 // transposition table: the sequential search (one pop per round) vs
 // deterministic-merge rounds at several worker counts, whose trajectories
 // must be bit-identical, writing BENCH_parallel.json.
+//
+// With -check the harness re-runs the configuration recorded in FILE (a
+// BENCH_search.json or BENCH_parallel.json report) and exits 1 if any
+// deterministic field differs: expansions, gates, nodes, dedup counters or
+// trajectory fingerprints. Wall-clock rates are printed, never compared. A
+// change that keeps the search identical step for step must pass it.
 package main
 
 import (
@@ -46,6 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		exampleSteps = fs.Int("examplesteps", 0, "per-example expansion budget (0 = default 150000)")
 		skipExamples = fs.Bool("skip-examples", false, "skip the worked-examples comparison")
 		parallel     = fs.Bool("parallel", false, "run the parallel harness instead (sequential vs det-merge widths)")
+		check        = fs.String("check", "", "re-run the configuration recorded in this report and exit 1 if any deterministic field differs")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -54,6 +62,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
+	if *check != "" {
+		return runCheck(ctx, *check, stdout, stderr)
+	}
 	if *parallel {
 		return runParallel(ctx, bench.ParallelBenchConfig{
 			Seed:         *seed,
@@ -121,11 +132,7 @@ func runParallel(ctx context.Context, cfg bench.ParallelBenchConfig, out string,
 // any other harness or write error, 0 on success.
 func writeReport(ctx context.Context, report any, runErr error, out string, stdout, stderr io.Writer) int {
 	if runErr != nil {
-		fmt.Fprintf(stderr, "benchjson: %v\n", runErr)
-		if ctx.Err() != nil {
-			return 3
-		}
-		return 1
+		return runError(ctx, runErr, stderr)
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

@@ -99,7 +99,7 @@ func compareEngines(ctx context.Context, name string, fns []perm.Perm, cfg Paral
 	w := ParallelWorkload{Workload: name, DetMergeIdentical: true}
 
 	add := func(opts core.Options, engine string) error {
-		m, traj, err := runWorkload(ctx, fns, opts)
+		m, err := runWorkload(ctx, fns, opts)
 		if err != nil {
 			return fmt.Errorf("%s (%s, %d workers): %w", name, engine, opts.Workers, err)
 		}
@@ -112,7 +112,7 @@ func compareEngines(ctx context.Context, name string, fns []perm.Perm, cfg Paral
 			Expansions:  m.Expansions,
 			Seconds:     m.Seconds,
 			NodesPerSec: m.NodesPerSec,
-			Trajectory:  traj,
+			Trajectory:  m.Trajectory,
 		})
 		return nil
 	}

@@ -87,6 +87,10 @@ type WorkloadMetrics struct {
 	// trajectory metric.
 	AllocsPerExpansion float64 `json:"allocs_per_expansion"`
 	BytesPerExpansion  float64 `json:"bytes_per_expansion"`
+	// Trajectory fingerprints the per-function results (found flag,
+	// circuit, steps, nodes): runs with equal fingerprints took the
+	// bit-identical search trajectory.
+	Trajectory string `json:"trajectory"`
 }
 
 // WorkloadComparison pairs the dedup-off and dedup-on runs of a workload.
@@ -135,12 +139,9 @@ func searchOpts(totalSteps int, dedup bool) core.Options {
 // runWorkload synthesizes every function in the workload under opts and
 // aggregates the metrics. Found circuits are verified by simulation; a
 // failure is returned (it would mean a search bug, not a slow machine).
-// The second result fingerprints the per-function results (found flag,
-// circuit, steps, nodes): runs with equal fingerprints took the
-// bit-identical search trajectory. Results are folded after the timed,
-// allocation-counted loop, so the fingerprint costs the measurement
-// nothing.
-func runWorkload(ctx context.Context, fns []perm.Perm, opts core.Options) (WorkloadMetrics, string, error) {
+// Results are folded after the timed, allocation-counted loop, so the
+// trajectory fingerprint costs the measurement nothing.
+func runWorkload(ctx context.Context, fns []perm.Perm, opts core.Options) (WorkloadMetrics, error) {
 	m := WorkloadMetrics{Dedup: opts.Dedup, Functions: len(fns)}
 	results := make([]core.Result, len(fns))
 	var ms0, ms1 runtime.MemStats
@@ -149,20 +150,20 @@ func runWorkload(ctx context.Context, fns []perm.Perm, opts core.Options) (Workl
 	start := time.Now()
 	for i, p := range fns {
 		if ctx.Err() != nil {
-			return m, "", ctx.Err()
+			return m, ctx.Err()
 		}
 		spec, err := pprm.FromPerm(p)
 		if err != nil {
-			return m, "", err
+			return m, err
 		}
 		r := &results[i]
 		*r = core.SynthesizeContext(ctx, spec, opts)
 		if r.Err != nil {
-			return m, "", r.Err
+			return m, r.Err
 		}
 		if r.Found {
 			if err := verify.Circuit(verify.StageClient, r.Circuit, p); err != nil {
-				return m, "", err
+				return m, err
 			}
 		}
 	}
@@ -193,17 +194,18 @@ func runWorkload(ctx context.Context, fns []perm.Perm, opts core.Options) (Workl
 	if probes := m.DedupHits + m.DedupMisses; probes > 0 {
 		m.DedupHitRate = float64(m.DedupHits) / float64(probes)
 	}
-	return m, fmt.Sprintf("%016x", h.Sum64()), nil
+	m.Trajectory = fmt.Sprintf("%016x", h.Sum64())
+	return m, nil
 }
 
 // compareWorkload runs one workload dedup-off then dedup-on.
 func compareWorkload(ctx context.Context, name string, fns []perm.Perm, totalSteps int) (WorkloadComparison, error) {
 	c := WorkloadComparison{Workload: name}
 	var err error
-	if c.Off, _, err = runWorkload(ctx, fns, searchOpts(totalSteps, false)); err != nil {
+	if c.Off, err = runWorkload(ctx, fns, searchOpts(totalSteps, false)); err != nil {
 		return c, fmt.Errorf("%s (dedup off): %w", name, err)
 	}
-	if c.On, _, err = runWorkload(ctx, fns, searchOpts(totalSteps, true)); err != nil {
+	if c.On, err = runWorkload(ctx, fns, searchOpts(totalSteps, true)); err != nil {
 		return c, fmt.Errorf("%s (dedup on): %w", name, err)
 	}
 	if c.Off.Expansions > 0 {

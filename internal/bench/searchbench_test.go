@@ -99,7 +99,7 @@ func benchmarkSearch(b *testing.B, dedup bool) {
 	opts := searchOpts(20000, dedup)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, _, err := runWorkload(context.Background(), fns, opts)
+		m, err := runWorkload(context.Background(), fns, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -206,7 +206,7 @@ func TestSearchInvariantsHold(t *testing.T) {
 		s.stepHook = func(s *searcher) {
 			checks++
 			var sum int64
-			s.pq.Each(func(n *node) { sum += n.mem })
+			s.pq.Each(func(n *node) { sum += int64(n.mem) })
 			if sum != s.queueBytes {
 				t.Fatalf("workers=%d: queueBytes=%d but recount=%d (stale accounting)", workers, s.queueBytes, sum)
 			}

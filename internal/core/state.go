@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/bits"
@@ -143,11 +142,11 @@ func (s *searcher) exportState() *snapshot.State {
 		st.Nodes[i] = snapshot.NodeState{
 			Parent:       parent,
 			ID:           n.id,
-			Target:       n.target,
+			Target:       int(n.target),
 			Factor:       uint32(n.factor),
-			Depth:        n.depth,
-			Terms:        n.terms,
-			Elim:         n.elim,
+			Depth:        int(n.depth),
+			Terms:        int(n.terms),
+			Elim:         int(n.elim),
 			Priority:     n.priority,
 			Hash:         n.hash,
 			Materialized: n.spec != nil,
@@ -160,19 +159,11 @@ func (s *searcher) exportState() *snapshot.State {
 	}
 	if s.tt != nil {
 		tt := &snapshot.TTState{
-			Keys:      make([]uint64, 0, len(s.tt.entries)),
 			Hits:      s.tt.hits,
 			Misses:    s.tt.misses,
 			Evictions: s.tt.evictions,
 		}
-		for k := range s.tt.entries {
-			tt.Keys = append(tt.Keys, k)
-		}
-		sort.Slice(tt.Keys, func(i, j int) bool { return tt.Keys[i] < tt.Keys[j] })
-		tt.Depths = make([]int32, len(tt.Keys))
-		for i, k := range tt.Keys {
-			tt.Depths[i] = s.tt.entries[k]
-		}
+		tt.Keys, tt.Depths = s.tt.export()
 		st.TT = tt
 	}
 	return st
@@ -301,7 +292,7 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		return nil, fmt.Errorf("%w: no nodes", ErrInvalidState)
 	}
 	r := &st.Nodes[0]
-	if r.Parent != -1 || r.Target != -1 || r.Depth != 0 || !r.Materialized || r.Terms != s.initTerms {
+	if r.Parent != -1 || r.Target != -1 || r.Depth != 0 || !r.Materialized || r.Terms != s.initTerms || r.Elim != 0 {
 		return nil, fmt.Errorf("%w: malformed root node", ErrInvalidState)
 	}
 	nodes := make([]*node, len(st.Nodes))
@@ -309,8 +300,7 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		spec:     rootSpec,
 		id:       r.ID,
 		target:   -1,
-		terms:    r.Terms,
-		elim:     r.Elim,
+		terms:    int32(r.Terms),
 		priority: r.Priority,
 		hash:     r.Hash,
 	}
@@ -331,17 +321,17 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		if uint64(ns.Factor) >= 1<<uint(s.n) || factor&bits.Bit(ns.Target) != 0 {
 			return nil, fmt.Errorf("%w: node %d factor %#x invalid for target %d", ErrInvalidState, i, ns.Factor, ns.Target)
 		}
-		if ns.Terms < 0 || ns.Elim != ps.Terms-ns.Terms {
+		if ns.Terms < 0 || ns.Terms > math.MaxInt32 || ns.Elim != ps.Terms-ns.Terms {
 			return nil, fmt.Errorf("%w: node %d terms/elim inconsistent", ErrInvalidState, i)
 		}
 		n := &node{
 			parent:   parent,
 			id:       ns.ID,
-			target:   ns.Target,
+			target:   int32(ns.Target),
 			factor:   factor,
-			depth:    ns.Depth,
-			terms:    ns.Terms,
-			elim:     ns.Elim,
+			depth:    int32(ns.Depth),
+			terms:    int32(ns.Terms),
+			elim:     int32(ns.Elim),
 			priority: ns.Priority,
 			hash:     ns.Hash,
 		}
@@ -353,10 +343,10 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 			if !ps.Materialized {
 				return nil, fmt.Errorf("%w: node %d materialized under lazy parent", ErrInvalidState, i)
 			}
-			cs, delta := parent.spec.SubstituteCopy(n.target, n.factor)
-			if parent.terms+delta != n.terms {
+			cs, delta := parent.spec.SubstituteCopy(ns.Target, factor)
+			if ps.Terms+delta != ns.Terms {
 				return nil, fmt.Errorf("%w: node %d replay produced %d terms, snapshot says %d",
-					ErrInvalidState, i, parent.terms+delta, n.terms)
+					ErrInvalidState, i, ps.Terms+delta, ns.Terms)
 			}
 			if opts.Dedup && cs.Hash() != n.hash {
 				return nil, fmt.Errorf("%w: node %d replay hash mismatch", ErrInvalidState, i)
@@ -422,7 +412,7 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 			if tt.Depths[i] < 0 {
 				return nil, fmt.Errorf("%w: transposition depth %d", ErrInvalidState, tt.Depths[i])
 			}
-			s.tt.entries[k] = tt.Depths[i]
+			s.tt.load(k, tt.Depths[i])
 		}
 		s.tt.hits = tt.Hits
 		s.tt.misses = tt.Misses
@@ -447,7 +437,7 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 			return nil, fmt.Errorf("%w: queued node %d cannot be materialized", ErrInvalidState, qi)
 		}
 		n.mem = memOf(n)
-		s.queueBytes += n.mem
+		s.queueBytes += int64(n.mem)
 		s.pq.Push(n, n.priority)
 	}
 

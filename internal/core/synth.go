@@ -163,20 +163,24 @@ func SynthesizePermContext(ctx context.Context, p perm.Perm, opts Options) (Resu
 type node struct {
 	parent   *node
 	spec     *pprm.Spec
-	id       int
-	target   int
-	factor   bits.Mask
-	depth    int
-	terms    int
-	elim     int // per-step: parent.terms − terms
+	id       int // 64-bit: long runs create more than 2^31 nodes
 	priority float64
-	mem      int64  // approximate bytes charged when queued (see memOf)
 	hash     uint64 // transposition hash of the node's PPRM state
+	target   int32
+	factor   bits.Mask
+	depth    int32
+	terms    int32
+	elim     int32 // per-step: parent.terms − terms
+	mem      int32 // approximate bytes charged when queued (see memOf)
 }
 
 // nodeBytes approximates the resident size of one node struct plus its
 // priority-queue entry. Exactness does not matter — the memory ceiling is
-// the paper's coarse 768-MB abort condition, not an allocator.
+// the paper's coarse 768-MB abort condition, not an allocator. It is the
+// accounting estimate, not unsafe.Sizeof(node{}) (64 bytes, pinned by
+// TestNodeSize): it stays at the figure charged when the struct was 96
+// bytes, so MaxMemory pruning, PeakQueueBytes and the golden trajectories
+// do not depend on the struct's layout.
 const nodeBytes = 96 + 32
 
 // memOf estimates the bytes a node pins while it waits in the queue: its
@@ -185,13 +189,14 @@ const nodeBytes = 96 + 32
 // the parent chain are shared among many queued nodes and are not charged;
 // the estimate is deliberately a lower bound, like the node-count stand-in
 // it replaces, but it scales with expansion size instead of pretending all
-// nodes cost the same.
-func memOf(n *node) int64 {
+// nodes cost the same. It fits node.mem: the widest expansion (20 outputs of
+// 2^20 terms) is about 80 MB.
+func memOf(n *node) int32 {
 	b := int64(nodeBytes)
 	if n.spec != nil {
 		b += n.spec.MemBytes()
 	}
-	return b
+	return int32(b)
 }
 
 type searcher struct {
@@ -276,7 +281,7 @@ func newSearcher(spec *pprm.Spec, opts Options) *searcher {
 		id:       0,
 		target:   -1,
 		depth:    0,
-		terms:    s.initTerms,
+		terms:    int32(s.initTerms),
 		priority: math.Inf(1),
 	}
 	s.nodes = 1
@@ -359,7 +364,7 @@ func (s *searcher) observeSolution(sol *node) {
 	if o == nil {
 		return
 	}
-	o.Solution(sol.depth, s.extract(sol).QuantumCost())
+	o.Solution(int(sol.depth), s.extract(sol).QuantumCost())
 }
 
 // exhaustionReason classifies a search whose queue drained and whose
@@ -407,7 +412,7 @@ func (s *searcher) recycle(nd *node) {
 // path to that state) and its struct is recycled.
 func (s *searcher) discardQueued(n *node) {
 	if s.tt != nil {
-		s.tt.forget(n.hash, n.depth)
+		s.tt.forget(n.hash, int(n.depth))
 	}
 	s.recycle(n)
 }
@@ -427,9 +432,9 @@ func (s *searcher) totalBytes() int64 {
 // greater depth are pruned.
 func (s *searcher) push(n *node) {
 	n.mem = memOf(n)
-	s.queueBytes += n.mem
+	s.queueBytes += int64(n.mem)
 	if s.tt != nil {
-		s.tt.record(n.hash, n.depth)
+		s.tt.record(n.hash, int(n.depth))
 	}
 	s.notePeak()
 	s.pq.Push(n, n.priority)
@@ -449,7 +454,7 @@ func (s *searcher) notePeak() {
 // an unknown subset of the queue.
 func (s *searcher) recountQueueBytes() {
 	s.queueBytes = 0
-	s.pq.Each(func(n *node) { s.queueBytes += n.mem })
+	s.pq.Each(func(n *node) { s.queueBytes += int64(n.mem) })
 }
 
 // overMemory enforces Options.MaxMemory, the byte-accounted version of the
@@ -488,9 +493,9 @@ func (s *searcher) rerecordQueued() {
 	}
 	s.tt.record(s.root.hash, 0)
 	if s.bestSol != nil {
-		s.tt.record(s.bestSol.hash, s.bestSol.depth)
+		s.tt.record(s.bestSol.hash, int(s.bestSol.depth))
 	}
-	s.pq.Each(func(n *node) { s.tt.record(n.hash, n.depth) })
+	s.pq.Each(func(n *node) { s.tt.record(n.hash, int(n.depth)) })
 }
 
 // begin runs the shared run prologue: segment timing, the Observe Begin
@@ -636,7 +641,7 @@ func (s *searcher) run() Result {
 				break
 			}
 			popped++
-			s.queueBytes -= parent.mem
+			s.queueBytes -= int64(parent.mem)
 			s.steps++
 			s.stepsSinceRestart++
 			s.emit(EventPop, parent)
@@ -645,7 +650,7 @@ func (s *searcher) run() Result {
 			// was never expanded, so nothing references it: recycle. Its
 			// transposition entry stays — any rediscovery at this depth or
 			// deeper would be cut here too (bestDepth only decreases).
-			if parent.depth >= s.bestDepth-1 {
+			if int(parent.depth) >= s.bestDepth-1 {
 				s.recycle(parent)
 				continue
 			}
@@ -667,7 +672,7 @@ func (s *searcher) run() Result {
 
 		generateBatch(clones, batch, gens)
 		for i, parent := range batch {
-			if parent.depth >= s.bestDepth-1 {
+			if int(parent.depth) >= s.bestDepth-1 {
 				// A solution committed earlier in this round shrank the
 				// bound below this node.
 				s.recycle(parent)
@@ -720,11 +725,11 @@ func (s *searcher) restart() bool {
 		parent: s.root,
 		spec:   cs,
 		id:     s.nodes,
-		target: fm.target,
+		target: int32(fm.target),
 		factor: fm.factor,
 		depth:  1,
-		terms:  s.root.terms + delta,
-		elim:   -delta,
+		terms:  s.root.terms + int32(delta),
+		elim:   int32(-delta),
 	}
 	if s.tt != nil {
 		child.hash = cs.Hash()
@@ -738,7 +743,7 @@ func (s *searcher) restart() bool {
 }
 
 func (s *searcher) priorityOf(c *node) float64 {
-	return s.priority(c.depth, c.terms, c.elim, c.factor)
+	return s.priority(int(c.depth), int(c.terms), int(c.elim), c.factor)
 }
 
 // priority evaluates Eq. (4) (or its linear variant) for a node at the
@@ -816,10 +821,10 @@ func (s *searcher) generate(parent *node, gr *genResult) {
 		// step further: queued nodes store only their substitution).
 		// The parent chain keeps expansions alive, so one
 		// copy-on-write substitution reconstructs this node's.
-		parent.spec, _ = parent.parent.spec.SubstituteCopy(parent.target, parent.factor)
+		parent.spec, _ = parent.parent.spec.SubstituteCopy(int(parent.target), parent.factor)
 	}
 	spec := parent.spec
-	childDepth := parent.depth + 1
+	childDepth := int(parent.depth) + 1
 	for target := 0; target < s.n; target++ {
 		factors := s.factorsFor(spec, target)
 		if len(factors) == 0 {
@@ -829,7 +834,7 @@ func (s *searcher) generate(parent *node, gr *genResult) {
 		for _, f := range factors {
 			// Re-applying the parent's own substitution would cancel it:
 			// two identical adjacent Toffoli gates are the identity.
-			if target == parent.target && f == parent.factor {
+			if target == int(parent.target) && f == parent.factor {
 				continue
 			}
 			// One merge-count pass scores the candidate and (for the
@@ -838,7 +843,7 @@ func (s *searcher) generate(parent *node, gr *genResult) {
 			var delta int
 			var hash uint64
 			delta, hash, s.deltaBuf = spec.SubstituteProbe(target, f, s.deltaBuf)
-			childTerms := parent.terms + delta
+			childTerms := int(parent.terms) + delta
 			tg.cands = append(tg.cands, pcand{scored: scored{
 				factor: f,
 				terms:  childTerms,
@@ -886,7 +891,7 @@ func (s *searcher) generate(parent *node, gr *genResult) {
 // generated expansions deterministic.
 func (s *searcher) commit(parent *node, gr *genResult) {
 	isRoot := parent.depth == 0
-	childDepth := parent.depth + 1
+	childDepth := int(parent.depth) + 1
 	for ti := range gr.targets {
 		tg := &gr.targets[ti]
 		target := tg.target
@@ -913,19 +918,7 @@ func (s *searcher) commit(parent *node, gr *genResult) {
 			}
 			if c.identity {
 				if childDepth < s.bestDepth {
-					child := s.newNode()
-					*child = node{
-						parent:   parent,
-						id:       s.nodes,
-						target:   target,
-						factor:   c.factor,
-						depth:    childDepth,
-						terms:    c.terms,
-						elim:     c.elim,
-						priority: c.priority,
-						hash:     c.hash,
-					}
-					s.nodes++
+					child := s.newChild(parent, target, c, nil)
 					s.bestDepth = childDepth
 					s.bestSol = child
 					s.solSteps = s.steps
@@ -940,20 +933,7 @@ func (s *searcher) commit(parent *node, gr *genResult) {
 			if !inTopK || childDepth >= s.bestDepth-1 {
 				continue
 			}
-			child := s.newNode()
-			*child = node{
-				parent:   parent,
-				spec:     c.sol,
-				id:       s.nodes,
-				target:   target,
-				factor:   c.factor,
-				depth:    childDepth,
-				terms:    c.terms,
-				elim:     c.elim,
-				priority: c.priority,
-				hash:     c.hash,
-			}
-			s.nodes++
+			child := s.newChild(parent, target, c, c.sol)
 			pushed++
 			if isRoot {
 				s.firstMoves = append(s.firstMoves, firstMove{
@@ -972,6 +952,26 @@ func (s *searcher) commit(parent *node, gr *genResult) {
 		})
 		s.nextFirstMove = 1
 	}
+}
+
+// newChild creates the node for parent's generated candidate c, which
+// substitutes into target; spec is its materialized expansion, if any.
+func (s *searcher) newChild(parent *node, target int, c *pcand, spec *pprm.Spec) *node {
+	child := s.newNode()
+	*child = node{
+		parent:   parent,
+		spec:     spec,
+		id:       s.nodes,
+		priority: c.priority,
+		hash:     c.hash,
+		target:   int32(target),
+		factor:   c.factor,
+		depth:    parent.depth + 1,
+		terms:    int32(c.terms),
+		elim:     int32(c.elim),
+	}
+	s.nodes++
+	return child
 }
 
 // admit implements the queue-admission rule (see the Admission type). The
@@ -1037,7 +1037,7 @@ func (s *searcher) factorsFor(spec *pprm.Spec, target int) []bits.Mask {
 func (s *searcher) extract(sol *node) *circuit.Circuit {
 	gates := make([]circuit.Gate, sol.depth)
 	for n := sol; n.parent != nil; n = n.parent {
-		gates[n.depth-1] = circuit.Gate{Target: n.target, Controls: n.factor}
+		gates[n.depth-1] = circuit.Gate{Target: int(n.target), Controls: n.factor}
 	}
 	c := circuit.New(s.n)
 	c.Gates = gates
@@ -1056,11 +1056,11 @@ func (s *searcher) emit(kind EventKind, n *node) {
 		Kind:     kind,
 		ID:       n.id,
 		Parent:   parentID,
-		Depth:    n.depth,
-		Target:   n.target,
+		Depth:    int(n.depth),
+		Target:   int(n.target),
 		Factor:   n.factor,
-		Terms:    n.terms,
-		Elim:     n.elim,
+		Terms:    int(n.terms),
+		Elim:     int(n.elim),
 		Priority: n.priority,
 	})
 }

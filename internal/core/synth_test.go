@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/bits"
 	"repro/internal/circuit"
@@ -19,6 +20,17 @@ func fig1(t *testing.T) perm.Perm {
 		t.Fatalf("fig1 spec: %v", err)
 	}
 	return p
+}
+
+// TestNodeSize pins the search node at one 64-byte cache line (the
+// allocator's 64-byte size class): every queued node is a separate heap
+// object the garbage collector scans. nodeBytes, the MaxMemory accounting
+// estimate, is deliberately not tied to this size, so the golden
+// trajectories do not move when the struct does.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got > 64 {
+		t.Fatalf("node is %d bytes, want at most 64", got)
+	}
 }
 
 func TestFig1PPRM(t *testing.T) {

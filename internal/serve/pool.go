@@ -66,17 +66,17 @@ func (s *Server) execute(j *Job) {
 			obs.IncVerifyFailure()
 			s.quarantine(j, verr2, "degraded")
 			s.stats.failed.Add(1)
+			s.removeCheckpoint(j)
 			j.finish(StatusFailed, res, nil,
 				fmt.Sprintf("verification failed after degraded re-run: %v", verr2), time.Now())
-			s.removeCheckpoint(j)
 			return
 		}
 	}
 
 	if res.Err != nil {
 		s.stats.failed.Add(1)
-		j.finish(StatusFailed, res, nil, res.Err.Error(), time.Now())
 		s.removeCheckpoint(j)
+		j.finish(StatusFailed, res, nil, res.Err.Error(), time.Now())
 		return
 	}
 
@@ -87,8 +87,10 @@ func (s *Server) execute(j *Job) {
 	}
 	s.cacheStore(j, &res)
 	s.stats.completed.Add(1)
-	j.finish(StatusDone, res, verified, "", time.Now())
+	// The checkpoint goes before finish wakes the job's waiters, so a
+	// finished job never still has one on disk.
 	s.removeCheckpoint(j)
+	j.finish(StatusDone, res, verified, "", time.Now())
 }
 
 // attempt runs the job once under its own deadline-backstopped context, so

@@ -27,10 +27,14 @@ import (
 	"repro/internal/tt"
 )
 
-// MaxVars is the widest function the oracle tabulates: 2^20 rows keeps a
-// full verification under ~10 ms and a few MB, comfortably above every
-// benchmark the engine verifies today. Wider circuits skip the gate
-// (Result.Verified stays false — unchecked, not wrong).
+// MaxVars is the widest function the oracle tabulates, comfortably above
+// every benchmark the engine verifies today. The cost doubles with each
+// wire: on a shared 2-core Xeon virtual machine one Spec check of a
+// 10-gate cascade took 15–23 ms and 640 KiB at 16 wires, and 0.39–0.58 s
+// and 10 MiB at 20 wires (BenchmarkSpec:
+// go test -run '^$' -bench Spec -benchmem ./internal/verify).
+// Wider circuits skip the gate (Result.Verified stays false — unchecked,
+// not wrong).
 const MaxVars = 20
 
 // Feasible reports whether an n-wire function is narrow enough for exact

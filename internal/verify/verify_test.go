@@ -2,6 +2,7 @@ package verify
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -258,5 +259,26 @@ func TestFeasible(t *testing.T) {
 		if Feasible(tc.n) != tc.ok {
 			t.Errorf("Feasible(%d) = %v, want %v", tc.n, !tc.ok, tc.ok)
 		}
+	}
+}
+
+// BenchmarkSpec measures one always-on gate check, verify.Spec, on a random
+// 10-gate generalized-Toffoli cascade against its own PPRM expansion, at the
+// widest Table V width (16 wires) and at MaxVars:
+//
+//	go test -run '^$' -bench Spec -benchmem ./internal/verify
+func BenchmarkSpec(b *testing.B) {
+	for _, n := range []int{16, MaxVars} {
+		b.Run(fmt.Sprintf("wires=%d", n), func(b *testing.B) {
+			c := circuit.Random(n, 10, circuit.GT, rng.New(1))
+			spec := c.PPRM()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := Spec(StageSearch, c, spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
