@@ -1,0 +1,175 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/perm"
+	"repro/internal/pprm"
+	"repro/internal/rng"
+)
+
+// checkArena compares the arena with reachability at a round boundary,
+// where no node is popped but not yet committed. A slot must be in use
+// exactly when its node is the root, queued, the best solution, or an
+// ancestor of one; every live node's kids must equal its live children;
+// and the expansion side table must hold exactly the live nodes'
+// expansions.
+func checkArena(t *testing.T, s *searcher, where string) {
+	t.Helper()
+	a := &s.ar
+	free := make([]bool, a.used)
+	for _, i := range a.free {
+		if free[i] {
+			t.Fatalf("%s: slot %d freed twice", where, i)
+		}
+		free[i] = true
+	}
+	live := make([]bool, a.used)
+	mark := func(i int32) {
+		for ; i >= 0 && !live[i]; i = a.at(i).parent {
+			live[i] = true
+		}
+	}
+	mark(rootSlot)
+	s.pq.Each(mark)
+	if s.bestSol >= 0 {
+		mark(s.bestSol)
+	}
+	kids := make([]int32, a.used)
+	owned := make([]bool, len(a.specs))
+	held := 0
+	for i := int32(0); i < a.used; i++ {
+		if live[i] == free[i] {
+			t.Fatalf("%s: slot %d live=%v free=%v", where, i, live[i], free[i])
+		}
+		if !live[i] {
+			continue
+		}
+		n := a.at(i)
+		if i != rootSlot {
+			kids[n.parent]++
+		}
+		if n.spec >= 0 {
+			if a.specs[n.spec] == nil {
+				t.Fatalf("%s: slot %d names empty expansion slot %d", where, i, n.spec)
+			}
+			if owned[n.spec] {
+				t.Fatalf("%s: slot %d shares expansion slot %d", where, i, n.spec)
+			}
+			owned[n.spec] = true
+			held++
+		}
+	}
+	for i := int32(0); i < a.used; i++ {
+		if live[i] && a.at(i).kids != kids[i] {
+			t.Fatalf("%s: slot %d has kids=%d, %d live children", where, i, a.at(i).kids, kids[i])
+		}
+	}
+	for j, sp := range a.specs {
+		if (sp != nil) != owned[j] {
+			t.Fatalf("%s: expansion slot %d is in use=%v, owned by a live node=%v", where, j, sp != nil, owned[j])
+		}
+	}
+	if held+len(a.freeSpecs) != len(a.specs) {
+		t.Fatalf("%s: %d expansions held, %d slots free, table of %d", where, held, len(a.freeSpecs), len(a.specs))
+	}
+}
+
+// TestArenaRefcountsMatchReachability runs searches that exercise every
+// path through release — cut-off pops, expansions that push nothing,
+// superseded solutions, queue and memory prunes, restarts, det-merge
+// rounds — and checks the arena against reachability at every round
+// boundary.
+func TestArenaRefcountsMatchReachability(t *testing.T) {
+	specOf := func(n int, seed uint64) *pprm.Spec {
+		spec, err := pprm.FromPerm(perm.Random(n, rng.New(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec
+	}
+	type run struct {
+		name         string
+		spec         *pprm.Spec
+		opts         func(*Options)
+		wantPrunes   bool // the queue must shrink by more than a round's pops
+		wantRestarts bool
+	}
+	var runs []run
+	table1 := rng.New(1)
+	for i := 0; i < 8; i++ {
+		spec, err := pprm.FromPerm(perm.Random(3, table1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, run{name: "table1", spec: spec, opts: func(o *Options) { o.TotalSteps = 30000 }})
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		runs = append(runs, run{name: "random4", spec: specOf(4, seed), opts: func(o *Options) { o.TotalSteps = 1500 }})
+	}
+	runs = append(runs,
+		run{name: "workers4", spec: specOf(4, 4), opts: func(o *Options) {
+			o.TotalSteps = 6000
+			o.Workers = 4
+		}},
+		run{name: "memory-prune", spec: specOf(5, 5), opts: func(o *Options) {
+			o.MaxSteps = 0 // only a prune shrinks the queue by more than one pop
+			o.TotalSteps = 1500
+			o.MaxMemory = 48 << 10
+		}, wantPrunes: true},
+		run{name: "restarts", spec: specOf(5, 6), opts: func(o *Options) {
+			o.MaxSteps = 40
+			o.TotalSteps = 2000
+		}, wantRestarts: true},
+	)
+	totalSolutions, totalFound := 0, 0
+	for _, rc := range runs {
+		opts := DefaultOptions()
+		rc.opts(&opts)
+		var s *searcher
+		solutions := 0
+		opts.Trace = func(e Event) {
+			switch e.Kind {
+			case EventSolution:
+				solutions++
+			case EventRestart:
+				// The abandoned frontier is gone: only the root and the
+				// new first-move child, not yet queued, hold slots.
+				if live := s.ar.used - int32(len(s.ar.free)); live != 2 {
+					t.Fatalf("%s: %d slots live right after a restart, want 2", rc.name, live)
+				}
+			}
+		}
+		s = newSearcher(rc.spec, opts)
+		rounds, shrinks, last := 0, 0, 0
+		s.stepHook = func(s *searcher) {
+			rounds++
+			checkArena(t, s, rc.name)
+			if n := s.pq.Len(); n < last-s.opts.stride() {
+				shrinks++
+			}
+			last = s.pq.Len()
+		}
+		r := s.run()
+		if r.Err != nil {
+			t.Fatalf("%s: %v", rc.name, r.Err)
+		}
+		checkArena(t, s, rc.name+" (final)")
+		if rounds == 0 {
+			t.Fatalf("%s: step hook never ran", rc.name)
+		}
+		if rc.wantPrunes && shrinks == 0 {
+			t.Errorf("%s: the memory ceiling never pruned the queue", rc.name)
+		}
+		if rc.wantRestarts && r.Restarts < 3 {
+			t.Errorf("%s: only %d restarts", rc.name, r.Restarts)
+		}
+		totalSolutions += solutions
+		if r.Found {
+			totalFound++
+		}
+	}
+	if totalSolutions <= totalFound {
+		t.Errorf("%d solutions in %d solved runs: no best solution was ever superseded", totalSolutions, totalFound)
+	}
+}

@@ -51,13 +51,13 @@ func (s *searcher) scoringClone() *searcher {
 // generateBatch runs generate for every batch node, fanning the work out
 // across the scratch clones. Assignment of nodes to clones is racy (an
 // atomic claim counter) and deliberately irrelevant: generate is a pure
-// function of the node and the shared scoring configuration, so gens[i]
-// is identical no matter which clone computed it.
-func generateBatch(clones []*searcher, batch []*node, gens []genResult) {
+// function of the popped node and the shared scoring configuration, so
+// gens[i] is identical no matter which clone computed it.
+func generateBatch(clones []*searcher, batch []popped, gens []genResult) {
 	w := min(len(clones), len(batch))
 	if w <= 1 {
-		for i, parent := range batch {
-			clones[0].generate(parent, &gens[i])
+		for i := range batch {
+			clones[0].generate(&batch[i], &gens[i])
 		}
 		return
 	}
@@ -68,7 +68,7 @@ func generateBatch(clones []*searcher, batch []*node, gens []genResult) {
 			if i >= len(batch) {
 				return
 			}
-			c.generate(batch[i], &gens[i])
+			c.generate(&batch[i], &gens[i])
 		}
 	}
 	var wg sync.WaitGroup

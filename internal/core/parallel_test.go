@@ -206,7 +206,7 @@ func TestSearchInvariantsHold(t *testing.T) {
 		s.stepHook = func(s *searcher) {
 			checks++
 			var sum int64
-			s.pq.Each(func(n *node) { sum += int64(n.mem) })
+			s.pq.Each(func(i int32) { sum += int64(s.ar.at(i).mem) })
 			if sum != s.queueBytes {
 				t.Fatalf("workers=%d: queueBytes=%d but recount=%d (stale accounting)", workers, s.queueBytes, sum)
 			}

@@ -350,6 +350,12 @@ func TestResumeRejectsInvalidStates(t *testing.T) {
 		"tt dropped":            func(st *snapshot.State) { st.TT = nil },
 		"next first move":       func(st *snapshot.State) { st.NextFirstMove = len(st.FirstMoves) + 1 },
 		"root not materialized": func(st *snapshot.State) { st.Nodes[0].Materialized = false },
+		// Every table node is queued, the best solution, or an ancestor
+		// of one; the arena's child counts depend on it.
+		"unqueued leaf": func(st *snapshot.State) { st.Queued = st.Queued[1:] },
+		"interior node queued": func(st *snapshot.State) {
+			st.Queued = append(st.Queued, st.Nodes[st.Queued[0]].Parent)
+		},
 	}
 	for name, tamper := range tampers {
 		st, err := snapshot.Decode(snapshot.Encode(base))

@@ -94,33 +94,34 @@ func optionsFingerprint(o *Options) uint64 {
 // including backing-array capacities, which the memory accounting depends
 // on.
 func (s *searcher) exportState() *snapshot.State {
-	index := make(map[*node]int)
-	var order []*node
-	var add func(n *node) int
-	add = func(n *node) int {
-		if i, ok := index[n]; ok {
+	index := make(map[int32]int)
+	var order []int32
+	var add func(slot int32) int
+	add = func(slot int32) int {
+		if i, ok := index[slot]; ok {
 			return i
 		}
-		if n.parent != nil {
-			add(n.parent)
+		if p := s.ar.at(slot).parent; p >= 0 {
+			add(p)
 		}
 		i := len(order)
-		index[n] = i
-		order = append(order, n)
+		index[slot] = i
+		order = append(order, slot)
 		return i
 	}
-	add(s.root)
+	add(rootSlot)
 	var queued []int
-	s.pq.Ordered(func(n *node) { queued = append(queued, add(n)) })
+	s.pq.Ordered(func(slot int32) { queued = append(queued, add(slot)) })
 	bestSol := -1
-	if s.bestSol != nil {
+	if s.bestSol >= 0 {
 		bestSol = add(s.bestSol)
 	}
 
+	rootSpec := s.ar.spec(rootSlot)
 	st := &snapshot.State{
-		SpecHash:          s.root.spec.Hash(),
+		SpecHash:          rootSpec.Hash(),
 		OptionsFP:         optionsFingerprint(&s.opts),
-		Root:              exportSpec(s.root.spec),
+		Root:              exportSpec(rootSpec),
 		Nodes:             make([]snapshot.NodeState, len(order)),
 		Queued:            queued,
 		BestSol:           bestSol,
@@ -134,9 +135,10 @@ func (s *searcher) exportState() *snapshot.State {
 		Elapsed:           s.prevElapsed + time.Since(s.startTime),
 		PeakBytes:         s.peakBytes,
 	}
-	for i, n := range order {
+	for i, slot := range order {
+		n := s.ar.at(slot)
 		parent := -1
-		if n.parent != nil {
+		if n.parent >= 0 {
 			parent = index[n.parent]
 		}
 		st.Nodes[i] = snapshot.NodeState{
@@ -149,7 +151,7 @@ func (s *searcher) exportState() *snapshot.State {
 			Elim:         int(n.elim),
 			Priority:     n.priority,
 			Hash:         n.hash,
-			Materialized: n.spec != nil,
+			Materialized: n.spec >= 0,
 		}
 	}
 	for _, fm := range s.firstMoves {
@@ -295,15 +297,20 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 	if r.Parent != -1 || r.Target != -1 || r.Depth != 0 || !r.Materialized || r.Terms != s.initTerms || r.Elim != 0 {
 		return nil, fmt.Errorf("%w: malformed root node", ErrInvalidState)
 	}
-	nodes := make([]*node, len(st.Nodes))
-	nodes[0] = &node{
-		spec:     rootSpec,
+	// nodes maps snapshot node indices to arena slots. Every node in the
+	// table is live (the root, queued, the best solution, or an ancestor
+	// of one), so each node's kids count is the number of table nodes
+	// naming it as parent.
+	nodes := make([]int32, len(st.Nodes))
+	nodes[0] = s.ar.alloc(node{
+		parent:   -1,
+		spec:     s.ar.putSpec(rootSpec),
 		id:       r.ID,
 		target:   -1,
 		terms:    int32(r.Terms),
 		priority: r.Priority,
 		hash:     r.Hash,
-	}
+	})
 	for i := 1; i < len(st.Nodes); i++ {
 		ns := &st.Nodes[i]
 		if ns.Parent < 0 || ns.Parent >= i {
@@ -324,8 +331,9 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		if ns.Terms < 0 || ns.Terms > math.MaxInt32 || ns.Elim != ps.Terms-ns.Terms {
 			return nil, fmt.Errorf("%w: node %d terms/elim inconsistent", ErrInvalidState, i)
 		}
-		n := &node{
+		n := node{
 			parent:   parent,
+			spec:     -1,
 			id:       ns.ID,
 			target:   int32(ns.Target),
 			factor:   factor,
@@ -343,7 +351,7 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 			if !ps.Materialized {
 				return nil, fmt.Errorf("%w: node %d materialized under lazy parent", ErrInvalidState, i)
 			}
-			cs, delta := parent.spec.SubstituteCopy(ns.Target, factor)
+			cs, delta := s.ar.spec(parent).SubstituteCopy(ns.Target, factor)
 			if ps.Terms+delta != ns.Terms {
 				return nil, fmt.Errorf("%w: node %d replay produced %d terms, snapshot says %d",
 					ErrInvalidState, i, ps.Terms+delta, ns.Terms)
@@ -351,11 +359,11 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 			if opts.Dedup && cs.Hash() != n.hash {
 				return nil, fmt.Errorf("%w: node %d replay hash mismatch", ErrInvalidState, i)
 			}
-			n.spec = cs
+			n.spec = s.ar.putSpec(cs)
 		}
-		nodes[i] = n
+		nodes[i] = s.ar.alloc(n)
+		s.ar.at(parent).kids++
 	}
-	s.root = nodes[0]
 
 	if st.NodesCreated < len(st.Nodes) {
 		return nil, fmt.Errorf("%w: node counter %d below table size %d", ErrInvalidState, st.NodesCreated, len(st.Nodes))
@@ -370,6 +378,7 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 	s.solSteps = st.SolSteps
 	s.restarts = st.Restarts
 
+	s.bestSol = -1
 	switch {
 	case st.BestSol == -1:
 		if st.BestDepth != s.maxGates+1 {
@@ -432,13 +441,24 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		if st.BestSol == qi {
 			return nil, fmt.Errorf("%w: solution node queued", ErrInvalidState)
 		}
-		n := nodes[qi]
-		if n.parent != nil && n.spec == nil && n.parent.spec == nil {
+		slot := nodes[qi]
+		n := s.ar.at(slot)
+		sp := s.ar.spec(slot)
+		if n.parent >= 0 && sp == nil && s.ar.spec(n.parent) == nil {
 			return nil, fmt.Errorf("%w: queued node %d cannot be materialized", ErrInvalidState, qi)
 		}
-		n.mem = memOf(n)
+		n.mem = memOf(sp)
 		s.queueBytes += int64(n.mem)
-		s.pq.Push(n, n.priority)
+		s.pq.Push(slot, n.priority)
+	}
+	// The search holds only leaves (queued nodes, the best solution), their
+	// ancestors, and the root; release relies on that shape.
+	for i, slot := range nodes {
+		leaf := seen[i] || i == st.BestSol
+		kids := s.ar.at(slot).kids
+		if leaf && kids != 0 || !leaf && kids == 0 && i != 0 {
+			return nil, fmt.Errorf("%w: node %d is not a childless leaf or an ancestor of one", ErrInvalidState, i)
+		}
 	}
 
 	s.peakBytes = st.PeakBytes

@@ -156,22 +156,27 @@ func SynthesizePermContext(ctx context.Context, p perm.Perm, opts Options) (Resu
 	return SynthesizeContext(ctx, spec, opts), nil
 }
 
-// node is one vertex of the search tree. Interior nodes keep only the
-// substitution that created them (the paper's memory optimization); the
-// PPRM expansion is held only while the node waits in the priority queue
-// and is released on expansion.
+// node is one vertex of the search tree, stored in the searcher's arena
+// (arena.go). A node records the substitution that created it (the paper's
+// memory optimization); most queued nodes are lazy and hold no PPRM
+// expansion. A node's expansion is materialized when it is queued as a
+// near-miss solution or when it is expanded, and it lives exactly as long
+// as the node: an expanded node keeps it while any child is live, since
+// the children's lazy materialization starts from it, and release drops
+// it with the node.
 type node struct {
-	parent   *node
-	spec     *pprm.Spec
 	id       int // 64-bit: long runs create more than 2^31 nodes
 	priority float64
 	hash     uint64 // transposition hash of the node's PPRM state
+	parent   int32  // arena slot of the parent; −1 for the root
+	spec     int32  // side-table slot of the expansion; −1 for a lazy node
 	target   int32
 	factor   bits.Mask
 	depth    int32
 	terms    int32
 	elim     int32 // per-step: parent.terms − terms
 	mem      int32 // approximate bytes charged when queued (see memOf)
+	kids     int32 // live children; see release
 }
 
 // nodeBytes approximates the resident size of one node struct plus its
@@ -184,17 +189,17 @@ type node struct {
 const nodeBytes = 96 + 32
 
 // memOf estimates the bytes a node pins while it waits in the queue: its
-// own struct plus its materialized PPRM expansion, if any (most queued
-// nodes are lazy and carry none). Ancestor expansions kept alive through
+// own struct plus sp, its materialized PPRM expansion, or nil when the node
+// is lazy (most queued nodes are). Ancestor expansions kept alive through
 // the parent chain are shared among many queued nodes and are not charged;
 // the estimate is deliberately a lower bound, like the node-count stand-in
 // it replaces, but it scales with expansion size instead of pretending all
 // nodes cost the same. It fits node.mem: the widest expansion (20 outputs of
 // 2^20 terms) is about 80 MB.
-func memOf(n *node) int32 {
+func memOf(sp *pprm.Spec) int32 {
 	b := int64(nodeBytes)
-	if n.spec != nil {
-		b += n.spec.MemBytes()
+	if sp != nil {
+		b += sp.MemBytes()
 	}
 	return int32(b)
 }
@@ -204,10 +209,10 @@ type searcher struct {
 	alpha, beta, gamma float64
 	n                  int
 	initTerms          int
-	pq                 queue.Queue[*node]
-	root               *node
+	ar                 arena
+	pq                 queue.Queue[int32] // arena slots
 	bestDepth          int
-	bestSol            *node
+	bestSol            int32 // arena slot; −1 until a solution is found
 	steps              int
 	stepsSinceRestart  int
 	solSteps           int
@@ -224,7 +229,6 @@ type searcher struct {
 	maxGates           int
 	queueCap           int      // node-count prune threshold: maxQueue, lowered only by tests
 	tt                 *transpo // transposition table; nil when Dedup is off
-	free               []*node  // recycled node structs (allocation diet)
 	factorBuf          []bits.Mask
 	deltaBuf           []bits.Mask
 
@@ -275,9 +279,10 @@ func newSearcher(spec *pprm.Spec, opts Options) *searcher {
 		s.maxGates = 1 << uint(min(spec.N+1, 12))
 	}
 	s.bestDepth = s.maxGates + 1
-	s.root = &node{
-		parent:   nil,
-		spec:     spec.Clone(),
+	s.bestSol = -1
+	root := node{
+		parent:   -1,
+		spec:     s.ar.putSpec(spec.Clone()),
 		id:       0,
 		target:   -1,
 		depth:    0,
@@ -287,9 +292,10 @@ func newSearcher(spec *pprm.Spec, opts Options) *searcher {
 	s.nodes = 1
 	if opts.Dedup {
 		s.tt = newTranspo(dedupMaxEntries)
-		s.root.hash = s.root.spec.Hash()
-		s.tt.record(s.root.hash, 0)
+		root.hash = spec.Hash()
+		s.tt.record(root.hash, 0)
 	}
+	s.ar.alloc(root) // rootSlot
 	if opts.TimeLimit > 0 {
 		s.deadline = time.Now().Add(opts.TimeLimit)
 		s.hasDeadline = true
@@ -359,12 +365,12 @@ func (s *searcher) observe() {
 // observeSolution reports a strictly improved circuit to the attached Run.
 // Solutions are rare, so materializing the cascade for its quantum cost is
 // off the hot path.
-func (s *searcher) observeSolution(sol *node) {
+func (s *searcher) observeSolution(sol int32) {
 	o := s.opts.Observe
 	if o == nil {
 		return
 	}
-	o.Solution(int(sol.depth), s.extract(sol).QuantumCost())
+	o.Solution(int(s.ar.at(sol).depth), s.extract(sol).QuantumCost())
 }
 
 // exhaustionReason classifies a search whose queue drained and whose
@@ -381,40 +387,16 @@ func (s *searcher) exhaustionReason() StopReason {
 	return StopQueueExhausted
 }
 
-// newNode hands out a node struct, reusing one from the free list when
-// available. The hot path allocates one node per *pushed* child; recycled
-// depth-cutoff pops and queue prunes feed the list, so steady-state search
-// churn stays off the garbage collector.
-func (s *searcher) newNode() *node {
-	if k := len(s.free); k > 0 {
-		nd := s.free[k-1]
-		s.free = s.free[:k-1]
-		*nd = node{}
-		return nd
-	}
-	return &node{}
-}
-
-// recycle returns a node to the free list. Only nodes that provably have
-// no remaining references may be recycled: queued-but-unexpanded nodes
-// dropped by a prune or restart, and popped nodes discarded by the
-// best-depth cutoff before expansion (they have no children, and solutions
-// are never queued, so nothing points at them).
-func (s *searcher) recycle(nd *node) {
-	nd.parent = nil
-	nd.spec = nil
-	s.free = append(s.free, nd)
-}
-
 // discardQueued releases a queued-but-unexpanded node dropped by a queue
 // or memory prune: its transposition entry is removed (it was never
 // expanded — leaving it marked as visited could block the only remaining
-// path to that state) and its struct is recycled.
-func (s *searcher) discardQueued(n *node) {
+// path to that state) and its slot is released.
+func (s *searcher) discardQueued(i int32) {
 	if s.tt != nil {
+		n := s.ar.at(i)
 		s.tt.forget(n.hash, int(n.depth))
 	}
-	s.recycle(n)
+	s.release(i)
 }
 
 // totalBytes is the MaxMemory estimate: queued nodes plus the
@@ -430,14 +412,15 @@ func (s *searcher) totalBytes() int64 {
 // push queues a node, charges its approximate memory, and records its
 // state in the transposition table so later rediscoveries at the same or
 // greater depth are pruned.
-func (s *searcher) push(n *node) {
-	n.mem = memOf(n)
+func (s *searcher) push(i int32) {
+	n := s.ar.at(i)
+	n.mem = memOf(s.ar.spec(i))
 	s.queueBytes += int64(n.mem)
 	if s.tt != nil {
 		s.tt.record(n.hash, int(n.depth))
 	}
 	s.notePeak()
-	s.pq.Push(n, n.priority)
+	s.pq.Push(i, n.priority)
 }
 
 // notePeak advances the high-water memory mark. The watermark is monotone
@@ -454,7 +437,7 @@ func (s *searcher) notePeak() {
 // an unknown subset of the queue.
 func (s *searcher) recountQueueBytes() {
 	s.queueBytes = 0
-	s.pq.Each(func(n *node) { s.queueBytes += int64(n.mem) })
+	s.pq.Each(func(i int32) { s.queueBytes += int64(s.ar.at(i).mem) })
 }
 
 // overMemory enforces Options.MaxMemory, the byte-accounted version of the
@@ -491,11 +474,15 @@ func (s *searcher) rerecordQueued() {
 	if s.tt == nil {
 		return
 	}
-	s.tt.record(s.root.hash, 0)
-	if s.bestSol != nil {
-		s.tt.record(s.bestSol.hash, int(s.bestSol.depth))
+	s.tt.record(s.ar.at(rootSlot).hash, 0)
+	if s.bestSol >= 0 {
+		sol := s.ar.at(s.bestSol)
+		s.tt.record(sol.hash, int(sol.depth))
 	}
-	s.pq.Each(func(n *node) { s.tt.record(n.hash, int(n.depth)) })
+	s.pq.Each(func(i int32) {
+		n := s.ar.at(i)
+		s.tt.record(n.hash, int(n.depth))
+	})
 }
 
 // begin runs the shared run prologue: segment timing, the Observe Begin
@@ -509,14 +496,14 @@ func (s *searcher) begin() (res Result, done bool) {
 		o.Begin(int64(s.opts.TotalSteps), s.opts.TimeLimit, s.opts.MaxMemory)
 	}
 	if s.resumed {
-		if s.bestSol != nil {
+		if s.bestSol >= 0 {
 			// A resumed run may already hold a best-so-far circuit; report it
 			// so the first snapshot does not pretend the run is solution-less.
 			s.observeSolution(s.bestSol)
 		}
 		return Result{}, false
 	}
-	if s.root.spec.IsIdentity() {
+	if s.ar.spec(rootSlot).IsIdentity() {
 		if o := s.opts.Observe; o != nil {
 			o.Solution(0, 0)
 			o.Finish(StopSolved.String())
@@ -524,8 +511,8 @@ func (s *searcher) begin() (res Result, done bool) {
 		return Result{Circuit: circuit.New(s.n), Found: true, Nodes: 1,
 			Elapsed: time.Since(s.startTime), StopReason: StopSolved, Workers: s.opts.Workers}, true
 	}
-	s.emit(EventPush, s.root)
-	s.push(s.root)
+	s.emit(EventPush, rootSlot)
+	s.push(rootSlot)
 	return Result{}, false
 }
 
@@ -557,7 +544,7 @@ func (s *searcher) finish(stop StopReason) Result {
 		res.DedupMisses = s.tt.misses
 		res.DedupEvictions = s.tt.evictions
 	}
-	if s.bestSol != nil {
+	if s.bestSol >= 0 {
 		res.Found = true
 		res.Circuit = s.extract(s.bestSol)
 	}
@@ -586,7 +573,7 @@ func (s *searcher) run() Result {
 	for i := 1; i < len(clones); i++ {
 		clones[i] = s.scoringClone()
 	}
-	batch := make([]*node, 0, stride)
+	batch := make([]popped, 0, stride)
 	gens := make([]genResult, stride)
 
 	stop := StopNone
@@ -599,7 +586,7 @@ func (s *searcher) run() Result {
 			stop = StopStepLimit
 			break
 		}
-		if s.bestSol != nil {
+		if s.bestSol >= 0 {
 			if s.opts.FirstSolution {
 				stop = StopSolved
 				break
@@ -609,7 +596,7 @@ func (s *searcher) run() Result {
 				break
 			}
 		}
-		if s.opts.MaxSteps > 0 && s.stepsSinceRestart >= s.opts.MaxSteps && s.bestSol == nil {
+		if s.opts.MaxSteps > 0 && s.stepsSinceRestart >= s.opts.MaxSteps && s.bestSol < 0 {
 			if !s.restart() {
 				stop = s.exhaustionReason()
 				break
@@ -626,43 +613,48 @@ func (s *searcher) run() Result {
 		if s.opts.TotalSteps > 0 {
 			limit = min(limit, s.opts.TotalSteps-s.steps)
 		}
-		if s.bestSol == nil && s.opts.MaxSteps > 0 {
+		if s.bestSol < 0 && s.opts.MaxSteps > 0 {
 			limit = min(limit, s.opts.MaxSteps-s.stepsSinceRestart)
 		}
-		if s.bestSol != nil && s.opts.ImproveSteps > 0 {
+		if s.bestSol >= 0 && s.opts.ImproveSteps > 0 {
 			limit = min(limit, s.opts.ImproveSteps-(s.steps-s.solSteps))
 		}
 
 		batch = batch[:0]
-		popped := 0
-		for popped < limit {
-			parent, ok := s.pq.Pop()
+		pops := 0
+		for pops < limit {
+			pi, ok := s.pq.Pop()
 			if !ok {
 				break
 			}
-			popped++
+			pops++
+			parent := s.ar.at(pi)
 			s.queueBytes -= int64(parent.mem)
 			s.steps++
 			s.stepsSinceRestart++
-			s.emit(EventPop, parent)
+			s.emit(EventPop, pi)
 			// A node this deep cannot lead to a circuit better than the best
 			// already found (its children would need depth ≥ bestDepth). It
-			// was never expanded, so nothing references it: recycle. Its
+			// was never expanded, so it has no children: release it. Its
 			// transposition entry stays — any rediscovery at this depth or
 			// deeper would be cut here too (bestDepth only decreases).
 			if int(parent.depth) >= s.bestDepth-1 {
-				s.recycle(parent)
+				s.release(pi)
 				continue
 			}
-			batch = append(batch, parent)
+			base := s.ar.spec(pi)
+			if base == nil {
+				base = s.ar.spec(parent.parent)
+			}
+			batch = append(batch, popped{slot: pi, nd: *parent, base: base})
 		}
-		s.pollIn -= popped
-		if popped == 0 {
+		s.pollIn -= pops
+		if pops == 0 {
 			// Queue empty at the round boundary.
-			if s.bestSol == nil && s.restart() {
+			if s.bestSol < 0 && s.restart() {
 				continue
 			}
-			if s.bestSol != nil {
+			if s.bestSol >= 0 {
 				stop = StopSolved
 			} else {
 				stop = s.exhaustionReason()
@@ -671,14 +663,14 @@ func (s *searcher) run() Result {
 		}
 
 		generateBatch(clones, batch, gens)
-		for i, parent := range batch {
-			if int(parent.depth) >= s.bestDepth-1 {
+		for i := range batch {
+			if int(batch[i].nd.depth) >= s.bestDepth-1 {
 				// A solution committed earlier in this round shrank the
 				// bound below this node.
-				s.recycle(parent)
+				s.release(batch[i].slot)
 				continue
 			}
-			s.commit(parent, &gens[i])
+			s.commit(batch[i].slot, &gens[i])
 		}
 		if s.pq.Len() > s.queueCap {
 			s.pq.PruneToFunc(s.queueCap/2, s.discardQueued)
@@ -706,39 +698,39 @@ func (s *searcher) restart() bool {
 	s.nextFirstMove++
 	s.restarts++
 	s.stepsSinceRestart = 0
-	// Queued nodes are unexpanded leaves — nothing references them once
-	// the queue is cleared, so they feed the free list. The transposition
-	// table is dropped wholesale: the restart exists to re-explore from a
-	// different first move, and "visited" marks inherited from the
-	// abandoned frontier would defeat it.
-	s.pq.Each(s.recycle)
+	// Queued nodes are unexpanded leaves; releasing them frees the whole
+	// abandoned frontier down to the root (a restart only fires while no
+	// solution is held). The transposition table is dropped wholesale: the
+	// restart exists to re-explore from a different first move, and
+	// "visited" marks inherited from the abandoned frontier would defeat
+	// it.
+	s.pq.Each(s.release)
 	s.pq.Clear()
 	s.queueBytes = 0
+	root := s.ar.at(rootSlot)
 	if s.tt != nil {
 		s.tt.reset()
-		s.tt.record(s.root.hash, 0)
+		s.tt.record(root.hash, 0)
 	}
 
-	cs, delta := s.root.spec.SubstituteCopy(fm.target, fm.factor)
-	child := s.newNode()
-	*child = node{
-		parent: s.root,
-		spec:   cs,
+	cs, delta := s.ar.spec(rootSlot).SubstituteCopy(fm.target, fm.factor)
+	child := node{
+		parent: rootSlot,
 		id:     s.nodes,
 		target: int32(fm.target),
 		factor: fm.factor,
 		depth:  1,
-		terms:  s.root.terms + int32(delta),
+		terms:  root.terms + int32(delta),
 		elim:   int32(-delta),
 	}
 	if s.tt != nil {
 		child.hash = cs.Hash()
 	}
-	s.nodes++
-	child.priority = s.priorityOf(child)
-	s.emit(EventRestart, child)
-	s.emit(EventPush, child)
-	s.push(child)
+	child.priority = s.priorityOf(&child)
+	ci := s.addChild(child, cs)
+	s.emit(EventRestart, ci)
+	s.emit(EventPush, ci)
+	s.push(ci)
 	return true
 }
 
@@ -785,14 +777,19 @@ type genTarget struct {
 }
 
 // genResult is one expansion's generated children, grouped per target in
-// target order. The backing arrays (outer and inner) are reused across
-// expansions: next re-extends within capacity so the inner cands slices
-// keep their storage.
+// target order, plus the popped node's expansion when generate had to
+// materialize it (commit stores it in the arena). The backing arrays
+// (outer and inner) are reused across expansions: next re-extends within
+// capacity so the inner cands slices keep their storage.
 type genResult struct {
 	targets []genTarget
+	spec    *pprm.Spec
 }
 
-func (gr *genResult) reset() { gr.targets = gr.targets[:0] }
+func (gr *genResult) reset() {
+	gr.targets = gr.targets[:0]
+	gr.spec = nil
+}
 
 func (gr *genResult) next(target int) *genTarget {
 	if len(gr.targets) < cap(gr.targets) {
@@ -806,24 +803,37 @@ func (gr *genResult) next(target int) *genTarget {
 	return tg
 }
 
-// generate scores every candidate substitution of parent into gr: one
-// probe per candidate, priorities, the per-target stable sort, and the
+// popped is a node taken off the queue for expansion, as generate sees it:
+// a copy of the node and the expansion it starts from. Generation touches
+// neither the arena nor its side table, so the concurrent generations of a
+// det-merge round share nothing mutable; commit stores what generate
+// materialized.
+type popped struct {
+	slot int32
+	nd   node
+	base *pprm.Spec // nd's own expansion, or its parent's when nd is lazy
+}
+
+// generate scores every candidate substitution of p into gr: one probe
+// per candidate, priorities, the per-target stable sort, and the
 // materialization + identity check for solution-possible candidates.
-// It materializes parent's own expansion first if the node was queued
-// lazily. It reads only the parent chain (immutable once expanded) and
-// the searcher's scoring configuration and scratch buffers — never the
-// queue, the transposition table, or any counter — so distinct searchers
-// may generate distinct parents concurrently.
-func (s *searcher) generate(parent *node, gr *genResult) {
+// It materializes the node's own expansion first if the node was queued
+// lazily. It reads only p (expansions are immutable) and the searcher's
+// scoring configuration and scratch buffers — never the arena, the queue,
+// the transposition table, or any counter — so distinct searchers may
+// generate distinct nodes concurrently.
+func (s *searcher) generate(p *popped, gr *genResult) {
 	gr.reset()
-	if parent.spec == nil {
+	parent := &p.nd
+	spec := p.base
+	if parent.spec < 0 {
 		// Lazy materialization (the paper's memory optimization, one
 		// step further: queued nodes store only their substitution).
-		// The parent chain keeps expansions alive, so one
+		// A live node keeps its parent's expansion alive, so one
 		// copy-on-write substitution reconstructs this node's.
-		parent.spec, _ = parent.parent.spec.SubstituteCopy(int(parent.target), parent.factor)
+		spec, _ = spec.SubstituteCopy(int(parent.target), parent.factor)
+		gr.spec = spec
 	}
-	spec := parent.spec
 	childDepth := int(parent.depth) + 1
 	for target := 0; target < s.n; target++ {
 		factors := s.factorsFor(spec, target)
@@ -884,12 +894,17 @@ func (s *searcher) generate(parent *node, gr *genResult) {
 	}
 }
 
-// commit admits, deduplicates, and queues the generated children of
-// parent, in generated order. It owns every mutation of searcher-global
-// state — queue, transposition table, counters, best solution, first
-// moves — which is what makes a sequential merge of concurrently
-// generated expansions deterministic.
-func (s *searcher) commit(parent *node, gr *genResult) {
+// commit admits, deduplicates, and queues the generated children of the
+// node in slot pi, in generated order, and releases the node if it pushed
+// none. It owns every mutation of searcher-global state — arena, queue,
+// transposition table, counters, best solution, first moves — which is
+// what makes a sequential merge of concurrently generated expansions
+// deterministic.
+func (s *searcher) commit(pi int32, gr *genResult) {
+	parent := s.ar.at(pi)
+	if gr.spec != nil {
+		parent.spec = s.ar.putSpec(gr.spec)
+	}
 	isRoot := parent.depth == 0
 	childDepth := int(parent.depth) + 1
 	for ti := range gr.targets {
@@ -918,7 +933,10 @@ func (s *searcher) commit(parent *node, gr *genResult) {
 			}
 			if c.identity {
 				if childDepth < s.bestDepth {
-					child := s.newChild(parent, target, c, nil)
+					child := s.newChild(pi, target, c, nil)
+					if s.bestSol >= 0 {
+						s.release(s.bestSol)
+					}
 					s.bestDepth = childDepth
 					s.bestSol = child
 					s.solSteps = s.steps
@@ -933,7 +951,7 @@ func (s *searcher) commit(parent *node, gr *genResult) {
 			if !inTopK || childDepth >= s.bestDepth-1 {
 				continue
 			}
-			child := s.newChild(parent, target, c, c.sol)
+			child := s.newChild(pi, target, c, c.sol)
 			pushed++
 			if isRoot {
 				s.firstMoves = append(s.firstMoves, firstMove{
@@ -952,26 +970,35 @@ func (s *searcher) commit(parent *node, gr *genResult) {
 		})
 		s.nextFirstMove = 1
 	}
+	if parent.kids == 0 {
+		s.release(pi)
+	}
 }
 
-// newChild creates the node for parent's generated candidate c, which
-// substitutes into target; spec is its materialized expansion, if any.
-func (s *searcher) newChild(parent *node, target int, c *pcand, spec *pprm.Spec) *node {
-	child := s.newNode()
-	*child = node{
-		parent:   parent,
-		spec:     spec,
+// newChild creates the node for the generated candidate c of the node in
+// slot pi, which substitutes into target; spec is its materialized
+// expansion, if any.
+func (s *searcher) newChild(pi int32, target int, c *pcand, spec *pprm.Spec) int32 {
+	return s.addChild(node{
+		parent:   pi,
 		id:       s.nodes,
 		priority: c.priority,
 		hash:     c.hash,
 		target:   int32(target),
 		factor:   c.factor,
-		depth:    parent.depth + 1,
+		depth:    s.ar.at(pi).depth + 1,
 		terms:    int32(c.terms),
 		elim:     int32(c.elim),
-	}
+	}, spec)
+}
+
+// addChild stores child, whose expansion is spec (nil when lazy), in the
+// arena under its parent, numbers it, and returns its slot.
+func (s *searcher) addChild(child node, spec *pprm.Spec) int32 {
+	child.spec = s.ar.putSpec(spec)
+	s.ar.at(child.parent).kids++
 	s.nodes++
-	return child
+	return s.ar.alloc(child)
 }
 
 // admit implements the queue-admission rule (see the Admission type). The
@@ -1034,23 +1061,26 @@ func (s *searcher) factorsFor(spec *pprm.Spec, target int) []bits.Mask {
 // extract rebuilds the Toffoli cascade from the solution node: the path
 // from the root to the solution lists the substitutions in circuit order
 // (first substitution = gate nearest the inputs).
-func (s *searcher) extract(sol *node) *circuit.Circuit {
-	gates := make([]circuit.Gate, sol.depth)
-	for n := sol; n.parent != nil; n = n.parent {
+func (s *searcher) extract(sol int32) *circuit.Circuit {
+	gates := make([]circuit.Gate, s.ar.at(sol).depth)
+	for i := sol; i != rootSlot; {
+		n := s.ar.at(i)
 		gates[n.depth-1] = circuit.Gate{Target: int(n.target), Controls: n.factor}
+		i = n.parent
 	}
 	c := circuit.New(s.n)
 	c.Gates = gates
 	return c
 }
 
-func (s *searcher) emit(kind EventKind, n *node) {
+func (s *searcher) emit(kind EventKind, i int32) {
 	if s.opts.Trace == nil {
 		return
 	}
+	n := s.ar.at(i)
 	parentID := -1
-	if n.parent != nil {
-		parentID = n.parent.id
+	if n.parent >= 0 {
+		parentID = s.ar.at(n.parent).id
 	}
 	s.emit0(Event{
 		Kind:     kind,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -22,15 +23,42 @@ func fig1(t *testing.T) perm.Perm {
 	return p
 }
 
-// TestNodeSize pins the search node at one 64-byte cache line (the
-// allocator's 64-byte size class): every queued node is a separate heap
-// object the garbage collector scans. nodeBytes, the MaxMemory accounting
-// estimate, is deliberately not tied to this size, so the golden
-// trajectories do not move when the struct does.
+// TestNodeSize pins the search node at one 64-byte cache line, so an arena
+// page of 1,024 nodes is 64 KiB, and keeps it free of pointers, so the
+// garbage collector never scans a page. nodeBytes, the MaxMemory
+// accounting estimate, is deliberately not tied to this size, so the
+// golden trajectories do not move when the struct does.
 func TestNodeSize(t *testing.T) {
 	if got := unsafe.Sizeof(node{}); got > 64 {
 		t.Fatalf("node is %d bytes, want at most 64", got)
 	}
+	typ := reflect.TypeOf(node{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); !pointerFree(f.Type) {
+			t.Errorf("node.%s is a %s; arena pages must stay pointer-free", f.Name, f.Type)
+		}
+	}
+}
+
+// pointerFree reports whether values of type typ hold no pointer the
+// garbage collector would have to scan.
+func pointerFree(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return pointerFree(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if !pointerFree(typ.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false // pointer, slice, map, interface, string, channel, function
 }
 
 func TestFig1PPRM(t *testing.T) {

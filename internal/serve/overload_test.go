@@ -240,7 +240,12 @@ func TestPerJobDeadlineFires(t *testing.T) {
 
 func TestWedgedRunnerBackstopDeadline(t *testing.T) {
 	// A runner that ignores its budget entirely: the context backstop
-	// (TimeLimit + 5 s) must still reclaim the worker.
+	// (TimeLimit + backstopGrace) must still reclaim the worker. The grace
+	// is shortened so the test does not wait out the production 5 s; it is
+	// restored after the server's own cleanup has stopped the workers.
+	grace := backstopGrace
+	t.Cleanup(func() { backstopGrace = grace })
+	backstopGrace = 200 * time.Millisecond
 	s, ts := startTestServer(t, Config{
 		Workers: 1,
 		Runner: func(ctx context.Context, j *Job) core.Result {

@@ -93,16 +93,21 @@ func (s *Server) execute(j *Job) {
 	j.finish(StatusDone, res, verified, "", time.Now())
 }
 
+// backstopGrace is how far past its TimeLimit a job's context deadline
+// lies: the engine stops itself at TimeLimit, so the backstop only fires
+// for a run that ignores its budget. Tests that wedge a runner lower it.
+var backstopGrace = 5 * time.Second
+
 // attempt runs the job once under its own deadline-backstopped context, so
 // a degraded re-run gets a fresh time budget instead of the tail of the
 // first attempt's. The context also cancels when the last waiting client
 // of an unpinned interactive job disconnects (Job.dropWatcher) — the
-// TimeLimit+5s backstop stays in force either way.
+// TimeLimit+backstopGrace backstop stays in force either way.
 func (s *Server) attempt(j *Job) core.Result {
 	ctx := s.drainCtx
 	if tl := j.opts.TimeLimit; tl > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, tl+5*time.Second)
+		ctx, cancel = context.WithTimeout(ctx, tl+backstopGrace)
 		defer cancel()
 	}
 	ctx, cancel := context.WithCancel(ctx)
