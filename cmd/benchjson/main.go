@@ -1,8 +1,12 @@
-// Command benchjson runs the search benchmark-trajectory harness
-// (internal/bench.RunSearchBench) and writes the machine-readable report
-// consumed as BENCH_search.json: seeded, deterministic workloads with the
-// transposition table off and on, plus the paper's fourteen worked
-// examples. See docs/PERFORMANCE.md for how to read the output.
+// Command benchjson runs the benchmark-trajectory harness
+// (internal/bench.Run) and writes its machine-readable report. Two presets
+// of the one harness are checked in: BENCH_search.json (seeded,
+// deterministic workloads with the transposition table off and on, plus
+// the paper's fourteen worked examples) and, with -parallel,
+// BENCH_parallel.json (the sequential search vs deterministic-merge rounds
+// at several worker counts, whose trajectories must be bit-identical).
+// Both record the host's cpus, GOMAXPROCS and Go version. See
+// docs/PERFORMANCE.md for how to read the output.
 //
 // Usage:
 //
@@ -13,16 +17,13 @@
 //	          [-table1 100] [-random4 15] [-steps 30000]
 //	benchjson -check FILE
 //
-// With -parallel the harness compares round strides instead of the
-// transposition table: the sequential search (one pop per round) vs
-// deterministic-merge rounds at several worker counts, whose trajectories
-// must be bit-identical, writing BENCH_parallel.json.
+// The size flags override the chosen preset's fields; 0 keeps the preset.
 //
-// With -check the harness re-runs the configuration recorded in FILE (a
-// BENCH_search.json or BENCH_parallel.json report) and exits 1 if any
-// deterministic field differs: expansions, gates, nodes, dedup counters or
-// trajectory fingerprints. Wall-clock rates are printed, never compared. A
-// change that keeps the search identical step for step must pass it.
+// With -check the harness re-runs the configuration recorded in FILE and
+// exits 1 if any deterministic field differs: expansions, gates, nodes,
+// dedup counters, example results or trajectory fingerprints. Wall-clock
+// rates are printed, never compared. A change that keeps the search
+// identical step for step must pass it.
 package main
 
 import (
@@ -33,6 +34,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 
 	"repro/internal/bench"
 )
@@ -50,9 +52,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		table1       = fs.Int("table1", 0, "3-variable Table-I sample size (0 = default 400, or 100 with -parallel)")
 		random4      = fs.Int("random4", 0, "4-variable random sample size (0 = default 60, or 15 with -parallel)")
 		steps        = fs.Int("steps", 0, "per-function expansion budget (0 = default 50000, or 30000 with -parallel)")
-		exampleSteps = fs.Int("examplesteps", 0, "per-example expansion budget (0 = default 150000)")
+		exampleSteps = fs.Int("examplesteps", 0, "per-example expansion budget (0 = default 150000, or no examples with -parallel)")
 		skipExamples = fs.Bool("skip-examples", false, "skip the worked-examples comparison")
-		parallel     = fs.Bool("parallel", false, "run the parallel harness instead (sequential vs det-merge widths)")
+		parallel     = fs.Bool("parallel", false, "run the parallel preset instead (sequential vs det-merge widths)")
 		check        = fs.String("check", "", "re-run the configuration recorded in this report and exit 1 if any deterministic field differs")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -65,75 +67,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *check != "" {
 		return runCheck(ctx, *check, stdout, stderr)
 	}
+	cfg, file := bench.SearchConfig(), "BENCH_search.json"
 	if *parallel {
-		return runParallel(ctx, bench.ParallelBenchConfig{
-			Seed:         *seed,
-			Table1Sample: *table1,
-			Random4:      *random4,
-			TotalSteps:   *steps,
-		}, *out, stdout, stderr)
+		cfg, file = bench.ParallelConfig(), "BENCH_parallel.json"
 	}
 	if *out == "" {
-		*out = "BENCH_search.json"
+		*out = file
 	}
-
-	cfg := bench.SearchBenchConfig{
-		Seed:         *seed,
-		Table1Sample: *table1,
-		Random4:      *random4,
-		TotalSteps:   *steps,
-		ExampleSteps: *exampleSteps,
-		SkipExamples: *skipExamples,
+	if *seed != 0 {
+		cfg.Seed = *seed
 	}
-	report, err := bench.RunSearchBench(ctx, cfg)
-	if code := writeReport(ctx, report, err, *out, stdout, stderr); code != 0 {
-		return code
-	}
-	for _, w := range report.Workloads {
-		fmt.Fprintf(stderr, "%-12s  expansions %8d -> %8d (-%.1f%%)  hit rate %.2f  allocs/exp %.1f -> %.1f  nodes/s %.0f -> %.0f\n",
-			w.Workload, w.Off.Expansions, w.On.Expansions, 100*w.ExpansionReduction,
-			w.On.DedupHitRate, w.Off.AllocsPerExpansion, w.On.AllocsPerExpansion,
-			w.Off.NodesPerSec, w.On.NodesPerSec)
-	}
-	for _, e := range report.Examples {
-		fmt.Fprintf(stderr, "%-12s  gates %2d -> %2d (paper %2d)  steps %7d -> %7d\n",
-			e.Name, e.GatesOff, e.GatesOn, e.PaperGates, e.StepsOff, e.StepsOn)
-	}
-	return 0
-}
-
-// runParallel executes the parallel-engine harness and writes its report.
-func runParallel(ctx context.Context, cfg bench.ParallelBenchConfig, out string, stdout, stderr io.Writer) int {
-	if out == "" {
-		out = "BENCH_parallel.json"
-	}
-	report, err := bench.RunParallelBench(ctx, cfg)
-	if code := writeReport(ctx, report, err, out, stdout, stderr); code != 0 {
-		return code
-	}
-	fmt.Fprintf(stderr, "machine: %d cpus, GOMAXPROCS %d (speedups are relative to this box)\n",
-		report.CPUs, report.GOMAXPROCS)
-	for _, w := range report.Workloads {
-		det := "det-merge IDENTICAL across widths"
-		if !w.DetMergeIdentical {
-			det = "det-merge DIVERGED across widths (BUG)"
-		}
-		fmt.Fprintf(stderr, "%s: %s\n", w.Workload, det)
-		for _, r := range w.Rows {
-			fmt.Fprintf(stderr, "  %-12s w=%d  %8d exp  %6.2fs  %8.0f exp/s  speedup %.2fx  traj %s\n",
-				r.Engine, r.Workers, r.Expansions, r.Seconds, r.NodesPerSec, r.Speedup, r.Trajectory)
+	for _, o := range []struct{ field, flag *int }{
+		{&cfg.Table1Sample, table1}, {&cfg.Random4, random4},
+		{&cfg.TotalSteps, steps}, {&cfg.ExampleSteps, exampleSteps},
+	} {
+		if *o.flag != 0 {
+			*o.field = *o.flag
 		}
 	}
+	if *skipExamples {
+		cfg.ExampleSteps = 0
+	}
+
+	report, err := bench.Run(ctx, cfg)
+	if err != nil {
+		return runError(ctx, err, stderr)
+	}
+	if code := writeReport(report, *out, stdout, stderr); code != 0 {
+		return code
+	}
+	printSummary(stderr, report)
 	return 0
 }
 
 // writeReport writes a harness report as indented JSON to out ("-" for
-// stdout) and returns the exit code: 3 when the run was interrupted, 1 on
-// any other harness or write error, 0 on success.
-func writeReport(ctx context.Context, report any, runErr error, out string, stdout, stderr io.Writer) int {
-	if runErr != nil {
-		return runError(ctx, runErr, stderr)
-	}
+// stdout) and returns the exit code: 1 on a write error, 0 on success.
+func writeReport(report *bench.Report, out string, stdout, stderr io.Writer) int {
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		fmt.Fprintf(stderr, "benchjson: %v\n", err)
@@ -150,4 +119,29 @@ func writeReport(ctx context.Context, report any, runErr error, out string, stdo
 		return 1
 	}
 	return 0
+}
+
+// printSummary writes the host line, one line per workload row (with its
+// expansion change against the workload's first row) and one line per
+// worked example.
+func printSummary(w io.Writer, r *bench.Report) {
+	fmt.Fprintf(w, "machine: %d cpus, GOMAXPROCS %d, %s (wall-clock figures are relative to this box)\n",
+		r.CPUs, r.GOMAXPROCS, r.GoVersion)
+	for _, wl := range r.Workloads {
+		base := float64(wl.Rows[0].Expansions)
+		for _, m := range wl.Rows {
+			fmt.Fprintf(w, "%-12s dedup=%-5v w=%d  %8d exp (%+.1f%%)  hit rate %.2f  allocs/exp %.1f  %8.0f exp/s  speedup %.2fx  traj %s\n",
+				wl.Name, m.Dedup, m.Workers, m.Expansions, 100*(float64(m.Expansions)/base-1), m.DedupHitRate,
+				m.AllocsPerExpansion, m.NodesPerSec, m.Speedup, m.Trajectory)
+		}
+	}
+	for _, e := range r.Examples {
+		var gates, steps []string
+		for _, run := range e.Runs {
+			gates = append(gates, fmt.Sprintf("%2d", run.Gates))
+			steps = append(steps, fmt.Sprintf("%7d", run.Steps))
+		}
+		fmt.Fprintf(w, "%-12s gates %s (paper %2d)  steps %s\n",
+			e.Name, strings.Join(gates, " -> "), e.PaperGates, strings.Join(steps, " -> "))
+	}
 }

@@ -125,7 +125,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	spec, p, pla, err := loadSpec(*benchName, *isPPRM, *isPLA, *vars, fs.Args())
+	spec, p, pla, err := loadSpec(*benchName, *isPPRM, *isPLA, *vars, fs.Args(), stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "rmrls:", err)
 		return 1
@@ -377,8 +377,9 @@ type plaInput struct {
 
 // loadSpec resolves the input modes to a PPRM expansion (and, where
 // available, a permutation for verification; for -pla also the original
-// partial table and embedding for the don't-care-aware check).
-func loadSpec(benchName string, isPPRM, isPLA bool, vars int, args []string) (*pprm.Spec, perm.Perm, *plaInput, error) {
+// partial table and embedding for the don't-care-aware check). A -pla
+// load reports its embedding on stderr.
+func loadSpec(benchName string, isPPRM, isPLA bool, vars int, args []string, stderr io.Writer) (*pprm.Spec, perm.Perm, *plaInput, error) {
 	if benchName != "" {
 		b, err := bench.ByName(benchName)
 		if err != nil {
@@ -404,7 +405,7 @@ func loadSpec(benchName string, isPPRM, isPLA bool, vars int, args []string) (*p
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		fmt.Fprintf(os.Stderr, "# embedded: %d wires, %d garbage outputs, %d constant inputs, %d don't-care bits assigned\n",
+		fmt.Fprintf(stderr, "# embedded: %d wires, %d garbage outputs, %d constant inputs, %d don't-care bits assigned\n",
 			emb.Wires, emb.GarbageOutputs, emb.ConstantInputs, pt.DontCareBits())
 		p := perm.Perm(emb.Spec)
 		spec, err := pprm.FromPerm(p)

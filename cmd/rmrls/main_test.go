@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,7 +18,7 @@ import (
 )
 
 func TestLoadSpecPermLiteral(t *testing.T) {
-	spec, p, _, err := loadSpec("", false, false, 0, []string{"{1, 0, 7, 2, 3, 4, 5, 6}"})
+	spec, p, _, err := loadSpec("", false, false, 0, []string{"{1, 0, 7, 2, 3, 4, 5, 6}"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,14 +28,14 @@ func TestLoadSpecPermLiteral(t *testing.T) {
 }
 
 func TestLoadSpecBench(t *testing.T) {
-	spec, p, _, err := loadSpec("graycode6", false, false, 0, nil)
+	spec, p, _, err := loadSpec("graycode6", false, false, 0, nil, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spec.N != 6 || p == nil {
 		t.Errorf("bench load broken: n=%d", spec.N)
 	}
-	if _, _, _, err := loadSpec("nonesuch", false, false, 0, nil); err == nil {
+	if _, _, _, err := loadSpec("nonesuch", false, false, 0, nil, io.Discard); err == nil {
 		t.Error("unknown benchmark should fail")
 	}
 }
@@ -45,7 +46,7 @@ func TestLoadSpecPPRMFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("a' = a ^ 1\nb' = b ^ c ^ ac\nc' = b ^ ab ^ ac\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	spec, p, _, err := loadSpec("", true, false, 3, []string{path})
+	spec, p, _, err := loadSpec("", true, false, 3, []string{path}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestLoadSpecPPRMFile(t *testing.T) {
 	// Non-reversible PPRM must be rejected.
 	bad := filepath.Join(dir, "bad.pprm")
 	os.WriteFile(bad, []byte("a' = b\nb' = b\n"), 0o644)
-	if _, _, _, err := loadSpec("", true, false, 2, []string{bad}); err == nil {
+	if _, _, _, err := loadSpec("", true, false, 2, []string{bad}, io.Discard); err == nil {
 		t.Error("non-reversible PPRM should fail")
 	}
 }
@@ -64,20 +65,20 @@ func TestLoadSpecPermFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "spec.perm")
 	os.WriteFile(path, []byte("{1, 0, 3, 2}"), 0o644)
-	spec, _, _, err := loadSpec("", false, false, 0, []string{path})
+	spec, _, _, err := loadSpec("", false, false, 0, []string{path}, io.Discard)
 	if err != nil || spec.N != 2 {
 		t.Errorf("perm file load broken: %v", err)
 	}
 }
 
 func TestLoadSpecErrors(t *testing.T) {
-	if _, _, _, err := loadSpec("", false, false, 0, nil); err == nil {
+	if _, _, _, err := loadSpec("", false, false, 0, nil, io.Discard); err == nil {
 		t.Error("missing argument should fail")
 	}
-	if _, _, _, err := loadSpec("", true, false, 0, []string{"x"}); err == nil {
+	if _, _, _, err := loadSpec("", true, false, 0, []string{"x"}, io.Discard); err == nil {
 		t.Error("pprm without -n should fail")
 	}
-	if _, _, _, err := loadSpec("", false, false, 0, []string{"{0, 0}"}); err == nil {
+	if _, _, _, err := loadSpec("", false, false, 0, []string{"{0, 0}"}, io.Discard); err == nil {
 		t.Error("invalid permutation should fail")
 	}
 }
@@ -308,7 +309,7 @@ func TestLoadSpecPLAFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "maj.pla")
 	os.WriteFile(path, []byte(".i 3\n.o 1\n111 1\n110 1\n101 1\n011 1\n000 0\n001 0\n010 0\n100 0\n.e\n"), 0o644)
-	spec, p, pla, err := loadSpec("", false, true, 0, []string{path})
+	spec, p, pla, err := loadSpec("", false, true, 0, []string{path}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,5 +388,23 @@ func TestRunPLAVerifiedAgainstCareBits(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "matches the PLA on every care bit") {
 		t.Errorf("PLA run missing the don't-care-aware verification line:\n%s", out.String())
+	}
+}
+
+// TestRunPLAReportsEmbeddingOnItsStderr: the "# embedded:" line of a -pla
+// run goes to the stderr writer run was given, not to the process's.
+func TestRunPLAReportsEmbeddingOnItsStderr(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "maj.pla")
+	os.WriteFile(path, []byte(".i 3\n.o 1\n111 1\n110 1\n101 1\n011 1\n000 0\n001 0\n010 0\n100 0\n.e\n"), 0o644)
+	var out, errb bytes.Buffer
+	if code := run(context.Background(), []string{"-pla", "-q", "-time", "30s", path}, &out, &errb); code != 0 {
+		t.Fatalf("exit code = %d; stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "# embedded: 3 wires, ") {
+		t.Errorf("run's stderr lacks the embedding line:\n%s", errb.String())
+	}
+	if strings.Contains(out.String(), "# embedded:") {
+		t.Errorf("embedding line went to stdout:\n%s", out.String())
 	}
 }

@@ -60,7 +60,7 @@ func run(args []string, sig chan os.Signal, stdout, stderr io.Writer) int {
 	var (
 		addr     = fs.String("addr", ":8053", "host:port to serve the synthesis API on")
 		workers  = fs.Int("workers", 2, "worker-pool size (concurrent syntheses)")
-		searchW  = fs.Int("search-workers", 0, "parallel-search core budget; a job dequeued into a shallow queue claims several (deterministic-merge engine), deep queues keep jobs sequential (0 disables)")
+		searchW  = fs.Int("search-workers", 0, "parallel-search core budget; every job runs the deterministic-merge engine, claiming several workers from a shallow queue and one from a deep queue (0 or 1 disables)")
 		queueInt = fs.Int("queue-interactive", 64, "interactive-class queue capacity")
 		queueBat = fs.Int("queue-batch", 256, "batch-class queue capacity")
 

@@ -41,8 +41,14 @@ type Benchmark struct {
 	Spec perm.Perm
 	// PPRMSpec returns the PPRM expansion of the specification.
 	PPRMSpec func() (*pprm.Spec, error)
-	// PaperGates and PaperCost are RMRLS's own Table IV results.
-	PaperGates, PaperCost int
+	// PaperGates is the gate count of RMRLS's own circuit: its Table IV
+	// result, or for a Section V-C worked example the size of the circuit
+	// the paper prints (the examples that are also Table IV rows print
+	// the same count). Every Examples() entry has one.
+	PaperGates int
+	// PaperCost is RMRLS's Table IV quantum cost (0 for the example-only
+	// entries, which Table IV does not list).
+	PaperCost int
 	// Best is the best published result from [13] (nil when the paper
 	// shows "—").
 	Best *Published

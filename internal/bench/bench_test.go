@@ -20,6 +20,17 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestExamplesCarryPaperGates: every worked example knows the gate count
+// of the circuit the paper prints for it — the registry is the one source
+// the exp driver and the benchmark harness report against.
+func TestExamplesCarryPaperGates(t *testing.T) {
+	for _, b := range Examples() {
+		if b.PaperGates <= 0 {
+			t.Errorf("%s: PaperGates = %d, want the paper's printed gate count", b.Name, b.PaperGates)
+		}
+	}
+}
+
 func TestAllSpecsValid(t *testing.T) {
 	for _, b := range All() {
 		if b.Spec != nil {

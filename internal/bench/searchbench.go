@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -15,59 +16,82 @@ import (
 )
 
 // This file is the benchmark-trajectory harness: it runs seeded,
-// deterministic synthesis workloads with the transposition table off and
-// on, and reports the search-performance numbers that are checked in as
-// BENCH_search.json so every future change has a baseline to compare
-// against. docs/PERFORMANCE.md explains how to run it and how to read the
-// output.
+// deterministic synthesis workloads under a list of engine configurations
+// and reports the search-performance numbers checked in as
+// BENCH_search.json (transposition table off vs on) and
+// BENCH_parallel.json (sequential vs det-merge widths), so every future
+// change has a baseline to compare against. docs/PERFORMANCE.md explains
+// how to run it and how to read the output.
 
-// SearchBenchConfig sizes the harness workloads. The zero value selects
-// the defaults used for the checked-in BENCH_search.json.
-type SearchBenchConfig struct {
+// Engine is one search configuration the harness runs every workload
+// under.
+type Engine struct {
+	// Dedup enables the transposition table.
+	Dedup bool `json:"dedup"`
+	// Workers selects the round stride: 0 is the sequential search, N ≥ 1
+	// det-merge rounds generated by N workers.
+	Workers int `json:"workers"`
+}
+
+// options is the harness's synthesis configuration for e: the repository
+// defaults with a deterministic step budget instead of a wall clock.
+func (e Engine) options(totalSteps int) core.Options {
+	opts := core.DefaultOptions()
+	opts.TotalSteps = totalSteps
+	opts.Dedup = e.Dedup
+	opts.Workers = e.Workers
+	return opts
+}
+
+// Config sizes the harness workloads and lists the engines to compare.
+// SearchConfig and ParallelConfig are the presets of the checked-in
+// reports.
+type Config struct {
 	// Seed drives every pseudo-random workload; identical seeds give
 	// bit-identical workloads (and, with step-bounded searches,
-	// machine-independent expansion counts). Default 1.
+	// machine-independent expansion counts).
 	Seed uint64 `json:"seed"`
 	// Table1Sample is the number of seeded 3-variable functions in the
 	// Table-I workload (the paper's Table I averages over all 8! = 40320
-	// of them; the harness samples). Default 400.
+	// of them; the harness samples).
 	Table1Sample int `json:"table1_sample"`
-	// Random4 is the number of seeded 4-variable functions. Default 60.
+	// Random4 is the number of seeded 4-variable functions.
 	Random4 int `json:"random4"`
 	// TotalSteps is the per-function expansion budget for the random
-	// workloads. Default 50000.
+	// workloads.
 	TotalSteps int `json:"total_steps"`
-	// ExampleSteps is the per-variant expansion budget for the paper's
-	// fourteen worked examples. Default 150000.
+	// ExampleSteps is the per-run expansion budget for the paper's
+	// fourteen worked examples; 0 skips them.
 	ExampleSteps int `json:"example_steps"`
-	// SkipExamples drops the (slower) worked-examples comparison.
-	SkipExamples bool `json:"skip_examples,omitempty"`
+	// Engines are the configurations every workload runs under, in row
+	// order; speedups are relative to the first. Det-merge engines
+	// (Workers ≥ 1) must differ only in Workers: Run checks that they
+	// all take one trajectory.
+	Engines []Engine `json:"engines"`
 }
 
-func (c *SearchBenchConfig) fill() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Table1Sample == 0 {
-		c.Table1Sample = 400
-	}
-	if c.Random4 == 0 {
-		c.Random4 = 60
-	}
-	if c.TotalSteps == 0 {
-		c.TotalSteps = 50000
-	}
-	if c.ExampleSteps == 0 {
-		c.ExampleSteps = 150000
-	}
+// SearchConfig is the preset of BENCH_search.json: the transposition
+// table off and on, both sequential, plus the worked examples.
+func SearchConfig() Config {
+	return Config{Seed: 1, Table1Sample: 400, Random4: 60, TotalSteps: 50000, ExampleSteps: 150000,
+		Engines: []Engine{{Dedup: false}, {Dedup: true}}}
 }
 
-// WorkloadMetrics aggregates one workload under one configuration.
-// Expansion counts, gate counts, and dedup totals are deterministic for a
-// given seed; the wall-clock rate and allocation figures depend on the
-// machine and are meaningful only relative to the paired run.
+// ParallelConfig is the preset of BENCH_parallel.json: the sequential
+// search and det-merge rounds at 1, 4 and 8 workers, all with the table
+// on; no worked examples.
+func ParallelConfig() Config {
+	return Config{Seed: 1, Table1Sample: 100, Random4: 15, TotalSteps: 30000,
+		Engines: []Engine{{Dedup: true}, {Dedup: true, Workers: 1}, {Dedup: true, Workers: 4}, {Dedup: true, Workers: 8}}}
+}
+
+// WorkloadMetrics aggregates one workload under one engine. Expansion
+// counts, gate counts, and dedup totals are deterministic for a given
+// seed; the wall-clock rate and allocation figures depend on the machine
+// and are meaningful only relative to the other rows of the same run.
 type WorkloadMetrics struct {
 	Dedup      bool `json:"dedup"`
+	Workers    int  `json:"workers"`
 	Functions  int  `json:"functions"`
 	Solved     int  `json:"solved"`
 	TotalGates int  `json:"total_gates"`
@@ -82,6 +106,9 @@ type WorkloadMetrics struct {
 	Seconds        float64 `json:"seconds"`
 	// NodesPerSec is expansions per wall-clock second (machine-dependent).
 	NodesPerSec float64 `json:"nodes_per_sec"`
+	// Speedup is NodesPerSec over the workload's first row
+	// (machine-dependent; read it with the report's cpus/gomaxprocs).
+	Speedup float64 `json:"speedup"`
 	// AllocsPerExpansion and BytesPerExpansion are heap-allocation deltas
 	// (runtime.MemStats) divided by expansions — the allocation-diet
 	// trajectory metric.
@@ -93,47 +120,40 @@ type WorkloadMetrics struct {
 	Trajectory string `json:"trajectory"`
 }
 
-// WorkloadComparison pairs the dedup-off and dedup-on runs of a workload.
-type WorkloadComparison struct {
-	Workload string          `json:"workload"`
-	Off      WorkloadMetrics `json:"off"`
-	On       WorkloadMetrics `json:"on"`
-	// ExpansionReduction is 1 − on.Expansions/off.Expansions: the fraction
-	// of node expansions the transposition table eliminated.
-	ExpansionReduction float64 `json:"expansion_reduction"`
-	// Speedup is on.NodesPerSec / off.NodesPerSec (machine-dependent).
-	Speedup float64 `json:"speedup"`
+// Workload is one workload with one row per engine.
+type Workload struct {
+	Name string            `json:"name"`
+	Rows []WorkloadMetrics `json:"rows"`
 }
 
-// ExampleComparison is one of the paper's worked examples, synthesized
-// with the transposition table off and on. GatesOn must never exceed
-// GatesOff — dedup prunes only re-derived states, so it cannot force a
+// ExampleRun is one worked example under one engine.
+type ExampleRun struct {
+	Gates   int     `json:"gates"`
+	Steps   int     `json:"steps"`
+	HitRate float64 `json:"dedup_hit_rate"`
+}
+
+// Example is one of the paper's worked examples with one run per engine.
+// With engines that differ only in Dedup, the dedup-on run must never use
+// more gates — dedup prunes only re-derived states, so it cannot force a
 // longer circuit.
-type ExampleComparison struct {
-	Name       string  `json:"name"`
-	PaperGates int     `json:"paper_gates"`
-	GatesOff   int     `json:"gates_off"`
-	GatesOn    int     `json:"gates_on"`
-	StepsOff   int     `json:"steps_off"`
-	StepsOn    int     `json:"steps_on"`
-	HitRate    float64 `json:"dedup_hit_rate"`
+type Example struct {
+	Name       string       `json:"name"`
+	PaperGates int          `json:"paper_gates"`
+	Runs       []ExampleRun `json:"runs"`
 }
 
-// SearchReport is the full harness output (the schema of
-// BENCH_search.json).
-type SearchReport struct {
-	Config    SearchBenchConfig    `json:"config"`
-	Workloads []WorkloadComparison `json:"workloads"`
-	Examples  []ExampleComparison  `json:"examples,omitempty"`
-}
-
-// searchOpts is the harness's synthesis configuration: the repository
-// defaults with a deterministic step budget instead of a wall clock.
-func searchOpts(totalSteps int, dedup bool) core.Options {
-	opts := core.DefaultOptions()
-	opts.TotalSteps = totalSteps
-	opts.Dedup = dedup
-	return opts
+// Report is the full harness output (the schema of both BENCH_search.json
+// and BENCH_parallel.json). CPUs, GOMAXPROCS and GoVersion are the context
+// every wall-clock figure needs: speedups measured with fewer cores than
+// workers mean "overhead only", not "the engine does not scale".
+type Report struct {
+	Config     Config     `json:"config"`
+	CPUs       int        `json:"cpus"`
+	GOMAXPROCS int        `json:"gomaxprocs"`
+	GoVersion  string     `json:"go_version"`
+	Workloads  []Workload `json:"workloads"`
+	Examples   []Example  `json:"examples,omitempty"`
 }
 
 // runWorkload synthesizes every function in the workload under opts and
@@ -142,7 +162,7 @@ func searchOpts(totalSteps int, dedup bool) core.Options {
 // Results are folded after the timed, allocation-counted loop, so the
 // trajectory fingerprint costs the measurement nothing.
 func runWorkload(ctx context.Context, fns []perm.Perm, opts core.Options) (WorkloadMetrics, error) {
-	m := WorkloadMetrics{Dedup: opts.Dedup, Functions: len(fns)}
+	m := WorkloadMetrics{Dedup: opts.Dedup, Workers: opts.Workers, Functions: len(fns)}
 	results := make([]core.Result, len(fns))
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
@@ -191,30 +211,36 @@ func runWorkload(ctx context.Context, fns []perm.Perm, opts core.Options) (Workl
 		m.BytesPerExpansion = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(m.Expansions)
 		m.NodesPerSec = float64(m.Expansions) / m.Seconds
 	}
-	if probes := m.DedupHits + m.DedupMisses; probes > 0 {
-		m.DedupHitRate = float64(m.DedupHits) / float64(probes)
-	}
+	m.DedupHitRate = hitRate(m.DedupHits, m.DedupMisses)
 	m.Trajectory = fmt.Sprintf("%016x", h.Sum64())
 	return m, nil
 }
 
-// compareWorkload runs one workload dedup-off then dedup-on.
-func compareWorkload(ctx context.Context, name string, fns []perm.Perm, totalSteps int) (WorkloadComparison, error) {
-	c := WorkloadComparison{Workload: name}
-	var err error
-	if c.Off, err = runWorkload(ctx, fns, searchOpts(totalSteps, false)); err != nil {
-		return c, fmt.Errorf("%s (dedup off): %w", name, err)
+func hitRate(hits, misses int64) float64 {
+	if hits+misses == 0 {
+		return 0
 	}
-	if c.On, err = runWorkload(ctx, fns, searchOpts(totalSteps, true)); err != nil {
-		return c, fmt.Errorf("%s (dedup on): %w", name, err)
+	return float64(hits) / float64(hits+misses)
+}
+
+// checkDetMerge returns an error when two det-merge rows (Workers ≥ 1) of
+// a workload took different trajectories: the worker count must never
+// change a det-merge search.
+func checkDetMerge(w Workload) error {
+	var first *WorkloadMetrics
+	for i := range w.Rows {
+		r := &w.Rows[i]
+		if r.Workers < 1 {
+			continue
+		}
+		if first == nil {
+			first = r
+		} else if r.Trajectory != first.Trajectory {
+			return fmt.Errorf("%s: det-merge diverged across worker counts: %d workers took trajectory %s, %d workers %s",
+				w.Name, first.Workers, first.Trajectory, r.Workers, r.Trajectory)
+		}
 	}
-	if c.Off.Expansions > 0 {
-		c.ExpansionReduction = 1 - float64(c.On.Expansions)/float64(c.Off.Expansions)
-	}
-	if c.Off.NodesPerSec > 0 {
-		c.Speedup = c.On.NodesPerSec / c.Off.NodesPerSec
-	}
-	return c, nil
+	return nil
 }
 
 // seededFunctions draws n random v-variable reversible functions from the
@@ -228,39 +254,47 @@ func seededFunctions(seed uint64, v, n int) []perm.Perm {
 	return fns
 }
 
-// workload is one named, seeded list of functions.
-type workload struct {
-	name string
-	fns  []perm.Perm
-}
-
-// seededWorkloads is the workload list both harnesses run: a seeded
-// Table-I-style 3-variable sample and a seeded 4-variable random sample.
-func seededWorkloads(seed uint64, table1, random4 int) []workload {
-	return []workload{
-		{"table1-3var", seededFunctions(seed, 3, table1)},
-		{"random-4var", seededFunctions(seed, 4, random4)},
+// Run executes the harness: a seeded Table-I-style 3-variable sample and a
+// seeded 4-variable random sample under every engine, then (when
+// ExampleSteps > 0) the paper's fourteen worked examples under every
+// engine.
+func Run(ctx context.Context, cfg Config) (*Report, error) {
+	if len(cfg.Engines) == 0 {
+		return nil, errors.New("bench: the config lists no engines")
 	}
-}
-
-// RunSearchBench executes the full harness: the seeded Table-I-style
-// 3-variable sample, a seeded 4-variable random workload, and (unless
-// skipped) the paper's fourteen worked examples — each with the
-// transposition table off and on.
-func RunSearchBench(ctx context.Context, cfg SearchBenchConfig) (*SearchReport, error) {
-	cfg.fill()
-	report := &SearchReport{Config: cfg}
-
-	for _, w := range seededWorkloads(cfg.Seed, cfg.Table1Sample, cfg.Random4) {
-		cmp, err := compareWorkload(ctx, w.name, w.fns, cfg.TotalSteps)
-		if err != nil {
+	report := &Report{
+		Config:     cfg,
+		CPUs:       runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+	}
+	for _, wl := range []struct {
+		name string
+		fns  []perm.Perm
+	}{
+		{"table1-3var", seededFunctions(cfg.Seed, 3, cfg.Table1Sample)},
+		{"random-4var", seededFunctions(cfg.Seed, 4, cfg.Random4)},
+	} {
+		w := Workload{Name: wl.name}
+		for _, e := range cfg.Engines {
+			m, err := runWorkload(ctx, wl.fns, e.options(cfg.TotalSteps))
+			if err != nil {
+				return nil, fmt.Errorf("%s (dedup %v, %d workers): %w", wl.name, e.Dedup, e.Workers, err)
+			}
+			w.Rows = append(w.Rows, m)
+		}
+		for i := range w.Rows {
+			if base := w.Rows[0].NodesPerSec; base > 0 {
+				w.Rows[i].Speedup = w.Rows[i].NodesPerSec / base
+			}
+		}
+		if err := checkDetMerge(w); err != nil {
 			return nil, err
 		}
-		report.Workloads = append(report.Workloads, cmp)
+		report.Workloads = append(report.Workloads, w)
 	}
-
-	if !cfg.SkipExamples {
-		examples, err := runExamples(ctx, cfg.ExampleSteps)
+	if cfg.ExampleSteps > 0 {
+		examples, err := runExamples(ctx, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -269,23 +303,13 @@ func RunSearchBench(ctx context.Context, cfg SearchBenchConfig) (*SearchReport, 
 	return report, nil
 }
 
-// examplePaperGates holds the gate counts of the circuits the paper
-// prints for Examples 1–14 (Section V-C) — the same reference the exp
-// driver reports against.
-var examplePaperGates = map[string]int{
-	"ex1": 4, "shiftright3": 3, "fredkin3": 3, "swap3": 6, "swap4": 7,
-	"shiftleft3": 3, "shiftleft4": 4, "fulladder": 4, "rd53": 13,
-	"majority5": 16, "decod24": 11, "5one013": 19, "alu": 18,
-	"shift10": 27,
-}
-
-// runExamples synthesizes the Section V-C worked examples with dedup off
-// and on, using the same portfolio-plus-tightening driver as the exp
+// runExamples synthesizes the Section V-C worked examples under every
+// engine, using the same portfolio-plus-tightening driver as the exp
 // examples reproduction (some examples — rd53 among them — need the
 // portfolio's priority diversity) so the gate-count comparison isolates
-// the transposition table.
-func runExamples(ctx context.Context, totalSteps int) ([]ExampleComparison, error) {
-	var out []ExampleComparison
+// the engine settings.
+func runExamples(ctx context.Context, cfg Config) ([]Example, error) {
+	var out []Example
 	for _, b := range Examples() {
 		if ctx.Err() != nil {
 			return out, ctx.Err()
@@ -294,33 +318,23 @@ func runExamples(ctx context.Context, totalSteps int) ([]ExampleComparison, erro
 		if err != nil {
 			return nil, fmt.Errorf("example %s: %w", b.Name, err)
 		}
-		row := ExampleComparison{Name: b.Name, PaperGates: examplePaperGates[b.Name]}
-
-		for _, dedup := range []bool{false, true} {
-			opts := searchOpts(totalSteps, dedup)
-			opts.ImproveSteps = totalSteps / 8
+		row := Example{Name: b.Name, PaperGates: b.PaperGates}
+		for _, e := range cfg.Engines {
+			opts := e.options(cfg.ExampleSteps)
+			opts.ImproveSteps = cfg.ExampleSteps / 8
 			r := core.SynthesizePortfolioContext(ctx, spec, opts, 4)
 			if r.Err != nil {
 				return nil, fmt.Errorf("example %s: %w", b.Name, r.Err)
 			}
 			if !r.Found {
-				return nil, fmt.Errorf("example %s (dedup=%v): not solved (stop=%s)", b.Name, dedup, r.StopReason)
+				return nil, fmt.Errorf("example %s (dedup %v, %d workers): not solved (stop=%s)", b.Name, e.Dedup, e.Workers, r.StopReason)
 			}
 			if b.Spec != nil && b.Wires <= 20 {
 				if err := verify.Circuit(verify.StageClient, r.Circuit, b.Spec); err != nil {
 					return nil, fmt.Errorf("example %s: %w", b.Name, err)
 				}
 			}
-			if dedup {
-				row.GatesOn = r.Circuit.Len()
-				row.StepsOn = r.Steps
-				if probes := r.DedupHits + r.DedupMisses; probes > 0 {
-					row.HitRate = float64(r.DedupHits) / float64(probes)
-				}
-			} else {
-				row.GatesOff = r.Circuit.Len()
-				row.StepsOff = r.Steps
-			}
+			row.Runs = append(row.Runs, ExampleRun{Gates: r.Circuit.Len(), Steps: r.Steps, HitRate: hitRate(r.DedupHits, r.DedupMisses)})
 		}
 		out = append(out, row)
 	}

@@ -19,24 +19,30 @@ func init() {
 }
 
 // registerExamples adds the worked examples of Section V-C whose
-// specifications the paper prints verbatim.
+// specifications the paper prints verbatim, each with the gate count of
+// the circuit the paper prints for it.
 func registerExamples() {
-	register(fromPerm("ex1", "Example 1 of [7]: paper's first worked example",
-		[]int{1, 0, 3, 2, 5, 7, 4, 6}, 3))
-	register(fromPerm("shiftright3", "Example 2: wraparound shift right by one (3 variables)",
-		[]int{7, 0, 1, 2, 3, 4, 5, 6}, 3))
-	register(fromPerm("fredkin3", "Example 3: Fredkin gate realized with Toffoli gates",
-		[]int{0, 1, 2, 3, 4, 6, 5, 7}, 3))
-	register(fromPerm("swap3", "Example 4: swap of two adjacent values (3 variables)",
-		[]int{0, 1, 2, 4, 3, 5, 6, 7}, 3))
-	register(fromPerm("swap4", "Example 5: swap of two adjacent values (4 variables)",
-		[]int{0, 1, 2, 3, 4, 5, 6, 8, 7, 9, 10, 11, 12, 13, 14, 15}, 4))
-	register(fromPerm("shiftleft3", "Example 6: wraparound shift left by one (3 variables)",
-		[]int{1, 2, 3, 4, 5, 6, 7, 0}, 3))
-	register(fromPerm("shiftleft4", "Example 7: wraparound shift left by one (4 variables)",
-		[]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0}, 4))
-	register(fromPerm("fulladder", "Example 8: augmented full-adder (Fig. 2(b) embedding)",
-		[]int{0, 7, 6, 9, 4, 11, 10, 13, 8, 15, 14, 1, 12, 3, 2, 5}, 3))
+	example := func(name, desc string, vals []int, real, paperGates int) {
+		b := fromPerm(name, desc, vals, real)
+		b.PaperGates = paperGates
+		register(b)
+	}
+	example("ex1", "Example 1 of [7]: paper's first worked example",
+		[]int{1, 0, 3, 2, 5, 7, 4, 6}, 3, 4)
+	example("shiftright3", "Example 2: wraparound shift right by one (3 variables)",
+		[]int{7, 0, 1, 2, 3, 4, 5, 6}, 3, 3)
+	example("fredkin3", "Example 3: Fredkin gate realized with Toffoli gates",
+		[]int{0, 1, 2, 3, 4, 6, 5, 7}, 3, 3)
+	example("swap3", "Example 4: swap of two adjacent values (3 variables)",
+		[]int{0, 1, 2, 4, 3, 5, 6, 7}, 3, 6)
+	example("swap4", "Example 5: swap of two adjacent values (4 variables)",
+		[]int{0, 1, 2, 3, 4, 5, 6, 8, 7, 9, 10, 11, 12, 13, 14, 15}, 4, 7)
+	example("shiftleft3", "Example 6: wraparound shift left by one (3 variables)",
+		[]int{1, 2, 3, 4, 5, 6, 7, 0}, 3, 3)
+	example("shiftleft4", "Example 7: wraparound shift left by one (4 variables)",
+		[]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0}, 4, 4)
+	example("fulladder", "Example 8: augmented full-adder (Fig. 2(b) embedding)",
+		[]int{0, 7, 6, 9, 4, 11, 10, 13, 8, 15, 14, 1, 12, 3, 2, 5}, 3, 4)
 }
 
 // registerLiteratureBenchmarks adds the Table IV functions taken from the

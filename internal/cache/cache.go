@@ -23,7 +23,6 @@ package cache
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -31,6 +30,7 @@ import (
 
 	"repro/internal/canon"
 	"repro/internal/circuit"
+	"repro/internal/health"
 	"repro/internal/perm"
 	"repro/internal/snapshot"
 	"repro/internal/verify"
@@ -61,9 +61,9 @@ type Stats struct {
 	// VerifyRejected counts entries dropped because the derived circuit
 	// failed the verification gate.
 	VerifyRejected int64
-	// DiskShed counts disk operations skipped because the guard reported
-	// the cache-store fault domain open (lookups served memory-only,
-	// stores kept in memory without persistence).
+	// DiskShed counts disk operations the filesystem refused because the
+	// cache-store fault domain is open (health.IsOpen): lookups served
+	// memory-only, stores kept in memory without persistence.
 	DiskShed int64
 }
 
@@ -77,24 +77,10 @@ type entry struct {
 	circ *circuit.Circuit
 }
 
-// Guard gates the cache's disk traffic for fault-domain supervision.
-// When Allow returns false the cache skips the disk entirely — lookups
-// fall back to memory, stores keep only the in-memory entry — and no
-// error surfaces to the caller: the feature is shed, the job proceeds.
-// Every disk outcome is reported through Record so the guard can trip on
-// persistent faults and heal on a successful probe.
-// *health.Breaker satisfies Guard directly.
-type Guard interface {
-	Allow() bool
-	Record(err error)
-}
-
 // Cache is safe for concurrent use.
 type Cache struct {
 	dir string // "" = memory-only
 	fs  snapshot.FS
-
-	guard Guard // nil = disk always allowed
 
 	mu  sync.Mutex
 	mem map[key]*entry
@@ -110,8 +96,12 @@ func New() *Cache {
 }
 
 // Open returns a cache persisted under dir, creating the directory if
-// needed. Writes go through fsys (nil means the real filesystem) using
-// the snapshot package's atomic protocol. An empty dir means memory-only.
+// needed. Reads and writes go through fsys (nil means the real
+// filesystem), writes using the snapshot package's atomic protocol. An
+// empty dir means memory-only. Fault-domain supervision is fsys's job:
+// wrap it in health.GuardFS, and while the domain is open the cache sheds
+// the disk — lookups fall back to memory, stores keep only the in-memory
+// entry — with no error surfacing to the caller.
 func Open(dir string, fsys snapshot.FS) (*Cache, error) {
 	c := New()
 	if dir == "" {
@@ -119,6 +109,9 @@ func Open(dir string, fsys snapshot.FS) (*Cache, error) {
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
+	}
+	if fsys == nil {
+		fsys = snapshot.DiskFS
 	}
 	c.dir = dir
 	c.fs = fsys
@@ -146,27 +139,6 @@ func (c *Cache) Stats() Stats {
 		CorruptDropped: c.corrupt.Load(),
 		VerifyRejected: c.rejected.Load(),
 		DiskShed:       c.shed.Load(),
-	}
-}
-
-// SetGuard installs the fault-domain guard for the cache's disk traffic.
-// A nil guard (the default) means the disk is always allowed. Call before
-// the cache is shared between goroutines.
-func (c *Cache) SetGuard(g Guard) { c.guard = g }
-
-// diskAllowed consults the guard before touching the persistence dir.
-func (c *Cache) diskAllowed() bool {
-	if c.guard == nil || c.guard.Allow() {
-		return true
-	}
-	c.shed.Add(1)
-	return false
-}
-
-// record reports one disk outcome to the guard, if any.
-func (c *Cache) record(err error) {
-	if c.guard != nil {
-		c.guard.Record(err)
 	}
 }
 
@@ -267,17 +239,16 @@ func (c *Cache) Put(p perm.Perm, fp uint64, circ *circuit.Circuit) (uint64, bool
 	if c.dir == "" {
 		return k.class, true, nil
 	}
-	if !c.diskAllowed() {
-		// Cache-store domain open: the entry stands in memory and the
-		// store is transparently non-durable — no error, no syscall.
-		return k.class, true, nil
-	}
 	if err := snapshot.WriteRaw(c.fs, c.path(k), encodeEntry(e)); err != nil {
+		if health.IsOpen(err) {
+			// Cache-store domain open: the entry stands in memory and
+			// the store is transparently non-durable — no error.
+			c.shed.Add(1)
+			return k.class, true, nil
+		}
 		// The in-memory entry stands; only durability failed.
-		c.record(err)
 		return k.class, true, fmt.Errorf("cache: persist: %w", err)
 	}
-	c.record(nil)
 	return k.class, true, nil
 }
 
@@ -294,8 +265,9 @@ func (c *Cache) path(k key) string {
 }
 
 // loadLocked returns the entry for k, reading through to disk on a memory
-// miss. Unreadable or corrupt files are removed and counted; they read as
-// no entry.
+// miss. Corrupt files are removed and counted. Missing, unreadable and
+// corrupt files, and reads an open fault domain refuses, all read as no
+// entry.
 func (c *Cache) loadLocked(k key) *entry {
 	if e, ok := c.mem[k]; ok {
 		return e
@@ -303,27 +275,17 @@ func (c *Cache) loadLocked(k key) *entry {
 	if c.dir == "" {
 		return nil
 	}
-	if !c.diskAllowed() {
+	data, err := c.fs.ReadFile(c.path(k))
+	if health.IsOpen(err) {
 		// Cache-store domain open: a memory miss is a miss; the job
 		// synthesizes from scratch instead of waiting on a sick disk.
-		return nil
+		c.shed.Add(1)
 	}
-	fsys := c.fs
-	if fsys == nil {
-		fsys = snapshot.DiskFS
-	}
-	data, err := fsys.ReadFile(c.path(k))
 	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			c.record(err)
-			c.corrupt.Add(1)
-		} else {
-			// "No entry" is a healthy answer from the device.
-			c.record(nil)
-		}
+		// A missing file is "no entry"; any other read error is an
+		// availability problem for the fault domain, not corruption.
 		return nil
 	}
-	c.record(nil)
 	e, err := decodeEntry(data)
 	if err != nil {
 		// Corrupt bytes, but the device delivered them fine — an
@@ -345,9 +307,5 @@ func (c *Cache) dropLocked(k key) {
 }
 
 func (c *Cache) removeFile(k key) {
-	fsys := c.fs
-	if fsys == nil {
-		fsys = snapshot.DiskFS
-	}
-	_ = fsys.Remove(c.path(k))
+	_ = c.fs.Remove(c.path(k))
 }

@@ -1,13 +1,16 @@
 package cache_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
+	"repro/internal/health"
 	"repro/internal/rng"
 	"repro/internal/snapshot"
 )
@@ -35,71 +38,67 @@ func (r redirectFS) ReadFile(n string) ([]byte, error) {
 	return snapshot.DiskFS.ReadFile(r.rewrite(n))
 }
 
-// stubGuard is a hand-cranked cache.Guard: tests flip allow and inspect
-// what the cache recorded.
-type stubGuard struct {
-	mu      sync.Mutex
-	allow   bool
-	results []error
+// failReads is a filesystem whose device answers every read with EIO.
+type failReads struct{ snapshot.FS }
+
+func (failReads) ReadFile(string) ([]byte, error) { return nil, syscall.EIO }
+
+// testBreaker is a real cache-domain breaker on a hand-cranked clock:
+// trip it with Trip, heal it with heal (the backoff elapses, so the next
+// operation is the half-open probe, and a successful probe re-closes it).
+type testBreaker struct {
+	*health.Breaker
+	now time.Time
 }
 
-func (g *stubGuard) Allow() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.allow
+func newTestBreaker() *testBreaker {
+	tb := &testBreaker{now: time.Unix(1, 0)}
+	tb.Breaker = health.NewBreaker("cache", health.Config{NoJitter: true, Now: func() time.Time { return tb.now }})
+	return tb
 }
 
-func (g *stubGuard) Record(err error) {
-	g.mu.Lock()
-	g.results = append(g.results, err)
-	g.mu.Unlock()
-}
+func (tb *testBreaker) heal() { tb.now = tb.now.Add(time.Minute) }
 
-func (g *stubGuard) set(allow bool) {
-	g.mu.Lock()
-	g.allow = allow
-	g.mu.Unlock()
-}
-
-func (g *stubGuard) recorded() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.results)
+// recorded counts the I/O outcomes the breaker has seen.
+func (tb *testBreaker) recorded() int64 {
+	v := tb.View()
+	return v.Successes + v.Failures
 }
 
 func TestGuardOpenShedsDiskButServesMemory(t *testing.T) {
 	dir := t.TempDir()
-	c, err := cache.Open(dir, nil)
+	b := newTestBreaker()
+	c, err := cache.Open(dir, health.GuardFS(nil, b.Breaker))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &stubGuard{allow: false}
-	c.SetGuard(g)
+	b.Trip(errors.New("injected outage"))
+	before := b.recorded()
 
 	src := rng.New(7)
 	circ, p := randomSpec(3, 4, src)
-	// Store with the guard open: the entry must land in memory, no file
+	// Store with the domain open: the entry must land in memory, no file
 	// appears, and no error surfaces.
 	if _, stored, err := c.Put(p, fpA, circ); err != nil || !stored {
-		t.Fatalf("Put under open guard = stored=%v err=%v, want stored, no error", stored, err)
+		t.Fatalf("Put under open domain = stored=%v err=%v, want stored, no error", stored, err)
 	}
 	if files, _ := os.ReadDir(dir); len(files) != 0 {
-		t.Fatalf("open guard persisted %d files", len(files))
+		t.Fatalf("open domain persisted %d files", len(files))
 	}
 	// The memory entry still answers.
 	if _, ok := c.Lookup(p, fpA); !ok {
 		t.Fatal("memory entry not served while disk shed")
 	}
-	if g.recorded() != 0 {
-		t.Fatalf("shed operations recorded %d outcomes, want 0 (no I/O happened)", g.recorded())
+	if got := b.recorded() - before; got != 0 {
+		t.Fatalf("shed operations recorded %d outcomes, want 0 (no I/O happened)", got)
 	}
 	if s := c.Stats(); s.DiskShed == 0 {
 		t.Errorf("stats = %+v, want DiskShed > 0", s)
 	}
 
-	// Guard closes (disk healed): stores persist again and read-through
-	// resumes, each recording a success.
-	g.set(true)
+	// Disk healed: the next store is the half-open probe; it persists
+	// and re-closes the domain, and read-through resumes.
+	b.heal()
 	circ2, p2 := randomSpec(3, 5, src)
 	if _, _, err := c.Put(p2, fpB, circ2); err != nil {
 		t.Fatalf("Put after heal: %v", err)
@@ -114,8 +113,11 @@ func TestGuardOpenShedsDiskButServesMemory(t *testing.T) {
 	if rmce != 1 {
 		t.Fatalf("after heal: %d entry files, want 1", rmce)
 	}
-	if g.recorded() == 0 {
+	if b.recorded() == before {
 		t.Fatal("healed store recorded no outcome")
+	}
+	if st := b.State(); st != health.Closed {
+		t.Errorf("after a successful probe the domain is %v, want closed", st)
 	}
 }
 
@@ -131,31 +133,69 @@ func TestGuardOpenLookupSkipsDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh cache over the same dir, guard open: the on-disk entry is
+	// A fresh cache over the same dir, domain open: the on-disk entry is
 	// invisible (transparent miss), not an error.
-	c, err := cache.Open(dir, nil)
+	b := newTestBreaker()
+	c, err := cache.Open(dir, health.GuardFS(nil, b.Breaker))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &stubGuard{allow: false}
-	c.SetGuard(g)
+	b.Trip(errors.New("injected outage"))
+	before := b.recorded()
 	if _, ok := c.Lookup(p, fpA); ok {
-		t.Fatal("open guard served a disk entry")
+		t.Fatal("open domain served a disk entry")
+	}
+	if s := c.Stats(); s.DiskShed != 1 || s.CorruptDropped != 0 {
+		t.Errorf("stats = %+v, want DiskShed 1 and CorruptDropped 0", s)
 	}
 	// Heal: the same lookup now reads through and hits.
-	g.set(true)
+	b.heal()
 	if _, ok := c.Lookup(p, fpA); !ok {
 		t.Fatal("healed lookup missed the persisted entry")
 	}
-	if g.recorded() == 0 {
+	if b.recorded() == before {
 		t.Fatal("healed read-through recorded no outcome")
+	}
+}
+
+// TestGuardReadErrorIsNotCorruption: a read the device fails is a miss
+// and a fault-domain failure, not a corrupt entry — CorruptDropped counts
+// only bytes that arrived and did not decode.
+func TestGuardReadErrorIsNotCorruption(t *testing.T) {
+	dir := t.TempDir()
+	writer, err := cache.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(10)
+	circ, p := randomSpec(3, 4, src)
+	if _, _, err := writer.Put(p, fpA, circ); err != nil {
+		t.Fatal(err)
+	}
+
+	b := newTestBreaker()
+	c, err := cache.Open(dir, health.GuardFS(failReads{snapshot.DiskFS}, b.Breaker))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Lookup(p, fpA); ok {
+		t.Fatal("a failed read served a hit")
+	}
+	if s := c.Stats(); s.CorruptDropped != 0 || s.Misses != 1 {
+		t.Errorf("stats = %+v, want one miss and CorruptDropped 0", s)
+	}
+	if v := b.View(); v.Failures != 1 {
+		t.Errorf("breaker saw %d failures, want the one failed read", v.Failures)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 1 {
+		t.Errorf("a failed read removed the entry: %d files left, want 1", len(files))
 	}
 }
 
 func TestGuardedReadThroughUsesFSSeam(t *testing.T) {
 	// loadLocked must read via the snapshot.FS seam, not os.ReadFile:
 	// prove it by pointing the cache at a missing directory through an FS
-	// stub that serves the bytes anyway.
+	// stub that serves the bytes anyway, behind the fault-domain guard.
 	dir := t.TempDir()
 	writer, err := cache.Open(dir, nil)
 	if err != nil {
@@ -171,11 +211,15 @@ func TestGuardedReadThroughUsesFSSeam(t *testing.T) {
 	}
 
 	redirect := filepath.Join(t.TempDir(), "elsewhere")
-	c, err := cache.Open(redirect, redirectFS{from: redirect, to: dir})
+	b := newTestBreaker()
+	c, err := cache.Open(redirect, health.GuardFS(redirectFS{from: redirect, to: dir}, b.Breaker))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Lookup(p, fpA); !ok {
 		t.Fatal("lookup did not read through the FS seam")
+	}
+	if v := b.View(); v.Successes != 1 {
+		t.Errorf("breaker saw %d successes, want the one guarded read", v.Successes)
 	}
 }

@@ -160,19 +160,12 @@ type ExampleRow struct {
 // the cascades, reproducing the circuits printed in Section V-C (and
 // Figs. 7 and 8). Canceling ctx skips the remaining examples.
 func Examples(ctx context.Context, totalSteps int) []ExampleRow {
-	// Gate counts of the circuits printed in the paper for Examples 1–14.
-	paperGates := map[string]int{
-		"ex1": 4, "shiftright3": 3, "fredkin3": 3, "swap3": 6, "swap4": 7,
-		"shiftleft3": 3, "shiftleft4": 4, "fulladder": 4, "rd53": 13,
-		"majority5": 16, "decod24": 11, "5one013": 19, "alu": 18,
-		"shift10": 27,
-	}
 	var rows []ExampleRow
 	for _, b := range bench.Examples() {
 		if ctx.Err() != nil {
 			break
 		}
-		row := ExampleRow{Name: b.Name, PaperGates: paperGates[b.Name]}
+		row := ExampleRow{Name: b.Name, PaperGates: b.PaperGates}
 		spec, err := b.PPRMSpec()
 		if err != nil {
 			panic(err)

@@ -54,10 +54,11 @@ func (s *Server) initHealth() {
 
 	// Checkpoints and quarantine artifacts write through guarded FS
 	// wrappers: one breaker outcome per atomic write, instant *ErrOpen
-	// fast-fails while the domain is open. The ledger is NOT guarded here —
-	// the final drain flush deserves a real attempt even mid-outage — its
-	// writes record outcomes manually (see Drain). The cache guards itself
-	// through cache.Guard so memory entries keep serving while disk is shed.
+	// fast-fails while the domain is open. The answer cache opens over the
+	// same kind of wrapper on the cache domain (see New) and keeps serving
+	// memory entries while the disk is shed. The ledger is NOT guarded
+	// here — the final drain flush deserves a real attempt even
+	// mid-outage — its writes record outcomes manually (see Drain).
 	s.ckptFS = health.GuardFS(s.cfg.FS, s.domCkpt)
 	s.quarFS = health.GuardFS(s.cfg.FS, s.domQuar)
 }

@@ -193,37 +193,34 @@ func (s *Server) invoke(ctx context.Context, j *Job) (res core.Result) {
 // claimSearchWorkers decides how many parallel-search workers the job
 // being executed may claim from the pool's SearchWorkers core budget.
 // With shallow queues the latency win of the det-merge engine is free —
-// the cores would otherwise idle; each waiting job dilutes the claim,
-// and once the share drops to a single core the job runs the sequential
-// engine (a one-worker parallel run is pure overhead). Returns 0 for
-// "sequential".
+// the cores would otherwise idle; each waiting job dilutes the claim down
+// to one worker. It never drops to 0: Workers 0 is the sequential search,
+// a different trajectory family with a different options fingerprint, so
+// switching to it under load would change the answer to the same request
+// and orphan its drain checkpoint (det-merge at one worker is no slower
+// than the sequential search; see BENCH_parallel.json). Returns 0 only
+// when parallel search is off (SearchWorkers ≤ 1).
 func (s *Server) claimSearchWorkers() int {
 	total := s.cfg.SearchWorkers
 	if total <= 1 {
 		return 0
 	}
 	qi, qb := s.queue.Depths()
-	claim := total / (1 + qi + qb)
-	if claim <= 1 {
-		return 0
-	}
-	return claim
+	return max(1, total/(1+qi+qb))
 }
 
-// realRun executes the job on the RMRLS engine: checkpointing into the
-// state directory when one is configured, resuming from a recovered drain
-// checkpoint when present, and degrading a broken checkpoint to a fresh
-// start (the resume contract: every resume error means "start fresh").
-func (s *Server) realRun(ctx context.Context, j *Job) core.Result {
+// searchOptions builds the engine options realRun runs j under.
+func (s *Server) searchOptions(j *Job) core.Options {
 	opts := j.opts
 	if j.isDegraded() {
 		opts = opts.Degraded()
 	}
 	opts.Observe = j.run
-	// Parallel search is always the deterministic-merge engine here: the
-	// worker count does not enter the options fingerprint, so cached
-	// answers and drain checkpoints stay valid whatever the queue depth
-	// was when the job (or its resume) happened to run.
+	// Parallel search is always the deterministic-merge engine here, at
+	// one worker or more: the worker count does not enter the options
+	// fingerprint, so cached answers and drain checkpoints stay valid
+	// whatever the queue depth was when the job (or its resume) happened
+	// to run.
 	opts.Workers = s.claimSearchWorkers()
 	if s.cfg.StateDir != "" {
 		opts.Checkpoint = core.Checkpoint{
@@ -238,6 +235,15 @@ func (s *Server) realRun(ctx context.Context, j *Job) core.Result {
 			FS: s.ckptFS,
 		}
 	}
+	return opts
+}
+
+// realRun executes the job on the RMRLS engine: checkpointing into the
+// state directory when one is configured, resuming from a recovered drain
+// checkpoint when present, and degrading a broken checkpoint to a fresh
+// start (the resume contract: every resume error means "start fresh").
+func (s *Server) realRun(ctx context.Context, j *Job) core.Result {
+	opts := s.searchOptions(j)
 	if st := j.resume; st != nil {
 		j.resume = nil
 		res, err := core.ResumeStateContext(ctx, j.spec, opts, st)

@@ -24,11 +24,13 @@ type Config struct {
 	// Workers is the fixed worker-pool size (default 2). Each worker runs
 	// one synthesis at a time; host memory budget ≈ Workers × Ceiling.MaxMemory.
 	Workers int
-	// SearchWorkers is the pool's parallel-search core budget. When the
-	// queues are shallow, a dequeued job claims several of these and runs
-	// the deterministic-merge parallel engine; when jobs are waiting,
-	// cores are better spent running more jobs concurrently and everyone
-	// degrades to the sequential engine. 0 or 1 disables parallel search.
+	// SearchWorkers is the pool's parallel-search core budget. With it on,
+	// every job runs the deterministic-merge engine: when the queues are
+	// shallow, a dequeued job claims several of these cores; when jobs are
+	// waiting, cores are better spent running more jobs concurrently and
+	// the claim shrinks to one worker — never to the sequential engine,
+	// whose different trajectory would change answers with load. 0 or 1
+	// disables parallel search (every job runs the sequential engine).
 	SearchWorkers int
 	// QueueInteractive and QueueBatch cap the per-class job queues
 	// (defaults 64 and 256). A full class sheds with 429 + Retry-After.
@@ -46,13 +48,9 @@ type Config struct {
 	// (internal/cache) persisted under it: submissions whose class is
 	// already solved under the same options fingerprint are answered
 	// before they reach the queue, and every verified worker result is
-	// stored for the next restart. Empty disables the cache unless Cache
-	// is set directly.
+	// stored for the next restart. Empty disables the cache. Its disk
+	// traffic goes through FS behind the cache fault domain.
 	CacheDir string
-	// Cache overrides the answer cache instance (tests, or sharing one
-	// cache across servers). nil with a CacheDir opens a persistent cache
-	// there; nil without one disables caching.
-	Cache *cache.Cache
 	// CheckpointInterval is the periodic checkpoint cadence for running
 	// jobs (default 30 s); the drain flush happens regardless.
 	CheckpointInterval time.Duration
@@ -207,14 +205,13 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     c,
 		queue:   newJobQueue(c.QueueInteractive, c.QueueBatch),
-		cache:   c.Cache,
 		jobs:    make(map[string]*Job),
 		byKey:   make(map[uint64]*Job),
 		limiter: newLimiter(c.RateLimit, c.RateBurst, nil),
 	}
 	s.initHealth()
-	if s.cache == nil && c.CacheDir != "" {
-		ac, err := cache.Open(c.CacheDir, c.FS)
+	if c.CacheDir != "" {
+		ac, err := cache.Open(c.CacheDir, health.GuardFS(c.FS, s.domCache))
 		if err != nil {
 			// The cache is a feature, not a dependency: serve without
 			// persistence rather than refuse to start.
@@ -225,9 +222,6 @@ func New(cfg Config) (*Server, error) {
 			c.Logf("serve: cache dir unusable (%v); caching in memory only", err)
 		}
 		s.cache = ac
-	}
-	if s.cache != nil {
-		s.cache.SetGuard(s.domCache)
 	}
 	s.drainCtx, s.drainStop = context.WithCancel(context.Background())
 	if c.StateDir != "" {
