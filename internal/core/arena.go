@@ -17,7 +17,7 @@ import "repro/internal/pprm"
 
 const (
 	pageShift = 10
-	pageSize  = 1 << pageShift // nodes per page: 1,024 × 64 B = 64 KiB
+	pageSize  = 1 << pageShift // nodes per page: 1,024 × 48 B = 48 KiB
 )
 
 // rootSlot is the root's arena slot: it is allocated first and never freed.

@@ -31,7 +31,7 @@ func checkArena(t *testing.T, s *searcher, where string) {
 		}
 	}
 	mark(rootSlot)
-	s.pq.Each(mark)
+	s.pq.Each(func(i int32, _ float64) { mark(i) })
 	if s.bestSol >= 0 {
 		mark(s.bestSol)
 	}

@@ -80,11 +80,19 @@ func checkGolden(t *testing.T, name string, lines []string) {
 // The det-merge runs must be byte-identical to each other — same gates in
 // the same order, same counters, stop reason, watermark and dedup
 // statistics — and both families must match testdata/examples.golden.
+// The examples run as parallel subtests, each writing its own two golden
+// lines; the golden is checked once all of them have finished.
 func TestDetMergeWorkedExamplesAcrossWorkerCounts(t *testing.T) {
 	examples := bench.Examples()
-	lines := make([]string, 0, 2*len(examples))
-	for _, b := range examples {
+	lines := make([]string, 2*len(examples))
+	t.Cleanup(func() {
+		if !t.Failed() {
+			checkGolden(t, "examples.golden", lines)
+		}
+	})
+	for i, b := range examples {
 		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
 			spec, err := b.PPRMSpec()
 			if err != nil {
 				t.Fatal(err)
@@ -97,10 +105,10 @@ func TestDetMergeWorkedExamplesAcrossWorkerCounts(t *testing.T) {
 				got := trajectoryLine(t, core.Synthesize(spec, opts))
 				switch w {
 				case 0:
-					lines = append(lines, fmt.Sprintf("%s %s %s", family(w), b.Name, got))
+					lines[2*i] = fmt.Sprintf("%s %s %s", family(w), b.Name, got)
 				case 1:
 					want = got
-					lines = append(lines, fmt.Sprintf("%s %s %s", family(w), b.Name, got))
+					lines[2*i+1] = fmt.Sprintf("%s %s %s", family(w), b.Name, got)
 				default:
 					if got != want {
 						t.Errorf("workers=%d diverged from workers=1\n got: %s\nwant: %s", w, got, want)
@@ -108,9 +116,6 @@ func TestDetMergeWorkedExamplesAcrossWorkerCounts(t *testing.T) {
 				}
 			}
 		})
-	}
-	if !t.Failed() {
-		checkGolden(t, "examples.golden", lines)
 	}
 }
 

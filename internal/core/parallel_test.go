@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -184,10 +185,12 @@ func TestParallelFingerprintFamilies(t *testing.T) {
 	}
 }
 
-// TestSearchInvariantsHold drives both round strides with the test-only
-// step hook asserting, at every round boundary, that the queue
-// byte accounting matches a full recount and that the peak watermark is
-// monotone — the regression guard for the double-count class of bug.
+// TestSearchInvariantsHold drives the one-pop rounds and det-merge rounds
+// of one and four workers with the test-only step hook asserting, at every
+// round boundary, that the queue byte accounting matches a full recount,
+// that the peak watermark is monotone — the regression guard for the
+// double-count class of bug — and that every queue entry's priority is the
+// one the searcher derives for its slot, since the node does not store it.
 func TestSearchInvariantsHold(t *testing.T) {
 	src := rng.New(3)
 	p := perm.Random(4, src)
@@ -195,7 +198,7 @@ func TestSearchInvariantsHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 4} { // 0 = one pop per round, 4 = det-merge rounds
+	for _, workers := range []int{0, 1, 4} { // 0 = one pop per round, ≥ 1 = det-merge rounds
 		opts := DefaultOptions()
 		opts.TotalSteps = 4000
 		opts.ImproveSteps = 0
@@ -206,7 +209,12 @@ func TestSearchInvariantsHold(t *testing.T) {
 		s.stepHook = func(s *searcher) {
 			checks++
 			var sum int64
-			s.pq.Each(func(i int32) { sum += int64(s.ar.at(i).mem) })
+			s.pq.Each(func(i int32, priority float64) {
+				sum += memOf(s.ar.spec(i))
+				if want := s.priorityOf(i); math.Float64bits(priority) != math.Float64bits(want) {
+					t.Fatalf("workers=%d: slot %d queued at priority %v, derived %v", workers, i, priority, want)
+				}
+			})
 			if sum != s.queueBytes {
 				t.Fatalf("workers=%d: queueBytes=%d but recount=%d (stale accounting)", workers, s.queueBytes, sum)
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -356,6 +357,14 @@ func TestResumeRejectsInvalidStates(t *testing.T) {
 		"interior node queued": func(st *snapshot.State) {
 			st.Queued = append(st.Queued, st.Nodes[st.Queued[0]].Parent)
 		},
+		// The search derives every node's priority from its state; a
+		// recorded one that disagrees would silently reorder the resumed
+		// queue.
+		"queued node promoted": func(st *snapshot.State) {
+			front := st.Nodes[st.Queued[0]].Priority
+			st.Nodes[st.Queued[len(st.Queued)-1]].Priority = front + 1
+		},
+		"finite root priority": func(st *snapshot.State) { st.Nodes[0].Priority = math.MaxFloat64 },
 	}
 	for name, tamper := range tampers {
 		st, err := snapshot.Decode(snapshot.Encode(base))

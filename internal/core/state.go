@@ -148,8 +148,8 @@ func (s *searcher) exportState() *snapshot.State {
 			Factor:       uint32(n.factor),
 			Depth:        int(n.depth),
 			Terms:        int(n.terms),
-			Elim:         int(n.elim),
-			Priority:     n.priority,
+			Elim:         s.elimOf(slot),
+			Priority:     s.priorityOf(slot),
 			Hash:         n.hash,
 			Materialized: n.spec >= 0,
 		}
@@ -294,7 +294,8 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		return nil, fmt.Errorf("%w: no nodes", ErrInvalidState)
 	}
 	r := &st.Nodes[0]
-	if r.Parent != -1 || r.Target != -1 || r.Depth != 0 || !r.Materialized || r.Terms != s.initTerms || r.Elim != 0 {
+	if r.Parent != -1 || r.Target != -1 || r.Depth != 0 || !r.Materialized || r.Terms != s.initTerms || r.Elim != 0 ||
+		!math.IsInf(r.Priority, 1) {
 		return nil, fmt.Errorf("%w: malformed root node", ErrInvalidState)
 	}
 	// nodes maps snapshot node indices to arena slots. Every node in the
@@ -303,13 +304,12 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 	// naming it as parent.
 	nodes := make([]int32, len(st.Nodes))
 	nodes[0] = s.ar.alloc(node{
-		parent:   -1,
-		spec:     s.ar.putSpec(rootSpec),
-		id:       r.ID,
-		target:   -1,
-		terms:    int32(r.Terms),
-		priority: r.Priority,
-		hash:     r.Hash,
+		parent: -1,
+		spec:   s.ar.putSpec(rootSpec),
+		id:     r.ID,
+		target: -1,
+		terms:  int32(r.Terms),
+		hash:   r.Hash,
 	})
 	for i := 1; i < len(st.Nodes); i++ {
 		ns := &st.Nodes[i]
@@ -331,17 +331,20 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		if ns.Terms < 0 || ns.Terms > math.MaxInt32 || ns.Elim != ps.Terms-ns.Terms {
 			return nil, fmt.Errorf("%w: node %d terms/elim inconsistent", ErrInvalidState, i)
 		}
+		// The node stores no priority: the search derives it, so a
+		// recorded value that disagrees would reorder the resumed queue.
+		if math.Float64bits(ns.Priority) != math.Float64bits(s.priority(ns.Depth, ns.Terms, ns.Elim, factor)) {
+			return nil, fmt.Errorf("%w: node %d priority %v disagrees with its state", ErrInvalidState, i, ns.Priority)
+		}
 		n := node{
-			parent:   parent,
-			spec:     -1,
-			id:       ns.ID,
-			target:   int32(ns.Target),
-			factor:   factor,
-			depth:    int32(ns.Depth),
-			terms:    int32(ns.Terms),
-			elim:     int32(ns.Elim),
-			priority: ns.Priority,
-			hash:     ns.Hash,
+			parent: parent,
+			spec:   -1,
+			id:     ns.ID,
+			target: int32(ns.Target),
+			factor: factor,
+			depth:  int32(ns.Depth),
+			terms:  int32(ns.Terms),
+			hash:   ns.Hash,
 		}
 		if ns.Materialized {
 			// Expanded interior nodes keep their expansions alive for
@@ -447,9 +450,8 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		if n.parent >= 0 && sp == nil && s.ar.spec(n.parent) == nil {
 			return nil, fmt.Errorf("%w: queued node %d cannot be materialized", ErrInvalidState, qi)
 		}
-		n.mem = memOf(sp)
-		s.queueBytes += int64(n.mem)
-		s.pq.Push(slot, n.priority)
+		s.queueBytes += memOf(sp)
+		s.pq.Push(slot, s.priorityOf(slot))
 	}
 	// The search holds only leaves (queued nodes, the best solution), their
 	// ancestors, and the root; release relies on that shape.

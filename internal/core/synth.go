@@ -164,25 +164,27 @@ func SynthesizePermContext(ctx context.Context, p perm.Perm, opts Options) (Resu
 // as the node: an expanded node keeps it while any child is live, since
 // the children's lazy materialization starts from it, and release drops
 // it with the node.
+//
+// A node stores nothing it can derive from state that stays live while it
+// does: its priority (priorityOf), its per-step elimination (elimOf, from
+// the parent, which outlives it) and its queued memory charge (memOf of its
+// expansion, which does not change while it waits in the queue).
 type node struct {
-	id       int // 64-bit: long runs create more than 2^31 nodes
-	priority float64
-	hash     uint64 // transposition hash of the node's PPRM state
-	parent   int32  // arena slot of the parent; −1 for the root
-	spec     int32  // side-table slot of the expansion; −1 for a lazy node
-	target   int32
-	factor   bits.Mask
-	depth    int32
-	terms    int32
-	elim     int32 // per-step: parent.terms − terms
-	mem      int32 // approximate bytes charged when queued (see memOf)
-	kids     int32 // live children; see release
+	id     int    // 64-bit: long runs create more than 2^31 nodes
+	hash   uint64 // transposition hash of the node's PPRM state
+	parent int32  // arena slot of the parent; −1 for the root
+	spec   int32  // side-table slot of the expansion; −1 for a lazy node
+	target int32
+	factor bits.Mask
+	depth  int32
+	terms  int32
+	kids   int32 // live children; see release
 }
 
 // nodeBytes approximates the resident size of one node struct plus its
 // priority-queue entry. Exactness does not matter — the memory ceiling is
 // the paper's coarse 768-MB abort condition, not an allocator. It is the
-// accounting estimate, not unsafe.Sizeof(node{}) (64 bytes, pinned by
+// accounting estimate, not unsafe.Sizeof(node{}) (48 bytes, pinned by
 // TestNodeSize): it stays at the figure charged when the struct was 96
 // bytes, so MaxMemory pruning, PeakQueueBytes and the golden trajectories
 // do not depend on the struct's layout.
@@ -194,14 +196,15 @@ const nodeBytes = 96 + 32
 // the parent chain are shared among many queued nodes and are not charged;
 // the estimate is deliberately a lower bound, like the node-count stand-in
 // it replaces, but it scales with expansion size instead of pretending all
-// nodes cost the same. It fits node.mem: the widest expansion (20 outputs of
-// 2^20 terms) is about 80 MB.
-func memOf(sp *pprm.Spec) int32 {
+// nodes cost the same. The node does not store it: a queued node's
+// expansion is fixed from push to pop, so push, pop and the recount after
+// a prune all compute the same charge from its side-table slot.
+func memOf(sp *pprm.Spec) int64 {
 	b := int64(nodeBytes)
 	if sp != nil {
 		b += sp.MemBytes()
 	}
-	return int32(b)
+	return b
 }
 
 type searcher struct {
@@ -281,13 +284,12 @@ func newSearcher(spec *pprm.Spec, opts Options) *searcher {
 	s.bestDepth = s.maxGates + 1
 	s.bestSol = -1
 	root := node{
-		parent:   -1,
-		spec:     s.ar.putSpec(spec.Clone()),
-		id:       0,
-		target:   -1,
-		depth:    0,
-		terms:    int32(s.initTerms),
-		priority: math.Inf(1),
+		parent: -1,
+		spec:   s.ar.putSpec(spec),
+		id:     0,
+		target: -1,
+		depth:  0,
+		terms:  int32(s.initTerms),
 	}
 	s.nodes = 1
 	if opts.Dedup {
@@ -409,18 +411,18 @@ func (s *searcher) totalBytes() int64 {
 	return b
 }
 
-// push queues a node, charges its approximate memory, and records its
-// state in the transposition table so later rediscoveries at the same or
-// greater depth are pruned.
-func (s *searcher) push(i int32) {
+// push queues a node with the given priority, which is priorityOf(i),
+// charges its approximate memory, and records its state in the
+// transposition table so later rediscoveries at the same or greater depth
+// are pruned.
+func (s *searcher) push(i int32, priority float64) {
 	n := s.ar.at(i)
-	n.mem = memOf(s.ar.spec(i))
-	s.queueBytes += int64(n.mem)
+	s.queueBytes += memOf(s.ar.spec(i))
 	if s.tt != nil {
 		s.tt.record(n.hash, int(n.depth))
 	}
 	s.notePeak()
-	s.pq.Push(i, n.priority)
+	s.pq.Push(i, priority)
 }
 
 // notePeak advances the high-water memory mark. The watermark is monotone
@@ -437,7 +439,7 @@ func (s *searcher) notePeak() {
 // an unknown subset of the queue.
 func (s *searcher) recountQueueBytes() {
 	s.queueBytes = 0
-	s.pq.Each(func(i int32) { s.queueBytes += int64(s.ar.at(i).mem) })
+	s.pq.Each(func(i int32, _ float64) { s.queueBytes += memOf(s.ar.spec(i)) })
 }
 
 // overMemory enforces Options.MaxMemory, the byte-accounted version of the
@@ -479,7 +481,7 @@ func (s *searcher) rerecordQueued() {
 		sol := s.ar.at(s.bestSol)
 		s.tt.record(sol.hash, int(sol.depth))
 	}
-	s.pq.Each(func(i int32) {
+	s.pq.Each(func(i int32, _ float64) {
 		n := s.ar.at(i)
 		s.tt.record(n.hash, int(n.depth))
 	})
@@ -512,7 +514,7 @@ func (s *searcher) begin() (res Result, done bool) {
 			Elapsed: time.Since(s.startTime), StopReason: StopSolved, Workers: s.opts.Workers}, true
 	}
 	s.emit(EventPush, rootSlot)
-	s.push(rootSlot)
+	s.push(rootSlot, s.priorityOf(rootSlot))
 	return Result{}, false
 }
 
@@ -629,7 +631,7 @@ func (s *searcher) run() Result {
 			}
 			pops++
 			parent := s.ar.at(pi)
-			s.queueBytes -= int64(parent.mem)
+			s.queueBytes -= memOf(s.ar.spec(pi))
 			s.steps++
 			s.stepsSinceRestart++
 			s.emit(EventPop, pi)
@@ -704,7 +706,7 @@ func (s *searcher) restart() bool {
 	// restart exists to re-explore from a different first move, and
 	// "visited" marks inherited from the abandoned frontier would defeat
 	// it.
-	s.pq.Each(s.release)
+	s.pq.Each(func(i int32, _ float64) { s.release(i) })
 	s.pq.Clear()
 	s.queueBytes = 0
 	root := s.ar.at(rootSlot)
@@ -721,25 +723,43 @@ func (s *searcher) restart() bool {
 		factor: fm.factor,
 		depth:  1,
 		terms:  root.terms + int32(delta),
-		elim:   int32(-delta),
 	}
 	if s.tt != nil {
 		child.hash = cs.Hash()
 	}
-	child.priority = s.priorityOf(&child)
 	ci := s.addChild(child, cs)
 	s.emit(EventRestart, ci)
 	s.emit(EventPush, ci)
-	s.push(ci)
+	s.push(ci, s.priorityOf(ci))
 	return true
 }
 
-func (s *searcher) priorityOf(c *node) float64 {
-	return s.priority(int(c.depth), int(c.terms), int(c.elim), c.factor)
+// elimOf is the per-step elimination of the node in slot i: the terms its
+// substitution removed from its parent's expansion (0 for the root). The
+// parent is live while the node is.
+func (s *searcher) elimOf(i int32) int {
+	n := s.ar.at(i)
+	if n.parent < 0 {
+		return 0
+	}
+	return int(s.ar.at(n.parent).terms - n.terms)
+}
+
+// priorityOf is the queue priority of the node in slot i: +Inf for the
+// root, which is expanded first, and Eq. (4) for every other node — the
+// value generate computed when it scored the node as a candidate.
+func (s *searcher) priorityOf(i int32) float64 {
+	n := s.ar.at(i)
+	if n.parent < 0 {
+		return math.Inf(1)
+	}
+	return s.priority(int(n.depth), int(n.terms), s.elimOf(i), n.factor)
 }
 
 // priority evaluates Eq. (4) (or its linear variant) for a node at the
-// given depth with the given expansion size.
+// given depth with the given expansion size. Each product is rounded on
+// its own (the explicit float64 conversions forbid fused multiply-adds), so
+// generate and priorityOf get bit-identical values on every platform.
 func (s *searcher) priority(depth, terms, elimStep int, factor bits.Mask) float64 {
 	elim := s.initTerms - terms
 	if s.opts.PerStepElim {
@@ -750,7 +770,7 @@ func (s *searcher) priority(depth, terms, elimStep int, factor bits.Mask) float6
 	if !s.opts.LinearElim {
 		b /= d
 	}
-	return s.alpha*d + s.beta*b - s.gamma*float64(bits.Count(factor))
+	return float64(s.alpha*d) + float64(s.beta*b) - float64(s.gamma*float64(bits.Count(factor)))
 }
 
 // Expanding a node — lines 18–33 of Fig. 4 plus the Section IV-D/E
@@ -959,7 +979,7 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 				})
 			}
 			s.emit(EventPush, child)
-			s.push(child)
+			s.push(child, c.priority)
 		}
 	}
 	if isRoot {
@@ -980,15 +1000,13 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 // expansion, if any.
 func (s *searcher) newChild(pi int32, target int, c *pcand, spec *pprm.Spec) int32 {
 	return s.addChild(node{
-		parent:   pi,
-		id:       s.nodes,
-		priority: c.priority,
-		hash:     c.hash,
-		target:   int32(target),
-		factor:   c.factor,
-		depth:    s.ar.at(pi).depth + 1,
-		terms:    int32(c.terms),
-		elim:     int32(c.elim),
+		parent: pi,
+		id:     s.nodes,
+		hash:   c.hash,
+		target: int32(target),
+		factor: c.factor,
+		depth:  s.ar.at(pi).depth + 1,
+		terms:  int32(c.terms),
 	}, spec)
 }
 
@@ -1090,8 +1108,8 @@ func (s *searcher) emit(kind EventKind, i int32) {
 		Target:   int(n.target),
 		Factor:   n.factor,
 		Terms:    int(n.terms),
-		Elim:     int(n.elim),
-		Priority: n.priority,
+		Elim:     s.elimOf(i),
+		Priority: s.priorityOf(i),
 	})
 }
 

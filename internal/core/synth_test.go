@@ -23,14 +23,14 @@ func fig1(t *testing.T) perm.Perm {
 	return p
 }
 
-// TestNodeSize pins the search node at one 64-byte cache line, so an arena
-// page of 1,024 nodes is 64 KiB, and keeps it free of pointers, so the
+// TestNodeSize pins the search node at 48 bytes, so an arena page of 1,024
+// nodes is 48 KiB, and keeps it free of pointers, so the
 // garbage collector never scans a page. nodeBytes, the MaxMemory
 // accounting estimate, is deliberately not tied to this size, so the
 // golden trajectories do not move when the struct does.
 func TestNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(node{}); got > 64 {
-		t.Fatalf("node is %d bytes, want at most 64", got)
+	if got := unsafe.Sizeof(node{}); got > 48 {
+		t.Fatalf("node is %d bytes, want at most 48", got)
 	}
 	typ := reflect.TypeOf(node{})
 	for i := 0; i < typ.NumField(); i++ {

@@ -105,6 +105,26 @@ func gateFirst(p perm.Perm, target int, factor bits.Mask) perm.Perm {
 	return q
 }
 
+// TestSortedOrderWideSlices runs checkSortedOrder on random slice-form sets
+// of up to 20 variables, so every literal count up to 20 — each class of the
+// slice form's counting sort — is covered, the full term included.
+func TestSortedOrderWideSlices(t *testing.T) {
+	src := rng.New(22)
+	for n := 1; n <= 20; n++ {
+		for trial := 0; trial < 4; trial++ {
+			masks := []bits.Mask{0, 1<<uint(n) - 1}
+			for k := src.Intn(200); k > 0; k-- {
+				masks = append(masks, bits.Mask(src.Uint64())&(1<<uint(n)-1))
+			}
+			s := &Spec{N: n, Out: []TermSet{NewTermSet(masks...)}}
+			if s.Out[0].isWord {
+				t.Fatal("NewTermSet built a word-form set")
+			}
+			checkSortedOrder(t, s)
+		}
+	}
+}
+
 // checkSortedOrder checks every output's Sorted() against Terms() sorted by
 // (literal count, mask).
 func checkSortedOrder(t *testing.T, s *Spec) {

@@ -144,7 +144,8 @@ func TestEqualAllocationFree(t *testing.T) {
 
 // TestWordKernelsAllocationFree pins the search's per-candidate work on a
 // word-form spec (n ≤ 6) — probe, presentation-order walk, membership and
-// equality — at zero allocations.
+// equality — at zero allocations, and the slice-form presentation-order
+// walk (n ≥ 7) into a buffer that already has the capacity.
 func TestWordKernelsAllocationFree(t *testing.T) {
 	s, err := FromPerm(perm.Random(6, rng.New(15)))
 	if err != nil {
@@ -168,32 +169,43 @@ func TestWordKernelsAllocationFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("word-form probe loop allocates %v times per run", n)
 	}
+
+	wide, err := FromPerm(perm.Random(8, rng.New(16)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide.Out[0].isWord {
+		t.Fatal("an 8-variable spec is in word form")
+	}
+	buf = make([]bits.Mask, 0, 1<<8)
+	if n := testing.AllocsPerRun(100, func() {
+		for target := range wide.Out {
+			buf = wide.Out[target].AppendSorted(buf[:0])
+		}
+	}); n != 0 {
+		t.Fatalf("slice-form AppendSorted allocates %v times per run", n)
+	}
 }
 
-func TestSortedCacheInvalidation(t *testing.T) {
+// TestSortedAfterMutationAndClone: Sorted reflects a Toggle made after an
+// earlier call, an earlier result is not rewritten by a later mutation,
+// and a clone's mutations stay out of the original.
+func TestSortedAfterMutationAndClone(t *testing.T) {
 	ts := NewTermSet(0b111, 0b001, 0b110)
 	first := ts.Sorted()
-	if &first[0] != &ts.Sorted()[0] {
-		t.Fatal("Sorted does not cache between calls")
-	}
 	ts.Toggle(0b010)
 	second := ts.Sorted()
 	if len(second) != 4 {
 		t.Fatalf("Sorted after Toggle has %d terms, want 4", len(second))
 	}
-	// The pre-mutation snapshot must be untouched (clones may share it).
 	if len(first) != 3 || first[0] != 0b001 {
 		t.Fatalf("pre-mutation Sorted slice mutated: %v", first)
 	}
 
-	// A clone shares the built cache until either side mutates.
 	cl := ts.Clone()
-	if &cl.Sorted()[0] != &ts.Sorted()[0] {
-		t.Fatal("Clone does not share the built cache")
-	}
 	cl.Toggle(0b001) // removes a term from the clone only
 	if len(ts.Sorted()) != 4 || len(cl.Sorted()) != 3 {
-		t.Fatalf("cache sharing leaked a mutation: parent %d terms, clone %d",
+		t.Fatalf("clone leaked a mutation: parent %d terms, clone %d",
 			len(ts.Sorted()), len(cl.Sorted()))
 	}
 }

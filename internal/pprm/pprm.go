@@ -290,7 +290,7 @@ func (s *Spec) SubstituteCopy(target int, factor bits.Mask) (*Spec, int) {
 			}
 		}
 		if len(toggles) == 0 {
-			out.Out[j] = *ts // share storage (incl. hash and sorted cache)
+			out.Out[j] = *ts // share storage (incl. hash)
 			continue
 		}
 		slices.Sort(toggles)

@@ -264,8 +264,8 @@ func TestTermSetBasics(t *testing.T) {
 }
 
 func TestTermSetSize(t *testing.T) {
-	if got := unsafe.Sizeof(TermSet{}); got > 56 {
-		t.Fatalf("TermSet is %d bytes, want at most 56", got)
+	if got := unsafe.Sizeof(TermSet{}); got > 48 {
+		t.Fatalf("TermSet is %d bytes, want at most 48", got)
 	}
 }
 

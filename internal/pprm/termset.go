@@ -24,32 +24,23 @@ import (
 //     substitutions stream through the terms in order, and copies (one per
 //     queued search node) are a single contiguous move.
 //
-// Alongside the terms the set maintains two derived values:
+// Alongside the terms the set maintains hash, the XOR of the terms' Zobrist
+// keys (see hash.go), updated in O(1) per membership flip, which the
+// synthesis search's transposition table keys on. It is the same function of
+// the term set in both forms.
 //
-//   - hash: the XOR of the terms' Zobrist keys (see hash.go), updated in
-//     O(1) per membership flip, which the synthesis search's transposition
-//     table keys on. It is the same function of the term set in both forms;
-//   - sorted (slice form only): a lazily built, immutable copy of the terms
-//     in presentation order (ascending literal count, then mask),
-//     invalidated on mutation. Copy-on-write children share it with their
-//     parents, so the hot-path candidate enumeration usually finds it
-//     already built.
+// A TermSet keeps no other derived state: the presentation order (Sorted,
+// AppendSorted) is recomputed on every call, in O(k) for k terms, so reads
+// never write and read-only sharing across goroutines is safe in both
+// forms. Mutation (Toggle, Substitute) still needs exclusive ownership.
 //
-// A slice-form TermSet is not safe for concurrent use: Sorted fills the
-// cache on first call, so even logically read-only sharing across
-// goroutines requires the owner to Clone first (the search clones its root
-// spec for exactly this reason). A word-form set has no cache, so
-// read-only sharing is safe.
-//
-// The cache is held through a pointer to keep the struct at 56 bytes
-// (pinned by TestTermSetSize): every Spec copy moves one TermSet per
-// output, and the slice-form search on wide functions slows measurably
-// when the struct grows.
+// The struct is 48 bytes (pinned by TestTermSetSize): every Spec copy moves
+// one TermSet per output, and the slice-form search on wide functions slows
+// measurably when the struct grows.
 type TermSet struct {
-	terms  []bits.Mask  // slice form: strictly increasing
-	sorted *[]bits.Mask // slice form: presentation-order cache; nil = not built
-	hash   uint64       // XOR of termHash over the terms
-	word   uint64       // word form: bit m set iff term m has coefficient 1
+	terms  []bits.Mask // slice form: strictly increasing
+	hash   uint64      // XOR of termHash over the terms
+	word   uint64      // word form: bit m set iff term m has coefficient 1
 	isWord bool
 }
 
@@ -102,7 +93,6 @@ func (ts *TermSet) Toggle(t bits.Mask) int {
 		return -1
 	}
 	ts.hash ^= termHash(t)
-	ts.sorted = nil
 	i := sort.Search(len(ts.terms), func(i int) bool { return ts.terms[i] >= t })
 	if i < len(ts.terms) && ts.terms[i] == t {
 		ts.terms = append(ts.terms[:i], ts.terms[i+1:]...)
@@ -114,18 +104,12 @@ func (ts *TermSet) Toggle(t bits.Mask) int {
 	return 1
 }
 
-// Clone returns a copy of the set. The presentation cache, if built, is
-// shared: it is immutable once created (mutations replace it rather than
-// editing in place).
+// Clone returns a copy of the set that shares no storage with it.
 func (ts *TermSet) Clone() TermSet {
 	if ts.isWord {
 		return *ts
 	}
-	return TermSet{
-		terms:  append([]bits.Mask(nil), ts.terms...),
-		hash:   ts.hash,
-		sorted: ts.sorted,
-	}
+	return TermSet{terms: append([]bits.Mask(nil), ts.terms...), hash: ts.hash}
 }
 
 // Terms returns the terms in ascending mask order. A slice-form set returns
@@ -186,41 +170,40 @@ func (s *Spec) RestoreOutput(i int, terms []bits.Mask, capacity int) error {
 
 // Sorted returns the terms ordered by ascending literal count, then mask —
 // the deterministic presentation order used for printing and candidate
-// enumeration. Callers must not modify the result. On a slice-form set the
-// result is cached until the set next mutates and is shared with
-// copy-on-write clones; on a word-form set every call allocates, so hot
-// paths use AppendSorted with a reused buffer instead.
+// enumeration — in a freshly allocated slice. Hot paths use AppendSorted
+// with a reused buffer instead.
 func (ts *TermSet) Sorted() []bits.Mask {
-	if ts.isWord {
-		return ts.AppendSorted(make([]bits.Mask, 0, ts.Len()))
-	}
-	if ts.sorted != nil {
-		return *ts.sorted
-	}
-	if len(ts.terms) == 0 {
-		return nil
-	}
-	out := slices.Clone(ts.terms)
-	slices.SortFunc(out, func(a, b bits.Mask) int {
-		if ca, cb := bits.Count(a), bits.Count(b); ca != cb {
-			return ca - cb
-		}
-		return int(a) - int(b)
-	})
-	ts.sorted = &out
-	return out
+	return ts.AppendSorted(make([]bits.Mask, 0, ts.Len()))
 }
 
 // AppendSorted appends the terms in presentation order (see Sorted) to dst
-// and returns the extended slice. On a word-form set it walks the
-// literal-count classes of the word and allocates nothing beyond growing
-// dst.
+// and returns the extended slice. It allocates nothing beyond growing dst.
+// On a word-form set it walks the literal-count classes of the word; on a
+// slice-form set it is one stable counting sort by literal count over the
+// ascending terms, so each class comes out in mask order.
 func (ts *TermSet) AppendSorted(dst []bits.Mask) []bits.Mask {
-	if !ts.isWord {
-		return append(dst, ts.Sorted()...)
+	if ts.isWord {
+		for k := range popClass {
+			dst = appendWordTerms(dst, ts.word&popClass[k])
+		}
+		return dst
 	}
-	for k := range popClass {
-		dst = appendWordTerms(dst, ts.word&popClass[k])
+	// start[c+1] counts the terms with c literals; the prefix sums then
+	// turn start[c] into the first output index of class c.
+	var start [bits.MaxVars + 2]int
+	for _, t := range ts.terms {
+		start[bits.Count(t)+1]++
+	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, len(ts.terms))[:base+len(ts.terms)]
+	out := dst[base:]
+	for _, t := range ts.terms {
+		c := bits.Count(t)
+		out[start[c]] = t
+		start[c]++
 	}
 	return dst
 }
@@ -283,7 +266,6 @@ func (ts *TermSet) symmetricMerge(toggles []bits.Mask, scratch []bits.Mask) int 
 	for _, t := range toggles {
 		ts.hash ^= termHash(t)
 	}
-	ts.sorted = nil
 	return delta
 }
 

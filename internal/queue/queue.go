@@ -7,19 +7,25 @@
 // behaviour of a sequential C implementation.
 package queue
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Queue is a max-heap of values with float64 priorities. The zero value is
 // an empty queue ready for use.
 type Queue[T any] struct {
 	items []entry[T]
-	seq   uint64
+	seq   uint32 // insertion number of the next Push
 }
 
+// entry is one queued value. With a 4-byte value (the search's int32 arena
+// slots) it is 16 bytes: the insertion number is 32-bit, and Push renumbers
+// the queue before it would wrap (see renumber).
 type entry[T any] struct {
-	value    T
 	priority float64
-	seq      uint64
+	seq      uint32
+	value    T
 }
 
 // Len returns the number of queued items.
@@ -71,9 +77,25 @@ func sortEntries[T any](items []entry[T]) {
 
 // Push inserts v with the given priority.
 func (q *Queue[T]) Push(v T, priority float64) {
-	q.items = append(q.items, entry[T]{value: v, priority: priority, seq: q.seq})
+	if q.seq == math.MaxUint32 {
+		q.renumber()
+	}
+	q.items = append(q.items, entry[T]{priority: priority, seq: q.seq, value: v})
 	q.seq++
 	q.up(len(q.items) - 1)
+}
+
+// renumber keeps FIFO tie-breaking exact when the 32-bit insertion counter
+// runs out, which a long search does (a 500-million-step run pushes more
+// than 2^32 nodes): it sorts the entries by precedence and numbers them
+// 0…len−1 in that order, so every queued entry keeps its rank and every
+// later Push numbers above all of them. The sorted array is a valid heap.
+func (q *Queue[T]) renumber() {
+	sortEntries(q.items)
+	for i := range q.items {
+		q.items[i].seq = uint32(i)
+	}
+	q.seq = uint32(len(q.items))
 }
 
 // Pop removes and returns the highest-priority item. The boolean is false
@@ -94,11 +116,12 @@ func (q *Queue[T]) Pop() (T, bool) {
 	return top, true
 }
 
-// Each calls f for every queued item, in unspecified (heap-array) order.
-// The search uses it to rebuild memory accounting after a prune.
-func (q *Queue[T]) Each(f func(T)) {
+// Each calls f for every queued item and its priority, in unspecified
+// (heap-array) order. The search uses it to rebuild memory accounting after
+// a prune.
+func (q *Queue[T]) Each(f func(v T, priority float64)) {
 	for i := range q.items {
-		f(q.items[i].value)
+		f(q.items[i].value, q.items[i].priority)
 	}
 }
 

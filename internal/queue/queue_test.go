@@ -1,8 +1,10 @@
 package queue
 
 import (
+	"math"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -166,13 +168,18 @@ func TestPruneToZero(t *testing.T) {
 func TestEachVisitsAll(t *testing.T) {
 	var q Queue[int]
 	seen := make(map[int]int)
-	q.Each(func(int) { t.Error("Each on empty queue called f") })
+	q.Each(func(int, float64) { t.Error("Each on empty queue called f") })
 	for i := 0; i < 50; i++ {
 		q.Push(i, float64(i%7))
 	}
 	q.Pop()
 	q.Pop()
-	q.Each(func(v int) { seen[v]++ })
+	q.Each(func(v int, priority float64) {
+		seen[v]++
+		if priority != float64(v%7) {
+			t.Errorf("Each gave item %d priority %v, want %v", v, priority, float64(v%7))
+		}
+	})
 	if len(seen) != q.Len() {
 		t.Fatalf("Each visited %d distinct items, queue holds %d", len(seen), q.Len())
 	}
@@ -234,4 +241,67 @@ func TestPruneToFuncDiscards(t *testing.T) {
 	}
 	// No callback when nothing is dropped.
 	q.PruneToFunc(10, func(v int) { t.Errorf("discarded %d from a small queue", v) })
+}
+
+// TestEntrySize pins a queued search node (an int32 arena slot) at 16
+// bytes of heap array: priority, a 32-bit insertion number, and the slot.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(entry[int32]{}); got != 16 {
+		t.Fatalf("entry[int32] is %d bytes, want 16", got)
+	}
+}
+
+// TestSeqWrapKeepsFIFO starts the 32-bit insertion counter just below its
+// limit and pushes runs of tied priorities across the wrap, interleaved
+// with pops, checking every pop against a model that numbers insertions
+// with 64 bits and never wraps.
+func TestSeqWrapKeepsFIFO(t *testing.T) {
+	type item struct {
+		v        int
+		priority float64
+		seq      uint64
+	}
+	src := rng.New(41)
+	var q Queue[int]
+	q.seq = math.MaxUint32 - 300
+	var model []item
+	var next uint64
+	popModel := func() int {
+		best := 0
+		for i, it := range model[1:] {
+			b := model[best]
+			if it.priority > b.priority || it.priority == b.priority && it.seq < b.seq {
+				best = i + 1
+			}
+		}
+		v := model[best].v
+		model = append(model[:best], model[best+1:]...)
+		return v
+	}
+	renumbered := false
+	for i := 0; i < 2000; i++ {
+		if q.seq < math.MaxUint32-300 {
+			renumbered = true
+		}
+		if len(model) > 0 && src.Intn(3) == 0 {
+			want := popModel()
+			if got, ok := q.Pop(); !ok || got != want {
+				t.Fatalf("pop %d = %d (%v), want %d", i, got, ok, want)
+			}
+			continue
+		}
+		p := float64(src.Intn(4)) // few distinct priorities: many ties
+		q.Push(i, p)
+		model = append(model, item{v: i, priority: p, seq: next})
+		next++
+	}
+	if !renumbered {
+		t.Fatal("the insertion counter never wrapped")
+	}
+	for len(model) > 0 {
+		want := popModel()
+		if got, ok := q.Pop(); !ok || got != want {
+			t.Fatalf("drain pop = %d (%v), want %d", got, ok, want)
+		}
+	}
 }
