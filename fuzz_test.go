@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/bits"
+	"repro/internal/circuit"
 	"repro/internal/perm"
 	"repro/internal/pprm"
 	"repro/internal/tt"
@@ -111,23 +112,50 @@ func FuzzSubstituteInvariants(f *testing.F) {
 	// The largest word-form size and the smallest slice-form one.
 	f.Add(uint64(3), uint8(5), uint8(1), uint16(0x2d))
 	f.Add(uint64(5), uint8(6), uint8(6), uint16(0x4b))
+	// Sparse eight-variable specs, built from short cascades.
+	f.Add(uint64(2), uint8(15), uint8(0), uint16(0))
+	f.Add(uint64(9), uint8(14), uint8(3), uint16(0x41))
 	f.Fuzz(func(t *testing.T, seed uint64, vars, target uint8, factorBits uint16) {
 		n := int(vars%8) + 1
 		tgt := int(target) % n
 		factor := bits.Mask(factorBits) & (1<<uint(n) - 1) &^ bits.Bit(tgt)
-		p := RandomFunction(n, seed)
-		spec, err := pprm.FromPerm(p)
-		if err != nil {
-			t.Fatal(err)
+		var p Perm
+		var spec *pprm.Spec
+		if vars&8 != 0 {
+			// A short cascade leaves some outputs free of some variables,
+			// so a copy shares storage with outputs Substitute changes.
+			c := randomCircuit(n, 1+int(seed%6), circuit.GT, seed)
+			p, spec = c.Perm(), c.PPRM()
+		} else {
+			p = RandomFunction(n, seed)
+			var err error
+			if spec, err = pprm.FromPerm(p); err != nil {
+				t.Fatal(err)
+			}
 		}
 		before := spec.Terms()
+		orig := spec.Clone()
 		probeDelta, probeHash, _ := spec.SubstituteProbe(tgt, factor, nil)
+		cp, copyDelta := spec.SubstituteCopy(tgt, factor)
+		// A copy on another wire shares with spec outputs that the
+		// in-place call below changes.
+		other, _ := spec.SubstituteCopy((tgt+1)%n, 0)
+		if !spec.Equal(orig) {
+			t.Fatal("SubstituteCopy changed its source")
+		}
+		otherWant := other.Clone()
 		d1 := spec.Substitute(tgt, factor)
 		if spec.Terms() != before+d1 {
 			t.Fatal("delta does not match term count")
 		}
 		if probeDelta != d1 || probeHash != spec.Hash() {
 			t.Fatal("SubstituteProbe disagrees with Substitute")
+		}
+		if copyDelta != d1 || cp.Hash() != spec.Hash() || !cp.Equal(spec) {
+			t.Fatal("SubstituteCopy disagrees with Substitute")
+		}
+		if !other.Equal(otherWant) {
+			t.Fatal("in-place Substitute changed an earlier copy")
 		}
 		d2 := spec.Substitute(tgt, factor)
 		if d1+d2 != 0 {

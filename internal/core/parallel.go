@@ -33,19 +33,12 @@ func (o *Options) stride() int {
 	return 1
 }
 
-// scoringClone returns a searcher stripped to the state generate reads —
-// options, weights, widths — with its own scratch buffers and no queue,
-// table, or counters. Each extra worker generates through its own clone,
-// so no scratch buffer is touched by two goroutines.
+// scoringClone returns a searcher stripped to the state generate reads
+// (see newScoring), with its own scratch buffers and no queue, table, or
+// counters. Each extra worker generates through its own clone, so no
+// scratch buffer is touched by two goroutines.
 func (s *searcher) scoringClone() *searcher {
-	return &searcher{
-		opts:      s.opts,
-		alpha:     s.alpha,
-		beta:      s.beta,
-		gamma:     s.gamma,
-		n:         s.n,
-		initTerms: s.initTerms,
-	}
+	return newScoring(s.opts, s.n, s.initTerms)
 }
 
 // generateBatch runs generate for every batch node, fanning the work out

@@ -92,8 +92,9 @@ func SynthesizePortfolioContext(ctx context.Context, spec *pprm.Spec, opts Optio
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// The input spec is only read (each searcher clones it for its
-			// root), so the variants share it without synchronization.
+			// The input spec is only read: the search derives every
+			// expansion through SubstituteCopy and never writes one, so
+			// the variants share it without synchronization.
 			results[i] = SynthesizeContext(pctx, spec, variants[i])
 			if opts.FirstSolution && results[i].Found {
 				cancel() // first solution cancels the stragglers

@@ -282,13 +282,7 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		return nil, ErrSpecMismatch
 	}
 
-	s := &searcher{opts: opts, n: spec.N, queueCap: maxQueue}
-	s.alpha, s.beta, s.gamma = opts.weights()
-	s.initTerms = rootSpec.Terms()
-	s.maxGates = opts.MaxGates
-	if s.maxGates <= 0 {
-		s.maxGates = 1 << uint(min(spec.N+1, 12))
-	}
+	s := newScoring(opts, spec.N, rootSpec.Terms())
 
 	if len(st.Nodes) == 0 {
 		return nil, fmt.Errorf("%w: no nodes", ErrInvalidState)

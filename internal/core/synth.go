@@ -269,18 +269,26 @@ type scored struct {
 	admit    bool
 }
 
-func newSearcher(spec *pprm.Spec, opts Options) *searcher {
-	s := &searcher{opts: opts, n: spec.N, queueCap: maxQueue}
+// newScoring returns a searcher holding only the configuration fixed for
+// one spec and one set of options: the options, the priority weights, the
+// width, the root's term count, the depth cap and the queue cap. It has no
+// arena, queue, table or counters. newSearcher and restoreSearcher build on
+// it, and scoringClone is one.
+func newScoring(opts Options, n, initTerms int) *searcher {
+	s := &searcher{opts: opts, n: n, initTerms: initTerms, maxGates: opts.MaxGates, queueCap: maxQueue}
 	s.alpha, s.beta, s.gamma = opts.weights()
-	s.initTerms = spec.Terms()
-	s.maxGates = opts.MaxGates
 	if s.maxGates <= 0 {
 		// Under AdmitAll the priority's α·depth term favors depth-first
 		// descent, so an unbounded search could dive forever down a
 		// fruitless path. Cap the depth generously: no function in the
 		// paper's entire evaluation needs more than 2^(n+1) gates.
-		s.maxGates = 1 << uint(min(spec.N+1, 12))
+		s.maxGates = 1 << uint(min(n+1, 12))
 	}
+	return s
+}
+
+func newSearcher(spec *pprm.Spec, opts Options) *searcher {
+	s := newScoring(opts, spec.N, spec.Terms())
 	s.bestDepth = s.maxGates + 1
 	s.bestSol = -1
 	root := node{

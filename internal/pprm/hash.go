@@ -1,7 +1,7 @@
 package pprm
 
 import (
-	"slices"
+	mbits "math/bits"
 
 	"repro/internal/bits"
 )
@@ -77,51 +77,22 @@ func (s *Spec) Hash() uint64 {
 // operations per output and allocates nothing.
 func (s *Spec) SubstituteProbe(target int, factor bits.Mask, scratch []bits.Mask) (delta int, hash uint64, out []bits.Mask) {
 	tb := bits.Bit(target)
-	toggles := scratch[:0]
 	for j := range s.Out {
 		ts := &s.Out[j]
+		var d int
+		var h uint64
 		if ts.isWord {
-			child, d := ts.substituteWord(wordToggles(ts.word, target, factor))
-			delta += d
-			hash ^= mix64(child.hash + outSalt(j))
-			continue
+			// substituteWord without building the set: this loop is the
+			// search's hottest, and the struct measurably slows it.
+			tw := wordToggles(ts.word, target, factor)
+			w := ts.word ^ tw
+			d = mbits.OnesCount64(w) - mbits.OnesCount64(ts.word)
+			h = ts.hash ^ wordHashOf(tw)
+		} else {
+			d, h = ts.probeSlice(tb, factor, &scratch)
 		}
-		toggles = toggles[:0]
-		var tx uint64
-		for _, t := range ts.terms {
-			if t&tb != 0 {
-				nt := (t &^ tb) | factor
-				toggles = append(toggles, nt)
-				// Toggle keys XOR-cancel in pairs exactly like the terms
-				// themselves, so tx over the raw toggle list equals tx
-				// over the deduplicated one.
-				tx ^= termHash(nt)
-			}
-		}
-		hash ^= mix64((ts.hash ^ tx) + outSalt(j))
-		if len(toggles) == 0 {
-			continue
-		}
-		slices.Sort(toggles)
-		toggles = dedupSorted(toggles)
-		// Merge-count against the sorted set: toggles already present
-		// cancel (−1), absent ones insert (+1).
-		a := ts.terms
-		i, k := 0, 0
-		for i < len(a) && k < len(toggles) {
-			switch {
-			case a[i] < toggles[k]:
-				i++
-			case a[i] > toggles[k]:
-				delta++
-				k++
-			default:
-				delta--
-				i++
-				k++
-			}
-		}
-		delta += len(toggles) - k
+		delta += d
+		hash ^= mix64(h + outSalt(j))
 	}
-	return delta, hash, toggles
+	return delta, hash, scratch
 }

@@ -15,7 +15,6 @@ package pprm
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/bits"
@@ -223,102 +222,49 @@ func mobius(a []byte) {
 // v_target·rest ⊕ factor·rest, so the term (t \ v_target) ∪ factor is
 // toggled; toggling an existing term cancels it (an even number of
 // identical product terms cancels in an EXOR expansion).
+//
+// Each output the substitution changes is replaced with fresh storage;
+// no term slice is written, so a Spec sharing outputs with s (see
+// SubstituteCopy) is left intact.
 func (s *Spec) Substitute(target int, factor bits.Mask) int {
-	if bits.Has(factor, target) {
-		panic(fmt.Sprintf("pprm: factor %s contains target %s",
-			bits.TermString(factor), bits.VarName(target)))
-	}
-	tb := bits.Bit(target)
-	delta := 0
-	var toggles, scratch []bits.Mask
-	for j := range s.Out {
-		ts := &s.Out[j]
-		if ts.isWord {
-			var d int
-			*ts, d = ts.substituteWord(wordToggles(ts.word, target, factor))
-			delta += d
-			continue
-		}
-		toggles = toggles[:0]
-		for _, t := range ts.terms {
-			if t&tb != 0 {
-				toggles = append(toggles, (t&^tb)|factor)
-			}
-		}
-		if len(toggles) == 0 {
-			continue
-		}
-		slices.Sort(toggles)
-		toggles = dedupSorted(toggles)
-		if cap(scratch) < ts.Len()+len(toggles) {
-			scratch = make([]bits.Mask, 0, 2*(ts.Len()+len(toggles)))
-		}
-		delta += ts.symmetricMerge(toggles, scratch)
-	}
-	return delta
+	return s.substituteInto(s.Out, target, factor)
 }
 
 // SubstituteCopy returns a new Spec equal to s with v_target = v_target ⊕
-// factor applied, plus the term-count change. Output expansions the
-// substitution does not touch are shared (not copied) between s and the
-// result, so both must be treated as immutable afterwards — the search
-// relies on this to make child-node creation cheap.
+// factor applied, plus the term-count change. Outputs the substitution
+// does not touch share their term storage (not copied) with s, which is
+// what makes the search's child-node creation cheap. Sharing is safe under
+// Substitute, which replaces every output it changes with fresh storage;
+// Toggle writes a term slice in place and must not be applied to a shared
+// output.
 func (s *Spec) SubstituteCopy(target int, factor bits.Mask) (*Spec, int) {
+	out := &Spec{N: s.N, Out: make([]TermSet, len(s.Out))}
+	return out, s.substituteInto(out.Out, target, factor)
+}
+
+// substituteInto writes s's outputs with v_target = v_target ⊕ factor
+// applied into dst — s.Out itself, or a fresh array of the same length —
+// and returns the change in total term count. A changed slice-form output
+// gets fresh storage, so no term slice is ever written.
+func (s *Spec) substituteInto(dst []TermSet, target int, factor bits.Mask) int {
 	if bits.Has(factor, target) {
 		panic(fmt.Sprintf("pprm: factor %s contains target %s",
 			bits.TermString(factor), bits.VarName(target)))
 	}
 	tb := bits.Bit(target)
-	out := &Spec{N: s.N, Out: make([]TermSet, len(s.Out))}
 	delta := 0
-	var toggles []bits.Mask
+	var buf []bits.Mask
 	for j := range s.Out {
 		ts := &s.Out[j]
+		var d int
 		if ts.isWord {
-			var d int
-			out.Out[j], d = ts.substituteWord(wordToggles(ts.word, target, factor))
-			delta += d
-			continue
+			dst[j], d = ts.substituteWord(wordToggles(ts.word, target, factor))
+		} else {
+			dst[j], d = ts.substituteSlice(tb, factor, &buf)
 		}
-		toggles = toggles[:0]
-		var tx uint64
-		for _, t := range ts.terms {
-			if t&tb != 0 {
-				nt := (t &^ tb) | factor
-				toggles = append(toggles, nt)
-				tx ^= termHash(nt)
-			}
-		}
-		if len(toggles) == 0 {
-			out.Out[j] = *ts // share storage (incl. hash)
-			continue
-		}
-		slices.Sort(toggles)
-		toggles = dedupSorted(toggles)
-		merged := make([]bits.Mask, 0, ts.Len()+len(toggles))
-		a := ts.terms
-		i, k := 0, 0
-		for i < len(a) && k < len(toggles) {
-			switch {
-			case a[i] < toggles[k]:
-				merged = append(merged, a[i])
-				i++
-			case a[i] > toggles[k]:
-				merged = append(merged, toggles[k])
-				k++
-			default:
-				i++
-				k++
-			}
-		}
-		merged = append(merged, a[i:]...)
-		merged = append(merged, toggles[k:]...)
-		delta += len(merged) - len(a)
-		// Toggle keys cancel in XOR pairs exactly like the terms, so the
-		// raw-toggle XOR tx is the hash delta even after deduplication.
-		out.Out[j] = TermSet{terms: merged, hash: ts.hash ^ tx}
+		delta += d
 	}
-	return out, delta
+	return delta
 }
 
 // Equal reports whether the two Specs are the same expansion.

@@ -1,6 +1,7 @@
 package pprm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -180,6 +181,26 @@ func TestSubstituteCopyMatchesInPlace(t *testing.T) {
 		if !cp.Equal(s) {
 			t.Fatal("SubstituteCopy result differs from in-place result")
 		}
+	}
+}
+
+// TestSubstituteLeavesSharedCopyIntact pins that in-place Substitute never
+// writes term storage a SubstituteCopy result shares: with spare capacity
+// in b' = b ^ ab ^ ac, writing the merged terms back in place would turn
+// the copy's b' into c ^ ab ^ ac.
+func TestSubstituteLeavesSharedCopyIntact(t *testing.T) {
+	s := Identity(8)
+	if err := s.RestoreOutput(1, []bits.Mask{0b010, 0b011, 0b101}, 4); err != nil {
+		t.Fatal(err)
+	}
+	cp, _ := s.SubstituteCopy(7, bits.Bit(6)) // shares outputs 0…6 with s
+	want := cp.Clone()
+	s.Substitute(0, 0) // a = a ^ 1 changes outputs 0 and 1
+	if !cp.Equal(want) {
+		t.Fatalf("Substitute rewrote a shared output of the copy:\n%v\nwant\n%v", cp, want)
+	}
+	if got := s.Out[1].Terms(); !slices.Equal(got, []bits.Mask{0b011, 0b100, 0b101}) {
+		t.Fatalf("b' = %v after a = a ^ 1, want [3 4 5]", got)
 	}
 }
 

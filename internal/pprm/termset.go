@@ -32,7 +32,10 @@ import (
 // A TermSet keeps no other derived state: the presentation order (Sorted,
 // AppendSorted) is recomputed on every call, in O(k) for k terms, so reads
 // never write and read-only sharing across goroutines is safe in both
-// forms. Mutation (Toggle, Substitute) still needs exclusive ownership.
+// forms. Only Toggle writes a term slice in place, so it needs exclusive
+// ownership of the storage; Spec.Substitute replaces each output it
+// changes with fresh storage, so term slices shared between Specs (see
+// SubstituteCopy) are never rewritten by it.
 //
 // The struct is 48 bytes (pinned by TestTermSetSize): every Spec copy moves
 // one TermSet per output, and the slice-form search on wide functions slows
@@ -237,51 +240,93 @@ func (ts *TermSet) Equal(o *TermSet) bool {
 	return true
 }
 
-// symmetricMerge replaces the slice-form set ts with ts Δ toggles, where
-// toggles is sorted and duplicate-free, returning the change in size.
-// scratch, if non-nil, is reused as the output buffer to avoid allocation.
-func (ts *TermSet) symmetricMerge(toggles []bits.Mask, scratch []bits.Mask) int {
-	out := scratch[:0]
-	a, b := ts.terms, toggles
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			i++
-			j++
+// sliceToggles collects into buf the terms that the substitution v_target =
+// v_target ⊕ factor toggles in the slice-form set ts (tb is v_target's
+// bit), sorted and with duplicate pairs cancelled, and returns them with
+// the XOR of their Zobrist keys. hit reports whether any term held the
+// target; the toggles can cancel to nothing even when it did.
+func (ts *TermSet) sliceToggles(tb, factor bits.Mask, buf []bits.Mask) (toggles []bits.Mask, tx uint64, hit bool) {
+	toggles = buf[:0]
+	for _, t := range ts.terms {
+		if t&tb != 0 {
+			nt := (t &^ tb) | factor
+			toggles = append(toggles, nt)
+			// Toggle keys cancel in XOR pairs exactly like the terms,
+			// so the XOR over the raw toggles is the hash change.
+			tx ^= termHash(nt)
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	delta := len(out) - len(a)
-	ts.terms = append(ts.terms[:0], out...)
-	// Every toggle flips membership exactly once (the list is
-	// duplicate-free), so the hash update is the XOR of their keys.
-	for _, t := range toggles {
-		ts.hash ^= termHash(t)
+	if len(toggles) == 0 {
+		return toggles, 0, false
 	}
-	return delta
-}
-
-// dedupSorted collapses duplicate pairs in a sorted toggle list (an even
-// number of identical toggles cancels), in place.
-func dedupSorted(ms []bits.Mask) []bits.Mask {
-	out := ms[:0]
-	for i := 0; i < len(ms); {
+	slices.Sort(toggles)
+	// An even number of identical toggles cancels.
+	out := toggles[:0]
+	for i := 0; i < len(toggles); {
 		j := i
-		for j < len(ms) && ms[j] == ms[i] {
+		for j < len(toggles) && toggles[j] == toggles[i] {
 			j++
 		}
 		if (j-i)%2 == 1 {
-			out = append(out, ms[i])
+			out = append(out, toggles[i])
 		}
 		i = j
 	}
-	return out
+	return out, tx, true
+}
+
+// substituteSlice returns the slice-form set ts with v_target = v_target ⊕
+// factor applied, and the change in its term count. The result owns fresh
+// storage, or is ts itself, sharing its storage, when no term held the
+// target. *buf is scratch for the toggle list, kept (grown) for reuse.
+func (ts *TermSet) substituteSlice(tb, factor bits.Mask, buf *[]bits.Mask) (TermSet, int) {
+	toggles, tx, hit := ts.sliceToggles(tb, factor, *buf)
+	*buf = toggles
+	if !hit {
+		return *ts, 0
+	}
+	a := ts.terms
+	merged := make([]bits.Mask, 0, len(a)+len(toggles))
+	i, k := 0, 0
+	for i < len(a) && k < len(toggles) {
+		switch {
+		case a[i] < toggles[k]:
+			merged = append(merged, a[i])
+			i++
+		case a[i] > toggles[k]:
+			merged = append(merged, toggles[k])
+			k++
+		default:
+			i++
+			k++
+		}
+	}
+	merged = append(merged, a[i:]...)
+	merged = append(merged, toggles[k:]...)
+	return TermSet{terms: merged, hash: ts.hash ^ tx}, len(merged) - len(a)
+}
+
+// probeSlice returns the term-count change and the hash of the set
+// substituteSlice would return, without building it. *buf is as there.
+func (ts *TermSet) probeSlice(tb, factor bits.Mask, buf *[]bits.Mask) (delta int, hash uint64) {
+	toggles, tx, _ := ts.sliceToggles(tb, factor, *buf)
+	*buf = toggles
+	// Merge-count against the sorted set: toggles already present cancel
+	// (−1), absent ones insert (+1).
+	a := ts.terms
+	i, k := 0, 0
+	for i < len(a) && k < len(toggles) {
+		switch {
+		case a[i] < toggles[k]:
+			i++
+		case a[i] > toggles[k]:
+			delta++
+			k++
+		default:
+			delta--
+			i++
+			k++
+		}
+	}
+	return delta + len(toggles) - k, ts.hash ^ tx
 }
