@@ -81,7 +81,8 @@ func TestTranspoCapacityReset(t *testing.T) {
 // TestTranspoMatchesMapModel drives the open-addressed table and a
 // map[uint64]int32 reference through the same random record / seen /
 // forget / reset sequences and compares every answer, the counters, and
-// the exported contents. The keys are drawn from a small pool whose members
+// the exported contents. Most records come straight after a seen of the
+// same key, as in commit, so they start from the hint that seen left. The keys are drawn from a small pool whose members
 // share their low bits (including key 0 and keys homed in the last slots),
 // so probe clusters are long, wrap past the end of the array, and forget's
 // backward shift really moves entries; the small limit makes the
@@ -101,19 +102,22 @@ func TestTranspoMatchesMapModel(t *testing.T) {
 		ref := map[uint64]int32{}
 		var evictions int64
 		var hits, misses int64
+		record := func(h uint64, d int) {
+			if _, ok := ref[h]; !ok && len(ref) >= limit {
+				evictions += int64(len(ref))
+				clear(ref)
+			}
+			if old, ok := ref[h]; !ok || int32(d) < old {
+				ref[h] = int32(d)
+			}
+			tt.record(h, d)
+		}
 		for op := 0; op < 4000; op++ {
 			h := pool[src.Intn(len(pool))]
 			d := src.Intn(6)
 			switch r := src.Intn(100); {
-			case r < 45:
-				if _, ok := ref[h]; !ok && len(ref) >= limit {
-					evictions += int64(len(ref))
-					clear(ref)
-				}
-				if old, ok := ref[h]; !ok || int32(d) < old {
-					ref[h] = int32(d)
-				}
-				tt.record(h, d)
+			case r < 10:
+				record(h, d)
 			case r < 75:
 				old, ok := ref[h]
 				want := ok && int(old) <= d
@@ -124,6 +128,11 @@ func TestTranspoMatchesMapModel(t *testing.T) {
 				}
 				if got := tt.seen(h, d); got != want {
 					t.Fatalf("round %d op %d: seen(%#x, %d) = %v, want %v", round, op, h, d, got, want)
+				}
+				// commit's pattern: record the key just probed, mostly
+				// after a miss but sometimes after a hit too.
+				if r < 60 && (!want || r < 20) {
+					record(h, d)
 				}
 			case r < 99:
 				if old, ok := ref[h]; ok && int(old) == d {
@@ -169,6 +178,120 @@ func TestTranspoMatchesMapModel(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkTranspo fails the test unless tt holds exactly the entries of ref,
+// each reachable by a probe and at its recorded depth.
+func checkTranspo(t *testing.T, where string, tt *transpo, ref map[uint64]int32) {
+	t.Helper()
+	keys, depths := tt.export()
+	if len(keys) != len(ref) || tt.len() != len(ref) {
+		t.Fatalf("%s: table holds %d entries (len %d), reference %d", where, len(keys), tt.len(), len(ref))
+	}
+	for i, k := range keys {
+		if d, ok := ref[k]; !ok || d != depths[i] {
+			t.Fatalf("%s: table has %#x at depth %d, reference %d (present %v)", where, k, depths[i], d, ok)
+		}
+	}
+	for k, d := range ref {
+		if !tt.seen(k, int(d)) || (d > 0 && tt.seen(k, int(d)-1)) {
+			t.Fatalf("%s: %#x is not reachable at depth %d", where, k, d)
+		}
+	}
+}
+
+// TestTranspoHintSequences drives the sequences in which the slot that
+// seen remembered goes stale before the record of the same key: the array
+// grows, a forget shifts the probed chain back, the table is reset, or a
+// record of another key fills the slot. Each must leave the table equal to
+// the map model. All keys share home slot 5 of the initial 64-slot array,
+// so a probed key's chain ends past its home.
+func TestTranspoHintSequences(t *testing.T) {
+	key := func(i uint64) uint64 { return i<<12 | 5 } // home 5 at 64 … 4096 slots
+	const d = 3
+	setup := func(k int) (*transpo, map[uint64]int32) {
+		tt := newTranspo(1 << 20)
+		ref := map[uint64]int32{}
+		for i := 1; i <= k; i++ {
+			tt.record(key(uint64(i)), d)
+			ref[key(uint64(i))] = d
+		}
+		return tt, ref
+	}
+	h := key(100)
+
+	t.Run("grow", func(t *testing.T) {
+		// hg is homed at 5 of 64 slots but at 69 of 128, so the slot its
+		// probe ended on means nothing after the array doubles.
+		hg := h | 1<<6
+		tt, ref := setup(3)
+		tt.seen(hg, d)
+		tt.grow()
+		tt.record(hg, d)
+		ref[hg] = d
+		checkTranspo(t, "seen → grow → record", tt, ref)
+	})
+	t.Run("grow-on-insert", func(t *testing.T) {
+		// 48 entries fill a 64-slot array to exactly 3/4 load, so the
+		// record after the seen grows the array itself.
+		tt, ref := setup(48)
+		if len(tt.slots) != ttMinSlots {
+			t.Fatalf("table grew early: %d slots", len(tt.slots))
+		}
+		tt.seen(h, d)
+		tt.record(h, d)
+		ref[h] = d
+		if len(tt.slots) == ttMinSlots {
+			t.Fatal("the record did not grow the array")
+		}
+		checkTranspo(t, "seen → record that grows", tt, ref)
+	})
+	t.Run("forget-shifts", func(t *testing.T) {
+		tt, ref := setup(3)
+		tt.seen(h, d)
+		tt.forget(key(1), d) // the chain's first entry: the rest shift back
+		delete(ref, key(1))
+		if tt.slots[5].key != key(2) {
+			t.Fatalf("forget did not shift the chain back: slot 5 holds %#x", tt.slots[5].key)
+		}
+		tt.record(h, d)
+		ref[h] = d
+		checkTranspo(t, "seen → forget with a shift → record", tt, ref)
+	})
+	t.Run("reset", func(t *testing.T) {
+		tt, _ := setup(3)
+		tt.seen(h, d)
+		tt.reset()
+		tt.record(h, d)
+		checkTranspo(t, "seen → reset → record", tt, map[uint64]int32{h: d})
+	})
+	t.Run("record-other", func(t *testing.T) {
+		tt, ref := setup(3)
+		h2 := key(101)
+		tt.seen(h, d)
+		tt.record(h2, d) // fills the empty slot the seen of h ended on
+		tt.record(h, d)
+		ref[h], ref[h2] = d, d
+		checkTranspo(t, "seen(h1) → record(h2) → record(h1)", tt, ref)
+	})
+	t.Run("load-other", func(t *testing.T) {
+		tt, ref := setup(3)
+		h2 := key(101)
+		tt.seen(h, d)
+		tt.load(h2, d+1) // a restore fills the slot the seen of h ended on
+		tt.record(h, d)
+		ref[h], ref[h2] = d, d+1
+		checkTranspo(t, "seen(h1) → load(h2) → record(h1)", tt, ref)
+	})
+	t.Run("limit-reset", func(t *testing.T) {
+		tt := newTranspo(3)
+		for i := 1; i <= 3; i++ {
+			tt.record(key(uint64(i)), d)
+		}
+		tt.seen(h, d)
+		tt.record(h, d) // a fourth entry: the table clears first
+		checkTranspo(t, "seen → record past the limit", tt, map[uint64]int32{h: d})
+	})
 }
 
 // TestTranspoGrowsAndWraps fills a table far past its initial array with
@@ -332,5 +455,49 @@ func TestDedupPortfolioCounters(t *testing.T) {
 	}
 	if r.DedupHits+r.DedupMisses == 0 {
 		t.Error("portfolio result carries no dedup telemetry")
+	}
+}
+
+// BenchmarkTranspoSeenRecord measures commit's table pattern on a table
+// grown past a core's L2 cache: 2^18 entries in 2^19 16-byte slots (8 MiB).
+// Each operation probes one key with seen; half the keys were recorded
+// before (a duplicate, pruned by a hit) and half are new, and those are
+// recorded at once, as commit records a pushed child. Every 2^16 new keys
+// the untimed loop forgets them again, so the load stays between 1/2 and
+// 5/8 and the array never grows.
+func BenchmarkTranspoSeenRecord(b *testing.B) {
+	const old, fresh = 1 << 18, 1 << 16
+	src := rng.New(9)
+	keys := make([]uint64, old+fresh)
+	for i := range keys {
+		keys[i] = src.Uint64() | 1 // never the out-of-band key 0
+	}
+	tt := newTranspo(1 << 20)
+	for _, k := range keys[:old] {
+		tt.record(k, 2)
+	}
+	if len(tt.slots) != 2*old {
+		b.Fatalf("%d slots, want %d", len(tt.slots), 2*old)
+	}
+	added := keys[old:]
+	n := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i&1 == 0 {
+			tt.seen(keys[(i>>1)&(old-1)], 3)
+			continue
+		}
+		h := added[n]
+		if !tt.seen(h, 3) {
+			tt.record(h, 3)
+		}
+		if n++; n == fresh {
+			b.StopTimer()
+			for _, k := range added {
+				tt.forget(k, 3)
+			}
+			n = 0
+			b.StartTimer()
+		}
 	}
 }

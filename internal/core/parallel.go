@@ -1,7 +1,7 @@
 package core
 
 // Round structure of the search loop (run, in synth.go). Each round pops up
-// to stride nodes, generates their candidates — the PPRM probe/score/sort
+// to stride nodes, generates their candidates — the PPRM probe/score/order
 // math, the bulk of an expansion's cost — and then commits every queue,
 // table and counter mutation sequentially in pop order:
 //

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -260,12 +259,15 @@ type firstMove struct {
 	priority float64
 }
 
+// scored is one candidate substitution as generate scored it: its Eq. (4)
+// priority, the state hash and the term counts of the child it creates,
+// and whether the admission rule lets it into the queue. It is 32 bytes.
 type scored struct {
-	factor   bits.Mask
-	terms    int
-	elim     int
 	priority float64
 	hash     uint64 // child state hash (SubstituteProbe)
+	factor   bits.Mask
+	terms    int32 // the child's term count
+	elim     int32 // terms the substitution removes (negative if it adds)
 	admit    bool
 }
 
@@ -791,32 +793,48 @@ func (s *searcher) priority(depth, terms, elimStep int, factor bits.Mask) float6
 // pcand is one generated candidate child: its score plus the solution
 // prework. For candidates that could complete a circuit (terms == n) the
 // generation half materializes the expansion and runs the identity check
-// up front, so the commit half never has to touch spec math.
+// up front, so the commit half never has to touch spec math. It is 40
+// bytes and holds no pointer (pinned by TestCandidateSize): the
+// materialized expansion lives in genResult.sols, so sorting and copying
+// candidates moves plain words, with no GC write barrier.
 type pcand struct {
 	scored
-	sol      *pprm.Spec // materialized expansion when terms == n and not the identity
-	identity bool       // terms == n and the expansion is the identity
+	sol      int32 // index in genResult.sols of the materialized expansion; −1 if none
+	identity bool  // terms == n and the expansion is the identity
 }
 
-// genTarget collects the sorted candidates for one substitution target.
+// genTarget collects the candidates for one substitution target, in
+// descending priority order, ties in generation order.
 type genTarget struct {
 	target int
 	cands  []pcand
 }
 
 // genResult is one expansion's generated children, grouped per target in
-// target order, plus the popped node's expansion when generate had to
-// materialize it (commit stores it in the arena). The backing arrays
+// target order, the expansions materialized for its solution-possible
+// candidates (pcand.sol), and the popped node's expansion when generate had
+// to materialize it (commit stores it in the arena). The backing arrays
 // (outer and inner) are reused across expansions: next re-extends within
 // capacity so the inner cands slices keep their storage.
 type genResult struct {
 	targets []genTarget
+	sols    []*pprm.Spec
 	spec    *pprm.Spec
 }
 
 func (gr *genResult) reset() {
 	gr.targets = gr.targets[:0]
+	clear(gr.sols)
+	gr.sols = gr.sols[:0]
 	gr.spec = nil
+}
+
+// solOf returns the materialized expansion of candidate c, or nil.
+func (gr *genResult) solOf(c *pcand) *pprm.Spec {
+	if c.sol < 0 {
+		return nil
+	}
+	return gr.sols[c.sol]
 }
 
 func (gr *genResult) next(target int) *genTarget {
@@ -843,13 +861,13 @@ type popped struct {
 }
 
 // generate scores every candidate substitution of p into gr: one probe
-// per candidate, priorities, the per-target stable sort, and the
-// materialization + identity check for solution-possible candidates.
-// It materializes the node's own expansion first if the node was queued
-// lazily. It reads only p (expansions are immutable) and the searcher's
-// scoring configuration and scratch buffers — never the arena, the queue,
-// the transposition table, or any counter — so distinct searchers may
-// generate distinct nodes concurrently.
+// per candidate, its priority, an ordered insert into the target's
+// candidate list, and the materialization + identity check for
+// solution-possible candidates. It materializes the node's own expansion
+// first if the node was queued lazily. It reads only p (expansions are
+// immutable) and the searcher's scoring configuration and scratch buffers —
+// never the arena, the queue, the transposition table, or any counter — so
+// distinct searchers may generate distinct nodes concurrently.
 func (s *searcher) generate(p *popped, gr *genResult) {
 	gr.reset()
 	parent := &p.nd
@@ -882,40 +900,39 @@ func (s *searcher) generate(p *popped, gr *genResult) {
 			var hash uint64
 			delta, hash, s.deltaBuf = spec.SubstituteProbe(target, f, s.deltaBuf)
 			childTerms := int(parent.terms) + delta
-			tg.cands = append(tg.cands, pcand{scored: scored{
-				factor: f,
-				terms:  childTerms,
-				elim:   -delta,
-				hash:   hash,
-				admit:  s.admit(f, childTerms, -delta),
-			}})
-		}
-		for i := range tg.cands {
-			c := &tg.cands[i]
-			c.priority = s.priority(childDepth, c.terms, c.elim, c.factor)
-		}
-		slices.SortStableFunc(tg.cands, func(a, b pcand) int {
-			switch {
-			case a.priority > b.priority:
-				return -1
-			case a.priority < b.priority:
-				return 1
-			default:
-				return 0
+			c := pcand{scored: scored{
+				priority: s.priority(childDepth, childTerms, -delta, f),
+				hash:     hash,
+				factor:   f,
+				terms:    int32(childTerms),
+				elim:     int32(-delta),
+				admit:    s.admit(f, childTerms, -delta),
+			}, sol: -1}
+			// Insert after every candidate of equal or higher priority:
+			// the list stays in the order a stable sort by descending
+			// priority would give, ties in generation order.
+			cands := append(tg.cands, c)
+			j := len(cands) - 1
+			for j > 0 && cands[j-1].priority < c.priority {
+				cands[j] = cands[j-1]
+				j--
 			}
-		})
+			cands[j] = c
+			tg.cands = cands
+		}
 		for i := range tg.cands {
 			c := &tg.cands[i]
 			// A child can only be the identity (a solution) if it has
 			// exactly one term per output; the commit half needs the
 			// materialized expansion for those, whether to report the
 			// solution or to queue the near-miss with its spec attached.
-			if c.terms == s.n {
+			if int(c.terms) == s.n {
 				cs, _ := spec.SubstituteCopy(target, c.factor)
 				if cs.IsIdentity() {
 					c.identity = true
 				} else {
-					c.sol = cs
+					c.sol = int32(len(gr.sols))
+					gr.sols = append(gr.sols, cs)
 				}
 			}
 		}
@@ -941,7 +958,7 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 		pushed := 0
 		for i := range tg.cands {
 			c := &tg.cands[i]
-			solutionPossible := c.terms == s.n
+			solutionPossible := int(c.terms) == s.n
 			inTopK := c.admit && (s.opts.GreedyK <= 0 || pushed < s.opts.GreedyK)
 			if !inTopK && !solutionPossible {
 				continue
@@ -979,7 +996,7 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 			if !inTopK || childDepth >= s.bestDepth-1 {
 				continue
 			}
-			child := s.newChild(pi, target, c, c.sol)
+			child := s.newChild(pi, target, c, gr.solOf(c))
 			pushed++
 			if isRoot {
 				s.firstMoves = append(s.firstMoves, firstMove{
@@ -1014,7 +1031,7 @@ func (s *searcher) newChild(pi int32, target int, c *pcand, spec *pprm.Spec) int
 		target: int32(target),
 		factor: c.factor,
 		depth:  s.ar.at(pi).depth + 1,
-		terms:  int32(c.terms),
+		terms:  c.terms,
 	}, spec)
 }
 
@@ -1053,31 +1070,22 @@ func (s *searcher) admit(factor bits.Mask, childTerms, elimStep int) bool {
 // requirement and always offer the constant factor 1.
 func (s *searcher) factorsFor(spec *pprm.Spec, target int) []bits.Mask {
 	out := &spec.Out[target]
-	tb := bits.Bit(target)
 	factors := s.factorBuf[:0]
-	bare := out.Has(tb)
-	sawConst := false
-	if bare || s.opts.Additional {
-		// Filter the presentation-order terms in place, so the buffer
-		// keeps the capacity of the whole term list.
-		factors = out.AppendSorted(factors)
-		k := 0
-		for _, t := range factors {
-			if t&tb != 0 {
-				continue
+	if out.Has(bits.Bit(target)) || s.opts.Additional {
+		factors = out.AppendFactors(factors, target)
+		if s.opts.Library == circuit.NCT {
+			// Presentation order is by literal count, so the terms with
+			// more controls than an NCT gate has form a suffix.
+			for k, t := range factors {
+				if bits.Count(t) > 2 {
+					factors = factors[:k]
+					break
+				}
 			}
-			if s.opts.Library == circuit.NCT && bits.Count(t) > 2 {
-				continue
-			}
-			if t == 0 {
-				sawConst = true
-			}
-			factors[k] = t
-			k++
 		}
-		factors = factors[:k]
 	}
-	if s.opts.Additional && !sawConst {
+	// The constant term, when present, comes first.
+	if s.opts.Additional && (len(factors) == 0 || factors[0] != 0) {
 		factors = append(factors, 0)
 	}
 	s.factorBuf = factors[:0]

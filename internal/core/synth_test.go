@@ -40,6 +40,22 @@ func TestNodeSize(t *testing.T) {
 	}
 }
 
+// TestCandidateSize pins a generated candidate at 40 bytes (its 32-byte
+// score plus the sols index and the identity flag) and keeps it free of
+// pointers: generate inserts candidates into ordered lists, moving them as
+// it goes, and a pointer field would put a GC write barrier on every move.
+func TestCandidateSize(t *testing.T) {
+	if got := unsafe.Sizeof(scored{}); got != 32 {
+		t.Fatalf("scored is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(pcand{}); got != 40 {
+		t.Fatalf("pcand is %d bytes, want 40", got)
+	}
+	if typ := reflect.TypeOf(pcand{}); !pointerFree(typ) {
+		t.Fatalf("pcand holds a pointer; candidates must stay pointer-free")
+	}
+}
+
 // pointerFree reports whether values of type typ hold no pointer the
 // garbage collector would have to scan.
 func pointerFree(typ reflect.Type) bool {

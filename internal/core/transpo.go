@@ -42,10 +42,20 @@ import (
 // insert would take it past 3/4 load; forget uses backward-shift deletion,
 // so the table never holds tombstones and probe chains stay as short as an
 // insert-only table's.
+//
+// The search probes a child with seen and, when it queues the child,
+// records the same key straight after. seen therefore leaves a hint — the
+// key it probed and the slot its walk ended on — and a record of that key
+// starts from the slot instead of walking the chain again, so a pushed
+// child costs one probe. Every call that can move or fill a slot (record,
+// insert, grow, forget, reset) clears the hint first, so a hint is only
+// ever used on the table it was taken from.
 type transpo struct {
 	slots     []ttSlot
 	mask      uint64 // len(slots) − 1
 	used      int    // occupied slots (hash 0 not included)
+	hintKey   uint64 // key of the last seen probe; 0 = no hint
+	hintSlot  uint64 // slot that probe ended on
 	zero      int32  // depth recorded for hash 0, valid when hasZero
 	hasZero   bool
 	limit     int // maximum entries; exceeding it clears the table
@@ -108,7 +118,9 @@ func (t *transpo) seen(h uint64, depth int) bool {
 	if h == 0 {
 		hit = t.hasZero && int(t.zero) <= depth
 	} else {
-		s := &t.slots[t.slot(h)]
+		i := t.slot(h)
+		t.hintKey, t.hintSlot = h, i
+		s := &t.slots[i]
 		hit = s.key != 0 && int(s.depth) <= depth
 	}
 	if hit {
@@ -128,36 +140,58 @@ func (t *transpo) record(h uint64, depth int) {
 	h &= ttKeyMask
 	d := int32(depth)
 	if h == 0 {
+		t.hintKey = 0
 		if t.hasZero {
 			t.zero = min(t.zero, d)
 			return
 		}
-	} else if s := &t.slots[t.slot(h)]; s.key != 0 {
+		if t.len() >= t.limit {
+			t.reset()
+		}
+		t.zero, t.hasZero = d, true
+		return
+	}
+	i := t.hintSlot
+	if t.hintKey != h {
+		i = t.slot(h)
+	}
+	t.hintKey = 0
+	if s := &t.slots[i]; s.key != 0 {
 		s.depth = min(s.depth, d)
 		return
 	}
 	if t.len() >= t.limit {
 		t.reset()
+		i = t.slot(h)
 	}
-	t.insert(h, d)
+	t.insertAt(i, h, d)
 }
 
-// insert adds key h, known to be absent, growing the array first if the
-// insert would take it past 3/4 load.
+// insert adds key h, known to be absent.
 func (t *transpo) insert(h uint64, d int32) {
 	if h == 0 {
 		t.zero, t.hasZero = d, true
 		return
 	}
+	t.insertAt(t.slot(h), h, d)
+}
+
+// insertAt adds key h ≠ 0, known to be absent, at slot i, the empty slot
+// that ends its probe chain. If the insert would take the array past 3/4
+// load it grows the array first and finds the slot again.
+func (t *transpo) insertAt(i, h uint64, d int32) {
+	t.hintKey = 0
 	if 4*(t.used+1) > 3*len(t.slots) {
 		t.grow()
+		i = t.slot(h)
 	}
-	t.slots[t.slot(h)] = ttSlot{key: h, depth: d}
+	t.slots[i] = ttSlot{key: h, depth: d}
 	t.used++
 }
 
 // grow doubles the slot array and re-inserts every entry.
 func (t *transpo) grow() {
+	t.hintKey = 0
 	old := t.slots
 	t.slots = make([]ttSlot, 2*len(old))
 	t.mask = uint64(len(t.slots) - 1)
@@ -173,6 +207,7 @@ func (t *transpo) grow() {
 // its (shallower) mark even when the deeper node that first recorded the
 // state is pruned.
 func (t *transpo) forget(h uint64, depth int) {
+	t.hintKey = 0
 	h &= ttKeyMask
 	d := int32(depth)
 	if h == 0 {
@@ -203,6 +238,7 @@ func (t *transpo) forget(h uint64, depth int) {
 // reset drops every entry (restart, memory-pressure escalation, or the
 // entry limit), counting them as evictions. The array keeps its size.
 func (t *transpo) reset() {
+	t.hintKey = 0
 	t.evictions += int64(t.len())
 	clear(t.slots)
 	t.used = 0

@@ -105,6 +105,45 @@ func gateFirst(p perm.Perm, target int, factor bits.Mask) perm.Perm {
 	return q
 }
 
+// TestAppendFactorsDifferential checks AppendFactors(dst, v) against
+// AppendSorted filtered to the terms without variable v, order included, for
+// n = 1…8, every variable and every output, in both forms: the spec's own
+// (word form up to six variables) and a slice-form rebuild of each output.
+// It also checks that the result extends dst and leaves its prefix alone.
+func TestAppendFactorsDifferential(t *testing.T) {
+	src := rng.New(24)
+	for n := 1; n <= 8; n++ {
+		for trial := 0; trial < 3; trial++ {
+			s, err := FromPerm(perm.Random(n, src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range s.Out {
+				sets := []TermSet{s.Out[j], NewTermSet(s.Out[j].Terms()...)}
+				if sets[0].isWord != usesWord(n) || sets[1].isWord {
+					t.Fatalf("n=%d: output %d has the wrong forms", n, j)
+				}
+				for form := range sets {
+					ts := &sets[form]
+					for v := 0; v < n; v++ {
+						var want []bits.Mask
+						for _, m := range ts.Sorted() {
+							if !bits.Has(m, v) {
+								want = append(want, m)
+							}
+						}
+						got := ts.AppendFactors([]bits.Mask{99}, v)
+						if got[0] != 99 || !slices.Equal(got[1:], want) {
+							t.Fatalf("n=%d trial %d output %d word=%v v=%d: AppendFactors = %v, want [99] + %v",
+								n, trial, j, ts.isWord, v, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSortedOrderWideSlices runs checkSortedOrder on random slice-form sets
 // of up to 20 variables, so every literal count up to 20 — each class of the
 // slice form's counting sort — is covered, the full term included.

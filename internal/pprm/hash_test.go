@@ -143,9 +143,10 @@ func TestEqualAllocationFree(t *testing.T) {
 }
 
 // TestWordKernelsAllocationFree pins the search's per-candidate work on a
-// word-form spec (n ≤ 6) — probe, presentation-order walk, membership and
-// equality — at zero allocations, and the slice-form presentation-order
-// walk (n ≥ 7) into a buffer that already has the capacity.
+// word-form spec (n ≤ 6) — probe, presentation-order walk, factor
+// enumeration, membership and equality — at zero allocations, and the
+// slice-form presentation-order walk and factor enumeration (n ≥ 7) into a
+// buffer that already has the capacity.
 func TestWordKernelsAllocationFree(t *testing.T) {
 	s, err := FromPerm(perm.Random(6, rng.New(15)))
 	if err != nil {
@@ -165,6 +166,7 @@ func TestWordKernelsAllocationFree(t *testing.T) {
 			if !s.Out[target].Has(buf[0]) || !s.Out[target].Equal(&other.Out[target]) {
 				t.Fatal("word-form set lost a term")
 			}
+			buf = s.Out[target].AppendFactors(buf[:0], target)
 		}
 	}); n != 0 {
 		t.Fatalf("word-form probe loop allocates %v times per run", n)
@@ -181,9 +183,10 @@ func TestWordKernelsAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		for target := range wide.Out {
 			buf = wide.Out[target].AppendSorted(buf[:0])
+			buf = wide.Out[target].AppendFactors(buf[:0], target)
 		}
 	}); n != 0 {
-		t.Fatalf("slice-form AppendSorted allocates %v times per run", n)
+		t.Fatalf("slice-form AppendSorted or AppendFactors allocates %v times per run", n)
 	}
 }
 

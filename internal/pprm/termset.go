@@ -211,6 +211,32 @@ func (ts *TermSet) AppendSorted(dst []bits.Mask) []bits.Mask {
 	return dst
 }
 
+// AppendFactors appends to dst the terms that do not contain variable v, in
+// presentation order (see Sorted), and returns the extended slice: the
+// factors a substitution into v may use. On a word-form set it walks the
+// literal-count classes of the word with v's monomials masked off; on a
+// slice-form set it is AppendSorted followed by an in-place filter.
+func (ts *TermSet) AppendFactors(dst []bits.Mask, v int) []bits.Mask {
+	if ts.isWord {
+		w := ts.word &^ has[v]
+		for k := range popClass {
+			dst = appendWordTerms(dst, w&popClass[k])
+		}
+		return dst
+	}
+	base := len(dst)
+	dst = ts.AppendSorted(dst)
+	vb := bits.Bit(v)
+	k := base
+	for _, t := range dst[base:] {
+		if t&vb == 0 {
+			dst[k] = t
+			k++
+		}
+	}
+	return dst[:k]
+}
+
 // Equal reports whether the two sets hold the same terms, whatever their
 // forms. The incremental hashes give a constant-time negative fast path;
 // the element compare guards against 64-bit collisions on the (hash-equal)

@@ -1,10 +1,18 @@
-// Package queue provides the max-heap priority queue used by the synthesis
-// search (Section IV-C: "A priority queue, implemented as a max heap, is
-// utilized to determine which node is processed next").
+// Package queue provides the max-heap priority queue (4-ary) used by the
+// synthesis search (Section IV-C: "A priority queue, implemented as a max
+// heap, is utilized to determine which node is processed next").
 //
 // Ties are broken by insertion order (FIFO), which keeps the search
 // deterministic — important both for reproducing runs and for matching the
-// behaviour of a sequential C implementation.
+// behaviour of a sequential C implementation. Because (priority, insertion)
+// is a strict total order, the pop order is fixed by the pushed entries
+// alone, whatever the heap's arity or array layout.
+//
+// The heap is 4-ary: the children of index i are 4i+1…4i+4. A shallower
+// tree halves the levels a push climbs, and the four children of a node
+// share one or two cache lines of 16-byte entries, so a pop's extra
+// comparisons per level cost less than the levels it saves. Both sifts
+// carry the moving entry and write it once, into the hole they stop at.
 package queue
 
 import (
@@ -30,6 +38,25 @@ type entry[T any] struct {
 
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) }
+
+// arity is the heap's branching factor; see parent and firstChild.
+const arity = 4
+
+// parent is the index of item i's parent (i > 0).
+func parent(i int) int { return (i - 1) / arity }
+
+// firstChild is the index of item i's first child; its children are
+// firstChild(i) … firstChild(i)+arity−1, those below the length.
+func firstChild(i int) int { return arity*i + 1 }
+
+// before reports whether a has strictly higher precedence than b: higher
+// priority, or equal priority and earlier insertion.
+func before[T any](a, b *entry[T]) bool {
+	if a.priority != b.priority {
+		return a.priority > b.priority
+	}
+	return a.seq < b.seq
+}
 
 // Clear discards all queued items (used by the restart heuristic).
 func (q *Queue[T]) Clear() {
@@ -66,13 +93,7 @@ func (q *Queue[T]) PruneToFunc(k int, discard func(T)) {
 // sortEntries sorts descending by precedence (priority, then insertion
 // order).
 func sortEntries[T any](items []entry[T]) {
-	sort.Slice(items, func(i, j int) bool {
-		a, b := items[i], items[j]
-		if a.priority != b.priority {
-			return a.priority > b.priority
-		}
-		return a.seq < b.seq
-	})
+	sort.Slice(items, func(i, j int) bool { return before(&items[i], &items[j]) })
 }
 
 // Push inserts v with the given priority.
@@ -138,41 +159,44 @@ func (q *Queue[T]) Ordered(f func(T)) {
 	}
 }
 
-// less reports whether item i has strictly higher precedence than item j:
-// higher priority, or equal priority and earlier insertion.
-func (q *Queue[T]) less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
-	if a.priority != b.priority {
-		return a.priority > b.priority
-	}
-	return a.seq < b.seq
-}
-
+// up moves the entry at index i toward the root until its parent has
+// precedence over it.
 func (q *Queue[T]) up(i int) {
+	items := q.items
+	e := items[i]
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			return
+		p := parent(i)
+		if !before(&e, &items[p]) {
+			break
 		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
-		i = parent
+		items[i] = items[p]
+		i = p
 	}
+	items[i] = e
 }
 
+// down moves the entry at index i toward the leaves until it has
+// precedence over all its children.
 func (q *Queue[T]) down(i int) {
-	n := len(q.items)
+	items := q.items
+	n := len(items)
+	e := items[i]
 	for {
-		best := i
-		if l := 2*i + 1; l < n && q.less(l, best) {
-			best = l
+		c := firstChild(i)
+		if c >= n {
+			break
 		}
-		if r := 2*i + 2; r < n && q.less(r, best) {
-			best = r
+		best := c
+		for k, end := c+1, min(c+arity, n); k < end; k++ {
+			if before(&items[k], &items[best]) {
+				best = k
+			}
 		}
-		if best == i {
-			return
+		if !before(&items[best], &e) {
+			break
 		}
-		q.items[i], q.items[best] = q.items[best], q.items[i]
+		items[i] = items[best]
 		i = best
 	}
+	items[i] = e
 }

@@ -1,7 +1,9 @@
 package queue
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -45,6 +47,9 @@ func TestFIFOTieBreak(t *testing.T) {
 	}
 }
 
+// TestRandomizedAgainstSort checks pop order against a stable sort by
+// (priority descending, insertion), first for push-then-drain queues and
+// then for interleaved operation sequences.
 func TestRandomizedAgainstSort(t *testing.T) {
 	src := rng.New(5)
 	for trial := 0; trial < 20; trial++ {
@@ -65,6 +70,90 @@ func TestRandomizedAgainstSort(t *testing.T) {
 			if !ok || got != idx[i] {
 				t.Fatalf("trial %d pos %d: got %d, want %d", trial, i, got, idx[i])
 			}
+		}
+	}
+
+	// Interleaved Push, Pop and PruneToFunc under heavy priority ties,
+	// starting from queues whose sizes sit on and around every 4-ary level
+	// boundary (1, 5, 21, 85 and 341 items fill the first one to five
+	// levels exactly). Every pop must return the model's next item — the
+	// first of a stable sort by (priority descending, insertion) — and
+	// every prune must drop exactly the model's tail.
+	type item struct {
+		v        int
+		priority float64
+	}
+	src = rng.New(23)
+	// model is kept in precedence order: a stable sort by descending
+	// priority of the items in insertion order.
+	var model []item
+	insert := func(it item) {
+		j := len(model)
+		for j > 0 && model[j-1].priority < it.priority {
+			j--
+		}
+		model = slices.Insert(model, j, it)
+	}
+	for _, size := range []int{1, 4, 5, 6, 20, 21, 22, 84, 85, 86, 340, 341, 342} {
+		var q Queue[int]
+		model = model[:0]
+		next := 0
+		push := func() {
+			it := item{v: next, priority: float64(src.Intn(3))} // three values: heavy ties
+			next++
+			q.Push(it.v, it.priority)
+			insert(it)
+		}
+		for range size {
+			push()
+		}
+		checkHeap(t, &q, fmt.Sprintf("size %d after the initial pushes", size))
+		for op := 0; op < 3*size+20; op++ {
+			switch r := src.Intn(20); {
+			case r < 9:
+				push()
+			case r < 19:
+				got, ok := q.Pop()
+				if len(model) == 0 {
+					if ok {
+						t.Fatalf("size %d op %d: Pop on an empty queue returned %d", size, op, got)
+					}
+					continue
+				}
+				if want := model[0].v; !ok || got != want {
+					t.Fatalf("size %d op %d: Pop = %d (%v), want %d", size, op, got, ok, want)
+				}
+				model = model[1:]
+			default:
+				k := src.Intn(len(model) + 1)
+				var dropped []int
+				q.PruneToFunc(k, func(v int) { dropped = append(dropped, v) })
+				var want []int
+				if k < len(model) {
+					for _, it := range model[k:] {
+						want = append(want, it.v)
+					}
+					model = model[:k]
+				}
+				slices.Sort(dropped)
+				slices.Sort(want)
+				if !slices.Equal(dropped, want) {
+					t.Fatalf("size %d op %d: PruneToFunc(%d) dropped %v, want %v", size, op, k, dropped, want)
+				}
+			}
+			if q.Len() != len(model) {
+				t.Fatalf("size %d op %d: Len = %d, model holds %d", size, op, q.Len(), len(model))
+			}
+			checkHeap(t, &q, fmt.Sprintf("size %d op %d", size, op))
+		}
+		for len(model) > 0 {
+			if got, ok := q.Pop(); !ok || got != model[0].v {
+				t.Fatalf("size %d drain: Pop = %d (%v), want %d", size, got, ok, model[0].v)
+			}
+			model = model[1:]
+		}
+		if _, ok := q.Pop(); ok {
+			t.Fatalf("size %d: queue not empty after the model drained", size)
 		}
 	}
 }
@@ -110,9 +199,29 @@ func TestPruneToNoOpWhenSmall(t *testing.T) {
 	}
 }
 
+// checkHeap fails the test unless the backing array satisfies the 4-ary
+// max-heap property: no item has precedence over its parent. Checking every
+// child against its parent is the same as checking every parent against
+// all of its children.
+func checkHeap[T any](t *testing.T, q *Queue[T], context string) {
+	t.Helper()
+	for i := 1; i < len(q.items); i++ {
+		if p := parent(i); before(&q.items[i], &q.items[p]) {
+			t.Fatalf("%s: heap property violated between index %d and its parent %d", context, i, p)
+		}
+	}
+	for i := range q.items {
+		for c := firstChild(i); c < firstChild(i)+arity && c < len(q.items); c++ {
+			if parent(c) != i {
+				t.Fatalf("parent(%d) = %d, but %d lists it as a child", c, parent(c), i)
+			}
+		}
+	}
+}
+
 // TestPruneToHeapInvariant checks the max-heap property directly on the
 // backing array after a prune, rather than inferring it from pop order:
-// every parent must have precedence over both children.
+// every parent must have precedence over all four of its children.
 func TestPruneToHeapInvariant(t *testing.T) {
 	src := rng.New(31)
 	for trial := 0; trial < 10; trial++ {
@@ -123,13 +232,7 @@ func TestPruneToHeapInvariant(t *testing.T) {
 		}
 		keep := 1 + src.Intn(n)
 		q.PruneTo(keep)
-		for i := 1; i < len(q.items); i++ {
-			parent := (i - 1) / 2
-			if q.less(i, parent) {
-				t.Fatalf("trial %d: heap property violated at index %d after PruneTo(%d)",
-					trial, i, keep)
-			}
-		}
+		checkHeap(t, &q, fmt.Sprintf("trial %d after PruneTo(%d)", trial, keep))
 	}
 }
 
@@ -302,6 +405,41 @@ func TestSeqWrapKeepsFIFO(t *testing.T) {
 		want := popModel()
 		if got, ok := q.Pop(); !ok || got != want {
 			t.Fatalf("drain pop = %d (%v), want %d", got, ok, want)
+		}
+	}
+}
+
+// BenchmarkQueuePushPop measures the search's queue pattern: each operation
+// pops the best entry and pushes four children, with priorities drawn from
+// eight values so most comparisons meet a tie. The queue holds between 96k
+// and 112k entries throughout; the untimed prune that keeps it there
+// stands in for the search's queue cap.
+func BenchmarkQueuePushPop(b *testing.B) {
+	const low, high = 96_000, 112_000
+	src := rng.New(3)
+	prios := make([]float64, 1<<12)
+	for i := range prios {
+		prios[i] = float64(src.Intn(8))
+	}
+	var q Queue[int32]
+	k := 0
+	next := func() float64 {
+		k = (k + 1) & (len(prios) - 1)
+		return prios[k]
+	}
+	for i := 0; i < low; i++ {
+		q.Push(int32(i), next())
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, _ := q.Pop()
+		for c := int32(1); c <= 4; c++ {
+			q.Push(4*v+c, next())
+		}
+		if q.Len() > high {
+			b.StopTimer()
+			q.PruneTo(low)
+			b.StartTimer()
 		}
 	}
 }

@@ -28,12 +28,12 @@ func blockingRunner(release <-chan struct{}) func(context.Context, *Job) core.Re
 	}
 }
 
-// submitN posts n distinct async jobs of the given class and returns the
-// HTTP status codes observed.
-func submitN(t *testing.T, url string, n int, class string) []int {
+// submitN posts n distinct async jobs of the given class, numbered from
+// first, and returns the HTTP status codes observed.
+func submitN(t *testing.T, url string, first, n int, class string) []int {
 	t.Helper()
 	codes := make([]int, 0, n)
-	for i := 0; i < n; i++ {
+	for i := first; i < first+n; i++ {
 		// Distinct step budgets make every request a distinct job.
 		body := fmt.Sprintf(`{"spec":{"bench":"rd32"},"class":%q,"budget":{"steps":%d}}`, class, 1000+i)
 		resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
@@ -44,6 +44,24 @@ func submitN(t *testing.T, url string, n int, class string) []int {
 		codes = append(codes, resp.StatusCode)
 	}
 	return codes
+}
+
+// fillBehindOneWorker submits four interactive jobs to a server with one
+// blocked worker and an interactive queue of three, and fails unless all
+// are accepted and three wait in the queue. It waits after the first
+// submit until the worker has taken that job: otherwise the fourth can
+// arrive while the first is still queued, and be shed.
+func fillBehindOneWorker(t *testing.T, s *Server, url string) {
+	t.Helper()
+	codes := submitN(t, url, 0, 1, "interactive")
+	waitForDepth(t, s, 0, 0)
+	codes = append(codes, submitN(t, url, 1, 3, "interactive")...)
+	for i, c := range codes {
+		if c != http.StatusAccepted {
+			t.Fatalf("submit %d = %d, want 202", i, c)
+		}
+	}
+	waitForDepth(t, s, 3, 0)
 }
 
 func TestQueueFullShedsWith429AndRetryAfter(t *testing.T) {
@@ -58,13 +76,7 @@ func TestQueueFullShedsWith429AndRetryAfter(t *testing.T) {
 	})
 
 	// Worker 1 grabs the first job; the next 3 fill the interactive queue.
-	codes := submitN(t, ts.URL, 4, "interactive")
-	for i, c := range codes {
-		if c != http.StatusAccepted {
-			t.Fatalf("submit %d = %d, want 202", i, c)
-		}
-	}
-	waitForDepth(t, s, 3, 0)
+	fillBehindOneWorker(t, s, ts.URL)
 
 	// The 5th interactive submit must shed, with a Retry-After that grows
 	// with the queue depth: (1 + 3/1) * 2s = 8s.
@@ -94,7 +106,7 @@ func TestQueueFullShedsWith429AndRetryAfter(t *testing.T) {
 	}
 
 	// Batch has its own cap: 2 fit, the 3rd sheds.
-	codes = submitN(t, ts.URL, 3, "batch")
+	codes := submitN(t, ts.URL, 0, 3, "batch")
 	want := []int{202, 202, 429}
 	for i := range codes {
 		if codes[i] != want[i] {
@@ -119,13 +131,7 @@ func TestRetryAfterCeilingRounding(t *testing.T) {
 		RetryAfter:       600 * time.Millisecond,
 	})
 
-	codes := submitN(t, ts.URL, 4, "interactive")
-	for i, c := range codes {
-		if c != http.StatusAccepted {
-			t.Fatalf("submit %d = %d, want 202", i, c)
-		}
-	}
-	waitForDepth(t, s, 3, 0)
+	fillBehindOneWorker(t, s, ts.URL)
 
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"spec":{"bench":"rd32"},"budget":{"steps":9999}}`))
