@@ -237,15 +237,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	pipe.Stop() // flush the final snapshots before printing the result
 	if *ckptPath != "" {
-		switch res.StopReason {
-		case core.StopSolved, core.StopQueueExhausted, core.StopRestartsExhausted:
-			// The run is complete — there is nothing left to continue, and a
+		switch {
+		case !res.StopReason.Resumable():
+			// The run is finished — there is nothing left to continue, and a
 			// stale snapshot would confuse the next -resume.
 			os.Remove(*ckptPath)
-		default:
-			if res.Checkpoints > 0 {
-				fmt.Fprintf(stderr, "# checkpoint saved to %s; rerun with -resume to continue\n", *ckptPath)
-			}
+		case res.Checkpoints > 0:
+			fmt.Fprintf(stderr, "# checkpoint saved to %s; rerun with -resume to continue\n", *ckptPath)
 		}
 	}
 	if res.Err != nil {

@@ -243,6 +243,27 @@ func TestRunResumeDamagedCheckpointFallsBack(t *testing.T) {
 	}
 }
 
+// TestRunResumeV1CheckpointStartsFresh: a checkpoint in the retired
+// version-1 format is diagnosed and the run starts over.
+func TestRunResumeV1CheckpointStartsFresh(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("..", "..", "internal", "snapshot", "testdata", "v1-swap4.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	code := run(context.Background(), []string{"-checkpoint", path, "-resume", swap4Spec}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit code = %d; stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "unsupported format version") || !strings.Contains(errb.String(), "starting fresh") {
+		t.Errorf("v1 checkpoint not diagnosed: %s", errb.String())
+	}
+}
+
 func TestRunResumeMissingCheckpointIsSilent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "none.ckpt")
 	var out, errb bytes.Buffer
@@ -341,6 +362,30 @@ func TestRunInjectedMiscompileExitsThree(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "TOF") {
 		t.Errorf("a wrong circuit leaked to stdout:\n%s", out.String())
+	}
+}
+
+// TestRunMiscompileDiscardsCheckpoint: a resumed run whose circuit the
+// gate rejects is finished, not resumable — the CLI removes its checkpoint
+// and does not invite a rerun with -resume.
+func TestRunMiscompileDiscardsCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	var out, errb bytes.Buffer
+	if code := run(context.Background(), []string{"-checkpoint", path, "-steps", "3", swap4Spec}, &out, &errb); code != 2 {
+		t.Fatalf("segment 1 exit code = %d, want 2; stderr: %s", code, errb.String())
+	}
+
+	core.CorruptResultHook = func(c *circuit.Circuit) { c.Append(circuit.Gate{Target: 0}) }
+	defer func() { core.CorruptResultHook = nil }()
+	errb.Reset()
+	if code := run(context.Background(), []string{"-checkpoint", path, "-resume", swap4Spec}, &out, &errb); code != 3 {
+		t.Fatalf("segment 2 exit code = %d, want 3; stderr: %s", code, errb.String())
+	}
+	if strings.Contains(errb.String(), "rerun with -resume") {
+		t.Errorf("a verify failure invites a resume: %s", errb.String())
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("checkpoint kept after a verify failure: %v", err)
 	}
 }
 

@@ -74,10 +74,10 @@ func TestStopReasonResumable(t *testing.T) {
 		StopMemoryLimit: true,
 	}
 	all := []StopReason{StopNone, StopSolved, StopQueueExhausted, StopDeadline,
-		StopCanceled, StopStepLimit, StopMemoryLimit, StopRestartsExhausted, StopInternalError}
+		StopCanceled, StopStepLimit, StopMemoryLimit, StopRestartsExhausted, StopInternalError, StopVerifyFailed}
 	for _, r := range all {
-		if got := resumableStop(r); got != resumable[r] {
-			t.Errorf("resumableStop(%v) = %v, want %v", r, got, resumable[r])
+		if got := r.Resumable(); got != resumable[r] {
+			t.Errorf("%v.Resumable() = %v, want %v", r, got, resumable[r])
 		}
 	}
 }

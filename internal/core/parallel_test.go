@@ -185,12 +185,39 @@ func TestParallelFingerprintFamilies(t *testing.T) {
 	}
 }
 
-// TestSearchInvariantsHold drives the one-pop rounds and det-merge rounds
-// of one and four workers with the test-only step hook asserting, at every
-// round boundary, that the queue byte accounting matches a full recount,
-// that the peak watermark is monotone — the regression guard for the
+// roundInvariants returns a step hook that asserts, at every round
+// boundary, that the queue byte accounting matches a full recount, that
+// the peak watermark is monotone — the regression guard for the
 // double-count class of bug — and that every queue entry's priority is the
 // one the searcher derives for its slot, since the node does not store it.
+// TestSearchInvariantsHold and FuzzResume share it.
+func roundInvariants(t testing.TB, where string) func(*searcher) {
+	var lastPeak int64
+	return func(s *searcher) {
+		t.Helper()
+		var sum int64
+		s.pq.Each(func(i int32, priority float64) {
+			sum += memOf(s.ar.spec(i))
+			if want := s.priorityOf(i); math.Float64bits(priority) != math.Float64bits(want) {
+				t.Fatalf("%s: slot %d queued at priority %v, derived %v", where, i, priority, want)
+			}
+		})
+		if sum != s.queueBytes {
+			t.Fatalf("%s: queueBytes=%d but recount=%d (stale accounting)", where, s.queueBytes, sum)
+		}
+		if s.peakBytes < lastPeak {
+			t.Fatalf("%s: peak watermark moved backwards: %d -> %d", where, lastPeak, s.peakBytes)
+		}
+		if s.peakBytes < s.queueBytes {
+			t.Fatalf("%s: peak %d below live queue bytes %d", where, s.peakBytes, s.queueBytes)
+		}
+		lastPeak = s.peakBytes
+	}
+}
+
+// TestSearchInvariantsHold drives the one-pop rounds and det-merge rounds
+// of one and four workers with roundInvariants checking every round
+// boundary.
 func TestSearchInvariantsHold(t *testing.T) {
 	src := rng.New(3)
 	p := perm.Random(4, src)
@@ -204,27 +231,11 @@ func TestSearchInvariantsHold(t *testing.T) {
 		opts.ImproveSteps = 0
 		opts.Workers = workers
 		s := newSearcher(spec, opts)
-		var lastPeak int64
+		check := roundInvariants(t, fmt.Sprintf("workers=%d", workers))
 		checks := 0
 		s.stepHook = func(s *searcher) {
 			checks++
-			var sum int64
-			s.pq.Each(func(i int32, priority float64) {
-				sum += memOf(s.ar.spec(i))
-				if want := s.priorityOf(i); math.Float64bits(priority) != math.Float64bits(want) {
-					t.Fatalf("workers=%d: slot %d queued at priority %v, derived %v", workers, i, priority, want)
-				}
-			})
-			if sum != s.queueBytes {
-				t.Fatalf("workers=%d: queueBytes=%d but recount=%d (stale accounting)", workers, s.queueBytes, sum)
-			}
-			if s.peakBytes < lastPeak {
-				t.Fatalf("workers=%d: peak watermark moved backwards: %d -> %d", workers, lastPeak, s.peakBytes)
-			}
-			if s.peakBytes < s.queueBytes {
-				t.Fatalf("workers=%d: peak %d below live queue bytes %d", workers, s.peakBytes, s.queueBytes)
-			}
-			lastPeak = s.peakBytes
+			check(s)
 		}
 		r := s.run()
 		if r.Err != nil {

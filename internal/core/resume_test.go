@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -331,40 +332,51 @@ func TestResumeRejectsInvalidStates(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// interior has a child, so the search expanded and materialized it.
+	interior := 0
+	for _, n := range base.Nodes {
+		interior = max(interior, n.Parent)
+	}
 	tampers := map[string]func(st *snapshot.State){
 		"dangling parent":    func(st *snapshot.State) { st.Nodes[len(st.Nodes)-1].Parent = len(st.Nodes) },
 		"self parent":        func(st *snapshot.State) { st.Nodes[1].Parent = 1 },
-		"bad depth":          func(st *snapshot.State) { st.Nodes[1].Depth = 7 },
 		"bad target":         func(st *snapshot.State) { st.Nodes[1].Target = 99 },
 		"factor hits target": func(st *snapshot.State) { st.Nodes[1].Factor = 1 << uint(st.Nodes[1].Target) },
-		"terms drift":        func(st *snapshot.State) { st.Nodes[1].Terms += 3 },
-		"hash drift":         func(st *snapshot.State) { st.Nodes[1].Hash ^= 1 },
+		"root factor":        func(st *snapshot.State) { st.Nodes[0].Factor = 1 },
+		// Only an expanded node has children, and expanding a node
+		// materializes it; its children derive their state from it.
+		"node under a lazy parent": func(st *snapshot.State) { st.Nodes[interior].Materialized = false },
 		"queued out of range": func(st *snapshot.State) {
 			st.Queued[0] = len(st.Nodes) + 5
 		},
 		"queued duplicate": func(st *snapshot.State) {
 			st.Queued = append(st.Queued, st.Queued[0])
 		},
-		"impossible best depth": func(st *snapshot.State) { st.BestDepth++ },
+		// The search records only identity children as solutions. The
+		// swap keeps every leaf queued or the solution.
+		"queued node claimed as solution": func(st *snapshot.State) {
+			last := len(st.Queued) - 1
+			st.BestSol, st.Queued[last] = st.Queued[last], st.BestSol
+			if st.Queued[last] < 0 {
+				st.Queued = st.Queued[:last]
+			}
+		},
 		"counter underflow":     func(st *snapshot.State) { st.SolSteps = st.Steps + 1 },
 		"node counter low":      func(st *snapshot.State) { st.NodesCreated = 0 },
 		"tt dropped":            func(st *snapshot.State) { st.TT = nil },
 		"next first move":       func(st *snapshot.State) { st.NextFirstMove = len(st.FirstMoves) + 1 },
 		"root not materialized": func(st *snapshot.State) { st.Nodes[0].Materialized = false },
+		// A restart applies the first move to the root: a factor holding
+		// its own target is not a reversible substitution.
+		"first move factor hits target": func(st *snapshot.State) {
+			st.FirstMoves[0].Factor |= 1 << uint(st.FirstMoves[0].Target)
+		},
 		// Every table node is queued, the best solution, or an ancestor
 		// of one; the arena's child counts depend on it.
 		"unqueued leaf": func(st *snapshot.State) { st.Queued = st.Queued[1:] },
 		"interior node queued": func(st *snapshot.State) {
 			st.Queued = append(st.Queued, st.Nodes[st.Queued[0]].Parent)
 		},
-		// The search derives every node's priority from its state; a
-		// recorded one that disagrees would silently reorder the resumed
-		// queue.
-		"queued node promoted": func(st *snapshot.State) {
-			front := st.Nodes[st.Queued[0]].Priority
-			st.Nodes[st.Queued[len(st.Queued)-1]].Priority = front + 1
-		},
-		"finite root priority": func(st *snapshot.State) { st.Nodes[0].Priority = math.MaxFloat64 },
 	}
 	for name, tamper := range tampers {
 		st, err := snapshot.Decode(snapshot.Encode(base))
@@ -372,10 +384,111 @@ func TestResumeRejectsInvalidStates(t *testing.T) {
 			t.Fatal(err)
 		}
 		tamper(st)
-		_, err = ResumeStateContext(context.Background(), spec, opts, st)
+		// restoreSearcher, not ResumeStateContext: a panic must fail the
+		// test instead of being recovered into ErrInvalidState.
+		_, err = restoreSearcher(spec, opts, st)
 		if !errors.Is(err, ErrInvalidState) && !errors.Is(err, ErrSpecMismatch) {
 			t.Errorf("%s: got %v, want ErrInvalidState", name, err)
 		}
+	}
+}
+
+// TestRestoreDerivesEveryNode pins restore's derivation node for node. It
+// stops live searches at round boundaries — the first three, every 50th,
+// the first after each restart and the first after a new best solution —
+// restores each one's checkpoint, and walks both queues in precedence
+// order: every queued node, the best solution and all of their ancestors
+// must have the live node's depth, terms, elimination, priority,
+// materialized expansion and substitution, and, with the transposition
+// table on (its only reader), its state hash.
+func TestRestoreDerivesEveryNode(t *testing.T) {
+	p := testPerms["shiftright"]
+	spec := specFor(t, p)
+	for _, dedup := range []bool{true, false} {
+		for _, workers := range []int{0, 4} {
+			where := fmt.Sprintf("dedup=%v workers=%d", dedup, workers)
+			opts := DefaultOptions()
+			opts.Dedup = dedup
+			opts.Workers = workers
+			// Budgets under which the run restarts, then solves.
+			opts.MaxSteps = 50
+			if !dedup {
+				opts.MaxSteps = 200
+			}
+			s := newSearcher(spec, opts)
+			rounds, restarts, bestSol := 0, 0, int32(-1)
+			afterRestart, afterSolution := 0, 0
+			s.stepHook = func(live *searcher) {
+				rounds++
+				restarted, solved := live.restarts != restarts, live.bestSol != bestSol
+				restarts, bestSol = live.restarts, live.bestSol
+				if rounds > 3 && rounds%50 != 0 && !restarted && !solved {
+					return
+				}
+				if restarted {
+					afterRestart++
+				}
+				if solved {
+					afterSolution++
+				}
+				compareRestored(t, fmt.Sprintf("%s round %d", where, rounds), live, spec, opts)
+			}
+			if r := s.run(); !r.Found {
+				t.Fatalf("%s: run found nothing: %+v", where, r)
+			}
+			if afterRestart == 0 || afterSolution == 0 {
+				t.Fatalf("%s: %d boundaries after a restart, %d after a solution; want both", where, afterRestart, afterSolution)
+			}
+		}
+	}
+}
+
+// compareRestored restores live's checkpoint and compares the two
+// searchers node for node (see TestRestoreDerivesEveryNode).
+func compareRestored(t *testing.T, where string, live *searcher, spec *pprm.Spec, opts Options) {
+	t.Helper()
+	st, err := snapshot.Decode(snapshot.Encode(live.exportState()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restoreSearcher(spec, opts, st)
+	if err != nil {
+		t.Fatalf("%s: restore: %v", where, err)
+	}
+	var want, have []int32
+	live.pq.Ordered(func(i int32) { want = append(want, i) })
+	got.pq.Ordered(func(i int32) { have = append(have, i) })
+	if len(want) != len(have) {
+		t.Fatalf("%s: %d queued, restored %d", where, len(want), len(have))
+	}
+	if (live.bestSol < 0) != (got.bestSol < 0) || live.bestDepth != got.bestDepth {
+		t.Fatalf("%s: best depth %d, restored %d", where, live.bestDepth, got.bestDepth)
+	}
+	if live.bestSol >= 0 {
+		want, have = append(want, live.bestSol), append(have, got.bestSol)
+	}
+	for k := range want {
+		for i, j := want[k], have[k]; ; {
+			a, b := live.ar.at(i), got.ar.at(j)
+			sa, sb := live.ar.spec(i), got.ar.spec(j)
+			if a.id != b.id || a.target != b.target || a.factor != b.factor || a.depth != b.depth ||
+				a.terms != b.terms || opts.Dedup && a.hash != b.hash || live.elimOf(i) != got.elimOf(j) ||
+				math.Float64bits(live.priorityOf(i)) != math.Float64bits(got.priorityOf(j)) ||
+				(sa == nil) != (sb == nil) || sa != nil && (!sa.Equal(sb) || memOf(sa) != memOf(sb)) {
+				t.Fatalf("%s: node %d restored as %+v (materialized %v), live %+v (materialized %v)",
+					where, a.id, *b, sb != nil, *a, sa != nil)
+			}
+			if a.parent < 0 || b.parent < 0 {
+				if a.parent != b.parent {
+					t.Fatalf("%s: node %d parent chains differ in length", where, a.id)
+				}
+				break
+			}
+			i, j = a.parent, b.parent
+		}
+	}
+	if live.queueBytes != got.queueBytes {
+		t.Fatalf("%s: queue bytes %d, restored %d", where, live.queueBytes, got.queueBytes)
 	}
 }
 

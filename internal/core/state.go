@@ -25,7 +25,8 @@ var (
 	// free to change between segments and are not fingerprinted.
 	ErrOptionsMismatch = errors.New("core: snapshot was taken under different search options")
 	// ErrInvalidState: the snapshot decoded but violates a search
-	// invariant (dangling parent, depth mismatch, replay divergence, ...).
+	// invariant (dangling parent, invalid substitution, node under a lazy
+	// parent, ...).
 	// Structurally valid files can still earn this after bit rot that
 	// happens to keep the CRC intact, or from a buggy/hostile writer.
 	ErrInvalidState = errors.New("core: snapshot state fails validation")
@@ -82,17 +83,14 @@ func optionsFingerprint(o *Options) uint64 {
 	return h
 }
 
-// exportState serializes the complete searcher into a snapshot.State. It
-// must be called at a round boundary, where no node is popped but
-// unexpanded.
+// exportState serializes the searcher into a snapshot.State. It must be
+// called at a round boundary, where no node is popped but unexpanded.
 //
 // The node table holds the root, every queued node, the best solution, and
 // all of their ancestors in topological order (parents before children).
-// Only the root's PPRM expansion is stored; expanded interior nodes are
-// flagged Materialized and re-derived on restore by replaying their
-// (target, factor) substitutions, which reproduces the expansions exactly —
-// including backing-array capacities, which the memory accounting depends
-// on.
+// Each node is stored as its substitution alone; only the root's PPRM
+// expansion is stored, and restore re-derives everything else (see
+// restoreSearcher).
 func (s *searcher) exportState() *snapshot.State {
 	index := make(map[int32]int)
 	var order []int32
@@ -125,7 +123,6 @@ func (s *searcher) exportState() *snapshot.State {
 		Nodes:             make([]snapshot.NodeState, len(order)),
 		Queued:            queued,
 		BestSol:           bestSol,
-		BestDepth:         s.bestDepth,
 		Steps:             s.steps,
 		StepsSinceRestart: s.stepsSinceRestart,
 		SolSteps:          s.solSteps,
@@ -146,18 +143,11 @@ func (s *searcher) exportState() *snapshot.State {
 			ID:           n.id,
 			Target:       int(n.target),
 			Factor:       uint32(n.factor),
-			Depth:        int(n.depth),
-			Terms:        int(n.terms),
-			Elim:         s.elimOf(slot),
-			Priority:     s.priorityOf(slot),
-			Hash:         n.hash,
 			Materialized: n.spec >= 0,
 		}
 	}
 	for _, fm := range s.firstMoves {
-		st.FirstMoves = append(st.FirstMoves, snapshot.FirstMoveState{
-			Target: fm.target, Factor: uint32(fm.factor), Priority: fm.priority,
-		})
+		st.FirstMoves = append(st.FirstMoves, snapshot.FirstMoveState{Target: fm.target, Factor: uint32(fm.factor)})
 	}
 	if s.tt != nil {
 		tt := &snapshot.TTState{
@@ -181,18 +171,6 @@ func exportSpec(sp *pprm.Spec) snapshot.SpecState {
 		}
 	}
 	return out
-}
-
-// resumableStop reports whether a run that stopped for this reason can be
-// continued from its final checkpoint: the budget-driven stops. Solved and
-// exhausted runs are finished — there is nothing left to continue — and an
-// internal-error abort has no trustworthy state to save.
-func resumableStop(r StopReason) bool {
-	switch r {
-	case StopCanceled, StopDeadline, StopStepLimit, StopMemoryLimit:
-		return true
-	}
-	return false
 }
 
 // ckptTimeStride is how many expansions pass between wall-clock cadence
@@ -249,18 +227,20 @@ func (s *searcher) writeCheckpoint() {
 	}
 }
 
-// restoreSearcher rebuilds a live searcher from a snapshot, validating
-// every search invariant along the way. spec is the function the caller
-// wants synthesized — the snapshot must be for the same function under
-// fingerprint-identical options, or the typed mismatch errors are returned.
+// restoreSearcher rebuilds a live searcher from a snapshot. spec is the
+// function the caller wants synthesized — the snapshot must be for the same
+// function under fingerprint-identical options, or the typed mismatch
+// errors are returned.
 //
-// Restoration is paranoid by design: the snapshot layer only guarantees the
-// bytes are intact, so everything semantic is re-derived and cross-checked
-// here. Materialized expansions are rebuilt by replaying substitutions from
-// the root and compared against the recorded term counts (and state hashes,
-// when deduplication is on); a snapshot that passes either resumes exactly
-// or is rejected — it cannot put the searcher into a state the normal
-// search could not reach.
+// The snapshot stores no value the search derives, so restore derives them
+// all the way the search does, in topological order: a node's depth is its
+// parent's plus one; its term count and state hash come from its
+// substitution applied to its parent's expansion — a copy for a
+// materialized node, a probe for a lazy one; its elimination and priority
+// then follow from those. What is left to check is structure: parent
+// links, substitutions, the queue, the leaf shape, the counters and the
+// best solution. An unmodified snapshot resumes exactly; a modified one is
+// rejected or resumes into a search whose invariants hold (FuzzResume).
 func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*searcher, error) {
 	if spec.Hash() != st.SpecHash {
 		return nil, ErrSpecMismatch
@@ -287,9 +267,7 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 	if len(st.Nodes) == 0 {
 		return nil, fmt.Errorf("%w: no nodes", ErrInvalidState)
 	}
-	r := &st.Nodes[0]
-	if r.Parent != -1 || r.Target != -1 || r.Depth != 0 || !r.Materialized || r.Terms != s.initTerms || r.Elim != 0 ||
-		!math.IsInf(r.Priority, 1) {
+	if r := st.Nodes[0]; r.Parent != -1 || r.Target != -1 || r.Factor != 0 || !r.Materialized {
 		return nil, fmt.Errorf("%w: malformed root node", ErrInvalidState)
 	}
 	// nodes maps snapshot node indices to arena slots. Every node in the
@@ -300,66 +278,50 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 	nodes[0] = s.ar.alloc(node{
 		parent: -1,
 		spec:   s.ar.putSpec(rootSpec),
-		id:     r.ID,
+		id:     st.Nodes[0].ID,
 		target: -1,
-		terms:  int32(r.Terms),
-		hash:   r.Hash,
+		terms:  int32(s.initTerms),
+		hash:   rootSpec.Hash(),
 	})
 	for i := 1; i < len(st.Nodes); i++ {
 		ns := &st.Nodes[i]
 		if ns.Parent < 0 || ns.Parent >= i {
 			return nil, fmt.Errorf("%w: node %d parent %d out of order", ErrInvalidState, i, ns.Parent)
 		}
+		if err := s.checkMove(ns.Target, ns.Factor); err != nil {
+			return nil, fmt.Errorf("%w: node %d %v", ErrInvalidState, i, err)
+		}
 		parent := nodes[ns.Parent]
-		ps := &st.Nodes[ns.Parent]
-		if ns.Depth != ps.Depth+1 || ns.Depth > s.maxGates {
-			return nil, fmt.Errorf("%w: node %d depth %d under parent depth %d", ErrInvalidState, i, ns.Depth, ps.Depth)
-		}
-		if ns.Target < 0 || ns.Target >= s.n {
-			return nil, fmt.Errorf("%w: node %d target %d", ErrInvalidState, i, ns.Target)
-		}
-		factor := bits.Mask(ns.Factor)
-		if uint64(ns.Factor) >= 1<<uint(s.n) || factor&bits.Bit(ns.Target) != 0 {
-			return nil, fmt.Errorf("%w: node %d factor %#x invalid for target %d", ErrInvalidState, i, ns.Factor, ns.Target)
-		}
-		if ns.Terms < 0 || ns.Terms > math.MaxInt32 || ns.Elim != ps.Terms-ns.Terms {
-			return nil, fmt.Errorf("%w: node %d terms/elim inconsistent", ErrInvalidState, i)
-		}
-		// The node stores no priority: the search derives it, so a
-		// recorded value that disagrees would reorder the resumed queue.
-		if math.Float64bits(ns.Priority) != math.Float64bits(s.priority(ns.Depth, ns.Terms, ns.Elim, factor)) {
-			return nil, fmt.Errorf("%w: node %d priority %v disagrees with its state", ErrInvalidState, i, ns.Priority)
+		pn := s.ar.at(parent)
+		// Only an expanded node has children, and expansion materializes
+		// it; this is also what lets the derivation proceed in index order.
+		base := s.ar.spec(parent)
+		if base == nil {
+			return nil, fmt.Errorf("%w: node %d under lazy parent", ErrInvalidState, i)
 		}
 		n := node{
 			parent: parent,
 			spec:   -1,
 			id:     ns.ID,
 			target: int32(ns.Target),
-			factor: factor,
-			depth:  int32(ns.Depth),
-			terms:  int32(ns.Terms),
-			hash:   ns.Hash,
+			factor: bits.Mask(ns.Factor),
+			depth:  pn.depth + 1,
 		}
+		if int(n.depth) > s.maxGates {
+			return nil, fmt.Errorf("%w: node %d deeper than %d gates", ErrInvalidState, i, s.maxGates)
+		}
+		var delta int
 		if ns.Materialized {
-			// Expanded interior nodes keep their expansions alive for
-			// their children's lazy materialization; the invariant that a
-			// materialized node's parent is materialized is what lets the
-			// replay below proceed in index order.
-			if !ps.Materialized {
-				return nil, fmt.Errorf("%w: node %d materialized under lazy parent", ErrInvalidState, i)
-			}
-			cs, delta := s.ar.spec(parent).SubstituteCopy(ns.Target, factor)
-			if ps.Terms+delta != ns.Terms {
-				return nil, fmt.Errorf("%w: node %d replay produced %d terms, snapshot says %d",
-					ErrInvalidState, i, ps.Terms+delta, ns.Terms)
-			}
-			if opts.Dedup && cs.Hash() != n.hash {
-				return nil, fmt.Errorf("%w: node %d replay hash mismatch", ErrInvalidState, i)
-			}
+			var cs *pprm.Spec
+			cs, delta = base.SubstituteCopy(ns.Target, n.factor)
+			n.hash = cs.Hash()
 			n.spec = s.ar.putSpec(cs)
+		} else {
+			delta, n.hash, s.deltaBuf = base.SubstituteProbe(ns.Target, n.factor, s.deltaBuf)
 		}
+		n.terms = pn.terms + int32(delta)
 		nodes[i] = s.ar.alloc(n)
-		s.ar.at(parent).kids++
+		pn.kids++
 	}
 
 	if st.NodesCreated < len(st.Nodes) {
@@ -375,30 +337,26 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 	s.solSteps = st.SolSteps
 	s.restarts = st.Restarts
 
-	s.bestSol = -1
+	s.bestSol, s.bestDepth = -1, s.maxGates+1
 	switch {
 	case st.BestSol == -1:
-		if st.BestDepth != s.maxGates+1 {
-			return nil, fmt.Errorf("%w: no solution but best depth %d", ErrInvalidState, st.BestDepth)
+	case st.BestSol > 0 && st.BestSol < len(nodes):
+		// The search records only identity children as solutions.
+		sol := s.ar.at(nodes[st.BestSol])
+		if cs, _ := s.ar.spec(sol.parent).SubstituteCopy(int(sol.target), sol.factor); !cs.IsIdentity() {
+			return nil, fmt.Errorf("%w: best solution %d is not a circuit", ErrInvalidState, st.BestSol)
 		}
-	case st.BestSol >= 0 && st.BestSol < len(nodes):
-		if st.Nodes[st.BestSol].Depth != st.BestDepth {
-			return nil, fmt.Errorf("%w: best solution depth %d != best depth %d",
-				ErrInvalidState, st.Nodes[st.BestSol].Depth, st.BestDepth)
-		}
-		s.bestSol = nodes[st.BestSol]
+		s.bestSol, s.bestDepth = nodes[st.BestSol], int(sol.depth)
 	default:
 		return nil, fmt.Errorf("%w: best solution index %d", ErrInvalidState, st.BestSol)
 	}
-	s.bestDepth = st.BestDepth
 
 	for _, fm := range st.FirstMoves {
-		if fm.Target < 0 || fm.Target >= s.n || uint64(fm.Factor) >= 1<<uint(s.n) {
-			return nil, fmt.Errorf("%w: first move (%d, %#x)", ErrInvalidState, fm.Target, fm.Factor)
+		if err := s.checkMove(fm.Target, fm.Factor); err != nil {
+			return nil, fmt.Errorf("%w: first move %v", ErrInvalidState, err)
 		}
-		s.firstMoves = append(s.firstMoves, firstMove{
-			target: fm.Target, factor: bits.Mask(fm.Factor), priority: fm.Priority,
-		})
+		// The priority only ordered the list, at the root's commit.
+		s.firstMoves = append(s.firstMoves, firstMove{target: fm.Target, factor: bits.Mask(fm.Factor)})
 	}
 	if st.NextFirstMove < 0 || st.NextFirstMove > len(s.firstMoves) {
 		return nil, fmt.Errorf("%w: next first move %d of %d", ErrInvalidState, st.NextFirstMove, len(s.firstMoves))
@@ -439,12 +397,7 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 			return nil, fmt.Errorf("%w: solution node queued", ErrInvalidState)
 		}
 		slot := nodes[qi]
-		n := s.ar.at(slot)
-		sp := s.ar.spec(slot)
-		if n.parent >= 0 && sp == nil && s.ar.spec(n.parent) == nil {
-			return nil, fmt.Errorf("%w: queued node %d cannot be materialized", ErrInvalidState, qi)
-		}
-		s.queueBytes += memOf(sp)
+		s.queueBytes += memOf(s.ar.spec(slot))
 		s.pq.Push(slot, s.priorityOf(slot))
 	}
 	// The search holds only leaves (queued nodes, the best solution), their
@@ -468,6 +421,16 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 	}
 	s.resumed = true
 	return s, nil
+}
+
+// checkMove rejects a substitution the search could not make: v_target =
+// v_target ⊕ factor over n variables, with a factor that does not contain
+// the target (that would not be reversible).
+func (s *searcher) checkMove(target int, factor uint32) error {
+	if target < 0 || target >= s.n || uint64(factor) >= 1<<uint(s.n) || bits.Has(bits.Mask(factor), target) {
+		return fmt.Errorf("substitution (%d, %#x) invalid over %d variables", target, factor, s.n)
+	}
+	return nil
 }
 
 // ResumeContext continues a checkpointed synthesis of spec from the

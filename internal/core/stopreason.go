@@ -75,3 +75,17 @@ func (r StopReason) String() string {
 		return "unknown"
 	}
 }
+
+// Resumable reports whether a run that stopped for this reason can be
+// continued from its final checkpoint: the budget-driven stops (canceled,
+// deadline, step limit, memory limit). Every other run is finished —
+// solved, exhausted, withdrawn by the verification gate, or aborted by an
+// internal error — and writes no final checkpoint; its caller should
+// discard the checkpoint rather than resume it.
+func (r StopReason) Resumable() bool {
+	switch r {
+	case StopCanceled, StopDeadline, StopStepLimit, StopMemoryLimit:
+		return true
+	}
+	return false
+}

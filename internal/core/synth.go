@@ -532,11 +532,11 @@ func (s *searcher) begin() (res Result, done bool) {
 // resumable stop, Result assembly from the searcher's counters, and the
 // closing Observe update.
 func (s *searcher) finish(stop StopReason) Result {
-	if resumableStop(stop) {
+	if stop.Resumable() {
 		// The run can be continued later: flush a final checkpoint so the
 		// on-disk state matches the exact round boundary we stopped at.
-		// Non-resumable stops (solved, exhausted) leave the previous
-		// periodic checkpoint in place; callers delete it on success.
+		// Terminal stops leave the previous periodic checkpoint in place;
+		// callers delete it (see StopReason.Resumable).
 		s.writeCheckpoint()
 	}
 	res := Result{

@@ -16,11 +16,10 @@ func testState(steps int) *snapshot.State {
 			N:   2,
 			Out: []snapshot.TermSetState{{Terms: []bits.Mask{1}, Cap: 1}, {Terms: []bits.Mask{2, 3}, Cap: 2}},
 		},
-		Nodes:     []snapshot.NodeState{{Parent: -1, Target: -1, Terms: 3, Materialized: true}},
-		Queued:    []int{0},
-		BestSol:   -1,
-		BestDepth: 4,
-		Steps:     steps,
+		Nodes:   []snapshot.NodeState{{Parent: -1, Target: -1, Materialized: true}},
+		Queued:  []int{0},
+		BestSol: -1,
+		Steps:   steps,
 	}
 }
 

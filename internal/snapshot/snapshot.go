@@ -1,23 +1,41 @@
 // Package snapshot implements the durable checkpoint format for long
 // synthesis runs: a versioned, CRC32-checksummed binary serialization of
-// the complete RMRLS searcher state (priority-queue nodes, PPRM term sets,
-// transposition table, counters, best-so-far solution), written atomically
-// via temp-file + fsync + rename so a crash at any instant leaves either
-// the previous checkpoint or the new one — never a torn file that parses.
+// the RMRLS searcher state, written atomically via temp-file + fsync +
+// rename so a crash at any instant leaves either the previous checkpoint
+// or the new one — never a torn file that parses.
+//
+// A snapshot stores facts, not derived values, following the paper's
+// memory optimization of keeping only each node's substitution (§IV):
+//
+//   - stored: the root's PPRM expansion; per node its parent, ID,
+//     (target, factor) substitution and whether it was materialized; the
+//     queue order; the best solution's node; the counters; the restart
+//     heuristic's first moves (target, factor) and cursor; the
+//     transposition table; the cumulative elapsed time and peak bytes;
+//   - derived on restore: every node's depth, term count, state hash,
+//     elimination and priority (by replaying its substitution on its
+//     parent's expansion), every materialized expansion, and the best
+//     depth.
+//
+// A recorded derived value could disagree with the state it was derived
+// from; since none is stored, no such disagreement can be written down.
+// A run writes a final snapshot only when it stops for a resumable reason
+// (core's StopReason.Resumable: canceled, deadline, step limit, memory
+// limit); every other stop is terminal.
 //
 // The package deliberately splits responsibilities: it owns the byte
 // format and the crash-safe file protocol, while internal/core owns the
 // semantic mapping between a live searcher and a State. Decode performs
 // structural validation only (bounds, counts, checksums); core re-derives
-// and cross-checks every search invariant before resuming, so a snapshot
-// that passes both layers either resumes exactly or is rejected with a
-// typed error — it can never panic the process or smuggle in a wrong
-// circuit past the verification gate.
+// every search value and checks every structural invariant before
+// resuming, so a snapshot that passes both layers either resumes exactly
+// or is rejected with a typed error — it can never panic the process or
+// smuggle in a wrong circuit past the verification gate.
 //
 // Format (all integers little-endian; varints are encoding/binary):
 //
 //	magic   [6]byte "RMSNAP"
-//	version uint16
+//	version uint16  — 2
 //	length  uint32  — payload byte count; file size must equal 16+length
 //	crc     uint32  — IEEE CRC32 of the payload
 //	payload — field stream in the order Encode writes it
@@ -25,7 +43,8 @@
 // Version policy (see DESIGN.md): the version is bumped on any layout
 // change; readers reject versions they do not know with ErrVersionSkew
 // instead of guessing. Checkpoints are short-lived operational artifacts,
-// not archival data — there is no cross-version migration.
+// not archival data — there is no cross-version migration, and every
+// caller treats ErrVersionSkew as "start fresh".
 package snapshot
 
 import (
@@ -39,8 +58,9 @@ import (
 	"repro/internal/bits"
 )
 
-// Version is the current snapshot format version.
-const Version = 1
+// Version is the current snapshot format version. Version 1 also stored
+// the values that version 2 leaves to restore to derive.
+const Version = 2
 
 const (
 	magic      = "RMSNAP"
@@ -77,26 +97,24 @@ type SpecState struct {
 	Out []TermSetState
 }
 
-// NodeState is one search-tree node. Nodes are stored in topological order
-// (Parent < index for every non-root node); index 0 is the root.
+// NodeState is one search-tree node: its place in the tree and its
+// substitution, nothing derived from them. Restore recomputes the depth,
+// term count, state hash, elimination and priority by replaying the
+// substitution on the parent's expansion. Nodes are stored in topological
+// order (Parent < index for every non-root node); index 0 is the root.
 type NodeState struct {
 	Parent       int // index into State.Nodes; -1 for the root
 	ID           int
 	Target       int // substitution target variable; -1 for the root
 	Factor       uint32
-	Depth        int
-	Terms        int
-	Elim         int
-	Priority     float64
-	Hash         uint64
 	Materialized bool // node held a materialized expansion when saved
 }
 
-// FirstMoveState is one entry of the restart heuristic's first-move list.
+// FirstMoveState is one entry of the restart heuristic's first-move list,
+// in the order restarts try them.
 type FirstMoveState struct {
-	Target   int
-	Factor   uint32
-	Priority float64
+	Target int
+	Factor uint32
 }
 
 // TTState is the transposition table: keys sorted ascending (map order is
@@ -128,9 +146,9 @@ type State struct {
 	// Queued lists indices into Nodes in queue precedence order (highest
 	// priority first, FIFO among ties) — the order Pop would drain them.
 	Queued []int
-	// BestSol is the best solution's index into Nodes, or -1.
-	BestSol   int
-	BestDepth int
+	// BestSol is the best solution's index into Nodes, or -1. The best
+	// depth is that node's depth and is not stored.
+	BestSol int
 
 	Steps             int
 	StepsSinceRestart int
@@ -174,11 +192,6 @@ func Encode(st *State) []byte {
 		e.uvarint(uint64(n.ID))
 		e.varint(int64(n.Target))
 		e.uvarint(uint64(n.Factor))
-		e.uvarint(uint64(n.Depth))
-		e.uvarint(uint64(n.Terms))
-		e.varint(int64(n.Elim))
-		e.f64(n.Priority)
-		e.u64(n.Hash)
 		if n.Materialized {
 			e.byte(1)
 		} else {
@@ -190,7 +203,6 @@ func Encode(st *State) []byte {
 		e.uvarint(uint64(q))
 	}
 	e.varint(int64(st.BestSol))
-	e.uvarint(uint64(st.BestDepth))
 	e.uvarint(uint64(st.Steps))
 	e.uvarint(uint64(st.StepsSinceRestart))
 	e.uvarint(uint64(st.SolSteps))
@@ -201,7 +213,6 @@ func Encode(st *State) []byte {
 		fm := &st.FirstMoves[i]
 		e.uvarint(uint64(fm.Target))
 		e.uvarint(uint64(fm.Factor))
-		e.f64(fm.Priority)
 	}
 	e.uvarint(uint64(st.NextFirstMove))
 	e.uvarint(uint64(st.Elapsed))
@@ -296,11 +307,6 @@ func Decode(data []byte) (*State, error) {
 		n.ID = int(d.uvarint())
 		n.Target = int(d.varint())
 		n.Factor = uint32(d.uvarint())
-		n.Depth = int(d.uvarint())
-		n.Terms = int(d.uvarint())
-		n.Elim = int(d.varint())
-		n.Priority = d.f64()
-		n.Hash = d.u64()
 		n.Materialized = d.byte() != 0
 	}
 	nQueued := d.count(uint64(len(d.b)), 1)
@@ -309,19 +315,17 @@ func Decode(data []byte) (*State, error) {
 		st.Queued[i] = int(d.uvarint())
 	}
 	st.BestSol = int(d.varint())
-	st.BestDepth = int(d.uvarint())
 	st.Steps = int(d.uvarint())
 	st.StepsSinceRestart = int(d.uvarint())
 	st.SolSteps = int(d.uvarint())
 	st.NodesCreated = int(d.uvarint())
 	st.Restarts = int(d.uvarint())
-	nMoves := d.count(uint64(len(d.b)), 10)
+	nMoves := d.count(uint64(len(d.b)), 2)
 	st.FirstMoves = make([]FirstMoveState, nMoves)
 	for i := range st.FirstMoves {
 		fm := &st.FirstMoves[i]
 		fm.Target = int(d.uvarint())
 		fm.Factor = uint32(d.uvarint())
-		fm.Priority = d.f64()
 	}
 	st.NextFirstMove = int(d.uvarint())
 	st.Elapsed = time.Duration(d.uvarint())
@@ -360,17 +364,16 @@ func Decode(data []byte) (*State, error) {
 	return st, nil
 }
 
-// minNodeBytes is the smallest possible encoded node (seven 1-byte varints
-// + two fixed 8-byte words + flag byte); used to bound the node count a
-// corrupted header can request before allocation.
-const minNodeBytes = 7 + 8 + 8 + 1
+// minNodeBytes is the smallest possible encoded node (four 1-byte varints
+// + flag byte); used to bound the node count a corrupted header can
+// request before allocation.
+const minNodeBytes = 4 + 1
 
 type encoder struct{ buf []byte }
 
 func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 func (e *encoder) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
 func (e *encoder) u64(v uint64)     { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *encoder) f64(v float64)    { e.u64(math.Float64bits(v)) }
 func (e *encoder) byte(v byte)      { e.buf = append(e.buf, v) }
 
 type decoder struct {
@@ -422,8 +425,6 @@ func (d *decoder) u64() uint64 {
 	d.b = d.b[8:]
 	return v
 }
-
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 
 func (d *decoder) byte() byte {
 	if d.err != nil {

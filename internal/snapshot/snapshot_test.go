@@ -29,22 +29,21 @@ func sampleState() *State {
 			},
 		},
 		Nodes: []NodeState{
-			{Parent: -1, ID: 0, Target: -1, Depth: 0, Terms: 8, Priority: 1e308, Materialized: true},
-			{Parent: 0, ID: 1, Target: 1, Factor: 4, Depth: 1, Terms: 6, Elim: 2, Priority: 1.25, Hash: 42, Materialized: true},
-			{Parent: 1, ID: 3, Target: 0, Factor: 6, Depth: 2, Terms: 5, Elim: 1, Priority: -0.5, Hash: 7},
-			{Parent: 1, ID: 4, Target: 2, Factor: 1, Depth: 2, Terms: 3, Elim: 3, Priority: 2.5, Hash: 9},
+			{Parent: -1, ID: 0, Target: -1, Materialized: true},
+			{Parent: 0, ID: 1, Target: 1, Factor: 4, Materialized: true},
+			{Parent: 1, ID: 3, Target: 0, Factor: 6},
+			{Parent: 1, ID: 4, Target: 2, Factor: 1},
 		},
 		Queued:            []int{3, 2},
 		BestSol:           -1,
-		BestDepth:         9,
 		Steps:             123,
 		StepsSinceRestart: 23,
 		SolSteps:          0,
 		NodesCreated:      5,
 		Restarts:          1,
 		FirstMoves: []FirstMoveState{
-			{Target: 1, Factor: 4, Priority: 3.5},
-			{Target: 0, Factor: 2, Priority: 1.5},
+			{Target: 1, Factor: 4},
+			{Target: 0, Factor: 2},
 		},
 		NextFirstMove: 1,
 		Elapsed:       1500 * time.Millisecond,
@@ -63,11 +62,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for name, st := range map[string]*State{
 		"full": sampleState(),
 		"minimal": {
-			Root:      SpecState{N: 1, Out: []TermSetState{{Terms: nil, Cap: 0}}},
-			Nodes:     []NodeState{{Parent: -1, Target: -1, Materialized: true}},
-			Queued:    []int{0},
-			BestSol:   -1,
-			BestDepth: 1,
+			Root:    SpecState{N: 1, Out: []TermSetState{{Terms: nil, Cap: 0}}},
+			Nodes:   []NodeState{{Parent: -1, Target: -1, Materialized: true}},
+			Queued:  []int{0},
+			BestSol: -1,
 		},
 	} {
 		data := Encode(st)
@@ -142,6 +140,19 @@ func TestDecodeVersionSkew(t *testing.T) {
 	binary.LittleEndian.PutUint16(mut[len(magic):], 0)
 	if _, err := Decode(mut); !errors.Is(err, ErrVersionSkew) {
 		t.Fatalf("version 0: got %v, want ErrVersionSkew", err)
+	}
+}
+
+// TestDecodeV1Rejected: a version-1 checkpoint (written by the format
+// that stored derived node values, testdata/v1-swap4.snap) is refused with
+// ErrVersionSkew, which every caller treats as "start fresh".
+func TestDecodeV1Rejected(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "v1-swap4.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(data); !errors.Is(err, ErrVersionSkew) {
+		t.Fatalf("v1 checkpoint: got %v, want ErrVersionSkew", err)
 	}
 }
 
