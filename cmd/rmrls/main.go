@@ -399,7 +399,7 @@ func loadSpec(benchName string, isPPRM, isPLA bool, vars int, args []string, std
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		emb, _, err := tt.EmbedPartial(pt, 16, 1)
+		emb, _, err := tt.EmbedPartial(pt, tt.PLAEmbedTries, tt.PLAEmbedSeed)
 		if err != nil {
 			return nil, nil, nil, err
 		}

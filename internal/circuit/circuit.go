@@ -264,10 +264,3 @@ func (l Library) String() string {
 	}
 	return "GT"
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

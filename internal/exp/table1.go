@@ -39,9 +39,6 @@ type Table1Config struct {
 	// TotalSteps / ImproveSteps bound each function's search; zeros
 	// select tuned defaults.
 	TotalSteps, ImproveSteps int
-	// SkipOptimal skips the two exhaustive-BFS columns (they cost a few
-	// hundred milliseconds; benchmarks may want the synthesis loop only).
-	SkipOptimal bool
 }
 
 // Table1Result is the reproduction of Table I.
@@ -108,19 +105,17 @@ func Table1(ctx context.Context, cfg Table1Config) *Table1Result {
 		}
 	}
 
-	if !cfg.SkipOptimal {
-		nct, _ := optimal.Distances(optimal.NCT).Histogram()
-		ncts, _ := optimal.Distances(optimal.NCTS).Histogram()
-		for g, c := range nct {
-			res.OptimalNCT.Counts = append(res.OptimalNCT.Counts, 0)
-			res.OptimalNCT.Counts[g] = c
-			res.OptimalNCT.Total += c
-		}
-		for g, c := range ncts {
-			res.OptimalNCTS.Counts = append(res.OptimalNCTS.Counts, 0)
-			res.OptimalNCTS.Counts[g] = c
-			res.OptimalNCTS.Total += c
-		}
+	nct, _ := optimal.Distances(optimal.NCT).Histogram()
+	ncts, _ := optimal.Distances(optimal.NCTS).Histogram()
+	for g, c := range nct {
+		res.OptimalNCT.Counts = append(res.OptimalNCT.Counts, 0)
+		res.OptimalNCT.Counts[g] = c
+		res.OptimalNCT.Total += c
+	}
+	for g, c := range ncts {
+		res.OptimalNCTS.Counts = append(res.OptimalNCTS.Counts, 0)
+		res.OptimalNCTS.Counts[g] = c
+		res.OptimalNCTS.Total += c
 	}
 	res.Elapsed = time.Since(start)
 	return res

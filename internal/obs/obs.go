@@ -368,11 +368,11 @@ func (r *Run) Snapshot(now time.Time) ProgressSnapshot {
 	}
 	if bs := r.budgetSteps.Load(); bs > 0 {
 		snap.StepsBudget = bs
-		snap.StepsRemaining = max64(0, bs-r.cur[cSteps].Load())
+		snap.StepsRemaining = max(0, bs-r.cur[cSteps].Load())
 	}
 	if bt := r.budgetTime.Load(); bt > 0 {
 		snap.TimeBudget = time.Duration(bt)
-		snap.TimeRemaining = maxDur(0, time.Duration(bt)-snap.Elapsed)
+		snap.TimeRemaining = max(0, time.Duration(bt)-snap.Elapsed)
 	}
 	return snap
 }
@@ -388,18 +388,4 @@ func (r *Run) ChildSnapshots(now time.Time) []ProgressSnapshot {
 		out[i] = c.Snapshot(now)
 	}
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,9 +2,9 @@ package serve
 
 // Answer-cache integration. The server probes the cache itself, through
 // core.LookupAnswer and core.StoreAnswer, so the lookup happens at
-// admission — before a queue slot or worker is spent — and so the server's
-// own hit/miss counters are authoritative: the engine is never handed
-// core.Options.Cache, which would double-count every probe.
+// admission — before a queue slot or worker is spent. The engine is never
+// handed core.Options.Cache, so admission makes the only lookups on the
+// cache and its own hit/miss counters are the server's.
 
 import (
 	"time"
@@ -13,33 +13,35 @@ import (
 	"repro/internal/core"
 )
 
-// jobSource labels who produced a job's result.
+// Job views label who produced the result: a cache-hit result is
+// sourceCache, every other sourceWorker.
 const (
 	sourceWorker = "worker"
 	sourceCache  = "cache"
 )
 
+// cacheable reports whether the answer cache is on and can represent c.
+func (s *Server) cacheable(c *compiled) bool {
+	return s.cache != nil && c.perm != nil && cache.Cacheable(c.perm.Vars())
+}
+
 // fromCache answers a compiled request from the answer cache. On a hit it
-// returns a finished job (source "cache", verified result) ready for
+// returns a finished job (a verified cache-hit result) ready for
 // registration; on a miss — or when the cache is off or cannot represent
 // the request — it returns nil and the caller enqueues as usual. The hit
 // itself is core.LookupAnswer, the same one the engine uses.
 func (s *Server) fromCache(c *compiled, req Request) *Job {
-	if s.cache == nil || c.perm == nil || !cache.Cacheable(c.perm.Vars()) {
+	if !s.cacheable(c) {
 		return nil
 	}
 	res, ok := core.LookupAnswer(s.cache, c.perm, core.OptionsFingerprint(&c.opts))
 	if !ok {
-		s.stats.cacheMisses.Add(1)
 		return nil
 	}
-	s.stats.cacheHits.Add(1)
 	now := time.Now()
 	j := newJob(c, req, now)
-	j.source = sourceCache
 	j.started = now
-	verified := true
-	j.finish(StatusDone, res, &verified, "", now)
+	j.finish(StatusDone, res, "", now)
 	return j
 }
 
@@ -49,8 +51,8 @@ func (s *Server) fromCache(c *compiled, req Request) *Job {
 // verification failure, which is exactly the situation a cache must not
 // memorize.
 func (s *Server) cacheStore(j *Job, res *core.Result) {
-	if s.cache == nil || j.fperm == nil || !cache.Cacheable(j.fperm.Vars()) || j.isDegraded() {
+	if !s.cacheable(j.c) || j.isDegraded() {
 		return
 	}
-	core.StoreAnswer(s.cache, j.fperm, core.OptionsFingerprint(&j.opts), res)
+	core.StoreAnswer(s.cache, j.c.perm, core.OptionsFingerprint(&j.c.opts), res)
 }

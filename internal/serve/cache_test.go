@@ -2,8 +2,15 @@ package serve
 
 import (
 	"context"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/snapshot"
 )
 
 // permRequest is a small 3-variable workload the cache handles exactly.
@@ -166,5 +173,124 @@ func TestNoCacheConfiguredKeepsWorkerPath(t *testing.T) {
 	}
 	if st := s.Stats(); st.CacheHits != 0 || st.CacheMisses != 0 {
 		t.Fatalf("no-cache stats moved: %+v", st)
+	}
+}
+
+// TestHealthzCacheCountersAreTheCaches: healthz reports the answer cache's
+// own hit and miss counters, since admission makes the only lookups on it.
+func TestHealthzCacheCountersAreTheCaches(t *testing.T) {
+	cfg := drainCfg(t.TempDir())
+	cfg.CacheDir = t.TempDir()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer drainAll(t, s)
+
+	cold := admitDirect(t, s, permRequest("{1, 0, 7, 2, 3, 4, 5, 6}"))
+	waitDone(t, cold)
+	if warm := admitDirect(t, s, permRequest("{4, 6, 7, 5, 0, 1, 2, 3}")); !warm.view(false).Result.CacheHit {
+		t.Fatalf("conjugate member not served from cache: %+v", warm.view(false))
+	}
+
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/healthz", nil))
+	got := decodeHealth(t, rec.Body.Bytes()).Stats
+	cs := s.cache.Stats()
+	if got.CacheHits != cs.Hits || got.CacheMisses != cs.Misses {
+		t.Fatalf("healthz cache_hits/cache_misses = %d/%d, cache counts %d/%d",
+			got.CacheHits, got.CacheMisses, cs.Hits, cs.Misses)
+	}
+	if cs.Hits != 1 || cs.Misses != 1 {
+		t.Fatalf("cache hits/misses = %d/%d, want 1/1", cs.Hits, cs.Misses)
+	}
+}
+
+// gatedFS holds every read under dir until gate closes, and signals the
+// first such read on entered.
+type gatedFS struct {
+	snapshot.FS
+	dir           string
+	entered, gate chan struct{}
+}
+
+func (f gatedFS) ReadFile(name string) ([]byte, error) {
+	if strings.HasPrefix(name, f.dir) {
+		select {
+		case f.entered <- struct{}{}:
+		default:
+		}
+		<-f.gate
+	}
+	return f.FS.ReadFile(name)
+}
+
+// TestConcurrentCacheHitsJoinOneJob: identical submissions racing through
+// a cache hit register one job, and every other submission joins it. The
+// first submission's cache probe is held in its disk read, so the others
+// pass the pre-probe join check, queue behind it in the cache, and lose
+// the registration race.
+func TestConcurrentCacheHitsJoinOneJob(t *testing.T) {
+	cacheDir := t.TempDir()
+	cold := permRequest("{1, 0, 7, 2, 3, 4, 5, 6}")
+	c, rerr := compileRequest(&cold, drainCfg("").Ceiling)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	warm, err := cache.Open(cacheDir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := core.Synthesize(c.spec, c.opts)
+	core.StoreAnswer(warm, c.perm, core.OptionsFingerprint(&c.opts), &res)
+	if res.CanonicalClass == 0 {
+		t.Fatalf("cold answer not cached: %+v", res)
+	}
+
+	fsys := gatedFS{FS: snapshot.DiskFS, dir: cacheDir, entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	cfg := drainCfg(t.TempDir())
+	cfg.CacheDir, cfg.FS = cacheDir, fsys
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainAll(t, s)
+
+	const n = 16
+	ids := make([]string, n)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := permRequest("{4, 6, 7, 5, 0, 1, 2, 3}")
+			c, rerr := compileRequest(&req, s.cfg.Ceiling)
+			if rerr != nil {
+				t.Error(rerr)
+				return
+			}
+			j, _, err := s.admit(c, req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ids[i] = j.ID()
+		}()
+	}
+	// The pause only gives the other submissions time to pass the join
+	// check while the first one is held; the assertions below hold in
+	// every interleaving.
+	<-fsys.entered
+	time.Sleep(20 * time.Millisecond)
+	close(fsys.gate)
+	wg.Wait()
+	for _, id := range ids {
+		if id != ids[0] {
+			t.Fatalf("submissions got different jobs: %v", ids)
+		}
+	}
+	if st := s.Stats(); st.Submitted != 1 || st.Deduplicated != n-1 {
+		t.Fatalf("stats = %+v, want submitted 1, deduplicated %d", st, n-1)
 	}
 }

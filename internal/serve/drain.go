@@ -35,8 +35,9 @@ type ledgerEntry struct {
 
 func (s *Server) ledgerPath() string { return filepath.Join(s.cfg.StateDir, ledgerName) }
 
-func (s *Server) checkpointPath(j *Job) string {
-	return filepath.Join(s.cfg.StateDir, "ckpt-"+j.id+".snap")
+// checkpointPath names the drain checkpoint of the job with the given ID.
+func (s *Server) checkpointPath(id string) string {
+	return filepath.Join(s.cfg.StateDir, "ckpt-"+id+".snap")
 }
 
 // removeCheckpoint deletes a finished job's checkpoint (best-effort — a
@@ -45,7 +46,7 @@ func (s *Server) removeCheckpoint(j *Job) {
 	if s.cfg.StateDir == "" {
 		return
 	}
-	s.cfg.FS.Remove(s.checkpointPath(j))
+	s.cfg.FS.Remove(s.checkpointPath(j.id))
 }
 
 // Drain gracefully stops the server: intake is closed (submits get 503),
@@ -76,14 +77,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	// status, and they go into the ledger untouched.
 	for _, j := range s.queue.drainAll() {
 		s.stats.interrupted.Add(1)
-		j.mu.Lock()
-		j.status = StatusInterrupted
-		j.mu.Unlock()
-		select {
-		case <-j.done:
-		default:
-			close(j.done)
-		}
+		j.interrupt()
 	}
 
 	if s.cfg.StateDir == "" {
@@ -166,13 +160,23 @@ func (s *Server) recover() {
 			s.recoveryNotes = append(s.recoveryNotes, fmt.Sprintf("job %s: request no longer valid (%v); dropped", e.ID, rerr))
 			continue
 		}
-		j := newJob(c, e.Request, now)
-		j.pin() // no client is attached to a recovered job
 		// The ledger ID names the checkpoint file; keep it even if changed
-		// ceilings re-key the job, so the snapshot is found. Reads go
-		// through the guarded checkpoint FS: a sick device trips the
-		// domain instead of stalling recovery, and the jobs re-run fresh.
-		ckptPath := filepath.Join(s.cfg.StateDir, "ckpt-"+e.ID+".snap")
+		// ceilings re-key the job, so the snapshot is found.
+		ckptPath := s.checkpointPath(e.ID)
+		j := newJob(c, e.Request, now)
+		if kept := s.register(j); kept != j {
+			// Two entries compile to one job (a repeated entry, or ceilings
+			// that re-key two jobs onto one key): run it once, and drop a
+			// checkpoint that is not the kept job's.
+			s.recoveryNotes = append(s.recoveryNotes, fmt.Sprintf("job %s: duplicate of job %s; dropped", e.ID, kept.id))
+			if e.ID != kept.id {
+				s.cfg.FS.Remove(ckptPath)
+			}
+			continue
+		}
+		j.pin() // no client is attached to a recovered job
+		// Reads go through the guarded checkpoint FS: a sick device trips
+		// the domain instead of stalling recovery, and the jobs re-run fresh.
 		if st, err := snapshot.ReadFileFS(s.ckptFS, ckptPath); err == nil {
 			j.resume = st
 		} else if !isNotExist(err) {
@@ -183,20 +187,13 @@ func (s *Server) recover() {
 			// Re-keyed (ceilings changed): move the checkpoint to the new
 			// name so the engine's own writes and removes line up.
 			if j.resume != nil {
-				s.cfg.FS.Rename(ckptPath, s.checkpointPath(j))
+				s.cfg.FS.Rename(ckptPath, s.checkpointPath(j.id))
 			}
 			s.recoveryNotes = append(s.recoveryNotes, fmt.Sprintf("job %s re-keyed to %s under new ceilings", e.ID, j.id))
 		}
-		s.mu.Lock()
-		s.jobs[j.id] = j
-		s.byKey[j.key] = j
-		s.mu.Unlock()
 		if err := s.queue.Enqueue(j); err != nil {
 			s.recoveryNotes = append(s.recoveryNotes, fmt.Sprintf("job %s: re-enqueue failed (%v); dropped", j.id, err))
-			s.mu.Lock()
-			delete(s.jobs, j.id)
-			delete(s.byKey, j.key)
-			s.mu.Unlock()
+			s.unregister(j)
 			continue
 		}
 		s.stats.recovered.Add(1)

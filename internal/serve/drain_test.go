@@ -242,6 +242,63 @@ func TestDrainPersistsQueuedJobs(t *testing.T) {
 	}
 }
 
+// TestRecoverDeduplicatesLedgerEntries: ledger entries that compile to one
+// job — the same entry twice, or an entry re-keyed onto another's key —
+// recover as one queued job. A dropped duplicate leaves the kept job's
+// checkpoint file alone.
+func TestRecoverDeduplicatesLedgerEntries(t *testing.T) {
+	dir := t.TempDir()
+	cfg := drainCfg(dir)
+	req := permRequest("{1, 0, 7, 2, 3, 4, 5, 6}")
+	c, rerr := compileRequest(&req, cfg.Ceiling)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	id, stale := jobID(c.key), "00000000deadbeef"
+	led := drainLedger{Version: ledgerVersion, Jobs: []ledgerEntry{
+		{ID: stale, Request: req}, // re-keyed onto id
+		{ID: id, Request: req},
+		{ID: id, Request: req},
+	}}
+	data, err := json.Marshal(&led)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ledgerName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := func(id string) string { return filepath.Join(dir, "ckpt-"+id+".snap") }
+	for _, path := range []string{ckpt(stale), ckpt(id)} {
+		if err := os.WriteFile(path, []byte("not a checkpoint"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainAll(t, s)
+	if qi, qb := s.queue.Depths(); qi != 1 || qb != 0 {
+		t.Errorf("queued %d interactive, %d batch; want 1, 0 (notes: %v)", qi, qb, s.RecoveryNotes())
+	}
+	if got := s.Stats().Recovered; got != 1 {
+		t.Errorf("recovered %d jobs, want 1", got)
+	}
+	dups := 0
+	for _, note := range s.RecoveryNotes() {
+		if strings.Contains(note, "duplicate of job "+id) {
+			dups++
+		}
+	}
+	if dups != 2 {
+		t.Errorf("%d duplicate notes, want 2: %v", dups, s.RecoveryNotes())
+	}
+	if _, err := os.Stat(ckpt(id)); err != nil {
+		t.Errorf("kept job's checkpoint removed by a duplicate: %v", err)
+	}
+}
+
 // TestLedgerWriteCrashEnumeration crashes the drain's ledger write at every
 // filesystem operation (torn writes included) and proves the all-or-nothing
 // property: the next start either recovers every job or none, and never

@@ -32,14 +32,11 @@ func DomainNames() []string {
 	return []string{DomainCache, DomainCheckpoint, DomainLedger, DomainQuarantine}
 }
 
-// initHealth registers the server's fault domains on the supervisor and
+// initHealth registers the server's fault domains on a new supervisor and
 // builds the guarded filesystems the I/O paths use. Required domains gate
 // /v1/readyz; everything else only degrades.
 func (s *Server) initHealth() {
-	s.health = s.cfg.Health
-	if s.health == nil {
-		s.health = health.NewSupervisor()
-	}
+	s.health = health.NewSupervisor()
 	required := make(map[string]bool, len(s.cfg.RequiredDomains))
 	for _, name := range s.cfg.RequiredDomains {
 		required[name] = true

@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/perm"
-	"repro/internal/pprm"
 	"repro/internal/snapshot"
 )
 
@@ -34,17 +32,13 @@ const (
 // Job is one admitted synthesis request. Identity: the ID is the hex form
 // of the idempotency key, so a retried submission finds its original job by
 // construction and a restarted server re-creates jobs under their old IDs.
+// Besides its ID, a Job stores facts only: what was asked (the compiled
+// request) and what happened (status, result, timestamps, notes); the API
+// view derives the rest.
 type Job struct {
-	id     string
-	key    uint64
-	class  Class
-	req    Request // original request, persisted in the drain ledger
-	source string  // who produced the result: sourceWorker or sourceCache
-
-	spec   *pprm.Spec
-	fperm  perm.Perm
-	opts   core.Options
-	clamps []string
+	id  string
+	c   *compiled // immutable: spec, tabulated permutation, options, class, key
+	req Request   // original request, persisted in the drain ledger
 
 	run *obs.Run
 	// resume holds the decoded drain checkpoint when the job was recovered
@@ -54,7 +48,6 @@ type Job struct {
 	mu        sync.Mutex
 	status    JobStatus
 	res       core.Result
-	verified  *bool
 	errMsg    string
 	note      string // operational note: resume fallback, clamp summary, ...
 	resumed   bool
@@ -79,14 +72,8 @@ type Job struct {
 func newJob(c *compiled, req Request, now time.Time) *Job {
 	j := &Job{
 		id:        jobID(c.key),
-		key:       c.key,
-		class:     c.class,
+		c:         c,
 		req:       req,
-		source:    sourceWorker,
-		spec:      c.spec,
-		fperm:     c.perm,
-		opts:      c.opts,
-		clamps:    c.clamps,
 		status:    StatusQueued,
 		submitted: now,
 		abortC:    make(chan struct{}),
@@ -100,7 +87,7 @@ func newJob(c *compiled, req Request, now time.Time) *Job {
 func (j *Job) ID() string { return j.id }
 
 // Class returns the job's scheduling class.
-func (j *Job) Class() Class { return j.class }
+func (j *Job) Class() Class { return j.c.class }
 
 // Status returns the job's current lifecycle state.
 func (j *Job) Status() JobStatus {
@@ -169,7 +156,7 @@ func (j *Job) dropWatcher() (abortedNow bool) {
 	j.mu.Lock()
 	j.watchers--
 	trigger := j.watchers <= 0 && !j.pinned && !j.aborted &&
-		j.class == Interactive &&
+		j.c.class == Interactive &&
 		(j.status == StatusQueued || j.status == StatusRunning)
 	if trigger {
 		j.aborted = true
@@ -188,30 +175,21 @@ func (j *Job) dropWatcher() (abortedNow bool) {
 // abortCh is closed when client-disconnect cancellation fires.
 func (j *Job) abortCh() <-chan struct{} { return j.abortC }
 
-// wasAborted reports whether client-disconnect cancellation fired.
-func (j *Job) wasAborted() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.aborted
-}
-
-// redoable reports a terminal job not worth deduplicating against: it was
-// aborted by client disconnect and produced no circuit, so a returning
+// joinable reports whether a new submission of the same request joins j
+// instead of running. A failed job is not joinable, and neither is one that
+// client-disconnect cancellation ended without a circuit: a returning
 // client deserves a fresh run, not a replay of the cancellation.
-func (j *Job) redoable() bool {
+func (j *Job) joinable() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.aborted && (j.status == StatusDone || j.status == StatusFailed) && !j.res.Found
+	return j.status != StatusFailed && !(j.aborted && j.status == StatusDone && !j.res.Found)
 }
 
-// finish records a terminal result. Idempotent close of done.
-func (j *Job) finish(status JobStatus, res core.Result, verified *bool, errMsg string, now time.Time) {
+// finish records a terminal result and wakes the job's waiters. It and
+// interrupt are the only ways out of the queued and running states.
+func (j *Job) finish(status JobStatus, res core.Result, errMsg string, now time.Time) {
 	j.mu.Lock()
-	j.status = status
-	j.res = res
-	j.verified = verified
-	j.errMsg = errMsg
-	j.finished = now
+	j.status, j.res, j.errMsg, j.finished = status, res, errMsg, now
 	j.mu.Unlock()
 	select {
 	case <-j.done:
@@ -219,6 +197,10 @@ func (j *Job) finish(status JobStatus, res core.Result, verified *bool, errMsg s
 		close(j.done)
 	}
 }
+
+// interrupt parks the job for the drain ledger: a drain stopped it before
+// it had a result, and the next start resumes it. It has no finish time.
+func (j *Job) interrupt() { j.finish(StatusInterrupted, core.Result{}, "", time.Time{}) }
 
 // JobView is the JSON shape of a job returned by the API.
 type JobView struct {
@@ -273,15 +255,18 @@ func (j *Job) view(deduplicated bool) JobView {
 	v := JobView{
 		ID:           j.id,
 		Status:       string(j.status),
-		Class:        j.class.String(),
-		Source:       j.source,
+		Class:        j.c.class.String(),
+		Source:       sourceWorker,
 		Deduplicated: deduplicated,
-		Clamped:      j.clamps,
+		Clamped:      j.c.clamps,
 		Note:         j.note,
 		Resumed:      j.resumed,
 		Degraded:     j.degraded,
 		SubmittedAt:  j.submitted,
 		Error:        j.errMsg,
+	}
+	if j.res.CacheHit {
+		v.Source = sourceCache
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -300,11 +285,14 @@ func (j *Job) view(deduplicated bool) JobView {
 			Restarts:    j.res.Restarts,
 			DedupHits:   j.res.DedupHits,
 			DedupMisses: j.res.DedupMisses,
-			Verified:    j.verified,
 			CacheHit:    j.res.CacheHit,
 		}
 		if j.res.CanonicalClass != 0 {
 			r.CanonicalClass = fmt.Sprintf("%016x", j.res.CanonicalClass)
+		}
+		if j.status == StatusDone && j.res.Found && j.res.Circuit != nil && j.res.Verified {
+			verified := true
+			r.Verified = &verified
 		}
 		if j.res.Found && j.res.Circuit != nil {
 			r.Circuit = j.res.Circuit.String()

@@ -40,57 +40,54 @@ func (s *Server) execute(j *Job) {
 	defer s.running.Add(-1)
 	j.markRunning(time.Now())
 
-	res := s.attempt(j)
-	if s.parkIfDraining(j, res) {
-		return
-	}
-
-	if verr := s.gateError(j, &res); verr != nil {
+	var res core.Result
+	for _, attempt := range []string{"primary", "degraded"} {
+		res = s.attempt(j)
+		if s.draining.Load() && res.Err == nil && res.StopReason == core.StopCanceled && s.cfg.StateDir != "" {
+			// A drain canceled a resumable search, and the engine has
+			// flushed its final checkpoint: park the job for the ledger.
+			s.stats.interrupted.Add(1)
+			j.interrupt()
+			return
+		}
+		verr := s.gateError(j, &res)
+		if verr == nil {
+			break
+		}
 		s.stats.verifyFailures.Add(1)
 		obs.IncVerifyFailure()
+		path := s.quarantine(j, verr, attempt)
+		if attempt == "degraded" {
+			s.settle(j, StatusFailed, res, fmt.Sprintf("verification failed after degraded re-run: %v", verr))
+			return
+		}
 		note := "independent verification failed"
-		if path := s.quarantine(j, verr, "primary"); path != "" {
+		if path != "" {
 			note += "; evidence quarantined to " + path
 		}
-		note += "; retrying degraded (optimizers disabled)"
-		j.setDegraded(note)
+		j.setDegraded(note + "; retrying degraded (optimizers disabled)")
 		s.stats.degradedReruns.Add(1)
 		obs.IncDegradedRerun()
-
-		res = s.attempt(j)
-		if s.parkIfDraining(j, res) {
-			return
-		}
-		if verr2 := s.gateError(j, &res); verr2 != nil {
-			s.stats.verifyFailures.Add(1)
-			obs.IncVerifyFailure()
-			s.quarantine(j, verr2, "degraded")
-			s.stats.failed.Add(1)
-			s.removeCheckpoint(j)
-			j.finish(StatusFailed, res, nil,
-				fmt.Sprintf("verification failed after degraded re-run: %v", verr2), time.Now())
-			return
-		}
 	}
-
 	if res.Err != nil {
-		s.stats.failed.Add(1)
-		s.removeCheckpoint(j)
-		j.finish(StatusFailed, res, nil, res.Err.Error(), time.Now())
+		s.settle(j, StatusFailed, res, res.Err.Error())
 		return
 	}
-
-	var verified *bool
-	if res.Found && res.Circuit != nil && res.Verified {
-		v := true
-		verified = &v
-	}
 	s.cacheStore(j, &res)
-	s.stats.completed.Add(1)
-	// The checkpoint goes before finish wakes the job's waiters, so a
-	// finished job never still has one on disk.
+	s.settle(j, StatusDone, res, "")
+}
+
+// settle ends a job the pool ran: it counts the outcome, removes the
+// checkpoint — before finish wakes the waiters, so a finished job never
+// still has one on disk — and records the result.
+func (s *Server) settle(j *Job, status JobStatus, res core.Result, errMsg string) {
+	if status == StatusFailed {
+		s.stats.failed.Add(1)
+	} else {
+		s.stats.completed.Add(1)
+	}
 	s.removeCheckpoint(j)
-	j.finish(StatusDone, res, verified, "", time.Now())
+	j.finish(status, res, errMsg, time.Now())
 }
 
 // backstopGrace is how far past its TimeLimit a job's context deadline
@@ -105,7 +102,7 @@ var backstopGrace = 5 * time.Second
 // TimeLimit+backstopGrace backstop stays in force either way.
 func (s *Server) attempt(j *Job) core.Result {
 	ctx := s.drainCtx
-	if tl := j.opts.TimeLimit; tl > 0 {
+	if tl := j.c.opts.TimeLimit; tl > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, tl+backstopGrace)
 		defer cancel()
@@ -120,27 +117,6 @@ func (s *Server) attempt(j *Job) core.Result {
 		}
 	}(ctx.Done())
 	return s.invoke(ctx, j)
-}
-
-// parkIfDraining handles the one non-terminal outcome: when a drain
-// canceled a resumable search and a checkpoint directory is configured, the
-// engine has already flushed the final snapshot — park the job for the
-// ledger instead of finishing it.
-func (s *Server) parkIfDraining(j *Job, res core.Result) bool {
-	if !s.draining.Load() || res.Err != nil || res.StopReason != core.StopCanceled || s.cfg.StateDir == "" {
-		return false
-	}
-	s.stats.interrupted.Add(1)
-	j.mu.Lock()
-	j.status = StatusInterrupted
-	j.res = res
-	j.mu.Unlock()
-	select {
-	case <-j.done:
-	default:
-		close(j.done)
-	}
-	return true
 }
 
 // gateError decides whether a result is a verification failure. Two ways
@@ -159,10 +135,10 @@ func (s *Server) gateError(j *Job, res *core.Result) *verify.Error {
 	if res.Err != nil || !res.Found || res.Circuit == nil {
 		return nil
 	}
-	if j.fperm == nil || !verify.Feasible(j.spec.N) {
+	if j.c.perm == nil || !verify.Feasible(j.c.spec.N) {
 		return nil
 	}
-	if err := verify.Circuit(verify.StageSearch, res.Circuit, j.fperm); err != nil && errors.As(err, &verr) {
+	if err := verify.Circuit(verify.StageSearch, res.Circuit, j.c.perm); err != nil && errors.As(err, &verr) {
 		res.Found = false
 		res.Circuit = nil
 		res.Verified = false
@@ -211,7 +187,7 @@ func (s *Server) claimSearchWorkers() int {
 
 // searchOptions builds the engine options realRun runs j under.
 func (s *Server) searchOptions(j *Job) core.Options {
-	opts := j.opts
+	opts := j.c.opts
 	if j.isDegraded() {
 		opts = opts.Degraded()
 	}
@@ -224,7 +200,7 @@ func (s *Server) searchOptions(j *Job) core.Options {
 	opts.Workers = s.claimSearchWorkers()
 	if s.cfg.StateDir != "" {
 		opts.Checkpoint = core.Checkpoint{
-			Path:       s.checkpointPath(j),
+			Path:       s.checkpointPath(j.id),
 			Interval:   s.cfg.CheckpointInterval,
 			EverySteps: s.cfg.CheckpointEverySteps,
 			// Writes go through the checkpoint fault domain: a sick disk
@@ -246,7 +222,7 @@ func (s *Server) realRun(ctx context.Context, j *Job) core.Result {
 	opts := s.searchOptions(j)
 	if st := j.resume; st != nil {
 		j.resume = nil
-		res, err := core.ResumeStateContext(ctx, j.spec, opts, st)
+		res, err := core.ResumeStateContext(ctx, j.c.spec, opts, st)
 		if err == nil {
 			j.mu.Lock()
 			j.resumed = true
@@ -257,5 +233,5 @@ func (s *Server) realRun(ctx context.Context, j *Job) core.Result {
 		j.note = fmt.Sprintf("checkpoint unusable (%v); restarted fresh", err)
 		j.mu.Unlock()
 	}
-	return core.SynthesizeContext(ctx, j.spec, opts)
+	return core.SynthesizeContext(ctx, j.c.spec, opts)
 }

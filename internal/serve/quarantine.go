@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/snapshot"
+	"repro/internal/tt"
 	"repro/internal/verify"
 )
 
@@ -58,20 +59,20 @@ func (s *Server) quarantine(j *Job, verr *verify.Error, attempt string) string {
 	}
 	art := QuarantineArtifact{
 		JobID:              j.id,
-		IdempotencyKey:     fmt.Sprintf("%016x", j.key),
+		IdempotencyKey:     fmt.Sprintf("%016x", j.c.key),
 		WrittenAt:          time.Now().UTC(),
 		Attempt:            attempt,
 		Stage:              string(verr.Stage),
 		Request:            j.req,
-		SpecHash:           fmt.Sprintf("%016x", j.spec.Hash()),
-		OptionsFingerprint: fmt.Sprintf("%016x", core.OptionsFingerprint(&j.opts)),
-		Wires:              j.spec.N,
+		SpecHash:           fmt.Sprintf("%016x", j.c.spec.Hash()),
+		OptionsFingerprint: fmt.Sprintf("%016x", core.OptionsFingerprint(&j.c.opts)),
+		Wires:              j.c.spec.N,
 		Circuit:            verr.Circuit,
 		Mismatch:           verr.Error(),
 	}
 	if j.req.Spec.PLA != "" {
-		art.PLAEmbedTries = plaEmbedTries
-		art.PLAEmbedSeed = plaEmbedSeed
+		art.PLAEmbedTries = tt.PLAEmbedTries
+		art.PLAEmbedSeed = tt.PLAEmbedSeed
 	}
 	data, err := json.MarshalIndent(&art, "", "  ")
 	if err != nil {

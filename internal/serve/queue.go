@@ -80,7 +80,7 @@ func (q *jobQueue) Enqueue(j *Job) error {
 	if q.closed {
 		return errQueueClosed
 	}
-	c := j.class
+	c := j.c.class
 	if len(q.q[c]) >= q.cap[c] {
 		return &FullError{Class: c, Cap: q.cap[c]}
 	}

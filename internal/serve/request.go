@@ -89,15 +89,8 @@ func reqErr(field, format string, args ...any) *RequestError {
 // PPRM text, which stays polynomial in the written size.
 const maxPermEntries = 1 << 16
 
-// PLA embedding parameters: fixed so a request's compiled spec — and
-// therefore its idempotency key — is deterministic, and recorded in
-// quarantine artifacts so an offline replay reproduces the same embedding.
-const (
-	plaEmbedTries        = 16
-	plaEmbedSeed  uint64 = 1
-)
-
-// compiled is a validated, engine-ready request.
+// compiled is a validated, engine-ready request. It is immutable once
+// compileRequest returns: jobs share it instead of copying its fields.
 type compiled struct {
 	spec   *pprm.Spec
 	perm   perm.Perm // nil when the function is too wide to tabulate
@@ -215,7 +208,7 @@ func compileSpec(in *SpecInput) (*pprm.Spec, perm.Perm, *RequestError) {
 		if err != nil {
 			return nil, nil, reqErr("spec.pla", "%v", err)
 		}
-		emb, _, err := tt.EmbedPartial(pt, plaEmbedTries, plaEmbedSeed)
+		emb, _, err := tt.EmbedPartial(pt, tt.PLAEmbedTries, tt.PLAEmbedSeed)
 		if err != nil {
 			return nil, nil, reqErr("spec.pla", "%v", err)
 		}

@@ -67,10 +67,6 @@ type Config struct {
 	// Runner overrides how a job is executed — the test seam for overload
 	// and scheduling tests. nil selects the real engine (realRun).
 	Runner func(ctx context.Context, j *Job) core.Result
-	// Health overrides the fault-domain supervisor (shared dashboards,
-	// tests); nil builds a private one. The server registers its domains
-	// (see DomainNames) on it either way.
-	Health *health.Supervisor
 	// HealthConfig tunes the per-domain breakers: failure threshold,
 	// probe backoffs, clock. The zero value selects the health package
 	// defaults (3 consecutive failures, 500 ms base, 30 s cap).
@@ -169,6 +165,7 @@ type Server struct {
 
 	limiter *limiter // per-client fairness; nil when RateLimit is 0
 
+	// The job registry, written only by register and unregister.
 	mu    sync.Mutex
 	jobs  map[string]*Job // by ID (= idempotency key hex)
 	byKey map[uint64]*Job
@@ -177,7 +174,6 @@ type Server struct {
 	stats   struct {
 		submitted, deduped, shed, completed, failed, interrupted, recovered atomic.Int64
 		verifyFailures, degradedReruns                                      atomic.Int64
-		cacheHits, cacheMisses                                              atomic.Int64
 		rateLimited, disconnectCancels                                      atomic.Int64
 	}
 
@@ -242,9 +238,10 @@ func (s *Server) Start() {
 // degraded (empty on a clean start).
 func (s *Server) RecoveryNotes() []string { return append([]string(nil), s.recoveryNotes...) }
 
-// Stats returns a snapshot of the server counters.
+// Stats returns a snapshot of the server counters. The cache counters are
+// the answer cache's own: admission makes the only lookups on it.
 func (s *Server) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Submitted:         s.stats.submitted.Load(),
 		Deduplicated:      s.stats.deduped.Load(),
 		Shed:              s.stats.shed.Load(),
@@ -254,11 +251,14 @@ func (s *Server) Stats() Stats {
 		Recovered:         s.stats.recovered.Load(),
 		VerifyFailures:    s.stats.verifyFailures.Load(),
 		DegradedReruns:    s.stats.degradedReruns.Load(),
-		CacheHits:         s.stats.cacheHits.Load(),
-		CacheMisses:       s.stats.cacheMisses.Load(),
 		RateLimited:       s.stats.rateLimited.Load(),
 		DisconnectCancels: s.stats.disconnectCancels.Load(),
 	}
+	if s.cache != nil {
+		cs := s.cache.Stats()
+		st.CacheHits, st.CacheMisses = cs.Hits, cs.Misses
+	}
+	return st
 }
 
 // job looks up a job by ID.
@@ -269,68 +269,76 @@ func (s *Server) job(id string) (*Job, bool) {
 	return j, ok
 }
 
+// joinableLocked returns the registered job a submission under key joins
+// instead of running, or nil. The caller holds s.mu.
+func (s *Server) joinableLocked(key uint64) *Job {
+	if j := s.byKey[key]; j != nil && j.joinable() {
+		return j
+	}
+	return nil
+}
+
+// register adds j to the registry and returns it — unless a joinable job
+// already holds j's key, which is then returned instead and j is dropped.
+func (s *Server) register(j *Job) *Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if existing := s.joinableLocked(j.c.key); existing != nil {
+		return existing
+	}
+	s.jobs[j.id] = j
+	s.byKey[j.c.key] = j
+	return j
+}
+
+// unregister removes a job that register added but that never reached the
+// queue.
+func (s *Server) unregister(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.jobs, j.id)
+	delete(s.byKey, j.c.key)
+}
+
 // admit registers a compiled request, deduplicating by idempotency key.
 // A request whose canonical class is already in the answer cache is
 // registered as an already-finished job (source "cache") without touching
 // the queue; everything else is enqueued for the worker pool. Returns the
 // job and whether it was deduplicated.
 func (s *Server) admit(c *compiled, req Request) (*Job, bool, error) {
-	if existing, ok := s.dedup(c.key); ok {
+	// Join a registered job before probing the cache: the probe
+	// conjugates and re-verifies, which a retry need not pay for.
+	s.mu.Lock()
+	existing := s.joinableLocked(c.key)
+	s.mu.Unlock()
+	if existing != nil {
+		s.stats.deduped.Add(1)
 		return existing, true, nil
 	}
 
-	// Cache probe outside the registry lock: a hit conjugates and
-	// re-verifies the derived circuit by simulation, which should not
-	// serialize unrelated admissions.
-	if j := s.fromCache(c, req); j != nil {
-		s.mu.Lock()
-		if existing, ok := s.byKey[c.key]; ok && existing.Status() != StatusFailed && !existing.redoable() {
-			// A concurrent identical submission won the registration race.
-			s.mu.Unlock()
-			s.stats.deduped.Add(1)
-			return existing, true, nil
-		}
-		s.jobs[j.id] = j
-		s.byKey[j.key] = j
-		s.mu.Unlock()
+	// The probe runs outside the registry lock so that it does not
+	// serialize unrelated admissions; a concurrent identical submission
+	// may register first, and then this one joins it.
+	j := s.fromCache(c, req)
+	hit := j != nil
+	if !hit {
+		j = newJob(c, req, time.Now())
+	}
+	if got := s.register(j); got != j {
+		s.stats.deduped.Add(1)
+		return got, true, nil
+	}
+	if hit {
 		s.stats.submitted.Add(1)
 		s.stats.completed.Add(1)
 		return j, false, nil
 	}
-
-	s.mu.Lock()
-	if existing, ok := s.byKey[c.key]; ok && existing.Status() != StatusFailed && !existing.redoable() {
-		s.mu.Unlock()
-		s.stats.deduped.Add(1)
-		return existing, true, nil
-	}
-	j := newJob(c, req, time.Now())
-	s.jobs[j.id] = j
-	s.byKey[j.key] = j
-	s.mu.Unlock()
-
 	if err := s.queue.Enqueue(j); err != nil {
-		s.mu.Lock()
-		delete(s.jobs, j.id)
-		delete(s.byKey, j.key)
-		s.mu.Unlock()
+		s.unregister(j)
 		return nil, false, err
 	}
 	s.stats.submitted.Add(1)
 	return j, false, nil
-}
-
-// dedup returns the live job already registered under key, if any. Failed
-// jobs and client-disconnect-canceled jobs without a circuit are not
-// deduplication targets — a retry earns a fresh run.
-func (s *Server) dedup(key uint64) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if existing, ok := s.byKey[key]; ok && existing.Status() != StatusFailed && !existing.redoable() {
-		s.stats.deduped.Add(1)
-		return existing, true
-	}
-	return nil, false
 }
 
 // retryAfter computes the client back-off hint: the base grows with how

@@ -68,6 +68,16 @@ func (t *PartialTable) assign(choose func(x int, j int) uint32) *Table {
 	return out
 }
 
+// PLAEmbedTries and PLAEmbedSeed are the EmbedPartial arguments the PLA
+// front ends (the rmrls CLI and the rmrlsd service) use. They are fixed so
+// that a PLA's embedding, and every hash and answer derived from it, is
+// deterministic; rmrlsd records them in its quarantine artifacts so that
+// an offline replay embeds the same way.
+const (
+	PLAEmbedTries        = 16
+	PLAEmbedSeed  uint64 = 1
+)
+
 // EmbedPartial embeds an incompletely specified function, choosing among
 // `tries` don't-care completions (the all-zeros and all-ones assignments
 // plus seeded random ones) the completion whose reversible embedding has
