@@ -175,6 +175,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "# cache: disabled (%v)\n", err)
 		} else {
 			opts.Cache = ac
+			obs.PublishView("rmrls.cache_hits", func() any { return ac.Stats().Hits })
+			obs.PublishView("rmrls.cache_misses", func() any { return ac.Stats().Misses })
+			obs.PublishView("rmrls.cache_derives", func() any { return ac.Stats().Derives })
 		}
 	}
 	if *ckptPath != "" {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"expvar"
 	"fmt"
 	"io"
 	"os"
@@ -451,5 +452,23 @@ func TestRunPLAReportsEmbeddingOnItsStderr(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "# embedded:") {
 		t.Errorf("embedding line went to stdout:\n%s", out.String())
+	}
+}
+
+// TestCacheExpvarsViewTheCache: rmrls.cache_* read the answer cache's own
+// Stats. A second -cache-dir run in the same process re-publishes them
+// without panicking on the duplicate names and answers from the cache, so
+// rmrls.cache_hits moves.
+func TestCacheExpvarsViewTheCache(t *testing.T) {
+	dir := t.TempDir()
+	for i, want := range []struct{ hits, misses string }{{"0", "1"}, {"1", "0"}} {
+		var out, errb bytes.Buffer
+		if code := run(context.Background(), []string{"-cache-dir", dir, "{1, 0, 7, 2, 3, 4, 5, 6}"}, &out, &errb); code != 0 {
+			t.Fatalf("run %d exit %d: %s", i, code, errb.String())
+		}
+		hits, misses := expvar.Get("rmrls.cache_hits").String(), expvar.Get("rmrls.cache_misses").String()
+		if hits != want.hits || misses != want.misses {
+			t.Errorf("run %d: rmrls.cache_hits/misses = %s/%s, want %s/%s\n%s", i, hits, misses, want.hits, want.misses, out.String())
+		}
 	}
 }

@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/snapshot"
@@ -163,6 +164,7 @@ func run(args []string, sig chan os.Signal, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "rmrlsd:", err)
 		return 1
 	}
+	publishViews(srv)
 	if len(chaosSched) > 0 {
 		stopChaos := chaosSched.Run(chaosFS, func(ev chaos.Event) {
 			fmt.Fprintln(stderr, "rmrlsd: chaos:", ev)
@@ -234,4 +236,38 @@ func run(args []string, sig chan os.Signal, stdout, stderr io.Writer) int {
 	default:
 	}
 	return 0
+}
+
+// publishViews publishes the process-level rmrls.* expvars as read-only
+// views of what srv already counts: its Stats (answer cache, verification
+// gate) and its fault-domain breakers (trips, probes, recoveries, and the
+// open_domains gauge of domains away from closed).
+func publishViews(srv *serve.Server) {
+	stat := func(f func(serve.Stats) int64) func() any {
+		return func() any { return f(srv.Stats()) }
+	}
+	obs.PublishView("rmrls.cache_hits", stat(func(st serve.Stats) int64 { return st.CacheHits }))
+	obs.PublishView("rmrls.cache_misses", stat(func(st serve.Stats) int64 { return st.CacheMisses }))
+	obs.PublishView("rmrls.cache_derives", stat(func(st serve.Stats) int64 { return st.CacheDerives }))
+	obs.PublishView("rmrls.verify_failures", stat(func(st serve.Stats) int64 { return st.VerifyFailures }))
+	obs.PublishView("rmrls.degraded_reruns", stat(func(st serve.Stats) int64 { return st.DegradedReruns }))
+
+	sum := func(f func(health.View) int64) func() any {
+		return func() any {
+			var n int64
+			for _, v := range srv.DomainViews() {
+				n += f(v)
+			}
+			return n
+		}
+	}
+	obs.PublishView("rmrls.health_trips", sum(func(v health.View) int64 { return v.Trips }))
+	obs.PublishView("rmrls.health_probes", sum(func(v health.View) int64 { return v.Probes }))
+	obs.PublishView("rmrls.health_recoveries", sum(func(v health.View) int64 { return v.Recoveries }))
+	obs.PublishView("rmrls.health_open_domains", sum(func(v health.View) int64 {
+		if v.State != health.Closed.String() {
+			return 1
+		}
+		return 0
+	}))
 }

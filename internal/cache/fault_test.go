@@ -4,10 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/chaos"
 	"repro/internal/circuit"
 	"repro/internal/perm"
 	"repro/internal/rng"
-	"repro/internal/snapshot/faultfs"
 )
 
 // checkAfterCrash reopens dir with a clean filesystem and asserts the
@@ -49,7 +49,7 @@ func TestCrashDuringPutReadsAsMissOrOldEntry(t *testing.T) {
 	padded.Gates = append(padded.Gates, circuit.Gate{Target: 0}, circuit.Gate{Target: 0})
 
 	// Learn the op count of one entry write with a never-crashing run.
-	probe := faultfs.New(nil, -1, 0)
+	probe := chaos.New(nil)
 	if c, err := cache.Open(t.TempDir(), probe); err != nil {
 		t.Fatal(err)
 	} else if _, _, err := c.Put(p, fpA, circ); err != nil {
@@ -64,7 +64,8 @@ func TestCrashDuringPutReadsAsMissOrOldEntry(t *testing.T) {
 		for crashAt := 0; crashAt <= total; crashAt++ {
 			// Fresh write: nothing on disk yet, Put crashes mid-protocol.
 			dir := t.TempDir()
-			ffs := faultfs.New(nil, crashAt, tear)
+			ffs := chaos.New(nil)
+			ffs.CrashAt(crashAt, tear)
 			c, err := cache.Open(dir, ffs)
 			if err != nil {
 				t.Fatal(err)
@@ -88,7 +89,8 @@ func TestCrashDuringPutReadsAsMissOrOldEntry(t *testing.T) {
 			if _, stored, err := warm.Put(p, fpA, padded); err != nil || !stored {
 				t.Fatalf("seeding overwrite scenario: stored=%v err=%v", stored, err)
 			}
-			ffs = faultfs.New(nil, crashAt, tear)
+			ffs = chaos.New(nil)
+			ffs.CrashAt(crashAt, tear)
 			c, err = cache.Open(dir, ffs)
 			if err != nil {
 				t.Fatal(err)

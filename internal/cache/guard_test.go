@@ -53,7 +53,7 @@ type testBreaker struct {
 
 func newTestBreaker() *testBreaker {
 	tb := &testBreaker{now: time.Unix(1, 0)}
-	tb.Breaker = health.NewBreaker("cache", health.Config{NoJitter: true, Now: func() time.Time { return tb.now }})
+	tb.Breaker = health.NewBreaker("cache", false, health.Config{NoJitter: true, Now: func() time.Time { return tb.now }})
 	return tb
 }
 

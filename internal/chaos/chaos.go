@@ -1,30 +1,37 @@
-// Package chaos is a persistent-fault filesystem for proving graceful
-// degradation. Where faultfs simulates one crash (every operation after
-// the crash point fails, modelling a dead process), chaos models a *sick
-// device that stays up*: operations under a faulted path prefix keep
-// failing with a realistic errno — ENOSPC, EIO, EROFS — until the fault
-// is healed, and optionally take extra latency. That is exactly the
-// environment the health supervisor is built for: the process keeps
-// serving jobs while the breaker sheds the feature, then re-closes once
-// the fault clears.
+// Package chaos is the fault-injecting filesystem the robustness tests and
+// rmrlsd's -chaos mode run the snapshot.FS seam through. One FS combines
+// two fault models.
 //
+// The fault mode is a sick device that stays up: operations under a
+// faulted path prefix keep failing with a realistic errno — ENOSPC, EIO,
+// EROFS — until the fault is healed. That is the environment rmrlsd's
+// fault-domain breakers are built for: the process keeps serving jobs
+// while a breaker sheds the feature, then re-closes once the fault clears.
 // Faults are keyed by path prefix so one FS can serve a whole state
-// directory with the cache subtree on a "full disk" while checkpoints
-// stay healthy. Faults are injected programmatically (Fail/Heal) or by a
-// timed Schedule — a CLI-parsable script like
+// directory with the cache subtree on a "full disk" while checkpoints stay
+// healthy. They are injected programmatically (Fail/Heal) or by a timed
+// Schedule — a CLI-parsable script like
 //
 //	+2s fail /var/cache enospc; +10s heal /var/cache
 //
 // that rmrlsd replays in-process for end-to-end chaos runs.
+//
+// The crash mode (CrashAt) is a process that dies at an exact operation
+// index: every operation before the crash point executes normally, the
+// crashing one optionally takes partial effect (a torn Write persists a
+// prefix of its bytes), and every operation after it fails, so the temp
+// files of the dead process linger. Enumerating crash points 0..Ops() of a
+// clean run therefore covers every crash-at-a-write-point schedule of the
+// atomic write protocol.
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 
 	"repro/internal/snapshot"
 )
@@ -34,8 +41,9 @@ import (
 type Mode int
 
 const (
-	// ENOSPC: writes fail with "no space left on device"; reads still work
-	// (a full disk serves existing bytes fine).
+	// ENOSPC: writes fail with "no space left on device"; reads and
+	// removes still work (a full disk serves existing bytes fine, and
+	// removing files is how a full disk gets fixed).
 	ENOSPC Mode = iota
 	// EIO: every operation fails with "input/output error" — a dying
 	// device, reads included.
@@ -81,32 +89,63 @@ func (m Mode) errno() error {
 	}
 }
 
-// failsReads reports whether the mode breaks the read path too.
-func (m Mode) failsReads() bool { return m == EIO }
+// kind classifies an operation for the fault table.
+type kind int
+
+const (
+	write kind = iota
+	read
+	remove
+	closing
+)
+
+// fails reports whether the mode breaks an operation of kind k. Close
+// always reaches the device: leaking descriptors because the disk is full
+// would turn one fault into two.
+func (m Mode) fails(k kind) bool {
+	switch k {
+	case write:
+		return true
+	case read:
+		return m == EIO
+	case remove:
+		return m != ENOSPC
+	}
+	return false
+}
+
+// ErrCrashed is returned by every operation at and after the crash point.
+var ErrCrashed = errors.New("chaos: injected crash")
 
 type fault struct {
 	prefix string
 	mode   Mode
 }
 
-// FS wraps an inner snapshot.FS with persistent per-path-prefix faults.
-// The zero value is unusable; use New. Safe for concurrent use.
+// FS wraps an inner snapshot.FS with persistent per-path-prefix faults and
+// an optional crash point. The zero value is unusable; use New. Safe for
+// concurrent use.
 type FS struct {
 	inner snapshot.FS
 
-	mu      sync.Mutex
-	faults  []fault // longest-prefix match wins
-	latency time.Duration
+	mu     sync.Mutex
+	faults []fault // longest-prefix match wins
 
 	writeErrs, readErrs int64
+
+	ops     int // operations attempted, the crashing one included
+	crashAt int // operation index that crashes; -1 = never
+	tear    int // bytes a crashing Write persists before failing
+	crashed bool
 }
 
-// New wraps inner (nil: the real disk) with no faults active.
+// New wraps inner (nil: the real disk) with no faults active and no crash
+// point armed.
 func New(inner snapshot.FS) *FS {
 	if inner == nil {
 		inner = snapshot.DiskFS
 	}
-	return &FS{inner: inner}
+	return &FS{inner: inner, crashAt: -1}
 }
 
 // Fail makes every operation under prefix fault with mode until Heal.
@@ -146,15 +185,7 @@ func (f *FS) HealAll() {
 	f.mu.Unlock()
 }
 
-// SetLatency adds a fixed delay to every operation (faulted or not) —
-// a slow device rather than a broken one. Zero disables.
-func (f *FS) SetLatency(d time.Duration) {
-	f.mu.Lock()
-	f.latency = d
-	f.mu.Unlock()
-}
-
-// InjectedErrors reports how many operations failed by injection
+// InjectedErrors reports how many operations failed by a prefix fault
 // (writes+removes, reads).
 func (f *FS) InjectedErrors() (writes, reads int64) {
 	f.mu.Lock()
@@ -162,35 +193,67 @@ func (f *FS) InjectedErrors() (writes, reads int64) {
 	return f.writeErrs, f.readErrs
 }
 
-// check consults the fault table for one operation on path. write says
-// whether the operation mutates the device.
-func (f *FS) check(path string, write bool) error {
+// CrashAt arms the crash mode: operations op..∞, counted from New, fail
+// with ErrCrashed. If the crashing operation is a Write, tear bytes of it
+// are persisted first — a torn write. Operations counted: CreateTemp, each
+// Write, Sync, Close, Rename, SyncDir, Remove, ReadFile. A negative op
+// disarms the crash point.
+func (f *FS) CrashAt(op, tear int) {
 	f.mu.Lock()
-	lat := f.latency
-	var ferr error
+	defer f.mu.Unlock()
+	f.crashAt, f.tear = op, tear
+}
+
+// Ops returns how many operations have been attempted (including the
+// crashing one). Run a schedule without a crash point first to learn the
+// total.
+func (f *FS) Ops() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.ops
+}
+
+// Crashed reports whether the crash point was reached.
+func (f *FS) Crashed() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.crashed
+}
+
+// check decides one operation of kind k on path: it consumes a slot of the
+// crash schedule, then consults the fault table. tear is the byte count
+// the crashing operation may persist, -1 for every other operation.
+func (f *FS) check(op, path string, k kind) (tear int, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := f.ops
+	f.ops++
+	switch {
+	case f.crashed:
+		return -1, ErrCrashed
+	case n == f.crashAt:
+		f.crashed = true
+		return f.tear, ErrCrashed
+	}
 	for _, fa := range f.faults {
 		if strings.HasPrefix(path, fa.prefix) {
-			if write || fa.mode.failsReads() {
-				ferr = fa.mode.errno()
-				if write {
-					f.writeErrs++
-				} else {
-					f.readErrs++
-				}
+			if !fa.mode.fails(k) {
+				break
 			}
-			break
+			if k == read {
+				f.readErrs++
+			} else {
+				f.writeErrs++
+			}
+			return -1, &pathError{op, path, fa.mode.errno()}
 		}
 	}
-	f.mu.Unlock()
-	if lat > 0 {
-		time.Sleep(lat)
-	}
-	return ferr
+	return -1, nil
 }
 
 func (f *FS) CreateTemp(dir, pattern string) (snapshot.File, error) {
-	if err := f.check(dir, true); err != nil {
-		return nil, &pathError{"createtemp", dir, err}
+	if _, err := f.check("createtemp", dir, write); err != nil {
+		return nil, err
 	}
 	file, err := f.inner.CreateTemp(dir, pattern)
 	if err != nil {
@@ -200,47 +263,29 @@ func (f *FS) CreateTemp(dir, pattern string) (snapshot.File, error) {
 }
 
 func (f *FS) Rename(oldpath, newpath string) error {
-	if err := f.check(newpath, true); err != nil {
-		return &pathError{"rename", newpath, err}
+	if _, err := f.check("rename", newpath, write); err != nil {
+		return err
 	}
 	return f.inner.Rename(oldpath, newpath)
 }
 
 func (f *FS) Remove(name string) error {
-	// ENOSPC does not break unlink — removing files is how a full disk
-	// gets fixed. EROFS and EIO do.
-	f.mu.Lock()
-	var ferr error
-	for _, fa := range f.faults {
-		if strings.HasPrefix(name, fa.prefix) {
-			if fa.mode != ENOSPC {
-				ferr = fa.mode.errno()
-				f.writeErrs++
-			}
-			break
-		}
-	}
-	lat := f.latency
-	f.mu.Unlock()
-	if lat > 0 {
-		time.Sleep(lat)
-	}
-	if ferr != nil {
-		return &pathError{"remove", name, ferr}
+	if _, err := f.check("remove", name, remove); err != nil {
+		return err
 	}
 	return f.inner.Remove(name)
 }
 
 func (f *FS) SyncDir(dir string) error {
-	if err := f.check(dir, true); err != nil {
-		return &pathError{"syncdir", dir, err}
+	if _, err := f.check("syncdir", dir, write); err != nil {
+		return err
 	}
 	return f.inner.SyncDir(dir)
 }
 
 func (f *FS) ReadFile(name string) ([]byte, error) {
-	if err := f.check(name, false); err != nil {
-		return nil, &pathError{"readfile", name, err}
+	if _, err := f.check("readfile", name, read); err != nil {
+		return nil, err
 	}
 	return f.inner.ReadFile(name)
 }
@@ -264,21 +309,33 @@ type chaosFile struct {
 func (f *chaosFile) Name() string { return f.inner.Name() }
 
 func (f *chaosFile) Write(p []byte) (int, error) {
-	if err := f.fs.check(f.inner.Name(), true); err != nil {
-		return 0, &pathError{"write", f.inner.Name(), err}
+	tear, err := f.fs.check("write", f.inner.Name(), write)
+	if err != nil {
+		if tear >= 0 {
+			// Torn write: a prefix of the data reaches the disk before
+			// the crash, and the file is left behind exactly like a real
+			// interrupted write would leave it.
+			if n := min(tear, len(p)); n > 0 {
+				f.inner.Write(p[:n])
+			}
+			f.inner.Close()
+		}
+		return 0, err
 	}
 	return f.inner.Write(p)
 }
 
 func (f *chaosFile) Sync() error {
-	if err := f.fs.check(f.inner.Name(), true); err != nil {
-		return &pathError{"sync", f.inner.Name(), err}
+	if _, err := f.fs.check("sync", f.inner.Name(), write); err != nil {
+		return err
 	}
 	return f.inner.Sync()
 }
 
 func (f *chaosFile) Close() error {
-	// Close always reaches the device: leaking descriptors because the
-	// disk is full would turn one fault into two.
-	return f.inner.Close()
+	_, err := f.fs.check("close", f.inner.Name(), closing)
+	if cerr := f.inner.Close(); err == nil {
+		return cerr
+	}
+	return err
 }

@@ -179,15 +179,41 @@ func TestParseScheduleRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestLatency(t *testing.T) {
-	fs := New(nil)
-	fs.SetLatency(30 * time.Millisecond)
+// TestInjectedErrorIsTyped: a crash surfaces as ErrCrashed through the
+// atomic write protocol, and so does every operation after it.
+func TestInjectedErrorIsTyped(t *testing.T) {
 	dir := t.TempDir()
-	start := time.Now()
-	if _, err := fs.ReadFile(filepath.Join(dir, "missing")); err == nil {
-		t.Fatal("missing file read succeeded")
+	fs := New(nil)
+	fs.CrashAt(0, 0)
+	if err := snapshot.WriteRaw(fs, filepath.Join(dir, "x"), []byte("x")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("got %v, want wrapped ErrCrashed", err)
 	}
-	if took := time.Since(start); took < 25*time.Millisecond {
-		t.Errorf("latency not applied: op took %v", took)
+	if _, err := fs.ReadFile(filepath.Join(dir, "x")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("read after the crash = %v, want ErrCrashed", err)
+	}
+	if !fs.Crashed() || fs.Ops() != 2 {
+		t.Fatalf("crashed=%v ops=%d, want true/2", fs.Crashed(), fs.Ops())
+	}
+}
+
+// TestCrashTearsTheWriteAndLeavesTheTempFile: a crash on the Write persists
+// tear bytes of it into the temp file, which lingers — the process that
+// would have removed it is dead — while the destination is never created.
+func TestCrashTearsTheWriteAndLeavesTheTempFile(t *testing.T) {
+	dir := t.TempDir()
+	fs := New(nil)
+	fs.CrashAt(1, 3) // CreateTemp, then the Write
+	if err := snapshot.WriteRaw(fs, filepath.Join(dir, "f"), []byte("abcdef")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("write = %v, want ErrCrashed", err)
+	}
+	if fs.Ops() != 4 { // CreateTemp, Write, then the failed Close and Remove
+		t.Errorf("ops = %d, want 4", fs.Ops())
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("dir holds %v (%v), want the torn temp file only", ents, err)
+	}
+	if data, _ := os.ReadFile(filepath.Join(dir, ents[0].Name())); string(data) != "abc" {
+		t.Errorf("temp file = %q, want the 3-byte torn prefix", data)
 	}
 }

@@ -11,7 +11,6 @@ package core
 
 import (
 	"repro/internal/cache"
-	"repro/internal/obs"
 	"repro/internal/perm"
 	"repro/internal/pprm"
 )
@@ -35,8 +34,8 @@ func cacheProbeFor(spec *pprm.Spec, opts *Options) *cacheProbe {
 }
 
 // LookupAnswer consults the answer cache c for the cacheable permutation p
-// under the options fingerprint fp and bumps the process-wide hit, miss and
-// derive counters. On a hit it returns a complete Result — the derived
+// under the options fingerprint fp; the cache counts the hit, miss or
+// derive in its own Stats. On a hit it returns a complete Result — the derived
 // circuit has already passed the independent verification gate inside the
 // cache (verify.StageCache), so it is reported Verified with StopSolved and
 // zero search counters. On a miss the Result carries only the class hash.
@@ -44,12 +43,7 @@ func cacheProbeFor(spec *pprm.Spec, opts *Options) *cacheProbe {
 func LookupAnswer(c *cache.Cache, p perm.Perm, fp uint64) (Result, bool) {
 	hit, ok := c.Lookup(p, fp)
 	if !ok {
-		obs.IncCacheMiss()
 		return Result{CanonicalClass: hit.Class}, false
-	}
-	obs.IncCacheHit()
-	if hit.Derived {
-		obs.IncCacheDerive()
 	}
 	return Result{
 		Circuit:        hit.Circuit,

@@ -10,10 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/perm"
 	"repro/internal/pprm"
 	"repro/internal/snapshot"
-	"repro/internal/snapshot/faultfs"
 	"repro/internal/verify"
 )
 
@@ -218,7 +218,7 @@ func TestCheckpointWriteFaults(t *testing.T) {
 	}
 
 	// Count the ops of one checkpoint write.
-	probe := faultfs.New(nil, -1, 0)
+	probe := chaos.New(nil)
 	{
 		opts := resumeTestOptions()
 		opts.TotalSteps = 3
@@ -232,7 +232,8 @@ func TestCheckpointWriteFaults(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "run.ckpt")
 			var reported []error
-			ffs := faultfs.New(nil, crashAt, tear)
+			ffs := chaos.New(nil)
+			ffs.CrashAt(crashAt, tear)
 			opts := resumeTestOptions()
 			opts.Checkpoint = Checkpoint{
 				Path:       path,

@@ -1,8 +1,8 @@
-// Package health is the runtime fault-domain supervisor: it wraps every
-// optional dependency of a long-running synthesis process — the answer
-// cache's disk store, checkpoint and ledger writes, quarantine artifacts —
-// in a per-domain circuit breaker so a persistent I/O fault sheds the
-// *feature*, never the *job*.
+// Package health is the fault-domain circuit breaker: a long-running
+// synthesis process puts one in front of every optional dependency — the
+// answer cache's disk store, checkpoint and ledger writes, quarantine
+// artifacts — so a persistent I/O fault sheds the *feature*, never the
+// *job*.
 //
 // Each Breaker follows the classic three-state protocol: it starts closed
 // (operations flow through, failures are counted), opens after Threshold
@@ -12,15 +12,11 @@
 // successful probe closes the breaker again, a failed one re-opens it with
 // a doubled backoff (capped at MaxBackoff).
 //
-// A Supervisor is a named registry of breakers — the fault domains — with
-// a snapshot view for health endpoints and a readiness rule: the process
-// is ready when no *required* domain is open. Domains default to optional,
-// matching the design rule that the search engine needs none of them to
-// produce a verified circuit.
-//
-// State transitions are reported to the process-wide
-// rmrls.health_{trips,probes,recoveries,open_domains} expvars via
-// internal/obs, so a scraper sees degradation without asking the server.
+// A breaker is required or optional. The process that owns its breakers
+// (internal/serve) is ready while no required one is open; optional
+// domains only degrade, matching the design rule that the search engine
+// needs none of them to produce a verified circuit. Each breaker keeps its
+// own transition counters, and View reads them out for health endpoints.
 package health
 
 import (
@@ -29,8 +25,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // State is a breaker's position in the closed → open → half-open cycle.
@@ -113,8 +107,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Breaker is one fault domain's circuit breaker. Safe for concurrent use.
-// The zero value is not usable; create breakers through a Supervisor (or
-// NewBreaker in tests).
+// The zero value is not usable; use NewBreaker.
 type Breaker struct {
 	name     string
 	required bool
@@ -125,7 +118,6 @@ type Breaker struct {
 	consecFails int
 	backoff     time.Duration // current open window (0 until first trip)
 	nextProbe   time.Time     // when Open may half-open
-	changedAt   time.Time
 	lastErr     string
 	rng         *rand.Rand
 
@@ -133,19 +125,19 @@ type Breaker struct {
 	failures, successes, rejections    int64
 }
 
-// NewBreaker returns a standalone breaker (tests; production code should
-// register domains on a Supervisor so they are visible in health views).
-func NewBreaker(name string, cfg Config) *Breaker {
+// NewBreaker returns a closed breaker for the named domain. required marks
+// a domain whose outage must take its process out of rotation.
+func NewBreaker(name string, required bool, cfg Config) *Breaker {
 	c := cfg.withDefaults()
 	seed := uint64(14695981039346656037)
 	for _, b := range []byte(name) {
 		seed = (seed ^ uint64(b)) * 1099511628211
 	}
 	return &Breaker{
-		name:      name,
-		cfg:       c,
-		changedAt: c.Now(),
-		rng:       rand.New(rand.NewSource(int64(seed))),
+		name:     name,
+		required: required,
+		cfg:      c,
+		rng:      rand.New(rand.NewSource(int64(seed))),
 	}
 }
 
@@ -178,10 +170,9 @@ func (b *Breaker) Allow() bool {
 			return false
 		}
 		if b.state == Open {
-			b.setState(HalfOpen, now)
+			b.state = HalfOpen
 		}
 		b.probes++
-		obs.IncBreakerProbe()
 		// Space out follow-up probes in case this one never reports
 		// (e.g. its operation was skipped): the breaker must not wedge.
 		b.nextProbe = now.Add(b.cfg.BaseBackoff)
@@ -206,11 +197,9 @@ func (b *Breaker) Record(err error) {
 		b.successes++
 		b.consecFails = 0
 		if b.state != Closed {
-			b.setState(Closed, now)
+			b.state = Closed
 			b.backoff = 0
 			b.recoveries++
-			obs.IncBreakerRecovery()
-			obs.AddOpenDomains(-1)
 		}
 		return
 	}
@@ -223,18 +212,16 @@ func (b *Breaker) Record(err error) {
 			return
 		}
 		b.trips++
-		obs.IncBreakerTrip()
-		obs.AddOpenDomains(1)
 		b.backoff = b.cfg.BaseBackoff
-		b.setState(Open, now)
+		b.state = Open
 		b.nextProbe = now.Add(b.jittered(b.backoff))
 	case HalfOpen, Open:
 		// A failed probe (or a straggling in-flight operation): back off
-		// harder. The domain counts as one continuous outage, so the
-		// open-domain gauge does not move again.
+		// harder. The domain counts as one continuous outage: a reopen,
+		// not another trip.
 		b.reopens++
 		b.backoff = min(2*b.backoffOrBase(), b.cfg.MaxBackoff)
-		b.setState(Open, now)
+		b.state = Open
 		b.nextProbe = now.Add(b.jittered(b.backoff))
 	}
 }
@@ -254,13 +241,11 @@ func (b *Breaker) Trip(err error) {
 	}
 	if b.state == Closed {
 		b.trips++
-		obs.IncBreakerTrip()
-		obs.AddOpenDomains(1)
 	} else {
 		b.reopens++
 	}
 	b.backoff = b.backoffOrBase()
-	b.setState(Open, now)
+	b.state = Open
 	b.nextProbe = now.Add(b.jittered(b.backoff))
 }
 
@@ -290,11 +275,6 @@ func (b *Breaker) jittered(w time.Duration) time.Duration {
 	}
 	half := w / 2
 	return half + time.Duration(b.rng.Int63n(int64(half)+1))
-}
-
-func (b *Breaker) setState(s State, now time.Time) {
-	b.state = s
-	b.changedAt = now
 }
 
 func (b *Breaker) retryIn() time.Duration {
@@ -359,84 +339,4 @@ func (b *Breaker) View() View {
 		}
 	}
 	return v
-}
-
-// Supervisor is the registry of a process's fault domains. Safe for
-// concurrent use.
-type Supervisor struct {
-	mu      sync.Mutex
-	order   []string
-	domains map[string]*Breaker
-}
-
-// NewSupervisor returns an empty supervisor.
-func NewSupervisor() *Supervisor {
-	return &Supervisor{domains: make(map[string]*Breaker)}
-}
-
-// Register creates (or returns) the named domain's breaker. Registering
-// an existing name returns the existing breaker with required updated —
-// marking a domain required is idempotent and sticky.
-func (s *Supervisor) Register(name string, required bool, cfg Config) *Breaker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, ok := s.domains[name]; ok {
-		if required {
-			b.mu.Lock()
-			b.required = true
-			b.mu.Unlock()
-		}
-		return b
-	}
-	b := NewBreaker(name, cfg)
-	b.required = required
-	s.domains[name] = b
-	s.order = append(s.order, name)
-	return b
-}
-
-// Domain returns the named breaker, or nil if it was never registered.
-func (s *Supervisor) Domain(name string) *Breaker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.domains[name]
-}
-
-// Views snapshots every domain in registration order.
-func (s *Supervisor) Views() []View {
-	s.mu.Lock()
-	names := append([]string(nil), s.order...)
-	ds := make([]*Breaker, len(names))
-	for i, n := range names {
-		ds[i] = s.domains[n]
-	}
-	s.mu.Unlock()
-	out := make([]View, len(ds))
-	for i, b := range ds {
-		out[i] = b.View()
-	}
-	return out
-}
-
-// Ready reports whether every *required* domain is closed, and if not,
-// the first offending domain's name. Optional domains never gate
-// readiness — their features shed instead.
-func (s *Supervisor) Ready() (bool, string) {
-	for _, v := range s.Views() {
-		if v.Required && v.State != Closed.String() {
-			return false, v.Name
-		}
-	}
-	return true, ""
-}
-
-// Degraded reports whether any domain (required or not) is away from
-// closed — the "something is shedding" signal for health summaries.
-func (s *Supervisor) Degraded() bool {
-	for _, v := range s.Views() {
-		if v.State != Closed.String() {
-			return true
-		}
-	}
-	return false
 }

@@ -38,7 +38,7 @@ var errDisk = errors.New("boom: input/output error")
 
 func TestBreakerTripsAfterThresholdConsecutiveFailures(t *testing.T) {
 	ck := newClock()
-	b := NewBreaker("cache", testCfg(ck))
+	b := NewBreaker("cache", false, testCfg(ck))
 
 	// Two failures, then a success: the streak resets, no trip.
 	b.Record(errDisk)
@@ -66,7 +66,7 @@ func TestBreakerTripsAfterThresholdConsecutiveFailures(t *testing.T) {
 
 func TestBreakerHalfOpenProbeAndRecovery(t *testing.T) {
 	ck := newClock()
-	b := NewBreaker("ckpt", testCfg(ck))
+	b := NewBreaker("ckpt", false, testCfg(ck))
 	for i := 0; i < 3; i++ {
 		b.Record(errDisk)
 	}
@@ -98,7 +98,7 @@ func TestBreakerHalfOpenProbeAndRecovery(t *testing.T) {
 
 func TestBreakerFailedProbeDoublesBackoffUpToCap(t *testing.T) {
 	ck := newClock()
-	b := NewBreaker("ledger", testCfg(ck))
+	b := NewBreaker("ledger", false, testCfg(ck))
 	for i := 0; i < 3; i++ {
 		b.Record(errDisk)
 	}
@@ -122,7 +122,7 @@ func TestBreakerFailedProbeDoublesBackoffUpToCap(t *testing.T) {
 
 func TestBreakerDoFastFailsWithTypedError(t *testing.T) {
 	ck := newClock()
-	b := NewBreaker("quarantine", testCfg(ck))
+	b := NewBreaker("quarantine", false, testCfg(ck))
 	for i := 0; i < 3; i++ {
 		b.Do(func() error { return errDisk })
 	}
@@ -146,53 +146,11 @@ func TestBreakerDoFastFailsWithTypedError(t *testing.T) {
 	}
 }
 
-func TestSupervisorReadyAndViews(t *testing.T) {
-	ck := newClock()
-	s := NewSupervisor()
-	cacheDom := s.Register("cache", false, testCfg(ck))
-	stateDom := s.Register("checkpoint", true, testCfg(ck))
-
-	if ok, _ := s.Ready(); !ok {
-		t.Fatal("fresh supervisor not ready")
-	}
-	for i := 0; i < 3; i++ {
-		cacheDom.Record(errDisk)
-	}
-	// An optional domain tripping degrades but does not gate readiness.
-	if ok, _ := s.Ready(); !ok {
-		t.Fatal("optional open domain gated readiness")
-	}
-	if !s.Degraded() {
-		t.Fatal("supervisor not degraded with an open domain")
-	}
-	for i := 0; i < 3; i++ {
-		stateDom.Record(errDisk)
-	}
-	ok, name := s.Ready()
-	if ok || name != "checkpoint" {
-		t.Fatalf("Ready = %v/%q, want false/checkpoint", ok, name)
-	}
-	views := s.Views()
-	if len(views) != 2 || views[0].Name != "cache" || views[1].Name != "checkpoint" {
-		t.Fatalf("views = %+v, want cache then checkpoint", views)
-	}
-	if views[1].State != "open" || !views[1].Required {
-		t.Errorf("checkpoint view = %+v, want open+required", views[1])
-	}
-	// Re-registering is idempotent and required is sticky.
-	if got := s.Register("cache", true, testCfg(ck)); got != cacheDom {
-		t.Error("Register re-created an existing domain")
-	}
-	if v := s.Domain("cache").View(); !v.Required {
-		t.Error("required did not stick on re-register")
-	}
-}
-
 func TestBreakerJitterStaysInsideWindow(t *testing.T) {
 	ck := newClock()
 	cfg := testCfg(ck)
 	cfg.NoJitter = false
-	b := NewBreaker("jitter", cfg)
+	b := NewBreaker("jitter", false, cfg)
 	for i := 0; i < 3; i++ {
 		b.Record(errDisk)
 	}
@@ -223,7 +181,7 @@ func (f *failFS) ReadFile(name string) ([]byte, error)                  { return
 
 func TestGuardFSWholeWriteIsOneOutcome(t *testing.T) {
 	ck := newClock()
-	b := NewBreaker("store", testCfg(ck))
+	b := NewBreaker("store", false, testCfg(ck))
 	dir := t.TempDir()
 	g := GuardFS(nil, b)
 
@@ -266,7 +224,7 @@ func TestGuardFSWholeWriteIsOneOutcome(t *testing.T) {
 
 func TestGuardFSReadFileNotExistIsSuccess(t *testing.T) {
 	ck := newClock()
-	b := NewBreaker("reads", testCfg(ck))
+	b := NewBreaker("reads", false, testCfg(ck))
 	g := GuardFS(nil, b)
 	dir := t.TempDir()
 	for i := 0; i < 5; i++ {
@@ -284,7 +242,7 @@ func TestGuardFSReadFileNotExistIsSuccess(t *testing.T) {
 
 func TestGuardFSRemoveIsUngated(t *testing.T) {
 	ck := newClock()
-	b := NewBreaker("rm", testCfg(ck))
+	b := NewBreaker("rm", false, testCfg(ck))
 	for i := 0; i < 3; i++ {
 		b.Record(errDisk)
 	}

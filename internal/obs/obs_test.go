@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -251,6 +252,21 @@ func TestExpvarSinkPublishes(t *testing.T) {
 	}
 	if got["a"].Steps != 6 || got["b"].Steps != 9 {
 		t.Errorf("published snapshots: %+v", got)
+	}
+}
+
+// TestPublishViewRepoints: a view reads its owner on every scrape, and
+// publishing the same name again re-points it instead of panicking.
+func TestPublishViewRepoints(t *testing.T) {
+	n := int64(1)
+	PublishView("test.view", func() any { return n })
+	n = 2
+	if got := expvar.Get("test.view").String(); got != "2" {
+		t.Errorf("view = %s, want 2 (read at scrape time)", got)
+	}
+	PublishView("test.view", func() any { return "second" })
+	if got := expvar.Get("test.view").String(); got != `"second"` {
+		t.Errorf("view = %s, want the re-published owner", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -205,4 +206,25 @@ func (v *expvarProgress) String() string {
 		return "{}"
 	}
 	return string(data)
+}
+
+// views holds, for each name PublishView registered, the function its
+// published expvar.Func currently reads.
+var views = map[string]*atomic.Value{}
+
+// PublishView publishes f under name as a read-only expvar.Func, computed
+// from its owner's own counters on every scrape. expvar's registry is
+// append-only and process-global, so publishing a name again re-points the
+// registered Func at the new f instead of panicking: a command's run
+// called twice in one process reports its latest owner.
+func PublishView(name string, f func() any) {
+	expvarMu.Lock()
+	defer expvarMu.Unlock()
+	cur, ok := views[name]
+	if !ok {
+		cur = new(atomic.Value)
+		views[name] = cur
+		expvar.Publish(name, expvar.Func(func() any { return cur.Load().(func() any)() }))
+	}
+	cur.Store(f)
 }

@@ -240,7 +240,7 @@ func TestEnospcMidDrainRestartsClean(t *testing.T) {
 	if st.Interrupted != 2 {
 		t.Fatalf("Interrupted = %d, want 2", st.Interrupted)
 	}
-	if got := s.health.Views(); len(got) > 0 {
+	if got := s.DomainViews(); len(got) > 0 {
 		for _, d := range got {
 			if d.Name == DomainLedger && d.State != "open" {
 				t.Errorf("ledger domain = %q after failed drain write, want open", d.State)

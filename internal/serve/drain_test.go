@@ -10,8 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/snapshot/faultfs"
 )
 
 // drainCfg is the shared configuration of the drain tests: a single worker
@@ -307,8 +307,9 @@ func TestLedgerWriteCrashEnumeration(t *testing.T) {
 	const jobs = 3
 
 	// Probe run: count the filesystem operations of a full drain.
-	runDrain := func(dir string, crashAt int) (*faultfs.FS, error) {
-		ffs := faultfs.New(nil, crashAt, 3)
+	runDrain := func(dir string, crashAt int) (*chaos.FS, error) {
+		ffs := chaos.New(nil)
+		ffs.CrashAt(crashAt, 3)
 		block := make(chan struct{})
 		defer close(block)
 		cfg := drainCfg(dir)

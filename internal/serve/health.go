@@ -2,13 +2,14 @@ package serve
 
 // Fault-domain supervision. Every optional dependency of the service —
 // the answer cache's disk store, checkpoint writes, the drain ledger,
-// quarantine artifacts — runs behind a circuit breaker registered on one
-// Supervisor. A persistent I/O fault trips its domain and the server
-// sheds the feature, never the job: cache → transparent miss/no-store,
+// quarantine artifacts — runs behind one of the server's four circuit
+// breakers. A persistent I/O fault trips its domain and the server sheds
+// the feature, never the job: cache → transparent miss/no-store,
 // checkpointing → in-memory-only (resume disabled for the window),
 // quarantine → artifact logged instead of written. Degradation is
-// observable on /v1/healthz (per-domain views), /v1/readyz (503 while a
-// *required* domain is down), and the rmrls.health_* expvars.
+// observable on /v1/healthz (per-domain views) and /v1/readyz (503 while
+// a *required* domain is down); rmrlsd derives its rmrls.health_*
+// expvars from the same views.
 
 import (
 	"net/http"
@@ -17,7 +18,7 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Fault-domain names used by the server's supervisor; Config.RequiredDomains
+// Fault-domain names of the server's breakers; Config.RequiredDomains
 // entries must come from this set.
 const (
 	DomainCache      = "cache"
@@ -26,28 +27,24 @@ const (
 	DomainQuarantine = "quarantine"
 )
 
-// DomainNames lists every fault domain the server registers, in
-// registration (and health-view) order.
+// DomainNames lists every fault domain of the server, in health-view
+// order.
 func DomainNames() []string {
 	return []string{DomainCache, DomainCheckpoint, DomainLedger, DomainQuarantine}
 }
 
-// initHealth registers the server's fault domains on a new supervisor and
-// builds the guarded filesystems the I/O paths use. Required domains gate
-// /v1/readyz; everything else only degrades.
+// initHealth builds the server's fault-domain breakers and the guarded
+// filesystems the I/O paths use. Required domains gate /v1/readyz;
+// everything else only degrades.
 func (s *Server) initHealth() {
-	s.health = health.NewSupervisor()
 	required := make(map[string]bool, len(s.cfg.RequiredDomains))
 	for _, name := range s.cfg.RequiredDomains {
 		required[name] = true
 	}
-	reg := func(name string) *health.Breaker {
-		return s.health.Register(name, required[name], s.cfg.HealthConfig)
+	for i, name := range DomainNames() {
+		s.domains[i] = health.NewBreaker(name, required[name], s.cfg.HealthConfig)
 	}
-	s.domCache = reg(DomainCache)
-	s.domCkpt = reg(DomainCheckpoint)
-	s.domLedger = reg(DomainLedger)
-	s.domQuar = reg(DomainQuarantine)
+	s.domCache, s.domCkpt, s.domLedger, s.domQuar = s.domains[0], s.domains[1], s.domains[2], s.domains[3]
 
 	// Checkpoints and quarantine artifacts write through guarded FS
 	// wrappers: one breaker outcome per atomic write, instant *ErrOpen
@@ -66,12 +63,22 @@ func (s *Server) Ready() (bool, string) {
 	if s.draining.Load() {
 		return false, "draining"
 	}
-	return s.health.Ready()
+	for _, v := range s.DomainViews() {
+		if v.Required && v.State != health.Closed.String() {
+			return false, v.Name
+		}
+	}
+	return true, ""
 }
 
-// Health returns the server's fault-domain supervisor (for tests and for
-// embedding processes that want to watch domains directly).
-func (s *Server) Health() *health.Supervisor { return s.health }
+// DomainViews snapshots every fault domain in DomainNames order.
+func (s *Server) DomainViews() []health.View {
+	views := make([]health.View, len(s.domains))
+	for i, b := range s.domains {
+		views[i] = b.View()
+	}
+	return views
+}
 
 // readyView is the /v1/readyz body.
 type readyView struct {

@@ -95,6 +95,13 @@ func TestReadyzGatesOnRequiredDomainsOnly(t *testing.T) {
 	if err := json.Unmarshal(body, &rv); err != nil || rv.Ready || rv.Reason != DomainCheckpoint {
 		t.Fatalf("readyz body = %s (err %v), want ready=false reason=checkpoint", body, err)
 	}
+	// The views list every domain in DomainNames order, each with its own
+	// required flag.
+	for i, v := range s.DomainViews() {
+		if name := DomainNames()[i]; v.Name != name || v.Required != (name == DomainCheckpoint) {
+			t.Errorf("view %d = %+v, want %s, required only for checkpoint", i, v, name)
+		}
+	}
 
 	// Heal: a successful probe outcome re-closes both; readyz recovers.
 	time.Sleep(2 * fastBreakers.BaseBackoff)

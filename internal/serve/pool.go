@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/verify"
 )
 
@@ -55,7 +54,6 @@ func (s *Server) execute(j *Job) {
 			break
 		}
 		s.stats.verifyFailures.Add(1)
-		obs.IncVerifyFailure()
 		path := s.quarantine(j, verr, attempt)
 		if attempt == "degraded" {
 			s.settle(j, StatusFailed, res, fmt.Sprintf("verification failed after degraded re-run: %v", verr))
@@ -67,7 +65,6 @@ func (s *Server) execute(j *Job) {
 		}
 		j.setDegraded(note + "; retrying degraded (optimizers disabled)")
 		s.stats.degradedReruns.Add(1)
-		obs.IncDegradedRerun()
 	}
 	if res.Err != nil {
 		s.settle(j, StatusFailed, res, res.Err.Error())
@@ -126,7 +123,9 @@ func (s *Server) attempt(j *Job) core.Result {
 // engine-side gate missed (possible only through the Runner test seam or a
 // bug in the gate itself — exactly what an independent check is for). In
 // the second case the circuit is withdrawn here so no later path can hand
-// it to a client.
+// it to a client. The check covers every width verify tabulates: a PPRM
+// request too wide for admission to tabulate (17–20 variables) is
+// tabulated here, in the worker, so admission cost does not grow.
 func (s *Server) gateError(j *Job, res *core.Result) *verify.Error {
 	var verr *verify.Error
 	if errors.As(res.Err, &verr) {
@@ -135,10 +134,14 @@ func (s *Server) gateError(j *Job, res *core.Result) *verify.Error {
 	if res.Err != nil || !res.Found || res.Circuit == nil {
 		return nil
 	}
-	if j.c.perm == nil || !verify.Feasible(j.c.spec.N) {
+	if !verify.Feasible(j.c.spec.N) {
 		return nil
 	}
-	if err := verify.Circuit(verify.StageSearch, res.Circuit, j.c.perm); err != nil && errors.As(err, &verr) {
+	p := j.c.perm
+	if p == nil {
+		p = j.c.spec.ToPerm()
+	}
+	if err := verify.Circuit(verify.StageSearch, res.Circuit, p); err != nil && errors.As(err, &verr) {
 		res.Found = false
 		res.Circuit = nil
 		res.Verified = false

@@ -83,17 +83,18 @@ func reqErr(field, format string, args ...any) *RequestError {
 	return &RequestError{Field: field, Message: fmt.Sprintf(format, args...)}
 }
 
-// maxPermEntries bounds the permutation input size: 2^16 entries covers
-// every tabulated workload the engine verifies (n ≤ 16) while keeping a
-// single request's parse cost trivial. Wider functions must come in as
-// PPRM text, which stays polynomial in the written size.
+// maxPermEntries bounds the permutation input size: 2^16 entries, the
+// answer cache's width bound (n ≤ 16), keeps a single request's parse cost
+// trivial. The engine verifies up to 20 variables; functions wider than 16
+// must come in as PPRM text, which stays polynomial in the written size,
+// and the worker tabulates them for its re-check (see gateError).
 const maxPermEntries = 1 << 16
 
 // compiled is a validated, engine-ready request. It is immutable once
 // compileRequest returns: jobs share it instead of copying its fields.
 type compiled struct {
 	spec   *pprm.Spec
-	perm   perm.Perm // nil when the function is too wide to tabulate
+	perm   perm.Perm // nil for PPRM input wider than 16 variables
 	opts   core.Options
 	class  Class
 	clamps []string

@@ -140,6 +140,9 @@ type Stats struct {
 	DegradedReruns int64 `json:"degraded_reruns"`
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
+	// CacheDerives counts the cache hits answered for a different member
+	// of the stored class (a non-identity conjugation).
+	CacheDerives int64 `json:"cache_derives"`
 	// RateLimited counts submissions shed by the per-client fairness
 	// bucket (429 before the body was read).
 	RateLimited int64 `json:"rate_limited"`
@@ -156,9 +159,10 @@ type Server struct {
 	queue *jobQueue
 	cache *cache.Cache // nil: caching disabled
 
-	// Fault-domain supervision (see health.go): per-domain breakers plus
-	// the guarded filesystems checkpoint and quarantine writes go through.
-	health *health.Supervisor
+	// Fault-domain supervision (see health.go): the breakers in
+	// DomainNames order, each also under its own name, plus the guarded
+	// filesystems checkpoint and quarantine writes go through.
+	domains [4]*health.Breaker
 	domCache, domCkpt,
 	domLedger, domQuar *health.Breaker
 	ckptFS, quarFS snapshot.FS
@@ -256,7 +260,7 @@ func (s *Server) Stats() Stats {
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
-		st.CacheHits, st.CacheMisses = cs.Hits, cs.Misses
+		st.CacheHits, st.CacheMisses, st.CacheDerives = cs.Hits, cs.Misses, cs.Derives
 	}
 	return st
 }
@@ -582,9 +586,12 @@ type healthView struct {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	qi, qb := s.queue.Depths()
+	domains := s.DomainViews()
 	status := "ok"
-	if s.health.Degraded() {
-		status = "degraded"
+	for _, d := range domains {
+		if d.State != health.Closed.String() {
+			status = "degraded" // some feature is shed
+		}
 	}
 	if s.draining.Load() {
 		status = "draining"
@@ -596,6 +603,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		QueuedInteractive: qi,
 		QueuedBatch:       qb,
 		Stats:             s.Stats(),
-		Domains:           s.health.Views(),
+		Domains:           domains,
 	})
 }

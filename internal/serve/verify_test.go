@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bits"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/verify"
@@ -165,6 +166,54 @@ func TestVerifyPersistentMiscompileFailsWith500(t *testing.T) {
 		if _, err := os.Stat(s.quarantinePath(j, attempt)); err != nil {
 			t.Errorf("missing %s quarantine artifact: %v", attempt, err)
 		}
+	}
+}
+
+// TestVerifyRechecksPPRMTooWideForAdmission: admission tabulates PPRM input
+// only up to 16 variables, but the worker's independent re-check covers
+// every width verify tabulates. A corrupt circuit for a 17-variable PPRM
+// request must end in quarantine and a 500, not a wrong 200.
+func TestVerifyRechecksPPRMTooWideForAdmission(t *testing.T) {
+	const n = 17
+	lines := make([]string, n)
+	for i := range lines {
+		lines[i] = bits.VarName(i) + "' = " + bits.VarName(i)
+	}
+	lines[0] += " ^ " + bits.VarName(n-1) // one CNOT
+
+	stateDir := t.TempDir()
+	var srv *Server
+	var attempts atomic.Int64
+	s, ts := startTestServer(t, Config{
+		Workers:  1,
+		StateDir: stateDir,
+		Runner:   corruptingRunner(&srv, &attempts, func(int64) bool { return true }),
+	})
+	srv = s
+
+	body, err := json.Marshal(Request{
+		Spec:   SpecInput{PPRM: &PPRMInput{Vars: n, Text: strings.Join(lines, "\n")}},
+		Budget: Budget{TimeMillis: 30000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, out := postJSON(t, ts.URL+"/v1/jobs?wait=1", string(body))
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500; body: %s", resp.StatusCode, out)
+	}
+	var v JobView
+	if err := json.Unmarshal(out, &v); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if v.Result == nil || v.Result.Found || v.Result.Circuit != "" {
+		t.Errorf("failed job leaked a circuit: %+v", v.Result)
+	}
+	if st := s.Stats(); st.VerifyFailures != 2 || st.DegradedReruns != 1 {
+		t.Errorf("stats = %d failures / %d reruns, want 2/1", st.VerifyFailures, st.DegradedReruns)
+	}
+	if _, err := os.Stat(s.quarantinePath(s.mustJob(t, v.ID), "primary")); err != nil {
+		t.Errorf("missing quarantine artifact: %v", err)
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 
 // FS is the filesystem seam the durable artifacts (checkpoints, ledgers,
 // cache entries, quarantine evidence) read and write through. Production
-// code uses DiskFS; the fault-injection harnesses wrap it — faultfs to
-// crash at an exact operation index (crash-at-every-write-point recovery
-// tests), chaos to inject persistent ENOSPC/EIO/read-only faults per path
-// prefix (graceful-degradation soak tests), and health.GuardFS to put a
-// circuit breaker in front of a fault domain.
+// code uses DiskFS. internal/chaos wraps it to inject faults — a crash at
+// an exact operation index (crash-at-every-write-point recovery tests) or
+// persistent ENOSPC/EIO/read-only faults per path prefix (graceful-
+// degradation soak tests) — and health.GuardFS puts a circuit breaker in
+// front of a fault domain.
 type FS interface {
 	// CreateTemp creates a new unique temporary file in dir (pattern as
 	// in os.CreateTemp).

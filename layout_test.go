@@ -18,9 +18,6 @@ import (
 // users are its own tests is code nothing runs.
 func TestEveryInternalPackageHasAnImporter(t *testing.T) {
 	const module = "repro"
-	allowed := map[string]string{
-		module + "/internal/snapshot/faultfs": "fault-injecting filesystem fake, imported only by tests",
-	}
 	packages := map[string]bool{}
 	imported := map[string]bool{}
 	fset := token.NewFileSet()
@@ -74,17 +71,12 @@ func TestEveryInternalPackageHasAnImporter(t *testing.T) {
 	}
 	var dead []string
 	for p := range packages {
-		if !imported[p] && allowed[p] == "" {
+		if !imported[p] {
 			dead = append(dead, p)
 		}
 	}
 	sort.Strings(dead)
 	for _, p := range dead {
 		t.Errorf("%s is imported by no non-test file outside itself: delete it or give it a caller", p)
-	}
-	for p := range allowed {
-		if !packages[p] {
-			t.Errorf("allow-listed package %s no longer exists: drop it from the list", p)
-		}
 	}
 }
