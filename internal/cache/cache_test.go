@@ -40,8 +40,10 @@ func TestSameFunctionHitIsByteIdentical(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		// Fresh cache per trial: two random functions can share a class,
 		// and a shared entry would (correctly) derive instead of echoing.
+		// n = 6 is above canon.ExactVars, where the class is the
+		// function itself: an exact repeat must still hit, underived.
 		c := cache.New()
-		n := 3 + src.Intn(3)
+		n := 3 + trial%4
 		circ, p := randomSpec(n, 1+src.Intn(10), src)
 		if _, _, err := c.Put(p, fpA, circ); err != nil {
 			t.Fatal(err)
@@ -67,19 +69,15 @@ func TestClassMembersHitByConjugation(t *testing.T) {
 	src := rng.New(2)
 	c := cache.New()
 	for trial := 0; trial < 50; trial++ {
-		n := 3 + src.Intn(2)
+		n := 3 + src.Intn(3)
 		circ, p := randomSpec(n, 1+src.Intn(8), src)
 		if _, _, err := c.Put(p, fpA, circ); err != nil {
 			t.Fatal(err)
 		}
 		q := randomTransform(n, src).Conjugate(p)
 		hit, ok := c.Lookup(q, fpA)
-		if n <= canon.ExactVars {
-			if !ok {
-				t.Fatalf("trial %d: conjugate member missed in the exact range", trial)
-			}
-		} else if !ok {
-			continue // greedy range: a class split is a legal miss
+		if !ok {
+			t.Fatalf("trial %d: %d-variable conjugate member missed", trial, n)
 		}
 		if !hit.Circuit.Perm().Equal(q) {
 			t.Fatalf("trial %d: derived circuit realizes the wrong function", trial)

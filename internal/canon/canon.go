@@ -10,15 +10,13 @@
 // class by conjugation.
 //
 // Canonicalize maps a permutation to a canonical class representative and
-// the transform reaching it. For n ≤ ExactVars the representative is the
-// exact orbit minimum (lexicographically smallest conjugate over all
-// n!·2^n transforms), so equivalence is decided exactly. Above that the
-// orbit is too large to scan, so a deterministic greedy normalization is
-// used instead: it is a *sound under-approximation* — equal canonical
-// forms always mean equivalent functions (the transform is returned and
-// checkable), but two equivalent functions may normalize differently and
-// land in distinct classes. For a cache that only costs hit rate, never
-// correctness.
+// the transform reaching it, by one rule. For n ≤ ExactVars the
+// representative is the exact orbit minimum (the lexicographically
+// smallest conjugate over all n!·2^n transforms), so two functions share
+// it exactly when they are equivalent. Above that the representative is
+// the function itself under the identity transform: only an exact repeat
+// shares it, and no two distinct functions ever do. For a cache, that
+// rule costs hit rate above ExactVars, never correctness.
 package canon
 
 import (
@@ -31,13 +29,11 @@ import (
 )
 
 // ExactVars is the largest variable count for which Canonicalize scans the
-// entire orbit and returns the exact lexicographic minimum. 3!·2^3 = 48
-// transforms over 8-entry tables is trivial; 4 variables would already be
-// 384 transforms over 16 entries per call, still cheap, but the exhaustive
-// class-partition test that pins the classifier (all 8! = 40320 functions)
-// is only feasible at 3, so that is where the exactness claim is proven
-// and where it stops.
-const ExactVars = 3
+// entire orbit and returns the exact lexicographic minimum. At 5 variables
+// that is 5!·2^5 = 3,840 conjugates of a 32-row table, most abandoned
+// within their first rows; at 6 it would be 46,080 conjugates of 64 rows,
+// milliseconds per call, so the exact range stops at 5.
+const ExactVars = 5
 
 // Transform is an element of the hyperoctahedral group on n wires: first
 // relabel (bit w of the input moves to bit Wires[w]), then invert the
@@ -97,8 +93,7 @@ func (t Transform) IsIdentity() bool {
 	return true
 }
 
-// scatter moves bit w of x to bit m[w] for every wire (same convention as
-// internal/verify's relabeling helpers).
+// scatter moves bit w of x to bit m[w] for every wire.
 func scatter(x uint32, m []int) uint32 {
 	var out uint32
 	for w, nw := range m {
@@ -185,10 +180,10 @@ func (t Transform) String() string {
 
 // Canonicalize maps p to its canonical class representative rep and a
 // transform t with rep = t∘p∘t⁻¹. For n ≤ ExactVars, rep is the exact
-// lexicographic minimum of the conjugation orbit (ties broken by
-// enumeration order, so the result is deterministic); above that it is a
-// deterministic greedy normalization (see the package comment for what
-// that weakens). The input must be a valid permutation on 1..32 variables.
+// lexicographic minimum of the conjugation orbit, so every member of a
+// class gets the same rep, and t is the first transform reaching it in
+// orbitMin's enumeration order. Above that, rep is a copy of p and t is
+// the identity. The input must be a valid permutation on 1..32 variables.
 func Canonicalize(p perm.Perm) (perm.Perm, Transform, error) {
 	n := p.Vars()
 	if n < 1 || n > 32 {
@@ -197,26 +192,55 @@ func Canonicalize(p perm.Perm) (perm.Perm, Transform, error) {
 	if err := p.Validate(); err != nil {
 		return nil, Transform{}, err
 	}
-	if n <= ExactVars {
-		rep, t := canonExact(p, n)
-		return rep, t, nil
+	if n > ExactVars {
+		return append(perm.Perm(nil), p...), Identity(n), nil
 	}
-	rep, t := canonGreedy(p, n)
+	rep, t := orbitMin(p, n)
 	return rep, t, nil
 }
 
-// canonExact scans all n!·2^n conjugates and keeps the smallest.
-func canonExact(p perm.Perm, n int) (perm.Perm, Transform) {
-	var best perm.Perm
-	var bestT Transform
+// orbitMin scans all n!·2^n conjugates, wire maps in lexicographic order
+// and polarities ascending within each, and keeps the first smallest. For
+// each wire map it tabulates sc[z] = scatter(z, wires) and si, the scatter
+// through the inverse map, so conjugate row y under polarity pol is
+//
+//	q[y] = sc[p[si[y^pol]]] ^ pol
+//
+// and a conjugate is abandoned at its first row above the best so far.
+func orbitMin(p perm.Perm, n int) (perm.Perm, Transform) {
+	best := append(perm.Perm(nil), p...)
+	cur := make(perm.Perm, len(p))
+	bestT := Identity(n)
 	wires := Identity(n).Wires
+	var inv [ExactVars]int
+	var sc, si [1 << ExactVars]uint32
 	for {
-		for pol := uint32(0); pol < 1<<uint(n); pol++ {
-			t := Transform{Wires: wires, Polarity: pol}
-			q := t.Conjugate(p)
-			if best == nil || lexLess(q, best) {
-				best = q
-				bestT = Transform{Wires: append([]int(nil), wires...), Polarity: pol}
+		for w, nw := range wires {
+			inv[nw] = w
+		}
+		for w := range wires {
+			hi := 1 << uint(w)
+			for z := 0; z < hi; z++ {
+				sc[hi|z] = sc[z] | 1<<uint(wires[w])
+				si[hi|z] = si[z] | 1<<uint(inv[w])
+			}
+		}
+		for pol := uint32(0); pol < uint32(len(p)); pol++ {
+			less := false
+			for y := range cur {
+				v := sc[p[si[uint32(y)^pol]]] ^ pol
+				if !less {
+					if v > best[y] {
+						break
+					}
+					less = v < best[y]
+				}
+				cur[y] = v
+			}
+			if less {
+				best, cur = cur, best
+				copy(bestT.Wires, wires)
+				bestT.Polarity = pol
 			}
 		}
 		if !nextPermutation(wires) {
@@ -224,73 +248,6 @@ func canonExact(p perm.Perm, n int) (perm.Perm, Transform) {
 		}
 	}
 	return best, bestT
-}
-
-// canonGreedy normalizes deterministically without scanning the orbit:
-// first the polarity that makes the smallest input map to the smallest
-// image (ties to the smaller polarity), then wires sorted by their output
-// truth-table columns. Both steps depend only on the function, so the
-// same permutation always normalizes identically; conjugates of it merely
-// *usually* do.
-func canonGreedy(p perm.Perm, n int) (perm.Perm, Transform) {
-	// Polarity choice: conjugating by X_c maps row c to p[c]^c at row 0,
-	// so pick the c whose image-of-zero is smallest.
-	bestC := uint32(0)
-	bestVal := p[0]
-	for c := uint32(1); c < uint32(len(p)); c++ {
-		if v := p[c] ^ c; v < bestVal {
-			bestC, bestVal = c, v
-		}
-	}
-	p1 := make(perm.Perm, len(p))
-	for x, y := range p {
-		p1[uint32(x)^bestC] = y ^ bestC
-	}
-	// Wire order: sort wires by their output columns of the de-polarized
-	// function, packed most-significant-input-first so the comparison is
-	// a plain lexicographic one. Ties keep the original wire order.
-	cols := make([][]uint64, n)
-	for w := 0; w < n; w++ {
-		col := make([]uint64, (len(p1)+63)/64)
-		for x, y := range p1 {
-			if y>>uint(w)&1 != 0 {
-				col[x/64] |= 1 << uint(63-x%64)
-			}
-		}
-		cols[w] = col
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ca, cb := cols[order[a]], cols[order[b]]
-		for i := range ca {
-			if ca[i] != cb[i] {
-				return ca[i] < cb[i]
-			}
-		}
-		return false
-	})
-	m := make([]int, n)
-	for pos, w := range order {
-		m[w] = pos
-	}
-	// As a function the normalization is R_m∘X_c, which in Transform
-	// form (relabel first, then flip) is {m, scatter(c, m)}.
-	t := Transform{Wires: m, Polarity: scatter(bestC, m)}
-	return t.Conjugate(p), t
-}
-
-// lexLess reports whether a < b lexicographically. Both must be the same
-// length.
-func lexLess(a, b perm.Perm) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
 
 // nextPermutation advances w to the next permutation in lexicographic

@@ -1,6 +1,7 @@
 package canon
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/circuit"
@@ -111,27 +112,125 @@ func TestCanonicalizeExactInvariance(t *testing.T) {
 	}
 }
 
-// TestCanonicalizeGreedySound pins the weaker contract above ExactVars:
-// deterministic, and the returned transform really conjugates the input to
-// the returned form (so a cache built on it can never answer wrongly).
-func TestCanonicalizeGreedySound(t *testing.T) {
+// naiveOrbitMin is the reference the pruned scan must match: it builds
+// every conjugate in full, in the same enumeration order, and keeps the
+// first strictly smallest.
+func naiveOrbitMin(p perm.Perm, n int) (perm.Perm, Transform) {
+	var best perm.Perm
+	var bestT Transform
+	forEachTransform(n, func(t Transform) {
+		if q := t.Conjugate(p); best == nil || lexLess(q, best) {
+			best = q
+			bestT = Transform{Wires: append([]int(nil), t.Wires...), Polarity: t.Polarity}
+		}
+	})
+	return best, bestT
+}
+
+// lexLess reports whether a < b lexicographically. Both must be the same
+// length.
+func lexLess(a, b perm.Perm) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
+}
+
+// forEachTransform calls f with every transform on n wires.
+func forEachTransform(n int, f func(Transform)) {
+	wires := Identity(n).Wires
+	for {
+		for pol := uint32(0); pol < 1<<uint(n); pol++ {
+			f(Transform{Wires: wires, Polarity: pol})
+		}
+		if !nextPermutation(wires) {
+			return
+		}
+	}
+}
+
+// TestCanonicalizeMatchesNaiveScan differentially checks the pruned scan
+// against naiveOrbitMin: same representative and same transform, for
+// random functions and for symmetric ones (identity, short cascades) whose
+// orbit minimum is reached by many transforms, so the tie-break is tested.
+func TestCanonicalizeMatchesNaiveScan(t *testing.T) {
+	src := rng.New(23)
+	for n := 1; n <= ExactVars; n++ {
+		inputs := []perm.Perm{perm.Identity(n)}
+		for i := 0; i < 8; i++ {
+			inputs = append(inputs, perm.Random(n, src), circuit.Random(n, 1+src.Intn(3), circuit.GT, src).Perm())
+		}
+		for _, p := range inputs {
+			rep, tr, err := Canonicalize(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRep, wantT := naiveOrbitMin(p, n)
+			if !rep.Equal(wantRep) || tr.String() != wantT.String() {
+				t.Fatalf("n=%d p=%v: pruned scan gives %v via %v, naive scan %v via %v",
+					n, p, rep, tr, wantRep, wantT)
+			}
+		}
+	}
+}
+
+// TestCanonicalizeWholeOrbit conjugates functions by every transform in
+// the group (384 at n = 4, 3,840 at n = 5) and requires one representative
+// for the whole orbit, each member reaching it through its own transform.
+func TestCanonicalizeWholeOrbit(t *testing.T) {
+	src := rng.New(29)
+	funcs := []perm.Perm{
+		perm.Random(4, src), perm.Random(4, src),
+		circuit.Random(4, 3, circuit.GT, src).Perm(),
+		perm.Random(5, src),
+	}
+	for _, p := range funcs {
+		n := p.Vars()
+		rep, _, err := Canonicalize(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := 0
+		forEachTransform(n, func(g Transform) {
+			q := g.Conjugate(p)
+			got, tr, err := Canonicalize(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(rep) {
+				t.Fatalf("n=%d: conjugate by %v canonicalizes to %v, not the orbit's %v", n, g, got, rep)
+			}
+			if !tr.Conjugate(q).Equal(rep) {
+				t.Fatalf("n=%d: transform %v does not reach the representative", n, tr)
+			}
+			members++
+		})
+		if want := map[int]int{4: 384, 5: 3840}[n]; members != want {
+			t.Fatalf("n=%d: walked %d transforms, want %d", n, members, want)
+		}
+	}
+}
+
+// TestCanonicalizeIdentityAboveExact pins the contract above ExactVars:
+// the representative is a copy of the input, never the caller's slice,
+// and the transform is the identity.
+func TestCanonicalizeIdentityAboveExact(t *testing.T) {
 	src := rng.New(19)
-	for trial := 0; trial < 60; trial++ {
-		n := ExactVars + 1 + src.Intn(3)
+	for n := ExactVars + 1; n <= ExactVars+3; n++ {
 		p := perm.Random(n, src)
+		orig := append(perm.Perm(nil), p...)
 		rep, tr, err := Canonicalize(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tr.Conjugate(p).Equal(rep) {
-			t.Fatalf("n=%d: greedy transform does not reach the returned form", n)
+		if !rep.Equal(p) || !tr.IsIdentity() || tr.N() != n {
+			t.Fatalf("n=%d: got %v via %v, want the input via the identity", n, rep, tr)
 		}
-		rep2, tr2, err := Canonicalize(append(perm.Perm(nil), p...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Equal(rep2) || tr.String() != tr2.String() {
-			t.Fatalf("n=%d: greedy normalization is not deterministic", n)
+		rep[0] ^= 1
+		if !p.Equal(orig) {
+			t.Fatalf("n=%d: the representative aliases the caller's slice", n)
 		}
 	}
 }
@@ -232,5 +331,28 @@ func TestNextPermutationOrder(t *testing.T) {
 	}
 	if seen[0] != "[0 1 2]^0" || seen[5] != "[2 1 0]^0" {
 		t.Fatalf("enumeration is not lexicographic: %v", seen)
+	}
+}
+
+// BenchmarkCanonicalize measures one Canonicalize call on random functions:
+// the exact orbit scan at n = 3, 4 and 5, the identity path at n = 6.
+//
+//	go test -run '^$' -bench Canonicalize -benchmem ./internal/canon
+func BenchmarkCanonicalize(b *testing.B) {
+	for n := 3; n <= ExactVars+1; n++ {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			src := rng.New(1)
+			ps := make([]perm.Perm, 64)
+			for i := range ps {
+				ps[i] = perm.Random(n, src)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Canonicalize(ps[i%len(ps)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -77,9 +77,9 @@ type Result struct {
 	CacheHit bool
 	// CanonicalClass is the canonical-form class hash of the input
 	// specification (see internal/canon). Nonzero only when Options.Cache
-	// was consulted; equal classes mean the specifications are equivalent
-	// up to wire relabeling and polarity (exactly so for ≤3 variables,
-	// one-sidedly above).
+	// was consulted. For ≤5 variables, equal classes mean exactly that the
+	// specifications are equivalent up to wire relabeling and polarity;
+	// above that, the class names the specification itself.
 	CanonicalClass uint64
 	// Verified reports that the independent post-synthesis gate
 	// (internal/verify) re-simulated Circuit gate by gate and its

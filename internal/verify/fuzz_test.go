@@ -11,6 +11,7 @@ package verify_test
 import (
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/mmd"
@@ -102,38 +103,38 @@ func FuzzVerifyPLA(f *testing.F) {
 	})
 }
 
-// FuzzVerifyRelabelMetamorphic pins the relabeling equivalence the oracle's
-// helpers promise: renaming the wires of a cascade conjugates its realized
-// permutation by the same wire map.
+// FuzzVerifyRelabelMetamorphic pins the identity every derived cache hit
+// relies on: conjugating a cascade by a transform (wire renaming plus a
+// NOT sandwich for the polarity) realizes the conjugated permutation,
+//
+//	Simulate(t.ConjugateCircuit(c)) == t.Conjugate(Simulate(c)),
+//
+// checked by the oracle's own simulator rather than Circuit.Perm.
 func FuzzVerifyRelabelMetamorphic(f *testing.F) {
-	f.Add(3, 5, uint64(1), uint64(2))
-	f.Add(4, 8, uint64(3), uint64(4))
-	f.Add(5, 12, uint64(5), uint64(6))
-	f.Fuzz(func(t *testing.T, n, gates int, circuitSeed, mapSeed uint64) {
+	f.Add(3, 5, uint64(1), uint64(2), uint32(5))
+	f.Add(4, 8, uint64(3), uint64(4), uint32(0))
+	f.Add(5, 12, uint64(5), uint64(6), uint32(19))
+	f.Fuzz(func(t *testing.T, n, gates int, circuitSeed, mapSeed uint64, polarity uint32) {
 		if n < 1 || n > 6 || gates < 1 || gates > 20 {
 			return
 		}
 		c := circuit.Random(n, gates, circuit.GT, rng.New(circuitSeed))
-		m := rng.New(mapSeed).Perm(n)
+		tr := canon.Transform{Wires: rng.New(mapSeed).Perm(n), Polarity: polarity & (1<<uint(n) - 1)}
 
-		rc, err := verify.RelabelCircuit(c, m)
+		tc, err := tr.ConjugateCircuit(c)
 		if err != nil {
-			t.Fatalf("RelabelCircuit(%v): %v", m, err)
+			t.Fatalf("ConjugateCircuit(%v): %v", tr, err)
 		}
 		p, verr := verify.Simulate(verify.StageSearch, c)
 		if verr != nil {
 			t.Fatalf("Simulate(original): %v", verr)
 		}
-		rp, err := verify.RelabelPerm(p, m)
-		if err != nil {
-			t.Fatalf("RelabelPerm(%v): %v", m, err)
-		}
-		got, verr := verify.Simulate(verify.StageSearch, rc)
+		got, verr := verify.Simulate(verify.StageSearch, tc)
 		if verr != nil {
-			t.Fatalf("Simulate(relabeled): %v", verr)
+			t.Fatalf("Simulate(conjugated): %v", verr)
 		}
-		if !got.Equal(rp) {
-			t.Fatalf("relabeled cascade realizes %v, conjugated permutation is %v (map %v)", got, rp, m)
+		if want := tr.Conjugate(p); !got.Equal(want) {
+			t.Fatalf("conjugated cascade realizes %v, conjugated permutation is %v (transform %v)", got, want, tr)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bits"
+	"repro/internal/canon"
 	"repro/internal/circuit"
 	"repro/internal/mmd"
 	"repro/internal/perm"
@@ -220,34 +221,33 @@ func TestPLADontCareAware(t *testing.T) {
 	}
 }
 
+// TestRelabelMetamorphic checks, with the oracle, that a cascade
+// conjugated by a transform realizes the conjugated permutation.
 func TestRelabelMetamorphic(t *testing.T) {
 	src := rng.New(23)
-	maps := [][]int{{1, 0, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}}
+	transforms := []canon.Transform{
+		{Wires: []int{1, 0, 2, 3}},
+		{Wires: []int{3, 2, 1, 0}, Polarity: 0b0101},
+		{Wires: []int{2, 0, 3, 1}, Polarity: 0b1111},
+	}
 	for trial := 0; trial < 10; trial++ {
 		c := circuit.Random(4, 1+src.Intn(10), circuit.GT, src)
 		p, verr := Simulate(StageSearch, c)
 		if verr != nil {
 			t.Fatal(verr)
 		}
-		for _, m := range maps {
-			rc, err := RelabelCircuit(c, m)
+		for _, tr := range transforms {
+			tc, err := tr.ConjugateCircuit(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rp, err := RelabelPerm(p, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := Circuit(StageSearch, rc, rp); err != nil {
-				t.Fatalf("map %v breaks the conjugation invariant: %v", m, err)
+			if err := Circuit(StageSearch, tc, tr.Conjugate(p)); err != nil {
+				t.Fatalf("transform %v breaks the conjugation invariant: %v", tr, err)
 			}
 		}
 	}
-	if _, err := RelabelCircuit(circuit.New(3), []int{0, 1}); err == nil {
+	if _, err := (canon.Transform{Wires: []int{0, 1}}).ConjugateCircuit(circuit.New(3)); err == nil {
 		t.Error("short wire map accepted")
-	}
-	if _, err := RelabelPerm(perm.Identity(3), []int{0, 0, 1}); err == nil {
-		t.Error("non-permutation wire map accepted")
 	}
 }
 

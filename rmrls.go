@@ -161,10 +161,9 @@ func NewCache() *Cache { return cache.New() }
 func OpenCache(dir string) (*Cache, error) { return cache.Open(dir, nil) }
 
 // CanonicalClass returns the canonical-form class hash of a reversible
-// function: two functions share it exactly when one is the other with
-// inputs/outputs relabeled and polarities flipped (guaranteed for n ≤ 3;
-// a sound deterministic under-approximation above — equal hashes are
-// still only ever assigned within one class).
+// function. For n ≤ 5, two functions share it exactly when one is the
+// other with inputs/outputs relabeled and polarities flipped. Above that,
+// the hash names the function itself, so only an exact repeat shares it.
 func CanonicalClass(p Perm) (uint64, error) {
 	rep, _, err := canon.Canonicalize(p)
 	if err != nil {
