@@ -1,5 +1,6 @@
 // Command loadgen exercises a running rmrlsd with a stream of synthesis
-// requests and reports per-class latency percentiles plus shed, retry,
+// requests and reports per-class latency percentiles (cold answers and
+// answer-cache hits apart, at microsecond precision) plus shed, retry,
 // timeout, and error rates — the harness behind the service's backpressure
 // acceptance check: under overload, interactive p99 stays bounded while
 // excess load sheds with 429 instead of queueing unboundedly.
@@ -69,10 +70,11 @@ type jobReply struct {
 	ID     string `json:"id"`
 	Status string `json:"status"`
 	Result *struct {
-		Found   bool   `json:"found"`
-		Stop    string `json:"stop"`
-		Circuit string `json:"circuit"`
-		Gates   int    `json:"gates"`
+		Found    bool   `json:"found"`
+		Stop     string `json:"stop"`
+		Circuit  string `json:"circuit"`
+		Gates    int    `json:"gates"`
+		CacheHit bool   `json:"cache_hit"`
 	} `json:"result"`
 	Error struct {
 		Field   string `json:"field"`
@@ -92,9 +94,21 @@ const (
 	numOutcomes
 )
 
-// classStats accumulates one scheduling class's results.
+// reply is one request's final disposition as the client experienced it.
+type reply struct {
+	outcome outcome
+	latency time.Duration // end to end, including retry waits
+	hit     bool          // answered from the server's answer cache
+	sheds   int           // 429s seen
+	retries int           // retries spent
+}
+
+// classStats accumulates one scheduling class's results. Latencies of
+// successful (solved or budget-exhausted) requests are kept apart by how
+// they were answered: a cache hit skips the search and costs a fraction of
+// a cold answer, so one blended percentile would describe neither.
 type classStats struct {
-	latencies []time.Duration // successful (solved or budget-exhausted) requests
+	cold, hit []time.Duration
 	counts    [numOutcomes]int
 	sheds     int // 429s observed (including retried-through ones)
 	retries   int
@@ -184,18 +198,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"batch":       {},
 	}
 
-	record := func(class string, o outcome, lat time.Duration, sheds, retried int) {
+	record := func(class string, r reply) {
 		if class == "" {
 			class = "interactive"
 		}
 		mu.Lock()
 		defer mu.Unlock()
 		st := stats[class]
-		st.counts[o]++
-		st.sheds += sheds
-		st.retries += retried
-		if o == outSolved || o == outNoCircuit {
-			st.latencies = append(st.latencies, lat)
+		st.counts[r.outcome]++
+		st.sheds += r.sheds
+		st.retries += r.retries
+		switch {
+		case r.outcome != outSolved && r.outcome != outNoCircuit:
+		case r.hit:
+			st.hit = append(st.hit, r.latency)
+		default:
+			st.cold = append(st.cold, r.latency)
 		}
 	}
 
@@ -207,8 +225,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		go func() {
 			defer wg.Done()
 			for item := range next {
-				o, lat, sheds, retried := send(client, url, item.body, item.want, item.wires, *retries, *backoff, stderr)
-				record(item.class, o, lat, sheds, retried)
+				record(item.class, send(client, url, item.body, item.want, item.wires, *retries, *backoff, stderr))
 			}
 		}()
 	}
@@ -232,18 +249,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // send submits one request, retrying through 429/503 with the server's
-// Retry-After hint. Returns the outcome, end-to-end latency (including
-// retry waits — that is the latency the client experienced), the number of
-// 429s seen, and the number of retries spent. Solved responses are
+// Retry-After hint, and returns how it ended. Solved responses are
 // re-verified client-side against want (when non-nil and tabulable).
-func send(client *http.Client, url string, body []byte, want perm.Perm, wires int, retries int, backoff time.Duration, stderr io.Writer) (outcome, time.Duration, int, int) {
+func send(client *http.Client, url string, body []byte, want perm.Perm, wires int, retries int, backoff time.Duration, stderr io.Writer) reply {
 	start := time.Now()
-	sheds, retried := 0, 0
+	var r reply
+	done := func(o outcome) reply {
+		r.outcome, r.latency = o, time.Since(start)
+		return r
+	}
 	for attempt := 0; ; attempt++ {
 		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 		if err != nil {
 			fmt.Fprintln(stderr, "loadgen:", err)
-			return outError, time.Since(start), sheds, retried
+			return done(outError)
 		}
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
@@ -253,30 +272,31 @@ func send(client *http.Client, url string, body []byte, want perm.Perm, wires in
 			var jr jobReply
 			if err := json.Unmarshal(data, &jr); err != nil {
 				fmt.Fprintln(stderr, "loadgen: bad response:", err)
-				return outError, time.Since(start), sheds, retried
+				return done(outError)
 			}
 			if jr.Result != nil && jr.Result.Found {
+				r.hit = jr.Result.CacheHit
 				if want != nil && verify.Feasible(wires) && !verifyReply(&jr, want, wires, stderr) {
-					return outVerifyFail, time.Since(start), sheds, retried
+					return done(outVerifyFail)
 				}
-				return outSolved, time.Since(start), sheds, retried
+				return done(outSolved)
 			}
-			return outNoCircuit, time.Since(start), sheds, retried
+			return done(outNoCircuit)
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 			if resp.StatusCode == http.StatusTooManyRequests {
-				sheds++
+				r.sheds++
 			}
 			if attempt >= retries {
 				if resp.StatusCode == http.StatusTooManyRequests {
-					return outShedOut, time.Since(start), sheds, retried
+					return done(outShedOut)
 				}
-				return outError, time.Since(start), sheds, retried
+				return done(outError)
 			}
-			retried++
+			r.retries++
 			time.Sleep(retryDelay(resp, backoff))
 		default:
 			fmt.Fprintf(stderr, "loadgen: HTTP %d: %s\n", resp.StatusCode, bytes.TrimSpace(data))
-			return outError, time.Since(start), sheds, retried
+			return done(outError)
 		}
 	}
 }
@@ -359,15 +379,22 @@ func report(w io.Writer, stats map[string]*classStats, elapsed time.Duration) bo
 		if sent == 0 {
 			continue
 		}
-		sort.Slice(st.latencies, func(i, j int) bool { return st.latencies[i] < st.latencies[j] })
 		fmt.Fprintf(w, "%-11s  sent=%-4d solved=%-4d nocircuit=%-3d shed=%-3d verifyfail=%-3d errors=%-3d retries=%-3d\n",
 			class, sent, st.counts[outSolved], st.counts[outNoCircuit],
 			st.counts[outShedOut], st.counts[outVerifyFail], st.counts[outError], st.retries)
-		if len(st.latencies) > 0 {
-			fmt.Fprintf(w, "%-11s  p50=%v p90=%v p99=%v\n", class,
-				percentile(st.latencies, 0.50).Round(time.Millisecond),
-				percentile(st.latencies, 0.90).Round(time.Millisecond),
-				percentile(st.latencies, 0.99).Round(time.Millisecond))
+		for _, kind := range []struct {
+			name string
+			lat  []time.Duration
+		}{{"cold", st.cold}, {"hit", st.hit}} {
+			if len(kind.lat) == 0 {
+				continue
+			}
+			// Microseconds: a cache hit is well under a millisecond.
+			sort.Slice(kind.lat, func(i, j int) bool { return kind.lat[i] < kind.lat[j] })
+			fmt.Fprintf(w, "%-11s  %-4s n=%-4d p50=%v p90=%v p99=%v\n", class, kind.name, len(kind.lat),
+				percentile(kind.lat, 0.50).Round(time.Microsecond),
+				percentile(kind.lat, 0.90).Round(time.Microsecond),
+				percentile(kind.lat, 0.99).Round(time.Microsecond))
 		}
 		if st.counts[outError] > 0 || st.counts[outVerifyFail] > 0 {
 			failed = true

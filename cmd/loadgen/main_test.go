@@ -67,3 +67,39 @@ func TestRunCatchesLyingServer(t *testing.T) {
 		t.Errorf("report does not count the verification failure:\n%s", out.String())
 	}
 }
+
+// TestReportSplitsColdAndHitAtMicrosecondPrecision: sub-millisecond cache
+// hits must not round to 0s, and cold answers and hits get their own
+// percentile lines per class.
+func TestReportSplitsColdAndHitAtMicrosecondPrecision(t *testing.T) {
+	us := time.Microsecond
+	stats := map[string]*classStats{
+		"interactive": {
+			cold: []time.Duration{4200 * us, 3100 * us, 5900 * us},
+			hit:  []time.Duration{180 * us, 151 * us, 149 * us, 612 * us},
+		},
+		"batch": {cold: []time.Duration{82*time.Millisecond + 345*us}},
+	}
+	stats["interactive"].counts[outSolved] = 7
+	stats["batch"].counts[outSolved] = 1
+	var out bytes.Buffer
+	if report(&out, stats, time.Second) {
+		t.Fatalf("report flagged a failure:\n%s", out.String())
+	}
+	got := out.String()
+	for _, want := range []string{
+		"interactive  cold n=3    p50=4.2ms p90=5.9ms p99=5.9ms\n",
+		"interactive  hit  n=4    p50=151µs p90=612µs p99=612µs\n",
+		"batch        cold n=1    p50=82.345ms p90=82.345ms p99=82.345ms\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("report missing %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, "batch        hit") {
+		t.Errorf("report printed a hit line for a class without hits:\n%s", got)
+	}
+	if strings.Contains(got, "=0s") {
+		t.Errorf("a latency rounded to zero:\n%s", got)
+	}
+}

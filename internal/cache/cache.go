@@ -215,41 +215,89 @@ func (c *Cache) Lookup(p perm.Perm, fp uint64) (Hit, bool) {
 // invalid specifications are ignored). The caller is responsible for only
 // offering verified circuits — core's verification gate runs before every
 // Put, and SkipVerify results are never offered.
+//
+// Put is Insert followed by the returned Pending's Persist: it returns
+// once the entry is durable (or its write failed), but it never holds the
+// cache lock across the write, so concurrent Lookups — hits on this very
+// class included — do not wait for its fsync.
 func (c *Cache) Put(p perm.Perm, fp uint64, circ *circuit.Circuit) (uint64, bool, error) {
+	class, w, err := c.Insert(p, fp, circ)
+	if w == nil {
+		return class, false, err
+	}
+	return class, true, w.Persist()
+}
+
+// Insert is Put's in-memory half: it validates circ, applies the
+// keep-the-shorter rule and records the entry under the cache lock, and
+// the entry answers Lookups from the moment Insert returns. It returns the class hash and, when the
+// entry was stored, the Pending write that makes it durable (nil when an
+// existing entry with no more gates was kept, or the specification is not
+// cacheable). Until that Persist runs, a crash loses the entry — one
+// recompute, never a wrong answer.
+func (c *Cache) Insert(p perm.Perm, fp uint64, circ *circuit.Circuit) (uint64, *Pending, error) {
 	rep, t, err := canonicalizeFor(p)
 	if err != nil {
-		return 0, false, nil
+		return 0, nil, nil
 	}
 	if circ == nil || circ.Wires != p.Vars() {
-		return 0, false, fmt.Errorf("cache: circuit does not match a %d-variable specification", p.Vars())
+		return 0, nil, fmt.Errorf("cache: circuit does not match a %d-variable specification", p.Vars())
 	}
 	if err := circ.Validate(); err != nil {
-		return 0, false, fmt.Errorf("cache: %w", err)
+		return 0, nil, fmt.Errorf("cache: %w", err)
 	}
 	k := key{class: canon.Hash(rep), fp: fp}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e := c.loadLocked(k); e != nil && e.rep.Equal(rep) && len(e.circ.Gates) <= len(circ.Gates) {
-		return k.class, false, nil
+		return k.class, nil, nil
 	}
 	stored := &circuit.Circuit{Wires: circ.Wires, Gates: append([]circuit.Gate(nil), circ.Gates...)}
 	e := &entry{rep: rep, to: t, circ: stored}
 	c.mem[k] = e
 	c.stores.Add(1)
-	if c.dir == "" {
-		return k.class, true, nil
+	return k.class, &Pending{c: c, k: k, e: e}, nil
+}
+
+// Pending is the durable half of one stored Insert.
+type Pending struct {
+	c *Cache
+	k key
+	e *entry
+}
+
+// Persist writes the inserted entry to disk through the snapshot
+// package's atomic protocol, with no cache lock held. A nil Pending, a
+// memory-only cache, and an entry no longer current in memory (a shorter
+// circuit replaced it, or a Lookup dropped it) write nothing. A write
+// racing a newer entry's can still land last, leaving a longer correct
+// circuit on disk behind the shorter one in memory: disk may lag memory
+// by a superseded entry, never by a wrong circuit, since Lookup compares
+// the stored representative and re-verifies every hit. An open
+// cache-store fault domain sheds the write (DiskShed) without error; any
+// other failure is returned and leaves the in-memory entry standing.
+func (w *Pending) Persist() error {
+	if w == nil || w.c.dir == "" {
+		return nil
 	}
-	if err := snapshot.WriteRaw(c.fs, c.path(k), encodeEntry(e)); err != nil {
+	c := w.c
+	c.mu.Lock()
+	current := c.mem[w.k] == w.e
+	c.mu.Unlock()
+	if !current {
+		return nil
+	}
+	if err := snapshot.WriteRaw(c.fs, c.path(w.k), encodeEntry(w.e)); err != nil {
 		if health.IsOpen(err) {
 			// Cache-store domain open: the entry stands in memory and
 			// the store is transparently non-durable — no error.
 			c.shed.Add(1)
-			return k.class, true, nil
+			return nil
 		}
 		// The in-memory entry stands; only durability failed.
-		return k.class, true, fmt.Errorf("cache: persist: %w", err)
+		return fmt.Errorf("cache: persist: %w", err)
 	}
-	return k.class, true, nil
+	return nil
 }
 
 // canonicalizeFor canonicalizes p when the cache handles it.

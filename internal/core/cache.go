@@ -6,8 +6,9 @@ package core
 // only offer (a resume must continue its checkpoint, not short-circuit
 // it). All policy — conjugation, re-verification, persistence — lives in
 // the cache package; this file only decides when to ask. LookupAnswer and
-// StoreAnswer are the one cache-hit Result and the one store rule, shared
-// with the server, which probes at admission instead (internal/serve).
+// InsertAnswer are the one cache-hit Result and the one store rule, shared
+// with the server, which probes at admission instead and persists only
+// after the client has its answer (internal/serve).
 
 import (
 	"repro/internal/cache"
@@ -58,16 +59,30 @@ func LookupAnswer(c *cache.Cache, p perm.Perm, fp uint64) (Result, bool) {
 // StoreAnswer offers res, a result for the cacheable permutation p, to the
 // answer cache c when it is worth keeping — found, independently verified
 // (which also rules out SkipVerify runs: the gate never ran), and carrying
-// a circuit — and stamps the canonical class on it. A persistence failure
-// only costs durability: the in-memory entry stands and its class is
-// stamped all the same.
+// a circuit — and stamps the canonical class on it. It is InsertAnswer
+// followed by the durable write, and returns once the write is done, so
+// the engine's result is on disk when it reaches the caller. A
+// persistence failure only costs durability: the in-memory entry stands
+// and its class is stamped all the same.
 func StoreAnswer(c *cache.Cache, p perm.Perm, fp uint64, res *Result) {
+	_ = InsertAnswer(c, p, fp, res).Persist()
+}
+
+// InsertAnswer is StoreAnswer's in-memory half: same store rule, same class
+// stamp, but the entry is only inserted into memory. The returned write
+// (nil when nothing was stored) makes it durable; the server runs it after
+// the client has its answer, so no response waits for an fsync.
+func InsertAnswer(c *cache.Cache, p perm.Perm, fp uint64, res *Result) *cache.Pending {
 	if !res.Found || !res.Verified || res.Circuit == nil {
-		return
+		return nil
 	}
-	if class, _, _ := c.Put(p, fp, res.Circuit); class != 0 {
+	// Insert fails only for a circuit that does not fit p, which a
+	// verified result cannot be; nothing is stored then and w is nil.
+	class, w, _ := c.Insert(p, fp, res.Circuit)
+	if class != 0 {
 		res.CanonicalClass = class
 	}
+	return w
 }
 
 // cacheLookup is LookupAnswer for a search request. On a miss the probe is

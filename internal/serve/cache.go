@@ -1,7 +1,7 @@
 package serve
 
 // Answer-cache integration. The server probes the cache itself, through
-// core.LookupAnswer and core.StoreAnswer, so the lookup happens at
+// core.LookupAnswer and core.InsertAnswer, so the lookup happens at
 // admission — before a queue slot or worker is spent. The engine is never
 // handed core.Options.Cache, so admission makes the only lookups on the
 // cache and its own hit/miss counters are the server's.
@@ -45,14 +45,17 @@ func (s *Server) fromCache(c *compiled, req Request) *Job {
 	return j
 }
 
-// cacheStore offers a finished worker result to the answer cache through
-// core.StoreAnswer, which stores only found, verified results and stamps
-// the canonical class. A degraded re-run is never offered: it followed a
-// verification failure, which is exactly the situation a cache must not
-// memorize.
-func (s *Server) cacheStore(j *Job, res *core.Result) {
+// cacheStore inserts a finished worker result into the answer cache
+// through core.InsertAnswer, which keeps only found, verified results and
+// stamps the canonical class, and returns the entry's durable write. The
+// worker runs that write only after settle, so the client's answer never
+// waits for an fsync, while a conjugate arriving right after the response
+// already hits memory; Drain waits for the write like any other worker
+// step. A degraded re-run is never offered: it followed a verification
+// failure, which is exactly the situation a cache must not memorize.
+func (s *Server) cacheStore(j *Job, res *core.Result) *cache.Pending {
 	if !s.cacheable(j.c) || j.isDegraded() {
-		return
+		return nil
 	}
-	core.StoreAnswer(s.cache, j.c.perm, core.OptionsFingerprint(&j.c.opts), res)
+	return core.InsertAnswer(s.cache, j.c.perm, core.OptionsFingerprint(&j.c.opts), res)
 }
