@@ -12,8 +12,9 @@ import "repro/internal/pprm"
 // Liveness is explicit. A slot is live while its node is the root, queued,
 // the best solution, or an ancestor of one of those — exactly the nodes a
 // garbage-collected tree would keep reachable. Each node counts its live
-// children in kids, and searcher.release frees a node and then every
-// expanded ancestor whose count drops to zero.
+// children in kids, queued leaves (frontier.go) included, and
+// searcher.release frees a node and then every expanded ancestor whose
+// count drops to zero.
 
 const (
 	pageShift = 10
@@ -93,14 +94,26 @@ func (a *arena) drop(i int32) {
 // no children, or a superseded best solution. Every ancestor left without a
 // live child is freed with it. The root is never freed.
 func (s *searcher) release(i int32) {
-	for i != rootSlot {
-		p := s.ar.at(i).parent
-		s.ar.drop(i)
+	if i == rootSlot {
+		return
+	}
+	p := s.ar.at(i).parent
+	s.ar.drop(i)
+	s.releaseKid(p)
+}
+
+// releaseKid takes one live child off node p's count — a released node, or
+// a queued leaf, which has no slot of its own — and frees p, and so on up,
+// when that was its last.
+func (s *searcher) releaseKid(p int32) {
+	for {
 		pn := s.ar.at(p)
 		pn.kids--
-		if pn.kids > 0 {
+		if pn.kids > 0 || p == rootSlot {
 			return
 		}
-		i = p
+		next := pn.parent
+		s.ar.drop(p)
+		p = next
 	}
 }

@@ -11,11 +11,13 @@ import (
 // checkArena compares the arena with reachability at a round boundary,
 // where no node is popped but not yet committed. A slot must be in use
 // exactly when its node is the root, queued, the best solution, or an
-// ancestor of one; every live node's kids must equal its live children;
-// and the expansion side table must hold exactly the live nodes'
-// expansions.
+// ancestor of one; every live node's kids must equal its live children,
+// queued leaves included; the expansion side table must hold exactly the
+// live nodes' expansions; and the leaf store must hold exactly the queued
+// lists' runs and the free runs (checkLeafStore).
 func checkArena(t *testing.T, s *searcher, where string) {
 	t.Helper()
+	checkLeafStore(t, s, where)
 	a := &s.ar
 	free := make([]bool, a.used)
 	for _, i := range a.free {
@@ -30,12 +32,20 @@ func checkArena(t *testing.T, s *searcher, where string) {
 			live[i] = true
 		}
 	}
+	kids := make([]int32, a.used)
 	mark(rootSlot)
-	s.pq.Each(func(i int32, _ float64) { mark(i) })
+	s.eachQueued(func(c *queuedChild) {
+		if c.slot >= 0 {
+			mark(c.slot)
+			return
+		}
+		p := s.fr.lists[c.list].parent
+		mark(p)
+		kids[p]++ // a leaf has no slot; it counts as a child of its list's parent
+	})
 	if s.bestSol >= 0 {
 		mark(s.bestSol)
 	}
-	kids := make([]int32, a.used)
 	owned := make([]bool, len(a.specs))
 	held := 0
 	for i := int32(0); i < a.used; i++ {
@@ -72,6 +82,71 @@ func checkArena(t *testing.T, s *searcher, where string) {
 	}
 	if held+len(a.freeSpecs) != len(a.specs) {
 		t.Fatalf("%s: %d expansions held, %d slots free, table of %d", where, held, len(a.freeSpecs), len(a.specs))
+	}
+}
+
+// checkLeafStore checks the frontier's bookkeeping: every list in the heap
+// is live (queued leaves left, a run inside one page) and every other list
+// header is free; the live lists' runs and the free runs cover the store's
+// used slots exactly once; and the queued-children count is right.
+func checkLeafStore(t *testing.T, s *searcher, where string) {
+	t.Helper()
+	f := &s.fr
+	inHeap := make([]bool, len(f.lists))
+	covered := make([]bool, f.used)
+	cover := func(start int32, k int, what string) {
+		if k <= 0 || int(start)+k > int(f.used) || start>>leafPageShift != (start+int32(k)-1)>>leafPageShift {
+			t.Fatalf("%s: %s run [%d, +%d) outside the store or across a page", where, what, start, k)
+		}
+		for i := start; i < start+int32(k); i++ {
+			if covered[i] {
+				t.Fatalf("%s: leaf slot %d in two runs (%s)", where, i, what)
+			}
+			covered[i] = true
+		}
+	}
+	children := 0
+	f.pq.Each(func(v int32, _ float64, _ uint32) {
+		children++
+		if v >= 0 {
+			return
+		}
+		li := ^v
+		if inHeap[li] {
+			t.Fatalf("%s: list %d queued twice", where, li)
+		}
+		inHeap[li] = true
+		l := &f.lists[li]
+		if !(l.head < l.end && l.end <= l.size) {
+			t.Fatalf("%s: list %d queued with head %d, end %d, size %d", where, li, l.head, l.end, l.size)
+		}
+		children += int(l.end-l.head) - 1
+		cover(l.start, int(l.size), "list")
+	})
+	if children != f.n {
+		t.Fatalf("%s: %d queued children, counted %d", where, children, f.n)
+	}
+	free := make([]bool, len(f.lists))
+	for _, li := range f.freeLists {
+		if free[li] || inHeap[li] {
+			t.Fatalf("%s: list %d free twice or while queued", where, li)
+		}
+		free[li] = true
+	}
+	for li := range f.lists {
+		if !inHeap[li] && !free[li] {
+			t.Fatalf("%s: list %d neither queued nor free", where, li)
+		}
+	}
+	for k, starts := range f.freeRuns {
+		for _, start := range starts {
+			cover(start, k, "free")
+		}
+	}
+	for i, c := range covered {
+		if !c {
+			t.Fatalf("%s: leaf slot %d in no run", where, i)
+		}
 	}
 }
 
@@ -145,10 +220,10 @@ func TestArenaRefcountsMatchReachability(t *testing.T) {
 		s.stepHook = func(s *searcher) {
 			rounds++
 			checkArena(t, s, rc.name)
-			if n := s.pq.Len(); n < last-s.opts.stride() {
+			if n := s.fr.n; n < last-s.opts.stride() {
 				shrinks++
 			}
-			last = s.pq.Len()
+			last = s.fr.n
 		}
 		r := s.run()
 		if r.Err != nil {

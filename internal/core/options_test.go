@@ -134,7 +134,7 @@ func TestMaxQueuePrunes(t *testing.T) {
 	s.queueCap = 64
 	last, prunes := 0, 0
 	s.stepHook = func(s *searcher) {
-		n := s.pq.Len()
+		n := s.fr.n
 		if n > s.queueCap {
 			t.Fatalf("queue holds %d nodes, cap %d", n, s.queueCap)
 		}

@@ -186,20 +186,37 @@ func TestParallelFingerprintFamilies(t *testing.T) {
 }
 
 // roundInvariants returns a step hook that asserts, at every round
-// boundary, that the queue byte accounting matches a full recount, that
-// the peak watermark is monotone — the regression guard for the
-// double-count class of bug — and that every queue entry's priority is the
-// one the searcher derives for its slot, since the node does not store it.
+// boundary, that the queue byte accounting matches a full recount over
+// every queued child, leaves included, that the peak watermark is
+// monotone — the regression guard for the double-count class of bug —
+// that every plain queue entry's priority is the one the searcher derives
+// for its slot, since the node does not store it, and that every list is
+// sorted by precedence and queued under its head's key.
 // TestSearchInvariantsHold and FuzzResume share it.
 func roundInvariants(t testing.TB, where string) func(*searcher) {
 	var lastPeak int64
 	return func(s *searcher) {
 		t.Helper()
 		var sum int64
-		s.pq.Each(func(i int32, priority float64) {
-			sum += memOf(s.ar.spec(i))
-			if want := s.priorityOf(i); math.Float64bits(priority) != math.Float64bits(want) {
-				t.Fatalf("%s: slot %d queued at priority %v, derived %v", where, i, priority, want)
+		s.eachQueued(func(c *queuedChild) { sum += memOf(s.childSpec(c)) })
+		s.fr.pq.Each(func(v int32, priority float64, seq uint32) {
+			if v >= 0 {
+				if want := s.priorityOf(v); math.Float64bits(priority) != math.Float64bits(want) {
+					t.Fatalf("%s: slot %d queued at priority %v, derived %v", where, v, priority, want)
+				}
+				return
+			}
+			l := &s.fr.lists[^v]
+			for i := l.head; i < l.end; i++ {
+				lf := s.fr.leaf(l.start + int32(i))
+				p := s.leafPriority(l.parent, lf)
+				if i == l.head && (math.Float64bits(priority) != math.Float64bits(p) || seq != lf.seq) {
+					t.Fatalf("%s: list %d queued at (%v, %d), head is (%v, %d)", where, ^v, priority, seq, p, lf.seq)
+				}
+				if i > l.head && compareKeys(priority, seq, p, lf.seq) >= 0 {
+					t.Fatalf("%s: list %d out of precedence order at leaf %d", where, ^v, i)
+				}
+				priority, seq = p, lf.seq
 			}
 		})
 		if sum != s.queueBytes {

@@ -456,9 +456,10 @@ func compareRestored(t *testing.T, where string, live *searcher, spec *pprm.Spec
 	if err != nil {
 		t.Fatalf("%s: restore: %v", where, err)
 	}
-	var want, have []int32
-	live.pq.Ordered(func(i int32) { want = append(want, i) })
-	got.pq.Ordered(func(i int32) { have = append(have, i) })
+	// The live searcher keeps most queued children as leaves, the restored
+	// one as plain nodes; compare what they stand for, then their parent
+	// chains.
+	want, have := live.queuedInOrder(), got.queuedInOrder()
 	if len(want) != len(have) {
 		t.Fatalf("%s: %d queued, restored %d", where, len(want), len(have))
 	}
@@ -466,26 +467,41 @@ func compareRestored(t *testing.T, where string, live *searcher, spec *pprm.Spec
 		t.Fatalf("%s: best depth %d, restored %d", where, live.bestDepth, got.bestDepth)
 	}
 	if live.bestSol >= 0 {
-		want, have = append(want, live.bestSol), append(have, got.bestSol)
+		want = append(want, queuedChild{priority: live.priorityOf(live.bestSol), slot: live.bestSol})
+		have = append(have, queuedChild{priority: got.priorityOf(got.bestSol), slot: got.bestSol})
+	}
+	same := func(a, b node, sa, sb *pprm.Spec, pa, pb float64) {
+		elim := func(s *searcher, n node) int32 {
+			if n.parent < 0 {
+				return 0
+			}
+			return s.ar.at(n.parent).terms - n.terms
+		}
+		if a.id != b.id || a.target != b.target || a.factor != b.factor || a.depth != b.depth ||
+			a.terms != b.terms || opts.Dedup && a.hash != b.hash || elim(live, a) != elim(got, b) ||
+			math.Float64bits(pa) != math.Float64bits(pb) ||
+			(sa == nil) != (sb == nil) || sa != nil && (!sa.Equal(sb) || memOf(sa) != memOf(sb)) {
+			t.Fatalf("%s: node %d restored as %+v (materialized %v), live %+v (materialized %v)",
+				where, a.id, b, sb != nil, a, sa != nil)
+		}
 	}
 	for k := range want {
-		for i, j := want[k], have[k]; ; {
-			a, b := live.ar.at(i), got.ar.at(j)
-			sa, sb := live.ar.spec(i), got.ar.spec(j)
-			if a.id != b.id || a.target != b.target || a.factor != b.factor || a.depth != b.depth ||
-				a.terms != b.terms || opts.Dedup && a.hash != b.hash || live.elimOf(i) != got.elimOf(j) ||
-				math.Float64bits(live.priorityOf(i)) != math.Float64bits(got.priorityOf(j)) ||
-				(sa == nil) != (sb == nil) || sa != nil && (!sa.Equal(sb) || memOf(sa) != memOf(sb)) {
-				t.Fatalf("%s: node %d restored as %+v (materialized %v), live %+v (materialized %v)",
-					where, a.id, *b, sb != nil, *a, sa != nil)
-			}
-			if a.parent < 0 || b.parent < 0 {
-				if a.parent != b.parent {
+		a, b := live.childNode(&want[k]), got.childNode(&have[k])
+		a.hash = live.childHash(&want[k])
+		if want[k].slot >= 0 && math.Float64bits(want[k].priority) != math.Float64bits(live.priorityOf(want[k].slot)) {
+			t.Fatalf("%s: node %d queued at %v, derived %v", where, a.id, want[k].priority, live.priorityOf(want[k].slot))
+		}
+		same(a, b, live.childSpec(&want[k]), got.childSpec(&have[k]), want[k].priority, have[k].priority)
+		for i, j := a.parent, b.parent; ; {
+			if i < 0 || j < 0 {
+				if i != j {
 					t.Fatalf("%s: node %d parent chains differ in length", where, a.id)
 				}
 				break
 			}
-			i, j = a.parent, b.parent
+			pa, pb := live.ar.at(i), got.ar.at(j)
+			same(*pa, *pb, live.ar.spec(i), got.ar.spec(j), live.priorityOf(i), got.priorityOf(j))
+			i, j = pa.parent, pb.parent
 		}
 	}
 	if live.queueBytes != got.queueBytes {

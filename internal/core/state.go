@@ -90,10 +90,11 @@ func optionsFingerprint(o *Options) uint64 {
 // all of their ancestors in topological order (parents before children).
 // Each node is stored as its substitution alone; only the root's PPRM
 // expansion is stored, and restore re-derives everything else (see
-// restoreSearcher).
+// restoreSearcher). A queued leaf is written as the node it stands for, so
+// the table does not depend on which children wait in lists.
 func (s *searcher) exportState() *snapshot.State {
 	index := make(map[int32]int)
-	var order []int32
+	var order []node
 	var add func(slot int32) int
 	add = func(slot int32) int {
 		if i, ok := index[slot]; ok {
@@ -104,12 +105,22 @@ func (s *searcher) exportState() *snapshot.State {
 		}
 		i := len(order)
 		index[slot] = i
-		order = append(order, slot)
+		order = append(order, *s.ar.at(slot))
 		return i
 	}
 	add(rootSlot)
-	var queued []int
-	s.pq.Ordered(func(slot int32) { queued = append(queued, add(slot)) })
+	cs := s.queuedInOrder()
+	queued := make([]int, len(cs))
+	for i := range cs {
+		if c := &cs[i]; c.slot >= 0 {
+			queued[i] = add(c.slot)
+		} else {
+			n := s.childNode(c)
+			add(n.parent)
+			queued[i] = len(order)
+			order = append(order, n)
+		}
+	}
 	bestSol := -1
 	if s.bestSol >= 0 {
 		bestSol = add(s.bestSol)
@@ -132,8 +143,8 @@ func (s *searcher) exportState() *snapshot.State {
 		Elapsed:           s.prevElapsed + time.Since(s.startTime),
 		PeakBytes:         s.peakBytes,
 	}
-	for i, slot := range order {
-		n := s.ar.at(slot)
+	for i := range order {
+		n := &order[i]
 		parent := -1
 		if n.parent >= 0 {
 			parent = index[n.parent]
@@ -383,10 +394,10 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		s.tt.evictions = tt.Evictions
 	}
 
-	// Rebuild the queue in recorded precedence order. Push assigns fresh,
-	// increasing sequence numbers, so FIFO tie-breaking among the restored
-	// nodes — and between them and any node pushed later — matches the
-	// original run exactly.
+	// Rebuild the queue in recorded precedence order, every node a plain
+	// entry. enqueue assigns fresh, increasing insertion numbers, so FIFO
+	// tie-breaking among the restored nodes — and between them and any
+	// node queued later — matches the original run exactly.
 	seen := make(map[int]bool, len(st.Queued))
 	for _, qi := range st.Queued {
 		if qi < 0 || qi >= len(nodes) || seen[qi] {
@@ -398,7 +409,7 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		}
 		slot := nodes[qi]
 		s.queueBytes += memOf(s.ar.spec(slot))
-		s.pq.Push(slot, s.priorityOf(slot))
+		s.enqueue(slot, s.priorityOf(slot))
 	}
 	// The search holds only leaves (queued nodes, the best solution), their
 	// ancestors, and the root; release relies on that shape.

@@ -8,6 +8,13 @@
 // is a strict total order, the pop order is fixed by the pushed entries
 // alone, whatever the heap's arity or array layout.
 //
+// That fact is what lets the search queue one entry per expanded parent
+// instead of one per child (partial expansion, see internal/core's
+// frontier): the caller numbers the children itself and pushes with
+// PushSeq, and an entry keyed by a parent's best waiting child is re-keyed
+// in place with ReplaceTop when that child leaves. Entries numbered by the
+// caller and by Push must not be mixed in one queue.
+//
 // The heap is 4-ary: the children of index i are 4i+1…4i+4. A shallower
 // tree halves the levels a push climbs, and the four children of a node
 // share one or two cache lines of 16-byte entries, so a pop's extra
@@ -101,8 +108,16 @@ func (q *Queue[T]) Push(v T, priority float64) {
 	if q.seq == math.MaxUint32 {
 		q.renumber()
 	}
-	q.items = append(q.items, entry[T]{priority: priority, seq: q.seq, value: v})
+	q.PushSeq(v, priority, q.seq)
 	q.seq++
+}
+
+// PushSeq inserts v with the given priority under the caller's insertion
+// number seq: among equal priorities, lower numbers pop first. A caller
+// that numbers its own entries keeps the numbers unique and renumbers them
+// itself before its counter wraps.
+func (q *Queue[T]) PushSeq(v T, priority float64, seq uint32) {
+	q.items = append(q.items, entry[T]{priority: priority, seq: seq, value: v})
 	q.up(len(q.items) - 1)
 }
 
@@ -117,6 +132,24 @@ func (q *Queue[T]) renumber() {
 		q.items[i].seq = uint32(i)
 	}
 	q.seq = uint32(len(q.items))
+}
+
+// Peek returns the highest-priority item without removing it. The boolean
+// is false when the queue is empty.
+func (q *Queue[T]) Peek() (T, bool) {
+	if len(q.items) == 0 {
+		var zero T
+		return zero, false
+	}
+	return q.items[0].value, true
+}
+
+// ReplaceTop gives the highest-priority item a new priority and insertion
+// number and restores the heap — one sift down instead of a Pop and a
+// PushSeq. The queue must not be empty.
+func (q *Queue[T]) ReplaceTop(priority float64, seq uint32) {
+	q.items[0].priority, q.items[0].seq = priority, seq
+	q.down(0)
 }
 
 // Pop removes and returns the highest-priority item. The boolean is false
@@ -137,25 +170,11 @@ func (q *Queue[T]) Pop() (T, bool) {
 	return top, true
 }
 
-// Each calls f for every queued item and its priority, in unspecified
-// (heap-array) order. The search uses it to rebuild memory accounting after
-// a prune.
-func (q *Queue[T]) Each(f func(v T, priority float64)) {
+// Each calls f for every queued item with its priority and insertion
+// number, in unspecified (heap-array) order.
+func (q *Queue[T]) Each(f func(v T, priority float64, seq uint32)) {
 	for i := range q.items {
-		f(q.items[i].value, q.items[i].priority)
-	}
-}
-
-// Ordered calls f for every queued item in precedence order: highest
-// priority first, FIFO among ties — exactly the order Pop would drain them.
-// It sorts the backing array in place, which is safe mid-search because a
-// descending-sorted array satisfies the max-heap property (the same fact
-// PruneTo relies on). The snapshot subsystem uses it to serialize the queue
-// so that a rebuilt queue, re-Pushed in this order, pops identically.
-func (q *Queue[T]) Ordered(f func(T)) {
-	sortEntries(q.items)
-	for i := range q.items {
-		f(q.items[i].value)
+		f(q.items[i].value, q.items[i].priority, q.items[i].seq)
 	}
 }
 
