@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -88,9 +89,9 @@ func TestReportSplitsColdAndHitAtMicrosecondPrecision(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		"interactive  cold n=3    p50=4.2ms p90=5.9ms p99=5.9ms\n",
-		"interactive  hit  n=4    p50=151µs p90=612µs p99=612µs\n",
-		"batch        cold n=1    p50=82.345ms p90=82.345ms p99=82.345ms\n",
+		"interactive  cold   n=3    p50=4.2ms p90=5.9ms p99=5.9ms\n",
+		"interactive  hit    n=4    p50=151µs p90=612µs p99=612µs\n",
+		"batch        cold   n=1    p50=82.345ms p90=82.345ms p99=82.345ms\n",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("report missing %q:\n%s", want, got)
@@ -101,5 +102,37 @@ func TestReportSplitsColdAndHitAtMicrosecondPrecision(t *testing.T) {
 	}
 	if strings.Contains(got, "=0s") {
 		t.Errorf("a latency rounded to zero:\n%s", got)
+	}
+}
+
+// TestRunFilesJoinedRepliesApart: a reply the server marks deduplicated
+// (it joined a job already held) is reported on its own joined line and
+// never in cold, whether or not the joined job found a circuit.
+func TestRunFilesJoinedRepliesApart(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		switch calls.Add(1) % 3 {
+		case 0: // a fresh search
+			w.Write([]byte(`{"id":"a","status":"done","result":{"found":true,"stop":"solved","circuit":"TOF3(c,b,a) TOF3(c,a,b) TOF3(c,b,a)","gates":3}}`))
+		case 1: // joined a finished job
+			w.Write([]byte(`{"id":"a","status":"done","deduplicated":true,"result":{"found":true,"stop":"solved","circuit":"TOF3(c,b,a) TOF3(c,a,b) TOF3(c,b,a)","gates":3}}`))
+		default: // joined a job that ran out of budget
+			w.Write([]byte(`{"id":"b","status":"done","deduplicated":true,"result":{"found":false,"stop":"step-limit"}}`))
+		}
+	}))
+	defer ts.Close()
+
+	var out, errb bytes.Buffer
+	addr := strings.TrimPrefix(ts.URL, "http://")
+	code := run([]string{"-addr", addr, "-n", "6", "-c", "1", "-batch-frac", "0", "-bench", "fredkin3"}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit code = %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+	}
+	got := out.String()
+	for _, want := range []string{"interactive  cold   n=2 ", "interactive  joined n=4 "} {
+		if !strings.Contains(got, want) {
+			t.Errorf("report missing %q:\n%s", want, got)
+		}
 	}
 }
