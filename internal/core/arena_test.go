@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/perm"
 	"repro/internal/pprm"
 	"repro/internal/rng"
@@ -12,8 +13,9 @@ import (
 // where no node is popped but not yet committed. A slot must be in use
 // exactly when its node is the root, queued, the best solution, or an
 // ancestor of one; every live node's kids must equal its live children,
-// queued leaves included; the expansion side table must hold exactly the
-// live nodes' expansions; and the leaf store must hold exactly the queued
+// queued leaves included; every expansion slot must be held by exactly one
+// live materialized node or be free, once (the slab in word form, the side
+// table in slice form); and the leaf store must hold exactly the queued
 // lists' runs and the free runs (checkLeafStore).
 func checkArena(t *testing.T, s *searcher, where string) {
 	t.Helper()
@@ -46,8 +48,7 @@ func checkArena(t *testing.T, s *searcher, where string) {
 	if s.bestSol >= 0 {
 		mark(s.bestSol)
 	}
-	owned := make([]bool, len(a.specs))
-	held := 0
+	owned := make([]bool, a.exps)
 	for i := int32(0); i < a.used; i++ {
 		if live[i] == free[i] {
 			t.Fatalf("%s: slot %d live=%v free=%v", where, i, live[i], free[i])
@@ -60,14 +61,13 @@ func checkArena(t *testing.T, s *searcher, where string) {
 			kids[n.parent]++
 		}
 		if n.spec >= 0 {
-			if a.specs[n.spec] == nil {
-				t.Fatalf("%s: slot %d names empty expansion slot %d", where, i, n.spec)
+			if n.spec >= a.exps {
+				t.Fatalf("%s: slot %d names expansion slot %d of %d", where, i, n.spec, a.exps)
 			}
 			if owned[n.spec] {
 				t.Fatalf("%s: slot %d shares expansion slot %d", where, i, n.spec)
 			}
 			owned[n.spec] = true
-			held++
 		}
 	}
 	for i := int32(0); i < a.used; i++ {
@@ -75,13 +75,81 @@ func checkArena(t *testing.T, s *searcher, where string) {
 			t.Fatalf("%s: slot %d has kids=%d, %d live children", where, i, a.at(i).kids, kids[i])
 		}
 	}
-	for j, sp := range a.specs {
-		if (sp != nil) != owned[j] {
-			t.Fatalf("%s: expansion slot %d is in use=%v, owned by a live node=%v", where, j, sp != nil, owned[j])
+	freeExp := make([]bool, a.exps)
+	for _, j := range a.freeExps {
+		if freeExp[j] {
+			t.Fatalf("%s: expansion slot %d freed twice", where, j)
+		}
+		freeExp[j] = true
+	}
+	for j := range owned {
+		if owned[j] == freeExp[j] {
+			t.Fatalf("%s: expansion slot %d owned by a live node=%v, free=%v", where, j, owned[j], freeExp[j])
 		}
 	}
-	if held+len(a.freeSpecs) != len(a.specs) {
-		t.Fatalf("%s: %d expansions held, %d slots free, table of %d", where, held, len(a.freeSpecs), len(a.specs))
+	if a.wordForm() {
+		if a.specs != nil || len(a.slab)*slabPageSize < int(a.exps) {
+			t.Fatalf("%s: word-form arena with %d side-table slots, %d slab pages for %d expansions",
+				where, len(a.specs), len(a.slab), a.exps)
+		}
+		return
+	}
+	if a.slab != nil || len(a.specs) != int(a.exps) {
+		t.Fatalf("%s: slice-form arena with %d slab pages, %d side-table slots for %d expansions",
+			where, len(a.slab), len(a.specs), a.exps)
+	}
+	for j, sp := range a.specs {
+		if (sp != nil) != owned[j] {
+			t.Fatalf("%s: side-table slot %d is in use=%v, owned by a live node=%v", where, j, sp != nil, owned[j])
+		}
+	}
+}
+
+// expansionChecker compares every stored expansion with the one the
+// substitutions on its path derive from the search's input with
+// SubstituteCopy: terms (Equal) and state hash. It derives each node's
+// once, keyed by slot and node ID, since a live node's expansion does not
+// change.
+type expansionChecker struct {
+	root    *pprm.Spec
+	derived map[int32]derivedExpansion
+}
+
+type derivedExpansion struct {
+	id int
+	sp *pprm.Spec
+}
+
+func (ec *expansionChecker) derive(s *searcher, i int32) *pprm.Spec {
+	n := s.ar.at(i)
+	if i == rootSlot {
+		return ec.root
+	}
+	if d, ok := ec.derived[i]; ok && d.id == n.id {
+		return d.sp
+	}
+	sp, _ := ec.derive(s, n.parent).SubstituteCopy(int(n.target), n.factor)
+	ec.derived[i] = derivedExpansion{n.id, sp}
+	return sp
+}
+
+func (ec *expansionChecker) check(t *testing.T, s *searcher, where string) {
+	t.Helper()
+	if ec.derived == nil {
+		ec.derived = make(map[int32]derivedExpansion)
+	}
+	free := make([]bool, s.ar.used)
+	for _, i := range s.ar.free {
+		free[i] = true
+	}
+	for i := int32(0); i < s.ar.used; i++ {
+		if free[i] || s.ar.at(i).spec < 0 {
+			continue
+		}
+		want := ec.derive(s, i)
+		if got := s.expansion(i); !got.Equal(want) || got.Hash() != want.Hash() {
+			t.Fatalf("%s: slot %d stores\n%v\nits path derives\n%v", where, i, got, want)
+		}
 	}
 }
 
@@ -153,8 +221,8 @@ func checkLeafStore(t *testing.T, s *searcher, where string) {
 // TestArenaRefcountsMatchReachability runs searches that exercise every
 // path through release — cut-off pops, expansions that push nothing,
 // superseded solutions, queue and memory prunes, restarts, det-merge
-// rounds — and checks the arena against reachability at every round
-// boundary.
+// rounds — and checks the arena against reachability, and every stored
+// expansion against its path from the root, at every round boundary.
 func TestArenaRefcountsMatchReachability(t *testing.T) {
 	specOf := func(n int, seed uint64) *pprm.Spec {
 		spec, err := pprm.FromPerm(perm.Random(n, rng.New(seed)))
@@ -196,6 +264,10 @@ func TestArenaRefcountsMatchReachability(t *testing.T) {
 			o.MaxSteps = 40
 			o.TotalSteps = 2000
 		}, wantRestarts: true},
+		// Slice form: the expansions go to the side table, not the slab.
+		run{name: "wide", spec: circuit.Random(9, 8, circuit.GT, rng.New(7)).PPRM(), opts: func(o *Options) {
+			o.TotalSteps = 300
+		}},
 	)
 	totalSolutions, totalFound := 0, 0
 	for _, rc := range runs {
@@ -216,10 +288,12 @@ func TestArenaRefcountsMatchReachability(t *testing.T) {
 			}
 		}
 		s = newSearcher(rc.spec, opts)
+		ec := expansionChecker{root: rc.spec}
 		rounds, shrinks, last := 0, 0, 0
 		s.stepHook = func(s *searcher) {
 			rounds++
 			checkArena(t, s, rc.name)
+			ec.check(t, s, rc.name)
 			if n := s.fr.n; n < last-s.opts.stride() {
 				shrinks++
 			}
@@ -230,6 +304,7 @@ func TestArenaRefcountsMatchReachability(t *testing.T) {
 			t.Fatalf("%s: %v", rc.name, r.Err)
 		}
 		checkArena(t, s, rc.name+" (final)")
+		ec.check(t, s, rc.name+" (final)")
 		if rounds == 0 {
 			t.Fatalf("%s: step hook never ran", rc.name)
 		}

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/bits"
-	"repro/internal/pprm"
 	"repro/internal/queue"
 )
 
@@ -31,8 +30,8 @@ import (
 // Everything else a queued child stands for is kept as well: its node ID
 // and the node counter are taken at commit, the transposition table records
 // it at commit, its parent's kids count includes it, and its memory charge
-// (memOf with no expansion) is the one a lazy queued node carries. A child
-// that is queued alone, or with a materialized expansion (a near-miss
+// (arena.memOf with no expansion) is the one a lazy queued node carries. A
+// child that is queued alone, or with a materialized expansion (a near-miss
 // solution), keeps a plain entry and an arena node as before: a single
 // child gains nothing from a list, and a leaf has no room for an expansion.
 //
@@ -208,7 +207,7 @@ func (s *searcher) leafNode(parent int32, baseID int, l *leaf) node {
 // by probing the parent's expansion.
 func (s *searcher) leafHash(parent int32, l *leaf) uint64 {
 	var h uint64
-	_, h, s.deltaBuf = s.ar.spec(parent).SubstituteProbe(int(l.target), l.factor, s.deltaBuf)
+	_, h, s.deltaBuf = s.expansion(parent).SubstituteProbe(int(l.target), l.factor, s.deltaBuf)
 	return h
 }
 
@@ -366,13 +365,13 @@ func (s *searcher) childHash(c *queuedChild) uint64 {
 	return s.leafHash(s.fr.lists[c.list].parent, s.fr.leaf(c.leaf))
 }
 
-// childSpec is the materialized expansion of the queued child c, or nil: a
+// childMem is the memory charge of the queued child c (arena.memOf): a
 // leaf is always lazy.
-func (s *searcher) childSpec(c *queuedChild) *pprm.Spec {
+func (s *searcher) childMem(c *queuedChild) int64 {
 	if c.slot < 0 {
-		return nil
+		return nodeBytes
 	}
-	return s.ar.spec(c.slot)
+	return s.ar.memOf(c.slot)
 }
 
 // rebuildQueue refills the heap from cs, the queued children in precedence

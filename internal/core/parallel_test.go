@@ -198,7 +198,7 @@ func roundInvariants(t testing.TB, where string) func(*searcher) {
 	return func(s *searcher) {
 		t.Helper()
 		var sum int64
-		s.eachQueued(func(c *queuedChild) { sum += memOf(s.childSpec(c)) })
+		s.eachQueued(func(c *queuedChild) { sum += s.childMem(c) })
 		s.fr.pq.Each(func(v int32, priority float64, seq uint32) {
 			if v >= 0 {
 				if want := s.priorityOf(v); math.Float64bits(priority) != math.Float64bits(want) {

@@ -456,9 +456,8 @@ func compareRestored(t *testing.T, where string, live *searcher, spec *pprm.Spec
 	if err != nil {
 		t.Fatalf("%s: restore: %v", where, err)
 	}
-	// The live searcher keeps most queued children as leaves, the restored
-	// one as plain nodes; compare what they stand for, then their parent
-	// chains.
+	// Both searchers keep most queued children as leaves, not always in the
+	// same lists; compare what they stand for, then their parent chains.
 	want, have := live.queuedInOrder(), got.queuedInOrder()
 	if len(want) != len(have) {
 		t.Fatalf("%s: %d queued, restored %d", where, len(want), len(have))
@@ -470,7 +469,7 @@ func compareRestored(t *testing.T, where string, live *searcher, spec *pprm.Spec
 		want = append(want, queuedChild{priority: live.priorityOf(live.bestSol), slot: live.bestSol})
 		have = append(have, queuedChild{priority: got.priorityOf(got.bestSol), slot: got.bestSol})
 	}
-	same := func(a, b node, sa, sb *pprm.Spec, pa, pb float64) {
+	same := func(a, b node, sa, sb *pprm.Spec, ma, mb int64, pa, pb float64) {
 		elim := func(s *searcher, n node) int32 {
 			if n.parent < 0 {
 				return 0
@@ -480,7 +479,7 @@ func compareRestored(t *testing.T, where string, live *searcher, spec *pprm.Spec
 		if a.id != b.id || a.target != b.target || a.factor != b.factor || a.depth != b.depth ||
 			a.terms != b.terms || opts.Dedup && a.hash != b.hash || elim(live, a) != elim(got, b) ||
 			math.Float64bits(pa) != math.Float64bits(pb) ||
-			(sa == nil) != (sb == nil) || sa != nil && (!sa.Equal(sb) || memOf(sa) != memOf(sb)) {
+			(sa == nil) != (sb == nil) || sa != nil && !sa.Equal(sb) || ma != mb {
 			t.Fatalf("%s: node %d restored as %+v (materialized %v), live %+v (materialized %v)",
 				where, a.id, b, sb != nil, a, sa != nil)
 		}
@@ -491,7 +490,9 @@ func compareRestored(t *testing.T, where string, live *searcher, spec *pprm.Spec
 		if want[k].slot >= 0 && math.Float64bits(want[k].priority) != math.Float64bits(live.priorityOf(want[k].slot)) {
 			t.Fatalf("%s: node %d queued at %v, derived %v", where, a.id, want[k].priority, live.priorityOf(want[k].slot))
 		}
-		same(a, b, live.childSpec(&want[k]), got.childSpec(&have[k]), want[k].priority, have[k].priority)
+		b.hash = got.childHash(&have[k])
+		same(a, b, childExpansion(live, &want[k]), childExpansion(got, &have[k]),
+			live.childMem(&want[k]), got.childMem(&have[k]), want[k].priority, have[k].priority)
 		for i, j := a.parent, b.parent; ; {
 			if i < 0 || j < 0 {
 				if i != j {
@@ -500,13 +501,23 @@ func compareRestored(t *testing.T, where string, live *searcher, spec *pprm.Spec
 				break
 			}
 			pa, pb := live.ar.at(i), got.ar.at(j)
-			same(*pa, *pb, live.ar.spec(i), got.ar.spec(j), live.priorityOf(i), got.priorityOf(j))
+			same(*pa, *pb, live.expansion(i), got.expansion(j), live.ar.memOf(i), got.ar.memOf(j),
+				live.priorityOf(i), got.priorityOf(j))
 			i, j = pa.parent, pb.parent
 		}
 	}
 	if live.queueBytes != got.queueBytes {
 		t.Fatalf("%s: queue bytes %d, restored %d", where, live.queueBytes, got.queueBytes)
 	}
+}
+
+// childExpansion is the materialized expansion of the queued child c, or
+// nil: a leaf is always lazy.
+func childExpansion(s *searcher, c *queuedChild) *pprm.Spec {
+	if c.slot < 0 {
+		return nil
+	}
+	return s.expansion(c.slot)
 }
 
 // TestResumeMissingFile keeps the "no checkpoint yet" path typed.

@@ -126,7 +126,7 @@ func (s *searcher) exportState() *snapshot.State {
 		bestSol = add(s.bestSol)
 	}
 
-	rootSpec := s.ar.spec(rootSlot)
+	rootSpec := s.expansion(rootSlot)
 	st := &snapshot.State{
 		SpecHash:          rootSpec.Hash(),
 		OptionsFP:         optionsFingerprint(&s.opts),
@@ -252,6 +252,10 @@ func (s *searcher) writeCheckpoint() {
 // links, substitutions, the queue, the leaf shape, the counters and the
 // best solution. An unmodified snapshot resumes exactly; a modified one is
 // rejected or resumes into a search whose invariants hold (FuzzResume).
+//
+// Queued lazy children are queued as the search queues them (frontier.go):
+// two or more of one parent whose node IDs span at most maxIDSpan become
+// leaves in lists, with no arena node; the rest get plain entries.
 func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*searcher, error) {
 	if spec.Hash() != st.SpecHash {
 		return nil, ErrSpecMismatch
@@ -281,11 +285,24 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 	if r := st.Nodes[0]; r.Parent != -1 || r.Target != -1 || r.Factor != 0 || !r.Materialized {
 		return nil, fmt.Errorf("%w: malformed root node", ErrInvalidState)
 	}
-	// nodes maps snapshot node indices to arena slots. Every node in the
-	// table is live (the root, queued, the best solution, or an ancestor
-	// of one), so each node's kids count is the number of table nodes
-	// naming it as parent.
+	queued := make([]bool, len(st.Nodes))
+	for _, qi := range st.Queued {
+		if qi < 0 || qi >= len(queued) || queued[qi] {
+			return nil, fmt.Errorf("%w: queued index %d", ErrInvalidState, qi)
+		}
+		queued[qi] = true
+	}
+	if st.BestSol >= 0 && st.BestSol < len(queued) && queued[st.BestSol] {
+		return nil, fmt.Errorf("%w: solution node queued", ErrInvalidState)
+	}
+	leafParents := restoredLeafParents(st, queued)
+
+	// nodes maps snapshot node indices to arena slots, −1 for a leaf.
+	// Every node in the table is live (the root, queued, the best solution,
+	// or an ancestor of one), so each node's kids count is the number of
+	// table nodes naming it as parent.
 	nodes := make([]int32, len(st.Nodes))
+	leaves := make(map[int]leaf) // by node index
 	nodes[0] = s.ar.alloc(node{
 		parent: -1,
 		spec:   s.ar.putSpec(rootSpec),
@@ -302,14 +319,13 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		if err := s.checkMove(ns.Target, ns.Factor); err != nil {
 			return nil, fmt.Errorf("%w: node %d %v", ErrInvalidState, i, err)
 		}
-		parent := nodes[ns.Parent]
-		pn := s.ar.at(parent)
 		// Only an expanded node has children, and expansion materializes
 		// it; this is also what lets the derivation proceed in index order.
-		base := s.ar.spec(parent)
-		if base == nil {
+		parent := nodes[ns.Parent]
+		if parent < 0 || s.ar.at(parent).spec < 0 {
 			return nil, fmt.Errorf("%w: node %d under lazy parent", ErrInvalidState, i)
 		}
+		pn := s.ar.at(parent)
 		n := node{
 			parent: parent,
 			spec:   -1,
@@ -324,15 +340,20 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		var delta int
 		if ns.Materialized {
 			var cs *pprm.Spec
-			cs, delta = base.SubstituteCopy(ns.Target, n.factor)
+			cs, delta = s.derive(s.expansion(parent), ns.Target, n.factor)
 			n.hash = cs.Hash()
 			n.spec = s.ar.putSpec(cs)
 		} else {
-			delta, n.hash, s.deltaBuf = base.SubstituteProbe(ns.Target, n.factor, s.deltaBuf)
+			delta, n.hash, s.deltaBuf = s.expansion(parent).SubstituteProbe(ns.Target, n.factor, s.deltaBuf)
 		}
 		n.terms = pn.terms + int32(delta)
-		nodes[i] = s.ar.alloc(n)
 		pn.kids++
+		if baseID, ok := leafParents[ns.Parent]; ok && queued[i] && !ns.Materialized {
+			nodes[i] = -1
+			leaves[i] = leaf{factor: n.factor, terms: n.terms, id: uint16(n.id - baseID), target: uint8(n.target)}
+			continue
+		}
+		nodes[i] = s.ar.alloc(n)
 	}
 
 	if st.NodesCreated < len(st.Nodes) {
@@ -354,7 +375,7 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 	case st.BestSol > 0 && st.BestSol < len(nodes):
 		// The search records only identity children as solutions.
 		sol := s.ar.at(nodes[st.BestSol])
-		if cs, _ := s.ar.spec(sol.parent).SubstituteCopy(int(sol.target), sol.factor); !cs.IsIdentity() {
+		if cs, _ := s.derive(s.expansion(sol.parent), int(sol.target), sol.factor); !cs.IsIdentity() {
 			return nil, fmt.Errorf("%w: best solution %d is not a circuit", ErrInvalidState, st.BestSol)
 		}
 		s.bestSol, s.bestDepth = nodes[st.BestSol], int(sol.depth)
@@ -394,27 +415,42 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		s.tt.evictions = tt.Evictions
 	}
 
-	// Rebuild the queue in recorded precedence order, every node a plain
-	// entry. enqueue assigns fresh, increasing insertion numbers, so FIFO
-	// tie-breaking among the restored nodes — and between them and any
-	// node queued later — matches the original run exactly.
-	seen := make(map[int]bool, len(st.Queued))
+	// Rebuild the queue in recorded precedence order. Every child takes a
+	// fresh, increasing insertion number in that order, so FIFO
+	// tie-breaking among the restored children — and between them and any
+	// child queued later — matches the original run exactly. A parent's
+	// leaves keep that order in their lists, which are then sorted by
+	// precedence already, and are queued once all of them are numbered, in
+	// the order of their first child.
+	s.reserveSeqs(len(st.Queued))
+	var listParents []int
+	lists := make(map[int][]keyedLeaf)
 	for _, qi := range st.Queued {
-		if qi < 0 || qi >= len(nodes) || seen[qi] {
-			return nil, fmt.Errorf("%w: queued index %d", ErrInvalidState, qi)
-		}
-		seen[qi] = true
-		if st.BestSol == qi {
-			return nil, fmt.Errorf("%w: solution node queued", ErrInvalidState)
-		}
 		slot := nodes[qi]
-		s.queueBytes += memOf(s.ar.spec(slot))
-		s.enqueue(slot, s.priorityOf(slot))
+		if slot >= 0 {
+			s.queueBytes += s.ar.memOf(slot)
+			s.enqueue(slot, s.priorityOf(slot))
+			continue
+		}
+		p := st.Nodes[qi].Parent
+		if len(lists[p]) == 0 {
+			listParents = append(listParents, p)
+		}
+		l := leaves[qi]
+		l.seq = s.nextSeq()
+		lists[p] = append(lists[p], keyedLeaf{l, s.leafPriority(nodes[p], &l)})
+		s.queueBytes += nodeBytes
+	}
+	for _, p := range listParents {
+		s.queueLeaves(nodes[p], leafParents[p], lists[p])
 	}
 	// The search holds only leaves (queued nodes, the best solution), their
 	// ancestors, and the root; release relies on that shape.
 	for i, slot := range nodes {
-		leaf := seen[i] || i == st.BestSol
+		if slot < 0 {
+			continue // a queued leaf
+		}
+		leaf := queued[i] || i == st.BestSol
 		kids := s.ar.at(slot).kids
 		if leaf && kids != 0 || !leaf && kids == 0 && i != 0 {
 			return nil, fmt.Errorf("%w: node %d is not a childless leaf or an ancestor of one", ErrInvalidState, i)
@@ -432,6 +468,35 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 	}
 	s.resumed = true
 	return s, nil
+}
+
+// restoredLeafParents picks the parents whose queued lazy children restore
+// keeps as leaves, by snapshot node index, each with the lowest of those
+// children's node IDs, which their leaves count from: the parents with two
+// or more such children whose IDs span at most maxIDSpan.
+func restoredLeafParents(st *snapshot.State, queued []bool) map[int]int {
+	type span struct{ n, lo, hi int }
+	spans := make(map[int]span)
+	for i := range st.Nodes {
+		ns := &st.Nodes[i]
+		if !queued[i] || ns.Materialized || ns.Parent < 0 || ns.Parent >= i {
+			continue // the node loop rejects a parent out of order
+		}
+		sp, ok := spans[ns.Parent]
+		if !ok {
+			sp = span{lo: ns.ID, hi: ns.ID}
+		}
+		sp.n++
+		sp.lo, sp.hi = min(sp.lo, ns.ID), max(sp.hi, ns.ID)
+		spans[ns.Parent] = sp
+	}
+	out := make(map[int]int)
+	for p, sp := range spans {
+		if d := sp.hi - sp.lo; sp.n >= 2 && d >= 0 && d <= maxIDSpan { // d < 0: tampered IDs overflowed
+			out[p] = sp.lo
+		}
+	}
+	return out
 }
 
 // checkMove rejects a substitution the search could not make: v_target =

@@ -171,7 +171,7 @@ type node struct {
 	id     int    // 64-bit: long runs create more than 2^31 nodes
 	hash   uint64 // transposition hash of the node's PPRM state
 	parent int32  // arena slot of the parent; −1 for the root
-	spec   int32  // side-table slot of the expansion; −1 for a lazy node
+	spec   int32  // arena expansion slot; −1 for a lazy node
 	target int32
 	factor bits.Mask
 	depth  int32
@@ -187,23 +187,6 @@ type node struct {
 // bytes, so MaxMemory pruning, PeakQueueBytes and the golden trajectories
 // do not depend on the struct's layout.
 const nodeBytes = 96 + 32
-
-// memOf estimates the bytes a node pins while it waits in the queue: its
-// own struct plus sp, its materialized PPRM expansion, or nil when the node
-// is lazy (most queued nodes are). Ancestor expansions kept alive through
-// the parent chain are shared among many queued nodes and are not charged;
-// the estimate is deliberately a lower bound, like the node-count stand-in
-// it replaces, but it scales with expansion size instead of pretending all
-// nodes cost the same. The node does not store it: a queued node's
-// expansion is fixed from push to pop, so push, pop and the recount after
-// a prune all compute the same charge from its side-table slot.
-func memOf(sp *pprm.Spec) int64 {
-	b := int64(nodeBytes)
-	if sp != nil {
-		b += sp.MemBytes()
-	}
-	return b
-}
 
 type searcher struct {
 	opts               Options
@@ -233,6 +216,11 @@ type searcher struct {
 	factorBuf          []bits.Mask
 	deltaBuf           []bits.Mask
 	fanout             []keyedLeaf // commit's lazy children, before queueLeaves
+
+	// view and scratch are word-form Specs (n ≤ 6) that slab entries are
+	// loaded into and derived in (see expansion); nil in slice form. Each
+	// det-merge clone has its own.
+	view, scratch *pprm.Spec
 
 	// stepHook, when non-nil, runs at the top of every search round.
 	// Test-only: invariant checks (byte accounting, watermark
@@ -273,11 +261,15 @@ type scored struct {
 
 // newScoring returns a searcher holding only the configuration fixed for
 // one spec and one set of options: the options, the priority weights, the
-// width, the root's term count, the depth cap and the queue cap. It has no
-// arena, queue, table or counters. newSearcher and restoreSearcher build on
-// it, and scoringClone is one.
+// width, the root's term count, the depth cap, the queue cap and the
+// word-form scratch Specs. Its arena, queue, table and counters are empty.
+// newSearcher and restoreSearcher build on it, and scoringClone is one.
 func newScoring(opts Options, n, initTerms int) *searcher {
 	s := &searcher{opts: opts, n: n, initTerms: initTerms, maxGates: opts.MaxGates, queueCap: maxQueue}
+	s.ar.init(n)
+	if s.ar.wordForm() {
+		s.view, s.scratch = pprm.NewSpec(n), pprm.NewSpec(n)
+	}
 	s.alpha, s.beta, s.gamma = opts.weights()
 	if s.maxGates <= 0 {
 		// Under AdmitAll the priority's α·depth term favors depth-first
@@ -413,15 +405,15 @@ func (s *searcher) totalBytes() int64 {
 // plain entry, after charging it.
 func (s *searcher) push(i int32, priority float64) {
 	n := s.ar.at(i)
-	s.charge(s.ar.spec(i), n.hash, int(n.depth))
+	s.charge(s.ar.memOf(i), n.hash, int(n.depth))
 	s.enqueue(i, priority)
 }
 
-// charge accounts for a child being queued: its approximate memory (sp is
-// its expansion, nil when lazy), and its state in the transposition table,
-// so later rediscoveries at the same or greater depth are pruned.
-func (s *searcher) charge(sp *pprm.Spec, hash uint64, depth int) {
-	s.queueBytes += memOf(sp)
+// charge accounts for a child being queued: its approximate memory (mem,
+// see arena.memOf), and its state in the transposition table, so later
+// rediscoveries at the same or greater depth are pruned.
+func (s *searcher) charge(mem int64, hash uint64, depth int) {
+	s.queueBytes += mem
 	if s.tt != nil {
 		s.tt.record(hash, depth)
 	}
@@ -442,7 +434,7 @@ func (s *searcher) notePeak() {
 // an unknown subset of the queue.
 func (s *searcher) recountQueueBytes() {
 	s.queueBytes = 0
-	s.eachQueued(func(c *queuedChild) { s.queueBytes += memOf(s.childSpec(c)) })
+	s.eachQueued(func(c *queuedChild) { s.queueBytes += s.childMem(c) })
 }
 
 // overMemory enforces Options.MaxMemory, the byte-accounted version of the
@@ -507,7 +499,7 @@ func (s *searcher) begin() (res Result, done bool) {
 		}
 		return Result{}, false
 	}
-	if s.ar.spec(rootSlot).IsIdentity() {
+	if s.expansion(rootSlot).IsIdentity() {
 		if o := s.opts.Observe; o != nil {
 			o.Solution(0, 0)
 			o.Finish(StopSolved.String())
@@ -633,7 +625,7 @@ func (s *searcher) run() Result {
 			}
 			pops++
 			parent := s.ar.at(pi)
-			s.queueBytes -= memOf(s.ar.spec(pi))
+			s.queueBytes -= s.ar.memOf(pi)
 			s.steps++
 			s.stepsSinceRestart++
 			s.emit(EventPop, parent)
@@ -646,11 +638,8 @@ func (s *searcher) run() Result {
 				s.release(pi)
 				continue
 			}
-			base := s.ar.spec(pi)
-			if base == nil {
-				base = s.ar.spec(parent.parent)
-			}
-			batch = append(batch, popped{slot: pi, nd: *parent, base: base})
+			batch = append(batch, popped{})
+			s.pop(pi, &batch[len(batch)-1], &gens[len(batch)-1])
 		}
 		s.pollIn -= pops
 		if pops == 0 {
@@ -716,7 +705,7 @@ func (s *searcher) restart() bool {
 		s.tt.record(root.hash, 0)
 	}
 
-	cs, delta := s.ar.spec(rootSlot).SubstituteCopy(fm.target, fm.factor)
+	cs, delta := s.derive(s.expansion(rootSlot), fm.target, fm.factor)
 	child := node{
 		parent: rootSlot,
 		id:     s.nodes,
@@ -728,7 +717,7 @@ func (s *searcher) restart() bool {
 	if s.tt != nil {
 		child.hash = cs.Hash()
 	}
-	ci := s.addChild(child, cs)
+	ci := s.addChild(child, s.ar.putSpec(cs))
 	s.emit(EventRestart, s.ar.at(ci))
 	s.emit(EventPush, s.ar.at(ci))
 	s.push(ci, s.priorityOf(ci))
@@ -802,30 +791,39 @@ type genTarget struct {
 }
 
 // genResult is one expansion's generated children, grouped per target in
-// target order, the expansions materialized for its solution-possible
-// candidates (pcand.sol), and the popped node's expansion when generate had
-// to materialize it (commit stores it in the arena). The backing arrays
-// (outer and inner) are reused across expansions: next re-extends within
-// capacity so the inner cands slices keep their storage.
+// target order, plus the expansions generate materialized: the popped
+// node's own, when it was lazy (commit stores it in the arena), and one per
+// near-miss candidate (pcand.sol). A word-form expansion is written as
+// pprm.Spec.AppendWords writes it, into words and solWords, which belong
+// to the genResult, so generating one allocates nothing; a slice-form one
+// is a fresh Spec. The backing arrays (outer and inner) are reused across
+// expansions: next re-extends within capacity so the inner cands slices
+// keep their storage.
 type genResult struct {
 	targets []genTarget
-	sols    []*pprm.Spec
+	// base is the slice-form expansion generate starts from, which the pop
+	// phase sets; a word-form one travels in popped.
+	base *pprm.Spec
+	// own reports that generate materialized the popped node's expansion:
+	// spec in slice form, words in word form. ownHash is its state hash,
+	// computed when the node came without one.
+	own     bool
+	ownHash uint64
 	spec    *pprm.Spec
+	words   []uint64
+	// The near-miss expansions: sols in slice form, 2n words each in
+	// solWords in word form.
+	sols     []*pprm.Spec
+	solWords []uint64
 }
 
 func (gr *genResult) reset() {
 	gr.targets = gr.targets[:0]
+	gr.own, gr.ownHash, gr.spec = false, 0, nil
+	gr.words = gr.words[:0]
 	clear(gr.sols)
 	gr.sols = gr.sols[:0]
-	gr.spec = nil
-}
-
-// solOf returns the materialized expansion of candidate c, or nil.
-func (gr *genResult) solOf(c *pcand) *pprm.Spec {
-	if c.sol < 0 {
-		return nil
-	}
-	return gr.sols[c.sol]
+	gr.solWords = gr.solWords[:0]
 }
 
 func (gr *genResult) next(target int) *genTarget {
@@ -840,36 +838,71 @@ func (gr *genResult) next(target int) *genTarget {
 	return tg
 }
 
+// maxWords is the longest word-form expansion: 2 words per output.
+const maxWords = 2 * 6
+
 // popped is a node taken off the queue for expansion, as generate sees it:
-// a copy of the node and the expansion it starts from. Generation touches
-// neither the arena nor its side table, so the concurrent generations of a
+// a copy of the node and, in word form, the words of the expansion it
+// starts from (a slice-form one is genResult.base). Generation touches
+// neither the arena nor its expansions, so the concurrent generations of a
 // det-merge round share nothing mutable; commit stores what generate
-// materialized.
+// materialized. popped holds no pointer (pinned by TestExpansionStoreSize).
 type popped struct {
-	slot int32
-	nd   node
-	base *pprm.Spec // nd's own expansion, or its parent's when nd is lazy
+	slot  int32
+	nd    node
+	words [maxWords]uint64 // nd's own expansion, or its parent's when nd is lazy
+}
+
+// pop fills p and gr.base for the expansion of the node in slot pi.
+func (s *searcher) pop(pi int32, p *popped, gr *genResult) {
+	nd := s.ar.at(pi)
+	base := nd.spec
+	if base < 0 {
+		base = s.ar.at(nd.parent).spec
+	}
+	p.slot, p.nd = pi, *nd
+	if s.ar.wordForm() {
+		copy(p.words[:], s.ar.words(base))
+		gr.base = nil
+	} else {
+		gr.base = s.ar.specs[base]
+	}
 }
 
 // generate scores every candidate substitution of p into gr: one probe
 // per candidate, its priority, an ordered insert into the target's
 // candidate list, and the materialization + identity check for
 // solution-possible candidates. It materializes the node's own expansion
-// first if the node was queued lazily. It reads only p (expansions are
-// immutable) and the searcher's scoring configuration and scratch buffers —
-// never the arena, the queue, the transposition table, or any counter — so
-// distinct searchers may generate distinct nodes concurrently.
+// first if the node was queued lazily. It reads only p, gr.base
+// (expansions are immutable) and the searcher's scoring configuration and
+// scratch — never the arena, the queue, the transposition table, or any
+// counter — so distinct searchers may generate distinct nodes concurrently.
 func (s *searcher) generate(p *popped, gr *genResult) {
 	gr.reset()
 	parent := &p.nd
-	spec := p.base
+	spec, word := gr.base, gr.base == nil
+	if word {
+		spec = s.view
+		spec.LoadWords(p.words[:])
+	}
 	if parent.spec < 0 {
 		// Lazy materialization (the paper's memory optimization, one
 		// step further: queued nodes store only their substitution).
 		// A live node keeps its parent's expansion alive, so one
-		// copy-on-write substitution reconstructs this node's.
-		spec, _ = spec.SubstituteCopy(int(parent.target), parent.factor)
-		gr.spec = spec
+		// substitution reconstructs this node's: in place in the
+		// generator's view in word form, copy-on-write in slice form.
+		gr.own = true
+		if word {
+			spec.Substitute(int(parent.target), parent.factor)
+			gr.words = spec.AppendWords(gr.words)
+		} else {
+			spec, _ = spec.SubstituteCopy(int(parent.target), parent.factor)
+			gr.spec = spec
+		}
+		if parent.hash == 0 {
+			// It surfaced from a list, without its hash (see leaf).
+			gr.ownHash = spec.Hash()
+		}
 	}
 	childDepth := int(parent.depth) + 1
 	for target := 0; target < s.n; target++ {
@@ -917,17 +950,42 @@ func (s *searcher) generate(p *popped, gr *genResult) {
 			// exactly one term per output; the commit half needs the
 			// materialized expansion for those, whether to report the
 			// solution or to queue the near-miss with its spec attached.
-			if int(c.terms) == s.n {
-				cs, _ := spec.SubstituteCopy(target, c.factor)
-				if cs.IsIdentity() {
-					c.identity = true
-				} else {
-					c.sol = int32(len(gr.sols))
-					gr.sols = append(gr.sols, cs)
-				}
+			if int(c.terms) != s.n {
+				continue
+			}
+			switch cs, _ := s.derive(spec, target, c.factor); {
+			case cs.IsIdentity():
+				c.identity = true
+			case word:
+				c.sol = int32(len(gr.solWords) / (2 * s.n))
+				gr.solWords = cs.AppendWords(gr.solWords)
+			default:
+				c.sol = int32(len(gr.sols))
+				gr.sols = append(gr.sols, cs)
 			}
 		}
 	}
+}
+
+// putOwn stores the expansion gr materialized for its popped node.
+func (s *searcher) putOwn(gr *genResult) int32 {
+	if gr.spec != nil {
+		return s.ar.putSpec(gr.spec)
+	}
+	return s.ar.putWords(gr.words)
+}
+
+// putSol stores the expansion gr materialized for candidate c and returns
+// its slot, or −1 when there is none.
+func (s *searcher) putSol(gr *genResult, c *pcand) int32 {
+	switch {
+	case c.sol < 0:
+		return -1
+	case s.ar.wordForm():
+		w := s.ar.wordLen
+		return s.ar.putWords(gr.solWords[int(c.sol)*w : int(c.sol+1)*w])
+	}
+	return s.ar.putSpec(gr.sols[c.sol])
 }
 
 // commit admits, deduplicates, and queues the generated children of the
@@ -938,11 +996,10 @@ func (s *searcher) generate(p *popped, gr *genResult) {
 // deterministic.
 func (s *searcher) commit(pi int32, gr *genResult) {
 	parent := s.ar.at(pi)
-	if gr.spec != nil {
-		parent.spec = s.ar.putSpec(gr.spec)
+	if gr.own {
+		parent.spec = s.putOwn(gr)
 		if parent.hash == 0 {
-			// It surfaced from a list, without its hash (see leaf).
-			parent.hash = gr.spec.Hash()
+			parent.hash = gr.ownHash
 		}
 	}
 	isRoot := parent.depth == 0
@@ -984,7 +1041,7 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 			}
 			if c.identity {
 				if childDepth < s.bestDepth {
-					child := s.addChild(s.candNode(pi, target, c), nil)
+					child := s.addChild(s.candNode(pi, target, c), -1)
 					if s.bestSol >= 0 {
 						s.release(s.bestSol)
 					}
@@ -1012,13 +1069,14 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 			// the order pushes would have taken them.
 			n := s.candNode(pi, target, c)
 			s.emit(EventPush, &n)
-			sp := gr.solOf(c)
-			s.charge(sp, c.hash, childDepth)
-			if sp != nil || !leaves {
-				s.fr.pq.PushSeq(s.addChild(n, sp), c.priority, s.nextSeq())
+			if c.sol >= 0 || !leaves {
+				ci := s.addChild(n, s.putSol(gr, c))
+				s.charge(s.ar.memOf(ci), c.hash, childDepth)
+				s.fr.pq.PushSeq(ci, c.priority, s.nextSeq())
 				s.fr.n++
 				continue
 			}
+			s.charge(nodeBytes, c.hash, childDepth)
 			s.ar.at(pi).kids++
 			s.nodes++
 			fanout = append(fanout, keyedLeaf{leaf{
@@ -1066,10 +1124,10 @@ func (s *searcher) candNode(pi int32, target int, c *pcand) node {
 	}
 }
 
-// addChild stores child, whose expansion is spec (nil when lazy), in the
-// arena under its parent, numbers it, and returns its slot.
-func (s *searcher) addChild(child node, spec *pprm.Spec) int32 {
-	child.spec = s.ar.putSpec(spec)
+// addChild stores child, whose expansion is in slot exp (−1 when lazy), in
+// the arena under its parent, numbers it, and returns its slot.
+func (s *searcher) addChild(child node, exp int32) int32 {
+	child.spec = exp
 	s.ar.at(child.parent).kids++
 	s.nodes++
 	return s.ar.alloc(child)

@@ -120,7 +120,7 @@ func TestAppendFactorsDifferential(t *testing.T) {
 			}
 			for j := range s.Out {
 				sets := []TermSet{s.Out[j], NewTermSet(s.Out[j].Terms()...)}
-				if sets[0].isWord != usesWord(n) || sets[1].isWord {
+				if sets[0].isWord != UsesWord(n) || sets[1].isWord {
 					t.Fatalf("n=%d: output %d has the wrong forms", n, j)
 				}
 				for form := range sets {

@@ -34,7 +34,7 @@ type Spec struct {
 // (Clone, SubstituteCopy) keeps that form.
 func NewSpec(n int) *Spec {
 	s := &Spec{N: n, Out: make([]TermSet, n)}
-	if usesWord(n) {
+	if UsesWord(n) {
 		for i := range s.Out {
 			s.Out[i].isWord = true
 		}
@@ -140,7 +140,7 @@ func FromPerm(p perm.Perm) (*Spec, error) {
 	}
 	s := NewSpec(n)
 	size := len(p)
-	if usesWord(n) {
+	if UsesWord(n) {
 		for out := range s.Out {
 			var w uint64
 			for x := size - 1; x >= 0; x-- {
@@ -238,8 +238,21 @@ func (s *Spec) Substitute(target int, factor bits.Mask) int {
 // Toggle writes a term slice in place and must not be applied to a shared
 // output.
 func (s *Spec) SubstituteCopy(target int, factor bits.Mask) (*Spec, int) {
-	out := &Spec{N: s.N, Out: make([]TermSet, len(s.Out))}
-	return out, s.substituteInto(out.Out, target, factor)
+	out := new(Spec)
+	return out, s.SubstituteTo(out, target, factor)
+}
+
+// SubstituteTo is SubstituteCopy into dst, a Spec the caller owns, whose
+// previous contents are overwritten; its Out array is reused when it has
+// the right length. dst may be s itself. On a word-form Spec it allocates
+// nothing, which is what lets the search derive one expansion from another
+// in a scratch Spec.
+func (s *Spec) SubstituteTo(dst *Spec, target int, factor bits.Mask) int {
+	if len(dst.Out) != len(s.Out) {
+		dst.Out = make([]TermSet, len(s.Out))
+	}
+	dst.N = s.N
+	return s.substituteInto(dst.Out, target, factor)
 }
 
 // substituteInto writes s's outputs with v_target = v_target ⊕ factor

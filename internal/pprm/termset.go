@@ -11,7 +11,7 @@ import (
 
 // TermSet is the set of product terms (with coefficient 1) of one output's
 // PPRM expansion. It has two forms, chosen once per Spec from its variable
-// count (see usesWord) and never converted afterwards:
+// count (see UsesWord) and never converted afterwards:
 //
 //   - word form, for every Spec with N ≤ 6: the dense Reed–Muller
 //     coefficient vector packed into one uint64, bit m set iff term m is

@@ -129,7 +129,7 @@ func (s *Server) attempt(j *Job) core.Result {
 // the second case the circuit is withdrawn here so no later path can hand
 // it to a client. The check covers every width verify tabulates: a PPRM
 // request too wide for admission to tabulate (17–20 variables) is
-// tabulated here, in the worker, so admission cost does not grow.
+// checked here, in the worker, so admission cost does not grow.
 func (s *Server) gateError(j *Job, res *core.Result) *verify.Error {
 	var verr *verify.Error
 	if errors.As(res.Err, &verr) {
@@ -141,11 +141,16 @@ func (s *Server) gateError(j *Job, res *core.Result) *verify.Error {
 	if !verify.Feasible(j.c.spec.N) {
 		return nil
 	}
-	p := j.c.perm
-	if p == nil {
-		p = j.c.spec.ToPerm()
+	// A PPRM request has no tabulated function: check it against the
+	// expansion with verify's own evaluator, never pprm's ToPerm, which the
+	// oracle is defined not to share.
+	var err error
+	if p := j.c.perm; p != nil {
+		err = verify.Circuit(verify.StageSearch, res.Circuit, p)
+	} else {
+		err = verify.Spec(verify.StageSearch, res.Circuit, j.c.spec)
 	}
-	if err := verify.Circuit(verify.StageSearch, res.Circuit, p); err != nil && errors.As(err, &verr) {
+	if err != nil && errors.As(err, &verr) {
 		res.Found = false
 		res.Circuit = nil
 		res.Verified = false
