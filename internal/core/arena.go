@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bits"
 	"repro/internal/pprm"
@@ -13,11 +14,14 @@ import (
 // every page is a noscan allocation: the garbage collector never walks the
 // tree, however many nodes are queued.
 //
-// Materialized expansions are stored by form (pprm.UsesWord). A word-form
-// expansion (n ≤ 6) is 2n uint64s in a slab of pages beside the nodes,
-// each output's coefficient word and hash, so it is pointer-free too. The
-// only pointers left are slice-form expansions (n ≥ 7) in the side table,
-// one per materialized node.
+// Materialized expansions are stored by form (pprm.UsesWord), and both
+// stores are pointer-free. A word-form expansion (n ≤ 6) is 2n uint64s in
+// a slab of pages beside the nodes, each output's coefficient word and
+// hash. A slice-form expansion (n ≥ 7) is one run of uint32s in a run
+// store (pprm.AppendRun: per output its term count and capacity, then its
+// sorted terms), named by the run's first word. The searcher reads either
+// through a view Spec that aliases the store, and writes new expansions
+// into buffers of its own that commit copies in.
 //
 // Liveness is explicit. A slot is live while its node is the root, queued,
 // the best solution, or an ancestor of one of those — exactly the nodes a
@@ -32,37 +36,45 @@ const (
 
 	slabPageShift = 7
 	slabPageSize  = 1 << slabPageShift // expansions per slab page: 128 × 64 B = 8 KiB at n = 4
+
+	runPageShift = 11 // run store page: 2,048 × 4 B = 8 KiB
 )
 
 // rootSlot is the root's arena slot: it is allocated first and never freed.
 const rootSlot int32 = 0
 
 // arena holds one searcher's search-tree nodes and materialized expansions.
-// Pages never move once allocated, so a *node returned by at, and a slab
-// entry returned by words, stay valid while later allocations grow the
-// arena.
+// Pages never move once allocated, so a *node returned by at, a slab entry
+// returned by words and a run returned by run stay valid while later
+// allocations grow the arena.
 type arena struct {
 	pages [][]node
 	used  int32   // slots handed out from the pages so far
 	free  []int32 // released node slots, reused last-in first-out
 
-	// Expansion slots index the slab in word form and specs in slice form;
-	// wordLen is 2n in word form and −1 in slice form.
+	// n is the expansions' variable count. In word form (wordLen = 2n) an
+	// expansion slot indexes the slab; in slice form (wordLen = −1) it is
+	// the first word of a run in runs.
+	n         int
 	wordLen   int
 	wordBytes int64 // Spec.MemBytes of a word-form expansion, which only n fixes
 	slab      [][]uint64
-	specs     []*pprm.Spec
-	exps      int32   // expansion slots handed out so far
-	freeExps  []int32 // released expansion slots
+	exps      int32   // slab entries handed out so far
+	freeExps  []int32 // released slab entries
+	runs      runStore[uint32]
 }
 
 // init sets the arena up for expansions of n variables.
 func (a *arena) init(n int) {
+	a.n = n
+	a.pages = make([][]node, 0, 8)
 	a.wordLen = -1
 	if pprm.UsesWord(n) {
 		a.wordLen = 2 * n
 		a.wordBytes = pprm.NewSpec(n).MemBytes()
+		return
 	}
+	a.runs.init(runPageShift)
 }
 
 // wordForm reports whether the arena stores expansions in the slab.
@@ -88,25 +100,6 @@ func (a *arena) alloc(n node) int32 {
 	return i
 }
 
-// allocExp reserves an expansion slot.
-func (a *arena) allocExp() int32 {
-	if k := len(a.freeExps); k > 0 {
-		j := a.freeExps[k-1]
-		a.freeExps = a.freeExps[:k-1]
-		return j
-	}
-	j := a.exps
-	a.exps++
-	if a.wordForm() {
-		if int(j>>slabPageShift) == len(a.slab) {
-			a.slab = append(a.slab, make([]uint64, slabPageSize*a.wordLen))
-		}
-	} else {
-		a.specs = append(a.specs, nil)
-	}
-	return j
-}
-
 // words returns the slab entry of expansion slot j, in place.
 func (a *arena) words(j int32) []uint64 {
 	off := int(j&(slabPageSize-1)) * a.wordLen
@@ -116,32 +109,52 @@ func (a *arena) words(j int32) []uint64 {
 // putWords stores a word-form expansion, given as pprm.Spec.AppendWords
 // writes it, and returns its slot.
 func (a *arena) putWords(w []uint64) int32 {
-	j := a.allocExp()
+	var j int32
+	if k := len(a.freeExps); k > 0 {
+		j = a.freeExps[k-1]
+		a.freeExps = a.freeExps[:k-1]
+	} else {
+		j = a.exps
+		a.exps++
+		if int(j>>slabPageShift) == len(a.slab) {
+			a.slab = append(a.slab, make([]uint64, slabPageSize*a.wordLen))
+		}
+	}
 	copy(a.words(j), w)
 	return j
 }
 
-// putSpec stores sp and returns its slot, or −1 (a lazy node) when sp is
-// nil. A word-form sp is copied into the slab, so the caller may reuse it;
-// a slice-form one is kept.
-func (a *arena) putSpec(sp *pprm.Spec) int32 {
-	switch {
-	case sp == nil:
-		return -1
-	case a.wordForm():
-		j := a.allocExp()
-		if w := sp.AppendWords(a.words(j)[:0]); len(w) != a.wordLen {
-			panic(fmt.Sprintf("core: a %d-output expansion in a %d-variable search", len(sp.Out), a.wordLen/2))
-		}
-		return j
-	}
-	j := a.allocExp()
-	a.specs[j] = sp
+// run returns the slice-form expansion whose run starts at j, in place.
+func (a *arena) run(j int32) []uint32 {
+	r := a.runs.tail(j)
+	k := pprm.RunLen(r, a.n)
+	return r[:k:k]
+}
+
+// putRun stores a slice-form expansion, given as pprm.Spec.AppendRun
+// writes it, and returns its slot.
+func (a *arena) putRun(r []uint32) int32 {
+	j := a.runs.alloc(len(r))
+	copy(a.runs.tail(j), r)
 	return j
 }
 
+// putSpec stores the root's expansion sp and returns its slot. The arena
+// keeps a copy: the words in word form, the run in slice form.
+func (a *arena) putSpec(sp *pprm.Spec) int32 {
+	if !a.wordForm() {
+		return a.putRun(sp.AppendRun(nil))
+	}
+	var w [maxWords]uint64
+	if len(sp.Out) != a.n {
+		panic(fmt.Sprintf("core: a %d-output expansion in a %d-variable search", len(sp.Out), a.n))
+	}
+	return a.putWords(sp.AppendWords(w[:0]))
+}
+
 // memOf estimates the bytes the node in slot i pins while it waits in the
-// queue: nodeBytes plus Spec.MemBytes of its expansion, when it has one.
+// queue: nodeBytes plus Spec.MemBytes of its expansion, when it has one
+// (pprm.RunMemBytes of a run is that figure for the Spec it stands for).
 // Most queued nodes are lazy. Ancestor expansions kept alive through the
 // parent chain are shared among many queued nodes and are not charged; the
 // estimate is deliberately a lower bound, like the node-count stand-in it
@@ -157,24 +170,24 @@ func (a *arena) memOf(i int32) int64 {
 	case a.wordForm():
 		return nodeBytes + a.wordBytes
 	}
-	return nodeBytes + a.specs[j].MemBytes()
+	return nodeBytes + pprm.RunMemBytes(a.run(j))
 }
 
-// drop frees slot i and its expansion slot, if any.
+// drop frees slot i and its expansion, if any.
 func (a *arena) drop(i int32) {
-	if j := a.at(i).spec; j >= 0 {
-		if !a.wordForm() {
-			a.specs[j] = nil
-		}
+	switch j := a.at(i).spec; {
+	case j < 0:
+	case a.wordForm():
 		a.freeExps = append(a.freeExps, j)
+	default:
+		a.runs.free(j, len(a.run(j)))
 	}
 	a.free = append(a.free, i)
 }
 
 // expansion returns the materialized expansion of the node in slot i, or
-// nil when the node is lazy. A word-form expansion is loaded into the
-// searcher's view, valid until the next call; a slice-form one is the
-// stored Spec. Either way it must not be modified.
+// nil when the node is lazy. It is the searcher's view, loaded from the
+// store and valid until the next call, and must not be modified.
 func (s *searcher) expansion(i int32) *pprm.Spec {
 	j := s.ar.at(i).spec
 	switch {
@@ -182,19 +195,32 @@ func (s *searcher) expansion(i int32) *pprm.Spec {
 		return nil
 	case s.ar.wordForm():
 		s.view.LoadWords(s.ar.words(j))
-		return s.view
+	default:
+		s.view.LoadRun(s.ar.run(j))
 	}
-	return s.ar.specs[j]
+	return &s.view
 }
 
-// derive returns base with v_target = v_target ⊕ factor applied, and the
-// change in term count. A word-form one is the searcher's scratch, valid
-// until the next call; a slice-form one is a fresh Spec.
-func (s *searcher) derive(base *pprm.Spec, target int, factor bits.Mask) (*pprm.Spec, int) {
-	if !s.ar.wordForm() {
-		return base.SubstituteCopy(target, factor)
+// derive returns the expansion of the node in slot i with v_target =
+// v_target ⊕ factor applied, and the change in term count. The result is
+// the searcher's scratch, valid until the next call; putDerived stores it.
+func (s *searcher) derive(i int32, target int, factor bits.Mask) (*pprm.Spec, int) {
+	if s.ar.wordForm() {
+		return &s.scratch, s.expansion(i).SubstituteTo(&s.scratch, target, factor)
 	}
-	return s.scratch, base.SubstituteTo(s.scratch, target, factor)
+	var delta int
+	s.runBuf, delta = pprm.AppendSubstituteRun(s.runBuf[:0], s.ar.run(s.ar.at(i).spec), target, factor, &s.deltaBuf)
+	s.scratch.LoadRun(s.runBuf)
+	return &s.scratch, delta
+}
+
+// putDerived stores the expansion the last derive returned and returns its
+// slot.
+func (s *searcher) putDerived() int32 {
+	if s.ar.wordForm() {
+		return s.ar.putSpec(&s.scratch)
+	}
+	return s.ar.putRun(s.runBuf)
 }
 
 // release frees node i, which nothing else holds any more: a queued node
@@ -224,4 +250,87 @@ func (s *searcher) releaseKid(p int32) {
 		s.ar.drop(p)
 		p = next
 	}
+}
+
+// runStore keeps runs of consecutive elements in pages that never move, so
+// a run is named by the index of its first element and read in place. Each
+// page is one allocation of 2^shift elements; with a pointer-free T it is
+// noscan. A run lies within one page, or, when it is longer than a page,
+// gets a page of its own. A released run goes on the free stack for its
+// length and is reused whole; an oversized one is handed back to the
+// garbage collector instead. The frontier keeps its leaves here and the
+// arena its slice-form expansions.
+type runStore[T any] struct {
+	shift    uint8
+	pages    [][]T
+	used     int32     // elements handed out, counting whole pages for oversized runs
+	freeRuns [][]int32 // freeRuns[k]: first elements of released runs of length k
+}
+
+// init sets the page size to 2^shift elements and makes room for a few
+// pages.
+func (r *runStore[T]) init(shift uint8) {
+	r.shift = shift
+	r.pages = make([][]T, 0, 8)
+}
+
+// pageLen is the number of elements in a regular page.
+func (r *runStore[T]) pageLen() int { return 1 << r.shift }
+
+// at returns element i.
+func (r *runStore[T]) at(i int32) *T {
+	return &r.pages[i>>r.shift][int(i)&(r.pageLen()-1)]
+}
+
+// tail returns the rest of the page from element i on.
+func (r *runStore[T]) tail(i int32) []T {
+	return r.pages[i>>r.shift][int(i)&(r.pageLen()-1):]
+}
+
+// alloc reserves a run of k > 0 elements and returns its first.
+func (r *runStore[T]) alloc(k int) int32 {
+	if k < len(r.freeRuns) {
+		if free := r.freeRuns[k]; len(free) > 0 {
+			r.freeRuns[k] = free[:len(free)-1]
+			return free[len(free)-1]
+		}
+	}
+	size := r.pageLen()
+	if rest := size - int(r.used)&(size-1); rest < min(k, size) {
+		r.free(r.used, rest)
+		r.used += int32(rest)
+	}
+	p := int(r.used >> r.shift)
+	switch {
+	case p == len(r.pages):
+		r.pages = append(r.pages, nil)
+		fallthrough
+	case k > size || len(r.pages[p]) != size:
+		// A new page, an oversized one, or a regular page in place of an
+		// oversized one after clear.
+		r.pages[p] = make([]T, max(k, size))
+	}
+	start := r.used
+	r.used += int32(min(k, size))
+	return start
+}
+
+// free releases the run of k elements at start.
+func (r *runStore[T]) free(start int32, k int) {
+	if k > r.pageLen() {
+		r.pages[start>>r.shift] = nil
+		return
+	}
+	if len(r.freeRuns) <= k {
+		r.freeRuns = slices.Grow(r.freeRuns, k+1-len(r.freeRuns))[:k+1]
+	}
+	r.freeRuns[k] = append(r.freeRuns[k], start)
+}
+
+// clear releases every run at once; the pages stay for reuse.
+func (r *runStore[T]) clear() {
+	for k := range r.freeRuns {
+		r.freeRuns[k] = r.freeRuns[k][:0]
+	}
+	r.used = 0
 }

@@ -13,10 +13,10 @@ import (
 // where no node is popped but not yet committed. A slot must be in use
 // exactly when its node is the root, queued, the best solution, or an
 // ancestor of one; every live node's kids must equal its live children,
-// queued leaves included; every expansion slot must be held by exactly one
-// live materialized node or be free, once (the slab in word form, the side
-// table in slice form); and the leaf store must hold exactly the queued
-// lists' runs and the free runs (checkLeafStore).
+// queued leaves included; every expansion must be held by exactly one live
+// materialized node or be free, once (slab entries in word form, runs in
+// slice form); and the leaf store must hold exactly the queued lists' runs
+// and the free runs (checkLeafStore).
 func checkArena(t *testing.T, s *searcher, where string) {
 	t.Helper()
 	checkLeafStore(t, s, where)
@@ -48,7 +48,11 @@ func checkArena(t *testing.T, s *searcher, where string) {
 	if s.bestSol >= 0 {
 		mark(s.bestSol)
 	}
-	owned := make([]bool, a.exps)
+	var runs []storeRun
+	var owned []bool
+	if a.wordForm() {
+		owned = make([]bool, a.exps)
+	}
 	for i := int32(0); i < a.used; i++ {
 		if live[i] == free[i] {
 			t.Fatalf("%s: slot %d live=%v free=%v", where, i, live[i], free[i])
@@ -60,13 +64,15 @@ func checkArena(t *testing.T, s *searcher, where string) {
 		if i != rootSlot {
 			kids[n.parent]++
 		}
-		if n.spec >= 0 {
-			if n.spec >= a.exps {
-				t.Fatalf("%s: slot %d names expansion slot %d of %d", where, i, n.spec, a.exps)
-			}
-			if owned[n.spec] {
-				t.Fatalf("%s: slot %d shares expansion slot %d", where, i, n.spec)
-			}
+		switch {
+		case n.spec < 0:
+		case !a.wordForm():
+			runs = append(runs, storeRun{n.spec, len(a.run(n.spec))})
+		case n.spec >= a.exps:
+			t.Fatalf("%s: slot %d names expansion slot %d of %d", where, i, n.spec, a.exps)
+		case owned[n.spec]:
+			t.Fatalf("%s: slot %d shares expansion slot %d", where, i, n.spec)
+		default:
 			owned[n.spec] = true
 		}
 	}
@@ -74,6 +80,17 @@ func checkArena(t *testing.T, s *searcher, where string) {
 		if live[i] && a.at(i).kids != kids[i] {
 			t.Fatalf("%s: slot %d has kids=%d, %d live children", where, i, a.at(i).kids, kids[i])
 		}
+	}
+	if !a.wordForm() {
+		if a.slab != nil || a.exps != 0 {
+			t.Fatalf("%s: slice-form arena with %d slab pages for %d expansions", where, len(a.slab), a.exps)
+		}
+		checkRunStore(t, where+" (expansion runs)", &a.runs, runs)
+		return
+	}
+	if a.runs.pages != nil || len(a.slab)*slabPageSize < int(a.exps) {
+		t.Fatalf("%s: word-form arena with %d run pages, %d slab pages for %d expansions",
+			where, len(a.runs.pages), len(a.slab), a.exps)
 	}
 	freeExp := make([]bool, a.exps)
 	for _, j := range a.freeExps {
@@ -87,29 +104,65 @@ func checkArena(t *testing.T, s *searcher, where string) {
 			t.Fatalf("%s: expansion slot %d owned by a live node=%v, free=%v", where, j, owned[j], freeExp[j])
 		}
 	}
-	if a.wordForm() {
-		if a.specs != nil || len(a.slab)*slabPageSize < int(a.exps) {
-			t.Fatalf("%s: word-form arena with %d side-table slots, %d slab pages for %d expansions",
-				where, len(a.specs), len(a.slab), a.exps)
+}
+
+// storeRun is a run of a runStore: its first element and length.
+type storeRun struct {
+	start int32
+	k     int
+}
+
+// checkRunStore checks a run store against the runs its owner holds: each
+// held run lies within one page, or alone on an oversized page of exactly
+// its length; and the held runs, the free runs and the released oversized
+// pages cover the elements handed out exactly once.
+func checkRunStore[T any](t *testing.T, where string, r *runStore[T], held []storeRun) {
+	t.Helper()
+	size := r.pageLen()
+	covered := make([]bool, r.used)
+	cover := func(start int32, k int, what string) {
+		if k > size {
+			if p := start >> r.shift; start&int32(size-1) != 0 || len(r.pages[p]) != k {
+				t.Fatalf("%s: %s run [%d, +%d) is not alone on its page", where, what, start, k)
+			}
+			k = size // it stands for its page's elements
 		}
-		return
+		if k <= 0 || int(start)+k > int(r.used) || start>>r.shift != (start+int32(k)-1)>>r.shift {
+			t.Fatalf("%s: %s run [%d, +%d) outside the store or across a page", where, what, start, k)
+		}
+		for i := start; i < start+int32(k); i++ {
+			if covered[i] {
+				t.Fatalf("%s: element %d in two runs (%s)", where, i, what)
+			}
+			covered[i] = true
+		}
 	}
-	if a.slab != nil || len(a.specs) != int(a.exps) {
-		t.Fatalf("%s: slice-form arena with %d slab pages, %d side-table slots for %d expansions",
-			where, len(a.slab), len(a.specs), a.exps)
+	for _, h := range held {
+		cover(h.start, h.k, "held")
 	}
-	for j, sp := range a.specs {
-		if (sp != nil) != owned[j] {
-			t.Fatalf("%s: side-table slot %d is in use=%v, owned by a live node=%v", where, j, sp != nil, owned[j])
+	for k, starts := range r.freeRuns {
+		for _, start := range starts {
+			cover(start, k, "free")
+		}
+	}
+	for p, page := range r.pages {
+		if start := int32(p) << r.shift; page == nil && start < r.used {
+			cover(start, size, "released")
+		}
+	}
+	for i, c := range covered {
+		if !c {
+			t.Fatalf("%s: element %d in no run", where, i)
 		}
 	}
 }
 
 // expansionChecker compares every stored expansion with the one the
 // substitutions on its path derive from the search's input with
-// SubstituteCopy: terms (Equal) and state hash. It derives each node's
-// once, keyed by slot and node ID, since a live node's expansion does not
-// change.
+// SubstituteCopy: terms (Equal), state hash and, for a slice-form run, the
+// memory charge (memOf against MemBytes, which counts the capacities the
+// SubstituteCopy chain allocated). It derives each node's once, keyed by
+// slot and node ID, since a live node's expansion does not change.
 type expansionChecker struct {
 	root    *pprm.Spec
 	derived map[int32]derivedExpansion
@@ -150,29 +203,23 @@ func (ec *expansionChecker) check(t *testing.T, s *searcher, where string) {
 		if got := s.expansion(i); !got.Equal(want) || got.Hash() != want.Hash() {
 			t.Fatalf("%s: slot %d stores\n%v\nits path derives\n%v", where, i, got, want)
 		}
+		if got := s.ar.memOf(i) - nodeBytes; !s.ar.wordForm() && got != want.MemBytes() {
+			t.Fatalf("%s: slot %d charged %d bytes for its expansion, the SubstituteCopy chain's MemBytes is %d",
+				where, i, got, want.MemBytes())
+		}
 	}
 }
 
 // checkLeafStore checks the frontier's bookkeeping: every list in the heap
-// is live (queued leaves left, a run inside one page) and every other list
+// is live (queued leaves left, no longer than a page) and every other list
 // header is free; the live lists' runs and the free runs cover the store's
-// used slots exactly once; and the queued-children count is right.
+// used slots exactly once (checkRunStore); and the queued-children count is
+// right.
 func checkLeafStore(t *testing.T, s *searcher, where string) {
 	t.Helper()
 	f := &s.fr
 	inHeap := make([]bool, len(f.lists))
-	covered := make([]bool, f.used)
-	cover := func(start int32, k int, what string) {
-		if k <= 0 || int(start)+k > int(f.used) || start>>leafPageShift != (start+int32(k)-1)>>leafPageShift {
-			t.Fatalf("%s: %s run [%d, +%d) outside the store or across a page", where, what, start, k)
-		}
-		for i := start; i < start+int32(k); i++ {
-			if covered[i] {
-				t.Fatalf("%s: leaf slot %d in two runs (%s)", where, i, what)
-			}
-			covered[i] = true
-		}
-	}
+	var runs []storeRun
 	children := 0
 	f.pq.Each(func(v int32, _ float64, _ uint32) {
 		children++
@@ -189,7 +236,10 @@ func checkLeafStore(t *testing.T, s *searcher, where string) {
 			t.Fatalf("%s: list %d queued with head %d, end %d, size %d", where, li, l.head, l.end, l.size)
 		}
 		children += int(l.end-l.head) - 1
-		cover(l.start, int(l.size), "list")
+		if int(l.size) > leafPageSize {
+			t.Fatalf("%s: list %d of %d leaves is longer than a page", where, li, l.size)
+		}
+		runs = append(runs, storeRun{l.start, int(l.size)})
 	})
 	if children != f.n {
 		t.Fatalf("%s: %d queued children, counted %d", where, children, f.n)
@@ -206,16 +256,7 @@ func checkLeafStore(t *testing.T, s *searcher, where string) {
 			t.Fatalf("%s: list %d neither queued nor free", where, li)
 		}
 	}
-	for k, starts := range f.freeRuns {
-		for _, start := range starts {
-			cover(start, k, "free")
-		}
-	}
-	for i, c := range covered {
-		if !c {
-			t.Fatalf("%s: leaf slot %d in no run", where, i)
-		}
-	}
+	checkRunStore(t, where+" (leaf store)", &f.leaves, runs)
 }
 
 // TestArenaRefcountsMatchReachability runs searches that exercise every
@@ -264,7 +305,8 @@ func TestArenaRefcountsMatchReachability(t *testing.T) {
 			o.MaxSteps = 40
 			o.TotalSteps = 2000
 		}, wantRestarts: true},
-		// Slice form: the expansions go to the side table, not the slab.
+		// Slice form: the expansions are runs, not slab entries; the
+		// checker also compares their memory charge.
 		run{name: "wide", spec: circuit.Random(9, 8, circuit.GT, rng.New(7)).PPRM(), opts: func(o *Options) {
 			o.TotalSteps = 300
 		}},

@@ -85,58 +85,35 @@ const (
 
 // frontier is the search's queue of unexpanded children: a heap whose
 // entries are either plain nodes (an arena slot, ≥ 0) or lists (^index,
-// < 0), and the store that holds the lists' leaves. Leaves live in pages,
-// like the arena's nodes, so the store is pointer-free and reused across
-// lists: a released run goes on the free stack for its length.
+// < 0), and the store that holds the lists' leaves. Leaves live in the
+// pages of a run store, like the arena's slice-form expansions, so the
+// store is pointer-free and reused across lists: a released run goes on
+// the free stack for its length.
 type frontier struct {
 	pq        queue.Queue[int32]
 	lists     []leafList
 	freeLists []int32
-	pages     [][]leaf
-	used      int32     // store slots handed out from the pages so far
-	freeRuns  [][]int32 // freeRuns[k]: starts of released runs of k leaves
-	seq       uint32    // insertion number of the next queued child
-	n         int       // queued children, in lists or not
+	leaves    runStore[leaf] // pages of leafPageSize; a list's run fits in one
+	seq       uint32         // insertion number of the next queued child
+	n         int            // queued children, in lists or not
+}
+
+// init sizes the frontier for a typical short search, so that one starts
+// with a few allocations instead of growing each slice from nothing.
+func (f *frontier) init() {
+	f.leaves.init(leafPageShift)
+	f.lists = make([]leafList, 0, 32)
+	f.pq.Grow(64)
 }
 
 // leaf returns the leaf in store slot i.
-func (f *frontier) leaf(i int32) *leaf {
-	return &f.pages[i>>leafPageShift][i&(leafPageSize-1)]
-}
-
-// allocRun reserves k ≤ maxList consecutive store slots within one page.
-func (f *frontier) allocRun(k int) int32 {
-	if k < len(f.freeRuns) {
-		if free := f.freeRuns[k]; len(free) > 0 {
-			f.freeRuns[k] = free[:len(free)-1]
-			return free[len(free)-1]
-		}
-	}
-	if rest := leafPageSize - int(f.used&(leafPageSize-1)); rest < k {
-		f.freeRun(f.used, rest)
-		f.used += int32(rest)
-	}
-	if int(f.used>>leafPageShift) == len(f.pages) {
-		f.pages = append(f.pages, make([]leaf, leafPageSize))
-	}
-	start := f.used
-	f.used += int32(k)
-	return start
-}
-
-// freeRun puts the run of k slots at start on its free stack.
-func (f *frontier) freeRun(start int32, k int) {
-	for len(f.freeRuns) <= k {
-		f.freeRuns = append(f.freeRuns, nil)
-	}
-	f.freeRuns[k] = append(f.freeRuns[k], start)
-}
+func (f *frontier) leaf(i int32) *leaf { return f.leaves.at(i) }
 
 // newList makes a list of the leaves ls, in order, under parent and
 // returns its index; baseID is the node ID their id fields count from.
 func (f *frontier) newList(parent int32, baseID int, ls []keyedLeaf) int32 {
-	start := f.allocRun(len(ls))
-	run := f.pages[start>>leafPageShift][start&(leafPageSize-1):]
+	start := f.leaves.alloc(len(ls))
+	run := f.leaves.tail(start)
 	for i := range ls {
 		run[i] = ls[i].leaf
 	}
@@ -154,7 +131,7 @@ func (f *frontier) newList(parent int32, baseID int, ls []keyedLeaf) int32 {
 // dropList releases list li and its run.
 func (f *frontier) dropList(li int32) {
 	l := &f.lists[li]
-	f.freeRun(l.start, int(l.size))
+	f.leaves.free(l.start, int(l.size))
 	*l = leafList{}
 	f.freeLists = append(f.freeLists, li)
 }
@@ -164,10 +141,7 @@ func (f *frontier) clear() {
 	f.pq.Clear()
 	f.lists = f.lists[:0]
 	f.freeLists = f.freeLists[:0]
-	for k := range f.freeRuns {
-		f.freeRuns[k] = f.freeRuns[k][:0]
-	}
-	f.used = 0
+	f.leaves.clear()
 	f.n = 0
 }
 

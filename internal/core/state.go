@@ -130,7 +130,7 @@ func (s *searcher) exportState() *snapshot.State {
 	st := &snapshot.State{
 		SpecHash:          rootSpec.Hash(),
 		OptionsFP:         optionsFingerprint(&s.opts),
-		Root:              exportSpec(rootSpec),
+		Root:              s.exportRoot(rootSpec),
 		Nodes:             make([]snapshot.NodeState, len(order)),
 		Queued:            queued,
 		BestSol:           bestSol,
@@ -172,13 +172,24 @@ func (s *searcher) exportState() *snapshot.State {
 	return st
 }
 
-func exportSpec(sp *pprm.Spec) snapshot.SpecState {
+// exportRoot writes the root's expansion sp, loaded from the arena, with
+// each output's capacity as the root Spec reported it: a slice-form view's
+// own Cap is its length, so the capacity comes from the run.
+func (s *searcher) exportRoot(sp *pprm.Spec) snapshot.SpecState {
+	var run []uint32
+	if !s.ar.wordForm() {
+		run = s.ar.run(s.ar.at(rootSlot).spec)
+	}
 	out := snapshot.SpecState{N: sp.N, Out: make([]snapshot.TermSetState, len(sp.Out))}
 	for i := range sp.Out {
 		ts := &sp.Out[i]
+		c := ts.Cap()
+		if run != nil {
+			c = pprm.RunCap(run, i)
+		}
 		out.Out[i] = snapshot.TermSetState{
 			Terms: append([]bits.Mask(nil), ts.Terms()...),
-			Cap:   ts.Cap(),
+			Cap:   c,
 		}
 	}
 	return out
@@ -340,9 +351,9 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		var delta int
 		if ns.Materialized {
 			var cs *pprm.Spec
-			cs, delta = s.derive(s.expansion(parent), ns.Target, n.factor)
+			cs, delta = s.derive(parent, ns.Target, n.factor)
 			n.hash = cs.Hash()
-			n.spec = s.ar.putSpec(cs)
+			n.spec = s.putDerived()
 		} else {
 			delta, n.hash, s.deltaBuf = s.expansion(parent).SubstituteProbe(ns.Target, n.factor, s.deltaBuf)
 		}
@@ -375,7 +386,7 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 	case st.BestSol > 0 && st.BestSol < len(nodes):
 		// The search records only identity children as solutions.
 		sol := s.ar.at(nodes[st.BestSol])
-		if cs, _ := s.derive(s.expansion(sol.parent), int(sol.target), sol.factor); !cs.IsIdentity() {
+		if cs, _ := s.derive(sol.parent, int(sol.target), sol.factor); !cs.IsIdentity() {
 			return nil, fmt.Errorf("%w: best solution %d is not a circuit", ErrInvalidState, st.BestSol)
 		}
 		s.bestSol, s.bestDepth = nodes[st.BestSol], int(sol.depth)

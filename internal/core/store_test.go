@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -13,13 +14,15 @@ import (
 	"repro/internal/snapshot"
 )
 
-// TestExpansionStoreSize keeps the expansion slab and popped free of
-// pointers, so slab pages are noscan allocations and a popped node carries
-// its expansion by value, and pins a word-form slab entry at 2n words.
+// TestExpansionStoreSize keeps the expansion slab, the slice-form run
+// store and popped free of pointers, so slab and run pages are noscan
+// allocations and a popped node carries its expansion by value, and pins a
+// word-form slab entry at 2n words and a slice-form run at what
+// pprm.Spec.AppendRun writes.
 func TestExpansionStoreSize(t *testing.T) {
-	for _, typ := range []reflect.Type{reflect.TypeOf(arena{}.slab), reflect.TypeOf(popped{})} {
+	for _, typ := range []reflect.Type{reflect.TypeOf(arena{}.slab), reflect.TypeOf(arena{}.runs.pages), reflect.TypeOf(popped{})} {
 		if typ.Kind() == reflect.Slice {
-			typ = typ.Elem().Elem() // a slab page's element
+			typ = typ.Elem().Elem() // a page's element
 		}
 		if !pointerFree(typ) {
 			t.Errorf("%s holds a pointer; the expansion store must stay pointer-free", typ)
@@ -39,8 +42,20 @@ func TestExpansionStoreSize(t *testing.T) {
 		if got := len(a.words(j)); got != 2*n {
 			t.Errorf("n=%d: slab entry of %d words, want %d", n, got, 2*n)
 		}
-		if a.specs != nil {
-			t.Errorf("n=%d: a word-form expansion went to the side table", n)
+		if a.runs.pages != nil {
+			t.Errorf("n=%d: a word-form expansion went to the run store", n)
+		}
+	}
+	for _, n := range []int{7, 12, 16} {
+		var a arena
+		a.init(n)
+		spec := circuit.Random(n, 8, circuit.GT, rng.New(uint64(n))).PPRM()
+		j := a.putSpec(spec)
+		if got, want := a.run(j), spec.AppendRun(nil); !slices.Equal(got, want) {
+			t.Errorf("n=%d: run of %d words, AppendRun writes %d", n, len(got), len(want))
+		}
+		if a.slab != nil {
+			t.Errorf("n=%d: a slice-form expansion went to the slab", n)
 		}
 	}
 }
@@ -66,6 +81,79 @@ func TestWordSearchAllocations(t *testing.T) {
 	}
 	if per := float64(after.Mallocs-before.Mallocs) / float64(r.Steps); per >= 0.3 {
 		t.Errorf("%.2f allocations per expansion, want fewer than 0.3", per)
+	}
+}
+
+// TestRunStoreReusesRuns drives a run store with small pages through
+// random allocations and releases, oversized runs and a clear, checking
+// after each step that the held runs, the free runs and the released pages
+// cover what was handed out exactly once (checkRunStore), that a run keeps
+// its contents while held, and that a released run of the same length is
+// reused before the store grows.
+func TestRunStoreReusesRuns(t *testing.T) {
+	var r runStore[uint32]
+	r.init(4) // 16-element pages
+	src := rng.New(9)
+	var held []storeRun
+	fill := func(h storeRun) {
+		run := r.tail(h.start)[:h.k]
+		for i := range run {
+			run[i] = uint32(h.start) + uint32(i)
+		}
+	}
+	for step := 0; step < 2000; step++ {
+		switch {
+		case step == 1000:
+			r.clear()
+			held = held[:0]
+		case len(held) > 0 && src.Intn(2) == 0:
+			i := src.Intn(len(held))
+			h := held[i]
+			for k, v := range r.tail(h.start)[:h.k] {
+				if v != uint32(h.start)+uint32(k) {
+					t.Fatalf("step %d: run [%d, +%d) lost its contents", step, h.start, h.k)
+				}
+			}
+			r.free(h.start, h.k)
+			held = append(held[:i], held[i+1:]...)
+			if h.k <= r.pageLen() {
+				used := r.used
+				if again := r.alloc(h.k); again != h.start || r.used != used {
+					t.Fatalf("step %d: a released run of %d was not reused", step, h.k)
+				}
+				fill(h)
+				held = append(held, h)
+			}
+		default:
+			k := 1 + src.Intn(20) // up to an oversized run
+			h := storeRun{r.alloc(k), k}
+			fill(h)
+			held = append(held, h)
+		}
+		checkRunStore(t, fmt.Sprintf("step %d", step), &r, held)
+	}
+}
+
+// TestSliceSearchAllocations pins the slice-form search's allocation
+// rate: a seeded 5,000-step search of a Table V-style function (a random
+// 12-wire cascade) allocates fewer than once per expansion, counting the
+// arena, queue and table growth. Storing an expansion as a *pprm.Spec
+// (SubstituteCopy) cost several allocations each.
+func TestSliceSearchAllocations(t *testing.T) {
+	spec := circuit.Random(12, 10, circuit.GT, rng.New(5)).PPRM()
+	opts := DefaultOptions()
+	opts.MaxGates = 40
+	opts.TotalSteps = 5000
+	s := newSearcher(spec, opts)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := s.run()
+	runtime.ReadMemStats(&after)
+	if r.Steps != opts.TotalSteps {
+		t.Fatalf("search stopped after %d steps (%v)", r.Steps, r.StopReason)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / float64(r.Steps); per >= 1 {
+		t.Errorf("%.2f allocations per expansion, want fewer than 1", per)
 	}
 }
 

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bits"
@@ -217,10 +218,11 @@ type searcher struct {
 	deltaBuf           []bits.Mask
 	fanout             []keyedLeaf // commit's lazy children, before queueLeaves
 
-	// view and scratch are word-form Specs (n ≤ 6) that slab entries are
-	// loaded into and derived in (see expansion); nil in slice form. Each
-	// det-merge clone has its own.
-	view, scratch *pprm.Spec
+	// view and scratch are Specs that stored expansions are loaded into
+	// and derived in (see expansion and derive); in slice form they alias
+	// runs, the store's or runBuf. Each det-merge clone has its own.
+	view, scratch pprm.Spec
+	runBuf        []uint32
 
 	// stepHook, when non-nil, runs at the top of every search round.
 	// Test-only: invariant checks (byte accounting, watermark
@@ -262,14 +264,15 @@ type scored struct {
 // newScoring returns a searcher holding only the configuration fixed for
 // one spec and one set of options: the options, the priority weights, the
 // width, the root's term count, the depth cap, the queue cap and the
-// word-form scratch Specs. Its arena, queue, table and counters are empty.
+// scratch Specs. Its arena, queue, table and counters are empty.
 // newSearcher and restoreSearcher build on it, and scoringClone is one.
 func newScoring(opts Options, n, initTerms int) *searcher {
 	s := &searcher{opts: opts, n: n, initTerms: initTerms, maxGates: opts.MaxGates, queueCap: maxQueue}
 	s.ar.init(n)
-	if s.ar.wordForm() {
-		s.view, s.scratch = pprm.NewSpec(n), pprm.NewSpec(n)
-	}
+	s.fr.init()
+	s.view, s.scratch = *pprm.NewSpec(n), *pprm.NewSpec(n)
+	// Room for the factors and toggles of a typical output.
+	s.factorBuf, s.deltaBuf = make([]bits.Mask, 0, 64), make([]bits.Mask, 0, 64)
 	s.alpha, s.beta, s.gamma = opts.weights()
 	if s.maxGates <= 0 {
 		// Under AdmitAll the priority's α·depth term favors depth-first
@@ -705,7 +708,7 @@ func (s *searcher) restart() bool {
 		s.tt.record(root.hash, 0)
 	}
 
-	cs, delta := s.derive(s.expansion(rootSlot), fm.target, fm.factor)
+	cs, delta := s.derive(rootSlot, fm.target, fm.factor)
 	child := node{
 		parent: rootSlot,
 		id:     s.nodes,
@@ -717,7 +720,7 @@ func (s *searcher) restart() bool {
 	if s.tt != nil {
 		child.hash = cs.Hash()
 	}
-	ci := s.addChild(child, s.ar.putSpec(cs))
+	ci := s.addChild(child, s.putDerived())
 	s.emit(EventRestart, s.ar.at(ci))
 	s.emit(EventPush, s.ar.at(ci))
 	s.push(ci, s.priorityOf(ci))
@@ -775,16 +778,17 @@ func (s *searcher) priority(depth, terms, elimStep int, factor bits.Mask) float6
 // generation half materializes the expansion and runs the identity check
 // up front, so the commit half never has to touch spec math. It is 40
 // bytes and holds no pointer (pinned by TestCandidateSize): the
-// materialized expansion lives in genResult.sols, so sorting and copying
+// materialized expansion lives in genResult, so sorting and copying
 // candidates moves plain words, with no GC write barrier.
 type pcand struct {
 	scored
-	sol      int32 // index in genResult.sols of the materialized expansion; −1 if none
+	sol      int32 // index of the materialized expansion in genResult; −1 if none
 	identity bool  // terms == n and the expansion is the identity
 }
 
 // genTarget collects the candidates for one substitution target, in
-// descending priority order, ties in generation order.
+// descending priority order, ties in generation order: a segment of
+// genResult.cands.
 type genTarget struct {
 	target int
 	cands  []pcand
@@ -793,49 +797,44 @@ type genTarget struct {
 // genResult is one expansion's generated children, grouped per target in
 // target order, plus the expansions generate materialized: the popped
 // node's own, when it was lazy (commit stores it in the arena), and one per
-// near-miss candidate (pcand.sol). A word-form expansion is written as
-// pprm.Spec.AppendWords writes it, into words and solWords, which belong
-// to the genResult, so generating one allocates nothing; a slice-form one
-// is a fresh Spec. The backing arrays (outer and inner) are reused across
-// expansions: next re-extends within capacity so the inner cands slices
-// keep their storage.
+// near-miss candidate (pcand.sol). They are written in the store's form,
+// into buffers that belong to the genResult: 2n words each as
+// pprm.Spec.AppendWords writes them in word form, a run as
+// pprm.AppendSubstituteRun writes it in slice form. So generating one
+// allocates nothing once the buffers have grown. Every buffer is reused
+// across expansions, the candidates included: each target's list is the
+// segment of cands that generate appended while scoring it.
 type genResult struct {
 	targets []genTarget
-	// base is the slice-form expansion generate starts from, which the pop
-	// phase sets; a word-form one travels in popped.
-	base *pprm.Spec
+	cands   []pcand
+	// base is the slice-form expansion generate starts from, the popped
+	// node's own or its parent's run in the arena, which the pop phase
+	// sets; a word-form one travels in popped.
+	base []uint32
 	// own reports that generate materialized the popped node's expansion:
-	// spec in slice form, words in word form. ownHash is its state hash,
+	// words in word form, run in slice form. ownHash is its state hash,
 	// computed when the node came without one.
 	own     bool
 	ownHash uint64
-	spec    *pprm.Spec
 	words   []uint64
-	// The near-miss expansions: sols in slice form, 2n words each in
-	// solWords in word form.
-	sols     []*pprm.Spec
-	solWords []uint64
+	run     []uint32
+	// The near-miss expansions: 2n words each in solWords in word form;
+	// in slice form runs back to back in solRuns, near-miss k starting at
+	// solStarts[k].
+	solWords  []uint64
+	solRuns   []uint32
+	solStarts []int32
 }
 
 func (gr *genResult) reset() {
 	gr.targets = gr.targets[:0]
-	gr.own, gr.ownHash, gr.spec = false, 0, nil
+	gr.cands = gr.cands[:0]
+	gr.own, gr.ownHash = false, 0
 	gr.words = gr.words[:0]
-	clear(gr.sols)
-	gr.sols = gr.sols[:0]
+	gr.run = gr.run[:0]
 	gr.solWords = gr.solWords[:0]
-}
-
-func (gr *genResult) next(target int) *genTarget {
-	if len(gr.targets) < cap(gr.targets) {
-		gr.targets = gr.targets[:len(gr.targets)+1]
-	} else {
-		gr.targets = append(gr.targets, genTarget{})
-	}
-	tg := &gr.targets[len(gr.targets)-1]
-	tg.target = target
-	tg.cands = tg.cands[:0]
-	return tg
+	gr.solRuns = gr.solRuns[:0]
+	gr.solStarts = gr.solStarts[:0]
 }
 
 // maxWords is the longest word-form expansion: 2 words per output.
@@ -865,7 +864,7 @@ func (s *searcher) pop(pi int32, p *popped, gr *genResult) {
 		copy(p.words[:], s.ar.words(base))
 		gr.base = nil
 	} else {
-		gr.base = s.ar.specs[base]
+		gr.base = s.ar.run(base)
 	}
 }
 
@@ -873,44 +872,53 @@ func (s *searcher) pop(pi int32, p *popped, gr *genResult) {
 // per candidate, its priority, an ordered insert into the target's
 // candidate list, and the materialization + identity check for
 // solution-possible candidates. It materializes the node's own expansion
-// first if the node was queued lazily. It reads only p, gr.base
-// (expansions are immutable) and the searcher's scoring configuration and
-// scratch — never the arena, the queue, the transposition table, or any
-// counter — so distinct searchers may generate distinct nodes concurrently.
+// first if the node was queued lazily. It reads only p, gr.base (stored
+// expansions are immutable) and the searcher's scoring configuration and
+// scratch — never the rest of the arena, the queue, the transposition
+// table, or any counter — so distinct searchers may generate distinct
+// nodes concurrently.
 func (s *searcher) generate(p *popped, gr *genResult) {
 	gr.reset()
+	if cap(gr.targets) < s.n {
+		gr.targets = make([]genTarget, 0, s.n)
+	}
 	parent := &p.nd
-	spec, word := gr.base, gr.base == nil
+	spec, base, word := &s.view, gr.base, s.ar.wordForm()
 	if word {
-		spec = s.view
 		spec.LoadWords(p.words[:])
+	} else {
+		spec.LoadRun(base)
 	}
 	if parent.spec < 0 {
 		// Lazy materialization (the paper's memory optimization, one
 		// step further: queued nodes store only their substitution).
 		// A live node keeps its parent's expansion alive, so one
 		// substitution reconstructs this node's: in place in the
-		// generator's view in word form, copy-on-write in slice form.
+		// generator's view in word form, as a new run in slice form.
 		gr.own = true
 		if word {
 			spec.Substitute(int(parent.target), parent.factor)
 			gr.words = spec.AppendWords(gr.words)
 		} else {
-			spec, _ = spec.SubstituteCopy(int(parent.target), parent.factor)
-			gr.spec = spec
+			gr.run, _ = pprm.AppendSubstituteRun(gr.run, base, int(parent.target), parent.factor, &s.deltaBuf)
+			base = gr.run
+			spec.LoadRun(base)
 		}
 		if parent.hash == 0 {
 			// It surfaced from a list, without its hash (see leaf).
 			gr.ownHash = spec.Hash()
 		}
 	}
+	// Each term yields at most one candidate, and with Additional each
+	// target one more (the constant factor).
+	gr.cands = slices.Grow(gr.cands, spec.Terms()+s.n)
 	childDepth := int(parent.depth) + 1
 	for target := 0; target < s.n; target++ {
 		factors := s.factorsFor(spec, target)
 		if len(factors) == 0 {
 			continue
 		}
-		tg := gr.next(target)
+		lo := len(gr.cands)
 		for _, f := range factors {
 			// Re-applying the parent's own substitution would cancel it:
 			// two identical adjacent Toffoli gates are the identity.
@@ -935,15 +943,22 @@ func (s *searcher) generate(p *popped, gr *genResult) {
 			// Insert after every candidate of equal or higher priority:
 			// the list stays in the order a stable sort by descending
 			// priority would give, ties in generation order.
-			cands := append(tg.cands, c)
+			gr.cands = append(gr.cands, c)
+			cands := gr.cands[lo:]
 			j := len(cands) - 1
 			for j > 0 && cands[j-1].priority < c.priority {
 				cands[j] = cands[j-1]
 				j--
 			}
 			cands[j] = c
-			tg.cands = cands
 		}
+		if len(gr.cands) == lo {
+			continue
+		}
+		// A later target's appends may move gr.cands; this segment keeps
+		// its storage.
+		gr.targets = append(gr.targets, genTarget{target: target, cands: gr.cands[lo:]})
+		tg := &gr.targets[len(gr.targets)-1]
 		for i := range tg.cands {
 			c := &tg.cands[i]
 			// A child can only be the identity (a solution) if it has
@@ -953,15 +968,23 @@ func (s *searcher) generate(p *popped, gr *genResult) {
 			if int(c.terms) != s.n {
 				continue
 			}
-			switch cs, _ := s.derive(spec, target, c.factor); {
+			cs, k := &s.scratch, len(gr.solRuns)
+			if word {
+				spec.SubstituteTo(cs, target, c.factor)
+			} else {
+				gr.solRuns, _ = pprm.AppendSubstituteRun(gr.solRuns, base, target, c.factor, &s.deltaBuf)
+				cs.LoadRun(gr.solRuns[k:])
+			}
+			switch {
 			case cs.IsIdentity():
 				c.identity = true
+				gr.solRuns = gr.solRuns[:k]
 			case word:
 				c.sol = int32(len(gr.solWords) / (2 * s.n))
 				gr.solWords = cs.AppendWords(gr.solWords)
 			default:
-				c.sol = int32(len(gr.sols))
-				gr.sols = append(gr.sols, cs)
+				c.sol = int32(len(gr.solStarts))
+				gr.solStarts = append(gr.solStarts, int32(k))
 			}
 		}
 	}
@@ -969,10 +992,10 @@ func (s *searcher) generate(p *popped, gr *genResult) {
 
 // putOwn stores the expansion gr materialized for its popped node.
 func (s *searcher) putOwn(gr *genResult) int32 {
-	if gr.spec != nil {
-		return s.ar.putSpec(gr.spec)
+	if s.ar.wordForm() {
+		return s.ar.putWords(gr.words)
 	}
-	return s.ar.putWords(gr.words)
+	return s.ar.putRun(gr.run)
 }
 
 // putSol stores the expansion gr materialized for candidate c and returns
@@ -985,7 +1008,11 @@ func (s *searcher) putSol(gr *genResult, c *pcand) int32 {
 		w := s.ar.wordLen
 		return s.ar.putWords(gr.solWords[int(c.sol)*w : int(c.sol+1)*w])
 	}
-	return s.ar.putSpec(gr.sols[c.sol])
+	end := len(gr.solRuns)
+	if int(c.sol)+1 < len(gr.solStarts) {
+		end = int(gr.solStarts[c.sol+1])
+	}
+	return s.ar.putRun(gr.solRuns[gr.solStarts[c.sol]:end])
 }
 
 // commit admits, deduplicates, and queues the generated children of the
@@ -1013,7 +1040,7 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 	// fit a leaf's 16-bit offset from base unless there are more candidates
 	// than that; then every child is queued as a plain node.
 	base, leaves := s.nodes, ncands <= maxIDSpan
-	fanout := s.fanout[:0]
+	fanout := slices.Grow(s.fanout[:0], ncands)
 	var lastHash uint64 // state hash of the last lazy child
 	for ti := range gr.targets {
 		tg := &gr.targets[ti]
@@ -1061,6 +1088,9 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 			}
 			pushed++
 			if isRoot {
+				if s.firstMoves == nil {
+					s.firstMoves = make([]firstMove, 0, ncands)
+				}
 				s.firstMoves = append(s.firstMoves, firstMove{
 					target: target, factor: c.factor, priority: c.priority,
 				})
@@ -1099,8 +1129,8 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 	if isRoot {
 		// Restarts try alternative first substitutions in decreasing
 		// attractiveness; index 0 is the path the initial search follows.
-		sort.SliceStable(s.firstMoves, func(i, j int) bool {
-			return s.firstMoves[i].priority > s.firstMoves[j].priority
+		slices.SortStableFunc(s.firstMoves, func(a, b firstMove) int {
+			return cmp.Compare(b.priority, a.priority)
 		})
 		s.nextFirstMove = 1
 	}

@@ -77,22 +77,25 @@ func (s *Spec) Terms() int {
 // memory ceiling on queued expansions, so it counts capacity (what the
 // allocator holds), not length.
 func (s *Spec) MemBytes() int64 {
-	const (
-		specHeader    = 8 + 24 // N + Out slice header
-		wordBytes     = 8      // one coefficient word
-		termSetHeader = 24     // terms slice header
-		termBytes     = 4      // one bits.Mask
-	)
-	b := int64(specHeader)
+	const wordBytes = 8 // one coefficient word
+	b := int64(specHeaderBytes)
 	for i := range s.Out {
 		if s.Out[i].isWord {
 			b += wordBytes
 			continue
 		}
-		b += termSetHeader + int64(cap(s.Out[i].terms))*termBytes
+		b += sliceOutputBytes(cap(s.Out[i].terms))
 	}
 	return b
 }
+
+// specHeaderBytes is MemBytes' charge for a Spec's own fields: N and the
+// Out slice header.
+const specHeaderBytes = 8 + 24
+
+// sliceOutputBytes is MemBytes' charge for a slice-form output of the given
+// capacity: the terms slice header and 4 bytes per bits.Mask.
+func sliceOutputBytes(capacity int) int64 { return 24 + 4*int64(capacity) }
 
 // OutputIsIdentity reports whether output i has been reduced to v_i.
 func (s *Spec) OutputIsIdentity(i int) bool {

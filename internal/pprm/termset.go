@@ -312,24 +312,30 @@ func (ts *TermSet) substituteSlice(tb, factor bits.Mask, buf *[]bits.Mask) (Term
 		return *ts, 0
 	}
 	a := ts.terms
-	merged := make([]bits.Mask, 0, len(a)+len(toggles))
+	merged := appendMerge(make([]bits.Mask, 0, len(a)+len(toggles)), a, toggles)
+	return TermSet{terms: merged, hash: ts.hash ^ tx}, len(merged) - len(a)
+}
+
+// appendMerge appends to dst the strictly increasing terms a with the
+// sorted, cancelled toggles applied — a toggle already in a cancels it, an
+// absent one is inserted — and returns the extended slice.
+func appendMerge(dst, a, toggles []bits.Mask) []bits.Mask {
 	i, k := 0, 0
 	for i < len(a) && k < len(toggles) {
 		switch {
 		case a[i] < toggles[k]:
-			merged = append(merged, a[i])
+			dst = append(dst, a[i])
 			i++
 		case a[i] > toggles[k]:
-			merged = append(merged, toggles[k])
+			dst = append(dst, toggles[k])
 			k++
 		default:
 			i++
 			k++
 		}
 	}
-	merged = append(merged, a[i:]...)
-	merged = append(merged, toggles[k:]...)
-	return TermSet{terms: merged, hash: ts.hash ^ tx}, len(merged) - len(a)
+	dst = append(dst, a[i:]...)
+	return append(dst, toggles[k:]...)
 }
 
 // probeSlice returns the term-count change and the hash of the set

@@ -1,25 +1,29 @@
 // Package verify is the independent correctness gate for synthesized
 // cascades: it re-simulates a circuit gate by gate and compares the realized
 // permutation against the source specification, sharing no evaluation code
-// with the PPRM search path (no Gate.Apply, no Circuit.Perm, no Spec.Eval).
-// A shared bug between producer and checker would make the check vacuous, so
-// the oracle re-derives everything from the data structures alone: gate
-// semantics from the Target/Controls fields, the specified function from the
-// raw PPRM term sets via an independent subset-XOR transform, and PLA
-// conformance from the partial table's care masks.
+// with the PPRM search path (no Gate.Apply, no Circuit.Perm, no Spec.Eval,
+// no pprm word kernel). A shared bug between producer and checker would make
+// the check vacuous, so the oracle re-derives everything from the data
+// structures alone: gate semantics from the Target/Controls fields, the
+// specified function from the raw PPRM term sets via an independent
+// subset-XOR transform, and PLA conformance from the partial table's care
+// masks.
 //
 // The package also attributes failures to pipeline stages: Transform checks
 // that an optimizer or lowering pass (peephole, template, decomp) preserved
 // the permutation its input realized, so a mismatch names the stage that
 // introduced it rather than just "the output is wrong".
 //
-// Everything here is exact tabulation over 2^n inputs and is therefore
-// bounded by MaxVars; Feasible tells callers when the gate applies. See
-// docs/VERIFICATION.md.
+// Every check covers all 2^n inputs exactly, so the cost doubles with each
+// wire and is bounded by MaxVars; Feasible tells callers when the gate
+// applies. Spec, the always-on gate, is bit-sliced (64 inputs per machine
+// word); Simulate and the checks built on it tabulate one input at a time.
+// See docs/VERIFICATION.md.
 package verify
 
 import (
 	"fmt"
+	mbits "math/bits"
 
 	"repro/internal/circuit"
 	"repro/internal/perm"
@@ -27,11 +31,13 @@ import (
 	"repro/internal/tt"
 )
 
-// MaxVars is the widest function the oracle tabulates, comfortably above
-// every benchmark the engine verifies today. The cost doubles with each
-// wire: on a shared 2-core Xeon virtual machine one Spec check of a
-// 10-gate cascade took 15–23 ms and 640 KiB at 16 wires, and 0.39–0.58 s
-// and 10 MiB at 20 wires (BenchmarkSpec:
+// MaxVars is the widest function the oracle checks, comfortably above every
+// benchmark the engine verifies today. The cost doubles with each wire: on
+// a shared 2-vCPU virtual machine (Go 1.24) one Spec check of a 10-gate
+// cascade took 0.77–0.82 ms and 144 KiB at 16 wires, and 18–23 ms and
+// 2.75 MiB at 20 wires; the test reference, which tabulates one input at a
+// time, took 32–39 ms and 640 KiB, and 0.79–0.96 s and 10 MiB
+// (BenchmarkSpec and BenchmarkSpecReference:
 // go test -run '^$' -bench Spec -benchmem ./internal/verify).
 // Wider circuits skip the gate (Result.Verified stays false — unchecked,
 // not wrong).
@@ -116,25 +122,10 @@ func structural(stage Stage, c *circuit.Circuit, format string, args ...any) *Er
 // and the resulting table is checked to be a bijection. The stage only
 // labels any error returned.
 func Simulate(stage Stage, c *circuit.Circuit) (perm.Perm, *Error) {
-	if c == nil {
-		return nil, structural(stage, nil, "no circuit")
+	if verr := checkGates(stage, c); verr != nil {
+		return nil, verr
 	}
-	if !Feasible(c.Wires) {
-		return nil, structural(stage, c, "cannot tabulate %d wires (max %d)", c.Wires, MaxVars)
-	}
-	n := uint(c.Wires)
-	size := uint32(1) << n
-	for i, g := range c.Gates {
-		if g.Target < 0 || g.Target >= c.Wires {
-			return nil, structural(stage, c, "gate %d targets wire %d of %d", i, g.Target, c.Wires)
-		}
-		if uint32(g.Controls) >= size {
-			return nil, structural(stage, c, "gate %d controls exceed %d wires", i, c.Wires)
-		}
-		if g.Controls>>uint(g.Target)&1 == 1 {
-			return nil, structural(stage, c, "gate %d controls its own target wire %d", i, g.Target)
-		}
-	}
+	size := uint32(1) << uint(c.Wires)
 	out := make(perm.Perm, size)
 	for x := uint32(0); x < size; x++ {
 		v := x
@@ -161,6 +152,31 @@ func Simulate(stage Stage, c *circuit.Circuit) (perm.Perm, *Error) {
 	return out, nil
 }
 
+// checkGates rejects a missing circuit, one too wide to check, and any gate
+// that targets a wire outside the cascade, has a control outside it, or
+// controls its own target.
+func checkGates(stage Stage, c *circuit.Circuit) *Error {
+	if c == nil {
+		return structural(stage, nil, "no circuit")
+	}
+	if !Feasible(c.Wires) {
+		return structural(stage, c, "cannot tabulate %d wires (max %d)", c.Wires, MaxVars)
+	}
+	size := uint32(1) << uint(c.Wires)
+	for i, g := range c.Gates {
+		if g.Target < 0 || g.Target >= c.Wires {
+			return structural(stage, c, "gate %d targets wire %d of %d", i, g.Target, c.Wires)
+		}
+		if uint32(g.Controls) >= size {
+			return structural(stage, c, "gate %d controls exceed %d wires", i, c.Wires)
+		}
+		if g.Controls>>uint(g.Target)&1 == 1 {
+			return structural(stage, c, "gate %d controls its own target wire %d", i, g.Target)
+		}
+	}
+	return nil
+}
+
 // Circuit checks that the cascade realizes exactly the permutation want.
 // A nil return means every one of the 2^n inputs maps correctly.
 func Circuit(stage Stage, c *circuit.Circuit, want perm.Perm) error {
@@ -180,11 +196,24 @@ func Circuit(stage Stage, c *circuit.Circuit, want perm.Perm) error {
 	return nil
 }
 
-// Spec checks the cascade against a PPRM specification, evaluating the
-// expansion independently of pprm's own Eval/ToPerm: for each output, the
-// term set is scattered into an indicator vector and a subset-XOR (zeta over
-// GF(2)) transform turns coefficients into function values — f_j(x) is the
-// XOR of the coefficients of all terms covered by x. O(n·2^n) per output
+// Spec checks the cascade against a PPRM specification over all 2^n
+// inputs, 64 inputs per machine word (bit x%64 of word x/64 stands for input
+// x), evaluating neither the cascade nor the expansion with the code that
+// produced them:
+//
+//   - each wire is a bit vector over the inputs, and each gate flips its
+//     target's vector where the AND of its controls' vectors is set — the
+//     gate semantics taken from the raw Target/Controls fields;
+//   - each output's term set (Terms) is scattered into an indicator vector,
+//     and a subset-XOR (zeta over GF(2)) transform turns coefficients into
+//     function values: f_j(x) is the XOR of the coefficients of all terms
+//     covered by x;
+//   - the first mismatching input is the lowest set bit of the OR of the
+//     per-output differences;
+//   - the cascade is a bijection when running it backwards returns every
+//     wire to its input vector, so a repeated output is caught too.
+//
+// O(n·2^n/64) word operations per output and O(2^n/64) per gate control,
 // regardless of term count.
 func Spec(stage Stage, c *circuit.Circuit, s *pprm.Spec) error {
 	if s == nil {
@@ -193,43 +222,167 @@ func Spec(stage Stage, c *circuit.Circuit, s *pprm.Spec) error {
 	if c != nil && c.Wires != s.N {
 		return structural(stage, c, "circuit has %d wires, specification %d", c.Wires, s.N)
 	}
-	got, verr := Simulate(stage, c)
-	if verr != nil {
+	if verr := checkGates(stage, c); verr != nil {
 		return verr
 	}
-	want := specTable(s)
-	for x := range got {
-		if got[x] != want[x] {
-			return &Error{Stage: stage, Wires: c.Wires, Input: uint32(x),
-				Got: got[x], Want: want[x], Circuit: c.String()}
+	n := c.Wires
+	words, valid := 1, uint64(1)<<(1<<uint(n))-1 // inputs in use in a word
+	if n >= 6 {
+		words, valid = 1<<uint(n-6), ^uint64(0)
+	}
+	buf := make([]uint64, (n+2)*words)
+	wires, vec, diff := buf[:n*words], buf[n*words:(n+1)*words], buf[(n+1)*words:]
+	wire := func(i int) []uint64 { return wires[i*words : (i+1)*words] }
+	for i := 0; i < n; i++ {
+		inputVector(wire(i), i, valid)
+	}
+	for _, g := range c.Gates {
+		applyGate(wires, words, g.Target, uint32(g.Controls), valid, vec)
+	}
+
+	// Outputs beyond the spec's are 0; a got bit beyond the wires is 0; an
+	// output past bit 31 cannot be told apart in a uint32 row.
+	outs := min(max(n, len(s.Out)), 32)
+	size := uint32(1) << uint(n)
+	for j := 0; j < outs; j++ {
+		clear(vec)
+		if j < len(s.Out) {
+			for _, t := range s.Out[j].Terms() {
+				t &= size - 1
+				vec[t>>6] ^= 1 << (t & 63)
+			}
+			subsetXOR(vec, n)
 		}
+		if j < n {
+			for k, w := range wire(j) {
+				diff[k] |= vec[k] ^ w
+			}
+		} else {
+			for k, v := range vec {
+				diff[k] |= v
+			}
+		}
+	}
+	var mismatch *Error
+	for k, d := range diff {
+		if d == 0 {
+			continue
+		}
+		x := uint32(k*64 + mbits.TrailingZeros64(d))
+		mismatch = &Error{Stage: stage, Wires: n, Input: x, Got: rowOf(wires, words, n, x), Want: specRow(s, outs, size, x)}
+		break
+	}
+
+	for i := len(c.Gates) - 1; i >= 0; i-- {
+		g := c.Gates[i]
+		applyGate(wires, words, g.Target, uint32(g.Controls), valid, vec)
+	}
+	for i := 0; i < n; i++ {
+		inputVector(vec, i, valid)
+		for k, w := range wire(i) {
+			if d := w ^ vec[k]; d != 0 {
+				x := k*64 + mbits.TrailingZeros64(d)
+				return structural(stage, c, "not a bijection: running the cascade backwards does not return input %d", x)
+			}
+		}
+	}
+	if mismatch != nil {
+		mismatch.Circuit = c.String()
+		return mismatch
 	}
 	return nil
 }
 
-// specTable tabulates a PPRM specification over all 2^n inputs.
-func specTable(s *pprm.Spec) []uint32 {
-	size := uint32(1) << uint(s.N)
-	want := make([]uint32, size)
-	vec := make([]byte, size)
-	for j, out := range s.Out {
-		clear(vec)
-		for _, t := range out.Terms() {
-			vec[uint32(t)&(size-1)] ^= 1
-		}
-		for b := uint(0); b < uint(s.N); b++ {
-			bit := uint32(1) << b
-			for x := uint32(0); x < size; x++ {
-				if x&bit != 0 {
-					vec[x] ^= vec[x&^bit]
-				}
-			}
-		}
-		for x := uint32(0); x < size; x++ {
-			want[x] |= uint32(vec[x]) << uint(j)
+// inBlock[i] marks, within a word of 64 consecutive inputs, the inputs
+// whose bit i is set, for i < 6.
+var inBlock = [6]uint64{
+	0xaaaaaaaaaaaaaaaa,
+	0xcccccccccccccccc,
+	0xf0f0f0f0f0f0f0f0,
+	0xff00ff00ff00ff00,
+	0xffff0000ffff0000,
+	0xffffffff00000000,
+}
+
+// inputVector writes the bit vector of input wire i into v: bit x is bit i
+// of x, over the inputs valid marks in each word.
+func inputVector(v []uint64, i int, valid uint64) {
+	for k := range v {
+		switch {
+		case i < 6:
+			v[k] = inBlock[i] & valid
+		case k>>uint(i-6)&1 == 1:
+			v[k] = ^uint64(0)
+		default:
+			v[k] = 0
 		}
 	}
-	return want
+}
+
+// applyGate flips target's vector wherever every control's vector is set,
+// over the inputs valid marks, using m (one vector long) as scratch. A gate
+// with no controls flips every input.
+func applyGate(wires []uint64, words, target int, controls uint32, valid uint64, m []uint64) {
+	for k := range m {
+		m[k] = valid
+	}
+	for cs := controls; cs != 0; cs &= cs - 1 {
+		i := mbits.TrailingZeros32(cs)
+		for k, w := range wires[i*words : (i+1)*words] {
+			m[k] &= w
+		}
+	}
+	for k, w := range m {
+		wires[target*words+k] ^= w
+	}
+}
+
+// subsetXOR applies the subset-XOR transform to the 2^n-input vector v in
+// place: input x becomes the XOR of the inputs whose bits are a subset of
+// x's. A variable below 6 pairs each input with the one 2^i below it in the
+// same word; above, whole words pair up, each with the one 2^(i−6) words
+// below it.
+func subsetXOR(v []uint64, n int) {
+	in := min(n, 6)
+	for k, w := range v {
+		for i := 0; i < in; i++ {
+			w ^= (w &^ inBlock[i]) << (1 << uint(i))
+		}
+		v[k] = w
+	}
+	for step := 1; step < len(v); step <<= 1 {
+		for base := 0; base < len(v); base += 2 * step {
+			lo, hi := v[base:base+step], v[base+step:base+2*step]
+			for k := range hi {
+				hi[k] ^= lo[k]
+			}
+		}
+	}
+}
+
+// rowOf reads input x's output row from the n wire vectors.
+func rowOf(wires []uint64, words, n int, x uint32) uint32 {
+	var y uint32
+	for i := 0; i < n; i++ {
+		y |= uint32(wires[i*words+int(x>>6)]>>(x&63)&1) << uint(i)
+	}
+	return y
+}
+
+// specRow evaluates the first outs outputs of s at input x straight from
+// the term sets: output j is the parity of the terms x covers.
+func specRow(s *pprm.Spec, outs int, size, x uint32) uint32 {
+	var y uint32
+	for j := 0; j < min(outs, len(s.Out)); j++ {
+		var parity uint32
+		for _, t := range s.Out[j].Terms() {
+			if t&(size-1)&^x == 0 {
+				parity ^= 1
+			}
+		}
+		y |= parity << uint(j)
+	}
+	return y
 }
 
 // Transform checks that a rewriting stage preserved the function: after

@@ -97,7 +97,9 @@ func TestCircuitDetectsMismatchWithAttribution(t *testing.T) {
 
 func TestSpecIndependentEvaluation(t *testing.T) {
 	// Random reversible functions: the subset-XOR tabulation of the PPRM
-	// expansion must reproduce the permutation the expansion was built from.
+	// expansion (the test reference's) must reproduce the permutation the
+	// expansion was built from, and Spec must accept a cascade realizing
+	// it and name the first row of one that differs.
 	src := rng.New(11)
 	for n := 1; n <= 6; n++ {
 		for trial := 0; trial < 10; trial++ {
@@ -111,6 +113,18 @@ func TestSpecIndependentEvaluation(t *testing.T) {
 				if want[x] != p[x] {
 					t.Fatalf("n=%d: specTable[%d] = %d, want %d", n, x, want[x], p[x])
 				}
+			}
+			c := mmd.Synthesize(p, mmd.Unidirectional)
+			if err := Spec(StageSearch, c, spec); err != nil {
+				t.Fatalf("n=%d: cascade realizing the spec rejected: %v", n, err)
+			}
+			// A NOT on wire a after the cascade flips bit 0 of every row,
+			// so row 0 is the first that differs.
+			c.Gates = append(c.Gates, circuit.Gate{Target: 0})
+			err = Spec(StageSearch, c, spec)
+			var verr *Error
+			if !errors.As(err, &verr) || verr.Input != 0 || verr.Got != p[0]^1 || verr.Want != p[0] {
+				t.Fatalf("n=%d: trailing NOT reported as %v", n, err)
 			}
 		}
 	}
@@ -262,13 +276,19 @@ func TestFeasible(t *testing.T) {
 	}
 }
 
+// specBenchWidths are the widths BenchmarkSpec runs at: 3 and 4 wires, where
+// table1-3var, random-4var and serve-mixed verify; 12 and 16, the middle
+// and top of the Table V range; and MaxVars.
+var specBenchWidths = []int{3, 4, 12, 16, MaxVars}
+
 // BenchmarkSpec measures one always-on gate check, verify.Spec, on a random
-// 10-gate generalized-Toffoli cascade against its own PPRM expansion, at the
-// widest Table V width (16 wires) and at MaxVars:
+// 10-gate generalized-Toffoli cascade against its own PPRM expansion, at
+// each of specBenchWidths (BenchmarkSpecReference runs the test reference
+// at the same widths):
 //
 //	go test -run '^$' -bench Spec -benchmem ./internal/verify
 func BenchmarkSpec(b *testing.B) {
-	for _, n := range []int{16, MaxVars} {
+	for _, n := range specBenchWidths {
 		b.Run(fmt.Sprintf("wires=%d", n), func(b *testing.B) {
 			c := circuit.Random(n, 10, circuit.GT, rng.New(1))
 			spec := c.PPRM()
