@@ -67,7 +67,6 @@ type arena struct {
 // init sets the arena up for expansions of n variables.
 func (a *arena) init(n int) {
 	a.n = n
-	a.pages = make([][]node, 0, 8)
 	a.wordLen = -1
 	if pprm.UsesWord(n) {
 		a.wordLen = 2 * n
@@ -223,6 +222,21 @@ func (s *searcher) putDerived() int32 {
 	return s.ar.putRun(s.runBuf)
 }
 
+// resetRuns empties the run store while the root is the only live node (a
+// restart) and stores the root's run again. A run is reused only by one of
+// the same length, so without it the runs the abandoned frontier freed
+// would stay in the store, uncounted by memOf, whatever lengths the next
+// subtree needs.
+func (s *searcher) resetRuns() {
+	if s.ar.wordForm() {
+		return
+	}
+	root := s.ar.at(rootSlot)
+	s.runBuf = append(s.runBuf[:0], s.ar.run(root.spec)...)
+	s.ar.runs.clear()
+	root.spec = s.ar.putRun(s.runBuf)
+}
+
 // release frees node i, which nothing else holds any more: a queued node
 // dropped by a prune or restart, a popped node that was cut off or pushed
 // no children, or a superseded best solution. Every ancestor left without a
@@ -267,12 +281,8 @@ type runStore[T any] struct {
 	freeRuns [][]int32 // freeRuns[k]: first elements of released runs of length k
 }
 
-// init sets the page size to 2^shift elements and makes room for a few
-// pages.
-func (r *runStore[T]) init(shift uint8) {
-	r.shift = shift
-	r.pages = make([][]T, 0, 8)
-}
+// init sets the page size to 2^shift elements.
+func (r *runStore[T]) init(shift uint8) { r.shift = shift }
 
 // pageLen is the number of elements in a regular page.
 func (r *runStore[T]) pageLen() int { return 1 << r.shift }
@@ -327,10 +337,16 @@ func (r *runStore[T]) free(start int32, k int) {
 	r.freeRuns[k] = append(r.freeRuns[k], start)
 }
 
-// clear releases every run at once; the pages stay for reuse.
+// clear releases every run at once. The regular pages stay for reuse; the
+// oversized ones go back to the garbage collector.
 func (r *runStore[T]) clear() {
 	for k := range r.freeRuns {
 		r.freeRuns[k] = r.freeRuns[k][:0]
+	}
+	for p := range r.pages {
+		if len(r.pages[p]) != r.pageLen() {
+			r.pages[p] = nil
+		}
 	}
 	r.used = 0
 }

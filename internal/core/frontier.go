@@ -98,13 +98,8 @@ type frontier struct {
 	n         int            // queued children, in lists or not
 }
 
-// init sizes the frontier for a typical short search, so that one starts
-// with a few allocations instead of growing each slice from nothing.
-func (f *frontier) init() {
-	f.leaves.init(leafPageShift)
-	f.lists = make([]leafList, 0, 32)
-	f.pq.Grow(64)
-}
+// init sets the leaf store's page size.
+func (f *frontier) init() { f.leaves.init(leafPageShift) }
 
 // leaf returns the leaf in store slot i.
 func (f *frontier) leaf(i int32) *leaf { return f.leaves.at(i) }

@@ -65,8 +65,7 @@ func (m *frontierModel) commit(pi int32, k int) {
 	depth := int(parent.depth) + 1
 	var gr genResult
 	for target := 0; target < s.n; target++ {
-		gr.targets = append(gr.targets, genTarget{target: target})
-		tg := &gr.targets[len(gr.targets)-1]
+		tg := gr.next(target)
 		for j := 0; j < k/s.n+m.src.Intn(2); j++ {
 			factor := bits.Mask(m.src.Intn(1<<s.n)) &^ bits.Bit(target)
 			terms := int32(s.n + 1 + m.src.Intn(3))
@@ -245,16 +244,14 @@ func BenchmarkFrontierCycle(b *testing.B) {
 		parent := s.ar.at(pi)
 		gr.reset()
 		for target := 0; target < 2; target++ {
-			lo := len(gr.cands)
+			tg := gr.next(target)
 			for j := 0; j < 2; j++ {
 				factor := bits.Mask(src.Intn(1<<s.n)) &^ bits.Bit(target)
 				terms := int32(s.n + 1 + src.Intn(4))
 				p := s.priority(int(parent.depth)+1, int(terms), int(parent.terms-terms), factor)
-				gr.cands = append(gr.cands, pcand{scored: scored{priority: p, factor: factor, terms: terms, admit: true}, sol: -1})
+				tg.cands = append(tg.cands, pcand{scored: scored{priority: p, factor: factor, terms: terms, admit: true}, sol: -1})
 			}
-			cands := gr.cands[lo:]
-			slices.SortStableFunc(cands, func(a, b pcand) int { return cmp.Compare(b.priority, a.priority) })
-			gr.targets = append(gr.targets, genTarget{target: target, cands: cands})
+			slices.SortStableFunc(tg.cands, func(a, b pcand) int { return cmp.Compare(b.priority, a.priority) })
 		}
 		s.commit(pi, &gr)
 	}

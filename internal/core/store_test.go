@@ -218,3 +218,58 @@ func BenchmarkGenerate(b *testing.B) {
 		})
 	}
 }
+
+// TestRunStoreStaysBounded: in slice-form searches with restarts and
+// memory prunes, the run store hands out no more than a small multiple of
+// the most the live expansions held at once since the last restart. A run
+// is reused only by one of the same length, and a restart starts the store
+// afresh.
+func TestRunStoreStaysBounded(t *testing.T) {
+	const bound = 2
+	worst, restarts, prunes := 0.0, 0, 0
+	for seed := uint64(1); seed <= 3; seed++ {
+		spec := circuit.Random(10+int(seed), 20, circuit.GT, rng.New(seed)).PPRM()
+		opts := DefaultOptions()
+		opts.MaxGates = 40
+		opts.MaxSteps = 100
+		opts.TotalSteps = 1500
+		opts.MaxMemory = 256 << 10
+		s := newSearcher(spec, opts)
+		peak, last := 0, 0
+		s.stepHook = func(s *searcher) {
+			if s.stepsSinceRestart == 0 {
+				peak = 0
+			}
+			free := make([]bool, s.ar.used)
+			for _, i := range s.ar.free {
+				free[i] = true
+			}
+			live := 0
+			for i := int32(0); i < s.ar.used; i++ {
+				if j := s.ar.at(i).spec; !free[i] && j >= 0 {
+					live += len(s.ar.run(j))
+				}
+			}
+			peak = max(peak, live)
+			if s.stepsSinceRestart > 0 && s.fr.n < last-s.opts.stride() {
+				prunes++ // only a memory prune shrinks the queue by more than a round's pops
+			}
+			last = s.fr.n
+			ratio := float64(s.ar.runs.used) / float64(peak)
+			worst = max(worst, ratio)
+			if ratio > bound {
+				t.Fatalf("seed %d step %d: %d run elements handed out, at most %d live since the last restart",
+					seed, s.steps, s.ar.runs.used, peak)
+			}
+		}
+		r := s.run()
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		restarts += r.Restarts
+	}
+	t.Logf("worst %.2f, %d restarts, %d prunes", worst, restarts, prunes)
+	if restarts == 0 || prunes == 0 {
+		t.Errorf("%d restarts and %d prunes: the searches exercised neither", restarts, prunes)
+	}
+}

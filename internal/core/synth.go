@@ -1,11 +1,10 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/bits"
@@ -271,8 +270,6 @@ func newScoring(opts Options, n, initTerms int) *searcher {
 	s.ar.init(n)
 	s.fr.init()
 	s.view, s.scratch = *pprm.NewSpec(n), *pprm.NewSpec(n)
-	// Room for the factors and toggles of a typical output.
-	s.factorBuf, s.deltaBuf = make([]bits.Mask, 0, 64), make([]bits.Mask, 0, 64)
 	s.alpha, s.beta, s.gamma = opts.weights()
 	if s.maxGates <= 0 {
 		// Under AdmitAll the priority's α·depth term favors depth-first
@@ -701,6 +698,7 @@ func (s *searcher) restart() bool {
 	// "visited" marks inherited from the abandoned frontier would defeat
 	// it.
 	s.dropQueue()
+	s.resetRuns()
 	s.queueBytes = 0
 	root := s.ar.at(rootSlot)
 	if s.tt != nil {
@@ -787,8 +785,7 @@ type pcand struct {
 }
 
 // genTarget collects the candidates for one substitution target, in
-// descending priority order, ties in generation order: a segment of
-// genResult.cands.
+// descending priority order, ties in generation order.
 type genTarget struct {
 	target int
 	cands  []pcand
@@ -801,12 +798,11 @@ type genTarget struct {
 // into buffers that belong to the genResult: 2n words each as
 // pprm.Spec.AppendWords writes them in word form, a run as
 // pprm.AppendSubstituteRun writes it in slice form. So generating one
-// allocates nothing once the buffers have grown. Every buffer is reused
-// across expansions, the candidates included: each target's list is the
-// segment of cands that generate appended while scoring it.
+// allocates nothing once the buffers have grown. The backing arrays (outer
+// and inner) are reused across expansions: next re-extends within
+// capacity so the inner cands slices keep their storage.
 type genResult struct {
 	targets []genTarget
-	cands   []pcand
 	// base is the slice-form expansion generate starts from, the popped
 	// node's own or its parent's run in the arena, which the pop phase
 	// sets; a word-form one travels in popped.
@@ -828,13 +824,24 @@ type genResult struct {
 
 func (gr *genResult) reset() {
 	gr.targets = gr.targets[:0]
-	gr.cands = gr.cands[:0]
 	gr.own, gr.ownHash = false, 0
 	gr.words = gr.words[:0]
 	gr.run = gr.run[:0]
 	gr.solWords = gr.solWords[:0]
 	gr.solRuns = gr.solRuns[:0]
 	gr.solStarts = gr.solStarts[:0]
+}
+
+func (gr *genResult) next(target int) *genTarget {
+	if len(gr.targets) < cap(gr.targets) {
+		gr.targets = gr.targets[:len(gr.targets)+1]
+	} else {
+		gr.targets = append(gr.targets, genTarget{})
+	}
+	tg := &gr.targets[len(gr.targets)-1]
+	tg.target = target
+	tg.cands = tg.cands[:0]
+	return tg
 }
 
 // maxWords is the longest word-form expansion: 2 words per output.
@@ -879,9 +886,6 @@ func (s *searcher) pop(pi int32, p *popped, gr *genResult) {
 // nodes concurrently.
 func (s *searcher) generate(p *popped, gr *genResult) {
 	gr.reset()
-	if cap(gr.targets) < s.n {
-		gr.targets = make([]genTarget, 0, s.n)
-	}
 	parent := &p.nd
 	spec, base, word := &s.view, gr.base, s.ar.wordForm()
 	if word {
@@ -909,16 +913,13 @@ func (s *searcher) generate(p *popped, gr *genResult) {
 			gr.ownHash = spec.Hash()
 		}
 	}
-	// Each term yields at most one candidate, and with Additional each
-	// target one more (the constant factor).
-	gr.cands = slices.Grow(gr.cands, spec.Terms()+s.n)
 	childDepth := int(parent.depth) + 1
 	for target := 0; target < s.n; target++ {
 		factors := s.factorsFor(spec, target)
 		if len(factors) == 0 {
 			continue
 		}
-		lo := len(gr.cands)
+		tg := gr.next(target)
 		for _, f := range factors {
 			// Re-applying the parent's own substitution would cancel it:
 			// two identical adjacent Toffoli gates are the identity.
@@ -943,22 +944,15 @@ func (s *searcher) generate(p *popped, gr *genResult) {
 			// Insert after every candidate of equal or higher priority:
 			// the list stays in the order a stable sort by descending
 			// priority would give, ties in generation order.
-			gr.cands = append(gr.cands, c)
-			cands := gr.cands[lo:]
+			cands := append(tg.cands, c)
 			j := len(cands) - 1
 			for j > 0 && cands[j-1].priority < c.priority {
 				cands[j] = cands[j-1]
 				j--
 			}
 			cands[j] = c
+			tg.cands = cands
 		}
-		if len(gr.cands) == lo {
-			continue
-		}
-		// A later target's appends may move gr.cands; this segment keeps
-		// its storage.
-		gr.targets = append(gr.targets, genTarget{target: target, cands: gr.cands[lo:]})
-		tg := &gr.targets[len(gr.targets)-1]
 		for i := range tg.cands {
 			c := &tg.cands[i]
 			// A child can only be the identity (a solution) if it has
@@ -1040,7 +1034,7 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 	// fit a leaf's 16-bit offset from base unless there are more candidates
 	// than that; then every child is queued as a plain node.
 	base, leaves := s.nodes, ncands <= maxIDSpan
-	fanout := slices.Grow(s.fanout[:0], ncands)
+	fanout := s.fanout[:0]
 	var lastHash uint64 // state hash of the last lazy child
 	for ti := range gr.targets {
 		tg := &gr.targets[ti]
@@ -1088,9 +1082,6 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 			}
 			pushed++
 			if isRoot {
-				if s.firstMoves == nil {
-					s.firstMoves = make([]firstMove, 0, ncands)
-				}
 				s.firstMoves = append(s.firstMoves, firstMove{
 					target: target, factor: c.factor, priority: c.priority,
 				})
@@ -1129,8 +1120,8 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 	if isRoot {
 		// Restarts try alternative first substitutions in decreasing
 		// attractiveness; index 0 is the path the initial search follows.
-		slices.SortStableFunc(s.firstMoves, func(a, b firstMove) int {
-			return cmp.Compare(b.priority, a.priority)
+		sort.SliceStable(s.firstMoves, func(i, j int) bool {
+			return s.firstMoves[i].priority > s.firstMoves[j].priority
 		})
 		s.nextFirstMove = 1
 	}

@@ -24,7 +24,6 @@ package queue
 
 import (
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -46,10 +45,6 @@ type entry[T any] struct {
 
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) }
-
-// Grow makes room for n more items, so that the next n pushes do not
-// reallocate.
-func (q *Queue[T]) Grow(n int) { q.items = slices.Grow(q.items, n) }
 
 // arity is the heap's branching factor; see parent and firstChild.
 const arity = 4
