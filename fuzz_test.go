@@ -5,6 +5,7 @@ package rmrls
 // -fuzz=FuzzX` explores further.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bits"
@@ -137,6 +138,11 @@ func FuzzSubstituteInvariants(f *testing.F) {
 		orig := spec.Clone()
 		probeDelta, probeHash, _ := spec.SubstituteProbe(tgt, factor, nil)
 		cp, copyDelta := spec.SubstituteCopy(tgt, factor)
+		var buf []bits.Mask
+		run, runDelta := pprm.AppendSubstituteRun(nil, spec.AppendRun(nil), n, tgt, factor, &buf)
+		if !slices.Equal(run, cp.AppendRun(nil)) || runDelta != copyDelta {
+			t.Fatal("AppendSubstituteRun disagrees with SubstituteCopy")
+		}
 		// A copy on another wire shares with spec outputs that the
 		// in-place call below changes.
 		other, _ := spec.SubstituteCopy((tgt+1)%n, 0)

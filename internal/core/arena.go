@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/bits"
@@ -14,14 +13,13 @@ import (
 // every page is a noscan allocation: the garbage collector never walks the
 // tree, however many nodes are queued.
 //
-// Materialized expansions are stored by form (pprm.UsesWord), and both
-// stores are pointer-free. A word-form expansion (n ≤ 6) is 2n uint64s in
-// a slab of pages beside the nodes, each output's coefficient word and
-// hash. A slice-form expansion (n ≥ 7) is one run of uint32s in a run
-// store (pprm.AppendRun: per output its term count and capacity, then its
-// sorted terms), named by the run's first word. The searcher reads either
-// through a view Spec that aliases the store, and writes new expansions
-// into buffers of its own that commit copies in.
+// Materialized expansions are runs of uint32s in one pointer-free run
+// store, as pprm.Spec.AppendRun writes them (in word form each output's
+// coefficient word and hash; in slice form each output's term count and
+// capacity, then its sorted terms), each named by its first word. The
+// searcher reads one through a view Spec that aliases the store
+// (pprm.Spec.LoadRun), and writes new ones into buffers of its own that
+// commit copies in.
 //
 // Liveness is explicit. A slot is live while its node is the root, queued,
 // the best solution, or an ancestor of one of those — exactly the nodes a
@@ -34,9 +32,6 @@ const (
 	pageShift = 10
 	pageSize  = 1 << pageShift // nodes per page: 1,024 × 48 B = 48 KiB
 
-	slabPageShift = 7
-	slabPageSize  = 1 << slabPageShift // expansions per slab page: 128 × 64 B = 8 KiB at n = 4
-
 	runPageShift = 11 // run store page: 2,048 × 4 B = 8 KiB
 )
 
@@ -44,40 +39,22 @@ const (
 const rootSlot int32 = 0
 
 // arena holds one searcher's search-tree nodes and materialized expansions.
-// Pages never move once allocated, so a *node returned by at, a slab entry
-// returned by words and a run returned by run stay valid while later
-// allocations grow the arena.
+// Pages never move once allocated, so a *node returned by at and a run
+// returned by run stay valid while later allocations grow the arena.
 type arena struct {
 	pages [][]node
 	used  int32   // slots handed out from the pages so far
 	free  []int32 // released node slots, reused last-in first-out
 
-	// n is the expansions' variable count. In word form (wordLen = 2n) an
-	// expansion slot indexes the slab; in slice form (wordLen = −1) it is
-	// the first word of a run in runs.
-	n         int
-	wordLen   int
-	wordBytes int64 // Spec.MemBytes of a word-form expansion, which only n fixes
-	slab      [][]uint64
-	exps      int32   // slab entries handed out so far
-	freeExps  []int32 // released slab entries
-	runs      runStore[uint32]
+	n    int // the expansions' variable count
+	runs runStore[uint32]
 }
 
 // init sets the arena up for expansions of n variables.
 func (a *arena) init(n int) {
 	a.n = n
-	a.wordLen = -1
-	if pprm.UsesWord(n) {
-		a.wordLen = 2 * n
-		a.wordBytes = pprm.NewSpec(n).MemBytes()
-		return
-	}
 	a.runs.init(runPageShift)
 }
-
-// wordForm reports whether the arena stores expansions in the slab.
-func (a *arena) wordForm() bool { return a.wordLen >= 0 }
 
 // at returns the node in slot i.
 func (a *arena) at(i int32) *node { return &a.pages[i>>pageShift][i&(pageSize-1)] }
@@ -99,56 +76,19 @@ func (a *arena) alloc(n node) int32 {
 	return i
 }
 
-// words returns the slab entry of expansion slot j, in place.
-func (a *arena) words(j int32) []uint64 {
-	off := int(j&(slabPageSize-1)) * a.wordLen
-	return a.slab[j>>slabPageShift][off : off+a.wordLen]
-}
-
-// putWords stores a word-form expansion, given as pprm.Spec.AppendWords
-// writes it, and returns its slot.
-func (a *arena) putWords(w []uint64) int32 {
-	var j int32
-	if k := len(a.freeExps); k > 0 {
-		j = a.freeExps[k-1]
-		a.freeExps = a.freeExps[:k-1]
-	} else {
-		j = a.exps
-		a.exps++
-		if int(j>>slabPageShift) == len(a.slab) {
-			a.slab = append(a.slab, make([]uint64, slabPageSize*a.wordLen))
-		}
-	}
-	copy(a.words(j), w)
-	return j
-}
-
-// run returns the slice-form expansion whose run starts at j, in place.
+// run returns the expansion whose run starts at j, in place.
 func (a *arena) run(j int32) []uint32 {
 	r := a.runs.tail(j)
 	k := pprm.RunLen(r, a.n)
 	return r[:k:k]
 }
 
-// putRun stores a slice-form expansion, given as pprm.Spec.AppendRun
-// writes it, and returns its slot.
+// putRun stores an expansion, given as pprm.Spec.AppendRun writes it, and
+// returns its slot.
 func (a *arena) putRun(r []uint32) int32 {
 	j := a.runs.alloc(len(r))
 	copy(a.runs.tail(j), r)
 	return j
-}
-
-// putSpec stores the root's expansion sp and returns its slot. The arena
-// keeps a copy: the words in word form, the run in slice form.
-func (a *arena) putSpec(sp *pprm.Spec) int32 {
-	if !a.wordForm() {
-		return a.putRun(sp.AppendRun(nil))
-	}
-	var w [maxWords]uint64
-	if len(sp.Out) != a.n {
-		panic(fmt.Sprintf("core: a %d-output expansion in a %d-variable search", len(sp.Out), a.n))
-	}
-	return a.putWords(sp.AppendWords(w[:0]))
 }
 
 // memOf estimates the bytes the node in slot i pins while it waits in the
@@ -163,22 +103,15 @@ func (a *arena) putSpec(sp *pprm.Spec) int32 {
 // a prune all compute the same charge.
 func (a *arena) memOf(i int32) int64 {
 	j := a.at(i).spec
-	switch {
-	case j < 0:
+	if j < 0 {
 		return nodeBytes
-	case a.wordForm():
-		return nodeBytes + a.wordBytes
 	}
-	return nodeBytes + pprm.RunMemBytes(a.run(j))
+	return nodeBytes + pprm.RunMemBytes(a.run(j), a.n)
 }
 
 // drop frees slot i and its expansion, if any.
 func (a *arena) drop(i int32) {
-	switch j := a.at(i).spec; {
-	case j < 0:
-	case a.wordForm():
-		a.freeExps = append(a.freeExps, j)
-	default:
+	if j := a.at(i).spec; j >= 0 {
 		a.runs.free(j, len(a.run(j)))
 	}
 	a.free = append(a.free, i)
@@ -189,14 +122,10 @@ func (a *arena) drop(i int32) {
 // store and valid until the next call, and must not be modified.
 func (s *searcher) expansion(i int32) *pprm.Spec {
 	j := s.ar.at(i).spec
-	switch {
-	case j < 0:
+	if j < 0 {
 		return nil
-	case s.ar.wordForm():
-		s.view.LoadWords(s.ar.words(j))
-	default:
-		s.view.LoadRun(s.ar.run(j))
 	}
+	s.view.LoadRun(s.ar.run(j))
 	return &s.view
 }
 
@@ -204,23 +133,15 @@ func (s *searcher) expansion(i int32) *pprm.Spec {
 // v_target ⊕ factor applied, and the change in term count. The result is
 // the searcher's scratch, valid until the next call; putDerived stores it.
 func (s *searcher) derive(i int32, target int, factor bits.Mask) (*pprm.Spec, int) {
-	if s.ar.wordForm() {
-		return &s.scratch, s.expansion(i).SubstituteTo(&s.scratch, target, factor)
-	}
 	var delta int
-	s.runBuf, delta = pprm.AppendSubstituteRun(s.runBuf[:0], s.ar.run(s.ar.at(i).spec), target, factor, &s.deltaBuf)
+	s.runBuf, delta = pprm.AppendSubstituteRun(s.runBuf[:0], s.ar.run(s.ar.at(i).spec), s.n, target, factor, &s.deltaBuf)
 	s.scratch.LoadRun(s.runBuf)
 	return &s.scratch, delta
 }
 
 // putDerived stores the expansion the last derive returned and returns its
 // slot.
-func (s *searcher) putDerived() int32 {
-	if s.ar.wordForm() {
-		return s.ar.putSpec(&s.scratch)
-	}
-	return s.ar.putRun(s.runBuf)
-}
+func (s *searcher) putDerived() int32 { return s.ar.putRun(s.runBuf) }
 
 // resetRuns empties the run store while the root is the only live node (a
 // restart) and stores the root's run again. A run is reused only by one of
@@ -228,9 +149,6 @@ func (s *searcher) putDerived() int32 {
 // would stay in the store, uncounted by memOf, whatever lengths the next
 // subtree needs.
 func (s *searcher) resetRuns() {
-	if s.ar.wordForm() {
-		return
-	}
 	root := s.ar.at(rootSlot)
 	s.runBuf = append(s.runBuf[:0], s.ar.run(root.spec)...)
 	s.ar.runs.clear()
@@ -273,7 +191,7 @@ func (s *searcher) releaseKid(p int32) {
 // gets a page of its own. A released run goes on the free stack for its
 // length and is reused whole; an oversized one is handed back to the
 // garbage collector instead. The frontier keeps its leaves here and the
-// arena its slice-form expansions.
+// arena its expansions.
 type runStore[T any] struct {
 	shift    uint8
 	pages    [][]T

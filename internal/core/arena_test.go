@@ -13,10 +13,11 @@ import (
 // where no node is popped but not yet committed. A slot must be in use
 // exactly when its node is the root, queued, the best solution, or an
 // ancestor of one; every live node's kids must equal its live children,
-// queued leaves included; every expansion must be held by exactly one live
-// materialized node or be free, once (slab entries in word form, runs in
-// slice form); and the leaf store must hold exactly the queued lists' runs
-// and the free runs (checkLeafStore).
+// queued leaves included; the expansion store must hold exactly the live
+// materialized nodes' runs and the free runs (checkRunStore), so every
+// expansion is held by one live node or free, once; and the leaf store
+// must hold exactly the queued lists' runs and the free runs
+// (checkLeafStore).
 func checkArena(t *testing.T, s *searcher, where string) {
 	t.Helper()
 	checkLeafStore(t, s, where)
@@ -49,10 +50,6 @@ func checkArena(t *testing.T, s *searcher, where string) {
 		mark(s.bestSol)
 	}
 	var runs []storeRun
-	var owned []bool
-	if a.wordForm() {
-		owned = make([]bool, a.exps)
-	}
 	for i := int32(0); i < a.used; i++ {
 		if live[i] == free[i] {
 			t.Fatalf("%s: slot %d live=%v free=%v", where, i, live[i], free[i])
@@ -64,16 +61,8 @@ func checkArena(t *testing.T, s *searcher, where string) {
 		if i != rootSlot {
 			kids[n.parent]++
 		}
-		switch {
-		case n.spec < 0:
-		case !a.wordForm():
+		if n.spec >= 0 {
 			runs = append(runs, storeRun{n.spec, len(a.run(n.spec))})
-		case n.spec >= a.exps:
-			t.Fatalf("%s: slot %d names expansion slot %d of %d", where, i, n.spec, a.exps)
-		case owned[n.spec]:
-			t.Fatalf("%s: slot %d shares expansion slot %d", where, i, n.spec)
-		default:
-			owned[n.spec] = true
 		}
 	}
 	for i := int32(0); i < a.used; i++ {
@@ -81,29 +70,7 @@ func checkArena(t *testing.T, s *searcher, where string) {
 			t.Fatalf("%s: slot %d has kids=%d, %d live children", where, i, a.at(i).kids, kids[i])
 		}
 	}
-	if !a.wordForm() {
-		if a.slab != nil || a.exps != 0 {
-			t.Fatalf("%s: slice-form arena with %d slab pages for %d expansions", where, len(a.slab), a.exps)
-		}
-		checkRunStore(t, where+" (expansion runs)", &a.runs, runs)
-		return
-	}
-	if a.runs.pages != nil || len(a.slab)*slabPageSize < int(a.exps) {
-		t.Fatalf("%s: word-form arena with %d run pages, %d slab pages for %d expansions",
-			where, len(a.runs.pages), len(a.slab), a.exps)
-	}
-	freeExp := make([]bool, a.exps)
-	for _, j := range a.freeExps {
-		if freeExp[j] {
-			t.Fatalf("%s: expansion slot %d freed twice", where, j)
-		}
-		freeExp[j] = true
-	}
-	for j := range owned {
-		if owned[j] == freeExp[j] {
-			t.Fatalf("%s: expansion slot %d owned by a live node=%v, free=%v", where, j, owned[j], freeExp[j])
-		}
-	}
+	checkRunStore(t, where+" (expansion runs)", &a.runs, runs)
 }
 
 // storeRun is a run of a runStore: its first element and length.
@@ -159,8 +126,8 @@ func checkRunStore[T any](t *testing.T, where string, r *runStore[T], held []sto
 
 // expansionChecker compares every stored expansion with the one the
 // substitutions on its path derive from the search's input with
-// SubstituteCopy: terms (Equal), state hash and, for a slice-form run, the
-// memory charge (memOf against MemBytes, which counts the capacities the
+// SubstituteCopy: terms (Equal), state hash and the memory charge (memOf
+// against MemBytes, which in slice form counts the capacities the
 // SubstituteCopy chain allocated). It derives each node's once, keyed by
 // slot and node ID, since a live node's expansion does not change.
 type expansionChecker struct {
@@ -203,7 +170,7 @@ func (ec *expansionChecker) check(t *testing.T, s *searcher, where string) {
 		if got := s.expansion(i); !got.Equal(want) || got.Hash() != want.Hash() {
 			t.Fatalf("%s: slot %d stores\n%v\nits path derives\n%v", where, i, got, want)
 		}
-		if got := s.ar.memOf(i) - nodeBytes; !s.ar.wordForm() && got != want.MemBytes() {
+		if got := s.ar.memOf(i) - nodeBytes; got != want.MemBytes() {
 			t.Fatalf("%s: slot %d charged %d bytes for its expansion, the SubstituteCopy chain's MemBytes is %d",
 				where, i, got, want.MemBytes())
 		}
@@ -305,8 +272,7 @@ func TestArenaRefcountsMatchReachability(t *testing.T) {
 			o.MaxSteps = 40
 			o.TotalSteps = 2000
 		}, wantRestarts: true},
-		// Slice form: the expansions are runs, not slab entries; the
-		// checker also compares their memory charge.
+		// Slice form: runs of headers and terms, not coefficient words.
 		run{name: "wide", spec: circuit.Random(9, 8, circuit.GT, rng.New(7)).PPRM(), opts: func(o *Options) {
 			o.TotalSteps = 300
 		}},

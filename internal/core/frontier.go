@@ -86,9 +86,9 @@ const (
 // frontier is the search's queue of unexpanded children: a heap whose
 // entries are either plain nodes (an arena slot, ≥ 0) or lists (^index,
 // < 0), and the store that holds the lists' leaves. Leaves live in the
-// pages of a run store, like the arena's slice-form expansions, so the
-// store is pointer-free and reused across lists: a released run goes on
-// the free stack for its length.
+// pages of a run store, like the arena's expansions, so the store is
+// pointer-free and reused across lists: a released run goes on the free
+// stack for its length.
 type frontier struct {
 	pq        queue.Queue[int32]
 	lists     []leafList

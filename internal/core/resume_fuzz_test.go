@@ -9,8 +9,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/perm"
 	"repro/internal/pprm"
+	"repro/internal/rng"
 	"repro/internal/snapshot"
 	"repro/internal/verify"
 )
@@ -44,15 +46,28 @@ func encodeAt(s *searcher) []byte {
 }
 
 // resumeSeeds takes checkpoints at several round boundaries of Table I and
-// worked-example searches, at workers 0 and 4.
+// worked-example searches and of a 9-wire random cascade, whose
+// expansions are slice-form runs, at workers 0 and 4.
 func resumeSeeds(tb testing.TB) []resumeSeed {
-	var seeds []resumeSeed
+	type function struct {
+		name string
+		p    perm.Perm
+		spec *pprm.Spec
+	}
+	var fns []function
 	for _, name := range []string{"fredkin", "shiftright", "swap4"} {
 		p := testPerms[name]
 		spec, err := pprm.FromPerm(p)
 		if err != nil {
 			tb.Fatal(err)
 		}
+		fns = append(fns, function{name, p, spec})
+	}
+	wide := circuit.Random(9, 12, circuit.GT, rng.New(3))
+	fns = append(fns, function{"cascade9", wide.Perm(), wide.PPRM()})
+	var seeds []resumeSeed
+	for _, fn := range fns {
+		name, p, spec := fn.name, fn.p, fn.spec
 		for _, workers := range []int{0, 4} {
 			opts := resumeTestOptions()
 			opts.MaxSteps = 50 // restarts fall inside a resumed run's budget

@@ -176,20 +176,12 @@ func (s *searcher) exportState() *snapshot.State {
 // each output's capacity as the root Spec reported it: a slice-form view's
 // own Cap is its length, so the capacity comes from the run.
 func (s *searcher) exportRoot(sp *pprm.Spec) snapshot.SpecState {
-	var run []uint32
-	if !s.ar.wordForm() {
-		run = s.ar.run(s.ar.at(rootSlot).spec)
-	}
+	run := s.ar.run(s.ar.at(rootSlot).spec)
 	out := snapshot.SpecState{N: sp.N, Out: make([]snapshot.TermSetState, len(sp.Out))}
 	for i := range sp.Out {
-		ts := &sp.Out[i]
-		c := ts.Cap()
-		if run != nil {
-			c = pprm.RunCap(run, i)
-		}
 		out.Out[i] = snapshot.TermSetState{
-			Terms: append([]bits.Mask(nil), ts.Terms()...),
-			Cap:   c,
+			Terms: append([]bits.Mask(nil), sp.Out[i].Terms()...),
+			Cap:   pprm.RunCap(run, s.n, i),
 		}
 	}
 	return out
@@ -316,7 +308,7 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 	leaves := make(map[int]leaf) // by node index
 	nodes[0] = s.ar.alloc(node{
 		parent: -1,
-		spec:   s.ar.putSpec(rootSpec),
+		spec:   s.ar.putRun(rootSpec.AppendRun(nil)),
 		id:     st.Nodes[0].ID,
 		target: -1,
 		terms:  int32(s.initTerms),

@@ -14,73 +14,85 @@ import (
 	"repro/internal/snapshot"
 )
 
-// TestExpansionStoreSize keeps the expansion slab, the slice-form run
-// store and popped free of pointers, so slab and run pages are noscan
-// allocations and a popped node carries its expansion by value, and pins a
-// word-form slab entry at 2n words and a slice-form run at what
-// pprm.Spec.AppendRun writes.
+// TestExpansionStoreSize keeps the run store's pages and popped free of
+// pointers, so run pages are noscan allocations and a popped node is plain
+// words, and pins a stored expansion at the run pprm.Spec.AppendRun
+// writes: in word form four words per output, its coefficient word (low
+// half first) and its hash.
 func TestExpansionStoreSize(t *testing.T) {
-	for _, typ := range []reflect.Type{reflect.TypeOf(arena{}.slab), reflect.TypeOf(arena{}.runs.pages), reflect.TypeOf(popped{})} {
-		if typ.Kind() == reflect.Slice {
-			typ = typ.Elem().Elem() // a page's element
-		}
+	for _, typ := range []reflect.Type{reflect.TypeOf(arena{}.runs.pages).Elem().Elem(), reflect.TypeOf(popped{})} {
 		if !pointerFree(typ) {
 			t.Errorf("%s holds a pointer; the expansion store must stay pointer-free", typ)
 		}
 	}
-	if !pprm.UsesWord(maxWords/2) || pprm.UsesWord(maxWords/2+1) {
-		t.Errorf("popped carries %d words, not 2 per output of the widest word-form spec", maxWords)
-	}
-	for n := 1; n <= maxWords/2; n++ {
-		var a arena
-		a.init(n)
-		spec, err := pprm.FromPerm(perm.Random(n, rng.New(uint64(n))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		j := a.putSpec(spec)
-		if got := len(a.words(j)); got != 2*n {
-			t.Errorf("n=%d: slab entry of %d words, want %d", n, got, 2*n)
-		}
-		if a.runs.pages != nil {
-			t.Errorf("n=%d: a word-form expansion went to the run store", n)
-		}
-	}
-	for _, n := range []int{7, 12, 16} {
+	for _, n := range []int{1, 4, 6, 7, 12, 16} {
 		var a arena
 		a.init(n)
 		spec := circuit.Random(n, 8, circuit.GT, rng.New(uint64(n))).PPRM()
-		j := a.putSpec(spec)
-		if got, want := a.run(j), spec.AppendRun(nil); !slices.Equal(got, want) {
-			t.Errorf("n=%d: run of %d words, AppendRun writes %d", n, len(got), len(want))
+		r := a.run(a.putRun(spec.AppendRun(nil)))
+		if want := spec.AppendRun(nil); !slices.Equal(r, want) {
+			t.Errorf("n=%d: run of %d words, AppendRun writes %d", n, len(r), len(want))
 		}
-		if a.slab != nil {
-			t.Errorf("n=%d: a slice-form expansion went to the slab", n)
+		view := pprm.NewSpec(n)
+		view.LoadRun(r)
+		if !view.Equal(spec) || view.Hash() != spec.Hash() {
+			t.Errorf("n=%d: the stored run does not load back as its spec", n)
+		}
+		if !pprm.UsesWord(n) {
+			continue
+		}
+		if len(r) != 4*n {
+			t.Fatalf("n=%d: word-form run of %d words, want %d", n, len(r), 4*n)
+		}
+		for i := range spec.Out {
+			var want uint64
+			for _, m := range spec.Out[i].Terms() {
+				want |= 1 << m
+			}
+			if got := uint64(r[4*i]) | uint64(r[4*i+1])<<32; got != want {
+				t.Errorf("n=%d: output %d's first two words are %#x, its coefficient word %#x", n, i, got, want)
+			}
 		}
 	}
 }
 
-// TestWordSearchAllocations pins the word-form search's allocation rate: a
-// 2,000-step 4-variable search allocates fewer than 0.3 times per
-// expansion, counting the arena, queue and table growth. Storing an
-// expansion as a *pprm.Spec cost about two allocations each.
-func TestWordSearchAllocations(t *testing.T) {
-	spec, err := pprm.FromPerm(perm.Random(4, rng.New(1)))
+// TestSearchAllocations pins the search's allocation rate in both forms,
+// counting the arena, queue and table growth: a 2,000-step 4-variable
+// search (word form) allocates fewer than 0.3 times per expansion, and a
+// seeded 5,000-step search of a Table V-style function (a random 12-wire
+// cascade, slice form) fewer than once. Storing an expansion as a
+// *pprm.Spec cost about two allocations each in word form and several in
+// slice form.
+func TestSearchAllocations(t *testing.T) {
+	perm4, err := pprm.FromPerm(perm.Random(4, rng.New(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.TotalSteps = 2000
-	s := newSearcher(spec, opts)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	r := s.run()
-	runtime.ReadMemStats(&after)
-	if r.Steps != opts.TotalSteps {
-		t.Fatalf("search stopped after %d steps (%v)", r.Steps, r.StopReason)
-	}
-	if per := float64(after.Mallocs-before.Mallocs) / float64(r.Steps); per >= 0.3 {
-		t.Errorf("%.2f allocations per expansion, want fewer than 0.3", per)
+	for _, tc := range []struct {
+		spec     *pprm.Spec
+		maxGates int
+		steps    int
+		bound    float64
+	}{
+		{perm4, 0, 2000, 0.3},
+		{circuit.Random(12, 10, circuit.GT, rng.New(5)).PPRM(), 40, 5000, 1},
+	} {
+		t.Run(fmt.Sprintf("n=%d", tc.spec.N), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.MaxGates = tc.maxGates
+			opts.TotalSteps = tc.steps
+			s := newSearcher(tc.spec, opts)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r := s.run()
+			runtime.ReadMemStats(&after)
+			if r.Steps != opts.TotalSteps {
+				t.Fatalf("search stopped after %d steps (%v)", r.Steps, r.StopReason)
+			}
+			if per := float64(after.Mallocs-before.Mallocs) / float64(r.Steps); per >= tc.bound {
+				t.Errorf("%.2f allocations per expansion, want fewer than %v", per, tc.bound)
+			}
+		})
 	}
 }
 
@@ -131,29 +143,6 @@ func TestRunStoreReusesRuns(t *testing.T) {
 			held = append(held, h)
 		}
 		checkRunStore(t, fmt.Sprintf("step %d", step), &r, held)
-	}
-}
-
-// TestSliceSearchAllocations pins the slice-form search's allocation
-// rate: a seeded 5,000-step search of a Table V-style function (a random
-// 12-wire cascade) allocates fewer than once per expansion, counting the
-// arena, queue and table growth. Storing an expansion as a *pprm.Spec
-// (SubstituteCopy) cost several allocations each.
-func TestSliceSearchAllocations(t *testing.T) {
-	spec := circuit.Random(12, 10, circuit.GT, rng.New(5)).PPRM()
-	opts := DefaultOptions()
-	opts.MaxGates = 40
-	opts.TotalSteps = 5000
-	s := newSearcher(spec, opts)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	r := s.run()
-	runtime.ReadMemStats(&after)
-	if r.Steps != opts.TotalSteps {
-		t.Fatalf("search stopped after %d steps (%v)", r.Steps, r.StopReason)
-	}
-	if per := float64(after.Mallocs-before.Mallocs) / float64(r.Steps); per >= 1 {
-		t.Errorf("%.2f allocations per expansion, want fewer than 1", per)
 	}
 }
 
@@ -219,23 +208,35 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
-// TestRunStoreStaysBounded: in slice-form searches with restarts and
-// memory prunes, the run store hands out no more than a small multiple of
-// the most the live expansions held at once since the last restart. A run
-// is reused only by one of the same length, and a restart starts the store
-// afresh.
+// TestRunStoreStaysBounded: in searches with restarts and memory prunes,
+// slice-form (11–13 wires) and word-form (4 variables), the run store
+// hands out no more than a small multiple of the most the live expansions
+// held at once since the last restart. A run is reused only by one of the
+// same length, and a restart starts the store afresh.
 func TestRunStoreStaysBounded(t *testing.T) {
 	const bound = 2
-	worst, restarts, prunes := 0.0, 0, 0
+	perm4, err := pprm.FromPerm(perm.Random(4, rng.New(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type search struct {
+		spec      *pprm.Spec
+		maxGates  int // low enough that no solution stops the restarts
+		maxMemory int64
+	}
+	runs := []search{{perm4, 8, 32 << 10}}
 	for seed := uint64(1); seed <= 3; seed++ {
-		spec := circuit.Random(10+int(seed), 20, circuit.GT, rng.New(seed)).PPRM()
+		runs = append(runs, search{circuit.Random(10+int(seed), 20, circuit.GT, rng.New(seed)).PPRM(), 40, 256 << 10})
+	}
+	for _, rc := range runs {
+		spec := rc.spec
 		opts := DefaultOptions()
-		opts.MaxGates = 40
+		opts.MaxGates = rc.maxGates
 		opts.MaxSteps = 100
 		opts.TotalSteps = 1500
-		opts.MaxMemory = 256 << 10
+		opts.MaxMemory = rc.maxMemory
 		s := newSearcher(spec, opts)
-		peak, last := 0, 0
+		worst, prunes, peak, last := 0.0, 0, 0, 0
 		s.stepHook = func(s *searcher) {
 			if s.stepsSinceRestart == 0 {
 				peak = 0
@@ -258,18 +259,17 @@ func TestRunStoreStaysBounded(t *testing.T) {
 			ratio := float64(s.ar.runs.used) / float64(peak)
 			worst = max(worst, ratio)
 			if ratio > bound {
-				t.Fatalf("seed %d step %d: %d run elements handed out, at most %d live since the last restart",
-					seed, s.steps, s.ar.runs.used, peak)
+				t.Fatalf("n=%d step %d: %d run elements handed out, at most %d live since the last restart",
+					spec.N, s.steps, s.ar.runs.used, peak)
 			}
 		}
 		r := s.run()
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
-		restarts += r.Restarts
-	}
-	t.Logf("worst %.2f, %d restarts, %d prunes", worst, restarts, prunes)
-	if restarts == 0 || prunes == 0 {
-		t.Errorf("%d restarts and %d prunes: the searches exercised neither", restarts, prunes)
+		t.Logf("n=%d: worst %.2f, %d restarts, %d prunes", spec.N, worst, r.Restarts, prunes)
+		if r.Restarts == 0 || prunes == 0 {
+			t.Errorf("n=%d: %d restarts and %d prunes: the search exercised neither", spec.N, r.Restarts, prunes)
+		}
 	}
 }

@@ -287,7 +287,7 @@ func newSearcher(spec *pprm.Spec, opts Options) *searcher {
 	s.bestSol = -1
 	root := node{
 		parent: -1,
-		spec:   s.ar.putSpec(spec),
+		spec:   s.ar.putRun(spec.AppendRun(nil)),
 		id:     0,
 		target: -1,
 		depth:  0,
@@ -794,30 +794,27 @@ type genTarget struct {
 // genResult is one expansion's generated children, grouped per target in
 // target order, plus the expansions generate materialized: the popped
 // node's own, when it was lazy (commit stores it in the arena), and one per
-// near-miss candidate (pcand.sol). They are written in the store's form,
-// into buffers that belong to the genResult: 2n words each as
-// pprm.Spec.AppendWords writes them in word form, a run as
-// pprm.AppendSubstituteRun writes it in slice form. So generating one
-// allocates nothing once the buffers have grown. The backing arrays (outer
-// and inner) are reused across expansions: next re-extends within
-// capacity so the inner cands slices keep their storage.
+// near-miss candidate (pcand.sol). They are runs, as
+// pprm.AppendSubstituteRun writes them, in buffers that belong to the
+// genResult, so generating one allocates nothing once the buffers have
+// grown. The backing arrays (outer and inner) are reused across
+// expansions: next re-extends within capacity so the inner cands slices
+// keep their storage.
 type genResult struct {
 	targets []genTarget
-	// base is the slice-form expansion generate starts from, the popped
-	// node's own or its parent's run in the arena, which the pop phase
-	// sets; a word-form one travels in popped.
+	// base is the run generate starts from, the popped node's own or its
+	// parent's in the arena, which pop sets. It aliases the store: a
+	// round's generations all finish before its first commit, and no run
+	// is written in between.
 	base []uint32
-	// own reports that generate materialized the popped node's expansion:
-	// words in word form, run in slice form. ownHash is its state hash,
-	// computed when the node came without one.
+	// own reports that generate materialized the popped node's expansion
+	// into run; ownHash is its state hash, computed when the node came
+	// without one.
 	own     bool
 	ownHash uint64
-	words   []uint64
 	run     []uint32
-	// The near-miss expansions: 2n words each in solWords in word form;
-	// in slice form runs back to back in solRuns, near-miss k starting at
-	// solStarts[k].
-	solWords  []uint64
+	// The near-miss expansions, runs back to back in solRuns, near-miss k
+	// starting at solStarts[k].
 	solRuns   []uint32
 	solStarts []int32
 }
@@ -825,9 +822,7 @@ type genResult struct {
 func (gr *genResult) reset() {
 	gr.targets = gr.targets[:0]
 	gr.own, gr.ownHash = false, 0
-	gr.words = gr.words[:0]
 	gr.run = gr.run[:0]
-	gr.solWords = gr.solWords[:0]
 	gr.solRuns = gr.solRuns[:0]
 	gr.solStarts = gr.solStarts[:0]
 }
@@ -844,19 +839,15 @@ func (gr *genResult) next(target int) *genTarget {
 	return tg
 }
 
-// maxWords is the longest word-form expansion: 2 words per output.
-const maxWords = 2 * 6
-
 // popped is a node taken off the queue for expansion, as generate sees it:
-// a copy of the node and, in word form, the words of the expansion it
-// starts from (a slice-form one is genResult.base). Generation touches
-// neither the arena nor its expansions, so the concurrent generations of a
-// det-merge round share nothing mutable; commit stores what generate
-// materialized. popped holds no pointer (pinned by TestExpansionStoreSize).
+// a copy of the node (the run it starts from is genResult.base).
+// Generation touches neither the arena nor its expansions, so the
+// concurrent generations of a det-merge round share nothing mutable;
+// commit stores what generate materialized. popped holds no pointer
+// (pinned by TestExpansionStoreSize).
 type popped struct {
-	slot  int32
-	nd    node
-	words [maxWords]uint64 // nd's own expansion, or its parent's when nd is lazy
+	slot int32
+	nd   node
 }
 
 // pop fills p and gr.base for the expansion of the node in slot pi.
@@ -867,12 +858,7 @@ func (s *searcher) pop(pi int32, p *popped, gr *genResult) {
 		base = s.ar.at(nd.parent).spec
 	}
 	p.slot, p.nd = pi, *nd
-	if s.ar.wordForm() {
-		copy(p.words[:], s.ar.words(base))
-		gr.base = nil
-	} else {
-		gr.base = s.ar.run(base)
-	}
+	gr.base = s.ar.run(base)
 }
 
 // generate scores every candidate substitution of p into gr: one probe
@@ -887,31 +873,20 @@ func (s *searcher) pop(pi int32, p *popped, gr *genResult) {
 func (s *searcher) generate(p *popped, gr *genResult) {
 	gr.reset()
 	parent := &p.nd
-	spec, base, word := &s.view, gr.base, s.ar.wordForm()
-	if word {
-		spec.LoadWords(p.words[:])
-	} else {
-		spec.LoadRun(base)
-	}
+	spec, base := &s.view, gr.base
 	if parent.spec < 0 {
 		// Lazy materialization (the paper's memory optimization, one
 		// step further: queued nodes store only their substitution).
 		// A live node keeps its parent's expansion alive, so one
-		// substitution reconstructs this node's: in place in the
-		// generator's view in word form, as a new run in slice form.
+		// substitution reconstructs this node's as a new run.
 		gr.own = true
-		if word {
-			spec.Substitute(int(parent.target), parent.factor)
-			gr.words = spec.AppendWords(gr.words)
-		} else {
-			gr.run, _ = pprm.AppendSubstituteRun(gr.run, base, int(parent.target), parent.factor, &s.deltaBuf)
-			base = gr.run
-			spec.LoadRun(base)
-		}
-		if parent.hash == 0 {
-			// It surfaced from a list, without its hash (see leaf).
-			gr.ownHash = spec.Hash()
-		}
+		gr.run, _ = pprm.AppendSubstituteRun(gr.run, base, s.n, int(parent.target), parent.factor, &s.deltaBuf)
+		base = gr.run
+	}
+	spec.LoadRun(base)
+	if gr.own && parent.hash == 0 {
+		// It surfaced from a list, without its hash (see leaf).
+		gr.ownHash = spec.Hash()
 	}
 	childDepth := int(parent.depth) + 1
 	for target := 0; target < s.n; target++ {
@@ -963,20 +938,12 @@ func (s *searcher) generate(p *popped, gr *genResult) {
 				continue
 			}
 			cs, k := &s.scratch, len(gr.solRuns)
-			if word {
-				spec.SubstituteTo(cs, target, c.factor)
-			} else {
-				gr.solRuns, _ = pprm.AppendSubstituteRun(gr.solRuns, base, target, c.factor, &s.deltaBuf)
-				cs.LoadRun(gr.solRuns[k:])
-			}
-			switch {
-			case cs.IsIdentity():
+			gr.solRuns, _ = pprm.AppendSubstituteRun(gr.solRuns, base, s.n, target, c.factor, &s.deltaBuf)
+			cs.LoadRun(gr.solRuns[k:])
+			if cs.IsIdentity() {
 				c.identity = true
 				gr.solRuns = gr.solRuns[:k]
-			case word:
-				c.sol = int32(len(gr.solWords) / (2 * s.n))
-				gr.solWords = cs.AppendWords(gr.solWords)
-			default:
+			} else {
 				c.sol = int32(len(gr.solStarts))
 				gr.solStarts = append(gr.solStarts, int32(k))
 			}
@@ -984,23 +951,11 @@ func (s *searcher) generate(p *popped, gr *genResult) {
 	}
 }
 
-// putOwn stores the expansion gr materialized for its popped node.
-func (s *searcher) putOwn(gr *genResult) int32 {
-	if s.ar.wordForm() {
-		return s.ar.putWords(gr.words)
-	}
-	return s.ar.putRun(gr.run)
-}
-
 // putSol stores the expansion gr materialized for candidate c and returns
 // its slot, or −1 when there is none.
 func (s *searcher) putSol(gr *genResult, c *pcand) int32 {
-	switch {
-	case c.sol < 0:
+	if c.sol < 0 {
 		return -1
-	case s.ar.wordForm():
-		w := s.ar.wordLen
-		return s.ar.putWords(gr.solWords[int(c.sol)*w : int(c.sol+1)*w])
 	}
 	end := len(gr.solRuns)
 	if int(c.sol)+1 < len(gr.solStarts) {
@@ -1018,7 +973,7 @@ func (s *searcher) putSol(gr *genResult, c *pcand) int32 {
 func (s *searcher) commit(pi int32, gr *genResult) {
 	parent := s.ar.at(pi)
 	if gr.own {
-		parent.spec = s.putOwn(gr)
+		parent.spec = s.ar.putRun(gr.run)
 		if parent.hash == 0 {
 			parent.hash = gr.ownHash
 		}

@@ -212,50 +212,3 @@ func TestSortedAfterMutationAndClone(t *testing.T) {
 			len(ts.Sorted()), len(cl.Sorted()))
 	}
 }
-
-// TestWordsRoundTrip: AppendWords and LoadWords carry a word-form spec
-// through plain words unchanged (terms and hash), SubstituteTo into a
-// caller-owned spec matches SubstituteCopy, and the load and substitute
-// allocate nothing. AppendWords refuses a slice-form spec.
-func TestWordsRoundTrip(t *testing.T) {
-	src := rng.New(17)
-	for n := 1; n <= wordVars; n++ {
-		s, err := FromPerm(perm.Random(n, src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := s.AppendWords(nil)
-		if len(w) != 2*n {
-			t.Fatalf("n=%d: %d words, want %d", n, len(w), 2*n)
-		}
-		loaded, dst := NewSpec(n), NewSpec(n)
-		for target := 0; target < n; target++ {
-			for _, f := range s.Out[target].AppendFactors(nil, target) {
-				want, wantDelta := s.SubstituteCopy(target, f)
-				var delta int
-				if allocs := testing.AllocsPerRun(10, func() {
-					loaded.LoadWords(w)
-					delta = loaded.SubstituteTo(dst, target, f)
-				}); allocs != 0 {
-					t.Fatalf("n=%d: LoadWords+SubstituteTo allocates %v times", n, allocs)
-				}
-				if !loaded.Equal(s) || loaded.Hash() != s.Hash() {
-					t.Fatalf("n=%d: loaded spec differs from the one written", n)
-				}
-				if !dst.Equal(want) || dst.Hash() != want.Hash() || delta != wantDelta {
-					t.Fatalf("n=%d: SubstituteTo(%d, %s) differs from SubstituteCopy", n, target, bits.TermString(f))
-				}
-			}
-		}
-	}
-	wide, err := FromPerm(perm.Random(wordVars+1, src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AppendWords on a slice-form spec did not panic")
-		}
-	}()
-	wide.AppendWords(nil)
-}

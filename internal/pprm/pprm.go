@@ -77,11 +77,10 @@ func (s *Spec) Terms() int {
 // memory ceiling on queued expansions, so it counts capacity (what the
 // allocator holds), not length.
 func (s *Spec) MemBytes() int64 {
-	const wordBytes = 8 // one coefficient word
 	b := int64(specHeaderBytes)
 	for i := range s.Out {
 		if s.Out[i].isWord {
-			b += wordBytes
+			b += wordOutputBytes
 			continue
 		}
 		b += sliceOutputBytes(cap(s.Out[i].terms))
@@ -92,6 +91,10 @@ func (s *Spec) MemBytes() int64 {
 // specHeaderBytes is MemBytes' charge for a Spec's own fields: N and the
 // Out slice header.
 const specHeaderBytes = 8 + 24
+
+// wordOutputBytes is MemBytes' charge for a word-form output: its
+// coefficient word.
+const wordOutputBytes = 8
 
 // sliceOutputBytes is MemBytes' charge for a slice-form output of the given
 // capacity: the terms slice header and 4 bytes per bits.Mask.
@@ -241,21 +244,8 @@ func (s *Spec) Substitute(target int, factor bits.Mask) int {
 // Toggle writes a term slice in place and must not be applied to a shared
 // output.
 func (s *Spec) SubstituteCopy(target int, factor bits.Mask) (*Spec, int) {
-	out := new(Spec)
-	return out, s.SubstituteTo(out, target, factor)
-}
-
-// SubstituteTo is SubstituteCopy into dst, a Spec the caller owns, whose
-// previous contents are overwritten; its Out array is reused when it has
-// the right length. dst may be s itself. On a word-form Spec it allocates
-// nothing, which is what lets the search derive one expansion from another
-// in a scratch Spec.
-func (s *Spec) SubstituteTo(dst *Spec, target int, factor bits.Mask) int {
-	if len(dst.Out) != len(s.Out) {
-		dst.Out = make([]TermSet, len(s.Out))
-	}
-	dst.N = s.N
-	return s.substituteInto(dst.Out, target, factor)
+	out := &Spec{N: s.N, Out: make([]TermSet, len(s.Out))}
+	return out, s.substituteInto(out.Out, target, factor)
 }
 
 // substituteInto writes s's outputs with v_target = v_target ⊕ factor

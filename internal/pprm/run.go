@@ -2,56 +2,84 @@ package pprm
 
 import (
 	"fmt"
+	mbits "math/bits"
 	"slices"
 
 	"repro/internal/bits"
 )
 
-// Run form: a pointer-free copy of a slice-form Spec (N ≥ 7), the slice-form
-// counterpart of AppendWords. A run is one []uint32 holding, for each output
-// in turn, a header and then the output's terms in ascending order. The
-// header records the term count and the capacity Cap reports, so
-// RunMemBytes charges what Spec.MemBytes charges for the Spec the run
-// stands for, although a run stores only the terms. It is one word, the
-// count in the low half and the spare capacity in the high half, unless
-// either does not fit in 16 bits: then the low half is runEscape and two
-// more words hold the count and the capacity. The hashes are not stored:
-// LoadRun recomputes them, which costs one key per term and keeps a run at
-// about one word per output beyond its terms. Deriving a run from a run
-// (AppendSubstituteRun) yields exactly the run of the SubstituteCopy
-// result, capacities included, so a search can keep its expansions as runs
-// and still account for memory as if it held Specs.
+// Run form: a pointer-free copy of a Spec as one []uint32, the form in
+// which a search keeps its expansions. Its layout follows the Spec's form,
+// which the variable count fixes (UsesWord), so every function here that
+// reads a run without a Spec takes that count:
+//
+//   - word form (N ≤ 6): four words per output, its coefficient word and
+//     then its hash, each low half first. The hash is stored, not
+//     recomputed, so LoadRun costs a copy of 4N words.
+//   - slice form: for each output in turn, a header and then the output's
+//     terms in ascending order. The header records the term count and the
+//     capacity Cap reports, so RunMemBytes charges what Spec.MemBytes
+//     charges for the Spec the run stands for, although a run stores only
+//     the terms. It is one word, the count in the low half and the spare
+//     capacity in the high half, unless either does not fit in 16 bits:
+//     then the low half is runEscape and two more words hold the count and
+//     the capacity. The hashes are not stored: LoadRun recomputes them,
+//     which costs one key per term and keeps a run at about one word per
+//     output beyond its terms.
+//
+// Deriving a run from a run (AppendSubstituteRun) yields exactly the run
+// of the SubstituteCopy result, capacities included, so a search can keep
+// its expansions as runs and still account for memory as if it held Specs.
+
+// wordRunLen is the length of one output in a word-form run.
+const wordRunLen = 4
 
 // runEscape in a header's low half marks the three-word header.
 const runEscape = 0xffff
 
-// AppendRun appends the slice-form Spec s to dst as a run and returns the
-// extended slice. It panics on a word-form Spec.
+// AppendRun appends s to dst as a run and returns the extended slice. It
+// panics unless s has N outputs, in the form NewSpec chose for them.
 func (s *Spec) AppendRun(dst []uint32) []uint32 {
+	if len(s.Out) != s.N {
+		panic(fmt.Sprintf("pprm: AppendRun on a spec of %d outputs for %d variables", len(s.Out), s.N))
+	}
+	word := UsesWord(s.N)
 	k := 0
 	for i := range s.Out {
-		k += 3 + len(s.Out[i].terms)
+		k += wordRunLen + len(s.Out[i].terms) // a slice-form header is at most 3 words
 	}
 	dst = slices.Grow(dst, k)
 	for i := range s.Out {
 		ts := &s.Out[i]
-		if ts.isWord {
-			panic("pprm: AppendRun on a word-form spec")
+		switch {
+		case ts.isWord != word:
+			panic("pprm: AppendRun on an output not in its spec's form")
+		case word:
+			dst = appendWordRun(dst, ts.word, ts.hash)
+		default:
+			dst = appendRunHeader(dst, len(ts.terms), cap(ts.terms))
+			dst = append(dst, ts.terms...)
 		}
-		dst = appendRunHeader(dst, len(ts.terms), cap(ts.terms))
-		dst = append(dst, ts.terms...)
 	}
 	return dst
 }
 
-// LoadRun overwrites the slice-form Spec s with a view of the run r,
-// without allocating: each output's terms alias r, and its hash is
-// recomputed from them. The view is read-only and valid while r is
-// unchanged; Toggle must not be applied to it, while Substitute and
-// SubstituteCopy give every output they change fresh storage and so never
-// write r. A view's Cap is its term count; RunCap reads the recorded
+// LoadRun overwrites s with a view of the run r, without allocating. In
+// slice form each output's terms alias r and its hash is recomputed from
+// them; the view is read-only and valid while r is unchanged, and Toggle
+// must not be applied to it, while Substitute and SubstituteCopy give
+// every output they change fresh storage and so never write r. A
+// slice-form view's Cap is its term count; RunCap reads the recorded
 // capacity.
 func (s *Spec) LoadRun(r []uint32) {
+	if UsesWord(len(s.Out)) {
+		r = r[:wordRunLen*len(s.Out)]
+		for i := range s.Out {
+			w := r[wordRunLen*i : wordRunLen*(i+1)]
+			s.Out[i] = TermSet{word: joinWord(w[0], w[1]), hash: joinWord(w[2], w[3]), isWord: true}
+		}
+		return
+	}
 	for i := range s.Out {
 		h, k, _ := runHeader(r)
 		terms := r[h : h+k : h+k]
@@ -67,6 +95,9 @@ func (s *Spec) LoadRun(r []uint32) {
 // RunLen returns the length of the run of an n-output Spec at the start of
 // r, which may run on past it.
 func RunLen(r []uint32, n int) int {
+	if UsesWord(n) {
+		return wordRunLen * n
+	}
 	off := 0
 	for range n {
 		h, k, _ := runHeader(r[off:])
@@ -75,8 +106,12 @@ func RunLen(r []uint32, n int) int {
 	return off
 }
 
-// RunCap returns the capacity recorded for output i of the run r.
-func RunCap(r []uint32, i int) int {
+// RunCap returns the capacity recorded for output i of the run r of an
+// n-output Spec: what Cap reported for it.
+func RunCap(r []uint32, n, i int) int {
+	if UsesWord(n) {
+		return mbits.OnesCount64(joinWord(r[wordRunLen*i], r[wordRunLen*i+1]))
+	}
 	for ; i > 0; i-- {
 		h, k, _ := runHeader(r)
 		r = r[h+k:]
@@ -85,9 +120,13 @@ func RunCap(r []uint32, i int) int {
 	return c
 }
 
-// RunMemBytes returns Spec.MemBytes of the Spec the run r was written from.
-func RunMemBytes(r []uint32) int64 {
+// RunMemBytes returns Spec.MemBytes of the n-output Spec the run r was
+// written from.
+func RunMemBytes(r []uint32, n int) int64 {
 	b := int64(specHeaderBytes)
+	if UsesWord(n) {
+		return b + wordOutputBytes*int64(n)
+	}
 	for len(r) > 0 {
 		h, k, c := runHeader(r)
 		b += sliceOutputBytes(c)
@@ -96,22 +135,34 @@ func RunMemBytes(r []uint32) int64 {
 	return b
 }
 
-// AppendSubstituteRun appends to dst the run of the expansion in run base
-// with v_target = v_target ⊕ factor applied, and returns it with the change
-// in term count: the run AppendRun writes for SubstituteCopy of the Spec
-// base was written from, capacities included. An output the substitution
-// does not touch is copied with its capacity; a changed one records the
-// capacity SubstituteCopy allocates for it. *buf is scratch for the toggle
-// list, kept (grown) for reuse, so with dst and *buf grown the call
-// allocates nothing; it grows dst by base's length at once.
-func AppendSubstituteRun(dst, base []uint32, target int, factor bits.Mask, buf *[]bits.Mask) ([]uint32, int) {
+// AppendSubstituteRun appends to dst the run of the expansion in run base,
+// of an n-output Spec, with v_target = v_target ⊕ factor applied, and
+// returns it with the change in term count: the run AppendRun writes for
+// SubstituteCopy of the Spec base was written from, capacities included.
+// A slice-form output the substitution does not touch is copied with its
+// capacity; a changed one records the capacity SubstituteCopy allocates
+// for it. *buf is scratch for the slice-form toggle list, kept (grown) for
+// reuse, so with dst and *buf grown the call allocates nothing; it grows
+// dst by base's length at once.
+func AppendSubstituteRun(dst, base []uint32, n, target int, factor bits.Mask, buf *[]bits.Mask) ([]uint32, int) {
 	if bits.Has(factor, target) {
 		panic(fmt.Sprintf("pprm: factor %s contains target %s",
 			bits.TermString(factor), bits.VarName(target)))
 	}
 	dst = slices.Grow(dst, len(base))
-	tb := bits.Bit(target)
 	delta := 0
+	if UsesWord(n) {
+		for base = base[:wordRunLen*n]; len(base) > 0; base = base[wordRunLen:] {
+			w, h := joinWord(base[0], base[1]), joinWord(base[2], base[3])
+			if tw := wordToggles(w, target, factor); tw != 0 {
+				delta += mbits.OnesCount64(w^tw) - mbits.OnesCount64(w)
+				w, h = w^tw, h^wordHashOf(tw)
+			}
+			dst = appendWordRun(dst, w, h)
+		}
+		return dst, delta
+	}
+	tb := bits.Bit(target)
 	for len(base) > 0 {
 		h, k, _ := runHeader(base)
 		ts := TermSet{terms: base[h : h+k : h+k]}
@@ -136,6 +187,15 @@ func AppendSubstituteRun(dst, base []uint32, target int, factor bits.Mask, buf *
 	}
 	return dst, delta
 }
+
+// appendWordRun appends one word-form output: its coefficient word w and
+// its hash h.
+func appendWordRun(dst []uint32, w, h uint64) []uint32 {
+	return append(dst, uint32(w), uint32(w>>32), uint32(h), uint32(h>>32))
+}
+
+// joinWord returns the 64-bit word with halves lo and hi.
+func joinWord(lo, hi uint32) uint64 { return uint64(lo) | uint64(hi)<<32 }
 
 // appendRunHeader appends one output's run header.
 func appendRunHeader(dst []uint32, terms, capacity int) []uint32 {

@@ -10,17 +10,16 @@ import (
 )
 
 // TestRunMatchesSubstituteCopyChain walks random substitution chains on
-// slice-form specs, side by side as Specs (SubstituteCopy) and as runs
-// (AppendSubstituteRun), and checks at every step that the run is the one
-// AppendRun writes for the Spec, capacities included; that its view equals
-// the Spec in terms and hash; that RunMemBytes, RunCap and RunLen agree
-// with MemBytes, Cap and the run's length; and that loading and deriving
-// allocate nothing once the buffers have grown. AppendRun refuses a
-// word-form spec.
+// specs of both forms (n = 1…9), side by side as Specs (SubstituteCopy)
+// and as runs (AppendSubstituteRun), and checks at every step that the run
+// is the one AppendRun writes for the Spec, capacities included; that its
+// view equals the Spec in terms and hash; that RunMemBytes, RunCap and
+// RunLen agree with MemBytes, Cap and the run's length; and that loading
+// and deriving allocate nothing once the buffers have grown.
 func TestRunMatchesSubstituteCopyChain(t *testing.T) {
 	src := rng.New(29)
 	var buf []bits.Mask
-	for n := wordVars + 1; n <= wordVars+3; n++ {
+	for n := 1; n <= wordVars+3; n++ {
 		sp, err := FromPerm(perm.Random(n, src))
 		if err != nil {
 			t.Fatal(err)
@@ -31,8 +30,8 @@ func TestRunMatchesSubstituteCopyChain(t *testing.T) {
 			if got := RunLen(append(run, 7, 7, 7), n); got != len(run) {
 				t.Fatalf("n=%d step %d: RunLen %d, run has %d words", n, step, got, len(run))
 			}
-			if RunMemBytes(run) != sp.MemBytes() {
-				t.Fatalf("n=%d step %d: RunMemBytes %d, MemBytes %d", n, step, RunMemBytes(run), sp.MemBytes())
+			if RunMemBytes(run, n) != sp.MemBytes() {
+				t.Fatalf("n=%d step %d: RunMemBytes %d, MemBytes %d", n, step, RunMemBytes(run, n), sp.MemBytes())
 			}
 			if allocs := testing.AllocsPerRun(5, func() { view.LoadRun(run) }); allocs != 0 {
 				t.Fatalf("n=%d: LoadRun allocates %v times", n, allocs)
@@ -42,8 +41,8 @@ func TestRunMatchesSubstituteCopyChain(t *testing.T) {
 			}
 			want := sp.AppendRun(nil)
 			for i := range sp.Out {
-				if RunCap(run, i) != sp.Out[i].Cap() {
-					t.Fatalf("n=%d step %d: output %d recorded capacity %d, Cap %d", n, step, i, RunCap(run, i), sp.Out[i].Cap())
+				if RunCap(run, n, i) != sp.Out[i].Cap() {
+					t.Fatalf("n=%d step %d: output %d recorded capacity %d, Cap %d", n, step, i, RunCap(run, n, i), sp.Out[i].Cap())
 				}
 			}
 			if len(want) != len(run) {
@@ -62,7 +61,7 @@ func TestRunMatchesSubstituteCopyChain(t *testing.T) {
 			f := factors[src.Uint64()%uint64(len(factors))]
 			var delta int
 			if allocs := testing.AllocsPerRun(5, func() {
-				next, delta = AppendSubstituteRun(next[:0], run, target, f, &buf)
+				next, delta = AppendSubstituteRun(next[:0], run, n, target, f, &buf)
 			}); allocs != 0 {
 				t.Fatalf("n=%d: AppendSubstituteRun allocates %v times", n, allocs)
 			}
@@ -93,21 +92,15 @@ func TestRunMatchesSubstituteCopyChain(t *testing.T) {
 	for _, f := range []bits.Mask{0, 1 << 17} {
 		view := NewSpec(18)
 		view.LoadRun(run)
-		if !view.Equal(wide) || view.Hash() != wide.Hash() || RunMemBytes(run) != wide.MemBytes() ||
-			RunCap(run, 3) != wide.Out[3].Cap() || RunCap(run, 5) != wide.Out[5].Cap() || RunLen(run, 18) != len(run) {
+		if !view.Equal(wide) || view.Hash() != wide.Hash() || RunMemBytes(run, 18) != wide.MemBytes() ||
+			RunCap(run, 18, 3) != wide.Out[3].Cap() || RunCap(run, 18, 5) != wide.Out[5].Cap() || RunLen(run, 18) != len(run) {
 			t.Fatalf("wide headers: run does not stand for its spec")
 		}
-		next, delta := AppendSubstituteRun(nil, run, 3, f, &buf)
+		next, delta := AppendSubstituteRun(nil, run, 18, 3, f, &buf)
 		copied, wantDelta := wide.SubstituteCopy(3, f)
 		if want := copied.AppendRun(nil); !slices.Equal(next, want) || delta != wantDelta {
 			t.Fatalf("wide headers: AppendSubstituteRun(d, %s) differs from SubstituteCopy", bits.TermString(f))
 		}
 		wide, run = copied, next
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AppendRun on a word-form spec did not panic")
-		}
-	}()
-	Identity(wordVars).AppendRun(nil)
 }

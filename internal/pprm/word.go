@@ -51,31 +51,6 @@ func init() {
 // form. It is the only place the representation is chosen.
 func UsesWord(n int) bool { return n <= wordVars }
 
-// AppendWords appends the word-form Spec s to dst as 2·N words, each
-// output's coefficient word followed by its hash, and returns the extended
-// slice: a pointer-free copy of the expansion that LoadWords reads back.
-// It panics on a slice-form Spec.
-func (s *Spec) AppendWords(dst []uint64) []uint64 {
-	for i := range s.Out {
-		ts := &s.Out[i]
-		if !ts.isWord {
-			panic("pprm: AppendWords on a slice-form spec")
-		}
-		dst = append(dst, ts.word, ts.hash)
-	}
-	return dst
-}
-
-// LoadWords overwrites the word-form Spec s with the expansion that
-// AppendWords wrote as w, 2·N words, without allocating. The hashes are
-// taken as written, not recomputed.
-func (s *Spec) LoadWords(w []uint64) {
-	w = w[:2*len(s.Out)]
-	for i := range s.Out {
-		s.Out[i] = TermSet{word: w[2*i], hash: w[2*i+1], isWord: true}
-	}
-}
-
 // wordTermSet returns the word-form set with coefficient word w.
 func wordTermSet(w uint64) TermSet {
 	return TermSet{word: w, hash: wordHashOf(w), isWord: true}
