@@ -5,12 +5,15 @@
 // mod-adders, hwb, rd-k, one-counts, shifters, …) are generated from their
 // published definitions; ham3/ham7, whose exact specifications came from a
 // benchmark page that is no longer available, are documented stand-ins
-// (see DESIGN.md).
+// (see DESIGN.md). The suite is built on first use: the first call of All,
+// Names, ByName, TableIV, Examples or ExtendedFamilies builds every entry
+// once, so importing the package costs nothing at start-up.
 package bench
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/perm"
 	"repro/internal/pprm"
@@ -106,25 +109,49 @@ func fromTable(name, desc string, tab *tt.Table) *Benchmark {
 	}
 }
 
-var registry []*Benchmark
-var byName = map[string]*Benchmark{}
+// library is the built suite: every benchmark in registration order and
+// the name index over them.
+type library struct {
+	list   []*Benchmark
+	byName map[string]*Benchmark
+}
 
-func register(b *Benchmark) *Benchmark {
-	if _, dup := byName[b.Name]; dup {
+func (l *library) add(b *Benchmark) {
+	if _, dup := l.byName[b.Name]; dup {
 		panic("bench: duplicate benchmark " + b.Name)
 	}
-	registry = append(registry, b)
-	byName[b.Name] = b
-	return b
+	l.list = append(l.list, b)
+	l.byName[b.Name] = b
+}
+
+// builds counts calls of buildLibrary; the tests pin it at one.
+var builds int
+
+// lib builds the suite on the first call and returns it on every call.
+// The tables take about 13 ms and 5 MB (graycode20's permutation alone is
+// 4 MiB), so a process that never names a benchmark never builds them.
+// A builder panic re-panics on every call.
+var lib = sync.OnceValue(buildLibrary)
+
+func buildLibrary() *library {
+	builds++
+	l := &library{byName: map[string]*Benchmark{}}
+	// This order is what All returns and rmrls -list prints.
+	addExtended(l)
+	addExamples(l)
+	addLiteratureBenchmarks(l)
+	addNewBenchmarks(l)
+	return l
 }
 
 // All returns every benchmark in registration order.
-func All() []*Benchmark { return append([]*Benchmark(nil), registry...) }
+func All() []*Benchmark { return append([]*Benchmark(nil), lib().list...) }
 
 // Names returns the sorted benchmark names.
 func Names() []string {
-	names := make([]string, 0, len(registry))
-	for _, b := range registry {
+	list := lib().list
+	names := make([]string, 0, len(list))
+	for _, b := range list {
 		names = append(names, b.Name)
 	}
 	sort.Strings(names)
@@ -133,7 +160,7 @@ func Names() []string {
 
 // ByName looks a benchmark up.
 func ByName(name string) (*Benchmark, error) {
-	b, ok := byName[name]
+	b, ok := lib().byName[name]
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown benchmark %q (have %v)", name, Names())
 	}

@@ -13,17 +13,14 @@ import (
 	"repro/internal/tt"
 )
 
-func init() {
-	registerExtended()
-}
-
-func registerExtended() {
+// addExtended adds the extended families.
+func addExtended(l *library) {
 	// Larger hidden-weighted-bit functions (reversible as defined:
 	// rotate the input left by its weight).
 	for _, n := range []int{5, 6, 8} {
 		b := fromPerm(fmt.Sprintf("hwb%d", n),
 			"hidden weighted bit: input rotated left by its weight", hwb(n), n)
-		register(b)
+		l.add(b)
 	}
 
 	// Larger weight-counting functions (rd53's siblings from MCNC):
@@ -34,7 +31,7 @@ func registerExtended() {
 			tt.FromFunc(rd.in, rd.out, func(x uint32) uint32 {
 				return uint32(tt.OnesCount(x)) & (1<<uint(rd.out) - 1)
 			}))
-		register(b)
+		l.add(b)
 	}
 
 	// Symmetric threshold functions: Nsym outputs 1 iff the input weight
@@ -51,8 +48,8 @@ func registerExtended() {
 				return 0
 			}))
 	}
-	register(sym(6, 2, 4))
-	register(sym(9, 3, 6))
+	l.add(sym(6, 2, 4))
+	l.add(sym(9, 3, 6))
 
 	// nth_prime-style small arithmetic: the 4-bit modular multiplier
 	// y = 3x mod 16 is reversible outright (3 is odd).
@@ -60,7 +57,7 @@ func registerExtended() {
 	for x := 0; x < 16; x++ {
 		mul3[x] = (3 * x) % 16
 	}
-	register(fromPerm("mul3mod16", "y = 3x mod 16 (odd-constant modular multiplier)", mul3, 4))
+	l.add(fromPerm("mul3mod16", "y = 3x mod 16 (odd-constant modular multiplier)", mul3, 4))
 
 	// A long cycle: the (2^6)-cycle x ↦ x+1 mod 64, the 6-variable
 	// relative of Examples 6 and 7.
@@ -68,7 +65,7 @@ func registerExtended() {
 	for x := 0; x < 64; x++ {
 		inc[x] = (x + 1) % 64
 	}
-	register(fromPerm("shiftleft6", "wraparound shift left by one (6 variables)", inc, 6))
+	l.add(fromPerm("shiftleft6", "wraparound shift left by one (6 variables)", inc, 6))
 }
 
 // ExtendedFamilies returns the extra benchmarks in a stable order.

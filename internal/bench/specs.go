@@ -12,20 +12,14 @@ import (
 
 func pub(gates, cost int) *Published { return &Published{Gates: gates, Cost: cost} }
 
-func init() {
-	registerExamples()
-	registerLiteratureBenchmarks()
-	registerNewBenchmarks()
-}
-
-// registerExamples adds the worked examples of Section V-C whose
+// addExamples adds the worked examples of Section V-C whose
 // specifications the paper prints verbatim, each with the gate count of
 // the circuit the paper prints for it.
-func registerExamples() {
+func addExamples(l *library) {
 	example := func(name, desc string, vals []int, real, paperGates int) {
 		b := fromPerm(name, desc, vals, real)
 		b.PaperGates = paperGates
-		register(b)
+		l.add(b)
 	}
 	example("ex1", "Example 1 of [7]: paper's first worked example",
 		[]int{1, 0, 3, 2, 5, 7, 4, 6}, 3, 4)
@@ -45,9 +39,9 @@ func registerExamples() {
 		[]int{0, 7, 6, 9, 4, 11, 10, 13, 8, 15, 14, 1, 12, 3, 2, 5}, 3, 4)
 }
 
-// registerLiteratureBenchmarks adds the Table IV functions taken from the
+// addLiteratureBenchmarks adds the Table IV functions taken from the
 // literature, with the paper's own results and the best published ones.
-func registerLiteratureBenchmarks() {
+func addLiteratureBenchmarks(l *library) {
 	b := fromTable("2of5", "outputs 1 iff exactly two of the five inputs are 1",
 		tt.FromFunc(5, 1, func(x uint32) uint32 {
 			if tt.OnesCount(x) == 2 {
@@ -56,39 +50,39 @@ func registerLiteratureBenchmarks() {
 			return 0
 		}))
 	b.PaperGates, b.PaperCost, b.Best = 20, 100, pub(15, 107)
-	register(b)
+	l.add(b)
 
 	b = fromTable("rd32", "2-bit binary count of ones of three inputs",
 		tt.FromFunc(3, 2, func(x uint32) uint32 { return uint32(tt.OnesCount(x)) }))
 	b.PaperGates, b.PaperCost, b.Best, b.NCT = 4, 8, pub(4, 8), true
-	register(b)
+	l.add(b)
 
 	b = fromPerm("3_17", "the 3_17 benchmark of Maslov's suite",
 		[]int{7, 1, 4, 3, 0, 2, 6, 5}, 3)
 	b.PaperGates, b.PaperCost, b.Best, b.NCT = 6, 14, pub(6, 12), true
-	register(b)
+	l.add(b)
 
 	b = fromPerm("4_49", "the 4_49 benchmark of Maslov's suite",
 		[]int{15, 1, 12, 3, 5, 6, 8, 7, 0, 10, 13, 9, 2, 4, 14, 11}, 4)
 	b.PaperGates, b.PaperCost = 13, 61
 	b.Best = pub(16, 58)
-	register(b)
+	l.add(b)
 
 	b = fromPerm("alu", "Example 13: 2-data-input ALU with three control signals (Fig. 9)",
 		[]int{16, 17, 18, 19, 0, 20, 21, 22, 23, 24, 25, 11, 12, 26, 27, 15,
 			28, 13, 14, 29, 8, 9, 10, 30, 31, 1, 2, 3, 4, 5, 6, 7}, 5)
 	b.PaperGates, b.PaperCost = 18, 114
-	register(b)
+	l.add(b)
 
 	b = fromTable("rd53", "Example 9: 3-bit binary count of ones of five inputs (MCNC)",
 		tt.FromFunc(5, 3, func(x uint32) uint32 { return uint32(tt.OnesCount(x)) }))
 	b.PaperGates, b.PaperCost, b.Best = 13, 116, pub(16, 75)
-	register(b)
+	l.add(b)
 
 	b = fromPerm("xor5", "parity of five inputs replaces the first input",
 		linearParity(5), 5)
 	b.PaperGates, b.PaperCost, b.Best, b.NCT = 4, 4, pub(4, 4), true
-	register(b)
+	l.add(b)
 
 	b = fromTable("4mod5", "outputs 1 iff the 4-bit input is divisible by 5",
 		tt.FromFunc(4, 1, func(x uint32) uint32 {
@@ -98,7 +92,7 @@ func registerLiteratureBenchmarks() {
 			return 0
 		}))
 	b.PaperGates, b.PaperCost, b.Best, b.NCT = 5, 13, pub(5, 13), true
-	register(b)
+	l.add(b)
 
 	b = fromTable("5mod5", "outputs 1 iff the 5-bit input is divisible by 5",
 		tt.FromFunc(5, 1, func(x uint32) uint32 {
@@ -108,12 +102,12 @@ func registerLiteratureBenchmarks() {
 			return 0
 		}))
 	b.PaperGates, b.PaperCost, b.Best = 11, 91, pub(10, 90)
-	register(b)
+	l.add(b)
 
 	b = fromPerm("ham3", "stand-in for the ham3 benchmark (exact spec unavailable)",
 		[]int{0, 7, 1, 6, 3, 4, 2, 5}, 3)
 	b.PaperGates, b.PaperCost, b.Best, b.NCT, b.StandIn = 5, 9, pub(5, 7), true, true
-	register(b)
+	l.add(b)
 
 	b = &Benchmark{
 		Name:        "ham7",
@@ -124,12 +118,12 @@ func registerLiteratureBenchmarks() {
 		StandIn:  true,
 	}
 	b.PaperGates, b.PaperCost, b.Best = 24, 68, pub(23, 81)
-	register(b)
+	l.add(b)
 
 	b = fromPerm("hwb4", "hidden weighted bit: input rotated left by its weight",
 		hwb(4), 4)
 	b.PaperGates, b.PaperCost, b.Best, b.NCT = 15, 35, pub(17, 63), true
-	register(b)
+	l.add(b)
 
 	for _, g := range []struct {
 		n, gates, cost int
@@ -147,7 +141,7 @@ func registerLiteratureBenchmarks() {
 		if g.n <= 20 {
 			gb.Spec = graycodePerm(g.n)
 		}
-		register(gb)
+		l.add(gb)
 	}
 
 	for _, m := range []struct {
@@ -165,17 +159,17 @@ func registerLiteratureBenchmarks() {
 			fmt.Sprintf("(a+b) mod %d on the b wires, a preserved", m.modulus),
 			modAdder(m.k, m.modulus), 2*m.k)
 		ab.PaperGates, ab.PaperCost, ab.Best = m.gates, m.cost, m.best
-		register(ab)
+		l.add(ab)
 	}
 }
 
-// registerNewBenchmarks adds the functions the paper introduces.
-func registerNewBenchmarks() {
+// addNewBenchmarks adds the functions the paper introduces.
+func addNewBenchmarks(l *library) {
 	b := fromPerm("majority5", "Example 10: majority of five inputs",
 		[]int{0, 1, 2, 3, 4, 5, 6, 27, 7, 8, 9, 28, 10, 29, 30, 31,
 			11, 12, 13, 16, 14, 17, 18, 19, 15, 20, 21, 22, 23, 24, 25, 26}, 5)
 	b.PaperGates, b.PaperCost = 16, 104
-	register(b)
+	l.add(b)
 
 	b = fromTable("majority3", "majority of three inputs",
 		tt.FromFunc(3, 1, func(x uint32) uint32 {
@@ -185,18 +179,18 @@ func registerNewBenchmarks() {
 			return 0
 		}))
 	b.PaperGates, b.PaperCost, b.NCT = 4, 16, true
-	register(b)
+	l.add(b)
 
 	b = fromPerm("decod24", "Example 11: 2:4 decoder with two garbage inputs",
 		[]int{1, 2, 4, 8, 0, 3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15}, 2)
 	b.PaperGates, b.PaperCost = 11, 31
-	register(b)
+	l.add(b)
 
 	b = fromPerm("5one013", "Example 12: 1 iff the input weight is 0, 1, or 3",
 		[]int{16, 17, 18, 3, 19, 4, 5, 20, 21, 6, 7, 22, 8, 23, 24, 9,
 			25, 10, 11, 26, 12, 27, 28, 13, 14, 29, 30, 15, 31, 0, 1, 2}, 5)
 	b.PaperGates, b.PaperCost = 19, 95
-	register(b)
+	l.add(b)
 
 	b = fromTable("5one245", "1 iff the input weight is 2, 4, or 5",
 		tt.FromFunc(5, 1, func(x uint32) uint32 {
@@ -207,17 +201,17 @@ func registerNewBenchmarks() {
 			return 0
 		}))
 	b.PaperGates, b.PaperCost = 20, 104
-	register(b)
+	l.add(b)
 
 	b = fromPerm("6one135", "1 iff the input weight is odd (6 variables)",
 		linearParity(6), 6)
 	b.PaperGates, b.PaperCost, b.NCT = 5, 5, true
-	register(b)
+	l.add(b)
 
 	b = fromPerm("6one0246", "1 iff the input weight is even (6 variables)",
 		notParity(6), 6)
 	b.PaperGates, b.PaperCost, b.NCT = 6, 6, true
-	register(b)
+	l.add(b)
 
 	for _, s := range []struct {
 		n, gates, cost int
@@ -240,7 +234,7 @@ func registerNewBenchmarks() {
 		if s.n+2 <= 20 {
 			sb.Spec = ShifterCircuit(s.n).Perm()
 		}
-		register(sb)
+		l.add(sb)
 	}
 }
 
