@@ -82,11 +82,16 @@ func TestTranspoCapacityReset(t *testing.T) {
 // map[uint64]int32 reference through the same random record / seen /
 // forget / reset sequences and compares every answer, the counters, and
 // the exported contents. Most records come straight after a seen of the
-// same key, as in commit, so they start from the hint that seen left. The keys are drawn from a small pool whose members
-// share their low bits (including key 0 and keys homed in the last slots),
-// so probe clusters are long, wrap past the end of the array, and forget's
-// backward shift really moves entries; the small limit makes the
-// limit-triggered clear fire many times.
+// same key, as in commit, so they start from the hint that seen left. The
+// keys are drawn from a small pool whose members share their low bits
+// (including key 0 and keys homed in the last slots), so probe clusters
+// are long, wrap past the end of the array, and forget's backward shift
+// really moves entries; the small limit makes the limit-triggered clear
+// fire many times. Every other round draws its depths from both sides of
+// 255, where a slot's depth byte gives way to the deep map, so records
+// lower depths out of the map, and forget, reset, the backward shift,
+// export and the restore meet entries held there; the deep map must hold
+// exactly the entries whose depth is outside 0…254.
 func TestTranspoMatchesMapModel(t *testing.T) {
 	src := rng.New(5)
 	pool := []uint64{0}
@@ -96,6 +101,7 @@ func TestTranspoMatchesMapModel(t *testing.T) {
 		home := []uint64{0, 1, 61, 62, 63}[src.Intn(5)]
 		pool = append(pool, src.Uint64()<<6|home)
 	}
+	deepDepths := []int{0, 3, 253, 254, 255, 256, 1000, 1 << 30}
 	for round := 0; round < 20; round++ {
 		const limit = 80
 		tt := newTranspo(limit)
@@ -115,6 +121,9 @@ func TestTranspoMatchesMapModel(t *testing.T) {
 		for op := 0; op < 4000; op++ {
 			h := pool[src.Intn(len(pool))]
 			d := src.Intn(6)
+			if round%2 == 1 {
+				d = deepDepths[src.Intn(len(deepDepths))]
+			}
 			switch r := src.Intn(100); {
 			case r < 10:
 				record(h, d)
@@ -146,6 +155,15 @@ func TestTranspoMatchesMapModel(t *testing.T) {
 			}
 			if tt.len() != len(ref) {
 				t.Fatalf("round %d op %d: table holds %d entries, reference %d", round, op, tt.len(), len(ref))
+			}
+			deep := 0
+			for k, d := range ref {
+				if k != 0 && (d < 0 || d >= ttDeep) {
+					deep++
+				}
+			}
+			if len(tt.deep) != deep {
+				t.Fatalf("round %d op %d: the deep map holds %d entries, the reference %d deep depths", round, op, len(tt.deep), deep)
 			}
 		}
 		if tt.hits != hits || tt.misses != misses || tt.evictions != evictions {
@@ -235,13 +253,13 @@ func TestTranspoHintSequences(t *testing.T) {
 		// 48 entries fill a 64-slot array to exactly 3/4 load, so the
 		// record after the seen grows the array itself.
 		tt, ref := setup(48)
-		if len(tt.slots) != ttMinSlots {
-			t.Fatalf("table grew early: %d slots", len(tt.slots))
+		if len(tt.keys) != ttMinSlots {
+			t.Fatalf("table grew early: %d slots", len(tt.keys))
 		}
 		tt.seen(h, d)
 		tt.record(h, d)
 		ref[h] = d
-		if len(tt.slots) == ttMinSlots {
+		if len(tt.keys) == ttMinSlots {
 			t.Fatal("the record did not grow the array")
 		}
 		checkTranspo(t, "seen → record that grows", tt, ref)
@@ -251,8 +269,8 @@ func TestTranspoHintSequences(t *testing.T) {
 		tt.seen(h, d)
 		tt.forget(key(1), d) // the chain's first entry: the rest shift back
 		delete(ref, key(1))
-		if tt.slots[5].key != key(2) {
-			t.Fatalf("forget did not shift the chain back: slot 5 holds %#x", tt.slots[5].key)
+		if tt.keys[5] != key(2) {
+			t.Fatalf("forget did not shift the chain back: slot 5 holds %#x", tt.keys[5])
 		}
 		tt.record(h, d)
 		ref[h] = d
@@ -305,8 +323,8 @@ func TestTranspoGrowsAndWraps(t *testing.T) {
 		keys[i] = uint64(i+1)<<32 | 0xfff // home slot: the last one, at every size up to 2^12
 		tt.record(keys[i], i%7)
 	}
-	if len(tt.slots) <= ttMinSlots || 4*tt.used > 3*len(tt.slots) {
-		t.Fatalf("%d entries in %d slots: the array did not grow to ≤ 3/4 load", tt.used, len(tt.slots))
+	if len(tt.keys) <= ttMinSlots || 4*tt.used > 3*len(tt.keys) {
+		t.Fatalf("%d entries in %d slots: the array did not grow to ≤ 3/4 load", tt.used, len(tt.keys))
 	}
 	for i := 0; i < n; i += 2 {
 		tt.forget(keys[i], i%7)
@@ -459,7 +477,7 @@ func TestDedupPortfolioCounters(t *testing.T) {
 }
 
 // BenchmarkTranspoSeenRecord measures commit's table pattern on a table
-// grown past a core's L2 cache: 2^18 entries in 2^19 16-byte slots (8 MiB).
+// grown past a core's L2 cache: 2^18 entries in 2^19 9-byte slots (4.5 MiB).
 // Each operation probes one key with seen; half the keys were recorded
 // before (a duplicate, pruned by a hit) and half are new, and those are
 // recorded at once, as commit records a pushed child. Every 2^16 new keys
@@ -476,8 +494,8 @@ func BenchmarkTranspoSeenRecord(b *testing.B) {
 	for _, k := range keys[:old] {
 		tt.record(k, 2)
 	}
-	if len(tt.slots) != 2*old {
-		b.Fatalf("%d slots, want %d", len(tt.slots), 2*old)
+	if len(tt.keys) != 2*old {
+		b.Fatalf("%d slots, want %d", len(tt.keys), 2*old)
 	}
 	added := keys[old:]
 	n := 0

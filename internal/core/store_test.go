@@ -56,6 +56,28 @@ func TestExpansionStoreSize(t *testing.T) {
 	}
 }
 
+// TestTranspoSlotSize pins the transposition table's slot at 9 bytes: the
+// per-slot arrays are transpo's slice fields (an 8-byte key and a 1-byte
+// depth), and their elements must hold no pointer, so the arrays are
+// noscan allocations.
+func TestTranspoSlotSize(t *testing.T) {
+	typ := reflect.TypeOf(transpo{})
+	var slot uintptr
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Slice {
+			continue
+		}
+		if !pointerFree(f.Type.Elem()) {
+			t.Errorf("transpo.%s holds %s, which holds a pointer; the slot arrays must stay pointer-free", f.Name, f.Type.Elem())
+		}
+		slot += f.Type.Elem().Size()
+	}
+	if slot != 9 {
+		t.Errorf("a transposition slot is %d bytes, want 9 (an 8-byte key and a 1-byte depth)", slot)
+	}
+}
+
 // TestSearchAllocations pins the search's allocation rate in both forms,
 // counting the arena, queue and table growth: a 2,000-step 4-variable
 // search (word form) allocates fewer than 0.3 times per expansion, and a

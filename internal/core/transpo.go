@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 )
 
@@ -34,14 +35,19 @@ import (
 // TestTranspoForcedCollisions truncates the keys to force collisions and
 // checks that they can only prune.
 //
-// Layout: an open-addressed array of 16-byte slots whose length is a power
-// of two. The keys are already splitmix-mixed, so a key's home slot is its
-// low bits (h & mask) and a probe walks forward linearly from there until
-// it meets the key or an empty slot. Key 0 marks an empty slot, so state
-// hash 0 is kept out of band in zero/hasZero. The array doubles when an
-// insert would take it past 3/4 load; forget uses backward-shift deletion,
-// so the table never holds tombstones and probe chains stay as short as an
-// insert-only table's.
+// Layout: an open-addressed table whose length is a power of two, kept as
+// two pointer-free arrays of that length: keys, 8 bytes per slot, and
+// depths, 1 byte per slot, so a slot is 9 bytes. The keys are already
+// splitmix-mixed, so a key's home slot is its low bits (h & mask) and a
+// probe walks keys forward linearly from there until it meets the key or
+// an empty slot; only a hit or an update reads the depth byte. Key 0 marks
+// an empty slot, so state hash 0 is kept out of band in zero/hasZero. A
+// depth in 0…254 sits in its slot's byte; any other depth leaves the byte
+// at ttDeep and sits exactly in the deep map, keyed by the state (depths
+// of 255 and more are rare but real: MaxGates can exceed 255). The array
+// doubles when an insert would take it past 3/4 load; forget uses
+// backward-shift deletion, so the table never holds tombstones and probe
+// chains stay as short as an insert-only table's.
 //
 // The search probes a child with seen and, when it queues the child,
 // records the same key straight after. seen therefore leaves a hint — the
@@ -51,12 +57,14 @@ import (
 // insert, grow, forget, reset) clears the hint first, so a hint is only
 // ever used on the table it was taken from.
 type transpo struct {
-	slots     []ttSlot
-	mask      uint64 // len(slots) − 1
-	used      int    // occupied slots (hash 0 not included)
-	hintKey   uint64 // key of the last seen probe; 0 = no hint
-	hintSlot  uint64 // slot that probe ended on
-	zero      int32  // depth recorded for hash 0, valid when hasZero
+	keys      []uint64         // slot keys; 0 = empty
+	depths    []uint8          // slot depths, ttDeep when the depth is in deep; 0 when empty
+	deep      map[uint64]int32 // depths outside 0…254, by key; nil until first needed
+	mask      uint64           // len(keys) − 1
+	used      int              // occupied slots (hash 0 not included)
+	hintKey   uint64           // key of the last seen probe; 0 = no hint
+	hintSlot  uint64           // slot that probe ended on
+	zero      int32            // depth recorded for hash 0, valid when hasZero
 	hasZero   bool
 	limit     int // maximum entries; exceeding it clears the table
 	hits      int64
@@ -64,11 +72,8 @@ type transpo struct {
 	evictions int64
 }
 
-// ttSlot is one table slot; key 0 means empty.
-type ttSlot struct {
-	key   uint64
-	depth int32
-}
+// ttDeep is the depth byte of a slot whose depth is kept in transpo.deep.
+const ttDeep = math.MaxUint8
 
 // ttMinSlots is the initial array length: short searches (most 3-variable
 // functions) never grow it.
@@ -79,14 +84,19 @@ const ttMinSlots = 64
 var ttKeyMask = ^uint64(0)
 
 // ttEntryBytes approximates the resident cost of one table entry for the
-// Options.MaxMemory accounting: a 16-byte slot at up to 3/4 load, with the
-// array doubling, is 21–43 bytes per entry. Coarse on purpose, like the node
+// Options.MaxMemory accounting: a 9-byte slot at 3/8 to 3/4 load, with the
+// array doubling, is 12–24 bytes per entry. Coarse on purpose, like the node
 // estimates (see memOf), and fixed so that MaxMemory pruning and
 // PeakQueueBytes do not depend on the table's layout.
 const ttEntryBytes = 32
 
 func newTranspo(limit int) *transpo {
-	return &transpo{slots: make([]ttSlot, ttMinSlots), mask: ttMinSlots - 1, limit: limit}
+	return &transpo{
+		keys:   make([]uint64, ttMinSlots),
+		depths: make([]uint8, ttMinSlots),
+		mask:   ttMinSlots - 1,
+		limit:  limit,
+	}
 }
 
 // len is the number of recorded states.
@@ -101,10 +111,35 @@ func (t *transpo) len() int {
 // empty slot that ends its probe chain.
 func (t *transpo) slot(h uint64) uint64 {
 	i := h & t.mask
-	for t.slots[i].key != h && t.slots[i].key != 0 {
+	for t.keys[i] != h && t.keys[i] != 0 {
 		i = (i + 1) & t.mask
 	}
 	return i
+}
+
+// depthAt returns the depth recorded in occupied slot i.
+func (t *transpo) depthAt(i uint64) int32 {
+	if d := t.depths[i]; d != ttDeep {
+		return int32(d)
+	}
+	return t.deep[t.keys[i]]
+}
+
+// setDepth sets the depth of occupied slot i, which holds key h: in the
+// slot's byte when it is in 0…254, otherwise in deep.
+func (t *transpo) setDepth(i, h uint64, d int32) {
+	if uint32(d) < ttDeep {
+		if t.depths[i] == ttDeep {
+			delete(t.deep, h)
+		}
+		t.depths[i] = uint8(d)
+		return
+	}
+	if t.deep == nil {
+		t.deep = make(map[uint64]int32)
+	}
+	t.deep[h] = d
+	t.depths[i] = ttDeep
 }
 
 // seen probes the table: it reports whether state h has already been
@@ -120,8 +155,7 @@ func (t *transpo) seen(h uint64, depth int) bool {
 	} else {
 		i := t.slot(h)
 		t.hintKey, t.hintSlot = h, i
-		s := &t.slots[i]
-		hit = s.key != 0 && int(s.depth) <= depth
+		hit = t.keys[i] != 0 && int(t.depthAt(i)) <= depth
 	}
 	if hit {
 		t.hits++
@@ -156,8 +190,10 @@ func (t *transpo) record(h uint64, depth int) {
 		i = t.slot(h)
 	}
 	t.hintKey = 0
-	if s := &t.slots[i]; s.key != 0 {
-		s.depth = min(s.depth, d)
+	if t.keys[i] != 0 {
+		if d < t.depthAt(i) {
+			t.setDepth(i, h, d)
+		}
 		return
 	}
 	if t.len() >= t.limit {
@@ -181,23 +217,27 @@ func (t *transpo) insert(h uint64, d int32) {
 // load it grows the array first and finds the slot again.
 func (t *transpo) insertAt(i, h uint64, d int32) {
 	t.hintKey = 0
-	if 4*(t.used+1) > 3*len(t.slots) {
+	if 4*(t.used+1) > 3*len(t.keys) {
 		t.grow()
 		i = t.slot(h)
 	}
-	t.slots[i] = ttSlot{key: h, depth: d}
+	t.keys[i] = h
+	t.setDepth(i, h, d)
 	t.used++
 }
 
-// grow doubles the slot array and re-inserts every entry.
+// grow doubles the slot arrays and re-inserts every entry. deep is keyed
+// by state, so it does not change.
 func (t *transpo) grow() {
 	t.hintKey = 0
-	old := t.slots
-	t.slots = make([]ttSlot, 2*len(old))
-	t.mask = uint64(len(t.slots) - 1)
-	for _, s := range old {
-		if s.key != 0 {
-			t.slots[t.slot(s.key)] = s
+	oldKeys, oldDepths := t.keys, t.depths
+	t.keys = make([]uint64, 2*len(oldKeys))
+	t.depths = make([]uint8, len(t.keys))
+	t.mask = uint64(len(t.keys) - 1)
+	for j, k := range oldKeys {
+		if k != 0 {
+			i := t.slot(k)
+			t.keys[i], t.depths[i] = k, oldDepths[j]
 		}
 	}
 }
@@ -217,21 +257,24 @@ func (t *transpo) forget(h uint64, depth int) {
 		return
 	}
 	i := t.slot(h)
-	if t.slots[i].key == 0 || t.slots[i].depth != d {
+	if t.keys[i] == 0 || t.depthAt(i) != d {
 		return
+	}
+	if t.depths[i] == ttDeep {
+		delete(t.deep, h)
 	}
 	// Backward-shift deletion: walk the rest of the probe chain and move
 	// back into the hole every entry whose home slot does not lie
 	// (cyclically) between the hole and the entry itself; such an entry
 	// would otherwise become unreachable from its home.
-	for j := (i + 1) & t.mask; t.slots[j].key != 0; j = (j + 1) & t.mask {
-		home := t.slots[j].key & t.mask
+	for j := (i + 1) & t.mask; t.keys[j] != 0; j = (j + 1) & t.mask {
+		home := t.keys[j] & t.mask
 		if (j-home)&t.mask >= (j-i)&t.mask {
-			t.slots[i] = t.slots[j]
+			t.keys[i], t.depths[i] = t.keys[j], t.depths[j]
 			i = j
 		}
 	}
-	t.slots[i] = ttSlot{}
+	t.keys[i], t.depths[i] = 0, 0
 	t.used--
 }
 
@@ -240,7 +283,9 @@ func (t *transpo) forget(h uint64, depth int) {
 func (t *transpo) reset() {
 	t.hintKey = 0
 	t.evictions += int64(t.len())
-	clear(t.slots)
+	clear(t.keys)
+	clear(t.depths)
+	clear(t.deep)
 	t.used = 0
 	t.hasZero = false
 }
@@ -253,16 +298,20 @@ func (t *transpo) bytes() int64 {
 // export returns every recorded key in increasing order with its depth, the
 // snapshot's representation (independent of the slot layout).
 func (t *transpo) export() (keys []uint64, depths []int32) {
-	entries := make([]ttSlot, 0, t.len())
-	if t.hasZero {
-		entries = append(entries, ttSlot{key: 0, depth: t.zero})
+	type entry struct {
+		key   uint64
+		depth int32
 	}
-	for _, s := range t.slots {
-		if s.key != 0 {
-			entries = append(entries, s)
+	entries := make([]entry, 0, t.len())
+	if t.hasZero {
+		entries = append(entries, entry{0, t.zero})
+	}
+	for i, k := range t.keys {
+		if k != 0 {
+			entries = append(entries, entry{k, t.depthAt(uint64(i))})
 		}
 	}
-	slices.SortFunc(entries, func(a, b ttSlot) int { return cmp.Compare(a.key, b.key) })
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
 	keys = make([]uint64, len(entries))
 	depths = make([]int32, len(entries))
 	for i, e := range entries {
@@ -279,8 +328,8 @@ func (t *transpo) load(h uint64, d int32) {
 		return
 	}
 	if h != 0 {
-		if s := &t.slots[t.slot(h)]; s.key != 0 {
-			s.depth = d
+		if i := t.slot(h); t.keys[i] != 0 {
+			t.setDepth(i, h, d)
 			return
 		}
 	}
