@@ -137,6 +137,12 @@ func FuzzSubstituteInvariants(f *testing.F) {
 		before := spec.Terms()
 		orig := spec.Clone()
 		probeDelta, probeHash, _ := spec.SubstituteProbe(tgt, factor, nil)
+		var pr pprm.Prober
+		pr.Load(spec)
+		pr.Target(tgt)
+		if pr.Delta(factor) != probeDelta || pr.Hash() != probeHash {
+			t.Fatal("Prober disagrees with SubstituteProbe")
+		}
 		cp, copyDelta := spec.SubstituteCopy(tgt, factor)
 		var buf []bits.Mask
 		run, runDelta := pprm.AppendSubstituteRun(nil, spec.AppendRun(nil), n, tgt, factor, &buf)

@@ -41,16 +41,17 @@ func (s *searcher) scoringClone() *searcher {
 	return newScoring(s.opts, s.n, s.initTerms)
 }
 
-// generateBatch runs generate for every batch node, fanning the work out
-// across the scratch clones. Assignment of nodes to clones is racy (an
-// atomic claim counter) and deliberately irrelevant: generate is a pure
-// function of the popped node and the shared scoring configuration, so
-// gens[i] is identical no matter which clone computed it.
-func generateBatch(clones []*searcher, batch []popped, gens []genResult) {
+// generateBatch runs generate for every batch node under the round's bound,
+// fanning the work out across the scratch clones. Assignment of nodes to
+// clones is racy (an atomic claim counter) and deliberately irrelevant:
+// generate is a pure function of the popped node, the bound and the shared
+// scoring configuration, so gens[i] is identical no matter which clone
+// computed it.
+func generateBatch(clones []*searcher, batch []popped, gens []genResult, bound int) {
 	w := min(len(clones), len(batch))
 	if w <= 1 {
 		for i := range batch {
-			clones[0].generate(&batch[i], &gens[i])
+			clones[0].generate(&batch[i], &gens[i], bound)
 		}
 		return
 	}
@@ -61,7 +62,7 @@ func generateBatch(clones []*searcher, batch []popped, gens []genResult) {
 			if i >= len(batch) {
 				return
 			}
-			c.generate(&batch[i], &gens[i])
+			c.generate(&batch[i], &gens[i], bound)
 		}
 	}
 	var wg sync.WaitGroup

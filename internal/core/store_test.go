@@ -199,32 +199,66 @@ func TestResumeQueuesLeaves(t *testing.T) {
 }
 
 // BenchmarkGenerate measures one node's expansion, generate plus commit,
-// on the search's own queue: a random 4-variable function (word form) and
-// a 12-wire random cascade (slice form). The search starts over when its
-// queue runs dry or grows past 2^14 children.
+// on the search's own queue: random 3- and 4-variable functions (word
+// form) and a 12-wire random cascade (slice form). The -solved cases run
+// after the search's first solution, so the bound is tight and generate
+// filters most candidates. Nodes too deep to expand are released, as run
+// does. The search starts over when its queue runs dry or grows past 2^14
+// children.
 func BenchmarkGenerate(b *testing.B) {
-	perm4, err := pprm.FromPerm(perm.Random(4, rng.New(1)))
-	if err != nil {
-		b.Fatal(err)
+	random := func(n int) *pprm.Spec {
+		spec, err := pprm.FromPerm(perm.Random(n, rng.New(1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return spec
 	}
-	for _, spec := range []*pprm.Spec{perm4, circuit.Random(12, 8, circuit.GT, rng.New(1)).PPRM()} {
-		b.Run(fmt.Sprintf("n=%d", spec.N), func(b *testing.B) {
+	perm3, perm4 := random(3), random(4)
+	for _, bc := range []struct {
+		name   string
+		spec   *pprm.Spec
+		solved bool
+	}{
+		{"n=3", perm3, false},
+		{"n=3-solved", perm3, true},
+		{"n=4", perm4, false},
+		{"n=4-solved", perm4, true},
+		{"n=12", circuit.Random(12, 8, circuit.GT, rng.New(1)).PPRM(), false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var s *searcher
 			var p popped
 			var gr genResult
+			expand := func() bool {
+				for {
+					pi, ok := s.dequeue()
+					if !ok {
+						return false
+					}
+					s.queueBytes -= s.ar.memOf(pi)
+					if int(s.ar.at(pi).depth) >= s.bestDepth-1 {
+						s.release(pi)
+						continue
+					}
+					s.pop(pi, &p, &gr)
+					s.generate(&p, &gr, s.bestDepth)
+					s.commit(pi, &gr)
+					return true
+				}
+			}
 			for i := 0; i < b.N; i++ {
-				if s == nil || s.fr.n == 0 || s.fr.n > 1<<14 {
+				for s == nil || s.fr.n > 1<<14 || !expand() {
 					b.StopTimer()
-					s = newSearcher(spec, DefaultOptions())
+					s = newSearcher(bc.spec, DefaultOptions())
 					s.begin()
+					for bc.solved && s.bestSol < 0 {
+						if !expand() {
+							b.Fatal("the queue ran dry before the first solution")
+						}
+					}
 					b.StartTimer()
 				}
-				pi, _ := s.dequeue()
-				s.queueBytes -= s.ar.memOf(pi)
-				s.pop(pi, &p, &gr)
-				s.generate(&p, &gr)
-				s.commit(pi, &gr)
 			}
 		})
 	}

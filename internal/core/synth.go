@@ -215,6 +215,7 @@ type searcher struct {
 	tt                 *transpo // transposition table; nil when Dedup is off
 	factorBuf          []bits.Mask
 	deltaBuf           []bits.Mask
+	prober             pprm.Prober // generate's candidate scorer
 	fanout             []keyedLeaf // commit's lazy children, before queueLeaves
 
 	// view and scratch are Specs that stored expansions are loaded into
@@ -227,6 +228,10 @@ type searcher struct {
 	// Test-only: invariant checks (byte accounting, watermark
 	// monotonicity) hook in here without perturbing the search itself.
 	stepHook func(*searcher)
+	// genHook, when non-nil, runs after every round's generation with the
+	// round's pops, their generated children and the bound they were
+	// generated under. Test-only, like stepHook.
+	genHook func(batch []popped, gens []genResult, bound int)
 
 	// Checkpoint/resume state (see state.go). startTime is this segment's
 	// run() entry; prevElapsed is the wall-clock accumulated by earlier
@@ -253,7 +258,7 @@ type firstMove struct {
 // and whether the admission rule lets it into the queue. It is 32 bytes.
 type scored struct {
 	priority float64
-	hash     uint64 // child state hash (SubstituteProbe)
+	hash     uint64 // child state hash (pprm.Prober.Hash)
 	factor   bits.Mask
 	terms    int32 // the child's term count
 	elim     int32 // terms the substitution removes (negative if it adds)
@@ -655,7 +660,12 @@ func (s *searcher) run() Result {
 			break
 		}
 
-		generateBatch(clones, batch, gens)
+		// Pops never change bestDepth, so it is the bound of every node
+		// in the batch.
+		generateBatch(clones, batch, gens, s.bestDepth)
+		if s.genHook != nil {
+			s.genHook(batch, gens[:len(batch)], s.bestDepth)
+		}
 		for i := range batch {
 			if int(batch[i].nd.depth) >= s.bestDepth-1 {
 				// A solution committed earlier in this round shrank the
@@ -791,15 +801,15 @@ type genTarget struct {
 	cands  []pcand
 }
 
-// genResult is one expansion's generated children, grouped per target in
-// target order, plus the expansions generate materialized: the popped
-// node's own, when it was lazy (commit stores it in the arena), and one per
-// near-miss candidate (pcand.sol). They are runs, as
-// pprm.AppendSubstituteRun writes them, in buffers that belong to the
-// genResult, so generating one allocates nothing once the buffers have
-// grown. The backing arrays (outer and inner) are reused across
-// expansions: next re-extends within capacity so the inner cands slices
-// keep their storage.
+// genResult is one expansion's generated children that commit can probe
+// (see generate), grouped per target in target order, plus the expansions
+// generate materialized: the popped node's own, when it was lazy (commit
+// stores it in the arena), and one per near-miss candidate commit may
+// queue (pcand.sol). They are runs, as pprm.AppendSubstituteRun writes
+// them, in buffers that belong to the genResult, so generating one
+// allocates nothing once the buffers have grown. The backing arrays (outer
+// and inner) are reused across expansions: next re-extends within
+// capacity so the inner cands slices keep their storage.
 type genResult struct {
 	targets []genTarget
 	// base is the run generate starts from, the popped node's own or its
@@ -817,10 +827,14 @@ type genResult struct {
 	// starting at solStarts[k].
 	solRuns   []uint32
 	solStarts []int32
+	// filtered counts the candidates generate scored but left out of
+	// targets, as commit would have skipped them.
+	filtered int
 }
 
 func (gr *genResult) reset() {
 	gr.targets = gr.targets[:0]
+	gr.filtered = 0
 	gr.own, gr.ownHash = false, 0
 	gr.run = gr.run[:0]
 	gr.solRuns = gr.solRuns[:0]
@@ -861,16 +875,24 @@ func (s *searcher) pop(pi int32, p *popped, gr *genResult) {
 	gr.base = s.ar.run(base)
 }
 
-// generate scores every candidate substitution of p into gr: one probe
-// per candidate, its priority, an ordered insert into the target's
-// candidate list, and the materialization + identity check for
-// solution-possible candidates. It materializes the node's own expansion
-// first if the node was queued lazily. It reads only p, gr.base (stored
-// expansions are immutable) and the searcher's scoring configuration and
-// scratch — never the rest of the arena, the queue, the transposition
-// table, or any counter — so distinct searchers may generate distinct
-// nodes concurrently.
-func (s *searcher) generate(p *popped, gr *genResult) {
+// generate scores the candidate substitutions of p into gr, in two tiers.
+// Every candidate gets the term-count change, from which come its term
+// count and whether it could be a solution (one term per output). Only the
+// candidates commit can probe get the state hash, the priority and an
+// ordered insert into the target's candidate list: the solution-possible
+// ones, and the admitted ones with childDepth < bound − 1. The rest are
+// exactly those commit drops before its transposition probe, so generate
+// only counts them (genResult.filtered). bound is the best depth when p
+// was popped; a round's commits only lower it, so the kept candidates are
+// a superset of what commit looks at. Solution-possible candidates are
+// materialized for the identity check, and a near-miss below the last
+// level keeps its expansion for commit to queue. generate materializes the
+// node's own expansion first if the node was queued lazily. It reads only
+// p, gr.base (stored expansions are immutable) and the searcher's scoring
+// configuration and scratch — never the rest of the arena, the queue, the
+// transposition table, or any counter — so distinct searchers may generate
+// distinct nodes concurrently.
+func (s *searcher) generate(p *popped, gr *genResult, bound int) {
 	gr.reset()
 	parent := &p.nd
 	spec, base := &s.view, gr.base
@@ -888,33 +910,38 @@ func (s *searcher) generate(p *popped, gr *genResult) {
 		// It surfaced from a list, without its hash (see leaf).
 		gr.ownHash = spec.Hash()
 	}
+	s.prober.Load(spec)
 	childDepth := int(parent.depth) + 1
+	// Below the last level an admitted child may be queued; at it only a
+	// solution can still be recorded.
+	queueable := childDepth < bound-1
 	for target := 0; target < s.n; target++ {
 		factors := s.factorsFor(spec, target)
 		if len(factors) == 0 {
 			continue
 		}
 		tg := gr.next(target)
+		s.prober.Target(target)
 		for _, f := range factors {
 			// Re-applying the parent's own substitution would cancel it:
 			// two identical adjacent Toffoli gates are the identity.
 			if target == int(parent.target) && f == parent.factor {
 				continue
 			}
-			// One merge-count pass scores the candidate and (for the
-			// transposition table) hashes the state it would create,
-			// without materializing anything.
-			var delta int
-			var hash uint64
-			delta, hash, s.deltaBuf = spec.SubstituteProbe(target, f, s.deltaBuf)
+			delta := s.prober.Delta(f)
 			childTerms := int(parent.terms) + delta
+			admit := s.admit(f, childTerms, -delta)
+			if childTerms != s.n && !(admit && queueable) {
+				gr.filtered++
+				continue
+			}
 			c := pcand{scored: scored{
 				priority: s.priority(childDepth, childTerms, -delta, f),
-				hash:     hash,
+				hash:     s.prober.Hash(),
 				factor:   f,
 				terms:    int32(childTerms),
 				elim:     int32(-delta),
-				admit:    s.admit(f, childTerms, -delta),
+				admit:    admit,
 			}, sol: -1}
 			// Insert after every candidate of equal or higher priority:
 			// the list stays in the order a stable sort by descending
@@ -940,12 +967,17 @@ func (s *searcher) generate(p *popped, gr *genResult) {
 			cs, k := &s.scratch, len(gr.solRuns)
 			gr.solRuns, _ = pprm.AppendSubstituteRun(gr.solRuns, base, s.n, target, c.factor, &s.deltaBuf)
 			cs.LoadRun(gr.solRuns[k:])
-			if cs.IsIdentity() {
+			switch {
+			case cs.IsIdentity():
 				c.identity = true
 				gr.solRuns = gr.solRuns[:k]
-			} else {
+			case queueable:
 				c.sol = int32(len(gr.solStarts))
 				gr.solStarts = append(gr.solStarts, int32(k))
+			default:
+				// Commit probes a near-miss at the last level but never
+				// queues it.
+				gr.solRuns = gr.solRuns[:k]
 			}
 		}
 	}
@@ -980,7 +1012,9 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 	}
 	isRoot := parent.depth == 0
 	childDepth := int(parent.depth) + 1
-	ncands := 0
+	// Node IDs and insertion numbers are reserved for every candidate
+	// generated, those generate filtered out included.
+	ncands := gr.filtered
 	for ti := range gr.targets {
 		ncands += len(gr.targets[ti].cands)
 	}

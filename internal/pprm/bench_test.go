@@ -63,6 +63,48 @@ func BenchmarkSubstituteProbe(b *testing.B) {
 	}
 }
 
+// The Prober benchmark's results land here, so no call is optimized away.
+var (
+	sinkDelta int
+	sinkHash  uint64
+)
+
+// BenchmarkProber measures the Prober over the same candidates, Load and
+// Target included where the candidate list reaches them: delta scores each
+// candidate's term change only, as generate does for all of them, and
+// delta+hash adds the state hash, as for the ones commit may probe.
+func BenchmarkProber(b *testing.B) {
+	for _, n := range benchVars {
+		for _, hash := range []bool{false, true} {
+			name := fmt.Sprintf("n=%d/delta", n)
+			if hash {
+				name += "+hash"
+			}
+			b.Run(name, func(b *testing.B) {
+				_, s := benchSpec(b, n)
+				cs := benchCandidates(s)
+				var p Prober
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k := i % len(cs)
+					c := cs[k]
+					if k == 0 {
+						p.Load(s)
+					}
+					if k == 0 || cs[k-1].target != c.target {
+						p.Target(c.target)
+					}
+					sinkDelta += p.Delta(c.factor)
+					if hash {
+						sinkHash ^= p.Hash()
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkSubstituteCopy(b *testing.B) {
 	for _, n := range benchVars {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -70,11 +70,12 @@ func (s *Spec) Hash() uint64 {
 // SubstituteProbe computes, without modifying or copying the Spec, the
 // term-count change and the transposition hash of the expansion that
 // Substitute(target, factor) would produce. The synthesis search uses it
-// to score every candidate child and consult its transposition table
-// before deciding which children to materialize. scratch is an optional
-// reusable buffer, returned (possibly grown) for the next call; word-form
-// outputs never touch it, so on a Spec with N ≤ 6 the probe is a few word
-// operations per output and allocates nothing.
+// to hash a single child of a stored expansion (a queued child surfacing
+// from its list, a restored one); to score all the candidates of an
+// expansion it uses a Prober, which shares its kernels. scratch is an
+// optional reusable buffer, returned (possibly grown) for the next call;
+// word-form outputs never touch it, so on a Spec with N ≤ 6 the probe is
+// a few word operations per output and allocates nothing.
 func (s *Spec) SubstituteProbe(target int, factor bits.Mask, scratch []bits.Mask) (delta int, hash uint64, out []bits.Mask) {
 	tb := bits.Bit(target)
 	for j := range s.Out {

@@ -143,10 +143,10 @@ func TestEqualAllocationFree(t *testing.T) {
 }
 
 // TestWordKernelsAllocationFree pins the search's per-candidate work on a
-// word-form spec (n ≤ 6) — probe, presentation-order walk, factor
+// word-form spec (n ≤ 6) — probe, Prober, presentation-order walk, factor
 // enumeration, membership and equality — at zero allocations, and the
-// slice-form presentation-order walk and factor enumeration (n ≥ 7) into a
-// buffer that already has the capacity.
+// slice-form presentation-order walk, factor enumeration and Prober (n ≥
+// 7) into buffers that already have the capacity.
 func TestWordKernelsAllocationFree(t *testing.T) {
 	s, err := FromPerm(perm.Random(6, rng.New(15)))
 	if err != nil {
@@ -171,6 +171,23 @@ func TestWordKernelsAllocationFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("word-form probe loop allocates %v times per run", n)
 	}
+	var p Prober
+	proberLoop := func(s *Spec) func() {
+		return func() {
+			p.Load(s)
+			for target := range s.Out {
+				p.Target(target)
+				buf = s.Out[target].AppendFactors(buf[:0], target)
+				for _, f := range buf {
+					p.Delta(f)
+					p.Hash()
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, proberLoop(s)); n != 0 {
+		t.Fatalf("word-form Prober loop allocates %v times per run", n)
+	}
 
 	wide, err := FromPerm(perm.Random(8, rng.New(16)))
 	if err != nil {
@@ -187,6 +204,10 @@ func TestWordKernelsAllocationFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("slice-form AppendSorted or AppendFactors allocates %v times per run", n)
+	}
+	proberLoop(wide)() // grows the Prober's buffers
+	if n := testing.AllocsPerRun(5, proberLoop(wide)); n != 0 {
+		t.Fatalf("slice-form Prober loop allocates %v times per run", n)
 	}
 }
 

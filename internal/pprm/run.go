@@ -166,7 +166,7 @@ func AppendSubstituteRun(dst, base []uint32, n, target int, factor bits.Mask, bu
 	for len(base) > 0 {
 		h, k, _ := runHeader(base)
 		ts := TermSet{terms: base[h : h+k : h+k]}
-		toggles, _, hit := ts.sliceToggles(tb, factor, *buf)
+		toggles, hit := ts.togglesInto(tb, factor, *buf)
 		*buf = toggles
 		if !hit {
 			dst = append(dst, base[:h+k]...)

@@ -88,7 +88,7 @@ func (ts *TermSet) Has(t bits.Mask) bool {
 // if removed. A word-form set panics on a term beyond its six variables.
 func (ts *TermSet) Toggle(t bits.Mask) int {
 	if ts.isWord {
-		ts.hash ^= wordHash[t]
+		ts.hash ^= wordKey(t)
 		ts.word ^= 1 << t
 		if ts.word>>t&1 != 0 {
 			return 1
@@ -266,27 +266,29 @@ func (ts *TermSet) Equal(o *TermSet) bool {
 	return true
 }
 
-// sliceToggles collects into buf the terms that the substitution v_target =
-// v_target ⊕ factor toggles in the slice-form set ts (tb is v_target's
-// bit), sorted and with duplicate pairs cancelled, and returns them with
-// the XOR of their Zobrist keys. hit reports whether any term held the
-// target; the toggles can cancel to nothing even when it did.
-func (ts *TermSet) sliceToggles(tb, factor bits.Mask, buf []bits.Mask) (toggles []bits.Mask, tx uint64, hit bool) {
-	toggles = buf[:0]
-	for _, t := range ts.terms {
+// Slice-form kernels. The substitution v_target = v_target ⊕ factor toggles
+// (t \ v_target) ∪ factor for every term t holding v_target: appendToggled
+// collects them, sortCancel sorts them and cancels the pairs, mergeDelta
+// counts the change against the terms and keysOf hashes the toggles.
+
+// appendToggled appends to dst (t \ tb) ∪ factor for every term t of the
+// list terms that holds the bit tb. With factor 0 it appends the rests, the
+// terms holding tb with tb removed, which a substitution into tb with any
+// factor multiplies.
+func appendToggled(dst, terms []bits.Mask, tb, factor bits.Mask) []bits.Mask {
+	for _, t := range terms {
 		if t&tb != 0 {
-			nt := (t &^ tb) | factor
-			toggles = append(toggles, nt)
-			// Toggle keys cancel in XOR pairs exactly like the terms,
-			// so the XOR over the raw toggles is the hash change.
-			tx ^= termHash(nt)
+			dst = append(dst, t&^tb|factor)
 		}
 	}
-	if len(toggles) == 0 {
-		return toggles, 0, false
-	}
+	return dst
+}
+
+// sortCancel sorts the toggles in place and cancels duplicate pairs, an
+// even number of identical toggles being none, and returns the result in
+// the same storage.
+func sortCancel(toggles []bits.Mask) []bits.Mask {
 	slices.Sort(toggles)
-	// An even number of identical toggles cancels.
 	out := toggles[:0]
 	for i := 0; i < len(toggles); {
 		j := i
@@ -298,7 +300,48 @@ func (ts *TermSet) sliceToggles(tb, factor bits.Mask, buf []bits.Mask) (toggles 
 		}
 		i = j
 	}
-	return out, tx, true
+	return out
+}
+
+// mergeDelta returns the change in term count when the sorted, cancelled
+// toggles are applied to the strictly increasing terms a: a toggle already
+// present cancels (−1), an absent one inserts (+1).
+func mergeDelta(a, toggles []bits.Mask) int {
+	delta := 0
+	i, k := 0, 0
+	for i < len(a) && k < len(toggles) {
+		switch {
+		case a[i] < toggles[k]:
+			i++
+		case a[i] > toggles[k]:
+			delta++
+			k++
+		default:
+			delta--
+			i++
+			k++
+		}
+	}
+	return delta + len(toggles) - k
+}
+
+// keysOf returns the XOR of the Zobrist keys of the toggles: the change in
+// the hash of a set they are applied to. Keys cancel in XOR pairs exactly
+// like the terms, so it is the same before and after cancellation.
+func keysOf(toggles []bits.Mask) uint64 {
+	var x uint64
+	for _, t := range toggles {
+		x ^= termHash(t)
+	}
+	return x
+}
+
+// togglesInto collects into buf the toggles of v_target = v_target ⊕ factor
+// in the slice-form set ts (tb is v_target's bit). hit reports whether any
+// term held the target; the toggles can cancel to nothing even when it did.
+func (ts *TermSet) togglesInto(tb, factor bits.Mask, buf []bits.Mask) (toggles []bits.Mask, hit bool) {
+	toggles = appendToggled(buf[:0], ts.terms, tb, factor)
+	return sortCancel(toggles), len(toggles) > 0
 }
 
 // substituteSlice returns the slice-form set ts with v_target = v_target ⊕
@@ -306,14 +349,14 @@ func (ts *TermSet) sliceToggles(tb, factor bits.Mask, buf []bits.Mask) (toggles 
 // storage, or is ts itself, sharing its storage, when no term held the
 // target. *buf is scratch for the toggle list, kept (grown) for reuse.
 func (ts *TermSet) substituteSlice(tb, factor bits.Mask, buf *[]bits.Mask) (TermSet, int) {
-	toggles, tx, hit := ts.sliceToggles(tb, factor, *buf)
+	toggles, hit := ts.togglesInto(tb, factor, *buf)
 	*buf = toggles
 	if !hit {
 		return *ts, 0
 	}
 	a := ts.terms
 	merged := appendMerge(make([]bits.Mask, 0, len(a)+len(toggles)), a, toggles)
-	return TermSet{terms: merged, hash: ts.hash ^ tx}, len(merged) - len(a)
+	return TermSet{terms: merged, hash: ts.hash ^ keysOf(toggles)}, len(merged) - len(a)
 }
 
 // appendMerge appends to dst the strictly increasing terms a with the
@@ -341,24 +384,7 @@ func appendMerge(dst, a, toggles []bits.Mask) []bits.Mask {
 // probeSlice returns the term-count change and the hash of the set
 // substituteSlice would return, without building it. *buf is as there.
 func (ts *TermSet) probeSlice(tb, factor bits.Mask, buf *[]bits.Mask) (delta int, hash uint64) {
-	toggles, tx, _ := ts.sliceToggles(tb, factor, *buf)
+	toggles, _ := ts.togglesInto(tb, factor, *buf)
 	*buf = toggles
-	// Merge-count against the sorted set: toggles already present cancel
-	// (−1), absent ones insert (+1).
-	a := ts.terms
-	i, k := 0, 0
-	for i < len(a) && k < len(toggles) {
-		switch {
-		case a[i] < toggles[k]:
-			i++
-		case a[i] > toggles[k]:
-			delta++
-			k++
-		default:
-			delta--
-			i++
-			k++
-		}
-	}
-	return delta + len(toggles) - k, ts.hash ^ tx
+	return mergeDelta(ts.terms, toggles), ts.hash ^ keysOf(toggles)
 }
