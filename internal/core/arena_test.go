@@ -188,7 +188,7 @@ func checkLeafStore(t *testing.T, s *searcher, where string) {
 	inHeap := make([]bool, len(f.lists))
 	var runs []storeRun
 	children := 0
-	f.pq.Each(func(v int32, _ float64, _ uint32) {
+	f.pq.Each(func(v int32, _ float64, _ uint64) {
 		children++
 		if v >= 0 {
 			return

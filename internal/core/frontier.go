@@ -19,13 +19,14 @@ import (
 // that entry surfaces the child into an arena node and re-keys the entry
 // with the next child's key (queue.ReplaceTop).
 //
-// The pop order is unchanged. The queue orders children by (priority,
-// insertion number), a strict total order, and a child's insertion number
-// is reserved when it is committed, exactly as a push would have numbered
-// it. Each list is sorted in that order and its entry always carries its
-// head's key, so the heap pops the children of all lists and all plain
+// The pop order is unchanged. The queue orders children by (priority, node
+// ID), a strict total order: IDs are unique, and a child takes its ID when
+// it is committed, in creation order, so equal priorities pop first in
+// first out. Each list is sorted in that order and its entry always carries
+// its head's key, so the heap pops the children of all lists and all plain
 // entries in one k-way merge: the same sequence a heap of one entry per
-// child pops.
+// child pops. Popping a copy of the heap the same way lists every queued
+// child in that order (walk), which is how prunes and snapshots see them.
 //
 // Everything else a queued child stands for is kept as well: its node ID
 // and the node counter are taken at commit, the transposition table records
@@ -44,10 +45,9 @@ import (
 // leaf is one queued child kept in a list: what its node would hold that
 // is not derived from the list (parent slot, depth, base ID), from the
 // parent's expansion (state hash) or from the leaf itself (priority,
-// elimination). It holds no pointer and is 16 bytes (pinned by
-// TestLeafSize), against a 48-byte node plus a 16-byte heap entry.
+// elimination). It holds no pointer and is 12 bytes (pinned by
+// TestLeafSize), against a 48-byte node plus a 24-byte heap entry.
 type leaf struct {
-	seq    uint32 // insertion number, reserved at commit
 	factor bits.Mask
 	terms  int32
 	id     uint16 // node ID − the list's baseID
@@ -71,7 +71,7 @@ type leafList struct {
 // search takes about 2 ms.
 const (
 	leafPageShift = 8
-	leafPageSize  = 1 << leafPageShift // leaves per page: 256 × 16 B = 4 KiB
+	leafPageSize  = 1 << leafPageShift // leaves per page: 256 × 12 B = 3 KiB
 )
 
 // maxList is the longest list: a parent with more lazy children queues
@@ -94,7 +94,6 @@ type frontier struct {
 	lists     []leafList
 	freeLists []int32
 	leaves    runStore[leaf] // pages of leafPageSize; a list's run fits in one
-	seq       uint32         // insertion number of the next queued child
 	n         int            // queued children, in lists or not
 }
 
@@ -144,7 +143,7 @@ func (f *frontier) clear() {
 // or a leaf (slot −1) of list li in store slot leaf.
 type queuedChild struct {
 	priority float64
-	seq      uint32
+	id       uint64
 	slot     int32
 	list     int32
 	leaf     int32
@@ -180,38 +179,15 @@ func (s *searcher) leafHash(parent int32, l *leaf) uint64 {
 	return h
 }
 
-// nextSeq takes the next insertion number. reserveSeqs has made sure it
-// does not wrap.
-func (s *searcher) nextSeq() uint32 {
-	q := s.fr.seq
-	s.fr.seq++
-	return q
-}
-
-// reserveSeqs makes room for k more insertion numbers: when the 32-bit
-// counter would wrap (a search that queues more than 2^32 children), it
-// renumbers every queued child 0…n−1 in precedence order, leaves included,
-// so every child keeps its rank and later children number above all of
-// them.
-func (s *searcher) reserveSeqs(k int) {
-	if uint64(s.fr.seq)+uint64(k) <= math.MaxUint32 {
-		return
-	}
-	cs := s.queuedInOrder()
-	for i := range cs {
-		cs[i].seq = uint32(i)
-		if cs[i].slot < 0 {
-			s.fr.leaf(cs[i].leaf).seq = uint32(i)
-		}
-	}
-	s.rebuildQueue(cs)
-	s.fr.seq = uint32(len(cs))
+// leafKey is the queue key of leaf l of list li: its priority and node ID.
+func (s *searcher) leafKey(li int32, l *leaf) (float64, uint64) {
+	ls := &s.fr.lists[li]
+	return s.leafPriority(ls.parent, l), uint64(ls.baseID + int(l.id))
 }
 
 // enqueue queues the node in slot i as a plain entry.
 func (s *searcher) enqueue(i int32, priority float64) {
-	s.reserveSeqs(1)
-	s.fr.pq.PushSeq(i, priority, s.nextSeq())
+	s.fr.pq.PushSeq(i, priority, uint64(s.ar.at(i).id))
 	s.fr.n++
 }
 
@@ -232,16 +208,16 @@ func (s *searcher) queueLeaves(parent int32, baseID int, ls []keyedLeaf) {
 		run := ls[:min(len(ls), maxList)]
 		sortByPriority(run)
 		li := s.fr.newList(parent, baseID, run)
-		s.fr.pq.PushSeq(^li, run[0].priority, run[0].seq)
+		s.fr.pq.PushSeq(^li, run[0].priority, uint64(baseID+int(run[0].id)))
 		ls = ls[len(run):]
 	}
 }
 
 // sortByPriority sorts one commit's lazy children by descending priority,
-// stably. They arrive in insertion-number order, so ties keep that order
-// and the result is the queue's (priority, insertion number) order. They
-// also arrive as a few runs already in descending priority, one per
-// target, which is the case insertion sort handles in near-linear time.
+// stably. They arrive in node-ID order, so ties keep that order and the
+// result is the queue's (priority, node ID) order. They also arrive as a
+// few runs already in descending priority, one per target, which is the
+// case insertion sort handles in near-linear time.
 func sortByPriority(ls []keyedLeaf) {
 	if len(ls) > 64 {
 		slices.SortStableFunc(ls, func(a, b keyedLeaf) int { return cmp.Compare(b.priority, a.priority) })
@@ -258,21 +234,21 @@ func sortByPriority(ls []keyedLeaf) {
 }
 
 // compareKeys orders queue keys by precedence: higher priority first, then
-// lower insertion number.
-func compareKeys(p1 float64, q1 uint32, p2 float64, q2 uint32) int {
+// lower node ID.
+func compareKeys(p1 float64, id1 uint64, p2 float64, id2 uint64) int {
 	if c := cmp.Compare(p2, p1); c != 0 {
 		return c
 	}
-	return cmp.Compare(q1, q2)
+	return cmp.Compare(id1, id2)
 }
 
 // dequeue removes the next child from the queue and returns its arena
 // slot, surfacing it into a node first when it is a leaf.
 func (s *searcher) dequeue() (int32, bool) {
-	v, ok := s.fr.pq.Peek()
-	if !ok {
+	if s.fr.pq.Len() == 0 {
 		return 0, false
 	}
+	v, _, _ := s.fr.pq.Top()
 	s.fr.n--
 	if v >= 0 {
 		s.fr.pq.Pop()
@@ -283,8 +259,8 @@ func (s *searcher) dequeue() (int32, bool) {
 	i := s.ar.alloc(s.leafNode(l.parent, l.baseID, s.fr.leaf(l.start+int32(l.head))))
 	l.head++
 	if l.head < l.end {
-		next := s.fr.leaf(l.start + int32(l.head))
-		s.fr.pq.ReplaceTop(s.leafPriority(l.parent, next), next.seq)
+		p, id := s.leafKey(li, s.fr.leaf(l.start+int32(l.head)))
+		s.fr.pq.ReplaceTop(v, p, id)
 	} else {
 		s.fr.pq.Pop()
 		s.fr.dropList(li)
@@ -292,28 +268,72 @@ func (s *searcher) dequeue() (int32, bool) {
 	return i, true
 }
 
-// eachQueued calls f for every queued child, in unspecified order.
+// eachQueued calls f for every queued child, in unspecified order. Like
+// walk, it passes one queuedChild that it rewrites for each child, so f
+// must not keep the pointer.
 func (s *searcher) eachQueued(f func(c *queuedChild)) {
-	s.fr.pq.Each(func(v int32, priority float64, seq uint32) {
+	var c queuedChild
+	s.fr.pq.Each(func(v int32, priority float64, id uint64) {
 		if v >= 0 {
-			f(&queuedChild{priority: priority, seq: seq, slot: v})
+			c = queuedChild{priority: priority, id: id, slot: v}
+			f(&c)
 			return
 		}
 		l := &s.fr.lists[^v]
 		for i := l.start + int32(l.head); i < l.start+int32(l.end); i++ {
-			lf := s.fr.leaf(i)
-			f(&queuedChild{priority: s.leafPriority(l.parent, lf), seq: lf.seq, slot: -1, list: ^v, leaf: i})
+			p, id := s.leafKey(^v, s.fr.leaf(i))
+			c = queuedChild{priority: p, id: id, slot: -1, list: ^v, leaf: i}
+			f(&c)
 		}
 	})
 }
 
-// queuedInOrder returns every queued child in precedence order — the order
-// the queue would pop them.
-func (s *searcher) queuedInOrder() []queuedChild {
-	cs := make([]queuedChild, 0, s.fr.n)
-	s.eachQueued(func(c *queuedChild) { cs = append(cs, *c) })
-	slices.SortFunc(cs, func(a, b queuedChild) int { return compareKeys(a.priority, a.seq, b.priority, b.seq) })
-	return cs
+// cursor is a heap entry as walk copies it: the entry's value and, for a
+// list, its queued leaves [at, end) as offsets into its run.
+type cursor struct {
+	v       int32
+	at, end uint16
+}
+
+// cursors copies the heap for walk: one 24-byte entry per heap entry,
+// whatever the number of leaves.
+func (f *frontier) cursors() queue.Queue[cursor] {
+	return queue.Map(&f.pq, func(v int32) cursor {
+		if v >= 0 {
+			return cursor{v: v}
+		}
+		l := &f.lists[^v]
+		return cursor{v, l.head, l.end}
+	})
+}
+
+// walk pops w, a copy of the heap made by cursors, to its end and calls f
+// for every queued child it stands for, in precedence order — the order
+// the queue would pop them. It is dequeue's k-way merge without surfacing:
+// a list's entry is re-keyed with its next leaf as its cursor advances.
+// f may change the frontier's lists and heap, not its leaves. It gets one
+// queuedChild, rewritten for each child (one allocation, not one per
+// child), so it must not keep the pointer.
+func (s *searcher) walk(w queue.Queue[cursor], f func(c *queuedChild)) {
+	var c queuedChild
+	for w.Len() > 0 {
+		cur, priority, id := w.Top()
+		if cur.v >= 0 {
+			w.Pop()
+			c = queuedChild{priority: priority, id: id, slot: cur.v}
+			f(&c)
+			continue
+		}
+		li := ^cur.v
+		c = queuedChild{priority: priority, id: id, slot: -1, list: li, leaf: s.fr.lists[li].start + int32(cur.at)}
+		if cur.at++; cur.at < cur.end {
+			p, id := s.leafKey(li, s.fr.leaf(c.leaf+1))
+			w.ReplaceTop(cur, p, id)
+		} else {
+			w.Pop()
+		}
+		f(&c)
+	}
 }
 
 // childNode is the node the queued child c stands for; a leaf's comes
@@ -343,51 +363,42 @@ func (s *searcher) childMem(c *queuedChild) int64 {
 	return s.ar.memOf(c.slot)
 }
 
-// rebuildQueue refills the heap from cs, the queued children in precedence
-// order with their current keys: one entry per plain node and one per list,
-// keyed by the list's head. Every list's queued leaves must be in cs.
-func (s *searcher) rebuildQueue(cs []queuedChild) {
-	s.fr.pq.Clear()
-	for i := range cs {
-		c := &cs[i]
-		switch {
-		case c.slot >= 0:
-			s.fr.pq.PushSeq(c.slot, c.priority, c.seq)
-		case c.leaf == s.fr.lists[c.list].start+int32(s.fr.lists[c.list].head):
-			s.fr.pq.PushSeq(^c.list, c.priority, c.seq)
-		}
-	}
-}
-
 // pruneQueue keeps the k queued children of highest precedence and
 // discards the rest, lowest-ranked last, calling discard once for each
-// dropped child. A prune cuts inside lists: the kept leaves of a list are
-// a prefix of it, since it is sorted.
+// dropped child after taking its memory charge off queueBytes. It walks a
+// copy of the heap and refills the heap as it goes, in descending order, so
+// no push moves an entry. A prune cuts inside lists: the kept leaves of a
+// list are a prefix of it, since it is sorted.
 func (s *searcher) pruneQueue(k int, discard func(c *queuedChild)) {
 	if s.fr.n <= k {
 		return
 	}
-	cs := s.queuedInOrder()
-	for i := range cs[k:] {
-		discard(&cs[k+i])
-	}
-	kept := cs[:k]
-	for li := range s.fr.lists {
-		if l := &s.fr.lists[li]; l.head < l.end {
-			l.end = l.head // re-extended below by each kept leaf
+	w := s.fr.cursors()
+	s.fr.pq.Clear()
+	kept := 0
+	s.walk(w, func(c *queuedChild) {
+		if kept < k {
+			kept++
+			switch {
+			case c.slot >= 0:
+				s.fr.pq.PushSeq(c.slot, c.priority, c.id)
+			case c.leaf == s.fr.lists[c.list].start+int32(s.fr.lists[c.list].head):
+				s.fr.pq.PushSeq(^c.list, c.priority, c.id)
+			}
+			return
 		}
-	}
-	for i := range kept {
-		if c := &kept[i]; c.slot < 0 {
-			s.fr.lists[c.list].end++
+		if c.slot < 0 {
+			l := &s.fr.lists[c.list]
+			l.end = min(l.end, uint16(c.leaf-l.start))
 		}
-	}
+		s.queueBytes -= s.childMem(c)
+		discard(c)
+	})
 	for li := range s.fr.lists {
 		if l := &s.fr.lists[li]; l.size > 0 && l.head == l.end {
 			s.fr.dropList(int32(li))
 		}
 	}
-	s.rebuildQueue(kept)
 	s.fr.n = k
 }
 

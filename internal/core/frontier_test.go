@@ -2,8 +2,8 @@ package core
 
 import (
 	"cmp"
-	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -15,12 +15,12 @@ import (
 	"repro/internal/rng"
 )
 
-// TestLeafSize pins a queued leaf at 16 bytes and its list header at 24,
+// TestLeafSize pins a queued leaf at 12 bytes and its list header at 24,
 // and keeps both free of pointers, so the leaf store's pages are noscan
 // like the arena's.
 func TestLeafSize(t *testing.T) {
-	if got := unsafe.Sizeof(leaf{}); got > 16 {
-		t.Fatalf("leaf is %d bytes, want at most 16", got)
+	if got := unsafe.Sizeof(leaf{}); got > 12 {
+		t.Fatalf("leaf is %d bytes, want at most 12", got)
 	}
 	if got := unsafe.Sizeof(leafList{}); got > 24 {
 		t.Fatalf("leafList is %d bytes, want at most 24", got)
@@ -34,8 +34,8 @@ func TestLeafSize(t *testing.T) {
 
 // frontierModel drives a searcher's frontier through the real commit,
 // dequeue and prune paths and mirrors every child in a plain heap of one
-// entry per child, numbered by queue.Queue's own Push in commit order —
-// the queue the search used before partial expansion.
+// entry per child, keyed by (priority, node ID) — the queue the search
+// used before partial expansion.
 type frontierModel struct {
 	t     *testing.T
 	s     *searcher
@@ -87,7 +87,7 @@ func (m *frontierModel) commit(pi int32, k int) {
 	id := s.nodes
 	for _, tg := range gr.targets {
 		for _, c := range tg.cands {
-			m.model.Push(id, c.priority)
+			m.model.PushSeq(id, c.priority, uint64(id))
 			id++
 		}
 	}
@@ -126,8 +126,17 @@ func (m *frontierModel) expand(k int) {
 }
 
 // prune cuts both queues to k children and checks that the same children
-// were dropped, each once.
+// were dropped, each once, and that queueBytes fell by the dropped
+// children's charge. (Popped nodes are not uncharged here as the search
+// loop does, so queueBytes is compared with the queue's charge plus an
+// offset.)
 func (m *frontierModel) prune(k int) {
+	charge := func() int64 {
+		var sum int64
+		m.s.eachQueued(func(c *queuedChild) { sum += m.s.childMem(c) })
+		return sum
+	}
+	offset := m.s.queueBytes - charge()
 	var want, got []int
 	m.model.PruneToFunc(k, func(id int) { want = append(want, id) })
 	m.s.pruneQueue(k, func(c *queuedChild) {
@@ -142,31 +151,43 @@ func (m *frontierModel) prune(k int) {
 	if m.s.fr.n != m.model.Len() {
 		m.t.Fatalf("after prune: %d queued, plain heap holds %d", m.s.fr.n, m.model.Len())
 	}
+	if kept := charge(); m.s.queueBytes != kept+offset {
+		m.t.Fatalf("after prune: queueBytes=%d, kept children charge %d + %d", m.s.queueBytes, kept, offset)
+	}
 }
 
-// check compares Each (as a set) and queuedInOrder (as a sequence) with
-// the plain heap's contents and precedence order.
+// queuedInOrder lists every queued child in precedence order (walk).
+func (s *searcher) queuedInOrder() []queuedChild {
+	var cs []queuedChild
+	s.walk(s.fr.cursors(), func(c *queuedChild) { cs = append(cs, *c) })
+	return cs
+}
+
+// check compares Each (as a set) and walk (as a sequence, with the keys it
+// reports) with the plain heap's contents and precedence order.
 func (m *frontierModel) check() {
 	type key struct {
 		id       int
 		priority float64
-		seq      uint32
 	}
 	var want []key
-	m.model.Each(func(id int, priority float64, seq uint32) { want = append(want, key{id, priority, seq}) })
-	slices.SortFunc(want, func(a, b key) int { return compareKeys(a.priority, a.seq, b.priority, b.seq) })
+	m.model.Each(func(id int, priority float64, _ uint64) { want = append(want, key{id, priority}) })
+	slices.SortFunc(want, func(a, b key) int { return compareKeys(a.priority, uint64(a.id), b.priority, uint64(b.id)) })
 	var each []int
 	m.s.eachQueued(func(c *queuedChild) { each = append(each, m.s.childNode(c).id) })
-	var ordered []int
+	var ordered []key
 	for _, c := range m.s.queuedInOrder() {
-		ordered = append(ordered, m.s.childNode(&c).id)
+		if id := m.s.childNode(&c).id; uint64(id) != c.id {
+			m.t.Fatalf("walk reports node %d under ID %d", id, c.id)
+		}
+		ordered = append(ordered, key{int(c.id), c.priority})
+	}
+	if !slices.Equal(ordered, want) {
+		m.t.Fatalf("walk %v, plain heap order %v", ordered, want)
 	}
 	wantIDs := make([]int, len(want))
 	for i, k := range want {
 		wantIDs[i] = k.id
-	}
-	if !slices.Equal(ordered, wantIDs) {
-		m.t.Fatalf("queuedInOrder %v, plain heap order %v", ordered, wantIDs)
 	}
 	slices.Sort(each)
 	slices.Sort(wantIDs)
@@ -181,57 +202,44 @@ func (m *frontierModel) check() {
 // TestFrontierMatchesPlainHeap pins partial expansion's pop order against
 // a heap of one entry per child: random commits with many tied priorities,
 // interleaved with pops, prunes that cut inside lists, Each and the
-// precedence-ordered walk. The second case starts the insertion counter
-// just below 2^32, so the frontier renumbers its leaves mid-run.
+// precedence-ordered walk.
 func TestFrontierMatchesPlainHeap(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		seq  uint32
-	}{{"fresh", 0}, {"wrap", math.MaxUint32 - 300}} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := newFrontierModel(t, 5)
-			m.s.fr.seq = tc.seq
-			m.commit(rootSlot, 12)
-			for step := 0; step < 3000; step++ {
-				switch r := m.src.Intn(20); {
-				case r < 9:
-					m.pop()
-				case r < 18:
-					k := m.src.Intn(14)
-					if m.src.Intn(16) == 0 {
-						k = 64 + m.src.Intn(64) // past sortByPriority's insertion-sort range
-					}
-					m.expand(k)
-				case r < 19:
-					m.prune(m.s.fr.n * (1 + m.src.Intn(3)) / 4)
-				default:
-					m.check()
+	t.Run("fresh", func(t *testing.T) {
+		m := newFrontierModel(t, 5)
+		m.commit(rootSlot, 12)
+		for step := 0; step < 3000; step++ {
+			switch r := m.src.Intn(20); {
+			case r < 9:
+				m.pop()
+			case r < 18:
+				k := m.src.Intn(14)
+				if m.src.Intn(16) == 0 {
+					k = 64 + m.src.Intn(64) // past sortByPriority's insertion-sort range
 				}
-				if m.s.fr.n == 0 {
-					m.commit(rootSlot, 8)
-				}
+				m.expand(k)
+			case r < 19:
+				m.prune(m.s.fr.n * (1 + m.src.Intn(3)) / 4)
+			default:
+				m.check()
 			}
-			m.check()
-			for m.pop() {
+			if m.s.fr.n == 0 {
+				m.commit(rootSlot, 8)
 			}
-			if tc.seq != 0 && m.s.fr.seq >= tc.seq {
-				t.Fatalf("the insertion counter never wrapped (at %d)", m.s.fr.seq)
-			}
-		})
-	}
+		}
+		m.check()
+		for m.pop() {
+		}
+	})
 }
 
-// BenchmarkFrontierCycle measures the search's queue pattern on a frontier
-// of about 100K children: each operation pops the best child — surfacing
-// it from its list and re-keying the list's entry — and commits four
-// children under it, with priorities from a narrow range of term counts so
-// most comparisons meet a tie. An untimed prune keeps the frontier between
-// 96K and 112K children, standing in for the search's queue cap.
-func BenchmarkFrontierCycle(b *testing.B) {
-	const low, high = 96_000, 112_000
+// cycleFrontier returns a searcher with its root committed and a commit
+// function that expands the node in slot pi into four children, two per
+// target, with priorities from a narrow range of term counts so most
+// comparisons meet a tie: the queue pattern of BenchmarkFrontierCycle.
+func cycleFrontier(tb testing.TB) (*searcher, func(pi int32)) {
 	spec, err := pprm.FromPerm(perm.Random(4, rng.New(3)))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	opts := DefaultOptions()
 	opts.Dedup = false
@@ -256,10 +264,27 @@ func BenchmarkFrontierCycle(b *testing.B) {
 		s.commit(pi, &gr)
 	}
 	commit(rootSlot)
-	for s.fr.n < low {
+	return s, commit
+}
+
+// growFrontier pops and expands the best child until n children are
+// queued.
+func growFrontier(s *searcher, commit func(pi int32), n int) {
+	for s.fr.n < n {
 		pi, _ := s.dequeue()
 		commit(pi)
 	}
+}
+
+// BenchmarkFrontierCycle measures the search's queue pattern on a frontier
+// of about 100K children: each operation pops the best child — surfacing
+// it from its list and re-keying the list's entry — and commits four
+// children under it (cycleFrontier). An untimed prune keeps the frontier
+// between 96K and 112K children, standing in for the search's queue cap.
+func BenchmarkFrontierCycle(b *testing.B) {
+	const low, high = 96_000, 112_000
+	s, commit := cycleFrontier(b)
+	growFrontier(s, commit, low)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pi, _ := s.dequeue()
@@ -269,5 +294,45 @@ func BenchmarkFrontierCycle(b *testing.B) {
 			s.pruneQueue(low, s.discardChild)
 			b.StartTimer()
 		}
+	}
+}
+
+// BenchmarkFrontierPrune measures one prune of a frontier of about 100K
+// children (cycleFrontier) to half; regrowing it is untimed.
+func BenchmarkFrontierPrune(b *testing.B) {
+	const size = 100_000
+	s, commit := cycleFrontier(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		growFrontier(s, commit, size)
+		b.StartTimer()
+		s.pruneQueue(size/2, s.discardChild)
+	}
+}
+
+// TestPruneAllocation pins what a prune allocates: the copy of the heap
+// its walk pops, 24 bytes per heap entry, plus a constant — not a list of
+// every queued child. It prunes a frontier of 100K children to half. An
+// earlier frontier of that size, pruned to nothing, leaves the free stacks
+// that releasing fills already grown, as they are in a search that has
+// pruned before.
+func TestPruneAllocation(t *testing.T) {
+	const size = 100_000
+	s, commit := cycleFrontier(t)
+	growFrontier(s, commit, size)
+	s.pruneQueue(0, s.discardChild)
+	commit(rootSlot)
+	growFrontier(s, commit, size)
+	entries, children := s.fr.pq.Len(), s.fr.n
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.pruneQueue(size/2, s.discardChild)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("prune of %d children in %d heap entries allocated %d bytes", children, entries, got)
+	if limit := 24*uint64(entries) + 4096; got > limit {
+		t.Fatalf("prune of %d children in %d heap entries allocated %d bytes, want at most %d", children, entries, got, limit)
 	}
 }

@@ -189,9 +189,10 @@ func TestParallelFingerprintFamilies(t *testing.T) {
 // boundary, that the queue byte accounting matches a full recount over
 // every queued child, leaves included, that the peak watermark is
 // monotone — the regression guard for the double-count class of bug —
-// that every plain queue entry's priority is the one the searcher derives
-// for its slot, since the node does not store it, and that every list is
-// sorted by precedence and queued under its head's key.
+// that every plain queue entry's key is the priority the searcher derives
+// for its slot, since the node does not store it, and the node's ID, and
+// that every list is sorted by (priority, node ID) and queued under its
+// head's key.
 // TestSearchInvariantsHold and FuzzResume share it.
 func roundInvariants(t testing.TB, where string) func(*searcher) {
 	var lastPeak int64
@@ -199,24 +200,26 @@ func roundInvariants(t testing.TB, where string) func(*searcher) {
 		t.Helper()
 		var sum int64
 		s.eachQueued(func(c *queuedChild) { sum += s.childMem(c) })
-		s.fr.pq.Each(func(v int32, priority float64, seq uint32) {
+		s.fr.pq.Each(func(v int32, priority float64, id uint64) {
 			if v >= 0 {
 				if want := s.priorityOf(v); math.Float64bits(priority) != math.Float64bits(want) {
 					t.Fatalf("%s: slot %d queued at priority %v, derived %v", where, v, priority, want)
+				}
+				if want := uint64(s.ar.at(v).id); id != want {
+					t.Fatalf("%s: slot %d queued under ID %d, node ID %d", where, v, id, want)
 				}
 				return
 			}
 			l := &s.fr.lists[^v]
 			for i := l.head; i < l.end; i++ {
-				lf := s.fr.leaf(l.start + int32(i))
-				p := s.leafPriority(l.parent, lf)
-				if i == l.head && (math.Float64bits(priority) != math.Float64bits(p) || seq != lf.seq) {
-					t.Fatalf("%s: list %d queued at (%v, %d), head is (%v, %d)", where, ^v, priority, seq, p, lf.seq)
+				p, lid := s.leafKey(^v, s.fr.leaf(l.start+int32(i)))
+				if i == l.head && (math.Float64bits(priority) != math.Float64bits(p) || id != lid) {
+					t.Fatalf("%s: list %d queued at (%v, %d), head is (%v, %d)", where, ^v, priority, id, p, lid)
 				}
-				if i > l.head && compareKeys(priority, seq, p, lf.seq) >= 0 {
+				if i > l.head && compareKeys(priority, id, p, lid) >= 0 {
 					t.Fatalf("%s: list %d out of precedence order at leaf %d", where, ^v, i)
 				}
-				priority, seq = p, lf.seq
+				priority, id = p, lid
 			}
 		})
 		if sum != s.queueBytes {

@@ -7,12 +7,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/perm"
 	"repro/internal/pprm"
+	"repro/internal/rng"
 	"repro/internal/snapshot"
 	"repro/internal/verify"
 )
@@ -378,6 +380,19 @@ func TestResumeRejectsInvalidStates(t *testing.T) {
 		"interior node queued": func(st *snapshot.State) {
 			st.Queued = append(st.Queued, st.Nodes[st.Queued[0]].Parent)
 		},
+		// The queue pops by (priority, node ID), a strict order only while
+		// IDs are unique and below the counter that numbers later nodes.
+		"queued pair out of order": func(st *snapshot.State) {
+			st.Queued[0], st.Queued[1] = st.Queued[1], st.Queued[0]
+		},
+		"queued ID duplicated": func(st *snapshot.State) {
+			st.Nodes = append(st.Nodes, st.Nodes[st.Queued[0]])
+			st.Queued = slices.Insert(st.Queued, 1, len(st.Nodes)-1)
+		},
+		"ID not below node counter": func(st *snapshot.State) { st.Nodes[st.Queued[len(st.Queued)-1]].ID = st.NodesCreated },
+	}
+	if len(base.Queued) < 2 {
+		t.Fatalf("setup run queued %d children, want at least 2", len(base.Queued))
 	}
 	for name, tamper := range tampers {
 		st, err := snapshot.Decode(snapshot.Encode(base))
@@ -529,6 +544,35 @@ func TestResumeMissingFile(t *testing.T) {
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("got %v, want ErrNotExist", err)
 	}
+}
+
+// TestResumeRootWithoutChildren resumes the checkpoint of a run whose root
+// queued no child: the root's commit leaves NextFirstMove at 1 with no
+// first move recorded, and restore must accept the file it wrote.
+func TestResumeRootWithoutChildren(t *testing.T) {
+	p := perm.Random(3, rng.New(34))
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	opts := BasicOptions()
+	opts.MaxGates = 30
+	opts.Checkpoint = Checkpoint{Path: path, EverySteps: 1}
+	spec := specFor(t, p)
+	res := Synthesize(spec, opts)
+	if res.Checkpoints == 0 {
+		t.Fatalf("no checkpoint written: %+v", res)
+	}
+	st, err := snapshot.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.FirstMoves) != 0 || st.NextFirstMove != 1 {
+		t.Fatalf("checkpoint holds %d first moves, next %d; want none, next 1", len(st.FirstMoves), st.NextFirstMove)
+	}
+	opts.Checkpoint = Checkpoint{}
+	got, err := ResumeContext(context.Background(), spec, opts, path)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	compareResults(t, "root without children", res, got)
 }
 
 // TestResumeDeadlineSpansSegments: TimeLimit counts cumulative elapsed, so

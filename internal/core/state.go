@@ -109,18 +109,17 @@ func (s *searcher) exportState() *snapshot.State {
 		return i
 	}
 	add(rootSlot)
-	cs := s.queuedInOrder()
-	queued := make([]int, len(cs))
-	for i := range cs {
-		if c := &cs[i]; c.slot >= 0 {
-			queued[i] = add(c.slot)
-		} else {
-			n := s.childNode(c)
-			add(n.parent)
-			queued[i] = len(order)
-			order = append(order, n)
+	queued := make([]int, 0, s.fr.n)
+	s.walk(s.fr.cursors(), func(c *queuedChild) {
+		if c.slot >= 0 {
+			queued = append(queued, add(c.slot))
+			return
 		}
-	}
+		n := s.childNode(c)
+		add(n.parent)
+		queued = append(queued, len(order))
+		order = append(order, n)
+	})
 	bestSol := -1
 	if s.bestSol >= 0 {
 		bestSol = add(s.bestSol)
@@ -288,6 +287,11 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 	if r := st.Nodes[0]; r.Parent != -1 || r.Target != -1 || r.Factor != 0 || !r.Materialized {
 		return nil, fmt.Errorf("%w: malformed root node", ErrInvalidState)
 	}
+	for i := range st.Nodes {
+		if id := st.Nodes[i].ID; id < 0 || id >= st.NodesCreated {
+			return nil, fmt.Errorf("%w: node %d has ID %d, %d created", ErrInvalidState, i, id, st.NodesCreated)
+		}
+	}
 	queued := make([]bool, len(st.Nodes))
 	for _, qi := range st.Queued {
 		if qi < 0 || qi >= len(queued) || queued[qi] {
@@ -393,7 +397,9 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		// The priority only ordered the list, at the root's commit.
 		s.firstMoves = append(s.firstMoves, firstMove{target: fm.Target, factor: bits.Mask(fm.Factor)})
 	}
-	if st.NextFirstMove < 0 || st.NextFirstMove > len(s.firstMoves) {
+	// The root's commit sets NextFirstMove to 1 even when it found no
+	// first move.
+	if st.NextFirstMove < 0 || st.NextFirstMove > max(1, len(s.firstMoves)) {
 		return nil, fmt.Errorf("%w: next first move %d of %d", ErrInvalidState, st.NextFirstMove, len(s.firstMoves))
 	}
 	s.nextFirstMove = st.NextFirstMove
@@ -418,30 +424,41 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		s.tt.evictions = tt.Evictions
 	}
 
-	// Rebuild the queue in recorded precedence order. Every child takes a
-	// fresh, increasing insertion number in that order, so FIFO
-	// tie-breaking among the restored children — and between them and any
-	// child queued later — matches the original run exactly. A parent's
-	// leaves keep that order in their lists, which are then sorted by
-	// precedence already, and are queued once all of them are numbered, in
-	// the order of their first child.
-	s.reserveSeqs(len(st.Queued))
+	// Rebuild the queue under the recorded node IDs. The recorded order
+	// must be the queue's strict (priority, node ID) order, so no two
+	// children tie; and every ID is below NodesCreated, so among equal
+	// priorities the restored children pop before any child created
+	// later, as in the original run. A parent's leaves keep that order in
+	// their lists, which are then sorted already, and are queued once all
+	// of them are collected, in the order of their first child.
 	var listParents []int
 	lists := make(map[int][]keyedLeaf)
-	for _, qi := range st.Queued {
-		slot := nodes[qi]
+	var lastPriority float64
+	var lastID uint64
+	for k, qi := range st.Queued {
+		slot, id := nodes[qi], uint64(st.Nodes[qi].ID)
+		var priority float64
+		var l leaf
+		if slot >= 0 {
+			priority = s.priorityOf(slot)
+		} else {
+			l = leaves[qi]
+			priority = s.leafPriority(nodes[st.Nodes[qi].Parent], &l)
+		}
+		if k > 0 && compareKeys(lastPriority, lastID, priority, id) >= 0 {
+			return nil, fmt.Errorf("%w: queued node %d out of (priority, ID) order", ErrInvalidState, qi)
+		}
+		lastPriority, lastID = priority, id
 		if slot >= 0 {
 			s.queueBytes += s.ar.memOf(slot)
-			s.enqueue(slot, s.priorityOf(slot))
+			s.enqueue(slot, priority)
 			continue
 		}
 		p := st.Nodes[qi].Parent
 		if len(lists[p]) == 0 {
 			listParents = append(listParents, p)
 		}
-		l := leaves[qi]
-		l.seq = s.nextSeq()
-		lists[p] = append(lists[p], keyedLeaf{l, s.leafPriority(nodes[p], &l)})
+		lists[p] = append(lists[p], keyedLeaf{l, priority})
 		s.queueBytes += nodeBytes
 	}
 	for _, p := range listParents {

@@ -435,13 +435,6 @@ func (s *searcher) notePeak() {
 	}
 }
 
-// recountQueueBytes rebuilds the memory estimate after a prune discarded
-// an unknown subset of the queue.
-func (s *searcher) recountQueueBytes() {
-	s.queueBytes = 0
-	s.eachQueued(func(c *queuedChild) { s.queueBytes += s.childMem(c) })
-}
-
 // overMemory enforces Options.MaxMemory, the byte-accounted version of the
 // paper's 768-MB ceiling: when the estimate (queued nodes plus the
 // transposition table) exceeds the limit the lowest-priority half of the
@@ -457,7 +450,6 @@ func (s *searcher) overMemory() bool {
 	keep := s.fr.n / 2
 	if keep > 0 {
 		s.pruneQueue(keep, s.discardChild)
-		s.recountQueueBytes()
 	}
 	if s.totalBytes() <= limit {
 		return false
@@ -677,7 +669,6 @@ func (s *searcher) run() Result {
 		}
 		if s.fr.n > s.queueCap {
 			s.pruneQueue(s.queueCap/2, s.discardChild)
-			s.recountQueueBytes()
 		}
 		if s.overMemory() {
 			stop = StopMemoryLimit
@@ -1012,13 +1003,12 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 	}
 	isRoot := parent.depth == 0
 	childDepth := int(parent.depth) + 1
-	// Node IDs and insertion numbers are reserved for every candidate
-	// generated, those generate filtered out included.
+	// Node IDs are reserved for every candidate generated, those generate
+	// filtered out included.
 	ncands := gr.filtered
 	for ti := range gr.targets {
 		ncands += len(gr.targets[ti].cands)
 	}
-	s.reserveSeqs(ncands)
 	// Every node this commit creates is one of its candidates, so their IDs
 	// fit a leaf's 16-bit offset from base unless there are more candidates
 	// than that; then every child is queued as a plain node.
@@ -1075,22 +1065,21 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 					target: target, factor: c.factor, priority: c.priority,
 				})
 			}
-			// The child takes its node ID and insertion number now, in
-			// the order pushes would have taken them.
+			// The child takes its node ID now, in creation order, which
+			// is the order equal priorities pop in.
 			n := s.candNode(pi, target, c)
 			s.emit(EventPush, &n)
 			if c.sol >= 0 || !leaves {
 				ci := s.addChild(n, s.putSol(gr, c))
 				s.charge(s.ar.memOf(ci), c.hash, childDepth)
-				s.fr.pq.PushSeq(ci, c.priority, s.nextSeq())
-				s.fr.n++
+				s.enqueue(ci, c.priority)
 				continue
 			}
 			s.charge(nodeBytes, c.hash, childDepth)
 			s.ar.at(pi).kids++
 			s.nodes++
 			fanout = append(fanout, keyedLeaf{leaf{
-				seq: s.nextSeq(), factor: n.factor, terms: n.terms, id: uint16(n.id - base), target: uint8(n.target),
+				factor: n.factor, terms: n.terms, id: uint16(n.id - base), target: uint8(n.target),
 			}, c.priority})
 			lastHash = c.hash
 		}
@@ -1100,8 +1089,7 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 	case 1: // a lone child gains nothing from a list
 		n := s.leafNode(pi, base, &fanout[0].leaf)
 		n.hash = lastHash
-		s.fr.pq.PushSeq(s.ar.alloc(n), fanout[0].priority, fanout[0].seq)
-		s.fr.n++
+		s.enqueue(s.ar.alloc(n), fanout[0].priority)
 	default:
 		s.queueLeaves(pi, base, fanout)
 	}

@@ -2,44 +2,41 @@
 // synthesis search (Section IV-C: "A priority queue, implemented as a max
 // heap, is utilized to determine which node is processed next").
 //
-// Ties are broken by insertion order (FIFO), which keeps the search
-// deterministic — important both for reproducing runs and for matching the
-// behaviour of a sequential C implementation. Because (priority, insertion)
-// is a strict total order, the pop order is fixed by the pushed entries
-// alone, whatever the heap's arity or array layout.
+// Every entry carries a 64-bit ID from its caller, and ties are broken by
+// it: among equal priorities the lower ID pops first. The search passes
+// node IDs, which it hands out in creation order, so ties pop first in
+// first out, which keeps the search deterministic — important both for
+// reproducing runs and for matching the behaviour of a sequential C
+// implementation. Because (priority, ID) is a strict total order when the
+// IDs are unique, the pop order is fixed by the pushed entries alone,
+// whatever the heap's arity or array layout.
 //
 // That fact is what lets the search queue one entry per expanded parent
 // instead of one per child (partial expansion, see internal/core's
-// frontier): the caller numbers the children itself and pushes with
-// PushSeq, and an entry keyed by a parent's best waiting child is re-keyed
-// in place with ReplaceTop when that child leaves. Entries numbered by the
-// caller and by Push must not be mixed in one queue.
+// frontier): an entry keyed by a parent's best waiting child is re-keyed
+// in place with ReplaceTop when that child leaves, and a copy of the heap
+// (Map) popped the same way lists every child in pop order.
 //
 // The heap is 4-ary: the children of index i are 4i+1…4i+4. A shallower
 // tree halves the levels a push climbs, and the four children of a node
-// share one or two cache lines of 16-byte entries, so a pop's extra
+// share two or three cache lines of 24-byte entries, so a pop's extra
 // comparisons per level cost less than the levels it saves. Both sifts
 // carry the moving entry and write it once, into the hole they stop at.
 package queue
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Queue is a max-heap of values with float64 priorities. The zero value is
 // an empty queue ready for use.
 type Queue[T any] struct {
 	items []entry[T]
-	seq   uint32 // insertion number of the next Push
 }
 
 // entry is one queued value. With a 4-byte value (the search's int32 arena
-// slots) it is 16 bytes: the insertion number is 32-bit, and Push renumbers
-// the queue before it would wrap (see renumber).
+// slots) it is 24 bytes.
 type entry[T any] struct {
 	priority float64
-	seq      uint32
+	id       uint64
 	value    T
 }
 
@@ -57,12 +54,12 @@ func parent(i int) int { return (i - 1) / arity }
 func firstChild(i int) int { return arity*i + 1 }
 
 // before reports whether a has strictly higher precedence than b: higher
-// priority, or equal priority and earlier insertion.
+// priority, or equal priority and a lower ID.
 func before[T any](a, b *entry[T]) bool {
 	if a.priority != b.priority {
 		return a.priority > b.priority
 	}
-	return a.seq < b.seq
+	return a.id < b.id
 }
 
 // Clear discards all queued items (used by the restart heuristic).
@@ -71,17 +68,14 @@ func (q *Queue[T]) Clear() {
 }
 
 // PruneTo keeps only the k highest-precedence items, discarding the rest.
-// The search uses it to bound memory on large functions. A descending-sorted
-// array satisfies the max-heap property, so the rebuild is a sort.
+// A descending-sorted array satisfies the max-heap property, so the rebuild
+// is a sort.
 func (q *Queue[T]) PruneTo(k int) {
 	q.PruneToFunc(k, nil)
 }
 
 // PruneToFunc is PruneTo with a callback: discard, if non-nil, is invoked
-// once for every dropped item before its slot is released. The search uses
-// it to un-register pruned nodes from its transposition table (a pruned
-// node was never expanded, so leaving it marked as visited could block the
-// only path to an unexplored state) and to recycle their allocations.
+// once for every dropped item before its slot is released.
 func (q *Queue[T]) PruneToFunc(k int, discard func(T)) {
 	if len(q.items) <= k {
 		return
@@ -97,58 +91,43 @@ func (q *Queue[T]) PruneToFunc(k int, discard func(T)) {
 	q.items = q.items[:k]
 }
 
-// sortEntries sorts descending by precedence (priority, then insertion
-// order).
+// sortEntries sorts descending by precedence (priority, then ID).
 func sortEntries[T any](items []entry[T]) {
 	sort.Slice(items, func(i, j int) bool { return before(&items[i], &items[j]) })
 }
 
-// Push inserts v with the given priority.
-func (q *Queue[T]) Push(v T, priority float64) {
-	if q.seq == math.MaxUint32 {
-		q.renumber()
-	}
-	q.PushSeq(v, priority, q.seq)
-	q.seq++
-}
-
-// PushSeq inserts v with the given priority under the caller's insertion
-// number seq: among equal priorities, lower numbers pop first. A caller
-// that numbers its own entries keeps the numbers unique and renumbers them
-// itself before its counter wraps.
-func (q *Queue[T]) PushSeq(v T, priority float64, seq uint32) {
-	q.items = append(q.items, entry[T]{priority: priority, seq: seq, value: v})
+// PushSeq inserts v with the given priority under the caller's ID: among
+// equal priorities, lower IDs pop first. The caller keeps the IDs of queued
+// entries unique.
+func (q *Queue[T]) PushSeq(v T, priority float64, id uint64) {
+	q.items = append(q.items, entry[T]{priority: priority, id: id, value: v})
 	q.up(len(q.items) - 1)
 }
 
-// renumber keeps FIFO tie-breaking exact when the 32-bit insertion counter
-// runs out, which a long search does (a 500-million-step run pushes more
-// than 2^32 nodes): it sorts the entries by precedence and numbers them
-// 0…len−1 in that order, so every queued entry keeps its rank and every
-// later Push numbers above all of them. The sorted array is a valid heap.
-func (q *Queue[T]) renumber() {
-	sortEntries(q.items)
+// Map returns a queue of f(v) for every value v in q, each under v's key.
+// It allocates one array of q.Len() entries and keeps q's layout, which is
+// then a valid heap as it stands.
+func Map[T, U any](q *Queue[T], f func(T) U) Queue[U] {
+	m := Queue[U]{items: make([]entry[U], len(q.items))}
 	for i := range q.items {
-		q.items[i].seq = uint32(i)
+		e := &q.items[i]
+		m.items[i] = entry[U]{priority: e.priority, id: e.id, value: f(e.value)}
 	}
-	q.seq = uint32(len(q.items))
+	return m
 }
 
-// Peek returns the highest-priority item without removing it. The boolean
-// is false when the queue is empty.
-func (q *Queue[T]) Peek() (T, bool) {
-	if len(q.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.items[0].value, true
+// Top returns the highest-precedence item with its priority and ID. The
+// queue must not be empty.
+func (q *Queue[T]) Top() (v T, priority float64, id uint64) {
+	e := &q.items[0]
+	return e.value, e.priority, e.id
 }
 
-// ReplaceTop gives the highest-priority item a new priority and insertion
-// number and restores the heap — one sift down instead of a Pop and a
-// PushSeq. The queue must not be empty.
-func (q *Queue[T]) ReplaceTop(priority float64, seq uint32) {
-	q.items[0].priority, q.items[0].seq = priority, seq
+// ReplaceTop replaces the highest-priority item with v under a new
+// priority and ID and restores the heap — one sift down instead of a Pop
+// and a PushSeq. The queue must not be empty.
+func (q *Queue[T]) ReplaceTop(v T, priority float64, id uint64) {
+	q.items[0] = entry[T]{priority: priority, id: id, value: v}
 	q.down(0)
 }
 
@@ -170,11 +149,11 @@ func (q *Queue[T]) Pop() (T, bool) {
 	return top, true
 }
 
-// Each calls f for every queued item with its priority and insertion
-// number, in unspecified (heap-array) order.
-func (q *Queue[T]) Each(f func(v T, priority float64, seq uint32)) {
+// Each calls f for every queued item with its priority and ID, in
+// unspecified (heap-array) order.
+func (q *Queue[T]) Each(f func(v T, priority float64, id uint64)) {
 	for i := range q.items {
-		f(q.items[i].value, q.items[i].priority, q.items[i].seq)
+		f(q.items[i].value, q.items[i].priority, q.items[i].id)
 	}
 }
 

@@ -2,7 +2,6 @@ package queue
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -23,9 +22,9 @@ func TestEmpty(t *testing.T) {
 
 func TestMaxHeapOrder(t *testing.T) {
 	var q Queue[string]
-	q.Push("low", 1)
-	q.Push("high", 10)
-	q.Push("mid", 5)
+	q.PushSeq("low", 1, 0)
+	q.PushSeq("high", 10, 1)
+	q.PushSeq("mid", 5, 2)
 	for _, want := range []string{"high", "mid", "low"} {
 		got, ok := q.Pop()
 		if !ok || got != want {
@@ -37,7 +36,7 @@ func TestMaxHeapOrder(t *testing.T) {
 func TestFIFOTieBreak(t *testing.T) {
 	var q Queue[int]
 	for i := 0; i < 100; i++ {
-		q.Push(i, 7.0)
+		q.PushSeq(i, 7.0, uint64(i))
 	}
 	for i := 0; i < 100; i++ {
 		got, _ := q.Pop()
@@ -58,7 +57,7 @@ func TestRandomizedAgainstSort(t *testing.T) {
 		prios := make([]float64, n)
 		for i := range prios {
 			prios[i] = float64(src.Intn(50)) // many ties
-			q.Push(i, prios[i])
+			q.PushSeq(i, prios[i], uint64(i))
 		}
 		idx := make([]int, n)
 		for i := range idx {
@@ -101,7 +100,7 @@ func TestRandomizedAgainstSort(t *testing.T) {
 		push := func() {
 			it := item{v: next, priority: float64(src.Intn(3))} // three values: heavy ties
 			next++
-			q.Push(it.v, it.priority)
+			q.PushSeq(it.v, it.priority, uint64(it.v))
 			insert(it)
 		}
 		for range size {
@@ -160,13 +159,13 @@ func TestRandomizedAgainstSort(t *testing.T) {
 
 func TestClear(t *testing.T) {
 	var q Queue[int]
-	q.Push(1, 1)
-	q.Push(2, 2)
+	q.PushSeq(1, 1, 0)
+	q.PushSeq(2, 2, 1)
 	q.Clear()
 	if q.Len() != 0 {
 		t.Error("Clear left items behind")
 	}
-	q.Push(3, 3)
+	q.PushSeq(3, 3, 2)
 	if v, ok := q.Pop(); !ok || v != 3 {
 		t.Error("queue unusable after Clear")
 	}
@@ -175,7 +174,7 @@ func TestClear(t *testing.T) {
 func TestPruneTo(t *testing.T) {
 	var q Queue[int]
 	for i := 0; i < 100; i++ {
-		q.Push(i, float64(i))
+		q.PushSeq(i, float64(i), uint64(i))
 	}
 	q.PruneTo(10)
 	if q.Len() != 10 {
@@ -192,7 +191,7 @@ func TestPruneTo(t *testing.T) {
 
 func TestPruneToNoOpWhenSmall(t *testing.T) {
 	var q Queue[int]
-	q.Push(1, 1)
+	q.PushSeq(1, 1, 0)
 	q.PruneTo(10)
 	if q.Len() != 1 {
 		t.Error("PruneTo shrank a small queue")
@@ -228,7 +227,7 @@ func TestPruneToHeapInvariant(t *testing.T) {
 		var q Queue[int]
 		n := 500 + src.Intn(500)
 		for i := 0; i < n; i++ {
-			q.Push(i, float64(src.Intn(40)))
+			q.PushSeq(i, float64(src.Intn(40)), uint64(i))
 		}
 		keep := 1 + src.Intn(n)
 		q.PruneTo(keep)
@@ -242,7 +241,7 @@ func TestPruneToHeapInvariant(t *testing.T) {
 func TestPruneToKeepsFIFOWithinTies(t *testing.T) {
 	var q Queue[int]
 	for i := 0; i < 20; i++ {
-		q.Push(i, 3.0) // all tied
+		q.PushSeq(i, 3.0, uint64(i)) // all tied
 	}
 	q.PruneTo(7)
 	for want := 0; want < 7; want++ {
@@ -255,8 +254,8 @@ func TestPruneToKeepsFIFOWithinTies(t *testing.T) {
 
 func TestPruneToZero(t *testing.T) {
 	var q Queue[int]
-	q.Push(1, 1)
-	q.Push(2, 2)
+	q.PushSeq(1, 1, 0)
+	q.PushSeq(2, 2, 1)
 	q.PruneTo(0)
 	if q.Len() != 0 {
 		t.Errorf("Len after PruneTo(0) = %d", q.Len())
@@ -271,13 +270,13 @@ func TestPruneToZero(t *testing.T) {
 func TestEachVisitsAll(t *testing.T) {
 	var q Queue[int]
 	seen := make(map[int]int)
-	q.Each(func(int, float64, uint32) { t.Error("Each on empty queue called f") })
+	q.Each(func(int, float64, uint64) { t.Error("Each on empty queue called f") })
 	for i := 0; i < 50; i++ {
-		q.Push(i, float64(i%7))
+		q.PushSeq(i, float64(i%7), uint64(i))
 	}
 	q.Pop()
 	q.Pop()
-	q.Each(func(v int, priority float64, _ uint32) {
+	q.Each(func(v int, priority float64, _ uint64) {
 		seen[v]++
 		if priority != float64(v%7) {
 			t.Errorf("Each gave item %d priority %v, want %v", v, priority, float64(v%7))
@@ -300,7 +299,7 @@ func TestPruneKeepsHeapValid(t *testing.T) {
 	var q Queue[float64]
 	for i := 0; i < 1000; i++ {
 		p := float64(src.Intn(100))
-		q.Push(p, p)
+		q.PushSeq(p, p, uint64(i))
 	}
 	q.PruneTo(333)
 	if q.Len() != 333 {
@@ -324,7 +323,7 @@ func TestPruneKeepsHeapValid(t *testing.T) {
 func TestPruneToFuncDiscards(t *testing.T) {
 	var q Queue[int]
 	for i := 0; i < 20; i++ {
-		q.Push(i, float64(i))
+		q.PushSeq(i, float64(i), uint64(i))
 	}
 	discarded := map[int]int{}
 	q.PruneToFunc(5, func(v int) { discarded[v]++ })
@@ -346,66 +345,11 @@ func TestPruneToFuncDiscards(t *testing.T) {
 	q.PruneToFunc(10, func(v int) { t.Errorf("discarded %d from a small queue", v) })
 }
 
-// TestEntrySize pins a queued search node (an int32 arena slot) at 16
-// bytes of heap array: priority, a 32-bit insertion number, and the slot.
+// TestEntrySize pins a queued search node (an int32 arena slot) at 24
+// bytes of heap array: priority, the 64-bit node ID, and the slot.
 func TestEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(entry[int32]{}); got != 16 {
-		t.Fatalf("entry[int32] is %d bytes, want 16", got)
-	}
-}
-
-// TestSeqWrapKeepsFIFO starts the 32-bit insertion counter just below its
-// limit and pushes runs of tied priorities across the wrap, interleaved
-// with pops, checking every pop against a model that numbers insertions
-// with 64 bits and never wraps.
-func TestSeqWrapKeepsFIFO(t *testing.T) {
-	type item struct {
-		v        int
-		priority float64
-		seq      uint64
-	}
-	src := rng.New(41)
-	var q Queue[int]
-	q.seq = math.MaxUint32 - 300
-	var model []item
-	var next uint64
-	popModel := func() int {
-		best := 0
-		for i, it := range model[1:] {
-			b := model[best]
-			if it.priority > b.priority || it.priority == b.priority && it.seq < b.seq {
-				best = i + 1
-			}
-		}
-		v := model[best].v
-		model = append(model[:best], model[best+1:]...)
-		return v
-	}
-	renumbered := false
-	for i := 0; i < 2000; i++ {
-		if q.seq < math.MaxUint32-300 {
-			renumbered = true
-		}
-		if len(model) > 0 && src.Intn(3) == 0 {
-			want := popModel()
-			if got, ok := q.Pop(); !ok || got != want {
-				t.Fatalf("pop %d = %d (%v), want %d", i, got, ok, want)
-			}
-			continue
-		}
-		p := float64(src.Intn(4)) // few distinct priorities: many ties
-		q.Push(i, p)
-		model = append(model, item{v: i, priority: p, seq: next})
-		next++
-	}
-	if !renumbered {
-		t.Fatal("the insertion counter never wrapped")
-	}
-	for len(model) > 0 {
-		want := popModel()
-		if got, ok := q.Pop(); !ok || got != want {
-			t.Fatalf("drain pop = %d (%v), want %d", got, ok, want)
-		}
+	if got := unsafe.Sizeof(entry[int32]{}); got != 24 {
+		t.Fatalf("entry[int32] is %d bytes, want 24", got)
 	}
 }
 
@@ -423,18 +367,20 @@ func BenchmarkQueuePushPop(b *testing.B) {
 	}
 	var q Queue[int32]
 	k := 0
-	next := func() float64 {
+	var id uint64
+	push := func(v int32) {
 		k = (k + 1) & (len(prios) - 1)
-		return prios[k]
+		q.PushSeq(v, prios[k], id)
+		id++
 	}
 	for i := 0; i < low; i++ {
-		q.Push(int32(i), next())
+		push(int32(i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v, _ := q.Pop()
 		for c := int32(1); c <= 4; c++ {
-			q.Push(4*v+c, next())
+			push(4*v + c)
 		}
 		if q.Len() > high {
 			b.StopTimer()
@@ -444,15 +390,15 @@ func BenchmarkQueuePushPop(b *testing.B) {
 	}
 }
 
-// TestPushSeqAndReplaceTop drives a queue numbered by its caller: PushSeq
-// with explicit insertion numbers, Peek, Pop and ReplaceTop with any new
-// key — lower, equal or higher precedence than the old top — checked
+// TestPushSeqAndReplaceTop drives a queue keyed by its caller's IDs, given
+// out of push order: PushSeq, Top, Pop and ReplaceTop with any new value
+// and key — lower, equal or higher precedence than the old top — checked
 // against a linear-scan model after every operation.
 func TestPushSeqAndReplaceTop(t *testing.T) {
 	type item struct {
 		v        int
 		priority float64
-		seq      uint32
+		id       uint64
 	}
 	src := rng.New(43)
 	var q Queue[int]
@@ -461,20 +407,21 @@ func TestPushSeqAndReplaceTop(t *testing.T) {
 		b := 0
 		for i, it := range model {
 			m := model[b]
-			if it.priority > m.priority || it.priority == m.priority && it.seq < m.seq {
+			if it.priority > m.priority || it.priority == m.priority && it.id < m.id {
 				b = i
 			}
 		}
 		return b
 	}
-	var seq uint32
+	// id is a bijection on 32-bit values, so the IDs are unique but not
+	// in push order.
+	id := func(i int) uint64 { return uint64(uint32(i) * 2654435761) }
 	for i := 0; i < 4000; i++ {
 		switch r := src.Intn(4); {
 		case r == 0 || len(model) == 0:
 			p := float64(src.Intn(4))
-			q.PushSeq(i, p, seq)
-			model = append(model, item{i, p, seq})
-			seq++
+			q.PushSeq(i, p, id(i))
+			model = append(model, item{i, p, id(i)})
 		case r == 1:
 			b := best()
 			if got, ok := q.Pop(); !ok || got != model[b].v {
@@ -484,18 +431,35 @@ func TestPushSeqAndReplaceTop(t *testing.T) {
 		default:
 			b := best()
 			p := float64(src.Intn(4))
-			q.ReplaceTop(p, seq)
-			model[b].priority, model[b].seq = p, seq
-			seq++
+			q.ReplaceTop(i, p, id(i))
+			model[b] = item{i, p, id(i)}
 		}
 		if len(model) == 0 {
 			continue
 		}
-		if got, ok := q.Peek(); !ok || got != model[best()].v {
-			t.Fatalf("op %d: Peek = %d (%v), want %d", i, got, ok, model[best()].v)
+		if got, p, id := q.Top(); got != model[best()].v || p != model[best()].priority || id != model[best()].id {
+			t.Fatalf("op %d: Top = %d (%v, %d), want %+v", i, got, p, id, model[best()])
 		}
 	}
-	if _, ok := (&Queue[int]{}).Peek(); ok {
-		t.Fatal("Peek on an empty queue reported an item")
+}
+
+// TestMapKeepsKeys: a mapped queue is a valid heap that holds every value
+// under its key, so it pops in its source's order.
+func TestMapKeepsKeys(t *testing.T) {
+	src := rng.New(47)
+	var q Queue[int]
+	for i := 0; i < 500; i++ {
+		q.PushSeq(i, float64(src.Intn(5)), uint64(src.Intn(1<<20))<<10|uint64(i))
+	}
+	m := Map(&q, func(v int) string { return fmt.Sprint(v) })
+	checkHeap(t, &m, "mapped queue")
+	for q.Len() > 0 {
+		v, _ := q.Pop()
+		if got, ok := m.Pop(); !ok || got != fmt.Sprint(v) {
+			t.Fatalf("mapped queue pops %q (%v), source pops %d", got, ok, v)
+		}
+	}
+	if m.Len() != 0 {
+		t.Fatalf("mapped queue holds %d more items than its source", m.Len())
 	}
 }
