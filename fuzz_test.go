@@ -94,13 +94,15 @@ func FuzzPLAParse(f *testing.F) {
 	f.Add(".i 2\n.o 1\n01 1\n01 0")
 	f.Add(".i 2\n.o 1\n01 1\n.e\n.i 3")
 	f.Fuzz(func(t *testing.T, s string) {
-		tab, err := tt.ParsePLA(s)
+		pt, err := tt.ParsePLAPartial(s)
 		if err != nil {
 			return
 		}
-		if err := tab.Validate(); err != nil {
-			t.Fatalf("ParsePLA accepted an invalid table: %v", err)
+		if err := pt.Validate(); err != nil {
+			t.Fatalf("ParsePLAPartial accepted an invalid table: %v", err)
 		}
+		// The completion with every don't-care at 0.
+		tab := &tt.Table{Inputs: pt.Inputs, Outputs: pt.Outputs, Rows: pt.Rows}
 		if _, err := tt.Embed(tab); err != nil {
 			t.Fatalf("valid PLA table failed to embed: %v", err)
 		}

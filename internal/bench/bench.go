@@ -6,8 +6,8 @@
 // published definitions; ham3/ham7, whose exact specifications came from a
 // benchmark page that is no longer available, are documented stand-ins
 // (see DESIGN.md). The suite is built on first use: the first call of All,
-// Names, ByName, TableIV, Examples or ExtendedFamilies builds every entry
-// once, so importing the package costs nothing at start-up.
+// ByName, TableIV, Examples or ExtendedFamilies builds every entry once, so
+// importing the package costs nothing at start-up.
 package bench
 
 import (
@@ -147,22 +147,22 @@ func buildLibrary() *library {
 // All returns every benchmark in registration order.
 func All() []*Benchmark { return append([]*Benchmark(nil), lib().list...) }
 
-// Names returns the sorted benchmark names.
-func Names() []string {
+// names returns the sorted benchmark names.
+func names() []string {
 	list := lib().list
-	names := make([]string, 0, len(list))
+	out := make([]string, 0, len(list))
 	for _, b := range list {
-		names = append(names, b.Name)
+		out = append(out, b.Name)
 	}
-	sort.Strings(names)
-	return names
+	sort.Strings(out)
+	return out
 }
 
 // ByName looks a benchmark up.
 func ByName(name string) (*Benchmark, error) {
 	b, ok := lib().byName[name]
 	if !ok {
-		return nil, fmt.Errorf("bench: unknown benchmark %q (have %v)", name, Names())
+		return nil, fmt.Errorf("bench: unknown benchmark %q (have %v)", name, names())
 	}
 	return b, nil
 }

@@ -73,7 +73,7 @@ func TestPPRMMatchesSpec(t *testing.T) {
 
 func TestShifterFunction(t *testing.T) {
 	// The paper's Example 14: control value s shifts the sequence by s.
-	c := ShifterCircuit(4)
+	c := shifterCircuit(4)
 	p := c.Perm()
 	for s := uint32(0); s < 4; s++ {
 		for d := uint32(0); d < 16; d++ {
@@ -85,14 +85,14 @@ func TestShifterFunction(t *testing.T) {
 		}
 	}
 	if c.Len() != 2*4-1 {
-		t.Errorf("ShifterCircuit(4) has %d gates, want 7", c.Len())
+		t.Errorf("shifterCircuit(4) has %d gates, want 7", c.Len())
 	}
 }
 
 func TestShifterMatchesPublishedReference(t *testing.T) {
 	// shift10's best published realization [13] has 19 gates = 2n−1.
-	if got := ShifterCircuit(10).Len(); got != 19 {
-		t.Errorf("ShifterCircuit(10) = %d gates, want 19", got)
+	if got := shifterCircuit(10).Len(); got != 19 {
+		t.Errorf("shifterCircuit(10) = %d gates, want 19", got)
 	}
 }
 

@@ -67,7 +67,7 @@ func TestConcurrentFirstUse(t *testing.T) {
 			note(TableIV())
 			note(Examples())
 			note(ExtendedFamilies())
-			for _, name := range Names() {
+			for _, name := range names() {
 				b, err := ByName(name)
 				if err != nil {
 					t.Error(err)

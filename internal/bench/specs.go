@@ -229,10 +229,10 @@ func addNewBenchmarks(l *library) {
 		}
 		n := s.n
 		sb.PPRMSpec = func() (*pprm.Spec, error) {
-			return ShifterCircuit(n).PPRM(), nil
+			return shifterCircuit(n).PPRM(), nil
 		}
 		if s.n+2 <= 20 {
-			sb.Spec = ShifterCircuit(s.n).Perm()
+			sb.Spec = shifterCircuit(s.n).Perm()
 		}
 		l.add(sb)
 	}
@@ -329,14 +329,14 @@ func graycodePPRM(n int) func() (*pprm.Spec, error) {
 	}
 }
 
-// ShifterCircuit builds the reference realization of Example 14's shifter:
+// shifterCircuit builds the reference realization of Example 14's shifter:
 // a controlled increment by 1 (conditioned on control wire n) cascaded with
 // a controlled increment by 2 (conditioned on control wire n+1), for
 // 2n − 1 gates in total. Data wires are 0..n−1 (wire 0 = LSB); the
 // function maps data value d to (d + s) mod 2^n where s is the 2-bit
 // control value, matching the paper's example {0,1,…} → {2,3,…,0,1} for
 // control 10.
-func ShifterCircuit(n int) *circuit.Circuit {
+func shifterCircuit(n int) *circuit.Circuit {
 	c := circuit.New(n + 2)
 	c0, c1 := n, n+1
 	// +1 controlled on c0: ripple from the top down so lower carries are

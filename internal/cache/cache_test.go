@@ -26,7 +26,10 @@ func randomSpec(n, gates int, src *rng.Source) (*circuit.Circuit, perm.Perm) {
 }
 
 func randomTransform(n int, src *rng.Source) canon.Transform {
-	t := canon.Identity(n)
+	t := canon.Transform{Wires: make([]int, n)}
+	for i := range t.Wires {
+		t.Wires[i] = i
+	}
 	for i := n - 1; i > 0; i-- {
 		j := src.Intn(i + 1)
 		t.Wires[i], t.Wires[j] = t.Wires[j], t.Wires[i]

@@ -49,8 +49,8 @@ type Transform struct {
 	Polarity uint32
 }
 
-// Identity returns the identity transform on n wires.
-func Identity(n int) Transform {
+// identity returns the identity transform on n wires.
+func identity(n int) Transform {
 	w := make([]int, n)
 	for i := range w {
 		w[i] = i
@@ -193,7 +193,7 @@ func Canonicalize(p perm.Perm) (perm.Perm, Transform, error) {
 		return nil, Transform{}, err
 	}
 	if n > ExactVars {
-		return append(perm.Perm(nil), p...), Identity(n), nil
+		return append(perm.Perm(nil), p...), identity(n), nil
 	}
 	rep, t := orbitMin(p, n)
 	return rep, t, nil
@@ -210,8 +210,8 @@ func Canonicalize(p perm.Perm) (perm.Perm, Transform, error) {
 func orbitMin(p perm.Perm, n int) (perm.Perm, Transform) {
 	best := append(perm.Perm(nil), p...)
 	cur := make(perm.Perm, len(p))
-	bestT := Identity(n)
-	wires := Identity(n).Wires
+	bestT := identity(n)
+	wires := identity(n).Wires
 	var inv [ExactVars]int
 	var sc, si [1 << ExactVars]uint32
 	for {

@@ -10,7 +10,7 @@ import (
 )
 
 func randomTransform(n int, src *rng.Source) Transform {
-	w := Identity(n).Wires
+	w := identity(n).Wires
 	for i := n - 1; i > 0; i-- {
 		j := src.Intn(i + 1)
 		w[i], w[j] = w[j], w[i]
@@ -140,7 +140,7 @@ func lexLess(a, b perm.Perm) bool {
 
 // forEachTransform calls f with every transform on n wires.
 func forEachTransform(n int, f func(Transform)) {
-	wires := Identity(n).Wires
+	wires := identity(n).Wires
 	for {
 		for pol := uint32(0); pol < 1<<uint(n); pol++ {
 			f(Transform{Wires: wires, Polarity: pol})

@@ -56,22 +56,13 @@ func LookupAnswer(c *cache.Cache, p perm.Perm, fp uint64) (Result, bool) {
 	}, true
 }
 
-// StoreAnswer offers res, a result for the cacheable permutation p, to the
+// InsertAnswer offers res, a result for the cacheable permutation p, to the
 // answer cache c when it is worth keeping — found, independently verified
 // (which also rules out SkipVerify runs: the gate never ran), and carrying
-// a circuit — and stamps the canonical class on it. It is InsertAnswer
-// followed by the durable write, and returns once the write is done, so
-// the engine's result is on disk when it reaches the caller. A
-// persistence failure only costs durability: the in-memory entry stands
-// and its class is stamped all the same.
-func StoreAnswer(c *cache.Cache, p perm.Perm, fp uint64, res *Result) {
-	_ = InsertAnswer(c, p, fp, res).Persist()
-}
-
-// InsertAnswer is StoreAnswer's in-memory half: same store rule, same class
-// stamp, but the entry is only inserted into memory. The returned write
-// (nil when nothing was stored) makes it durable; the server runs it after
-// the client has its answer, so no response waits for an fsync.
+// a circuit — and stamps the canonical class on it. The entry is only
+// inserted into memory: the returned write (nil when nothing was stored)
+// makes it durable. The server runs that write after the client has its
+// answer, so no response waits for an fsync.
 func InsertAnswer(c *cache.Cache, p perm.Perm, fp uint64, res *Result) *cache.Pending {
 	if !res.Found || !res.Verified || res.Circuit == nil {
 		return nil
@@ -107,12 +98,15 @@ func cacheLookup(spec *pprm.Spec, opts *Options) (Result, *cacheProbe, bool) {
 }
 
 // cacheStore stamps the class on the result and offers it to the cache
-// through StoreAnswer.
+// through InsertAnswer, then makes the entry durable before returning, so
+// the engine's result is on disk when it reaches the caller. A persistence
+// failure only costs durability: the in-memory entry stands and its class
+// is stamped all the same.
 func cacheStore(probe *cacheProbe, opts *Options, res Result) Result {
 	if probe == nil {
 		return res
 	}
 	res.CanonicalClass = probe.class
-	StoreAnswer(opts.Cache, probe.p, probe.fp, &res)
+	_ = InsertAnswer(opts.Cache, probe.p, probe.fp, &res).Persist()
 	return res
 }

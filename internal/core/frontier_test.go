@@ -138,7 +138,15 @@ func (m *frontierModel) prune(k int) {
 	}
 	offset := m.s.queueBytes - charge()
 	var want, got []int
-	m.model.PruneToFunc(k, func(id int) { want = append(want, id) })
+	ordered := m.modelInOrder()
+	m.model.Clear()
+	for i, c := range ordered {
+		if i < k {
+			m.model.PushSeq(c.id, c.priority, uint64(c.id))
+		} else {
+			want = append(want, c.id)
+		}
+	}
 	m.s.pruneQueue(k, func(c *queuedChild) {
 		got = append(got, m.s.childNode(c).id)
 		m.s.discardChild(c)
@@ -163,24 +171,32 @@ func (s *searcher) queuedInOrder() []queuedChild {
 	return cs
 }
 
+// modelKey is one child of the plain heap: its node ID and priority.
+type modelKey struct {
+	id       int
+	priority float64
+}
+
+// modelInOrder lists the plain heap's children in precedence order.
+func (m *frontierModel) modelInOrder() []modelKey {
+	var keys []modelKey
+	m.model.Each(func(id int, priority float64, _ uint64) { keys = append(keys, modelKey{id, priority}) })
+	slices.SortFunc(keys, func(a, b modelKey) int { return compareKeys(a.priority, uint64(a.id), b.priority, uint64(b.id)) })
+	return keys
+}
+
 // check compares Each (as a set) and walk (as a sequence, with the keys it
 // reports) with the plain heap's contents and precedence order.
 func (m *frontierModel) check() {
-	type key struct {
-		id       int
-		priority float64
-	}
-	var want []key
-	m.model.Each(func(id int, priority float64, _ uint64) { want = append(want, key{id, priority}) })
-	slices.SortFunc(want, func(a, b key) int { return compareKeys(a.priority, uint64(a.id), b.priority, uint64(b.id)) })
+	want := m.modelInOrder()
 	var each []int
 	m.s.eachQueued(func(c *queuedChild) { each = append(each, m.s.childNode(c).id) })
-	var ordered []key
+	var ordered []modelKey
 	for _, c := range m.s.queuedInOrder() {
 		if id := m.s.childNode(&c).id; uint64(id) != c.id {
 			m.t.Fatalf("walk reports node %d under ID %d", id, c.id)
 		}
-		ordered = append(ordered, key{int(c.id), c.priority})
+		ordered = append(ordered, modelKey{int(c.id), c.priority})
 	}
 	if !slices.Equal(ordered, want) {
 		m.t.Fatalf("walk %v, plain heap order %v", ordered, want)

@@ -16,11 +16,7 @@ import (
 // fig1 is the reversible function of Fig. 1, specification {1,0,7,2,3,4,5,6}.
 func fig1(t *testing.T) perm.Perm {
 	t.Helper()
-	p, err := perm.FromInts([]int{1, 0, 7, 2, 3, 4, 5, 6})
-	if err != nil {
-		t.Fatalf("fig1 spec: %v", err)
-	}
-	return p
+	return perm.MustFromInts([]int{1, 0, 7, 2, 3, 4, 5, 6})
 }
 
 // TestNodeSize pins the search node at 48 bytes, so an arena page of 1,024

@@ -20,7 +20,7 @@
 // not decomposable over NCT: it is an odd permutation (it transposes one
 // pair of rows), while on four or more wires every NOT, CNOT, and TOF3
 // flips 2^(wires−1), 2^(wires−2), resp. 2^(wires−3) ≥ 2 rows — all even
-// permutations — so no cascade of them is odd. Decompose returns
+// permutations — so no cascade of them is odd. DecomposeCircuit returns
 // ErrNoAncilla in that case; the caller must widen the circuit.
 package decomp
 
@@ -37,22 +37,13 @@ import (
 // same wires (see the package comment for the parity argument).
 var ErrNoAncilla = errors.New("decomp: gate touches every wire; NCT decomposition needs a free wire (parity obstruction)")
 
-// Decompose expands one generalized Toffoli gate into an equivalent NCT
-// cascade on the same number of wires. Gates already in NCT are returned
-// unchanged (as a single-gate cascade).
-func Decompose(g circuit.Gate, wires int) (*circuit.Circuit, error) {
-	if !g.Valid(wires) {
-		return nil, fmt.Errorf("decomp: invalid gate %s on %d wires", g, wires)
-	}
-	out := circuit.New(wires)
-	if err := emit(out, g); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecomposeCircuit expands every gate of a cascade into NCT.
+// DecomposeCircuit expands every gate of a cascade into an equivalent NCT
+// cascade on the same number of wires. Gates already in NCT are kept
+// unchanged. A cascade with an invalid gate is rejected.
 func DecomposeCircuit(c *circuit.Circuit) (*circuit.Circuit, error) {
+	if err := c.Validate(); err != nil {
+		return nil, fmt.Errorf("decomp: %w", err)
+	}
 	out := circuit.New(c.Wires)
 	for _, g := range c.Gates {
 		if err := emit(out, g); err != nil {

@@ -14,11 +14,18 @@ func gateWith(target int, controls ...int) circuit.Gate {
 	return circuit.NewGate(target, controls...)
 }
 
+// decompose expands the one-gate cascade g on the given wires.
+func decompose(g circuit.Gate, wires int) (*circuit.Circuit, error) {
+	c := circuit.New(wires)
+	c.Append(g)
+	return DecomposeCircuit(c)
+}
+
 func checkEquivalent(t *testing.T, g circuit.Gate, wires int) *circuit.Circuit {
 	t.Helper()
-	dec, err := Decompose(g, wires)
+	dec, err := decompose(g, wires)
 	if err != nil {
-		t.Fatalf("Decompose(%s, %d): %v", g, wires, err)
+		t.Fatalf("decompose(%s, %d): %v", g, wires, err)
 	}
 	if !dec.NCTOnly() {
 		t.Fatalf("decomposition of %s contains non-NCT gates: %s", g, dec)
@@ -82,9 +89,23 @@ func TestSingleAncillaSplit(t *testing.T) {
 
 func TestNoAncillaRejected(t *testing.T) {
 	g := gateWith(0, 1, 2, 3) // 3 controls on 4 wires: no free wire
-	_, err := Decompose(g, 4)
+	_, err := decompose(g, 4)
 	if !errors.Is(err, ErrNoAncilla) {
 		t.Fatalf("err = %v, want ErrNoAncilla", err)
+	}
+}
+
+// TestInvalidGateRejected: a gate off the circuit's wires, or one whose
+// target is also a control, is an error, not a cascade.
+func TestInvalidGateRejected(t *testing.T) {
+	for _, g := range []circuit.Gate{
+		{Target: 4},
+		{Target: 0, Controls: bits.Bit(5)},
+		{Target: 1, Controls: bits.Bit(1) | bits.Bit(2) | bits.Bit(3)},
+	} {
+		if dec, err := decompose(g, 4); err == nil {
+			t.Errorf("gate %+v on 4 wires: got %s, want an error", g, dec)
+		}
 	}
 }
 
@@ -93,7 +114,7 @@ func TestDirtyAncillaRestored(t *testing.T) {
 	// checked implicitly by full-permutation equality, but spell out one
 	// case: ancilla starts at 1.
 	g := gateWith(0, 1, 2, 3, 4)
-	dec, err := Decompose(g, 7) // wires 5,6 free
+	dec, err := decompose(g, 7) // wires 5,6 free
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,21 +27,6 @@ type Gate struct {
 	Controls bits.Mask
 }
 
-// NewGate builds a Fredkin gate and validates its wiring.
-func NewGate(a, b int, controls ...int) (Gate, error) {
-	if a == b {
-		return Gate{}, fmt.Errorf("fredkin: swap wires must differ (both %d)", a)
-	}
-	var m bits.Mask
-	for _, c := range controls {
-		if c == a || c == b {
-			return Gate{}, fmt.Errorf("fredkin: wire %d is both swapped and a control", c)
-		}
-		m |= bits.Bit(c)
-	}
-	return Gate{A: a, B: b, Controls: m}, nil
-}
-
 // Apply computes the gate's action on one assignment.
 func (g Gate) Apply(x uint32) uint32 {
 	if x&g.Controls != g.Controls {

@@ -3,30 +3,16 @@ package fredkin
 import (
 	"testing"
 
+	"repro/internal/bits"
 	"repro/internal/circuit"
 	"repro/internal/perm"
 	"repro/internal/rng"
 )
 
-func TestNewGateValidation(t *testing.T) {
-	if _, err := NewGate(1, 1); err == nil {
-		t.Error("same-wire swap should fail")
-	}
-	if _, err := NewGate(0, 1, 1); err == nil {
-		t.Error("control overlapping swap wire should fail")
-	}
-	if _, err := NewGate(0, 1, 2); err != nil {
-		t.Errorf("valid gate rejected: %v", err)
-	}
-}
-
 func TestFredkinSemantics(t *testing.T) {
 	// The classic 3-bit Fredkin gate with control c swapping a, b is the
 	// paper's Example 3 specification {0,1,2,3,4,6,5,7}.
-	g, err := NewGate(0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := Gate{A: 0, B: 1, Controls: bits.Bit(2)}
 	want := perm.MustFromInts([]int{0, 1, 2, 3, 4, 6, 5, 7})
 	for x := uint32(0); x < 8; x++ {
 		if g.Apply(x) != want[x] {
@@ -47,15 +33,11 @@ func TestToToffoliMatchesGate(t *testing.T) {
 		n := 3 + src.Intn(3)
 		a := src.Intn(n)
 		b := (a + 1 + src.Intn(n-1)) % n
-		var controls []int
+		g := Gate{A: a, B: b}
 		for w := 0; w < n; w++ {
 			if w != a && w != b && src.Bool() {
-				controls = append(controls, w)
+				g.Controls |= bits.Bit(w)
 			}
-		}
-		g, err := NewGate(a, b, controls...)
-		if err != nil {
-			t.Fatal(err)
 		}
 		c := circuit.New(n)
 		tg := g.ToToffoli()

@@ -44,10 +44,10 @@ type generator struct {
 	table  []uint32
 }
 
-// Generators returns the gate set for n wires: all NOTs, all CNOTs, all
+// generators returns the gate set for n wires: all NOTs, all CNOTs, all
 // 3-bit Toffoli gates (every choice of 2 controls and a target), plus all
 // SWAPs for NCTS.
-func Generators(n int, lib Library) []generator {
+func generators(n int, lib Library) []generator {
 	var gens []generator
 	add := func(g generator) {
 		g.table = make([]uint32, 1<<uint(n))
@@ -107,7 +107,7 @@ func encode(p perm.Perm) uint32 {
 // encoding of the permutation; use Lookup to query it.
 func Distances(lib Library) *Table {
 	const n = 3
-	gens := Generators(n, lib)
+	gens := generators(n, lib)
 	dist := make(map[uint32]uint8, 40320)
 	id := perm.Identity(n)
 	frontier := []perm.Perm{id}
@@ -167,7 +167,7 @@ func (t *Table) Circuit(p perm.Perm) (*circuit.Circuit, error) {
 	if err != nil {
 		return nil, err
 	}
-	gens := Generators(3, t.lib)
+	gens := generators(3, t.lib)
 	cur := append(perm.Perm(nil), p...)
 	// Walking p → id collects generators outermost-first (each applied at
 	// the output side), so the input→output cascade is the reverse.

@@ -69,10 +69,10 @@ func TestLookup(t *testing.T) {
 
 func TestGeneratorCounts(t *testing.T) {
 	// n=3: 3 NOTs, 6 CNOTs, 3 Toffolis = 12; NCTS adds 3 SWAPs.
-	if got := len(Generators(3, NCT)); got != 12 {
+	if got := len(generators(3, NCT)); got != 12 {
 		t.Errorf("NCT generators = %d, want 12", got)
 	}
-	if got := len(Generators(3, NCTS)); got != 15 {
+	if got := len(generators(3, NCTS)); got != 15 {
 		t.Errorf("NCTS generators = %d, want 15", got)
 	}
 }

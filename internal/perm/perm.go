@@ -39,9 +39,9 @@ func New(values []uint32) (Perm, error) {
 	return p, nil
 }
 
-// FromInts builds a Perm from int output values (convenient for literal
+// fromInts builds a Perm from int output values (convenient for literal
 // specifications quoted from the paper) and validates it.
-func FromInts(values []int) (Perm, error) {
+func fromInts(values []int) (Perm, error) {
 	u := make([]uint32, len(values))
 	for i, v := range values {
 		if v < 0 {
@@ -52,10 +52,10 @@ func FromInts(values []int) (Perm, error) {
 	return New(u)
 }
 
-// MustFromInts is FromInts that panics on error; for fixed specifications
+// MustFromInts is fromInts that panics on error; for fixed specifications
 // quoted from the paper.
 func MustFromInts(values []int) Perm {
-	p, err := FromInts(values)
+	p, err := fromInts(values)
 	if err != nil {
 		panic(err)
 	}
@@ -186,5 +186,5 @@ func Parse(s string) (Perm, error) {
 		}
 		vals = append(vals, v)
 	}
-	return FromInts(vals)
+	return fromInts(vals)
 }

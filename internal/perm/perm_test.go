@@ -23,11 +23,11 @@ func TestValidateRejects(t *testing.T) {
 		{"not power of two", []int{0, 1, 2}},
 	}
 	for _, c := range cases {
-		if _, err := FromInts(c.vals); err == nil {
-			t.Errorf("%s: FromInts(%v) should fail", c.name, c.vals)
+		if _, err := fromInts(c.vals); err == nil {
+			t.Errorf("%s: fromInts(%v) should fail", c.name, c.vals)
 		}
 	}
-	if _, err := FromInts([]int{1, 0, -1, 2}); err == nil {
+	if _, err := fromInts([]int{1, 0, -1, 2}); err == nil {
 		t.Error("negative value should fail")
 	}
 }

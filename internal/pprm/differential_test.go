@@ -17,7 +17,7 @@ import (
 //
 //   - SubstituteProbe's delta and hash equal SubstituteCopy's term change
 //     and the copy's Hash();
-//   - every output of the copy equals a NewTermSet rebuild from the
+//   - every output of the copy equals a newTermSet rebuild from the
 //     parent's terms plus the naively computed toggles, hash included;
 //   - the copy equals FromPerm of the function with the gate applied;
 //   - Sorted() is Terms() ordered by (literal count, mask), for the parent
@@ -88,7 +88,7 @@ func rebuildSubstituted(ts *TermSet, target int, factor bits.Mask) TermSet {
 			masks = append(masks, t&^bits.Bit(target)|factor)
 		}
 	}
-	return NewTermSet(masks...)
+	return newTermSet(masks...)
 }
 
 // gateFirst returns p ∘ T for the Toffoli gate T with the given target and
@@ -119,7 +119,7 @@ func TestAppendFactorsDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for j := range s.Out {
-				sets := []TermSet{s.Out[j], NewTermSet(s.Out[j].Terms()...)}
+				sets := []TermSet{s.Out[j], newTermSet(s.Out[j].Terms()...)}
 				if sets[0].isWord != UsesWord(n) || sets[1].isWord {
 					t.Fatalf("n=%d: output %d has the wrong forms", n, j)
 				}
@@ -155,9 +155,9 @@ func TestSortedOrderWideSlices(t *testing.T) {
 			for k := src.Intn(200); k > 0; k-- {
 				masks = append(masks, bits.Mask(src.Uint64())&(1<<uint(n)-1))
 			}
-			s := &Spec{N: n, Out: []TermSet{NewTermSet(masks...)}}
+			s := &Spec{N: n, Out: []TermSet{newTermSet(masks...)}}
 			if s.Out[0].isWord {
-				t.Fatal("NewTermSet built a word-form set")
+				t.Fatal("newTermSet built a word-form set")
 			}
 			checkSortedOrder(t, s)
 		}

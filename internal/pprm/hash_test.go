@@ -120,9 +120,9 @@ func TestSpecHashEqualSpecsAgree(t *testing.T) {
 }
 
 func TestEqualAllocationFree(t *testing.T) {
-	a := NewTermSet(0b011, 0b101, 0b110, 0b001)
+	a := newTermSet(0b011, 0b101, 0b110, 0b001)
 	b := a.Clone()
-	c := NewTermSet(0b011, 0b101, 0b111) // different hash
+	c := newTermSet(0b011, 0b101, 0b111) // different hash
 	if !a.Equal(&b) || a.Equal(&c) {
 		t.Fatal("Equal gives wrong answers")
 	}
@@ -215,7 +215,7 @@ func TestWordKernelsAllocationFree(t *testing.T) {
 // earlier call, an earlier result is not rewritten by a later mutation,
 // and a clone's mutations stay out of the original.
 func TestSortedAfterMutationAndClone(t *testing.T) {
-	ts := NewTermSet(0b111, 0b001, 0b110)
+	ts := newTermSet(0b111, 0b001, 0b110)
 	first := ts.Sorted()
 	ts.Toggle(0b010)
 	second := ts.Sorted()

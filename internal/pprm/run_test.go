@@ -76,7 +76,7 @@ func TestRunMatchesSubstituteCopyChain(t *testing.T) {
 	// Wide headers: a spare capacity and a term count past 16 bits.
 	wide := NewSpec(18)
 	for i := range wide.Out {
-		wide.Out[i] = NewTermSet(bits.Bit(i))
+		wide.Out[i] = newTermSet(bits.Bit(i))
 	}
 	if err := wide.RestoreOutput(3, []bits.Mask{1, 8}, 70000); err != nil {
 		t.Fatal(err)

@@ -18,11 +18,12 @@ import (
 //     present (2^6 = 64 monomials). Substitution, probing, membership and
 //     the presentation-order walk are a handful of word operations (see
 //     word.go) and never allocate.
-//   - slice form, for N ≥ 7 and for free-standing sets (the zero value,
-//     NewTermSet): a strictly increasing slice of term masks. The paper's C
-//     implementation uses sorted doubly linked lists for the same reason:
-//     substitutions stream through the terms in order, and copies (one per
-//     queued search node) are a single contiguous move.
+//   - slice form, for N ≥ 7 and for free-standing sets (the zero value
+//     and what Toggle builds from it): a strictly increasing slice of term
+//     masks. The paper's C implementation uses sorted doubly linked lists
+//     for the same reason: substitutions stream through the terms in
+//     order, and copies (one per queued search node) are a single
+//     contiguous move.
 //
 // Alongside the terms the set maintains hash, the XOR of the terms' Zobrist
 // keys (see hash.go), updated in O(1) per membership flip, which the
@@ -45,16 +46,6 @@ type TermSet struct {
 	hash   uint64      // XOR of termHash over the terms
 	word   uint64      // word form: bit m set iff term m has coefficient 1
 	isWord bool
-}
-
-// NewTermSet builds a slice-form set from arbitrary masks; duplicate pairs
-// cancel (EXOR semantics).
-func NewTermSet(masks ...bits.Mask) TermSet {
-	var ts TermSet
-	for _, m := range masks {
-		ts.Toggle(m)
-	}
-	return ts
 }
 
 // newSortedTermSet wraps a strictly increasing mask slice, computing its

@@ -24,8 +24,6 @@
 // carry the moving entry and write it once, into the hole they stop at.
 package queue
 
-import "sort"
-
 // Queue is a max-heap of values with float64 priorities. The zero value is
 // an empty queue ready for use.
 type Queue[T any] struct {
@@ -65,35 +63,6 @@ func before[T any](a, b *entry[T]) bool {
 // Clear discards all queued items (used by the restart heuristic).
 func (q *Queue[T]) Clear() {
 	q.items = q.items[:0]
-}
-
-// PruneTo keeps only the k highest-precedence items, discarding the rest.
-// A descending-sorted array satisfies the max-heap property, so the rebuild
-// is a sort.
-func (q *Queue[T]) PruneTo(k int) {
-	q.PruneToFunc(k, nil)
-}
-
-// PruneToFunc is PruneTo with a callback: discard, if non-nil, is invoked
-// once for every dropped item before its slot is released.
-func (q *Queue[T]) PruneToFunc(k int, discard func(T)) {
-	if len(q.items) <= k {
-		return
-	}
-	sortEntries(q.items)
-	tail := q.items[k:]
-	for i := range tail {
-		if discard != nil {
-			discard(tail[i].value)
-		}
-		tail[i] = entry[T]{}
-	}
-	q.items = q.items[:k]
-}
-
-// sortEntries sorts descending by precedence (priority, then ID).
-func sortEntries[T any](items []entry[T]) {
-	sort.Slice(items, func(i, j int) bool { return before(&items[i], &items[j]) })
 }
 
 // PushSeq inserts v with the given priority under the caller's ID: among

@@ -72,12 +72,11 @@ func TestRandomizedAgainstSort(t *testing.T) {
 		}
 	}
 
-	// Interleaved Push, Pop and PruneToFunc under heavy priority ties,
-	// starting from queues whose sizes sit on and around every 4-ary level
-	// boundary (1, 5, 21, 85 and 341 items fill the first one to five
-	// levels exactly). Every pop must return the model's next item — the
-	// first of a stable sort by (priority descending, insertion) — and
-	// every prune must drop exactly the model's tail.
+	// Interleaved Push and Pop under heavy priority ties, starting from
+	// queues whose sizes sit on and around every 4-ary level boundary (1,
+	// 5, 21, 85 and 341 items fill the first one to five levels exactly).
+	// Every pop must return the model's next item — the first of a stable
+	// sort by (priority descending, insertion).
 	type item struct {
 		v        int
 		priority float64
@@ -108,10 +107,9 @@ func TestRandomizedAgainstSort(t *testing.T) {
 		}
 		checkHeap(t, &q, fmt.Sprintf("size %d after the initial pushes", size))
 		for op := 0; op < 3*size+20; op++ {
-			switch r := src.Intn(20); {
-			case r < 9:
+			if src.Intn(19) < 9 {
 				push()
-			case r < 19:
+			} else {
 				got, ok := q.Pop()
 				if len(model) == 0 {
 					if ok {
@@ -123,22 +121,6 @@ func TestRandomizedAgainstSort(t *testing.T) {
 					t.Fatalf("size %d op %d: Pop = %d (%v), want %d", size, op, got, ok, want)
 				}
 				model = model[1:]
-			default:
-				k := src.Intn(len(model) + 1)
-				var dropped []int
-				q.PruneToFunc(k, func(v int) { dropped = append(dropped, v) })
-				var want []int
-				if k < len(model) {
-					for _, it := range model[k:] {
-						want = append(want, it.v)
-					}
-					model = model[:k]
-				}
-				slices.Sort(dropped)
-				slices.Sort(want)
-				if !slices.Equal(dropped, want) {
-					t.Fatalf("size %d op %d: PruneToFunc(%d) dropped %v, want %v", size, op, k, dropped, want)
-				}
 			}
 			if q.Len() != len(model) {
 				t.Fatalf("size %d op %d: Len = %d, model holds %d", size, op, q.Len(), len(model))
@@ -171,33 +153,6 @@ func TestClear(t *testing.T) {
 	}
 }
 
-func TestPruneTo(t *testing.T) {
-	var q Queue[int]
-	for i := 0; i < 100; i++ {
-		q.PushSeq(i, float64(i), uint64(i))
-	}
-	q.PruneTo(10)
-	if q.Len() != 10 {
-		t.Fatalf("Len after PruneTo(10) = %d", q.Len())
-	}
-	// Survivors must be the ten highest priorities, still popped in order.
-	for want := 99; want >= 90; want-- {
-		got, _ := q.Pop()
-		if got != want {
-			t.Fatalf("post-prune pop = %d, want %d", got, want)
-		}
-	}
-}
-
-func TestPruneToNoOpWhenSmall(t *testing.T) {
-	var q Queue[int]
-	q.PushSeq(1, 1, 0)
-	q.PruneTo(10)
-	if q.Len() != 1 {
-		t.Error("PruneTo shrank a small queue")
-	}
-}
-
 // checkHeap fails the test unless the backing array satisfies the 4-ary
 // max-heap property: no item has precedence over its parent. Checking every
 // child against its parent is the same as checking every parent against
@@ -215,53 +170,6 @@ func checkHeap[T any](t *testing.T, q *Queue[T], context string) {
 				t.Fatalf("parent(%d) = %d, but %d lists it as a child", c, parent(c), i)
 			}
 		}
-	}
-}
-
-// TestPruneToHeapInvariant checks the max-heap property directly on the
-// backing array after a prune, rather than inferring it from pop order:
-// every parent must have precedence over all four of its children.
-func TestPruneToHeapInvariant(t *testing.T) {
-	src := rng.New(31)
-	for trial := 0; trial < 10; trial++ {
-		var q Queue[int]
-		n := 500 + src.Intn(500)
-		for i := 0; i < n; i++ {
-			q.PushSeq(i, float64(src.Intn(40)), uint64(i))
-		}
-		keep := 1 + src.Intn(n)
-		q.PruneTo(keep)
-		checkHeap(t, &q, fmt.Sprintf("trial %d after PruneTo(%d)", trial, keep))
-	}
-}
-
-// TestPruneToKeepsFIFOWithinTies: when the cut falls inside a group of
-// equal priorities, the earlier-inserted entries must survive — the same
-// FIFO rule that orders pops.
-func TestPruneToKeepsFIFOWithinTies(t *testing.T) {
-	var q Queue[int]
-	for i := 0; i < 20; i++ {
-		q.PushSeq(i, 3.0, uint64(i)) // all tied
-	}
-	q.PruneTo(7)
-	for want := 0; want < 7; want++ {
-		got, ok := q.Pop()
-		if !ok || got != want {
-			t.Fatalf("post-prune pop = %d (%v), want %d (insertion order)", got, ok, want)
-		}
-	}
-}
-
-func TestPruneToZero(t *testing.T) {
-	var q Queue[int]
-	q.PushSeq(1, 1, 0)
-	q.PushSeq(2, 2, 1)
-	q.PruneTo(0)
-	if q.Len() != 0 {
-		t.Errorf("Len after PruneTo(0) = %d", q.Len())
-	}
-	if _, ok := q.Pop(); ok {
-		t.Error("Pop after PruneTo(0) returned an item")
 	}
 }
 
@@ -292,59 +200,6 @@ func TestEachVisitsAll(t *testing.T) {
 	}
 }
 
-func TestPruneKeepsHeapValid(t *testing.T) {
-	// Store each item's priority as its value so pop order is checkable
-	// after a prune.
-	src := rng.New(13)
-	var q Queue[float64]
-	for i := 0; i < 1000; i++ {
-		p := float64(src.Intn(100))
-		q.PushSeq(p, p, uint64(i))
-	}
-	q.PruneTo(333)
-	if q.Len() != 333 {
-		t.Fatalf("Len after prune = %d", q.Len())
-	}
-	last := 1e18
-	for {
-		v, ok := q.Pop()
-		if !ok {
-			break
-		}
-		if v > last {
-			t.Fatalf("pop priority %v after %v: heap order broken by prune", v, last)
-		}
-		last = v
-	}
-}
-
-// TestPruneToFuncDiscards: the discard callback sees exactly the dropped
-// items (the lowest-precedence tail), each exactly once.
-func TestPruneToFuncDiscards(t *testing.T) {
-	var q Queue[int]
-	for i := 0; i < 20; i++ {
-		q.PushSeq(i, float64(i), uint64(i))
-	}
-	discarded := map[int]int{}
-	q.PruneToFunc(5, func(v int) { discarded[v]++ })
-	if q.Len() != 5 {
-		t.Fatalf("Len after PruneToFunc(5) = %d", q.Len())
-	}
-	if len(discarded) != 15 {
-		t.Fatalf("discard callback saw %d items, want 15", len(discarded))
-	}
-	for v, n := range discarded {
-		if v >= 15 {
-			t.Errorf("high-priority item %d was discarded", v)
-		}
-		if n != 1 {
-			t.Errorf("item %d discarded %d times", v, n)
-		}
-	}
-	// No callback when nothing is dropped.
-	q.PruneToFunc(10, func(v int) { t.Errorf("discarded %d from a small queue", v) })
-}
-
 // TestEntrySize pins a queued search node (an int32 arena slot) at 24
 // bytes of heap array: priority, the 64-bit node ID, and the slot.
 func TestEntrySize(t *testing.T) {
@@ -356,8 +211,8 @@ func TestEntrySize(t *testing.T) {
 // BenchmarkQueuePushPop measures the search's queue pattern: each operation
 // pops the best entry and pushes four children, with priorities drawn from
 // eight values so most comparisons meet a tie. The queue holds between 96k
-// and 112k entries throughout; the untimed prune that keeps it there
-// stands in for the search's queue cap.
+// and 112k entries throughout; the untimed refill to 96k that keeps it
+// there stands in for the search's queue cap.
 func BenchmarkQueuePushPop(b *testing.B) {
 	const low, high = 96_000, 112_000
 	src := rng.New(3)
@@ -373,9 +228,13 @@ func BenchmarkQueuePushPop(b *testing.B) {
 		q.PushSeq(v, prios[k], id)
 		id++
 	}
-	for i := 0; i < low; i++ {
-		push(int32(i))
+	fill := func() {
+		q.Clear()
+		for i := 0; i < low; i++ {
+			push(int32(i))
+		}
 	}
+	fill()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v, _ := q.Pop()
@@ -384,7 +243,7 @@ func BenchmarkQueuePushPop(b *testing.B) {
 		}
 		if q.Len() > high {
 			b.StopTimer()
-			q.PruneTo(low)
+			fill()
 			b.StartTimer()
 		}
 	}

@@ -243,7 +243,9 @@ func TestConcurrentCacheHitsJoinOneJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := core.Synthesize(c.spec, c.opts)
-	core.StoreAnswer(warm, c.perm, core.OptionsFingerprint(&c.opts), &res)
+	if err := core.InsertAnswer(warm, c.perm, core.OptionsFingerprint(&c.opts), &res).Persist(); err != nil {
+		t.Fatal(err)
+	}
 	if res.CanonicalClass == 0 {
 		t.Fatalf("cold answer not cached: %+v", res)
 	}

@@ -57,9 +57,9 @@ func (s *Server) initHealth() {
 	s.quarFS = health.GuardFS(s.cfg.FS, s.domQuar)
 }
 
-// Ready reports whether the instance should receive traffic: not draining
+// ready reports whether the instance should receive traffic: not draining
 // and every required fault domain closed. The string names what blocks.
-func (s *Server) Ready() (bool, string) {
+func (s *Server) ready() (bool, string) {
 	if s.draining.Load() {
 		return false, "draining"
 	}
@@ -93,7 +93,7 @@ type readyView struct {
 // open. Optional open domains degrade (visible on /v1/healthz) without
 // failing readiness — the job still gets served, only the feature is shed.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if ok, reason := s.Ready(); !ok {
+	if ok, reason := s.ready(); !ok {
 		setRetryAfter(w, s.cfg.RetryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, readyView{Ready: false, Reason: reason})
 		return

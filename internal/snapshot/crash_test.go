@@ -38,11 +38,11 @@ func TestAtomicReplaceUnderEveryCrashPoint(t *testing.T) {
 	// Learn the operation count of a clean overwrite.
 	probeDir := t.TempDir()
 	probePath := filepath.Join(probeDir, "probe.ckpt")
-	if err := snapshot.WriteFile(nil, probePath, crashState(1)); err != nil {
+	if _, err := snapshot.WriteFileN(nil, probePath, crashState(1)); err != nil {
 		t.Fatal(err)
 	}
 	probe := chaos.New(nil)
-	if err := snapshot.WriteFile(probe, probePath, crashState(2)); err != nil {
+	if _, err := snapshot.WriteFileN(probe, probePath, crashState(2)); err != nil {
 		t.Fatal(err)
 	}
 	total := probe.Ops()
@@ -55,12 +55,12 @@ func TestAtomicReplaceUnderEveryCrashPoint(t *testing.T) {
 		for _, tear := range []int{0, 1, 7, imageLen / 2, imageLen} {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "run.ckpt")
-			if err := snapshot.WriteFile(nil, path, crashState(1)); err != nil {
+			if _, err := snapshot.WriteFileN(nil, path, crashState(1)); err != nil {
 				t.Fatal(err)
 			}
 			fs := chaos.New(nil)
 			fs.CrashAt(crashAt, tear)
-			err := snapshot.WriteFile(fs, path, crashState(2))
+			_, err := snapshot.WriteFileN(fs, path, crashState(2))
 			if !fs.Crashed() {
 				t.Fatalf("crashAt=%d: crash point never reached (total=%d)", crashAt, total)
 			}
@@ -88,7 +88,7 @@ func TestAtomicReplaceUnderEveryCrashPoint(t *testing.T) {
 func TestFreshWriteUnderEveryCrashPoint(t *testing.T) {
 	probe := chaos.New(nil)
 	probeDir := t.TempDir()
-	if err := snapshot.WriteFile(probe, filepath.Join(probeDir, "p.ckpt"), crashState(2)); err != nil {
+	if _, err := snapshot.WriteFileN(probe, filepath.Join(probeDir, "p.ckpt"), crashState(2)); err != nil {
 		t.Fatal(err)
 	}
 	total := probe.Ops()
@@ -98,7 +98,7 @@ func TestFreshWriteUnderEveryCrashPoint(t *testing.T) {
 		path := filepath.Join(dir, "run.ckpt")
 		fs := chaos.New(nil)
 		fs.CrashAt(crashAt, 9)
-		werr := snapshot.WriteFile(fs, path, crashState(2))
+		_, werr := snapshot.WriteFileN(fs, path, crashState(2))
 		st, rerr := snapshot.ReadFile(path)
 		switch {
 		case rerr == nil:

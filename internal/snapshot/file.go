@@ -61,21 +61,16 @@ func (osFS) SyncDir(dir string) error {
 	return d.Close()
 }
 
-// WriteFile atomically replaces path with the encoded state: the image is
-// written to a fresh temp file in the same directory, fsynced, closed,
-// renamed over path, and the directory entry is fsynced. A crash (or an
-// injected fault) at any point leaves either the previous file intact or
-// the new one complete — the partially written temp file is never visible
-// under path. On error the temp file is removed best-effort.
-func WriteFile(fs FS, path string, st *State) error {
-	_, err := WriteFileN(fs, path, st)
-	return err
-}
-
-// WriteFileN is WriteFile reporting the encoded image size in bytes — the
-// checkpoint write/flush telemetry the observability layer records (a
-// growing snapshot mirrors a growing frontier, and sudden size jumps often
-// explain checkpoint latency). The size is returned on success only.
+// WriteFileN atomically replaces path with the encoded state and reports
+// the image size in bytes: the image is written to a fresh temp file in
+// the same directory, fsynced, closed, renamed over path, and the
+// directory entry is fsynced. A crash (or an injected fault) at any point
+// leaves either the previous file intact or the new one complete — the
+// partially written temp file is never visible under path. On error the
+// temp file is removed best-effort. The size, returned on success only,
+// is the checkpoint write/flush telemetry the observability layer records
+// (a growing snapshot mirrors a growing frontier, and sudden size jumps
+// often explain checkpoint latency).
 func WriteFileN(fs FS, path string, st *State) (int64, error) {
 	data := Encode(st)
 	if err := WriteRaw(fs, path, data); err != nil {
@@ -85,7 +80,7 @@ func WriteFileN(fs FS, path string, st *State) (int64, error) {
 }
 
 // WriteRaw atomically replaces path with data using the same
-// temp-file+fsync+rename protocol as WriteFile. It is the byte-level seam
+// temp-file+fsync+rename protocol as WriteFileN. It is the byte-level seam
 // the other durable artifacts in the tree (the service's drain ledger, the
 // answer cache's entries) share, so one crash-enumerated write path covers
 // them all.

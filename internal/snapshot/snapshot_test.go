@@ -191,7 +191,7 @@ func TestWriteFileReadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
 	st := sampleState()
-	if err := WriteFile(nil, path, st); err != nil {
+	if _, err := WriteFileN(nil, path, st); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFile(path)
@@ -203,7 +203,7 @@ func TestWriteFileReadFile(t *testing.T) {
 	}
 	// Overwrite must leave no temp files behind.
 	st.Steps = 456
-	if err := WriteFile(nil, path, st); err != nil {
+	if _, err := WriteFileN(nil, path, st); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)

@@ -31,65 +31,6 @@ import (
 	"repro/internal/perm"
 )
 
-// WHT computes the in-place Walsh–Hadamard transform of the ±1-encoded
-// column: out[w] = Σ_x (−1)^{f(x)} (−1)^{w·x}. The slice length must be a
-// power of two.
-func WHT(col []int32) {
-	n := len(col)
-	for step := 1; step < n; step <<= 1 {
-		for x := 0; x < n; x += step << 1 {
-			for j := x; j < x+step; j++ {
-				a, b := col[j], col[j+step]
-				col[j], col[j+step] = a+b, a-b
-			}
-		}
-	}
-}
-
-// Spectrum returns the Walsh–Hadamard spectrum of output bit `out` of the
-// reversible function p, in ±1 encoding (f=0 ↦ +1, f=1 ↦ −1).
-func Spectrum(p perm.Perm, out int) []int32 {
-	col := make([]int32, len(p))
-	for x, y := range p {
-		if y>>uint(out)&1 == 0 {
-			col[x] = 1
-		} else {
-			col[x] = -1
-		}
-	}
-	WHT(col)
-	return col
-}
-
-// Complexity is the distance-to-identity measure M(f): the total number of
-// truth-table positions at which some output differs from its input.
-// M(f) = 0 iff f is the identity.
-func Complexity(p perm.Perm) int {
-	n := p.Vars()
-	total := 0
-	for x, y := range p {
-		d := uint32(x) ^ y
-		for i := 0; i < n; i++ {
-			if d>>uint(i)&1 == 1 {
-				total++
-			}
-		}
-	}
-	return total
-}
-
-// ComplexitySpectral computes the same measure through the spectra —
-// provided for cross-checking: Σ_i (2^n − Ŵ_{f_i}(e_i))/2.
-func ComplexitySpectral(p perm.Perm) int {
-	n := p.Vars()
-	total := 0
-	for i := 0; i < n; i++ {
-		s := Spectrum(p, i)
-		total += (len(p) - int(s[1<<uint(i)])) / 2
-	}
-	return total
-}
-
 // Result reports a greedy spectral synthesis run.
 type Result struct {
 	Circuit *circuit.Circuit

@@ -7,6 +7,32 @@ import (
 	"repro/internal/rng"
 )
 
+// wht is the in-place Walsh–Hadamard transform of a ±1-encoded column:
+// out[w] = Σ_x (−1)^{f(x)} (−1)^{w·x}. The length must be a power of two.
+// It is the reference the spectral form of the measure is checked with.
+func wht(col []int32) {
+	n := len(col)
+	for step := 1; step < n; step <<= 1 {
+		for x := 0; x < n; x += step << 1 {
+			for j := x; j < x+step; j++ {
+				a, b := col[j], col[j+step]
+				col[j], col[j+step] = a+b, a-b
+			}
+		}
+	}
+}
+
+// spectrum is the Walsh–Hadamard spectrum of output bit out of p, in ±1
+// encoding (f = 0 ↦ +1, f = 1 ↦ −1).
+func spectrum(p perm.Perm, out int) []int32 {
+	col := make([]int32, len(p))
+	for x, y := range p {
+		col[x] = 1 - 2*int32(y>>uint(out)&1)
+	}
+	wht(col)
+	return col
+}
+
 func TestWHTParseval(t *testing.T) {
 	// Σ Ŵ(w)² = 2^n · 2^n for any Boolean function (±1 encoding).
 	src := rng.New(2)
@@ -21,7 +47,7 @@ func TestWHTParseval(t *testing.T) {
 				col[i] = -1
 			}
 		}
-		WHT(col)
+		wht(col)
 		sum := int64(0)
 		for _, v := range col {
 			sum += int64(v) * int64(v)
@@ -35,9 +61,9 @@ func TestWHTParseval(t *testing.T) {
 func TestWHTConstant(t *testing.T) {
 	// Constant +1 transforms to a delta at frequency 0.
 	col := []int32{1, 1, 1, 1}
-	WHT(col)
+	wht(col)
 	if col[0] != 4 || col[1] != 0 || col[2] != 0 || col[3] != 0 {
-		t.Errorf("WHT(const) = %v", col)
+		t.Errorf("wht(const) = %v", col)
 	}
 }
 
@@ -48,30 +74,37 @@ func TestWHTInvolutionUpToScale(t *testing.T) {
 		col[i] = int32(src.Intn(7)) - 3
 	}
 	orig := append([]int32(nil), col...)
-	WHT(col)
-	WHT(col)
+	wht(col)
+	wht(col)
 	for i := range col {
 		if col[i] != orig[i]*16 {
-			t.Fatalf("WHT² ≠ 2^n·id at %d", i)
+			t.Fatalf("wht² ≠ 2^n·id at %d", i)
 		}
 	}
 }
 
 func TestComplexityIdentityZero(t *testing.T) {
 	for n := 1; n <= 5; n++ {
-		if Complexity(perm.Identity(n)) != 0 {
-			t.Errorf("identity complexity nonzero at n=%d", n)
+		p := perm.Identity(n)
+		if m := measureOf(p); m != (measure{prefix: len(p)}) {
+			t.Errorf("identity measure at n=%d is %+v, want a full prefix and no error", n, m)
 		}
 	}
 }
 
+// TestComplexityMatchesSpectral pins the package comment's identity on the
+// measure Synthesize ranks by: the total Hamming error of measureOf is
+// M(f) = Σ_i (2^n − Ŵ_{f_i}(e_i))/2.
 func TestComplexityMatchesSpectral(t *testing.T) {
 	src := rng.New(4)
 	for trial := 0; trial < 30; trial++ {
 		p := perm.Random(2+src.Intn(4), src)
-		if Complexity(p) != ComplexitySpectral(p) {
-			t.Fatalf("direct (%d) and spectral (%d) complexity disagree for %s",
-				Complexity(p), ComplexitySpectral(p), p)
+		spectral := 0
+		for i := 0; i < p.Vars(); i++ {
+			spectral += (len(p) - int(spectrum(p, i)[1<<uint(i)])) / 2
+		}
+		if got := measureOf(p).totalHam; got != spectral {
+			t.Fatalf("measureOf(%s).totalHam = %d, spectral form gives %d", p, got, spectral)
 		}
 	}
 }
@@ -79,8 +112,8 @@ func TestComplexityMatchesSpectral(t *testing.T) {
 func TestComplexityNOT(t *testing.T) {
 	// NOT on wire 0 of 2 wires: output bit 0 differs on all 4 rows.
 	p := perm.MustFromInts([]int{1, 0, 3, 2})
-	if got := Complexity(p); got != 4 {
-		t.Errorf("Complexity(NOT) = %d, want 4", got)
+	if got := measureOf(p).totalHam; got != 4 {
+		t.Errorf("measureOf(NOT).totalHam = %d, want 4", got)
 	}
 }
 

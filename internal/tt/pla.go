@@ -5,20 +5,8 @@ import (
 	"strings"
 )
 
-// ParsePLAPartial reads a PLA file preserving output don't-cares ('-' or
-// '~' output characters) as unspecified bits, and leaves entirely
-// unmentioned rows fully unspecified. Use EmbedPartial to pick a
-// favourable completion.
-func ParsePLAPartial(text string) (*PartialTable, error) {
-	tab, care, err := parsePLA(text)
-	if err != nil {
-		return nil, err
-	}
-	return &PartialTable{Inputs: tab.Inputs, Outputs: tab.Outputs, Rows: tab.Rows, Care: care}, nil
-}
-
-// ParsePLA reads a truth table in the Berkeley PLA format used by the MCNC
-// benchmark suite the paper draws rd53 from:
+// ParsePLAPartial reads a truth table in the Berkeley PLA format used by
+// the MCNC benchmark suite the paper draws rd53 from:
 //
 //	.i 5
 //	.o 3
@@ -30,13 +18,17 @@ func ParsePLAPartial(text string) (*PartialTable, error) {
 //
 // Supported directives: .i, .o, .p (ignored), .ilb/.ob (ignored), .type fr
 // (ignored), .e/.end. Input cubes may contain '-' (don't care), which
-// expands to both values; output characters are '1', '0', and '-'/'~'
-// (treated as 0 — the paper preassigns don't-care outputs, Section VI).
-// Rows not mentioned default to all-zero outputs, matching the usual
-// ON-set interpretation for .type fd files.
-func ParsePLA(text string) (*Table, error) {
-	t, _, err := parsePLA(text)
-	return t, err
+// expands to both values; output characters are '1', '0', and '-'/'~'.
+// An output '-' or '~' is a don't-care: its bit is left out of Care and
+// reads 0 in Rows. Rows not mentioned at all are fully unspecified, and
+// read 0 in Rows too, the usual ON-set interpretation for .type fd files.
+// Use EmbedPartial to pick a favourable completion.
+func ParsePLAPartial(text string) (*PartialTable, error) {
+	tab, care, err := parsePLA(text)
+	if err != nil {
+		return nil, err
+	}
+	return &PartialTable{Inputs: tab.Inputs, Outputs: tab.Outputs, Rows: tab.Rows, Care: care}, nil
 }
 
 // plaRow records where and how a minterm was first specified, so a later
@@ -48,7 +40,7 @@ type plaRow struct {
 	out, care uint32
 }
 
-// parsePLA is the shared scanner; care[x] records which output bits of row
+// parsePLA is the scanner; care[x] records which output bits of row
 // x were explicitly specified as 0 or 1.
 func parsePLA(text string) (*Table, []uint32, error) {
 	inputs, outputs := -1, -1

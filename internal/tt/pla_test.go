@@ -20,7 +20,7 @@ const rd53PLA = `
 `
 
 func TestParsePLABasics(t *testing.T) {
-	tab, err := ParsePLA(rd53PLA)
+	tab, err := ParsePLAPartial(rd53PLA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestParsePLABasics(t *testing.T) {
 }
 
 func TestParsePLADontCareInputs(t *testing.T) {
-	tab, err := ParsePLA(".i 3\n.o 1\n1-1 1\n.e")
+	tab, err := ParsePLAPartial(".i 3\n.o 1\n1-1 1\n.e")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +74,8 @@ func TestParsePLAErrors(t *testing.T) {
 		".i 2\n.o 1\n01 1\n.e\n.i 2",  // directive after terminator
 	}
 	for _, c := range cases {
-		if _, err := ParsePLA(c); err == nil {
-			t.Errorf("ParsePLA(%q) should fail", c)
+		if _, err := ParsePLAPartial(c); err == nil {
+			t.Errorf("ParsePLAPartial(%q) should fail", c)
 		}
 	}
 }
@@ -96,14 +96,14 @@ func TestParsePLADiagnostics(t *testing.T) {
 		{".i 2\n.o 1\n0z 1", []string{"line 3", "bad input char"}},
 	}
 	for _, c := range cases {
-		_, err := ParsePLA(c.text)
+		_, err := ParsePLAPartial(c.text)
 		if err == nil {
-			t.Errorf("ParsePLA(%q) should fail", c.text)
+			t.Errorf("ParsePLAPartial(%q) should fail", c.text)
 			continue
 		}
 		for _, want := range c.want {
 			if !strings.Contains(err.Error(), want) {
-				t.Errorf("ParsePLA(%q) error %q missing %q", c.text, err, want)
+				t.Errorf("ParsePLAPartial(%q) error %q missing %q", c.text, err, want)
 			}
 		}
 	}
@@ -114,12 +114,13 @@ func TestParsePLAThenEmbed(t *testing.T) {
 	var b strings.Builder
 	b.WriteString(".i 3\n.o 1\n")
 	b.WriteString("111 1\n110 1\n101 1\n011 1\n") // majority
+	b.WriteString("000 0\n001 0\n010 0\n100 0\n") // no don't-cares
 	b.WriteString(".e\n")
-	tab, err := ParsePLA(b.String())
+	tab, err := ParsePLAPartial(b.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Embed(tab)
+	e, _, err := EmbedPartial(tab, PLAEmbedTries, PLAEmbedSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
