@@ -8,12 +8,12 @@ import (
 )
 
 // The search tree lives in an index arena instead of as a graph of heap
-// objects. Nodes sit in fixed pages and refer to each other, and to their
-// materialized expansions, by int32 slot, so node holds no pointer and
-// every page is a noscan allocation: the garbage collector never walks the
-// tree, however many nodes are queued.
+// objects. Nodes are one-element runs of a run store (runStore, below) and
+// refer to each other, and to their materialized expansions, by int32 slot,
+// so node holds no pointer and every page is a noscan allocation: the
+// garbage collector never walks the tree, however many nodes are queued.
 //
-// Materialized expansions are runs of uint32s in one pointer-free run
+// Materialized expansions are runs of uint32s in a second pointer-free run
 // store, as pprm.Spec.AppendRun writes them (in word form each output's
 // coefficient word and hash; in slice form each output's term count and
 // capacity, then its sorted terms), each named by its first word. The
@@ -26,13 +26,12 @@ import (
 // garbage-collected tree would keep reachable. Each node counts its live
 // children in kids, queued leaves (frontier.go) included, and
 // searcher.release frees a node and then every expanded ancestor whose
-// count drops to zero.
+// count drops to zero. A restart keeps the root alone and empties the
+// stores at once (resetToRoot).
 
 const (
-	pageShift = 10
-	pageSize  = 1 << pageShift // nodes per page: 1,024 × 48 B = 48 KiB
-
-	runPageShift = 11 // run store page: 2,048 × 4 B = 8 KiB
+	nodePageShift = 10 // node store page: 1,024 × 48 B = 48 KiB
+	runPageShift  = 11 // run store page: 2,048 × 4 B = 8 KiB
 )
 
 // rootSlot is the root's arena slot: it is allocated first and never freed.
@@ -42,36 +41,27 @@ const rootSlot int32 = 0
 // Pages never move once allocated, so a *node returned by at and a run
 // returned by run stay valid while later allocations grow the arena.
 type arena struct {
-	pages [][]node
-	used  int32   // slots handed out from the pages so far
-	free  []int32 // released node slots, reused last-in first-out
-
-	n    int // the expansions' variable count
-	runs runStore[uint32]
+	nodes runStore[node] // one-element runs
+	runs  runStore[uint32]
+	n     int // the expansions' variable count
 }
 
 // init sets the arena up for expansions of n variables.
 func (a *arena) init(n int) {
 	a.n = n
+	a.nodes.init(nodePageShift)
 	a.runs.init(runPageShift)
 }
 
-// at returns the node in slot i.
-func (a *arena) at(i int32) *node { return &a.pages[i>>pageShift][i&(pageSize-1)] }
+// at returns the node in slot i. It is the search's most frequent call, so
+// it indexes the node store's pages with a constant shift and mask.
+func (a *arena) at(i int32) *node {
+	return &a.nodes.pages[i>>nodePageShift][i&(1<<nodePageShift-1)]
+}
 
 // alloc stores n in a free slot and returns the slot.
 func (a *arena) alloc(n node) int32 {
-	var i int32
-	if k := len(a.free); k > 0 {
-		i = a.free[k-1]
-		a.free = a.free[:k-1]
-	} else {
-		i = a.used
-		if int(i>>pageShift) == len(a.pages) {
-			a.pages = append(a.pages, make([]node, pageSize))
-		}
-		a.used++
-	}
+	i := a.nodes.alloc(1)
 	*a.at(i) = n
 	return i
 }
@@ -114,7 +104,7 @@ func (a *arena) drop(i int32) {
 	if j := a.at(i).spec; j >= 0 {
 		a.runs.free(j, len(a.run(j)))
 	}
-	a.free = append(a.free, i)
+	a.nodes.free(i, 1)
 }
 
 // expansion returns the materialized expansion of the node in slot i, or
@@ -143,20 +133,26 @@ func (s *searcher) derive(i int32, target int, factor bits.Mask) (*pprm.Spec, in
 // slot.
 func (s *searcher) putDerived() int32 { return s.ar.putRun(s.runBuf) }
 
-// resetRuns empties the run store while the root is the only live node (a
-// restart) and stores the root's run again. A run is reused only by one of
-// the same length, so without it the runs the abandoned frontier freed
-// would stay in the store, uncounted by memOf, whatever lengths the next
-// subtree needs.
-func (s *searcher) resetRuns() {
-	root := s.ar.at(rootSlot)
+// resetToRoot abandons the whole search tree but its root (a restart,
+// which fires only while no solution is held, so the root is the one node
+// worth keeping). It empties the frontier and the node and run stores at
+// once, instead of releasing the queued children one by one, and stores
+// the root again in rootSlot, with its run and no children. A run is
+// reused only by one of the same length, so without the clear the runs of
+// the abandoned tree would stay in the store, uncounted by memOf, whatever
+// lengths the next subtree needs.
+func (s *searcher) resetToRoot() {
+	root := *s.ar.at(rootSlot)
 	s.runBuf = append(s.runBuf[:0], s.ar.run(root.spec)...)
+	s.fr.clear()
+	s.ar.nodes.clear()
 	s.ar.runs.clear()
-	root.spec = s.ar.putRun(s.runBuf)
+	root.spec, root.kids = s.ar.putRun(s.runBuf), 0
+	s.ar.alloc(root)
 }
 
 // release frees node i, which nothing else holds any more: a queued node
-// dropped by a prune or restart, a popped node that was cut off or pushed
+// dropped by a prune, a popped node that was cut off or pushed
 // no children, or a superseded best solution. Every ancestor left without a
 // live child is freed with it. The root is never freed.
 func (s *searcher) release(i int32) {
@@ -190,8 +186,10 @@ func (s *searcher) releaseKid(p int32) {
 // noscan. A run lies within one page, or, when it is longer than a page,
 // gets a page of its own. A released run goes on the free stack for its
 // length and is reused whole; an oversized one is handed back to the
-// garbage collector instead. The frontier keeps its leaves here and the
-// arena its expansions.
+// garbage collector instead. The arena keeps its nodes and expansions
+// here, and the frontier its list headers and leaves; a node or a list
+// header is a run of one element, so its slots are handed out in order and
+// reused last in, first out.
 type runStore[T any] struct {
 	shift    uint8
 	pages    [][]T

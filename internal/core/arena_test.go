@@ -6,6 +6,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/perm"
 	"repro/internal/pprm"
+	"repro/internal/queue"
 	"repro/internal/rng"
 )
 
@@ -13,50 +14,43 @@ import (
 // where no node is popped but not yet committed. A slot must be in use
 // exactly when its node is the root, queued, the best solution, or an
 // ancestor of one; every live node's kids must equal its live children,
-// queued leaves included; the expansion store must hold exactly the live
-// materialized nodes' runs and the free runs (checkRunStore), so every
-// expansion is held by one live node or free, once; and the leaf store
-// must hold exactly the queued lists' runs and the free runs
+// queued leaves included; the node store must hold exactly the live slots
+// and the free ones, and the expansion store exactly the live materialized
+// nodes' runs and the free runs (checkRunStore), so every slot and every
+// expansion is held by one live node or free, once; and the frontier's
+// stores must hold exactly the queued lists and the free ones
 // (checkLeafStore).
 func checkArena(t *testing.T, s *searcher, where string) {
 	t.Helper()
 	checkLeafStore(t, s, where)
 	a := &s.ar
-	free := make([]bool, a.used)
-	for _, i := range a.free {
-		if free[i] {
-			t.Fatalf("%s: slot %d freed twice", where, i)
-		}
-		free[i] = true
-	}
-	live := make([]bool, a.used)
+	used := a.nodes.used
+	live := make([]bool, used)
 	mark := func(i int32) {
 		for ; i >= 0 && !live[i]; i = a.at(i).parent {
 			live[i] = true
 		}
 	}
-	kids := make([]int32, a.used)
+	kids := make([]int32, used)
 	mark(rootSlot)
-	s.eachQueued(func(c *queuedChild) {
+	s.walk(s.fr.cursors(), func(c *queuedChild) {
 		if c.slot >= 0 {
 			mark(c.slot)
 			return
 		}
-		p := s.fr.lists[c.list].parent
+		p := s.fr.list(c.list).parent
 		mark(p)
 		kids[p]++ // a leaf has no slot; it counts as a child of its list's parent
 	})
 	if s.bestSol >= 0 {
 		mark(s.bestSol)
 	}
-	var runs []storeRun
-	for i := int32(0); i < a.used; i++ {
-		if live[i] == free[i] {
-			t.Fatalf("%s: slot %d live=%v free=%v", where, i, live[i], free[i])
-		}
+	var slots, runs []storeRun
+	for i := int32(0); i < used; i++ {
 		if !live[i] {
 			continue
 		}
+		slots = append(slots, storeRun{i, 1})
 		n := a.at(i)
 		if i != rootSlot {
 			kids[n.parent]++
@@ -65,12 +59,42 @@ func checkArena(t *testing.T, s *searcher, where string) {
 			runs = append(runs, storeRun{n.spec, len(a.run(n.spec))})
 		}
 	}
-	for i := int32(0); i < a.used; i++ {
+	for i := int32(0); i < used; i++ {
 		if live[i] && a.at(i).kids != kids[i] {
 			t.Fatalf("%s: slot %d has kids=%d, %d live children", where, i, a.at(i).kids, kids[i])
 		}
 	}
+	checkRunStore(t, where+" (node store)", &a.nodes, slots)
 	checkRunStore(t, where+" (expansion runs)", &a.runs, runs)
+}
+
+// freeSlots is a run store's free stack of one-element runs: the released
+// slots of the node store or the list store, next to be reused last.
+func freeSlots[T any](r *runStore[T]) []int32 {
+	if len(r.freeRuns) < 2 {
+		return nil
+	}
+	return r.freeRuns[1]
+}
+
+// queueEntry is one heap entry with its key.
+type queueEntry[T any] struct {
+	v        T
+	priority float64
+	id       uint64
+}
+
+// queueEntries lists q's entries with their keys in precedence order, by
+// popping a copy of q (queue.Map).
+func queueEntries[T any](q *queue.Queue[T]) []queueEntry[T] {
+	w := queue.Map(q, func(v T) T { return v })
+	es := make([]queueEntry[T], 0, w.Len())
+	for w.Len() > 0 {
+		v, priority, id := w.Top()
+		es = append(es, queueEntry[T]{v, priority, id})
+		w.Pop()
+	}
+	return es
 }
 
 // storeRun is a run of a runStore: its first element and length.
@@ -158,11 +182,11 @@ func (ec *expansionChecker) check(t *testing.T, s *searcher, where string) {
 	if ec.derived == nil {
 		ec.derived = make(map[int32]derivedExpansion)
 	}
-	free := make([]bool, s.ar.used)
-	for _, i := range s.ar.free {
+	free := make([]bool, s.ar.nodes.used)
+	for _, i := range freeSlots(&s.ar.nodes) {
 		free[i] = true
 	}
-	for i := int32(0); i < s.ar.used; i++ {
+	for i := int32(0); i < s.ar.nodes.used; i++ {
 		if free[i] || s.ar.at(i).spec < 0 {
 			continue
 		}
@@ -178,27 +202,22 @@ func (ec *expansionChecker) check(t *testing.T, s *searcher, where string) {
 }
 
 // checkLeafStore checks the frontier's bookkeeping: every list in the heap
-// is live (queued leaves left, no longer than a page) and every other list
-// header is free; the live lists' runs and the free runs cover the store's
-// used slots exactly once (checkRunStore); and the queued-children count is
-// right.
+// is live (queued leaves left, no longer than a page); the list store holds
+// exactly the queued lists' headers and the free ones, and the leaf store
+// exactly their runs and the free runs (checkRunStore); and the
+// queued-children count is right.
 func checkLeafStore(t *testing.T, s *searcher, where string) {
 	t.Helper()
 	f := &s.fr
-	inHeap := make([]bool, len(f.lists))
-	var runs []storeRun
+	var headers, runs []storeRun
 	children := 0
-	f.pq.Each(func(v int32, _ float64, _ uint64) {
+	for _, e := range queueEntries(&f.pq) {
 		children++
-		if v >= 0 {
-			return
+		if e.v >= 0 {
+			continue
 		}
-		li := ^v
-		if inHeap[li] {
-			t.Fatalf("%s: list %d queued twice", where, li)
-		}
-		inHeap[li] = true
-		l := &f.lists[li]
+		li := ^e.v
+		l := f.list(li)
 		if !(l.head < l.end && l.end <= l.size) {
 			t.Fatalf("%s: list %d queued with head %d, end %d, size %d", where, li, l.head, l.end, l.size)
 		}
@@ -206,23 +225,13 @@ func checkLeafStore(t *testing.T, s *searcher, where string) {
 		if int(l.size) > leafPageSize {
 			t.Fatalf("%s: list %d of %d leaves is longer than a page", where, li, l.size)
 		}
+		headers = append(headers, storeRun{li, 1})
 		runs = append(runs, storeRun{l.start, int(l.size)})
-	})
+	}
 	if children != f.n {
 		t.Fatalf("%s: %d queued children, counted %d", where, children, f.n)
 	}
-	free := make([]bool, len(f.lists))
-	for _, li := range f.freeLists {
-		if free[li] || inHeap[li] {
-			t.Fatalf("%s: list %d free twice or while queued", where, li)
-		}
-		free[li] = true
-	}
-	for li := range f.lists {
-		if !inHeap[li] && !free[li] {
-			t.Fatalf("%s: list %d neither queued nor free", where, li)
-		}
-	}
+	checkRunStore(t, where+" (list store)", &f.lists, headers)
 	checkRunStore(t, where+" (leaf store)", &f.leaves, runs)
 }
 
@@ -290,7 +299,7 @@ func TestArenaRefcountsMatchReachability(t *testing.T) {
 			case EventRestart:
 				// The abandoned frontier is gone: only the root and the
 				// new first-move child, not yet queued, hold slots.
-				if live := s.ar.used - int32(len(s.ar.free)); live != 2 {
+				if live := s.ar.nodes.used - int32(len(freeSlots(&s.ar.nodes))); live != 2 {
 					t.Fatalf("%s: %d slots live right after a restart, want 2", rc.name, live)
 				}
 			}

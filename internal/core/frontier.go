@@ -26,7 +26,8 @@ import (
 // its head's key, so the heap pops the children of all lists and all plain
 // entries in one k-way merge: the same sequence a heap of one entry per
 // child pops. Popping a copy of the heap the same way lists every queued
-// child in that order (walk), which is how prunes and snapshots see them.
+// child in that order (walk), which is how prunes, snapshots and the
+// transposition table's re-record after a reset see them.
 //
 // Everything else a queued child stands for is kept as well: its node ID
 // and the node counter are taken at commit, the transposition table records
@@ -67,11 +68,12 @@ type leafList struct {
 }
 
 // Pages are small because every search that queues a list pays for
-// zeroing its first page, and most searches are short: a 3-variable
-// search takes about 2 ms.
+// zeroing the first page of each store, and most searches are short: a
+// 3-variable search takes about 2 ms.
 const (
 	leafPageShift = 8
 	leafPageSize  = 1 << leafPageShift // leaves per page: 256 × 12 B = 3 KiB
+	listPageShift = 7                  // list headers per page: 128 × 24 B = 3 KiB
 )
 
 // maxList is the longest list: a parent with more lazy children queues
@@ -84,21 +86,29 @@ const (
 )
 
 // frontier is the search's queue of unexpanded children: a heap whose
-// entries are either plain nodes (an arena slot, ≥ 0) or lists (^index,
-// < 0), and the store that holds the lists' leaves. Leaves live in the
-// pages of a run store, like the arena's expansions, so the store is
-// pointer-free and reused across lists: a released run goes on the free
-// stack for its length.
+// entries are either plain nodes (an arena slot, ≥ 0) or lists (^slot,
+// < 0), and the stores that hold the lists' headers and leaves. Both are
+// run stores, like the arena's: a header is a one-element run and a list's
+// leaves are one run, so the stores are pointer-free and reused across
+// lists, a released run going on the free stack for its length.
 type frontier struct {
-	pq        queue.Queue[int32]
-	lists     []leafList
-	freeLists []int32
-	leaves    runStore[leaf] // pages of leafPageSize; a list's run fits in one
-	n         int            // queued children, in lists or not
+	pq     queue.Queue[int32]
+	lists  runStore[leafList] // one-element runs
+	leaves runStore[leaf]     // pages of leafPageSize; a list's run fits in one
+	n      int                // queued children, in lists or not
 }
 
-// init sets the leaf store's page size.
-func (f *frontier) init() { f.leaves.init(leafPageShift) }
+// init sets the stores' page sizes.
+func (f *frontier) init() {
+	f.lists.init(listPageShift)
+	f.leaves.init(leafPageShift)
+}
+
+// list returns the list header in slot li, indexing the pages with a
+// constant shift and mask as arena.at does.
+func (f *frontier) list(li int32) *leafList {
+	return &f.lists.pages[li>>listPageShift][li&(1<<listPageShift-1)]
+}
 
 // leaf returns the leaf in store slot i.
 func (f *frontier) leaf(i int32) *leaf { return f.leaves.at(i) }
@@ -111,30 +121,23 @@ func (f *frontier) newList(parent int32, baseID int, ls []keyedLeaf) int32 {
 	for i := range ls {
 		run[i] = ls[i].leaf
 	}
-	l := leafList{baseID: baseID, parent: parent, start: start, size: uint16(len(ls)), end: uint16(len(ls))}
-	if k := len(f.freeLists); k > 0 {
-		li := f.freeLists[k-1]
-		f.freeLists = f.freeLists[:k-1]
-		f.lists[li] = l
-		return li
-	}
-	f.lists = append(f.lists, l)
-	return int32(len(f.lists) - 1)
+	li := f.lists.alloc(1)
+	*f.list(li) = leafList{baseID: baseID, parent: parent, start: start, size: uint16(len(ls)), end: uint16(len(ls))}
+	return li
 }
 
 // dropList releases list li and its run.
 func (f *frontier) dropList(li int32) {
-	l := &f.lists[li]
+	l := f.list(li)
 	f.leaves.free(l.start, int(l.size))
 	*l = leafList{}
-	f.freeLists = append(f.freeLists, li)
+	f.lists.free(li, 1)
 }
 
 // clear empties the frontier; the pages stay for reuse.
 func (f *frontier) clear() {
 	f.pq.Clear()
-	f.lists = f.lists[:0]
-	f.freeLists = f.freeLists[:0]
+	f.lists.clear()
 	f.leaves.clear()
 	f.n = 0
 }
@@ -156,19 +159,10 @@ func (s *searcher) leafPriority(parent int32, l *leaf) float64 {
 	return s.priority(int(p.depth)+1, int(l.terms), int(p.terms-l.terms), l.factor)
 }
 
-// leafNode is the node that leaf l, a child of the node in slot parent
-// whose ID counts from baseID, stands for, without its state hash (see
-// leafHash).
-func (s *searcher) leafNode(parent int32, baseID int, l *leaf) node {
-	return node{
-		id:     baseID + int(l.id),
-		parent: parent,
-		spec:   -1,
-		target: int32(l.target),
-		factor: l.factor,
-		depth:  s.ar.at(parent).depth + 1,
-		terms:  l.terms,
-	}
+// leafNode is the node that leaf lf of list l stands for, without its
+// state hash (see leafHash).
+func (s *searcher) leafNode(l *leafList, lf *leaf) node {
+	return s.newChild(l.parent, l.baseID+int(lf.id), int(lf.target), lf.factor, lf.terms)
 }
 
 // leafHash derives the state hash of leaf l under the node in slot parent
@@ -181,7 +175,7 @@ func (s *searcher) leafHash(parent int32, l *leaf) uint64 {
 
 // leafKey is the queue key of leaf l of list li: its priority and node ID.
 func (s *searcher) leafKey(li int32, l *leaf) (float64, uint64) {
-	ls := &s.fr.lists[li]
+	ls := s.fr.list(li)
 	return s.leafPriority(ls.parent, l), uint64(ls.baseID + int(l.id))
 }
 
@@ -255,8 +249,8 @@ func (s *searcher) dequeue() (int32, bool) {
 		return v, true
 	}
 	li := ^v
-	l := &s.fr.lists[li]
-	i := s.ar.alloc(s.leafNode(l.parent, l.baseID, s.fr.leaf(l.start+int32(l.head))))
+	l := s.fr.list(li)
+	i := s.ar.alloc(s.leafNode(l, s.fr.leaf(l.start+int32(l.head))))
 	l.head++
 	if l.head < l.end {
 		p, id := s.leafKey(li, s.fr.leaf(l.start+int32(l.head)))
@@ -266,26 +260,6 @@ func (s *searcher) dequeue() (int32, bool) {
 		s.fr.dropList(li)
 	}
 	return i, true
-}
-
-// eachQueued calls f for every queued child, in unspecified order. Like
-// walk, it passes one queuedChild that it rewrites for each child, so f
-// must not keep the pointer.
-func (s *searcher) eachQueued(f func(c *queuedChild)) {
-	var c queuedChild
-	s.fr.pq.Each(func(v int32, priority float64, id uint64) {
-		if v >= 0 {
-			c = queuedChild{priority: priority, id: id, slot: v}
-			f(&c)
-			return
-		}
-		l := &s.fr.lists[^v]
-		for i := l.start + int32(l.head); i < l.start+int32(l.end); i++ {
-			p, id := s.leafKey(^v, s.fr.leaf(i))
-			c = queuedChild{priority: p, id: id, slot: -1, list: ^v, leaf: i}
-			f(&c)
-		}
-	})
 }
 
 // cursor is a heap entry as walk copies it: the entry's value and, for a
@@ -302,7 +276,7 @@ func (f *frontier) cursors() queue.Queue[cursor] {
 		if v >= 0 {
 			return cursor{v: v}
 		}
-		l := &f.lists[^v]
+		l := f.list(^v)
 		return cursor{v, l.head, l.end}
 	})
 }
@@ -325,7 +299,7 @@ func (s *searcher) walk(w queue.Queue[cursor], f func(c *queuedChild)) {
 			continue
 		}
 		li := ^cur.v
-		c = queuedChild{priority: priority, id: id, slot: -1, list: li, leaf: s.fr.lists[li].start + int32(cur.at)}
+		c = queuedChild{priority: priority, id: id, slot: -1, list: li, leaf: s.fr.list(li).start + int32(cur.at)}
 		if cur.at++; cur.at < cur.end {
 			p, id := s.leafKey(li, s.fr.leaf(c.leaf+1))
 			w.ReplaceTop(cur, p, id)
@@ -342,8 +316,7 @@ func (s *searcher) childNode(c *queuedChild) node {
 	if c.slot >= 0 {
 		return *s.ar.at(c.slot)
 	}
-	l := &s.fr.lists[c.list]
-	return s.leafNode(l.parent, l.baseID, s.fr.leaf(c.leaf))
+	return s.leafNode(s.fr.list(c.list), s.fr.leaf(c.leaf))
 }
 
 // childHash is the state hash of the queued child c.
@@ -351,7 +324,7 @@ func (s *searcher) childHash(c *queuedChild) uint64 {
 	if c.slot >= 0 {
 		return s.ar.at(c.slot).hash
 	}
-	return s.leafHash(s.fr.lists[c.list].parent, s.fr.leaf(c.leaf))
+	return s.leafHash(s.fr.list(c.list).parent, s.fr.leaf(c.leaf))
 }
 
 // childMem is the memory charge of the queued child c (arena.memOf): a
@@ -382,21 +355,21 @@ func (s *searcher) pruneQueue(k int, discard func(c *queuedChild)) {
 			switch {
 			case c.slot >= 0:
 				s.fr.pq.PushSeq(c.slot, c.priority, c.id)
-			case c.leaf == s.fr.lists[c.list].start+int32(s.fr.lists[c.list].head):
+			case c.leaf == s.fr.list(c.list).start+int32(s.fr.list(c.list).head):
 				s.fr.pq.PushSeq(^c.list, c.priority, c.id)
 			}
 			return
 		}
 		if c.slot < 0 {
-			l := &s.fr.lists[c.list]
+			l := s.fr.list(c.list)
 			l.end = min(l.end, uint16(c.leaf-l.start))
 		}
 		s.queueBytes -= s.childMem(c)
 		discard(c)
 	})
-	for li := range s.fr.lists {
-		if l := &s.fr.lists[li]; l.size > 0 && l.head == l.end {
-			s.fr.dropList(int32(li))
+	for li := int32(0); li < s.fr.lists.used; li++ {
+		if l := s.fr.list(li); l.size > 0 && l.head == l.end {
+			s.fr.dropList(li)
 		}
 	}
 	s.fr.n = k
@@ -405,27 +378,15 @@ func (s *searcher) pruneQueue(k int, discard func(c *queuedChild)) {
 // discardChild releases a queued child dropped by a queue or memory prune:
 // its transposition entry is removed (it was never expanded — leaving it
 // marked as visited could block the only remaining path to that state) and
-// it is released.
+// it is released, with every ancestor it leaves without a live child; a
+// leaf has no slot of its own to free.
 func (s *searcher) discardChild(c *queuedChild) {
 	if s.tt != nil {
 		s.tt.forget(s.childHash(c), int(s.childNode(c).depth))
 	}
-	s.releaseChild(c)
-}
-
-// releaseChild releases the queued child c, with every ancestor it leaves
-// without a live child; a leaf has no slot of its own to free.
-func (s *searcher) releaseChild(c *queuedChild) {
 	if c.slot >= 0 {
 		s.release(c.slot)
 	} else {
-		s.releaseKid(s.fr.lists[c.list].parent)
+		s.releaseKid(s.fr.list(c.list).parent)
 	}
-}
-
-// dropQueue releases every queued child and empties the frontier (a
-// restart).
-func (s *searcher) dropQueue() {
-	s.eachQueued(s.releaseChild)
-	s.fr.clear()
 }

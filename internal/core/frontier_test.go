@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -133,7 +134,9 @@ func (m *frontierModel) expand(k int) {
 func (m *frontierModel) prune(k int) {
 	charge := func() int64 {
 		var sum int64
-		m.s.eachQueued(func(c *queuedChild) { sum += m.s.childMem(c) })
+		for _, c := range m.s.queuedInOrder() {
+			sum += m.s.childMem(&c)
+		}
 		return sum
 	}
 	offset := m.s.queueBytes - charge()
@@ -180,17 +183,16 @@ type modelKey struct {
 // modelInOrder lists the plain heap's children in precedence order.
 func (m *frontierModel) modelInOrder() []modelKey {
 	var keys []modelKey
-	m.model.Each(func(id int, priority float64, _ uint64) { keys = append(keys, modelKey{id, priority}) })
-	slices.SortFunc(keys, func(a, b modelKey) int { return compareKeys(a.priority, uint64(a.id), b.priority, uint64(b.id)) })
+	for _, e := range queueEntries(&m.model) {
+		keys = append(keys, modelKey{e.v, e.priority})
+	}
 	return keys
 }
 
-// check compares Each (as a set) and walk (as a sequence, with the keys it
-// reports) with the plain heap's contents and precedence order.
+// check compares walk, with the keys it reports, with the plain heap's
+// precedence order, and the queued-children count with its size.
 func (m *frontierModel) check() {
 	want := m.modelInOrder()
-	var each []int
-	m.s.eachQueued(func(c *queuedChild) { each = append(each, m.s.childNode(c).id) })
 	var ordered []modelKey
 	for _, c := range m.s.queuedInOrder() {
 		if id := m.s.childNode(&c).id; uint64(id) != c.id {
@@ -201,23 +203,14 @@ func (m *frontierModel) check() {
 	if !slices.Equal(ordered, want) {
 		m.t.Fatalf("walk %v, plain heap order %v", ordered, want)
 	}
-	wantIDs := make([]int, len(want))
-	for i, k := range want {
-		wantIDs[i] = k.id
-	}
-	slices.Sort(each)
-	slices.Sort(wantIDs)
-	if !slices.Equal(each, wantIDs) {
-		m.t.Fatalf("eachQueued visits %v, plain heap holds %v", each, wantIDs)
-	}
-	if m.s.fr.n != len(wantIDs) {
-		m.t.Fatalf("%d queued children counted, plain heap holds %d", m.s.fr.n, len(wantIDs))
+	if m.s.fr.n != len(want) {
+		m.t.Fatalf("%d queued children counted, plain heap holds %d", m.s.fr.n, len(want))
 	}
 }
 
 // TestFrontierMatchesPlainHeap pins partial expansion's pop order against
 // a heap of one entry per child: random commits with many tied priorities,
-// interleaved with pops, prunes that cut inside lists, Each and the
+// interleaved with pops, prunes that cut inside lists, and the
 // precedence-ordered walk.
 func TestFrontierMatchesPlainHeap(t *testing.T) {
 	t.Run("fresh", func(t *testing.T) {
@@ -328,25 +321,54 @@ func BenchmarkFrontierPrune(b *testing.B) {
 	}
 }
 
+// BenchmarkFrontierRestart measures one restart of a frontier of about
+// 100K children (cycleFrontier): the search abandons the tree but its root
+// and re-enters through a first move, here always the second-best one.
+// Regrowing the frontier is untimed.
+func BenchmarkFrontierRestart(b *testing.B) {
+	const size = 100_000
+	s, commit := cycleFrontier(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		growFrontier(s, commit, size)
+		s.nextFirstMove = 1
+		b.StartTimer()
+		if !s.restart() {
+			b.Fatal("no restart fired")
+		}
+	}
+}
+
 // TestPruneAllocation pins what a prune allocates: the copy of the heap
 // its walk pops, 24 bytes per heap entry, plus a constant — not a list of
 // every queued child. It prunes a frontier of 100K children to half. An
 // earlier frontier of that size, pruned to nothing, leaves the free stacks
 // that releasing fills already grown, as they are in a search that has
-// pruned before.
+// pruned before. runtime.MemStats.TotalAlloc counts every goroutine's
+// allocations, so now and then one from elsewhere in the process (the race
+// detector's runtime, say) lands in the window. The test prunes three
+// identically grown frontiers and holds the smallest reading to the bound.
 func TestPruneAllocation(t *testing.T) {
 	const size = 100_000
-	s, commit := cycleFrontier(t)
-	growFrontier(s, commit, size)
-	s.pruneQueue(0, s.discardChild)
-	commit(rootSlot)
-	growFrontier(s, commit, size)
-	entries, children := s.fr.pq.Len(), s.fr.n
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	s.pruneQueue(size/2, s.discardChild)
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
+	got, entries, children := uint64(math.MaxUint64), 0, 0
+	for range 3 {
+		s, commit := cycleFrontier(t)
+		growFrontier(s, commit, size)
+		s.pruneQueue(0, s.discardChild)
+		commit(rootSlot)
+		growFrontier(s, commit, size)
+		if entries != 0 && (s.fr.pq.Len() != entries || s.fr.n != children) {
+			t.Fatalf("frontiers grew apart: %d children in %d heap entries, then %d in %d", children, entries, s.fr.n, s.fr.pq.Len())
+		}
+		entries, children = s.fr.pq.Len(), s.fr.n
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.pruneQueue(size/2, s.discardChild)
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
 	t.Logf("prune of %d children in %d heap entries allocated %d bytes", children, entries, got)
 	if limit := 24*uint64(entries) + 4096; got > limit {
 		t.Fatalf("prune of %d children in %d heap entries allocated %d bytes, want at most %d", children, entries, got, limit)

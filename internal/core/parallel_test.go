@@ -199,19 +199,21 @@ func roundInvariants(t testing.TB, where string) func(*searcher) {
 	return func(s *searcher) {
 		t.Helper()
 		var sum int64
-		s.eachQueued(func(c *queuedChild) { sum += s.childMem(c) })
-		s.fr.pq.Each(func(v int32, priority float64, id uint64) {
+		for _, e := range queueEntries(&s.fr.pq) {
+			v, priority, id := e.v, e.priority, e.id
 			if v >= 0 {
+				sum += s.ar.memOf(v)
 				if want := s.priorityOf(v); math.Float64bits(priority) != math.Float64bits(want) {
 					t.Fatalf("%s: slot %d queued at priority %v, derived %v", where, v, priority, want)
 				}
 				if want := uint64(s.ar.at(v).id); id != want {
 					t.Fatalf("%s: slot %d queued under ID %d, node ID %d", where, v, id, want)
 				}
-				return
+				continue
 			}
-			l := &s.fr.lists[^v]
+			l := s.fr.list(^v)
 			for i := l.head; i < l.end; i++ {
+				sum += s.childMem(&queuedChild{slot: -1, list: ^v, leaf: l.start + int32(i)})
 				p, lid := s.leafKey(^v, s.fr.leaf(l.start+int32(i)))
 				if i == l.head && (math.Float64bits(priority) != math.Float64bits(p) || id != lid) {
 					t.Fatalf("%s: list %d queued at (%v, %d), head is (%v, %d)", where, ^v, priority, id, p, lid)
@@ -221,7 +223,7 @@ func roundInvariants(t testing.TB, where string) func(*searcher) {
 				}
 				priority, id = p, lid
 			}
-		})
+		}
 		if sum != s.queueBytes {
 			t.Fatalf("%s: queueBytes=%d but recount=%d (stale accounting)", where, s.queueBytes, sum)
 		}

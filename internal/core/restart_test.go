@@ -2,6 +2,10 @@ package core
 
 import (
 	"testing"
+
+	"repro/internal/perm"
+	"repro/internal/pprm"
+	"repro/internal/rng"
 )
 
 // The restart heuristic (Section IV-E) has two distinct exhaustion
@@ -64,5 +68,58 @@ func TestQueueExhaustedWithoutRestarts(t *testing.T) {
 	}
 	if res.StopReason != StopQueueExhausted {
 		t.Errorf("StopReason = %v, want %v", res.StopReason, StopQueueExhausted)
+	}
+}
+
+// TestRestartResetsStores: a restart abandons the whole tree but the root
+// at once (resetToRoot). At the round boundary where the first step-count
+// restart is due, the step hook fires it, as the search loop would next,
+// and checks that the node store then holds exactly the root and the
+// first-move child, with nothing on its free stack; that the list and
+// leaf stores are empty; that the run store holds exactly the two nodes'
+// runs; and that checkArena holds.
+func TestRestartResetsStores(t *testing.T) {
+	spec, err := pprm.FromPerm(perm.Random(4, rng.New(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.MaxGates = 8 // low enough that no solution comes before the restart
+	opts.MaxSteps = 40
+	opts.TotalSteps = 200
+	s := newSearcher(spec, opts)
+	checked := false
+	s.stepHook = func(s *searcher) {
+		if checked || s.stepsSinceRestart < s.opts.MaxSteps || s.bestSol >= 0 {
+			return
+		}
+		checked = true
+		if s.fr.n == 0 || s.fr.lists.used == 0 {
+			t.Fatalf("%d children in %d lists queued before the restart: nothing to abandon", s.fr.n, s.fr.lists.used)
+		}
+		if !s.restart() {
+			t.Fatal("no restart fired")
+		}
+		if used, free := s.ar.nodes.used, len(freeSlots(&s.ar.nodes)); used != 2 || free != 0 {
+			t.Fatalf("node store: %d slots handed out, %d free; want the root and the first-move child only", used, free)
+		}
+		root, child := s.ar.at(rootSlot), s.ar.at(1)
+		if root.parent != -1 || child.parent != rootSlot || child.spec < 0 {
+			t.Fatalf("slots 0 and 1 hold %+v and %+v, want the root and its materialized first-move child", *root, *child)
+		}
+		checkRunStore(t, "list store", &s.fr.lists, nil)
+		checkRunStore(t, "leaf store", &s.fr.leaves, nil)
+		held := []storeRun{{root.spec, len(s.ar.run(root.spec))}, {child.spec, len(s.ar.run(child.spec))}}
+		if want := held[0].k + held[1].k; int(s.ar.runs.used) != want {
+			t.Fatalf("run store: %d elements handed out, the two runs hold %d", s.ar.runs.used, want)
+		}
+		checkRunStore(t, "run store", &s.ar.runs, held)
+		checkArena(t, s, "after the restart")
+	}
+	if r := s.run(); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if !checked {
+		t.Fatal("the search never reached a restart")
 	}
 }

@@ -333,14 +333,7 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 			return nil, fmt.Errorf("%w: node %d under lazy parent", ErrInvalidState, i)
 		}
 		pn := s.ar.at(parent)
-		n := node{
-			parent: parent,
-			spec:   -1,
-			id:     ns.ID,
-			target: int32(ns.Target),
-			factor: bits.Mask(ns.Factor),
-			depth:  pn.depth + 1,
-		}
+		n := s.newChild(parent, ns.ID, ns.Target, bits.Mask(ns.Factor), pn.terms)
 		if int(n.depth) > s.maxGates {
 			return nil, fmt.Errorf("%w: node %d deeper than %d gates", ErrInvalidState, i, s.maxGates)
 		}
@@ -353,7 +346,7 @@ func restoreSearcher(spec *pprm.Spec, opts Options, st *snapshot.State) (*search
 		} else {
 			delta, n.hash, s.deltaBuf = s.expansion(parent).SubstituteProbe(ns.Target, n.factor, s.deltaBuf)
 		}
-		n.terms = pn.terms + int32(delta)
+		n.terms += int32(delta)
 		pn.kids++
 		if baseID, ok := leafParents[ns.Parent]; ok && queued[i] && !ns.Materialized {
 			nodes[i] = -1

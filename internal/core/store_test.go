@@ -191,9 +191,9 @@ func TestResumeQueuesLeaves(t *testing.T) {
 	if got.fr.n != live.fr.n || got.fr.n < 10000 {
 		t.Fatalf("%d children queued, restored %d", live.fr.n, got.fr.n)
 	}
-	if len(got.ar.pages) > len(live.ar.pages) || got.fr.pq.Len() > live.fr.pq.Len() {
+	if len(got.ar.nodes.pages) > len(live.ar.nodes.pages) || got.fr.pq.Len() > live.fr.pq.Len() {
 		t.Errorf("restored search holds %d arena pages and %d heap entries, the live one %d and %d",
-			len(got.ar.pages), got.fr.pq.Len(), len(live.ar.pages), live.fr.pq.Len())
+			len(got.ar.nodes.pages), got.fr.pq.Len(), len(live.ar.nodes.pages), live.fr.pq.Len())
 	}
 	checkArena(t, got, "restored")
 }
@@ -297,12 +297,12 @@ func TestRunStoreStaysBounded(t *testing.T) {
 			if s.stepsSinceRestart == 0 {
 				peak = 0
 			}
-			free := make([]bool, s.ar.used)
-			for _, i := range s.ar.free {
+			free := make([]bool, s.ar.nodes.used)
+			for _, i := range freeSlots(&s.ar.nodes) {
 				free[i] = true
 			}
 			live := 0
-			for i := int32(0); i < s.ar.used; i++ {
+			for i := int32(0); i < s.ar.nodes.used; i++ {
 				if j := s.ar.at(i).spec; !free[i] && j >= 0 {
 					live += len(s.ar.run(j))
 				}

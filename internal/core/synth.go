@@ -473,7 +473,7 @@ func (s *searcher) rerecordQueued() {
 		sol := s.ar.at(s.bestSol)
 		s.tt.record(sol.hash, int(sol.depth))
 	}
-	s.eachQueued(func(c *queuedChild) {
+	s.walk(s.fr.cursors(), func(c *queuedChild) {
 		s.tt.record(s.childHash(c), int(s.childNode(c).depth))
 	})
 }
@@ -692,14 +692,12 @@ func (s *searcher) restart() bool {
 	s.nextFirstMove++
 	s.restarts++
 	s.stepsSinceRestart = 0
-	// Queued nodes are unexpanded leaves; releasing them frees the whole
-	// abandoned frontier down to the root (a restart only fires while no
-	// solution is held). The transposition table is dropped wholesale: the
-	// restart exists to re-explore from a different first move, and
+	// The whole tree but the root is abandoned (a restart only fires while
+	// no solution is held). The transposition table is dropped wholesale:
+	// the restart exists to re-explore from a different first move, and
 	// "visited" marks inherited from the abandoned frontier would defeat
 	// it.
-	s.dropQueue()
-	s.resetRuns()
+	s.resetToRoot()
 	s.queueBytes = 0
 	root := s.ar.at(rootSlot)
 	if s.tt != nil {
@@ -708,14 +706,7 @@ func (s *searcher) restart() bool {
 	}
 
 	cs, delta := s.derive(rootSlot, fm.target, fm.factor)
-	child := node{
-		parent: rootSlot,
-		id:     s.nodes,
-		target: int32(fm.target),
-		factor: fm.factor,
-		depth:  1,
-		terms:  root.terms + int32(delta),
-	}
+	child := s.newChild(rootSlot, s.nodes, fm.target, fm.factor, root.terms+int32(delta))
 	if s.tt != nil {
 		child.hash = cs.Hash()
 	}
@@ -1014,7 +1005,7 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 	// than that; then every child is queued as a plain node.
 	base, leaves := s.nodes, ncands <= maxIDSpan
 	fanout := s.fanout[:0]
-	var lastHash uint64 // state hash of the last lazy child
+	var last node // the last lazy child
 	for ti := range gr.targets {
 		tg := &gr.targets[ti]
 		target := tg.target
@@ -1039,9 +1030,13 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 			if s.tt != nil && s.tt.seen(c.hash, childDepth) {
 				continue
 			}
+			// The child takes its node ID now, in creation order, which
+			// is the order equal priorities pop in.
+			n := s.newChild(pi, s.nodes, target, c.factor, c.terms)
+			n.hash = c.hash
 			if c.identity {
 				if childDepth < s.bestDepth {
-					child := s.addChild(s.candNode(pi, target, c), -1)
+					child := s.addChild(n, -1)
 					if s.bestSol >= 0 {
 						s.release(s.bestSol)
 					}
@@ -1065,9 +1060,6 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 					target: target, factor: c.factor, priority: c.priority,
 				})
 			}
-			// The child takes its node ID now, in creation order, which
-			// is the order equal priorities pop in.
-			n := s.candNode(pi, target, c)
 			s.emit(EventPush, &n)
 			if c.sol >= 0 || !leaves {
 				ci := s.addChild(n, s.putSol(gr, c))
@@ -1081,15 +1073,13 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 			fanout = append(fanout, keyedLeaf{leaf{
 				factor: n.factor, terms: n.terms, id: uint16(n.id - base), target: uint8(n.target),
 			}, c.priority})
-			lastHash = c.hash
+			last = n
 		}
 	}
 	switch len(fanout) {
 	case 0:
 	case 1: // a lone child gains nothing from a list
-		n := s.leafNode(pi, base, &fanout[0].leaf)
-		n.hash = lastHash
-		s.enqueue(s.ar.alloc(n), fanout[0].priority)
+		s.enqueue(s.ar.alloc(last), fanout[0].priority)
 	default:
 		s.queueLeaves(pi, base, fanout)
 	}
@@ -1107,19 +1097,12 @@ func (s *searcher) commit(pi int32, gr *genResult) {
 	}
 }
 
-// candNode is the node for the generated candidate c of the node in slot
-// pi, which substitutes into target, numbered as the next node created.
-func (s *searcher) candNode(pi int32, target int, c *pcand) node {
-	return node{
-		parent: pi,
-		id:     s.nodes,
-		hash:   c.hash,
-		spec:   -1,
-		target: int32(target),
-		factor: c.factor,
-		depth:  s.ar.at(pi).depth + 1,
-		terms:  c.terms,
-	}
+// newChild is the lazy node with ID id that substitutes v_target =
+// v_target ⊕ factor into the node in slot parent and has terms terms,
+// without its state hash.
+func (s *searcher) newChild(parent int32, id, target int, factor bits.Mask, terms int32) node {
+	return node{parent: parent, id: id, spec: -1, target: int32(target), factor: factor,
+		depth: s.ar.at(parent).depth + 1, terms: terms}
 }
 
 // addChild stores child, whose expansion is in slot exp (−1 when lazy), in

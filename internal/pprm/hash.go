@@ -70,9 +70,10 @@ func (s *Spec) Hash() uint64 {
 // SubstituteProbe computes, without modifying or copying the Spec, the
 // term-count change and the transposition hash of the expansion that
 // Substitute(target, factor) would produce. The synthesis search uses it
-// to hash a single child of a stored expansion (a queued child surfacing
-// from its list, a restored one); to score all the candidates of an
-// expansion it uses a Prober, which shares its kernels. scratch is an
+// to hash a single child of a stored expansion (a queued leaf that a prune
+// forgets or a table reset records again, a restored one); to score all
+// the candidates of an expansion it uses a Prober, which shares its
+// kernels. scratch is an
 // optional reusable buffer, returned (possibly grown) for the next call;
 // word-form outputs never touch it, so on a Spec with N ≤ 6 the probe is
 // a few word operations per output and allocates nothing.
@@ -83,8 +84,8 @@ func (s *Spec) SubstituteProbe(target int, factor bits.Mask, scratch []bits.Mask
 		var d int
 		var h uint64
 		if ts.isWord {
-			// substituteWord without building the set: this loop is the
-			// search's hottest, and the struct measurably slows it.
+			// substituteWord without building the set, as the Prober's
+			// word kernel does; the search's hot loop is the Prober's.
 			tw := wordToggles(ts.word, target, factor)
 			w := ts.word ^ tw
 			d = mbits.OnesCount64(w) - mbits.OnesCount64(ts.word)

@@ -118,14 +118,6 @@ func (q *Queue[T]) Pop() (T, bool) {
 	return top, true
 }
 
-// Each calls f for every queued item with its priority and ID, in
-// unspecified (heap-array) order.
-func (q *Queue[T]) Each(f func(v T, priority float64, id uint64)) {
-	for i := range q.items {
-		f(q.items[i].value, q.items[i].priority, q.items[i].id)
-	}
-}
-
 // up moves the entry at index i toward the root until its parent has
 // precedence over it.
 func (q *Queue[T]) up(i int) {

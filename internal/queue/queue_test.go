@@ -173,33 +173,6 @@ func checkHeap[T any](t *testing.T, q *Queue[T], context string) {
 	}
 }
 
-// TestEachVisitsAll: Each must visit every queued item exactly once —
-// the searcher relies on it to recount queue memory after a prune.
-func TestEachVisitsAll(t *testing.T) {
-	var q Queue[int]
-	seen := make(map[int]int)
-	q.Each(func(int, float64, uint64) { t.Error("Each on empty queue called f") })
-	for i := 0; i < 50; i++ {
-		q.PushSeq(i, float64(i%7), uint64(i))
-	}
-	q.Pop()
-	q.Pop()
-	q.Each(func(v int, priority float64, _ uint64) {
-		seen[v]++
-		if priority != float64(v%7) {
-			t.Errorf("Each gave item %d priority %v, want %v", v, priority, float64(v%7))
-		}
-	})
-	if len(seen) != q.Len() {
-		t.Fatalf("Each visited %d distinct items, queue holds %d", len(seen), q.Len())
-	}
-	for v, c := range seen {
-		if c != 1 {
-			t.Errorf("Each visited %d %d times", v, c)
-		}
-	}
-}
-
 // TestEntrySize pins a queued search node (an int32 arena slot) at 24
 // bytes of heap array: priority, the 64-bit node ID, and the slot.
 func TestEntrySize(t *testing.T) {
