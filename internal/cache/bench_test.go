@@ -47,6 +47,44 @@ func BenchmarkCachePut(b *testing.B) {
 	}
 }
 
+// BenchmarkCachePersistBatch times one entry's share of a batched disk
+// write: entries are inserted under fresh fingerprints, and every batch of
+// them is written by one PersistAll, which syncs the directory once. At 1
+// entry per batch this is BenchmarkCachePut's disk case; at 8 the
+// directory sync is shared.
+func BenchmarkCachePersistBatch(b *testing.B) {
+	circ, p := randomSpec(3, 6, rng.New(31))
+	for _, size := range []int{1, 8} {
+		b.Run(fmt.Sprintf("entries=%d", size), func(b *testing.B) {
+			c, err := cache.Open(b.TempDir(), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch := make([]*cache.Pending, 0, size)
+			flush := func() {
+				for i, err := range c.PersistAll(batch) {
+					if err != nil {
+						b.Fatalf("entry %d: %v", i, err)
+					}
+				}
+				batch = batch[:0]
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, w, err := c.Insert(p, uint64(i), circ)
+				if err != nil || w == nil {
+					b.Fatalf("insert %d: pending=%v err=%v", i, w, err)
+				}
+				if batch = append(batch, w); len(batch) == size {
+					flush()
+				}
+			}
+			flush()
+		})
+	}
+}
+
 // BenchmarkCacheLookup times a derived hit from memory: canonicalize the
 // request, find the entry, conjugate its cascade and re-verify the result.
 func BenchmarkCacheLookup(b *testing.B) {

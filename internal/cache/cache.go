@@ -267,37 +267,61 @@ type Pending struct {
 }
 
 // Persist writes the inserted entry to disk through the snapshot
-// package's atomic protocol, with no cache lock held. A nil Pending, a
-// memory-only cache, and an entry no longer current in memory (a shorter
-// circuit replaced it, or a Lookup dropped it) write nothing. A write
-// racing a newer entry's can still land last, leaving a longer correct
-// circuit on disk behind the shorter one in memory: disk may lag memory
-// by a superseded entry, never by a wrong circuit, since Lookup compares
-// the stored representative and re-verifies every hit. An open
-// cache-store fault domain sheds the write (DiskShed) without error; any
-// other failure is returned and leaves the in-memory entry standing.
+// package's atomic protocol, with no cache lock held. It is PersistAll of
+// a batch of one; a nil Pending writes nothing.
 func (w *Pending) Persist() error {
-	if w == nil || w.c.dir == "" {
+	if w == nil {
 		return nil
 	}
-	c := w.c
+	return w.c.PersistAll([]*Pending{w})[0]
+}
+
+// PersistAll writes a batch of inserted entries to disk through one
+// snapshot.WriteBatch — each file replaced atomically, then one directory
+// sync for all of them — with no cache lock held, and returns one error
+// per entry. A nil entry, a memory-only cache, and an entry that is not
+// current in c's memory (a shorter circuit replaced it, a Lookup dropped
+// it, or it is another cache's) write nothing. A write racing a newer
+// entry's can still land last, leaving a longer correct circuit on disk
+// behind the shorter one in memory: disk may lag memory by a superseded
+// entry, never by a wrong circuit, since Lookup compares the stored
+// representative and re-verifies every hit. An entry an open cache-store
+// fault domain refuses is shed (one DiskShed each) without error; any
+// other failure is returned for its entry and leaves the in-memory entry
+// standing.
+func (c *Cache) PersistAll(ws []*Pending) []error {
+	errs := make([]error, len(ws))
+	if c.dir == "" {
+		return errs
+	}
+	idx := make([]int, 0, len(ws))
 	c.mu.Lock()
-	current := c.mem[w.k] == w.e
-	c.mu.Unlock()
-	if !current {
-		return nil
+	for i, w := range ws {
+		if w != nil && c.mem[w.k] == w.e {
+			idx = append(idx, i)
+		}
 	}
-	if err := snapshot.WriteRaw(c.fs, c.path(w.k), encodeEntry(w.e)); err != nil {
-		if health.IsOpen(err) {
+	c.mu.Unlock()
+	if len(idx) == 0 {
+		return errs
+	}
+	files := make([]snapshot.RawFile, len(idx))
+	for f, i := range idx {
+		files[f] = snapshot.RawFile{Name: entryName(ws[i].k), Data: encodeEntry(ws[i].e)}
+	}
+	for f, err := range snapshot.WriteBatch(c.fs, c.dir, files) {
+		switch {
+		case err == nil:
+		case health.IsOpen(err):
 			// Cache-store domain open: the entry stands in memory and
 			// the store is transparently non-durable — no error.
 			c.shed.Add(1)
-			return nil
+		default:
+			// The in-memory entry stands; only durability failed.
+			errs[idx[f]] = fmt.Errorf("cache: persist: %w", err)
 		}
-		// The in-memory entry stands; only durability failed.
-		return fmt.Errorf("cache: persist: %w", err)
 	}
-	return nil
+	return errs
 }
 
 // canonicalizeFor canonicalizes p when the cache handles it.
@@ -308,9 +332,9 @@ func canonicalizeFor(p perm.Perm) (perm.Perm, canon.Transform, error) {
 	return canon.Canonicalize(p)
 }
 
-func (c *Cache) path(k key) string {
-	return filepath.Join(c.dir, fmt.Sprintf("%016x-%016x%s", k.class, k.fp, entryExt))
-}
+func (c *Cache) path(k key) string { return filepath.Join(c.dir, entryName(k)) }
+
+func entryName(k key) string { return fmt.Sprintf("%016x-%016x%s", k.class, k.fp, entryExt) }
 
 // loadLocked returns the entry for k, reading through to disk on a memory
 // miss. Corrupt files are removed and counted. Missing, unreadable and

@@ -1,6 +1,7 @@
 package cache_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/cache"
@@ -100,6 +101,87 @@ func TestCrashDuringPutReadsAsMissOrOldEntry(t *testing.T) {
 				// The old entry was durable before the replacement began;
 				// rename is atomic, so some correct entry must survive.
 				t.Fatalf("crashAt=%d tear=%d: durable entry lost in overwrite crash", crashAt, tear)
+			}
+		}
+	}
+}
+
+// TestCrashDuringBatchPersistReadsAsMissOrOldEntry is the batch twin of
+// TestCrashDuringPutReadsAsMissOrOldEntry: three entries of distinct
+// classes are inserted and written by one PersistAll that crashes at every
+// operation index, torn and not. After each crash every entry reads as a
+// miss (fresh writes) or as a correct circuit, and an overwritten entry
+// that was durable before the batch never goes missing. A batch that
+// reported no error leaves every entry readable after a reopen.
+func TestCrashDuringBatchPersistReadsAsMissOrOldEntry(t *testing.T) {
+	src := rng.New(17)
+	var specs []perm.Perm
+	var circs, padded []*circuit.Circuit
+	seen := map[uint64]bool{}
+	for len(specs) < 3 {
+		circ, p := randomSpec(3, 5, src)
+		if k := classOf(t, p); !seen[k] {
+			seen[k] = true
+			specs, circs = append(specs, p), append(circs, circ)
+			long := &circuit.Circuit{Wires: circ.Wires, Gates: append([]circuit.Gate(nil), circ.Gates...)}
+			long.Append(circuit.Gate{Target: 0}, circuit.Gate{Target: 0})
+			padded = append(padded, long)
+		}
+	}
+	// persistBatch inserts every spec's circuit into a cache over dir and
+	// writes the entries with one PersistAll.
+	persistBatch := func(dir string, fsys *chaos.FS) []error {
+		c, err := cache.Open(dir, fsys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := make([]*cache.Pending, len(specs))
+		for i, p := range specs {
+			if _, ws[i], err = c.Insert(p, fpA, circs[i]); err != nil || ws[i] == nil {
+				t.Fatalf("insert %d: pending=%v err=%v", i, ws[i], err)
+			}
+		}
+		return c.PersistAll(ws)
+	}
+
+	probe := chaos.New(nil)
+	for i, err := range persistBatch(t.TempDir(), probe) {
+		if err != nil {
+			t.Fatalf("clean batch, entry %d: %v", i, err)
+		}
+	}
+	total := probe.Ops()
+
+	for _, tear := range []int{0, 3} {
+		for crashAt := 0; crashAt <= total; crashAt++ {
+			// Fresh writes: nothing on disk yet.
+			dir := t.TempDir()
+			ffs := chaos.New(nil)
+			ffs.CrashAt(crashAt, tear)
+			err := errors.Join(persistBatch(dir, ffs)...)
+			if hits := checkAfterCrash(t, dir, specs); err == nil && hits != len(specs) {
+				t.Fatalf("crashAt=%d tear=%d: batch reported no error, but %d of %d entries survive a reopen",
+					crashAt, tear, hits, len(specs))
+			}
+
+			// Overwrites: a longer correct circuit of every class is
+			// durable, and the batch replaces all three.
+			dir = t.TempDir()
+			warm, err := cache.Open(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range specs {
+				if _, stored, err := warm.Put(p, fpA, padded[i]); err != nil || !stored {
+					t.Fatalf("seeding overwrite %d: stored=%v err=%v", i, stored, err)
+				}
+			}
+			ffs = chaos.New(nil)
+			ffs.CrashAt(crashAt, tear)
+			persistBatch(dir, ffs)
+			if hits := checkAfterCrash(t, dir, specs); hits != len(specs) {
+				t.Fatalf("crashAt=%d tear=%d: %d of %d durable entries survive an overwrite crash",
+					crashAt, tear, hits, len(specs))
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/health"
+	"repro/internal/perm"
 	"repro/internal/rng"
 	"repro/internal/snapshot"
 )
@@ -221,5 +222,52 @@ func TestGuardedReadThroughUsesFSSeam(t *testing.T) {
 	}
 	if v := b.View(); v.Successes != 1 {
 		t.Errorf("breaker saw %d successes, want the one guarded read", v.Successes)
+	}
+}
+
+// TestGuardOpenShedsBatchPerEntry: a batch written while the cache domain
+// is open reports no error, sheds each entry once, reaches no disk, and
+// every entry still answers from memory.
+func TestGuardOpenShedsBatchPerEntry(t *testing.T) {
+	dir := t.TempDir()
+	b := newTestBreaker()
+	c, err := cache.Open(dir, health.GuardFS(nil, b.Breaker))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Trip(errors.New("injected outage"))
+	before := b.recorded()
+
+	src := rng.New(11)
+	var ws []*cache.Pending
+	var specs []perm.Perm
+	for fp := uint64(1); fp <= 3; fp++ {
+		circ, p := randomSpec(3, 4, src)
+		_, w, err := c.Insert(p, fp, circ)
+		if err != nil || w == nil {
+			t.Fatalf("insert %d: pending=%v err=%v", fp, w, err)
+		}
+		ws, specs = append(ws, w), append(specs, p)
+	}
+	// Insert's disk read-through sheds too; count only the batch's.
+	shedBefore := c.Stats().DiskShed
+	for i, err := range c.PersistAll(ws) {
+		if err != nil {
+			t.Fatalf("entry %d under an open domain: %v, want shed without error", i, err)
+		}
+	}
+	if got := c.Stats().DiskShed - shedBefore; got != int64(len(ws)) {
+		t.Errorf("the batch added %d to DiskShed, want one per entry (%d)", got, len(ws))
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Fatalf("open domain persisted %d files", len(files))
+	}
+	if got := b.recorded() - before; got != 0 {
+		t.Fatalf("shed batch recorded %d outcomes, want 0 (no I/O happened)", got)
+	}
+	for i, p := range specs {
+		if _, ok := c.Lookup(p, uint64(i+1)); !ok {
+			t.Errorf("entry %d not served from memory while the disk is shed", i)
+		}
 	}
 }

@@ -16,8 +16,10 @@ import (
 // Write, Sync, Close, Rename, SyncDir — where SyncDir is the final
 // operation of a successful atomic replace: it is the one success point
 // recorded, so a whole multi-operation write counts as one breaker
-// outcome instead of six. ReadFile records both outcomes (fs.ErrNotExist
-// counts as a *success* — the device answered; "no file" is an answer).
+// outcome instead of six, and a snapshot.WriteBatch, which syncs its
+// directory once, counts as one success however many files it wrote.
+// ReadFile records both outcomes (fs.ErrNotExist counts as a *success* —
+// the device answered; "no file" is an answer).
 // Remove is deliberately unguarded and unrecorded: it is best-effort
 // cleanup whose errors are noise (removing an already-missing file fails
 // too), and it must keep working during an outage so a heal does not

@@ -124,6 +124,8 @@ func TestChaosSoakRotatingFaults(t *testing.T) {
 			gates1 = v.Result.Gates
 		}
 	}
+	// The cache writer writes after a linger; the answers do not wait.
+	s.waitCacheWrites()
 	if st := domainState(t, ts.URL, DomainCache); st != "open" {
 		t.Fatalf("cache domain = %q after ENOSPC Puts, want open", st)
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,6 +33,28 @@ func (f gatedWriteFS) CreateTemp(dir, pattern string) (snapshot.File, error) {
 	return f.FS.CreateTemp(dir, pattern)
 }
 
+// waitCacheWrites blocks until the cache writer has written, or failed to
+// write, every entry handed to it so far.
+func (s *Server) waitCacheWrites() {
+	s.cacheWrites.mu.Lock()
+	done := s.cacheWrites.done
+	s.cacheWrites.mu.Unlock()
+	if done != nil {
+		<-done
+	}
+}
+
+// syncCountFS counts the directory syncs that reach the filesystem.
+type syncCountFS struct {
+	snapshot.FS
+	syncs atomic.Int64
+}
+
+func (f *syncCountFS) SyncDir(dir string) error {
+	f.syncs.Add(1)
+	return f.FS.SyncDir(dir)
+}
+
 // gatedCacheServer starts a one-worker server whose answer-cache writes
 // block until the returned FS is released (the test's cleanup releases it
 // before the server drains).
@@ -45,13 +68,16 @@ func gatedCacheServer(t *testing.T) (*Server, string, gatedWriteFS) {
 	return s, ts.URL, fsys
 }
 
-// postWait submits a waiting job off the test goroutine and delivers its
-// HTTP status (or 0 on a transport error).
-func postWait(url string) <-chan int {
+// postWait submits a waiting job for the Fig. 1 function off the test
+// goroutine and delivers its HTTP status (or 0 on a transport error).
+func postWait(url string) <-chan int { return postPermWait(url, "{1, 0, 7, 2, 3, 4, 5, 6}") }
+
+// postPermWait is postWait for the permutation p.
+func postPermWait(url, p string) <-chan int {
 	status := make(chan int, 1)
 	go func() {
 		resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(
-			`{"spec":{"perm":"{1, 0, 7, 2, 3, 4, 5, 6}"},"budget":{"time_ms":30000},"wait":true}`))
+			`{"spec":{"perm":"`+p+`"},"budget":{"time_ms":30000},"wait":true}`))
 		if err != nil {
 			status <- 0
 			return
@@ -129,5 +155,71 @@ func TestDrainWaitsForCacheWrite(t *testing.T) {
 	}
 	if got := cacheEntries(t, fsys.dir); len(got) != 1 {
 		t.Fatalf("entry files after drain = %v, want exactly one", got)
+	}
+}
+
+// coldPerms are 3-variable functions of distinct classes: each one's cold
+// answer stores a new cache entry.
+var coldPerms = []string{
+	"{0, 1, 2, 3, 4, 5, 7, 6}",
+	"{1, 0, 3, 2, 5, 4, 7, 6}",
+	"{7, 6, 5, 4, 3, 2, 1, 0}",
+	"{1, 2, 3, 4, 5, 6, 7, 0}",
+}
+
+// TestCacheWriteDoesNotHoldWorker: while the cache write of one cold
+// answer is blocked, the server's only worker still answers a cold job of
+// another class.
+func TestCacheWriteDoesNotHoldWorker(t *testing.T) {
+	s, url, fsys := gatedCacheServer(t)
+	if code := <-postWait(url); code != http.StatusOK {
+		t.Fatalf("first submit = %d, want 200", code)
+	}
+	<-fsys.entered
+	select {
+	case code := <-postPermWait(url, coldPerms[0]):
+		if code != http.StatusOK {
+			t.Fatalf("second submit = %d, want 200", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the only worker waited for the blocked cache write")
+	}
+	if got := s.Stats().Completed; got != 2 {
+		t.Fatalf("worker-completed jobs = %d, want both cold jobs", got)
+	}
+}
+
+// TestDrainFlushesEveryCacheWrite: cold answers given by two workers at
+// once while the cache writer is blocked are all on disk once Drain
+// returns, and they were written under fewer directory syncs than entries.
+func TestDrainFlushesEveryCacheWrite(t *testing.T) {
+	cacheDir := t.TempDir()
+	// entered is never read here: it holds one send per entry write.
+	gated := gatedWriteFS{FS: snapshot.DiskFS, dir: cacheDir,
+		entered: make(chan struct{}, len(coldPerms)), gate: make(chan struct{}), once: new(sync.Once)}
+	fsys := &syncCountFS{FS: gated}
+	s, ts := startTestServer(t, Config{Workers: 2, CacheDir: cacheDir, FS: fsys})
+	t.Cleanup(gated.release)
+
+	var statuses []<-chan int
+	for _, p := range coldPerms {
+		statuses = append(statuses, postPermWait(ts.URL, p))
+	}
+	for i, status := range statuses {
+		if code := <-status; code != http.StatusOK {
+			t.Fatalf("submit %s = %d, want 200", coldPerms[i], code)
+		}
+	}
+	gated.release()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if got := cacheEntries(t, cacheDir); len(got) != len(coldPerms) {
+		t.Fatalf("entry files after drain = %v, want %d", got, len(coldPerms))
+	}
+	if n := fsys.syncs.Load(); n >= int64(len(coldPerms)) {
+		t.Fatalf("%d directory syncs for %d entries, want fewer", n, len(coldPerms))
 	}
 }

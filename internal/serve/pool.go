@@ -70,12 +70,12 @@ func (s *Server) execute(j *Job) {
 		s.settle(j, StatusFailed, res, res.Err.Error())
 		return
 	}
-	// Insert, answer, then persist: the write (a failure feeds the cache
-	// breaker through its guarded FS; durability is all it costs) stays on
-	// this goroutine, so Drain's wait on the workers covers it.
-	w := s.cacheStore(j, &res)
+	// Insert, hand the durable write to the cache writer, then answer:
+	// neither the answer nor the worker's next job waits for an fsync, the
+	// write is pending by the time the answer is out, and the writer,
+	// counted in s.wg, keeps Drain's wait covering it.
+	s.persistLater(s.cacheStore(j, &res))
 	s.settle(j, StatusDone, res, "")
-	_ = w.Persist()
 }
 
 // settle ends a job the pool ran: it counts the outcome, removes the

@@ -158,6 +158,9 @@ type Server struct {
 	cfg   Config
 	queue *jobQueue
 	cache *cache.Cache // nil: caching disabled
+	// cacheWrites holds the answer-cache entries the workers handed off
+	// and the one goroutine that writes them (see cache.go).
+	cacheWrites cacheWriter
 
 	// Fault-domain supervision (see health.go): the breakers in
 	// DomainNames order, each also under its own name, plus the guarded

@@ -5,7 +5,10 @@ package snapshot_test
 // chaos imports snapshot.
 
 import (
+	"bytes"
 	"errors"
+	iofs "io/fs"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -113,5 +116,108 @@ func TestFreshWriteUnderEveryCrashPoint(t *testing.T) {
 				t.Fatalf("crashAt=%d: write reported success but file missing", crashAt)
 			}
 		}
+	}
+}
+
+// TestBatchWriteUnderEveryCrashPoint: a three-file batch — two overwrites
+// and one fresh file — that crashes at every operation index, with the
+// crashing write torn at 0 and 3 bytes, must leave each path holding its
+// old bytes (none, for the fresh file) or its complete new bytes. A file
+// the batch reported written must hold its new bytes.
+func TestBatchWriteUnderEveryCrashPoint(t *testing.T) {
+	names := []string{"a.rmce", "b.rmce", "c.rmce"}
+	oldData := [][]byte{[]byte("old a"), []byte("old b"), nil}
+	files := make([]snapshot.RawFile, len(names))
+	for i, name := range names {
+		files[i] = snapshot.RawFile{Name: name, Data: []byte("new " + name + " bytes")}
+	}
+	setup := func(t *testing.T) string {
+		dir := t.TempDir()
+		for i, name := range names {
+			if oldData[i] != nil {
+				if err := snapshot.WriteRaw(nil, filepath.Join(dir, name), oldData[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return dir
+	}
+
+	probe := chaos.New(nil)
+	for i, err := range snapshot.WriteBatch(probe, setup(t), files) {
+		if err != nil {
+			t.Fatalf("clean batch, file %d: %v", i, err)
+		}
+	}
+	total := probe.Ops()
+	if want := 5*len(names) + 1; total != want { // five steps per file, one SyncDir
+		t.Fatalf("clean batch took %d operations, want %d", total, want)
+	}
+
+	for _, tear := range []int{0, 3} {
+		for crashAt := 0; crashAt < total; crashAt++ {
+			dir := setup(t)
+			fs := chaos.New(nil)
+			fs.CrashAt(crashAt, tear)
+			errs := snapshot.WriteBatch(fs, dir, files)
+			if !fs.Crashed() {
+				t.Fatalf("crashAt=%d: crash point never reached (total=%d)", crashAt, total)
+			}
+			for i, f := range files {
+				got, rerr := os.ReadFile(filepath.Join(dir, f.Name))
+				switch {
+				case rerr == nil && bytes.Equal(got, f.Data):
+				case errs[i] != nil && rerr == nil && oldData[i] != nil && bytes.Equal(got, oldData[i]):
+				case errs[i] != nil && errors.Is(rerr, iofs.ErrNotExist) && oldData[i] == nil:
+				default:
+					t.Fatalf("crashAt=%d tear=%d: %s holds %q (read err %v, write err %v)",
+						crashAt, tear, names[i], got, rerr, errs[i])
+				}
+			}
+		}
+	}
+}
+
+// failRename fails the rename onto one path and counts directory syncs.
+type failRename struct {
+	snapshot.FS
+	path  string
+	syncs int
+}
+
+func (f *failRename) Rename(oldpath, newpath string) error {
+	if newpath == f.path {
+		return errors.New("injected rename failure")
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
+func (f *failRename) SyncDir(dir string) error {
+	f.syncs++
+	return f.FS.SyncDir(dir)
+}
+
+// TestBatchWriteFailureIsPerFile: a file that fails mid-batch reports its
+// own error and stays absent, the files around it are written, and the
+// directory is synced once.
+func TestBatchWriteFailureIsPerFile(t *testing.T) {
+	dir := t.TempDir()
+	var files []snapshot.RawFile
+	for _, name := range []string{"a", "b", "c"} {
+		files = append(files, snapshot.RawFile{Name: name, Data: []byte(name)})
+	}
+	fs := &failRename{FS: snapshot.DiskFS, path: filepath.Join(dir, "b")}
+	errs := snapshot.WriteBatch(fs, dir, files)
+	for i, f := range files {
+		_, rerr := os.ReadFile(filepath.Join(dir, f.Name))
+		if failed := f.Name == "b"; (errs[i] != nil) != failed || (rerr != nil) != failed {
+			t.Errorf("%s: write err %v, read err %v; want both nil, or both set for the failed rename", f.Name, errs[i], rerr)
+		}
+	}
+	if fs.syncs != 1 {
+		t.Errorf("%d directory syncs, want 1", fs.syncs)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(left) != 0 {
+		t.Errorf("temp files left behind: %v", left)
 	}
 }

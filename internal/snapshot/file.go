@@ -83,13 +83,56 @@ func WriteFileN(fs FS, path string, st *State) (int64, error) {
 // temp-file+fsync+rename protocol as WriteFileN. It is the byte-level seam
 // the other durable artifacts in the tree (the service's drain ledger, the
 // answer cache's entries) share, so one crash-enumerated write path covers
-// them all.
+// them all. It is the one-file case of WriteBatch.
 func WriteRaw(fs FS, path string, data []byte) error {
+	return WriteBatch(fs, filepath.Dir(path), []RawFile{{Name: filepath.Base(path), Data: data}})[0]
+}
+
+// RawFile is one file of a WriteBatch: Data replaces the file Name in the
+// batch's directory.
+type RawFile struct {
+	Name string
+	Data []byte
+}
+
+// WriteBatch atomically replaces each file in dir with its Data and
+// returns one error per file (nil: the new bytes are durable). Each file
+// goes through WriteRaw's protocol — a fresh temp file in dir, written,
+// fsynced, closed and renamed over the file — in order, and only then is
+// dir synced, once: n files pay one directory sync instead of n. A crash
+// at any point leaves every file with either its old bytes or its complete
+// new bytes. A file whose steps fail is left as it was (its temp file
+// removed best-effort) and does not stop the others. A failed directory
+// sync is reported for every renamed file: the rename landed, but whether
+// it survives a crash is unknown.
+func WriteBatch(fs FS, dir string, files []RawFile) []error {
 	if fs == nil {
 		fs = DiskFS
 	}
-	dir := filepath.Dir(path)
-	f, err := fs.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	errs := make([]error, len(files))
+	renamed := false
+	for i, f := range files {
+		errs[i] = replace(fs, dir, f.Name, f.Data)
+		renamed = renamed || errs[i] == nil
+	}
+	if !renamed {
+		return errs
+	}
+	if err := fs.SyncDir(dir); err != nil {
+		err = fmt.Errorf("snapshot: sync dir: %w", err)
+		for i := range errs {
+			if errs[i] == nil {
+				errs[i] = err
+			}
+		}
+	}
+	return errs
+}
+
+// replace is WriteBatch's per-file step: everything but the directory
+// sync. On error the temp file is removed best-effort.
+func replace(fs FS, dir, name string, data []byte) error {
+	f, err := fs.CreateTemp(dir, name+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("snapshot: create temp: %w", err)
 	}
@@ -109,12 +152,9 @@ func WriteRaw(fs FS, path string, data []byte) error {
 		fs.Remove(tmp)
 		return fmt.Errorf("snapshot: close: %w", err)
 	}
-	if err := fs.Rename(tmp, path); err != nil {
+	if err := fs.Rename(tmp, filepath.Join(dir, name)); err != nil {
 		fs.Remove(tmp)
 		return fmt.Errorf("snapshot: rename: %w", err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("snapshot: sync dir: %w", err)
 	}
 	return nil
 }
